@@ -94,6 +94,10 @@ class DimensionTooSmall(NaryError):
     """Classification requires dim V > 4."""
 
 
+class InexactCoefficient(NaryError):
+    """A float was given where an exact rational coefficient is required."""
+
+
 class SchemaError(NaryError):
     """JSON input violates a schema; carries the offending field path."""
 

@@ -54,6 +54,8 @@ def parse_superspace(obj, path="superspace", max_degree=None):
     if not isinstance(dim, int) or dim < 1:
         raise SchemaError(f"{path}.dim", "expected a positive integer")
     parity_names = obj["parity"]
+    if not isinstance(parity_names, list):
+        raise SchemaError(f"{path}.parity", "expected a list")
     if len(parity_names) != dim:
         raise SchemaError(f"{path}.parity", f"expected {dim} entries")
     parity = []
@@ -62,10 +64,14 @@ def parse_superspace(obj, path="superspace", max_degree=None):
             raise SchemaError(f"{path}.parity[{i}]", "expected 'even' or 'odd'")
         parity.append(1 if name == "odd" else 0)
     gram_rows = obj["gram"]
+    if not isinstance(gram_rows, list):
+        raise SchemaError(f"{path}.gram", "expected a list of rows")
     if len(gram_rows) != dim:
         raise SchemaError(f"{path}.gram", f"expected {dim} rows")
     gram = []
     for i, row in enumerate(gram_rows):
+        if not isinstance(row, list):
+            raise SchemaError(f"{path}.gram[{i}]", "expected a list")
         if len(row) != dim:
             raise SchemaError(f"{path}.gram[{i}]", f"expected {dim} entries")
         gram.append([parse_scalar(x, f"{path}.gram[{i}][{j}]")

@@ -1,12 +1,32 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of lists of Fraction.  Three independent rank routines
-are provided (plain Gauss-Jordan, fraction-free Bareiss, minor expansion)
-so that results can be cross-checked.
+Matrices are lists of rows of Fractions (ints are accepted as entries).
+Every elimination runs through one kernel, ``_eliminate``: a fraction-free
+Gauss-Jordan elimination over sparse integer rows, in the sense of Bareiss,
+"Sylvester's identity and multistep integer-preserving Gaussian
+elimination" (1968).  Each input row is cleared of denominators, every
+working row is kept primitive (divided by the gcd of its entries), and each
+working row records the integer combination of input rows it comes from.
+``rref``, ``nullspace``, ``solve``, ``row_space`` and ``same_subspace`` read
+the reduced row echelon form it returns, which is unique, so no answer
+depends on the kernel's pivot order.
+
+``rank`` returns only after ``_check_rank_certificate`` has checked the
+kernel's answer against the input matrix by multiply-and-compare code that
+shares nothing with the kernel:
+
+* rank >= r: the recorded combinations reproduce the r echelon rows, and
+  those rows are independent by their pivot pattern;
+* rank <= r: the input annihilates every canonical kernel vector.
+
+``bareiss_rank`` is a dense fraction-free rank kept as a test oracle; no
+engine code calls it.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from math import gcd, lcm
+
+from .errors import NaryError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -60,133 +80,180 @@ def is_zero_matrix(a):
     return all(x == 0 for row in a for x in row)
 
 
-def hstack(a, b):
-    if not a:
-        return copy_matrix(b)
-    if not b:
-        return copy_matrix(a)
-    return [ra + rb for ra, rb in zip(a, b)]
+# ---------------------------------------------------------------------------
+# the elimination kernel
+#
+# A working row is a triple (vec, comb, scale): vec is a primitive sparse
+# integer row {column: int}, comb a sparse integer combination
+# {input row index: int}, and scale a positive int, with
+#     scale * vec == sum(comb[j] * a[j] for j in comb).
 
 
-def vstack(a, b):
-    return copy_matrix(a) + copy_matrix(b)
+def _primitive(vec, comb, scale):
+    """Divide vec by its content, then comb and scale by their common gcd."""
+    h = gcd(*vec.values())
+    if h > 1:
+        vec = {c: x // h for c, x in vec.items()}
+        scale *= h
+    g = gcd(scale, *comb.values())
+    if g > 1:
+        comb = {j: x // g for j, x in comb.items()}
+        scale //= g
+    return vec, comb, scale
+
+
+def _clear(work, piv, col):
+    """Integer combination of work and piv with a zero in column col."""
+    vec, comb, scale = work
+    pvec, pcomb, pscale = piv
+    a, b = pvec[col], vec[col]
+    g = gcd(a, b)
+    a, b = a // g, b // g                     # new vec = a*vec - b*pvec
+    s = lcm(scale, pscale)
+    new = {c: a * x for c, x in vec.items()} if a != 1 else dict(vec)
+    for c, x in pvec.items():
+        y = new.get(c, 0) - b * x
+        if y:
+            new[c] = y
+        else:
+            del new[c]
+    if not new:
+        return new, comb, scale
+    fu, fw = a * (s // scale), b * (s // pscale)
+    merged = {j: fu * x for j, x in comb.items()}
+    for j, x in pcomb.items():
+        y = merged.get(j, 0) - fw * x
+        if y:
+            merged[j] = y
+        else:
+            del merged[j]
+    return _primitive(new, merged, s)
+
+
+def _eliminate(a):
+    """Fraction-free Gauss-Jordan elimination of the rows of ``a``.
+
+    Returns ``(rows, pivots, combos)``: the nonzero rows of the reduced row
+    echelon form as dense Fraction lists, their pivot columns in increasing
+    order, and for each row a pair ``(comb, den)`` of a dict
+    {input row index: int} and a nonzero int with
+    ``sum(comb[j] * a[j] for j in comb) == den * row``.
+    """
+    cols = len(a[0]) if a else 0
+    lead_rows = {}                            # leading column -> working row
+    for j, row in enumerate(a):
+        # the shared ZERO of zeros() is skipped by identity, cheaply
+        entries = [(c, x) for c, x in enumerate(row) if x is not ZERO and x]
+        if not entries:
+            continue
+        den = lcm(*(x.denominator for _, x in entries))
+        vec, comb, scale = _primitive(
+            {c: x.numerator * (den // x.denominator) for c, x in entries},
+            {j: den}, 1)
+        while vec:
+            lead = min(vec)
+            piv = lead_rows.get(lead)
+            if piv is None:
+                if vec[lead] < 0:
+                    vec = {c: -x for c, x in vec.items()}
+                    comb = {i: -x for i, x in comb.items()}
+                lead_rows[lead] = (vec, comb, scale)
+                break
+            vec, comb, scale = _clear((vec, comb, scale), piv, lead)
+    pivots = sorted(lead_rows)
+    # back substitution, last pivot first: a pivot row is already clear of
+    # every later pivot column when it is used to clear the rows above it
+    for k in range(len(pivots) - 1, 0, -1):
+        p = pivots[k]
+        piv = lead_rows[p]
+        for q in pivots[:k]:
+            if p in lead_rows[q][0]:
+                lead_rows[q] = _clear(lead_rows[q], piv, p)
+    rows, combos = [], []
+    for p in pivots:
+        vec, comb, scale = lead_rows[p]
+        head = vec[p]
+        row = [ZERO] * cols
+        for c, x in vec.items():
+            row[c] = Fraction(x, head)
+        rows.append(row)
+        combos.append((comb, scale * head))
+    return rows, pivots, combos
+
+
+def _check_rank_certificate(a, rows, pivots, combos):
+    """Raise NaryError unless the kernel's output proves rank(a) == len(rows).
+
+    Uses nothing but products of the input with the returned rows,
+    combinations and pivots.
+    """
+    def nonzeros(row):
+        # integral entries as ints, which multiply faster than Fractions
+        return {c: x.numerator if x.denominator == 1 else x
+                for c, x in enumerate(row) if x is not ZERO and x}
+
+    n = len(a[0]) if a else 0
+    r = len(rows)
+    if len(pivots) != r or len(combos) != r or any(
+            not 0 <= p < q for p, q in zip(pivots, pivots[1:] + [n])):
+        raise NaryError("rank certificate: malformed pivot list")
+    given = [nonzeros(row) for row in rows]
+    # rank >= r: unit pivots, zero in every other pivot column ...
+    for i, nz in enumerate(given):
+        if [p for p in pivots if p in nz] != [pivots[i]] or nz[pivots[i]] != 1:
+            raise NaryError(
+                f"rank certificate: row {i} breaks the pivot pattern")
+    # ... and every row a combination of input rows
+    sparse = [nonzeros(row) for row in a]
+    for i, (nz, (comb, den)) in enumerate(zip(given, combos)):
+        if den == 0 or any(not 0 <= j < len(a) for j in comb):
+            raise NaryError(f"rank certificate: bad combination for row {i}")
+        acc = {}
+        for j, c in comb.items():
+            for col, x in sparse[j].items():
+                acc[col] = acc.get(col, 0) + c * x
+        if ({col: x for col, x in acc.items() if x}
+                != {col: den * x for col, x in nz.items()}):
+            raise NaryError(
+                f"rank certificate: combination does not give row {i}")
+    # rank <= r: a annihilates the canonical kernel vector of each free column
+    pivset = set(pivots)
+    kernel = {f: {f: 1} for f in range(n) if f not in pivset}
+    for p, nz in zip(pivots, given):
+        for col, x in nz.items():
+            if col != p:
+                kernel[col][p] = -x
+    by_col = {}
+    for j, row in enumerate(sparse):
+        for col, x in row.items():
+            by_col.setdefault(col, []).append((j, x))
+    for f, v in kernel.items():
+        image = {}
+        for col, x in v.items():
+            for j, y in by_col.get(col, ()):
+                image[j] = image.get(j, 0) + y * x
+        if any(image.values()):
+            raise NaryError(
+                f"rank certificate: a does not annihilate the kernel vector "
+                f"of column {f}")
+
+
+# ---------------------------------------------------------------------------
+# public routines, all on top of the kernel
 
 
 def rref(a):
     """Reduced row echelon form.  Returns (R, pivot column list)."""
-    r = copy_matrix(a)
-    if not r:
-        return r, []
-    rows, cols = len(r), len(r[0])
-    pivots = []
-    pr = 0
-    for pc in range(cols):
-        piv = None
-        for i in range(pr, rows):
-            if r[i][pc] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        r[pr], r[piv] = r[piv], r[pr]
-        inv = ONE / r[pr][pc]
-        r[pr] = [x * inv for x in r[pr]]
-        for i in range(rows):
-            if i != pr and r[i][pc] != 0:
-                f = r[i][pc]
-                r[i] = [x - f * y for x, y in zip(r[i], r[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == rows:
-            break
-    return r, pivots
+    rows, pivots, _ = _eliminate(a)
+    cols = len(a[0]) if a else 0
+    return rows + [[ZERO] * cols for _ in range(len(a) - len(rows))], pivots
 
 
 def rank(a):
-    return len(rref(a)[1])
-
-
-def bareiss_rank(a):
-    """Fraction-free elimination rank; independent of rref's arithmetic path."""
-    if not a or not a[0]:
-        return 0
-    # clear denominators row by row so all entries are integers
-    m = []
-    for row in a:
-        lcm = 1
-        for x in row:
-            lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
-        m.append([int(x * lcm) for x in row])
-    rows, cols = len(m), len(m[0])
-    prev = 1
-    rk = 0
-    pr = 0
-    for pc in range(cols):
-        piv = None
-        for i in range(pr, rows):
-            if m[i][pc] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[pr], m[piv] = m[piv], m[pr]
-        for i in range(pr + 1, rows):
-            for j in range(pc + 1, cols):
-                m[i][j] = (m[pr][pc] * m[i][j] - m[i][pc] * m[pr][j]) // prev
-            m[i][pc] = 0
-        prev = m[pr][pc]
-        rk += 1
-        pr += 1
-        if pr == rows:
-            break
-    return rk
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def rank_by_minors(a):
-    """Largest k with a nonvanishing k x k minor.  Exponential; small m only."""
-    if not a or not a[0]:
-        return 0
-    rows, cols = len(a), len(a[0])
-    for k in range(min(rows, cols), 0, -1):
-        for ri in combinations(range(rows), k):
-            for ci in combinations(range(cols), k):
-                sub = [[a[i][j] for j in ci] for i in ri]
-                if det(sub) != 0:
-                    return k
-    return 0
-
-
-def det(a):
-    """Determinant by fraction-free Bareiss on a copy."""
-    n = len(a)
-    if n == 0:
-        return ONE
-    m = copy_matrix(a)
-    sign = 1
-    prev = ONE
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = None
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    piv = i
-                    break
-            if piv is None:
-                return ZERO
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) / prev
-            m[i][k] = ZERO
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    """Rank of a, returned only once its certificate has been checked."""
+    rows, pivots, combos = _eliminate(a)
+    _check_rank_certificate(a, rows, pivots, combos)
+    return len(pivots)
 
 
 def nullspace(a):
@@ -224,8 +291,7 @@ def solve(a, b):
 
 def row_space(a):
     """RREF rows with zero rows dropped: a canonical basis of the row space."""
-    r, pivots = rref(a)
-    return [r[i] for i in range(len(pivots))]
+    return _eliminate(a)[0]
 
 
 def same_subspace(a, b):
@@ -233,5 +299,69 @@ def same_subspace(a, b):
     return row_space(a) == row_space(b)
 
 
-def column_space_dim(a):
-    return rank(a)
+# ---------------------------------------------------------------------------
+# independent routines
+
+
+def bareiss_rank(a):
+    """Dense fraction-free rank, sharing no code with the kernel.
+
+    A test oracle for ``rank``; no engine code calls it.
+    """
+    if not a or not a[0]:
+        return 0
+    # clear denominators row by row so all entries are integers
+    m = []
+    for row in a:
+        den = lcm(*(x.denominator for x in row))
+        m.append([int(x * den) for x in row])
+    rows, cols = len(m), len(m[0])
+    prev = 1
+    rk = 0
+    pr = 0
+    for pc in range(cols):
+        piv = None
+        for i in range(pr, rows):
+            if m[i][pc] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        m[pr], m[piv] = m[piv], m[pr]
+        for i in range(pr + 1, rows):
+            for j in range(pc + 1, cols):
+                m[i][j] = (m[pr][pc] * m[i][j] - m[i][pc] * m[pr][j]) // prev
+            m[i][pc] = 0
+        prev = m[pr][pc]
+        rk += 1
+        pr += 1
+        if pr == rows:
+            break
+    return rk
+
+
+def det(a):
+    """Determinant by fraction-free Bareiss on a copy."""
+    n = len(a)
+    if n == 0:
+        return ONE
+    m = copy_matrix(a)
+    sign = 1
+    prev = ONE
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            piv = None
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    piv = i
+                    break
+            if piv is None:
+                return ZERO
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) / prev
+            m[i][k] = ZERO
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]

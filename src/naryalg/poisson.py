@@ -21,7 +21,8 @@ kept as an independent cross-check.
 
 from fractions import Fraction
 
-from .errors import DegreeCapExceeded, NaryError, SpaceMismatch, WrongDegree
+from .errors import (DegreeCapExceeded, InexactCoefficient, NaryError,
+                     SpaceMismatch, WrongDegree)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -55,6 +56,14 @@ def normalize_word(space, word):
     return sign, tuple(w)
 
 
+def _exact(c):
+    """c as a Fraction; a float is refused, not expanded in binary."""
+    if isinstance(c, float):
+        raise InexactCoefficient(f"float coefficient {c!r}: give an int, "
+                                 "a Fraction or a 'p/q' string")
+    return Fraction(c)
+
+
 def _check_cap(space, mono):
     if len(mono) > space.max_degree:
         raise DegreeCapExceeded(
@@ -71,7 +80,7 @@ class Element:
         clean = {}
         if terms:
             for mono, coeff in terms.items():
-                c = Fraction(coeff)
+                c = coeff if type(coeff) is Fraction else _exact(coeff)
                 if c == 0:
                     continue
                 _check_cap(space, mono)
@@ -86,7 +95,7 @@ class Element:
 
     @classmethod
     def scalar(cls, space, c):
-        return cls(space, {(): Fraction(c)})
+        return cls(space, {(): _exact(c)})
 
     @classmethod
     def generator(cls, space, i):
@@ -101,7 +110,7 @@ class Element:
         if r is None:
             return cls.zero(space)
         sign, mono = r
-        return cls(space, {mono: sign * Fraction(coeff)})
+        return cls(space, {mono: sign * _exact(coeff)})
 
     @classmethod
     def from_terms(cls, space, pairs):
@@ -111,7 +120,7 @@ class Element:
             if r is None:
                 continue
             sign, mono = r
-            acc[mono] = acc.get(mono, ZERO) + sign * Fraction(coeff)
+            acc[mono] = acc.get(mono, ZERO) + sign * _exact(coeff)
         return cls(space, acc)
 
     # ---- structure ----
@@ -175,7 +184,7 @@ class Element:
         return Element(self.space, {m: -c for m, c in self.terms.items()})
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _exact(c)
         if c == 0:
             return Element.zero(self.space)
         return Element(self.space, {m: c * v for m, v in self.terms.items()})

@@ -189,6 +189,23 @@ def test_bad_schema_exits_2(files, capsys):
     assert "schema" in err
 
 
+@pytest.mark.parametrize("field, value, where", [
+    ("parity", 5, "superspace.parity"),
+    ("gram", 5, "superspace.gram"),
+    ("gram", [5] * 5, "superspace.gram[0]"),
+])
+def test_non_list_superspace_field_exits_2(files, capsys, field, value, where):
+    write, _ = files
+    bad = dict(SPACE5, **{field: value})
+    code, out, err = run_main(
+        ["verify", "--space", write("s.json", bad), "--identity", "filippov",
+         "--potential", write("mu.json", MU2)], capsys)
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["kind"] == "SchemaError"
+    assert report["error"].startswith(where + ":")
+
+
 def test_missing_file_exits_2(files, capsys):
     write, tmp = files
     code, _, err = run_main(

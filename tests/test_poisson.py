@@ -6,7 +6,8 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from naryalg.errors import DegreeCapExceeded, SpaceMismatch
+from naryalg.errors import (DegreeCapExceeded, InexactCoefficient,
+                            SpaceMismatch)
 from naryalg.poisson import (
     Element,
     bracket_recursive_oracle,
@@ -195,6 +196,19 @@ def test_degree_cap_enforced():
     cubed = Element.monomial(small, (0, 0, 0))
     with pytest.raises(DegreeCapExceeded):
         multiply(cubed, Element.generator(small, 0))
+
+
+def test_float_coefficients_rejected():
+    # Fraction(0.1) would silently store 3602879701896397/36028797018963968
+    with pytest.raises(InexactCoefficient):
+        Element(V5, {(0,): 0.1})
+    with pytest.raises(InexactCoefficient):
+        Element.monomial(V5, (0, 1), 0.5)
+    with pytest.raises(InexactCoefficient):
+        Element.generator(V5, 0).scale(2.0)
+    tenth = Fraction(1, 10)
+    assert Element(V5, {(0,): tenth}).terms == {(0,): tenth}
+    assert Element(V5, {(0,): 3}).terms == {(0,): Fraction(3)}
 
 
 def test_element_json_round_trip_and_rejections():
