@@ -6,6 +6,14 @@ always graded-commutative and invariant with respect to the form; when the
 form is nondegenerate every commutative invariant structure arises this
 way, and ``potential_from_structure`` inverts the construction exactly.
 
+The inverse is a closed form (Kosmann-Schwarzbach, "Derived brackets",
+2004): with the dual basis [dual[i], e_k] = delta_ik, the coefficient of
+e_b is (dual[b_0], {dual[b_1],...,dual[b_n]}), the contraction of mu
+with those dual vectors, divided by ``contraction_constant``, the same
+contraction of e_b alone; it kills every other monomial.  The potential is
+returned only once derive_structure reproduces the input table; the
+inverse is unique, so that comparison certifies it.
+
 The verifiers reduce each universally quantified identity to finitely many
 basis instances.  Multilinearity makes basis tuples sufficient, and the
 built-in symmetry of the structures lets every loop run over canonical
@@ -15,7 +23,9 @@ tuples only (indices non-decreasing, odd indices strict).
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 
+from . import linalg
 from .errors import (
     DegreeMismatch,
     NaryError,
@@ -316,11 +326,55 @@ def check_invariant(s, exhaustive=False, threads=1):
     return CheckReport("invariant", True)
 
 
+def dual_basis(space):
+    """dual[i] = sum_j (G^-1)[i][j] e_j, so that [dual[i], e_k] = delta_ik."""
+    return [Element(space, {(j,): c for j, c in enumerate(row)})
+            for row in linalg.inverse(space.gram)]
+
+
+def contraction_constant(space, b):
+    """Full contraction of the monomial e_b with its own dual vectors.
+
+    [dual[b_0], [dual[b_1], ... [dual[b_n], e_b] ...]] is
+    (-1)^{k(k-1)/2} times the product of m! over the even indices of b with
+    multiplicity m, where k counts the odd indices of b: bracketing with
+    dual[i] differentiates by e_i, and the odd derivations pass the odd
+    factors in front of them.
+    """
+    k = sum(space.parity[i] for i in b)
+    kappa = -1 if k * (k - 1) // 2 % 2 else 1
+    for i in set(b):  # an odd index occurs once, so its factor is 1
+        kappa *= factorial(b.count(i))
+    return kappa
+
+
+def closed_form_potential(s):
+    """The potential whose derived structure is s, if there is one.
+
+    The coefficient of e_b is F_b / kappa_b with
+    F_b = (dual[b_0], s(dual[b_1], ..., dual[b_n])): contracting mu with
+    dual vectors kills every monomial but e_b.  Not checked here; see
+    ``potential_from_structure``.
+    """
+    space = s.space
+    dual = dual_basis(space)
+    acc = {}
+    for b in canonical_tuples(space, s.arity + 1):
+        # (dual[i], v) is the coefficient of e_i in v
+        f = s.eval_elements([dual[i] for i in b[1:]]).coefficient((b[0],))
+        if f:
+            acc[b] = f / contraction_constant(space, b)
+    return Potential.single(space, Element(space, acc), arity=s.arity)
+
+
 def potential_from_structure(s, space=None):
     """Invert the derived-bracket construction (exact, unique).
 
     Requires a nondegenerate form and a commutative invariant structure;
-    both are verified first and reported with a witness on failure.
+    both are verified first and reported with a witness on failure.  The
+    potential is read off in closed form (``closed_form_potential``) and
+    returned only once its derived structure equals s; the inverse is
+    unique, so that equality proves it.
     """
     space = space or s.space
     if space != s.space:
@@ -333,37 +387,10 @@ def potential_from_structure(s, space=None):
     rep = check_invariant(s)
     if not rep.passed:
         raise NotInvariant("structure is not invariant", witness=rep.witness)
-
-    n = s.arity
-    basis = canonical_tuples(space, n + 1)
-    keys = canonical_tuples(space, n)
-    columns = []
-    for b in basis:
-        mono = Element.monomial(space, b)
-        col = []
-        for t in keys:
-            img = nested_bracket_indices(space, t, mono)
-            for r in range(space.dim):
-                col.append(img.coefficient((r,)))
-        columns.append(col)
-    rhs = []
-    for t in keys:
-        img = s.eval_basis(t)
-        for r in range(space.dim):
-            rhs.append(img.coefficient((r,)))
-    matrix = [[columns[b][row] for b in range(len(basis))]
-              for row in range(len(rhs))]
-    from . import linalg
-    x = linalg.solve(matrix, rhs)
-    if x is None:
-        # cannot happen for a commutative invariant structure over a
-        # nondegenerate form
+    mu = closed_form_potential(s)
+    if derive_structure(mu).table != s.table:
         raise NotInvariant("structure is not derived from any potential")
-    acc = {}
-    for b, coeff in zip(basis, x):
-        if coeff != 0:
-            acc[b] = coeff
-    return Potential.single(space, Element(space, acc), arity=n)
+    return mu
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,11 @@ arguments, and acts on one dual argument by
     muT(a_1,...,a_{n-1}, b*)(c) = -b*( mu(a_1,...,a_{n-1}, c) ).
 
 The extension is commutative and invariant for the doubled pairing, so it
-has a derived potential muT, recovered exactly by inverting the derived
-bracket construction.
+has a derived potential muT.  The doubled Gram matrix is its own inverse,
+so each dual basis vector of the closed-form inversion is one generator.
+The inversion returns muT only once derive_structure(muT) equals the table
+built from the formulas above, and that one comparison is the only check
+the extension needs.
 
 A graded-symmetric bilinear form phi (an ordinary skew matrix on a pure
 odd space) is quasi-Frobenius for mu when every cyclic sum
@@ -45,7 +48,7 @@ def doubled_space(m):
 def validate_phi(space, phi):
     """A graded-symmetric form on a pure odd space: an ordinary skew matrix."""
     m = space.dim
-    phi = [[Fraction(x) for x in row] for row in phi]
+    phi = [[linalg.exact(x) for x in row] for row in phi]
     if len(phi) != m or any(len(row) != m for row in phi):
         raise NaryError("phi must be a dim x dim matrix")
     for i in range(m):
@@ -63,7 +66,7 @@ class TStarExtension:
     arity: int
     base: NaryStructure
     potential: object        # derived potential of the extension
-    structure: NaryStructure # extended product, derived back from potential
+    structure: NaryStructure # extended product = derive_structure(potential)
 
 
 def _as_structure(space, mu):
@@ -73,7 +76,7 @@ def _as_structure(space, mu):
 
 
 def t_star_extension(space, mu):
-    """Build the cotangent extension and verify its defining identities."""
+    """Build the cotangent extension and its certified derived potential."""
     if not space.pure_odd:
         raise NotPureOdd("the extension is defined for pure odd spaces")
     s = _as_structure(space, mu)
@@ -97,33 +100,12 @@ def t_star_extension(space, mu):
             if img:
                 table[t + (m + b,)] = Element(ws, img)
     ext_structure = NaryStructure(ws, n, table)
+    # certified: derive_structure(muT) equals this table, so the derived
+    # extension restricts to s, acts on one dual argument as stated and
+    # kills two or more
     muT = potential_from_structure(ext_structure, ws)
-    derived_back = derive_structure(muT)
-
-    # defining identities, on every basis tuple
-    for t in canonical_tuples(space, n):
-        lhs = derived_back.eval_basis(t)
-        want = Element(ws, dict(s.eval_basis(t).terms))
-        if lhs != want:
-            raise NaryError(f"extension does not restrict to the base at {t}")
-    for t in canonical_tuples(space, n - 1):
-        for b in range(m):
-            val = derived_back.eval_basis(t + (m + b,))
-            for c in range(m):
-                got = val.coefficient((m + c,))
-                want = -s.eval_basis(t + (c,)).coefficient((b,))
-                if got != want:
-                    raise NaryError(
-                        f"dual action is wrong at {t + (m + b,)} on {c}")
-            if any(i < m for mono in val.terms for i in mono):
-                raise NaryError(f"dual argument leaks into V at {t + (m + b,)}")
-    for t in canonical_tuples(ws, n):
-        stars = sum(1 for i in t if i >= m)
-        if stars > 1 and not derived_back.eval_basis(t).is_zero():
-            raise NaryError(f"extension is nonzero on {stars} dual arguments")
-
     return TStarExtension(base_space=space, space=ws, arity=n, base=s,
-                          potential=muT, structure=derived_back)
+                          potential=muT, structure=ext_structure)
 
 
 @dataclass

@@ -76,8 +76,12 @@ def parse_superspace(obj, path="superspace", max_degree=None):
             raise SchemaError(f"{path}.gram[{i}]", f"expected {dim} entries")
         gram.append([parse_scalar(x, f"{path}.gram[{i}][{j}]")
                      for j, x in enumerate(row)])
-    if max_degree is None:
-        max_degree = obj.get("max_degree")
+    if max_degree is None and "max_degree" in obj:
+        max_degree = obj["max_degree"]
+        if (isinstance(max_degree, bool) or not isinstance(max_degree, int)
+                or max_degree < 1):
+            raise SchemaError(f"{path}.max_degree",
+                              "expected a positive integer")
     return Superspace(dim, parity, gram, max_degree=max_degree)
 
 

@@ -7,9 +7,9 @@ Gauss-Jordan elimination over sparse integer rows, in the sense of Bareiss,
 elimination" (1968).  Each input row is cleared of denominators, every
 working row is kept primitive (divided by the gcd of its entries), and each
 working row records the integer combination of input rows it comes from.
-``rref``, ``nullspace``, ``solve``, ``row_space`` and ``same_subspace`` read
-the reduced row echelon form it returns, which is unique, so no answer
-depends on the kernel's pivot order.
+``rref``, ``nullspace``, ``solve``, ``inverse``, ``row_space`` and
+``same_subspace`` read the reduced row echelon form it returns, which is
+unique, so no answer depends on the kernel's pivot order.
 
 ``rank`` returns only after ``_check_rank_certificate`` has checked the
 kernel's answer against the input matrix by multiply-and-compare code that
@@ -26,10 +26,18 @@ engine code calls it.
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import NaryError
+from .errors import InexactCoefficient, NaryError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def exact(c):
+    """c as a Fraction; a float is refused, not expanded in binary."""
+    if isinstance(c, float):
+        raise InexactCoefficient(f"float coefficient {c!r}: give an int, "
+                                 "a Fraction or a 'p/q' string")
+    return Fraction(c)
 
 
 def zeros(rows, cols):
@@ -287,6 +295,16 @@ def solve(a, b):
     for ri, pc in enumerate(pivots):
         x[pc] = r[ri][cols]
     return x
+
+
+def inverse(a):
+    """Exact inverse of a square matrix: the RREF of [a | I] is [I | a^-1]."""
+    n = len(a)
+    eye = identity(n)
+    r, pivots = rref([list(row) + eye[i] for i, row in enumerate(a)])
+    if pivots != list(range(n)):
+        raise NaryError("matrix is singular")
+    return [row[n:] for row in r]
 
 
 def row_space(a):

@@ -21,8 +21,8 @@ kept as an independent cross-check.
 
 from fractions import Fraction
 
-from .errors import (DegreeCapExceeded, InexactCoefficient, NaryError,
-                     SpaceMismatch, WrongDegree)
+from .errors import DegreeCapExceeded, NaryError, SpaceMismatch, WrongDegree
+from .linalg import exact
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -56,14 +56,6 @@ def normalize_word(space, word):
     return sign, tuple(w)
 
 
-def _exact(c):
-    """c as a Fraction; a float is refused, not expanded in binary."""
-    if isinstance(c, float):
-        raise InexactCoefficient(f"float coefficient {c!r}: give an int, "
-                                 "a Fraction or a 'p/q' string")
-    return Fraction(c)
-
-
 def _check_cap(space, mono):
     if len(mono) > space.max_degree:
         raise DegreeCapExceeded(
@@ -80,7 +72,7 @@ class Element:
         clean = {}
         if terms:
             for mono, coeff in terms.items():
-                c = coeff if type(coeff) is Fraction else _exact(coeff)
+                c = coeff if type(coeff) is Fraction else exact(coeff)
                 if c == 0:
                     continue
                 _check_cap(space, mono)
@@ -95,7 +87,7 @@ class Element:
 
     @classmethod
     def scalar(cls, space, c):
-        return cls(space, {(): _exact(c)})
+        return cls(space, {(): exact(c)})
 
     @classmethod
     def generator(cls, space, i):
@@ -110,7 +102,7 @@ class Element:
         if r is None:
             return cls.zero(space)
         sign, mono = r
-        return cls(space, {mono: sign * _exact(coeff)})
+        return cls(space, {mono: sign * exact(coeff)})
 
     @classmethod
     def from_terms(cls, space, pairs):
@@ -120,7 +112,7 @@ class Element:
             if r is None:
                 continue
             sign, mono = r
-            acc[mono] = acc.get(mono, ZERO) + sign * _exact(coeff)
+            acc[mono] = acc.get(mono, ZERO) + sign * exact(coeff)
         return cls(space, acc)
 
     # ---- structure ----
@@ -184,7 +176,7 @@ class Element:
         return Element(self.space, {m: -c for m, c in self.terms.items()})
 
     def scale(self, c):
-        c = _exact(c)
+        c = exact(c)
         if c == 0:
             return Element.zero(self.space)
         return Element(self.space, {m: c * v for m, v in self.terms.items()})

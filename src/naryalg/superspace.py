@@ -38,7 +38,7 @@ class Superspace:
         if len(gram) != dim or any(len(row) != dim for row in gram):
             raise NaryError("gram must be dim x dim")
         parity = tuple(int(p) & 1 for p in parity)
-        gram = tuple(tuple(Fraction(x) for x in row) for row in gram)
+        gram = tuple(tuple(linalg.exact(x) for x in row) for row in gram)
         for i in range(dim):
             for j in range(dim):
                 if parity[i] != parity[j]:

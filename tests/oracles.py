@@ -2,7 +2,10 @@
 
 from itertools import combinations
 
+from naryalg import linalg
+from naryalg.derived import Potential, canonical_tuples
 from naryalg.linalg import det
+from naryalg.poisson import Element, nested_bracket_indices
 
 
 def rank_by_minors(a):
@@ -17,3 +20,38 @@ def rank_by_minors(a):
                 if det(sub) != 0:
                     return k
     return 0
+
+
+def potential_by_solve(s):
+    """Invert the derived bracket by a dense linear solve.  Slow; oracle only.
+
+    One unknown per canonical (n+1)-monomial, one equation per canonical
+    n-tuple and output coordinate: the nested brackets of the monomials
+    must reproduce the structure table.  Returns None when the system is
+    inconsistent.
+    """
+    space = s.space
+    n = s.arity
+    basis = canonical_tuples(space, n + 1)
+    keys = canonical_tuples(space, n)
+    columns = []
+    for b in basis:
+        mono = Element.monomial(space, b)
+        col = []
+        for t in keys:
+            img = nested_bracket_indices(space, t, mono)
+            for r in range(space.dim):
+                col.append(img.coefficient((r,)))
+        columns.append(col)
+    rhs = []
+    for t in keys:
+        img = s.eval_basis(t)
+        for r in range(space.dim):
+            rhs.append(img.coefficient((r,)))
+    matrix = [[columns[b][row] for b in range(len(basis))]
+              for row in range(len(rhs))]
+    x = linalg.solve(matrix, rhs)
+    if x is None:
+        return None
+    acc = {b: c for b, c in zip(basis, x) if c != 0}
+    return Potential.single(space, Element(space, acc), arity=n)

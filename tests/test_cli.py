@@ -206,6 +206,24 @@ def test_non_list_superspace_field_exits_2(files, capsys, field, value, where):
     assert report["error"].startswith(where + ":")
 
 
+@pytest.mark.parametrize("value", ["x", 0, -1, 2.5, True, None])
+def test_bad_max_degree_exits_2(files, capsys, value):
+    # a mixed space, so the cap is read when the bracket builds monomials
+    write, _ = files
+    space = {"schema": "nary/1", "dim": 3, "parity": ["even", "even", "odd"],
+             "gram": [["0", "1", "0"], ["-1", "0", "0"], ["0", "0", "1"]],
+             "max_degree": value}
+    mu = {"schema": "nary/1", "arity": 2,
+          "element": [{"monomial": [1, 2, 3], "coeff": "1"}]}
+    code, out, err = run_main(
+        ["verify", "--space", write("s.json", space), "--identity",
+         "l-infinity", "--potential", write("mu.json", mu)], capsys)
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["kind"] == "SchemaError"
+    assert report["error"].startswith("superspace.max_degree:")
+
+
 def test_missing_file_exits_2(files, capsys):
     write, tmp = files
     code, _, err = run_main(

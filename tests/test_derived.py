@@ -11,6 +11,7 @@ from itertools import product
 
 import pytest
 
+from naryalg import derived
 from naryalg.derived import (
     NaryStructure,
     Potential,
@@ -23,7 +24,10 @@ from naryalg.derived import (
     check_jordan,
     check_l_infinity,
     check_nary_jacobi,
+    closed_form_potential,
+    contraction_constant,
     derive_structure,
+    dual_basis,
     generalized_jacobi,
     potential_from_structure,
 )
@@ -35,8 +39,11 @@ from naryalg.errors import (
     NotPureEven,
     NotPureOdd,
 )
-from naryalg.poisson import Element, poisson_bracket
+from naryalg.frobenius import doubled_space
+from naryalg.poisson import Element, nested_bracket, poisson_bracket
 from naryalg.superspace import Superspace, even_symplectic_space, odd_space
+
+from oracles import potential_by_solve
 
 V5 = odd_space(5)
 V6 = odd_space(6)
@@ -155,6 +162,110 @@ def test_degenerate_form_rejected():
     sp = odd_space(2, gram=[[1, 0], [0, 0]])
     with pytest.raises(Degenerate):
         potential_from_structure(NaryStructure(sp, 1, {}), sp)
+
+
+# spaces for the closed-form inversion: non-identity Gram matrices of every kind
+HALF = Fraction(1, 2)
+INVERSION_SPACES = {
+    # mixed parity, odd block [[1, 1/2], [1/2, 3]] not diagonal
+    "mixed": Superspace(4, [0, 0, 1, 1],
+                        [[0, 1, 0, 0], [-1, 0, 0, 0],
+                         [0, 0, 1, HALF], [0, 0, HALF, 3]], max_degree=8),
+    # pure even, symplectic blocks scaled by 2 and 1/3
+    "scaled-symplectic": Superspace(4, [0, 0, 0, 0],
+                                    [[0, 2, 0, 0], [-2, 0, 0, 0],
+                                     [0, 0, 0, Fraction(1, 3)],
+                                     [0, 0, Fraction(-1, 3), 0]],
+                                    max_degree=8),
+    # scaled symplectic even block interleaved with a full odd block
+    "mixed-interleaved": Superspace(5, [1, 0, 1, 0, 1],
+                                    [[2, 0, 1, 0, 0], [0, 0, 0, -3, 0],
+                                     [1, 0, 1, 0, HALF], [0, 3, 0, 0, 0],
+                                     [0, 0, HALF, 0, -1]], max_degree=8),
+    "odd-dense": odd_space(3, gram=[[2, 1, 0], [1, 1, 1], [0, 1, 3]]),
+    "doubled-2": doubled_space(2),
+    "doubled-3": doubled_space(3),
+}
+
+
+def has_even_repeat(space, element):
+    return any(a == b and not space.parity[a]
+               for mono in element.terms for a, b in zip(mono, mono[1:]))
+
+
+def test_dual_basis_is_dual():
+    for sp in INVERSION_SPACES.values():
+        dual = dual_basis(sp)
+        for i in range(sp.dim):
+            for k in range(sp.dim):
+                got = poisson_bracket(dual[i], Element.generator(sp, k))
+                assert got == Element.scalar(sp, 1 if i == k else 0)
+    # the hyperbolic Gram matrix is its own inverse: one generator each
+    ws = doubled_space(3)
+    assert [d.terms for d in dual_basis(ws)] == [
+        {((i + 3) % 6,): 1} for i in range(6)]
+
+
+@pytest.mark.parametrize("name", sorted(INVERSION_SPACES))
+def test_contraction_constant_matches_literal_contraction(name):
+    """kappa_b against the nested brackets of e_b with its dual vectors.
+
+    The same contraction kills every other monomial of the same degree.
+    """
+    sp = INVERSION_SPACES[name]
+    dual = dual_basis(sp)
+    for degree in range(2, 6):
+        monos = canonical_tuples(sp, degree)
+        for b in monos:
+            args = [dual[i] for i in b]
+            literal = nested_bracket(args, Element.monomial(sp, b))
+            assert literal == Element.scalar(sp, contraction_constant(sp, b)), b
+            for other in monos[:12]:
+                if other != b:
+                    assert nested_bracket(
+                        args, Element.monomial(sp, other)).is_zero()
+
+
+def test_closed_form_matches_solve_oracle():
+    """The closed form against the dense solve on random derived structures."""
+    rng = random.Random(41)
+    seen = set()
+    repeats = 0
+    for _ in range(90):
+        name = rng.choice(sorted(INVERSION_SPACES))
+        sp = INVERSION_SPACES[name]
+        n = rng.randint(1, 4)
+        el = random_homogeneous(sp, rng, n + 1, terms=4)
+        if el.is_zero():
+            continue
+        mu = Potential.single(sp, el)
+        s = derive_structure(mu)
+        closed = potential_from_structure(s, sp)
+        oracle = potential_by_solve(s)
+        assert closed.element == oracle.element == mu.element, (name, n)
+        seen.add((name, n))
+        repeats += has_even_repeat(sp, el)
+    assert {n for _, n in seen} == {1, 2, 3, 4}
+    assert {name for name, _ in seen} == set(INVERSION_SPACES)
+    assert repeats >= 10
+
+
+@pytest.mark.parametrize("name", ["mixed", "doubled-2", "odd-dense"])
+def test_certificate_rejects_a_flipped_coefficient(name, monkeypatch):
+    sp = INVERSION_SPACES[name]
+    mu = Potential.single(sp, random_homogeneous(sp, random.Random(43), 3))
+    s = derive_structure(mu)
+    assert potential_from_structure(s, sp).element == mu.element
+
+    def flipped(s):
+        terms = dict(closed_form_potential(s).element.terms)
+        first = min(terms)
+        terms[first] = -terms[first]
+        return Potential.single(s.space, Element(s.space, terms), arity=s.arity)
+
+    monkeypatch.setattr(derived, "closed_form_potential", flipped)
+    with pytest.raises(NotInvariant):
+        potential_from_structure(s, sp)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ from itertools import product
 
 import pytest
 
-from naryalg.derived import NaryStructure
-from naryalg.errors import NaryError, OddArity
+from naryalg import derived
+from naryalg.derived import NaryStructure, Potential, derive_structure
+from naryalg.errors import InexactCoefficient, NaryError, NotInvariant, OddArity
 from naryalg.frobenius import (
     check_quasi_frobenius,
     doubled_space,
@@ -64,6 +65,12 @@ def test_phi_must_be_graded_symmetric():
     validate_phi(V2, [[0, 1], [-1, 0]])
 
 
+def test_float_phi_rejected():
+    # Fraction(0.1) would silently store 3602879701896397/36028797018963968
+    with pytest.raises(InexactCoefficient):
+        validate_phi(V2, [[0, 0.1], [-0.1, 0]])
+
+
 def test_extension_of_zero_structure():
     ext = t_star_extension(V2, NaryStructure(V2, 2, {}))
     assert ext.potential.element.is_zero()
@@ -110,6 +117,35 @@ def test_extension_structure_is_invariant():
     ext = t_star_extension(sp, s)
     assert check_commutative(ext.structure).passed
     assert check_invariant(ext.structure).passed
+
+
+def test_extension_structure_is_derived_from_its_potential():
+    sp, s = random_anticommutative(random.Random(37), 3)
+    ext = t_star_extension(sp, s)
+    assert derive_structure(ext.potential) == ext.structure
+
+
+@pytest.mark.parametrize("duals", [0, 1, 2, 3])
+def test_forged_extension_potential_rejected(duals, monkeypatch):
+    """One extra monomial with the given number of dual indices.
+
+    Each kind breaks one defining identity: the restriction to the base (0),
+    the action on one dual argument (1), or the vanishing on two or more
+    dual arguments (2, 3); the single certificate catches all of them.
+    """
+    sp, s = random_anticommutative(random.Random(37), 3)
+    m = sp.dim
+    forged = tuple(range(3 - duals)) + tuple(m + i for i in range(duals))
+    original = derived.closed_form_potential
+
+    def forge(ext):
+        mu = original(ext)
+        extra = Element.monomial(ext.space, forged)
+        return Potential.single(ext.space, mu.element + extra, arity=ext.arity)
+
+    monkeypatch.setattr(derived, "closed_form_potential", forge)
+    with pytest.raises(NotInvariant):
+        t_star_extension(sp, s)
 
 
 def test_quasi_frobenius_zero_structure_any_phi():

@@ -166,3 +166,22 @@ def test_certificate_rejects_a_broken_kernel(monkeypatch, mutate):
     monkeypatch.setattr(linalg, "_eliminate", lambda m: mutate(*kernel(m)))
     with pytest.raises(NaryError, match="rank certificate"):
         linalg.rank(a)
+
+
+def test_inverse_is_two_sided():
+    rng = random.Random(13)
+    done = 0
+    while done < 20:
+        n = rng.randint(1, 7)
+        a = random_matrix(rng, n, n)
+        if linalg.rank(a) < n:
+            continue
+        inv = linalg.inverse(a)
+        assert linalg.mat_mul(a, inv) == linalg.identity(n)
+        assert linalg.mat_mul(inv, a) == linalg.identity(n)
+        done += 1
+
+
+def test_inverse_of_singular_matrix_raises():
+    with pytest.raises(NaryError):
+        linalg.inverse([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])

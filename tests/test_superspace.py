@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from naryalg import io, linalg
-from naryalg.errors import MixedParityEntry, NotPureOdd, SymmetryViolation
+from naryalg.errors import (InexactCoefficient, MixedParityEntry, NotPureOdd,
+                            SymmetryViolation)
 from naryalg.superspace import (
     Orientation,
     is_positive_definite,
@@ -112,3 +113,11 @@ def test_env_var_sets_degree_cap(monkeypatch):
     assert sp.max_degree == 7
     # pure odd spaces are bounded by the dimension regardless
     assert odd_space(3).max_degree == 3
+
+
+def test_float_gram_rejected():
+    # Fraction(0.1) would silently store 3602879701896397/36028797018963968
+    with pytest.raises(InexactCoefficient):
+        new_superspace(1, [1], [[0.1]])
+    tenth = Fraction(1, 10)
+    assert new_superspace(1, [1], [[tenth]]).gram == ((tenth,),)
