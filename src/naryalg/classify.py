@@ -12,9 +12,7 @@ by the rank of v.
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
-from scipy.linalg import schur
+from math import lcm
 
 from . import linalg
 from .derived import (
@@ -109,6 +107,7 @@ class CanonicalForm:
     m: int
 
     def reconstruct(self):
+        import numpy as np
         a = np.zeros((self.m, self.m))
         for t, val in enumerate(self.params):
             a[2 * t, 2 * t + 1] = val
@@ -118,6 +117,10 @@ class CanonicalForm:
 
 def canonical_form(a, skew_tol=1e-12, residual_tol=1e-9):
     """Block parameters and transforming rotation of a real skew matrix."""
+    # imported here, so that only the canonical form loads numpy and scipy
+    import numpy as np
+    from scipy.linalg import schur
+
     A = np.asarray(a, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NotSkew("input is not a square matrix")
@@ -234,23 +237,49 @@ class IdealReport:
     rounds: int = 0
 
 
-def _spin(mats, seed_rows, m):
-    """Smallest subspace containing the seeds and invariant under the mats."""
-    rows = linalg.row_space([list(r) for r in seed_rows])
-    changed = True
-    while changed and len(rows) < m:
-        changed = False
-        new_rows = list(rows)
-        for mat in mats:
-            for vec in rows:
-                img = linalg.mat_vec(mat, vec)
-                if any(x != 0 for x in img):
-                    new_rows.append(img)
-        reduced = linalg.row_space(new_rows)
-        if len(reduced) > len(rows):
-            rows = reduced
-            changed = True
-    return rows
+def _integer_lines(lines):
+    """Lines (rows or columns) as sparse integer dicts {index: int}.
+
+    All lines are scaled by one positive int, the common denominator;
+    scaling an operator changes none of its invariant subspaces.
+    """
+    lines = [list(line) for line in lines]
+    den = lcm(*(x.denominator for line in lines for x in line))
+    return [{i: x.numerator * (den // x.denominator)
+             for i, x in enumerate(line) if x} for line in lines]
+
+
+def _spin(ops, seed_rows, m):
+    """Smallest subspace containing the seeds and invariant under the ops.
+
+    Each op is an operator given by its columns (``_integer_lines``).  A
+    worklist maps every new basis vector by every op exactly once and
+    reduces each image into the echelon basis with the elimination kernel's
+    forward step, stopping once the basis spans everything.  The closure is
+    unique, so its canonical ``row_space`` basis is the answer.
+    """
+    lead_rows = {}
+    work = []
+
+    def insert(vec):
+        lead = linalg.reduce_into(lead_rows, vec, {}, 1)
+        if lead is not None:
+            work.append(lead_rows[lead][0])
+
+    for vec in _integer_lines(seed_rows):
+        insert(vec)
+    while work and len(lead_rows) < m:
+        vec = work.pop()
+        for cols in ops:
+            img = {}
+            for j, x in vec.items():
+                for i, y in cols[j].items():
+                    img[i] = img.get(i, 0) + x * y
+            insert({i: y for i, y in img.items() if y})
+            if len(lead_rows) == m:
+                break
+    return linalg.row_space([[vec.get(c, 0) for c in range(m)]
+                             for vec, _, _ in lead_rows.values()])
 
 
 def _verify_ideal(mats, rows):
@@ -327,10 +356,11 @@ def find_ideal(s, rank_hint=None, rounds=64, seed=0):
         row = [ZERO] * m
         row[i] = ONE
         candidates.append([row])
+    ops = [_integer_lines(zip(*mat)) for mat in mats]
     for cand in candidates:
         if not cand:
             continue
-        spun = _spin(mats, cand, m)
+        spun = _spin(ops, cand, m)
         if 0 < len(spun) < m and _verify_ideal(mats, spun):
             return IdealReport(True, _rows_to_elements(space, spun),
                                method="spin", status="ideal found")
@@ -342,7 +372,8 @@ def find_ideal(s, rank_hint=None, rounds=64, seed=0):
 
     # stage 3: randomized invariant-subspace search
     rng = random.Random(seed)
-    mats_t = [linalg.transpose(mat) for mat in mats]
+    # the columns of a transpose are the rows of the operator
+    ops_t = [_integer_lines(mat) for mat in mats]
     for rnd in range(1, rounds + 1):
         z = linalg.zeros(m, m)
         for _ in range(rng.randint(1, 3)):
@@ -357,7 +388,7 @@ def find_ideal(s, rank_hint=None, rounds=64, seed=0):
         if not ns or len(ns) == m:
             continue
         for vec in ns:
-            spun = _spin(mats, [vec], m)
+            spun = _spin(ops, [vec], m)
             if 0 < len(spun) < m and _verify_ideal(mats, spun):
                 return IdealReport(True, _rows_to_elements(space, spun),
                                    method="meataxe", status="ideal found",
@@ -367,7 +398,7 @@ def find_ideal(s, rank_hint=None, rounds=64, seed=0):
             nst = linalg.nullspace(zt)
             dual_full = True
             for vec in nst:
-                spun = _spin(mats_t, [vec], m)
+                spun = _spin(ops_t, [vec], m)
                 if 0 < len(spun) < m:
                     comp = _orth_complement(spun, m)
                     comp = linalg.row_space(comp)
@@ -418,9 +449,8 @@ def classify_m3(space, v, rounds=64, seed=0, cross_validate=True,
     ideal = find_ideal(s, rank_hint=rank, rounds=rounds, seed=seed)
     if cross_validate and ideal.found == simple:
         raise NaryError("rank criterion disagrees with the ideal search")
-    params = canonical_form(
-        np.array([[float(x) for x in row] for row in a]),
-        residual_tol=tolerance).params
+    params = canonical_form([[float(x) for x in row] for row in a],
+                            residual_tol=tolerance).params
     return ClassificationRecord(
         m=space.dim, v=v, skew_rank=rank, canonical_params=params,
         simple=simple, simple_method=method, filippov=filippov,

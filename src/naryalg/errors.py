@@ -99,7 +99,10 @@ class InexactCoefficient(NaryError):
 
 
 class SchemaError(NaryError):
-    """JSON input violates a schema; carries the offending field path."""
+    """Input violates a schema; carries the offending field path.
+
+    The path is a JSON field path, or the name of an environment variable.
+    """
 
     def __init__(self, path, msg):
         super().__init__(f"{path}: {msg}")

@@ -7,9 +7,11 @@ Gauss-Jordan elimination over sparse integer rows, in the sense of Bareiss,
 elimination" (1968).  Each input row is cleared of denominators, every
 working row is kept primitive (divided by the gcd of its entries), and each
 working row records the integer combination of input rows it comes from.
-``rref``, ``nullspace``, ``solve``, ``inverse``, ``row_space`` and
-``same_subspace`` read the reduced row echelon form it returns, which is
-unique, so no answer depends on the kernel's pivot order.
+Its forward step, ``reduce_into``, is also the reducer of the
+invariant-subspace closure in ``classify``.  ``rref``, ``nullspace``,
+``solve``, ``inverse``, ``row_space`` and ``same_subspace`` read the
+reduced row echelon form it returns, which is unique, so no answer depends
+on the kernel's pivot order.
 
 ``rank`` returns only after ``_check_rank_certificate`` has checked the
 kernel's answer against the input matrix by multiply-and-compare code that
@@ -138,6 +140,29 @@ def _clear(work, piv, col):
     return _primitive(new, merged, s)
 
 
+def reduce_into(lead_rows, vec, comb, scale):
+    """The kernel's forward step: reduce a working row against lead_rows.
+
+    lead_rows maps each leading column to a stored working row.  The row
+    (vec, comb, scale) is cleared at each leading column it shares with a
+    stored row; if anything survives, it is stored under its new leading
+    column with a positive leading entry, and that column is returned.
+    Returns None when the row reduces to zero.
+    """
+    vec, comb, scale = _primitive(vec, comb, scale)
+    while vec:
+        lead = min(vec)
+        piv = lead_rows.get(lead)
+        if piv is None:
+            if vec[lead] < 0:
+                vec = {c: -x for c, x in vec.items()}
+                comb = {i: -x for i, x in comb.items()}
+            lead_rows[lead] = (vec, comb, scale)
+            return lead
+        vec, comb, scale = _clear((vec, comb, scale), piv, lead)
+    return None
+
+
 def _eliminate(a):
     """Fraction-free Gauss-Jordan elimination of the rows of ``a``.
 
@@ -155,19 +180,10 @@ def _eliminate(a):
         if not entries:
             continue
         den = lcm(*(x.denominator for _, x in entries))
-        vec, comb, scale = _primitive(
+        reduce_into(
+            lead_rows,
             {c: x.numerator * (den // x.denominator) for c, x in entries},
             {j: den}, 1)
-        while vec:
-            lead = min(vec)
-            piv = lead_rows.get(lead)
-            if piv is None:
-                if vec[lead] < 0:
-                    vec = {c: -x for c, x in vec.items()}
-                    comb = {i: -x for i, x in comb.items()}
-                lead_rows[lead] = (vec, comb, scale)
-                break
-            vec, comb, scale = _clear((vec, comb, scale), piv, lead)
     pivots = sorted(lead_rows)
     # back substitution, last pivot first: a pivot row is already clear of
     # every later pivot column when it is used to clear the rows above it

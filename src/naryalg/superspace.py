@@ -15,6 +15,7 @@ from .errors import (
     MixedParityEntry,
     NaryError,
     NotPureOdd,
+    SchemaError,
     SymmetryViolation,
 )
 
@@ -22,6 +23,18 @@ EVEN = 0
 ODD = 1
 
 _ENV_MAX_DEGREE = "NARY_MAX_DEGREE"
+
+
+def _env_max_degree(env):
+    """The degree cap set by NARY_MAX_DEGREE: a positive int, or an error."""
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise SchemaError(_ENV_MAX_DEGREE,
+                          f"expected a positive integer, got {env!r}")
+    return cap
 
 
 class Superspace:
@@ -63,7 +76,7 @@ class Superspace:
         if max_degree is None:
             env = os.environ.get(_ENV_MAX_DEGREE)
             if env is not None:
-                max_degree = int(env)
+                max_degree = _env_max_degree(env)
         # pure odd spaces are bounded by dim automatically
         self.max_degree = dim if self.pure_odd else (
             max_degree if max_degree is not None else 2 * dim)

@@ -55,3 +55,26 @@ def potential_by_solve(s):
         return None
     acc = {b: c for b, c in zip(basis, x) if c != 0}
     return Potential.single(space, Element(space, acc), arity=n)
+
+
+def spin_by_fixed_point(mats, seed_rows, m):
+    """Invariant closure of the seeds by a dense fixed-point loop.  Oracle only.
+
+    Every round maps every basis row by every dense Fraction matrix and
+    re-eliminates the whole stack, until a round adds nothing.
+    """
+    rows = linalg.row_space([list(r) for r in seed_rows])
+    changed = True
+    while changed and len(rows) < m:
+        changed = False
+        new_rows = list(rows)
+        for mat in mats:
+            for vec in rows:
+                img = linalg.mat_vec(mat, vec)
+                if any(x != 0 for x in img):
+                    new_rows.append(img)
+        reduced = linalg.row_space(new_rows)
+        if len(reduced) > len(rows):
+            rows = reduced
+            changed = True
+    return rows

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from naryalg import linalg
+from naryalg import classify, linalg
 from naryalg.classify import (
     build_m3_algebra,
     canonical_form,
@@ -34,6 +34,7 @@ from naryalg.errors import (
 from naryalg.hodge import HodgeContext, star
 from naryalg.poisson import Element, pair_vectors, poisson_bracket
 from naryalg.superspace import odd_space
+from oracles import spin_by_fixed_point
 
 V5 = odd_space(5)
 CTX5 = HodgeContext(V5)
@@ -201,6 +202,107 @@ def test_simplicity_matches_rank_criterion_on_grids():
             s = derive_structure(build_m3_algebra(ctx, v))
             rep = find_ideal(s, rounds=48, seed=3)
             assert rep.found == (2 * nblocks <= 2)
+
+
+def _random_rational(rng):
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+
+def _random_invertible(rng, m):
+    while True:
+        p = [[_random_rational(rng) for _ in range(m)] for _ in range(m)]
+        if linalg.rank(p) == m:
+            return p
+
+
+def _operators_and_seeds(rng, m):
+    """Random operators with a known invariant subspace, and seed sets.
+
+    The operators are block upper triangular with a leading k x k block,
+    conjugated by a random invertible p; each preserves the span of the
+    first k columns of p.
+    """
+    k = rng.randint(0, m)
+    p = _random_invertible(rng, m)
+    p_inv = linalg.inverse(p)
+    mats = []
+    for _ in range(rng.randint(1, 3)):
+        b = [[_random_rational(rng) if j >= k or i < k else Fraction(0)
+              for j in range(m)] for i in range(m)]
+        mats.append(linalg.mat_mul(linalg.mat_mul(p, b), p_inv))
+    if rng.random() < 0.3:
+        mats.append(linalg.zeros(m, m))
+    invariant = linalg.transpose(p)[:k]
+
+    def combination(rows):
+        return [sum((_random_rational(rng) * r[c] for r in rows), Fraction(0))
+                for c in range(m)]
+
+    seeds = [
+        [combination(invariant)] if invariant else [linalg.zeros(1, m)[0]],
+        list(invariant),                                # already invariant
+        linalg.identity(m),                             # spans everything
+        [combination(linalg.identity(m))],
+        [combination(linalg.identity(m)), linalg.zeros(1, m)[0]],
+    ]
+    return mats, [rows for rows in seeds if rows]
+
+
+def test_spin_matches_fixed_point_oracle():
+    rng = random.Random(41)
+    proper = 0
+    for m in range(1, 9):
+        for _ in range(6):
+            mats, seed_sets = _operators_and_seeds(rng, m)
+            for case in (mats, [], [linalg.zeros(m, m)]):
+                # find_ideal spins under the operators and, in its last
+                # stage, under their transposes, whose columns are the rows
+                for dense, ops in (
+                        (case, [classify._integer_lines(zip(*mat))
+                                for mat in case]),
+                        ([linalg.transpose(mat) for mat in case],
+                         [classify._integer_lines(mat) for mat in case])):
+                    for seeds in seed_sets:
+                        want = spin_by_fixed_point(dense, seeds, m)
+                        assert classify._spin(ops, seeds, m) == want
+                        proper += 0 < len(want) < m
+    assert proper >= 40
+
+
+def test_find_ideal_reports_unchanged_with_the_oracle_spin(monkeypatch):
+    # stage 2 spins the same candidates for every seed, so each distinct
+    # spin is handed to the slow oracle once
+    answers = {}
+
+    def oracle_spin(ops, seed_rows, m):
+        key = (tuple(tuple(tuple(sorted(col.items())) for col in cols)
+                     for cols in ops),
+               tuple(map(tuple, seed_rows)))
+        if key not in answers:
+            dense = [[[Fraction(col.get(i, 0)) for col in cols]
+                      for i in range(m)] for cols in ops]
+            answers[key] = spin_by_fixed_point(dense, seed_rows, m)
+        return [row[:] for row in answers[key]]
+
+    def reports(s, seed):
+        rep = find_ideal(s, rounds=3, seed=seed)
+        return rep.found, rep.basis, rep.method, rep.status, rep.rounds
+
+    methods = set()
+    for m in (5, 6, 7, 8):
+        sp = odd_space(m)
+        ctx = HodgeContext(sp)
+        for nblocks in range(m // 2 + 1):
+            v = Element(sp, {(2 * t, 2 * t + 1): Fraction(t + 1)
+                             for t in range(nblocks)})
+            s = derive_structure(build_m3_algebra(ctx, v))
+            for seed in (0, 1, 2):
+                got = reports(s, seed)
+                with monkeypatch.context() as patch:
+                    patch.setattr(classify, "_spin", oracle_spin)
+                    assert reports(s, seed) == got
+                methods.add(got[2])
+    assert methods == {"kernel", "meataxe"}
 
 
 def test_classify_records_match_theory():

@@ -224,6 +224,29 @@ def test_bad_max_degree_exits_2(files, capsys, value):
     assert report["error"].startswith("superspace.max_degree:")
 
 
+@pytest.mark.parametrize("value", ["x", "0", "-1"])
+def test_bad_max_degree_variable_exits_2(files, capsys, monkeypatch, value):
+    # refused even on a pure odd space, where the cap itself is not used
+    write, _ = files
+    monkeypatch.setenv("NARY_MAX_DEGREE", value)
+    v = [{"monomial": [1, 2], "coeff": "1"}]
+    code, out, err = run_main(
+        ["classify", "--space", write("s.json", SPACE5),
+         "--v", write("v.json", v)], capsys)
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["kind"] == "SchemaError"
+    assert report["error"].startswith("NARY_MAX_DEGREE:")
+
+
+def test_import_leaves_numpy_and_scipy_unloaded():
+    code = ("import sys, naryalg.cli; "
+            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, check=True)
+    assert r.stdout.strip() == "[]"
+
+
 def test_missing_file_exits_2(files, capsys):
     write, tmp = files
     code, _, err = run_main(
