@@ -6,6 +6,7 @@ an identity-check failure, 2 on bad input.
 """
 
 import argparse
+import functools
 import sys
 
 from . import io
@@ -292,9 +293,14 @@ def build_parser():
     return p
 
 
+@functools.cache
+def _parser():
+    # parse_args leaves the parser unchanged, so one serves every call
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except NaryError as ex:

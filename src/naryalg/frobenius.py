@@ -17,11 +17,16 @@ the extension needs.
 A graded-symmetric bilinear form phi (an ordinary skew matrix on a pure
 odd space) is quasi-Frobenius for mu when every cyclic sum
 sum phi(a_1, mu(a_2,...,a_{n+1})) vanishes; for even n this happens exactly
-when the graph {a + phi(a,-)} is a subalgebra of the extension.
+when the graph {a + phi(a,-)} is a subalgebra of the extension.  On a pure
+odd space mu is alternating, so for even n the cyclic sum is alternating
+too and is checked on strictly increasing tuples only (see
+check_quasi_frobenius).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
+from math import comb
 
 from . import linalg
 from .derived import NaryStructure, canonical_tuples, derive_structure, \
@@ -33,7 +38,8 @@ from .superspace import ODD, Superspace
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-_TUPLE_GUARD = 200000
+# work budget of the cyclic-sum loop, in tuples enumerated
+_TUPLE_BUDGET = 200000
 
 
 def doubled_space(m):
@@ -117,9 +123,32 @@ class QFCertificate:
     odd_arity: bool = False
 
 
+def _least_rotation(args):
+    """Is args lex-least among its rotations?"""
+    return all(args <= args[t:] + args[:t] for t in range(1, len(args)))
+
+
 def check_quasi_frobenius(space, mu, phi, allow_odd_arity=False,
                           exhaustive=False):
-    """Cyclic-sum criterion, evaluated on every basis tuple (with repeats)."""
+    """Cyclic-sum criterion sum_t phi(a_t, s(a_{t+1}, ..., a_{t+n})) = 0.
+
+    On a pure odd space s is alternating in its n arguments (eval_basis
+    sorts with the permutation sign and vanishes on a repeat), and a
+    rotation of the n+1 slots has sign (-1)^n.  For even n the cyclic sum
+    is therefore the antisymmetrization of phi(a_0, s(a_1, ..., a_n))
+    divided by n!: it is alternating, vanishes on every tuple with a
+    repeat, and only the C(m, n+1) strictly increasing tuples are probed.
+    For odd n (allow_odd_arity) the sum is only invariant under rotation,
+    so the m^(n+1) ordered tuples are enumerated and each rotation class is
+    probed once, at its lex-least member.
+
+    Either way the first violation is the lex-least violating ordered
+    tuple, the same witness and residual as a loop over every ordered
+    tuple.  exhaustive=True evaluates every probed tuple instead of
+    stopping at the first violation; the certificate reports the first.
+    A loop that would enumerate more than _TUPLE_BUDGET tuples is refused
+    before it starts.
+    """
     if not space.pure_odd:
         raise NotPureOdd("quasi-Frobenius structures live on pure odd spaces")
     s = _as_structure(space, mu)
@@ -130,8 +159,10 @@ def check_quasi_frobenius(space, mu, phi, allow_odd_arity=False,
                        "pass allow_odd_arity=True for the raw cyclic check")
     phi = validate_phi(space, phi)
     m = space.dim
-    if m ** (n + 1) > _TUPLE_GUARD:
-        raise NaryError("tuple loop above the work guard")
+    count = m ** (n + 1) if odd else comb(m, n + 1)
+    if count > _TUPLE_BUDGET:
+        raise NaryError(f"the cyclic-sum loop would enumerate {count} "
+                        f"tuples, above the work budget of {_TUPLE_BUDGET}")
 
     def phi_pair(i, vec):
         total = ZERO
@@ -141,26 +172,25 @@ def check_quasi_frobenius(space, mu, phi, allow_odd_arity=False,
 
     def cyclic_sum(args):
         total = ZERO
-        k = len(args)
-        for t in range(k):
+        for t in range(n + 1):
             rotated = args[t:] + args[:t]
             total += phi_pair(rotated[0], s.eval_basis(rotated[1:]))
         return total
 
-    violations = []
-    from itertools import product
-    for args in product(range(m), repeat=n + 1):
-        r = cyclic_sum(tuple(args))
-        if r != 0:
-            violations.append((args, r))
+    if odd:
+        tuples = filter(_least_rotation, product(range(m), repeat=n + 1))
+    else:
+        tuples = combinations(range(m), n + 1)
+    witness = residual = None
+    for args in tuples:
+        r = cyclic_sum(args)
+        if r != 0 and witness is None:
+            witness, residual = args, r
             if not exhaustive:
                 break
     rank_phi = linalg.rank(phi)
-    if violations:
-        w, r = violations[0]
-        return QFCertificate(False, witness=w, residual=r,
-                             phi_rank=rank_phi, odd_arity=odd)
-    return QFCertificate(True, phi_rank=rank_phi, odd_arity=odd)
+    return QFCertificate(witness is None, witness=witness, residual=residual,
+                         phi_rank=rank_phi, odd_arity=odd)
 
 
 def graph_vectors(ext, phi):
@@ -194,7 +224,6 @@ def graph_subalgebra_test(ext, phi):
             if pair_vectors(ws, b[i], b[j]) != 0:
                 raise NaryError("graph subspace is not isotropic")
     m = ext.base_space.dim
-    from itertools import combinations
     for args in combinations(range(m), n):
         img = ext.structure.eval_elements([b[i] for i in args])
         if img.is_zero():

@@ -39,11 +39,21 @@ def _check_schema(obj, path):
         raise SchemaError(f"{path}.schema", f"unsupported schema {obj['schema']!r}")
 
 
+def _check_positive_int(value, path):
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise SchemaError(path, "expected a positive integer")
+
+
 # ---------------------------------------------------------------------------
 # superspace
 
 
 def parse_superspace(obj, path="superspace", max_degree=None):
+    """Superspace from its JSON document.
+
+    max_degree is the --max-degree flag: when given it overrides the
+    document's max_degree.  Both must be positive integers.
+    """
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected an object")
     _check_schema(obj, path)
@@ -76,12 +86,12 @@ def parse_superspace(obj, path="superspace", max_degree=None):
             raise SchemaError(f"{path}.gram[{i}]", f"expected {dim} entries")
         gram.append([parse_scalar(x, f"{path}.gram[{i}][{j}]")
                      for j, x in enumerate(row)])
-    if max_degree is None and "max_degree" in obj:
-        max_degree = obj["max_degree"]
-        if (isinstance(max_degree, bool) or not isinstance(max_degree, int)
-                or max_degree < 1):
-            raise SchemaError(f"{path}.max_degree",
-                              "expected a positive integer")
+    if "max_degree" in obj:
+        _check_positive_int(obj["max_degree"], f"{path}.max_degree")
+    if max_degree is None:
+        max_degree = obj.get("max_degree")
+    else:
+        _check_positive_int(max_degree, "--max-degree")
     return Superspace(dim, parity, gram, max_degree=max_degree)
 
 

@@ -1,9 +1,11 @@
 """Reference routines the tests compare the engine against."""
 
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, product
 
 from naryalg import linalg
 from naryalg.derived import Potential, canonical_tuples
+from naryalg.frobenius import QFCertificate, validate_phi
 from naryalg.linalg import det
 from naryalg.poisson import Element, nested_bracket_indices
 
@@ -78,3 +80,34 @@ def spin_by_fixed_point(mats, seed_rows, m):
             rows = reduced
             changed = True
     return rows
+
+
+def qf_by_ordered_loop(s, phi, exhaustive=False):
+    """Quasi-Frobenius certificate from every ordered tuple.  Oracle only.
+
+    Evaluates the cyclic sum on all m^(n+1) ordered basis tuples, repeats
+    included, in product order, with no use of alternation or rotation
+    invariance; the first violation is the witness.  The rank of phi comes
+    from rank_by_minors.
+    """
+    phi = validate_phi(s.space, phi)
+    n = s.arity
+    violations = []
+    for args in product(range(s.space.dim), repeat=n + 1):
+        total = Fraction(0)
+        for t in range(n + 1):
+            rotated = args[t:] + args[:t]
+            vec = s.eval_basis(rotated[1:])
+            for mono, c in vec.terms.items():
+                total += phi[rotated[0]][mono[0]] * c
+        if total != 0:
+            violations.append((args, total))
+            if not exhaustive:
+                break
+    odd = n % 2 == 1
+    rank_phi = rank_by_minors(phi)
+    if violations:
+        w, r = violations[0]
+        return QFCertificate(False, witness=w, residual=r, phi_rank=rank_phi,
+                             odd_arity=odd)
+    return QFCertificate(True, phi_rank=rank_phi, odd_arity=odd)

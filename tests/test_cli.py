@@ -306,3 +306,82 @@ def test_threads_flag_same_answer(files, capsys):
         assert code == 1
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+MIXED3 = {"schema": "nary/1", "dim": 3, "parity": ["even", "even", "odd"],
+          "gram": [["0", "1", "0"], ["-1", "0", "0"], ["0", "0", "1"]]}
+MU_MIXED = {"schema": "nary/1", "arity": 2,
+            "element": [{"monomial": [1, 2, 3], "coeff": "1"}]}
+
+
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_bad_max_degree_flag_exits_2(files, capsys, value):
+    write, _ = files
+    code, out, err = run_main(
+        ["verify", "--space", write("s.json", MIXED3), "--identity",
+         "l-infinity", "--potential", write("mu.json", MU_MIXED),
+         "--max-degree", value], capsys)
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["kind"] == "SchemaError"
+    assert report["error"].startswith("--max-degree:")
+
+
+@pytest.mark.parametrize("value", ["x", 0, -1])
+def test_bad_max_degree_field_refused_under_flag(files, capsys, value):
+    # the flag overrides the document's cap, but the field is still checked
+    write, _ = files
+    space = dict(MIXED3, max_degree=value)
+    code, out, err = run_main(
+        ["verify", "--space", write("s.json", space), "--identity",
+         "l-infinity", "--potential", write("mu.json", MU_MIXED),
+         "--max-degree", "6"], capsys)
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["kind"] == "SchemaError"
+    assert report["error"].startswith("superspace.max_degree:")
+
+
+def test_repeated_main_calls_match_fresh_processes(files, capsys):
+    # one process runs several jobs through the shared parser; no option
+    # may carry over from one call to the next
+    write, _ = files
+    s5 = write("s5.json", SPACE5)
+    s2 = write("s2.json", {"schema": "nary/1", "dim": 2,
+                           "parity": ["odd", "odd"],
+                           "gram": [["1", "0"], ["0", "1"]]})
+    mixed = write("mixed.json", MIXED3)
+    mu_mixed = write("mu_mixed.json", MU_MIXED)
+    mu2 = write("mu2.json", MU2)
+    mu3 = write("mu3.json", MU3)
+    st = write("st.json", {"schema": "nary/1", "arity": 2,
+                           "constants": [{"args": [1, 2], "value": [
+                               {"monomial": [2], "coeff": "1"}]}]})
+    phi = write("phi.json", {"schema": "nary/1",
+                             "matrix": [["0", "1"], ["-1", "0"]]})
+    phi0 = write("phi0.json", {"schema": "nary/1",
+                               "matrix": [["0", "0"], ["0", "0"]]})
+    v = write("v.json", [{"monomial": [1, 2], "coeff": "1"}])
+    jobs = [
+        ["verify", "--space", mixed, "--identity", "l-infinity",
+         "--potential", mu_mixed, "--max-degree", "2"],
+        ["verify", "--space", mixed, "--identity", "l-infinity",
+         "--potential", mu_mixed],
+        ["verify", "--space", s5, "--identity", "nary-jacobi",
+         "--potential", mu3, "--exhaustive", "--threads", "2"],
+        ["verify", "--space", s5, "--identity", "filippov",
+         "--potential", mu3],
+        ["frobenius", "--space", s2, "--structure", st, "--phi", phi,
+         "--graph", "--exhaustive", "--pretty"],
+        ["verify", "--space", s2, "--identity", "quasi-frobenius",
+         "--structure", st, "--phi", phi0],
+        ["classify", "--space", s5, "--v", v, "--seed", "3",
+         "--rounds", "8"],
+        ["classify", "--space", s5, "--v", v],
+        ["derive", "--space", s5, "--potential", mu2],
+    ]
+    for argv in jobs:
+        code, out, _ = run_main(argv, capsys)
+        fresh = subprocess.run([sys.executable, "-m", "naryalg.cli"] + argv,
+                               capture_output=True, text=True)
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv

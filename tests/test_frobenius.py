@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -19,6 +19,7 @@ from naryalg.frobenius import (
 )
 from naryalg.poisson import Element, pair_vectors
 from naryalg.superspace import odd_space
+from oracles import qf_by_ordered_loop
 
 V2 = odd_space(2)
 
@@ -246,3 +247,68 @@ def test_pairing_identity_exact():
                 rhs += sum((phi[rot[0]][mono[0]] * c
                             for mono, c in vec.terms.items()), Fraction(0))
             assert lhs == rhs
+
+
+def random_table_structure(rng, m, n, density):
+    # any table over a pure odd space, invariant or not
+    sp = odd_space(m)
+    table = {}
+    for key in combinations(range(m), n):
+        if rng.random() < density:
+            vec = {(k,): Fraction(rng.randint(-3, 3)) for k in range(m)
+                   if rng.random() < density}
+            table[key] = Element(sp, vec)
+    return sp, NaryStructure(sp, n, table)
+
+
+@pytest.mark.parametrize("n, dims", [(1, (2, 3, 4, 5, 6)), (2, (3, 4, 5, 6)),
+                                     (3, (4, 5)), (4, (5, 6))])
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_quasi_frobenius_matches_ordered_loop(n, dims, exhaustive):
+    rng = random.Random(1000 * n + exhaustive)
+    outcomes = set()
+    for trial in range(12):
+        m = rng.choice(dims)
+        density = rng.choice([0.15, 0.5, 1.0])
+        sp, s = random_table_structure(rng, m, n, density)
+        phi = (random_phi(rng, m) if trial % 4
+               else [[Fraction(0)] * m for _ in range(m)])
+        got = check_quasi_frobenius(sp, s, phi, allow_odd_arity=True,
+                                    exhaustive=exhaustive)
+        want = qf_by_ordered_loop(s, phi, exhaustive=exhaustive)
+        assert (got.passed, got.witness, got.residual, got.phi_rank,
+                got.odd_arity) == (want.passed, want.witness, want.residual,
+                                   want.phi_rank, want.odd_arity)
+        outcomes.add(got.passed)
+    assert outcomes == {True, False}
+
+
+def test_quasi_frobenius_m12_quartic_answers():
+    # 12^5 = 248,832 ordered tuples, but only C(12, 5) = 792 are probed
+    rng = random.Random(59)
+    sp, s = random_table_structure(rng, 12, 4, 0.05)
+    phi = random_phi(rng, 12)
+    cert = check_quasi_frobenius(sp, s, phi)
+    assert not cert.passed
+    w = cert.witness
+    assert list(w) == sorted(set(w))
+
+    def cyclic(args):
+        return sum((phi[rot[0]][mono[0]] * c
+                    for rot in (args[t:] + args[:t] for t in range(5))
+                    for mono, c in s.eval_basis(rot[1:]).terms.items()),
+                   Fraction(0))
+
+    assert cert.residual == cyclic(w) != 0
+    assert all(cyclic(args) == 0 for args in combinations(range(12), 5)
+               if args < w)
+
+
+@pytest.mark.parametrize("m, n", [(8, 5), (23, 6)])
+def test_quasi_frobenius_refuses_loop_above_budget(m, n):
+    # 8^6 = 262,144 ordered tuples at odd arity; C(23, 7) = 245,157 at even
+    sp = odd_space(m)
+    s = NaryStructure(sp, n, {})
+    phi = [[Fraction(0)] * m for _ in range(m)]
+    with pytest.raises(NaryError, match="work budget"):
+        check_quasi_frobenius(sp, s, phi, allow_odd_arity=True)
