@@ -1,8 +1,12 @@
 """Batch command line front end.
 
-One job per process; every subcommand reads JSON files, writes one JSON
-report (or JSON lines for tables), and exits with 0 on success/pass, 1 on
-an identity-check failure, 2 on bad input.
+Every subcommand reads JSON files, writes one JSON report (or JSON lines
+for tables), and exits with 0 on success/pass, 1 on an identity-check
+failure, 2 on bad input.  The ``naryalg`` command runs one job per
+process.  A batch driver may instead call ``main(argv)`` once per job in
+one process, as the benchmark harness ``perfbench/worker.py`` does; the
+argparse parser is then built on the first call and reused, and no option
+carries over from one call to the next.
 """
 
 import argparse

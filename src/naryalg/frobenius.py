@@ -38,7 +38,7 @@ from .superspace import ODD, Superspace
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# work budget of the cyclic-sum loop, in tuples enumerated
+# work budget of the cyclic-sum loop, in tuples probed
 _TUPLE_BUDGET = 200000
 
 
@@ -123,11 +123,6 @@ class QFCertificate:
     odd_arity: bool = False
 
 
-def _least_rotation(args):
-    """Is args lex-least among its rotations?"""
-    return all(args <= args[t:] + args[:t] for t in range(1, len(args)))
-
-
 def check_quasi_frobenius(space, mu, phi, allow_odd_arity=False,
                           exhaustive=False):
     """Cyclic-sum criterion sum_t phi(a_t, s(a_{t+1}, ..., a_{t+n})) = 0.
@@ -138,16 +133,14 @@ def check_quasi_frobenius(space, mu, phi, allow_odd_arity=False,
     is therefore the antisymmetrization of phi(a_0, s(a_1, ..., a_n))
     divided by n!: it is alternating, vanishes on every tuple with a
     repeat, and only the C(m, n+1) strictly increasing tuples are probed.
-    For odd n (allow_odd_arity) the sum is only invariant under rotation,
-    so the m^(n+1) ordered tuples are enumerated and each rotation class is
-    probed once, at its lex-least member.
+    The first violation among them is the lex-least violating ordered
+    tuple, so the witness and residual are those of a loop over every
+    ordered tuple.  For odd n (allow_odd_arity) the sum is not alternating
+    and all m^(n+1) ordered tuples are probed, in product order.
 
-    Either way the first violation is the lex-least violating ordered
-    tuple, the same witness and residual as a loop over every ordered
-    tuple.  exhaustive=True evaluates every probed tuple instead of
-    stopping at the first violation; the certificate reports the first.
-    A loop that would enumerate more than _TUPLE_BUDGET tuples is refused
-    before it starts.
+    exhaustive=True evaluates every probed tuple instead of stopping at the
+    first violation; the certificate reports the first.  A loop that would
+    probe more than _TUPLE_BUDGET tuples is refused before it starts.
     """
     if not space.pure_odd:
         raise NotPureOdd("quasi-Frobenius structures live on pure odd spaces")
@@ -161,7 +154,7 @@ def check_quasi_frobenius(space, mu, phi, allow_odd_arity=False,
     m = space.dim
     count = m ** (n + 1) if odd else comb(m, n + 1)
     if count > _TUPLE_BUDGET:
-        raise NaryError(f"the cyclic-sum loop would enumerate {count} "
+        raise NaryError(f"the cyclic-sum loop would probe {count} "
                         f"tuples, above the work budget of {_TUPLE_BUDGET}")
 
     def phi_pair(i, vec):
@@ -178,7 +171,7 @@ def check_quasi_frobenius(space, mu, phi, allow_odd_arity=False,
         return total
 
     if odd:
-        tuples = filter(_least_rotation, product(range(m), repeat=n + 1))
+        tuples = product(range(m), repeat=n + 1)
     else:
         tuples = combinations(range(m), n + 1)
     witness = residual = None
