@@ -46,7 +46,6 @@ from .hodge import (
     hodge_decomposition,
     inner_product,
     laplacian,
-    operator_blocks,
     star,
 )
 from .classify import (

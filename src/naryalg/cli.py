@@ -74,16 +74,15 @@ def cmd_verify(args):
                                 exhaustive=args.exhaustive)
     elif name == "invariant":
         rep = check_invariant(_load_structure(space, args),
-                              exhaustive=args.exhaustive, threads=args.threads)
+                              exhaustive=args.exhaustive)
     elif name == "nary-jacobi":
         rep = check_nary_jacobi(_load_structure(space, args),
-                                exhaustive=args.exhaustive,
-                                threads=args.threads)
+                                exhaustive=args.exhaustive)
     elif name == "l-infinity":
         rep = check_l_infinity(_load_potential(space, args))
     elif name == "filippov":
         rep = check_filippov(_load_potential(space, args),
-                             exhaustive=args.exhaustive, threads=args.threads)
+                             exhaustive=args.exhaustive)
     elif name == "jordan":
         rep = check_jordan(_load_potential(space, args),
                            exhaustive=args.exhaustive)
@@ -103,8 +102,7 @@ def cmd_verify(args):
         phi = io.parse_matrix(io.load_file(args.phi), space.dim)
         s = _load_structure(space, args)
         cert = check_quasi_frobenius(space, s, phi,
-                                     allow_odd_arity=args.allow_odd_arity,
-                                     exhaustive=args.exhaustive)
+                                     allow_odd_arity=args.allow_odd_arity)
         _emit(args, io.qf_certificate_to_json(cert))
         return 0 if cert.passed else 1
     else:  # pragma: no cover - argparse restricts choices
@@ -195,8 +193,7 @@ def cmd_frobenius(args):
     s = _load_structure(space, args)
     phi = io.parse_matrix(io.load_file(args.phi), space.dim)
     cert = check_quasi_frobenius(space, s, phi,
-                                 allow_odd_arity=args.allow_odd_arity,
-                                 exhaustive=args.exhaustive)
+                                 allow_odd_arity=args.allow_odd_arity)
     out = io.qf_certificate_to_json(cert)
     if args.graph:
         ext = t_star_extension(space, s)
@@ -213,7 +210,8 @@ def build_parser():
                         help="indent JSON output")
     shared.add_argument("--output", help="write the report to a file")
     shared.add_argument("--threads", type=int, default=1,
-                        help="parallel verifier loops")
+                        help="accepted and ignored: verifier loops run in "
+                             "one thread")
     shared.add_argument("--seed", type=int, default=0,
                         help="seed for randomized searches")
     shared.add_argument("--max-degree", type=int, default=None,
@@ -233,7 +231,9 @@ def build_parser():
         if space:
             sp.add_argument("--space", required=True, help="superspace JSON")
         sp.add_argument("--exhaustive", action="store_true",
-                        help="collect all violations, not just the first")
+                        help="collect all violations, not just the first "
+                             "(a quasi-Frobenius certificate keeps one "
+                             "witness, so there it changes nothing)")
 
     v = add_cmd("verify", "run an identity check")
     common(v)

@@ -17,16 +17,21 @@ inverse is unique, so that comparison certifies it.
 The verifiers reduce each universally quantified identity to finitely many
 basis instances.  Multilinearity makes basis tuples sufficient, and the
 built-in symmetry of the structures lets every loop run over canonical
-tuples only (indices non-decreasing, odd indices strict).
+tuples only (indices non-decreasing, odd indices strict).  A report
+carries the first violation, or every one when ``exhaustive``; the probe
+loops stop at the first violation otherwise.  They run in one thread: the
+``threads`` keyword of check_invariant, check_nary_jacobi and
+check_filippov is accepted and ignored, since exact Fraction work cannot
+run in parallel under the GIL.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
 from . import linalg
 from .errors import (
+    DegreeCapExceeded,
     DegreeMismatch,
     NaryError,
     NotCommutative,
@@ -89,13 +94,24 @@ def koszul_selection_sign(parities, chosen):
     return sign
 
 
-def parallel_map(fn, items, threads=1):
-    """Ordered map, optionally chunked over a thread pool."""
-    items = list(items)
-    if threads <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def _probe_all(probe, items, exhaustive):
+    """The non-None probe results in order, only the first unless exhaustive."""
+    hits = []
+    for item in items:
+        hit = probe(item)
+        if hit is not None:
+            hits.append(hit)
+            if not exhaustive:
+                break
+    return hits
+
+
+def _violation_report(name, violations):
+    if violations:
+        w, r = violations[0]
+        return CheckReport(name, False, witness=w, residual=r,
+                           violations=violations)
+    return CheckReport(name, True)
 
 
 @dataclass
@@ -314,16 +330,8 @@ def check_invariant(s, exhaustive=False, threads=1):
             return ((a0,) + key, lhs - rhs)
         return None
 
-    items = [(a0, key) for a0 in range(space.dim) for key in keys]
-    results = parallel_map(probe, items, threads)
-    violations = [r for r in results if r is not None]
-    if violations:
-        if not exhaustive:
-            violations = violations[:1]
-        w, r = violations[0]
-        return CheckReport("invariant", False, witness=w, residual=r,
-                           violations=violations)
-    return CheckReport("invariant", True)
+    items = ((a0, key) for a0 in range(space.dim) for key in keys)
+    return _violation_report("invariant", _probe_all(probe, items, exhaustive))
 
 
 def dual_basis(space):
@@ -370,16 +378,27 @@ def closed_form_potential(s):
 def potential_from_structure(s, space=None):
     """Invert the derived-bracket construction (exact, unique).
 
-    Requires a nondegenerate form and a commutative invariant structure;
-    both are verified first and reported with a witness on failure.  The
-    potential is read off in closed form (``closed_form_potential``) and
-    returned only once its derived structure equals s; the inverse is
-    unique, so that equality proves it.
+    Requires a nondegenerate form and a commutative invariant structure.
+    The potential is read off in closed form (``closed_form_potential``)
+    and returned once its derived structure equals s; the inverse is
+    unique, so that equality proves it.  Every derived structure is
+    commutative and invariant, so only when the equality fails are the two
+    laws checked, to report the broken one with its witness.  A closed
+    form over the degree cap is likewise reported only for a structure
+    that obeys both laws.
     """
     space = space or s.space
     if space != s.space:
         raise SpaceMismatch("structure over a different space")
     require_nondegenerate(space)
+    try:
+        mu = closed_form_potential(s)
+    except DegreeCapExceeded as exc:
+        failure = exc
+    else:
+        if derive_structure(mu).table == s.table:
+            return mu
+        failure = NotInvariant("structure is not derived from any potential")
     rep = check_commutative(s)
     if not rep.passed:
         raise NotCommutative("structure is not graded-commutative",
@@ -387,10 +406,7 @@ def potential_from_structure(s, space=None):
     rep = check_invariant(s)
     if not rep.passed:
         raise NotInvariant("structure is not invariant", witness=rep.witness)
-    mu = closed_form_potential(s)
-    if derive_structure(mu).table != s.table:
-        raise NotInvariant("structure is not derived from any potential")
-    return mu
+    raise failure
 
 
 # ---------------------------------------------------------------------------
@@ -444,15 +460,8 @@ def check_nary_jacobi(s, exhaustive=False, threads=1):
         res = jacobiator(args)
         return None if res.is_zero() else (args, res)
 
-    results = parallel_map(probe, canonical_tuples(space, width), threads)
-    violations = [r for r in results if r is not None]
-    if violations:
-        if not exhaustive:
-            violations = violations[:1]
-        w, r = violations[0]
-        return CheckReport("nary-jacobi", False, witness=w, residual=r,
-                           violations=violations)
-    return CheckReport("nary-jacobi", True)
+    return _violation_report("nary-jacobi", _probe_all(
+        probe, canonical_tuples(space, width), exhaustive))
 
 
 def check_filippov(mu, exhaustive=False, threads=1):
@@ -469,15 +478,8 @@ def check_filippov(mu, exhaustive=False, threads=1):
         res = poisson_bracket(mu_a, mu.element)
         return None if res.is_zero() else (t, res)
 
-    results = parallel_map(probe, canonical_tuples(space, n - 1), threads)
-    violations = [r for r in results if r is not None]
-    if violations:
-        if not exhaustive:
-            violations = violations[:1]
-        w, r = violations[0]
-        return CheckReport("filippov", False, witness=w, residual=r,
-                           violations=violations)
-    return CheckReport("filippov", True)
+    return _violation_report("filippov", _probe_all(
+        probe, canonical_tuples(space, n - 1), exhaustive))
 
 
 def _require_cubic_even(mu, what):
@@ -514,13 +516,8 @@ def check_jordan(A, exhaustive=False):
                 coeffs[key] = coeffs.get(key, Element.zero(space)) + term
     violations = [(key, val) for key, val in sorted(coeffs.items())
                   if not val.is_zero()]
-    if violations:
-        if not exhaustive:
-            violations = violations[:1]
-        w, r = violations[0]
-        return CheckReport("jordan", False, witness=w, residual=r,
-                           violations=violations)
-    return CheckReport("jordan", True)
+    return _violation_report(
+        "jordan", violations if exhaustive else violations[:1])
 
 
 def check_associative(mu, exhaustive=False):
@@ -530,21 +527,14 @@ def check_associative(mu, exhaustive=False):
     m = space.dim
     mu_ = [poisson_bracket(Element.generator(space, i), mu.element)
            for i in range(m)]
-    violations = []
-    for i in range(m):
-        for j in range(i, m):
-            res = poisson_bracket(mu_[i], mu_[j])
-            if not res.is_zero():
-                violations.append(((i, j), res))
-                if not exhaustive:
-                    w, r = violations[0]
-                    return CheckReport("associative", False, witness=w,
-                                       residual=r, violations=violations)
-    if violations:
-        w, r = violations[0]
-        return CheckReport("associative", False, witness=w, residual=r,
-                           violations=violations)
-    return CheckReport("associative", True)
+
+    def probe(pair):
+        res = poisson_bracket(mu_[pair[0]], mu_[pair[1]])
+        return None if res.is_zero() else (pair, res)
+
+    pairs = ((i, j) for i in range(m) for j in range(i, m))
+    return _violation_report("associative",
+                             _probe_all(probe, pairs, exhaustive))
 
 
 def check_derivation(w, mu):
@@ -603,11 +593,5 @@ def generalized_jacobi(mu, exhaustive=False):
                 violations.append((args, total))
                 if not exhaustive:
                     break
-        if violations:
-            w, r = violations[0]
-            reports[q] = CheckReport(f"generalized-jacobi-{q}", False,
-                                     witness=w, residual=r,
-                                     violations=violations)
-        else:
-            reports[q] = CheckReport(f"generalized-jacobi-{q}", True)
+        reports[q] = _violation_report(f"generalized-jacobi-{q}", violations)
     return reports

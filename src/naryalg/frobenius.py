@@ -138,9 +138,9 @@ def check_quasi_frobenius(space, mu, phi, allow_odd_arity=False,
     ordered tuple.  For odd n (allow_odd_arity) the sum is not alternating
     and all m^(n+1) ordered tuples are probed, in product order.
 
-    exhaustive=True evaluates every probed tuple instead of stopping at the
-    first violation; the certificate reports the first.  A loop that would
-    probe more than _TUPLE_BUDGET tuples is refused before it starts.
+    The certificate holds one witness, so the loop always stops at the
+    first violation; ``exhaustive`` is accepted and ignored.  A loop that
+    would probe more than _TUPLE_BUDGET tuples is refused before it starts.
     """
     if not space.pure_odd:
         raise NotPureOdd("quasi-Frobenius structures live on pure odd spaces")
@@ -177,10 +177,9 @@ def check_quasi_frobenius(space, mu, phi, allow_odd_arity=False,
     witness = residual = None
     for args in tuples:
         r = cyclic_sum(args)
-        if r != 0 and witness is None:
+        if r != 0:
             witness, residual = args, r
-            if not exhaustive:
-                break
+            break
     rank_phi = linalg.rank(phi)
     return QFCertificate(witness is None, witness=witness, residual=residual,
                          phi_rank=rank_phi, odd_arity=odd)

@@ -12,11 +12,21 @@ with a per-layer sign), a Laplacian, and an exact three-way decomposition
 
 with Ker(Laplacian) = Ker(d) n Ker(delta) isomorphic to the cohomology of d.
 
-Everything here is exact rational arithmetic.  Each block of d and delta is
-ranked once, by ``linalg.rank``, which checks an exact certificate of every
-rank it returns.
+The operators are sparse block maps: one block per source degree p and
+target degree q, mapping each source monomial to its image.
+``differential`` brackets each layer of mu with each monomial once; the
+layer of degree s fills the blocks (p, p + s - 2).  Star is a signed
+permutation of monomials, so ``codifferential(ctx, d)`` re-indexes each
+block of d through ``star_monomial``, with the sign (-1)^{k(1-k)/2} read
+from the block's shift k, and takes no bracket.  The Laplacian and both
+square-zero checks are sparse block products.
+
+Everything here is exact rational arithmetic.  A block is made dense only
+to be ranked, once, by ``linalg.rank``, which checks an exact certificate
+of every rank it returns.
 """
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -125,97 +135,54 @@ def inner_product(ctx, v, w):
 
 
 # ---------------------------------------------------------------------------
-# linear operators on S*V, stored as images of basis monomials
-
-
-def op_zero(ctx):
-    return {mono: Element.zero(ctx.space)
-            for monos in ctx.degree_monomials for mono in monos}
-
-
-def op_from_function(ctx, fn):
-    return {mono: fn(Element(ctx.space, {mono: ONE}))
-            for monos in ctx.degree_monomials for mono in monos}
+# operators on S*V as sparse block maps
+#
+# An operator is a dict {(p, q): block}, one block for each source degree p
+# and target degree q that it connects.  A block maps a source monomial of
+# degree p to its image, a dict {target monomial: coefficient} without
+# zeros.  Monomials with a zero image and empty blocks are left out, so the
+# zero operator is {}.
 
 
 def op_apply(op, v):
-    out = Element.zero(v.space)
-    for mono, c in v.terms.items():
-        out = out + op[mono].scale(c)
-    return out
+    """The image of the element v under the block map op."""
+    acc = {}
+    for block in op.values():
+        for mono, c in v.terms.items():
+            for out, x in block.get(mono, {}).items():
+                acc[out] = acc.get(out, ZERO) + c * x
+    return Element(v.space, acc)
 
 
-def op_add(ctx, f, g):
-    return {mono: f[mono] + g[mono]
-            for monos in ctx.degree_monomials for mono in monos}
-
-
-def op_scale(ctx, f, c):
-    return {mono: f[mono].scale(c)
-            for monos in ctx.degree_monomials for mono in monos}
-
-
-def op_compose(ctx, f, g):
-    """x -> f(g(x))."""
-    return {mono: op_apply(f, g[mono])
-            for monos in ctx.degree_monomials for mono in monos}
-
-
-def op_is_zero(op):
-    return all(img.is_zero() for img in op.values())
-
-
-def op_block(ctx, op, p, q):
-    """Matrix of the (degree p -> degree q) component."""
-    src = ctx.degree_monomials[p]
-    dst = ctx.degree_monomials[q]
-    pos = {mono: i for i, mono in enumerate(dst)}
-    mat = linalg.zeros(len(dst), len(src))
-    for j, mono in enumerate(src):
-        for out_mono, c in op[mono].terms.items():
-            if len(out_mono) == q:
-                mat[pos[out_mono]][j] = c
-    return mat
-
-
-def operator_blocks(ctx, op):
-    """Nonzero degree blocks {(p, q): matrix} of an operator."""
+def _product_sum(pairs):
+    """Block map of x -> sum of f(g(x)) over the pairs (f, g)."""
     out = {}
-    for p in range(ctx.m + 1):
-        targets = {len(out_mono) for mono in ctx.degree_monomials[p]
-                   for out_mono in op[mono].terms}
-        for q in sorted(targets):
-            out[(p, q)] = op_block(ctx, op, p, q)
-    return out
+    for f, g in pairs:
+        for (p, q), g_block in g.items():
+            for (q2, r), f_block in f.items():
+                if q2 != q:
+                    continue
+                block = out.setdefault((p, r), {})
+                for src, img in g_block.items():
+                    acc = block.setdefault(src, {})
+                    for mid, c in img.items():
+                        for dst, x in f_block.get(mid, {}).items():
+                            acc[dst] = acc.get(dst, ZERO) + c * x
+    out = {key: {src: {dst: c for dst, c in img.items() if c}
+                 for src, img in block.items()} for key, block in out.items()}
+    return {key: {src: img for src, img in block.items() if img}
+            for key, block in out.items() if any(block.values())}
 
 
-def op_restricted(ctx, op, p):
-    """Matrix from degree p into all of S*V (rows ordered by degree, lex)."""
-    src = ctx.degree_monomials[p]
-    rows = sum(len(monos) for monos in ctx.degree_monomials)
-    offsets = {}
-    off = 0
-    for q, monos in enumerate(ctx.degree_monomials):
-        for i, mono in enumerate(monos):
-            offsets[mono] = off + i
-        off += len(monos)
-    mat = linalg.zeros(rows, len(src))
-    for j, mono in enumerate(src):
-        for out_mono, c in op[mono].terms.items():
-            mat[offsets[out_mono]][j] = c
-    return mat
-
-
-def op_full_matrix(ctx, op):
-    """Dense matrix over the full monomial basis (degree then lex order)."""
-    blocks = [op_restricted(ctx, op, p) for p in range(ctx.m + 1)]
-    rows = len(blocks[0])
-    mat = []
-    for r in range(rows):
-        row = []
-        for b in blocks:
-            row.extend(b[r])
-        mat.append(row)
+def _dense(ctx, op, p, q):
+    """Matrix of the (degree p -> degree q) block of op; zero if absent."""
+    index = ctx.index
+    mat = linalg.zeros(len(ctx.degree_monomials[q]),
+                       len(ctx.degree_monomials[p]))
+    for src, img in op.get((p, q), {}).items():
+        j = index[src][1]
+        for dst, c in img.items():
+            mat[index[dst][1]][j] = c
     return mat
 
 
@@ -229,33 +196,59 @@ def _layer_shift(deg):
 
 
 def differential(ctx, mu):
-    """The operator d = [mu, -], verified to square to zero."""
+    """The operator d = [mu, -], verified to square to zero.
+
+    Each layer is bracketed with each monomial once.  A layer of degree s
+    maps degree p to degree p + s - 2, so each block belongs to one layer.
+    """
     _require_ctx_element(ctx, mu.element)
-    d = op_from_function(ctx, lambda v: poisson_bracket(mu.element, v))
-    if not op_is_zero(op_compose(ctx, d, d)):
+    d = {}
+    for deg in mu.element.degrees():
+        layer = mu.element.homogeneous_part(deg)
+        k = _layer_shift(deg)
+        for p, monos in enumerate(ctx.degree_monomials):
+            block = {}
+            for mono in monos:
+                img = poisson_bracket(layer, Element(ctx.space, {mono: ONE}))
+                if img.terms:
+                    block[mono] = img.terms
+            if block:
+                d[(p, p + k)] = block
+    if _product_sum([(d, d)]):
         raise NotLInfinity("d = [mu,-] does not square to zero")
     return d
 
 
-def codifferential(ctx, mu):
-    """delta = sum over layers of (-1)^{k(1-k)/2} star d_k star, k = deg - 2."""
-    _require_ctx_element(ctx, mu.element)
-    total = op_zero(ctx)
-    star_op = op_from_function(ctx, lambda v: star(ctx, v))
-    for deg in mu.element.degrees():
-        layer = mu.element.homogeneous_part(deg)
-        k = _layer_shift(deg)
-        d_k = op_from_function(ctx, lambda v, el=layer: poisson_bracket(el, v))
-        delta_k = op_compose(ctx, star_op, op_compose(ctx, d_k, star_op))
+def codifferential(ctx, d):
+    """delta = sum over layers of (-1)^{k(1-k)/2} star d_k star, k = deg - 2.
+
+    Star is a signed permutation of monomials, star(x) = sigma(x) x' with x'
+    the complement of x.  So an entry c of d from u to y becomes the entry
+    (-1)^{k(1-k)/2} sigma(u') sigma(y) c of delta from u' to y', and the
+    block (p, p + k) of d, whose shift k names its layer, becomes the block
+    (m - p, m - p - k) of delta.  No bracket is taken.
+    """
+    star_of = functools.cache(lambda mono: star_monomial(ctx, mono))
+    delta = {}
+    for (p, q), block in d.items():
+        k = q - p
         sign = -1 if (k * (1 - k) // 2) % 2 else 1
-        total = op_add(ctx, total, op_scale(ctx, delta_k, sign))
-    if not op_is_zero(op_compose(ctx, total, total)):
+        out = delta[(ctx.m - p, ctx.m - q)] = {}
+        for u, img in block.items():
+            u_comp = star_of(u)[1]
+            scale = sign * star_of(u_comp)[0]
+            out[u_comp] = {}
+            for y, c in img.items():
+                sigma, y_comp = star_of(y)
+                out[u_comp][y_comp] = scale * sigma * c
+    if _product_sum([(delta, delta)]):
         raise NotLInfinity("delta does not square to zero")
-    return total
+    return delta
 
 
 def laplacian(ctx, d, delta):
-    return op_add(ctx, op_compose(ctx, delta, d), op_compose(ctx, d, delta))
+    """L = delta d + d delta."""
+    return _product_sum([(delta, d), (d, delta)])
 
 
 def _validate_homotopy(ctx, mu):
@@ -301,7 +294,7 @@ def hodge_decomposition(ctx, mu):
         raise NotHodgeContext(
             f"mixed-layer potentials are guarded at dimension {MAX_DIM_MIXED}")
     d = differential(ctx, mu)
-    delta = codifferential(ctx, mu)
+    delta = codifferential(ctx, d)
     lap = laplacian(ctx, d, delta)
     if len(degrees) <= 1:
         k = _layer_shift(degrees[0]) if degrees else 0
@@ -320,9 +313,9 @@ def _decompose_homogeneous(ctx, d, delta, lap, k):
     d_blocks, delta_blocks = {}, {}
     for p in range(m + 1):
         if 0 <= p + k <= m:
-            d_blocks[p] = op_block(ctx, d, p, p + k)
+            d_blocks[p] = _dense(ctx, d, p, p + k)
         if 0 <= p - k <= m:
-            delta_blocks[p] = op_block(ctx, delta, p, p - k)
+            delta_blocks[p] = _dense(ctx, delta, p, p - k)
     rows = []
     harmonic = {}
     direct_ok = True
@@ -337,27 +330,19 @@ def _decompose_homogeneous(ctx, d, delta, lap, k):
         rank_delta_p = rank_delta.get(p, 0)
         im_d = rank_d.get(p - k, 0)
         im_delta = rank_delta.get(p + k, 0)
-        lap_p = op_block(ctx, lap, p, p)
+        lap_p = _dense(ctx, lap, p, p)
         ker_lap = linalg.nullspace(lap_p)
         # Ker L == Ker d n Ker delta on this degree
-        stacked = []
-        if p in d_blocks:
-            stacked.extend(d_blocks[p])
-        if p in delta_blocks:
-            stacked.extend(delta_blocks[p])
-        ker_both = linalg.nullspace(stacked) if stacked else linalg.nullspace(
-            linalg.zeros(1, dim))
+        stacked = d_blocks.get(p, []) + delta_blocks.get(p, [])
+        ker_both = linalg.nullspace(stacked or linalg.zeros(1, dim))
         if not linalg.same_subspace(ker_lap if ker_lap else [[ZERO] * dim],
                                     ker_both if ker_both else [[ZERO] * dim]):
             kernels_match = False
         # three-way independence: all image/kernel vectors stacked must be
         # linearly independent and fill the degree
-        pieces = []
-        if (p - k) in d_blocks:
-            pieces.extend(_column_space(d_blocks[p - k]))
-        if (p + k) in delta_blocks:
-            pieces.extend(_column_space(delta_blocks[p + k]))
-        pieces.extend(ker_lap)
+        pieces = [vec for block in (d_blocks.get(p - k),
+                                    delta_blocks.get(p + k)) if block
+                  for vec in _column_space(block)] + ker_lap
         total_pieces = im_d + im_delta + len(ker_lap)
         if total_pieces != dim or (pieces and linalg.rank(pieces) != dim):
             direct_ok = False
@@ -387,13 +372,33 @@ def _decompose_homogeneous(ctx, d, delta, lap, k):
     )
 
 
+def _full_matrix(ctx, op):
+    """Dense matrix over the full monomial basis (degree then lex order)."""
+    offset = [0]
+    for monos in ctx.degree_monomials:
+        offset.append(offset[-1] + len(monos))
+    mat = linalg.zeros(offset[-1], offset[-1])
+    for (p, q), block in op.items():
+        for src, img in block.items():
+            j = offset[p] + ctx.index[src][1]
+            for dst, c in img.items():
+                mat[offset[q] + ctx.index[dst][1]][j] = c
+    return mat
+
+
+def _rank_from(ctx, op, p):
+    """Rank of op on degree p: the blocks leaving degree p, stacked."""
+    return linalg.rank([row for (src, q) in op if src == p
+                        for row in _dense(ctx, op, p, q)])
+
+
 def _decompose_mixed(ctx, d, delta, lap):
     m = ctx.m
     dims = [len(ctx.degree_monomials[p]) for p in range(m + 1)]
     total = sum(dims)
-    d_full = op_full_matrix(ctx, d)
-    delta_full = op_full_matrix(ctx, delta)
-    lap_full = op_full_matrix(ctx, lap)
+    d_full = _full_matrix(ctx, d)
+    delta_full = _full_matrix(ctx, delta)
+    lap_full = _full_matrix(ctx, lap)
     rank_d = linalg.rank(d_full)
     rank_delta = linalg.rank(delta_full)
     ker_lap = linalg.nullspace(lap_full)
@@ -405,13 +410,10 @@ def _decompose_mixed(ctx, d, delta, lap):
     direct_ok = (rank_d + rank_delta + len(ker_lap) == total
                  and (not pieces or linalg.rank(pieces) == total))
     cohom = (total - rank_d) - rank_d
-    rows = []
-    for p in range(m + 1):
-        rank_d_p = linalg.rank(op_restricted(ctx, d, p))
-        rank_delta_p = linalg.rank(op_restricted(ctx, delta, p))
-        ker_p = len(linalg.nullspace(op_restricted(ctx, lap, p)))
-        rows.append(HodgeDegreeRow(p, dims[p], rank_d_p, rank_delta_p,
-                                   None, None, ker_p, None))
+    rows = [HodgeDegreeRow(p, dims[p], _rank_from(ctx, d, p),
+                           _rank_from(ctx, delta, p), None, None,
+                           dims[p] - _rank_from(ctx, lap, p), None)
+            for p in range(m + 1)]
     return HodgeReport(
         m=m,
         degrees=rows,

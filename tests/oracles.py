@@ -6,8 +6,9 @@ from itertools import combinations, product
 from naryalg import linalg
 from naryalg.derived import Potential, canonical_tuples
 from naryalg.frobenius import QFCertificate, validate_phi
+from naryalg.hodge import star
 from naryalg.linalg import det
-from naryalg.poisson import Element, nested_bracket_indices
+from naryalg.poisson import Element, nested_bracket_indices, poisson_bracket
 
 
 def rank_by_minors(a):
@@ -111,3 +112,45 @@ def qf_by_ordered_loop(s, phi, exhaustive=False):
         return QFCertificate(False, witness=w, residual=r, phi_rank=rank_phi,
                              odd_arity=odd)
     return QFCertificate(True, phi_rank=rank_phi, odd_arity=odd)
+
+
+def hodge_operators_by_compose(ctx, mu):
+    """d, delta and L as 2^m-entry dicts {monomial: image}.  Oracle only.
+
+    Builds every operator image by image on whole Elements: d brackets mu
+    with each monomial, and each layer's delta_k = star d_k star is
+    composed from the star operator and its own brackets, with the sign
+    (-1)^{k(1-k)/2} of its shift k = deg - 2.  No block structure and no
+    star re-indexing is used.
+    """
+    space = ctx.space
+    basis = [mono for monos in ctx.degree_monomials for mono in monos]
+
+    def from_function(fn):
+        return {mono: fn(Element(space, {mono: Fraction(1)}))
+                for mono in basis}
+
+    def apply(op, v):
+        out = Element.zero(space)
+        for mono, c in v.terms.items():
+            out = out + op[mono].scale(c)
+        return out
+
+    def compose(f, g):
+        return {mono: apply(f, g[mono]) for mono in basis}
+
+    def add(f, g):
+        return {mono: f[mono] + g[mono] for mono in basis}
+
+    d = from_function(lambda v: poisson_bracket(mu.element, v))
+    star_op = from_function(lambda v: star(ctx, v))
+    delta = from_function(lambda v: Element.zero(space))
+    for deg in mu.element.degrees():
+        layer = mu.element.homogeneous_part(deg)
+        k = deg - 2
+        d_k = from_function(lambda v, el=layer: poisson_bracket(el, v))
+        sign = -1 if (k * (1 - k) // 2) % 2 else 1
+        delta = add(delta, {mono: img.scale(sign) for mono, img in
+                            compose(star_op, compose(d_k, star_op)).items()})
+    lap = add(compose(delta, d), compose(d, delta))
+    return d, delta, lap

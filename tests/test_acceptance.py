@@ -139,7 +139,7 @@ def test_criterion_05_adjointness():
     for el in (star(ctx, mono(V5, 1, 2)), mono(V5, 1, 2, 3, 4, 5)):
         mu = Potential.single(V5, el)
         d = differential(ctx, mu)
-        delta = codifferential(ctx, mu)
+        delta = codifferential(ctx, d)
         for v in basis:
             for w in basis:
                 lhs = inner_product(ctx, op_apply(d, v), w)

@@ -32,6 +32,7 @@ from naryalg.derived import (
     potential_from_structure,
 )
 from naryalg.errors import (
+    DegreeCapExceeded,
     DegreeMismatch,
     NotCommutative,
     NotInvariant,
@@ -568,3 +569,117 @@ def test_exhaustive_mode_collects_all_violations():
     assert len(rep.violations) > 1
     first = check_filippov(mu)
     assert first.witness == rep.violations[0][0]
+
+
+def _failing_verifier_inputs():
+    sp = odd_space(4)
+    late = NaryStructure(sp, 2, {(2, 3): Element.generator(sp, 1).scale(3)})
+    rng = random.Random(5)
+    table = {}
+    for i in range(4):
+        for j in range(i + 1, 4):
+            table[(i, j)] = Element(sp, {(k,): Fraction(rng.randint(-2, 2))
+                                         for k in range(4)})
+    jac6 = derive_structure(Potential.single(
+        V6, mono(V6, 3, 4, 5, 6) + mono(V6, 1, 2, 5, 6)))
+    fil5 = Potential.single(V5, mono(V5, 3, 4, 5) + mono(V5, 1, 2, 5))
+    # witness and residual as reported by the thread-pool version, which
+    # evaluated every probe before taking the first violation
+    return [
+        ("invariant", check_invariant, late, (1, 2, 3), Fraction(3)),
+        ("jacobi-random", check_nary_jacobi, NaryStructure(sp, 2, table),
+         (0, 1, 2), Element(sp, {(0,): -5, (1,): -3, (2,): 4, (3,): 6})),
+        ("jacobi-m6", check_nary_jacobi, jac6, (0, 1, 2, 3, 4),
+         mono(V6, 5, coeff=-2)),
+        ("filippov", check_filippov, fil5, (0,), mono(V5, 2, 3, 4)),
+    ]
+
+
+@pytest.mark.parametrize("case", _failing_verifier_inputs(),
+                         ids=lambda case: case[0])
+def test_single_thread_verifiers_keep_first_witness(case):
+    _, check, x, witness, residual = case
+    full = check(x, exhaustive=True)
+    for threads in (1, 4):
+        rep = check(x, threads=threads)
+        assert not rep.passed
+        assert (rep.witness, rep.residual) == (witness, residual)
+        assert rep.violations == full.violations[:1]
+    assert check(x, exhaustive=True, threads=4).violations == full.violations
+
+
+def test_invariant_loop_stops_at_first_violation(monkeypatch):
+    _, check, s, witness, _ = _failing_verifier_inputs()[0]
+    calls = []
+    real = NaryStructure.eval_basis
+    monkeypatch.setattr(NaryStructure, "eval_basis",
+                        lambda self, key: calls.append(key) or real(self, key))
+    check(s)
+    first = len(calls)
+    rep = check(s, exhaustive=True)
+    assert len(rep.violations) == 3 and rep.violations[0][0] == witness
+    assert first < len(calls) - first
+
+
+def _rejected_structures():
+    V2, V4 = odd_space(2), odd_space(4)
+    # an odd e1 beside an even symplectic pair, with degree cap 2: the
+    # closed form of an arity-2 table would need degree-3 monomials
+    shape = (3, [1, 0, 0], [[1, 0, 0], [0, 0, 1], [0, -1, 0]])
+    capped = Superspace(*shape, max_degree=2)
+    free = Superspace(*shape)
+    lawful = derive_structure(Potential.single(free, Element.monomial(
+        free, (0, 1, 2)))).table
+
+    def gen(sp, i, c=1):
+        return Element.generator(sp, i).scale(c)
+
+    rng = random.Random(3)
+    table = {(i, j): Element(V4, {(k,): Fraction(rng.randint(-2, 2))
+                                  for k in range(4)})
+             for i in range(4) for j in range(i + 1, 4)}
+    # error type, witness and message as raised when the two laws were
+    # checked before the closed form
+    return [
+        ("noncomm-odd", NaryStructure(V5, 2, {(0, 0): gen(V5, 1)}),
+         NotCommutative, (0, 0), "structure is not graded-commutative"),
+        ("noncomm-late", NaryStructure(
+            V5, 2, {(0, 1): gen(V5, 2), (3, 3): gen(V5, 0, 2)}),
+         NotCommutative, (3, 3), "structure is not graded-commutative"),
+        ("noninv-m2", NaryStructure(V2, 2, {(0, 1): gen(V2, 0)}),
+         NotInvariant, (0, 0, 1), "structure is not invariant"),
+        ("noninv-random", NaryStructure(V4, 2, table),
+         NotInvariant, (0, 0, 1), "structure is not invariant"),
+        ("noninv-even", NaryStructure(E2, 2, {(0, 0): gen(E2, 0)}),
+         NotInvariant, (1, 0, 0), "structure is not invariant"),
+        ("noncomm-capped", NaryStructure(capped, 2, {(0, 0): gen(capped, 1)}),
+         NotCommutative, (0, 0), "structure is not graded-commutative"),
+        ("noninv-capped", NaryStructure(capped, 2, {(1, 2): gen(capped, 1)}),
+         NotInvariant, (1, 2, 2), "structure is not invariant"),
+        # commutative and invariant, but its potential is over the cap
+        ("lawful-capped", NaryStructure(capped, 2, {
+            key: Element(capped, val.terms) for key, val in lawful.items()}),
+         DegreeCapExceeded, None, "monomial degree 3 exceeds cap 2"),
+    ]
+
+
+@pytest.mark.parametrize("case", _rejected_structures(),
+                         ids=lambda case: case[0])
+def test_rejection_keeps_error_and_witness(case):
+    _, s, error, witness, message = case
+    with pytest.raises(error) as exc:
+        potential_from_structure(s)
+    assert type(exc.value) is error
+    assert getattr(exc.value, "witness", None) == witness
+    assert str(exc.value) == message
+
+
+def test_inversion_skips_the_law_checks_on_success(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("law check ran on the success path")
+
+    monkeypatch.setattr(derived, "check_commutative", refuse)
+    monkeypatch.setattr(derived, "check_invariant", refuse)
+    mu = Potential.single(V6, mono(V6, 3, 4, 5, 6) + mono(V6, 1, 2, 5, 6))
+    assert potential_from_structure(derive_structure(mu)).element == \
+        mu.element
