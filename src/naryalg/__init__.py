@@ -10,7 +10,6 @@ from .superspace import (
     Superspace,
     even_symplectic_space,
     is_positive_definite,
-    new_superspace,
     odd_space,
 )
 from .poisson import (

@@ -34,7 +34,6 @@ from .errors import (
 from .hodge import HodgeContext, star
 from .poisson import Element, multiply, poisson_bracket
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -190,38 +189,19 @@ def ider(space, mu):
     Exact kernel of w -> [w, mu] on the degree-2 component.
     """
     basis2 = canonical_tuples(space, 2)
-    target_index = {}
-    rows = []
-    columns = []
-    for b in basis2:
+    rows = {}
+    for j, b in enumerate(basis2):
         img = poisson_bracket(Element.monomial(space, b), mu.element)
-        columns.append(img)
-        for mono in img.terms:
-            if mono not in target_index:
-                target_index[mono] = len(target_index)
-    mat = linalg.zeros(max(len(target_index), 1), len(basis2))
-    for j, img in enumerate(columns):
         for mono, c in img.terms.items():
-            mat[target_index[mono]][j] = c
-    kernel = linalg.nullspace(mat)
-    out = []
-    for vec in linalg.row_space(kernel) if kernel else []:
-        acc = {b: c for b, c in zip(basis2, vec) if c != 0}
-        out.append(Element(space, acc))
-    return out
+            rows.setdefault(mono, {})[j] = c
+    kernel = linalg.nullspace(list(rows.values()), range(len(basis2)))
+    return [Element(space, {basis2[j]: c for j, c in vec.items()})
+            for vec in linalg.row_space(kernel)]
 
 
 def degree2_rowspace(space, elements):
     """Canonical row space of degree-2 elements (for subspace comparison)."""
-    basis2 = canonical_tuples(space, 2)
-    pos = {b: i for i, b in enumerate(basis2)}
-    rows = []
-    for el in elements:
-        row = [ZERO] * len(basis2)
-        for mono, c in el.terms.items():
-            row[pos[mono]] = c
-        rows.append(row)
-    return linalg.row_space(rows)
+    return linalg.row_space([el.terms for el in elements])
 
 
 # ---------------------------------------------------------------------------
@@ -237,26 +217,45 @@ class IdealReport:
     rounds: int = 0
 
 
+def _transpose(lines, m):
+    """Rows of an operator given by its m columns, or columns from rows."""
+    out = [{} for _ in range(m)]
+    for j, line in enumerate(lines):
+        for i, x in line.items():
+            out[i][j] = x
+    return out
+
+
 def _integer_lines(lines):
-    """Lines (rows or columns) as sparse integer dicts {index: int}.
+    """Sparse lines (rows or columns) as sparse integer rows {index: int}.
 
     All lines are scaled by one positive int, the common denominator;
     scaling an operator changes none of its invariant subspaces.
     """
-    lines = [list(line) for line in lines]
-    den = lcm(*(x.denominator for line in lines for x in line))
+    lines = list(lines)
+    den = lcm(*(x.denominator for line in lines for x in line.values()))
     return [{i: x.numerator * (den // x.denominator)
-             for i, x in enumerate(line) if x} for line in lines]
+             for i, x in line.items() if x} for line in lines]
+
+
+def _apply(cols, vec):
+    """The image of the sparse vector vec under the operator cols."""
+    img = {}
+    for j, x in vec.items():
+        for i, y in cols[j].items():
+            img[i] = img.get(i, 0) + x * y
+    return {i: y for i, y in img.items() if y}
 
 
 def _spin(ops, seed_rows, m):
     """Smallest subspace containing the seeds and invariant under the ops.
 
-    Each op is an operator given by its columns (``_integer_lines``).  A
-    worklist maps every new basis vector by every op exactly once and
-    reduces each image into the echelon basis with the elimination kernel's
-    forward step, stopping once the basis spans everything.  The closure is
-    unique, so its canonical ``row_space`` basis is the answer.
+    Each op is an operator given by its columns (``_integer_lines``) and
+    the seeds are sparse rows.  A worklist maps every new basis vector by
+    every op exactly once and reduces each image into the echelon basis
+    with the elimination kernel's forward step, stopping once the basis
+    spans everything.  The closure is unique, so its canonical
+    ``row_space`` basis is the answer.
     """
     lead_rows = {}
     work = []
@@ -271,42 +270,30 @@ def _spin(ops, seed_rows, m):
     while work and len(lead_rows) < m:
         vec = work.pop()
         for cols in ops:
-            img = {}
-            for j, x in vec.items():
-                for i, y in cols[j].items():
-                    img[i] = img.get(i, 0) + x * y
-            insert({i: y for i, y in img.items() if y})
+            insert(_apply(cols, vec))
             if len(lead_rows) == m:
                 break
-    return linalg.row_space([[vec.get(c, 0) for c in range(m)]
-                             for vec, _, _ in lead_rows.values()])
+    return linalg.row_space([vec for vec, _, _ in lead_rows.values()])
 
 
-def _verify_ideal(mats, rows):
+def _verify_ideal(ops, rows):
     if not rows:
         return False
     space_rows = linalg.row_space(rows)
-    for mat in mats:
+    for cols in ops:
         for vec in space_rows:
-            img = linalg.mat_vec(mat, vec)
-            stacked = space_rows + [img]
+            stacked = space_rows + [_apply(cols, vec)]
             if len(linalg.row_space(stacked)) != len(space_rows):
                 return False
     return True
 
 
 def _rows_to_elements(space, rows):
-    out = []
-    for vec in rows:
-        acc = {(i,): c for i, c in enumerate(vec) if c != 0}
-        out.append(Element(space, acc))
-    return out
+    return [Element(space, {(i,): c for i, c in vec.items()}) for vec in rows]
 
 
 def _orth_complement(rows, m):
-    if not rows:
-        return linalg.identity(m)
-    return linalg.nullspace(rows)
+    return linalg.nullspace(rows, range(m))
 
 
 def find_ideal(s, rank_hint=None, rounds=64, seed=0):
@@ -323,45 +310,45 @@ def find_ideal(s, rank_hint=None, rounds=64, seed=0):
     if not space.pure_odd:
         raise NotPureOdd("ideal search is implemented for pure odd spaces")
     m = space.dim
-    prefixes = canonical_tuples(space, s.arity - 1)
-    mats = [s.operator(t) for t in prefixes]
-    mats = [mat for mat in mats if not linalg.is_zero_matrix(mat)]
+    # each operator v -> product(prefix..., v) by its exact sparse columns
+    operators = [cols for cols in map(s.operator,
+                                      canonical_tuples(space, s.arity - 1))
+                 if any(cols)]
 
-    if not mats:
+    if not operators:
         # zero structure: every line is an ideal
         return IdealReport(True, [Element.generator(space, 0)],
                            method="kernel", status="ideal found")
 
     # stage 1: common kernel
-    stacked = [row for mat in mats for row in mat]
-    kernel = linalg.nullspace(stacked)
+    op_rows = [_transpose(cols, m) for cols in operators]
+    kernel = linalg.nullspace([row for rows in op_rows for row in rows],
+                              range(m))
+    ops = [_integer_lines(cols) for cols in operators]
     if kernel:
         rows = linalg.row_space(kernel)
-        if 0 < len(rows) < m and _verify_ideal(mats, rows):
+        if 0 < len(rows) < m and _verify_ideal(ops, rows):
             return IdealReport(True, _rows_to_elements(space, rows),
                                method="kernel", status="ideal found")
 
     # stage 2: spin closures of deterministic candidates
     candidates = []
-    for mat in mats:
-        ns = linalg.nullspace(mat)
+    for cols, rows in zip(operators, op_rows):
+        ns = linalg.nullspace(rows, range(m))
         if ns:
             candidates.append(ns)
             candidates.append(_orth_complement(ns, m))
-        cs = linalg.row_space(linalg.transpose(mat))
+        cs = linalg.row_space(cols)
         if 0 < len(cs) < m:
             candidates.append(cs)
             candidates.append(_orth_complement(cs, m))
     for i in range(m):
-        row = [ZERO] * m
-        row[i] = ONE
-        candidates.append([row])
-    ops = [_integer_lines(zip(*mat)) for mat in mats]
+        candidates.append([{i: ONE}])
     for cand in candidates:
         if not cand:
             continue
         spun = _spin(ops, cand, m)
-        if 0 < len(spun) < m and _verify_ideal(mats, spun):
+        if 0 < len(spun) < m and _verify_ideal(ops, spun):
             return IdealReport(True, _rows_to_elements(space, spun),
                                method="spin", status="ideal found")
 
@@ -373,36 +360,39 @@ def find_ideal(s, rank_hint=None, rounds=64, seed=0):
     # stage 3: randomized invariant-subspace search
     rng = random.Random(seed)
     # the columns of a transpose are the rows of the operator
-    ops_t = [_integer_lines(mat) for mat in mats]
+    ops_t = [_integer_lines(rows) for rows in op_rows]
     for rnd in range(1, rounds + 1):
-        z = linalg.zeros(m, m)
+        z = [{} for _ in range(m)]            # the columns of a random word
         for _ in range(rng.randint(1, 3)):
-            word = mats[rng.randrange(len(mats))]
+            word = operators[rng.randrange(len(operators))]
             for _ in range(rng.randint(0, 2)):
-                word = linalg.mat_mul(word, mats[rng.randrange(len(mats))])
+                right = operators[rng.randrange(len(operators))]
+                word = [_apply(word, col) for col in right]
             c = Fraction(rng.randint(-3, 3))
             if c == 0:
                 continue
-            z = [[z[i][j] + c * word[i][j] for j in range(m)] for i in range(m)]
-        ns = linalg.nullspace(z)
+            for z_col, col in zip(z, word):
+                for i, x in col.items():
+                    z_col[i] = z_col.get(i, 0) + c * x
+        z = [{i: x for i, x in col.items() if x} for col in z]
+        ns = linalg.nullspace(_transpose(z, m), range(m))
         if not ns or len(ns) == m:
             continue
         for vec in ns:
             spun = _spin(ops, [vec], m)
-            if 0 < len(spun) < m and _verify_ideal(mats, spun):
+            if 0 < len(spun) < m and _verify_ideal(ops, spun):
                 return IdealReport(True, _rows_to_elements(space, spun),
                                    method="meataxe", status="ideal found",
                                    rounds=rnd)
         if len(ns) == 1:
-            zt = linalg.transpose(z)
-            nst = linalg.nullspace(zt)
+            nst = linalg.nullspace(z, range(m))
             dual_full = True
             for vec in nst:
                 spun = _spin(ops_t, [vec], m)
                 if 0 < len(spun) < m:
                     comp = _orth_complement(spun, m)
                     comp = linalg.row_space(comp)
-                    if 0 < len(comp) < m and _verify_ideal(mats, comp):
+                    if 0 < len(comp) < m and _verify_ideal(ops, comp):
                         return IdealReport(True,
                                            _rows_to_elements(space, comp),
                                            method="meataxe",
@@ -439,7 +429,7 @@ def classify_m3(space, v, rounds=64, seed=0, cross_validate=True,
         raise DimensionTooSmall("classification needs dimension > 4")
     ctx = HodgeContext(space)
     a = element_to_skew(space, v)
-    rank = linalg.rank(a)
+    rank = linalg.rank(linalg.sparse(a))
     mu = build_m3_algebra(ctx, v)
     s = derive_structure(mu)
     filippov = check_filippov(mu).passed

@@ -52,7 +52,6 @@ from .poisson import (
 )
 from .superspace import require_nondegenerate
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -265,14 +264,13 @@ class NaryStructure:
         return not self.table
 
     def operator(self, prefix):
-        """Matrix of v -> product(prefix..., v) in the generator basis."""
-        m = self.space.dim
-        mat = [[ZERO] * m for _ in range(m)]
-        for k in range(m):
-            img = self.eval_basis(tuple(prefix) + (k,))
-            for mono, c in img.terms.items():
-                mat[mono[0]][k] = c
-        return mat
+        """Columns of v -> product(prefix..., v) in the generator basis.
+
+        Column k is the image of e_k as a sparse row {i: coefficient of e_i}.
+        """
+        return [{mono[0]: c for mono, c in
+                 self.eval_basis(tuple(prefix) + (k,)).terms.items()}
+                for k in range(self.space.dim)]
 
     def __eq__(self, other):
         return (isinstance(other, NaryStructure) and self.space == other.space

@@ -180,7 +180,7 @@ def check_quasi_frobenius(space, mu, phi, allow_odd_arity=False,
         if r != 0:
             witness, residual = args, r
             break
-    rank_phi = linalg.rank(phi)
+    rank_phi = linalg.rank(linalg.sparse(phi))
     return QFCertificate(witness is None, witness=witness, residual=residual,
                          phi_rank=rank_phi, odd_arity=odd)
 

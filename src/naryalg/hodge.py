@@ -21,9 +21,12 @@ block of d through ``star_monomial``, with the sign (-1)^{k(1-k)/2} read
 from the block's shift k, and takes no bracket.  The Laplacian and both
 square-zero checks are sparse block products.
 
-Everything here is exact rational arithmetic.  A block is made dense only
-to be ranked, once, by ``linalg.rank``, which checks an exact certificate
-of every rank it returns.
+Everything here is exact rational arithmetic.  The blocks go to ``linalg``
+as they are, with no dense matrix in between: the columns of an operator
+on degree p are the images of the degree-p monomials, sparse rows keyed by
+monomial, and its rows are their transpose.  ``linalg.rank`` checks an
+exact certificate of every rank it returns, and the harmonic elements are
+read from the canonical sparse kernel rows, keyed by monomial.
 """
 
 import functools
@@ -46,7 +49,7 @@ MAX_DIM_MIXED = 10
 class HodgeContext:
     """Pure odd space, identity Gram matrix, a choice of orientation."""
 
-    __slots__ = ("space", "orientation", "top", "degree_monomials", "index")
+    __slots__ = ("space", "orientation", "top", "degree_monomials")
 
     def __init__(self, space, orientation=None):
         if not space.pure_odd:
@@ -64,10 +67,6 @@ class HodgeContext:
             [tuple(c) for c in combinations(range(space.dim), p)]
             for p in range(space.dim + 1)
         ]
-        self.index = {}
-        for p, monos in enumerate(self.degree_monomials):
-            for i, mono in enumerate(monos):
-                self.index[mono] = (p, i)
 
     @property
     def m(self):
@@ -105,18 +104,6 @@ def star(ctx, v):
         sign, comp = star_monomial(ctx, mono)
         acc[comp] = acc.get(comp, ZERO) + sign * c
     return Element(ctx.space, acc)
-
-
-def star_matrix(ctx, p):
-    """Matrix of star from degree p to degree m - p."""
-    src = ctx.degree_monomials[p]
-    dst = ctx.degree_monomials[ctx.m - p]
-    pos = {mono: i for i, mono in enumerate(dst)}
-    mat = linalg.zeros(len(dst), len(src))
-    for j, mono in enumerate(src):
-        sign, comp = star_monomial(ctx, mono)
-        mat[pos[comp]][j] = Fraction(sign)
-    return mat
 
 
 def inner_product(ctx, v, w):
@@ -174,16 +161,27 @@ def _product_sum(pairs):
             for key, block in out.items() if any(block.values())}
 
 
-def _dense(ctx, op, p, q):
-    """Matrix of the (degree p -> degree q) block of op; zero if absent."""
-    index = ctx.index
-    mat = linalg.zeros(len(ctx.degree_monomials[q]),
-                       len(ctx.degree_monomials[p]))
-    for src, img in op.get((p, q), {}).items():
-        j = index[src][1]
+def _columns(op, degrees):
+    """The images of the source monomials of op whose degree is in degrees.
+
+    These are the operator's columns, as sparse rows keyed by target
+    monomial; a monomial's images in several target degrees are merged.
+    """
+    cols = {}
+    for (p, _), block in op.items():
+        if p in degrees:
+            for src, img in block.items():
+                cols.setdefault(src, {}).update(img)
+    return cols
+
+
+def _rows(cols):
+    """The rows of an operator given by its columns, keyed by source."""
+    rows = {}
+    for src, img in cols.items():
         for dst, c in img.items():
-            mat[index[dst][1]][j] = c
-    return mat
+            rows.setdefault(dst, {})[src] = c
+    return list(rows.values())
 
 
 # ---------------------------------------------------------------------------
@@ -302,47 +300,38 @@ def hodge_decomposition(ctx, mu):
     return _decompose_mixed(ctx, d, delta, lap)
 
 
-def _column_space(mat):
-    # canonical basis of the column space, as row vectors
-    return linalg.row_space(linalg.transpose(mat))
-
-
 def _decompose_homogeneous(ctx, d, delta, lap, k):
     m = ctx.m
-    dims = [len(ctx.degree_monomials[p]) for p in range(m + 1)]
-    d_blocks, delta_blocks = {}, {}
-    for p in range(m + 1):
-        if 0 <= p + k <= m:
-            d_blocks[p] = _dense(ctx, d, p, p + k)
-        if 0 <= p - k <= m:
-            delta_blocks[p] = _dense(ctx, delta, p, p - k)
+    monos = ctx.degree_monomials
+    dims = [len(monos[p]) for p in range(m + 1)]
+    d_cols = {p: _columns(d, (p,)) for p in range(m + 1)}
+    delta_cols = {p: _columns(delta, (p,)) for p in range(m + 1)}
     rows = []
     harmonic = {}
     direct_ok = True
     kernels_match = True
     # Im d in degree p is the image of the d block of degree p - k, and
     # Im delta in degree p that of the delta block of degree p + k
-    rank_d = {p: linalg.rank(block) for p, block in d_blocks.items()}
-    rank_delta = {p: linalg.rank(block) for p, block in delta_blocks.items()}
+    rank_d = {p: linalg.rank(cols.values()) for p, cols in d_cols.items()}
+    rank_delta = {p: linalg.rank(cols.values())
+                  for p, cols in delta_cols.items()}
     for p in range(m + 1):
         dim = dims[p]
-        rank_d_p = rank_d.get(p, 0)
-        rank_delta_p = rank_delta.get(p, 0)
+        rank_d_p = rank_d[p]
+        rank_delta_p = rank_delta[p]
         im_d = rank_d.get(p - k, 0)
         im_delta = rank_delta.get(p + k, 0)
-        lap_p = _dense(ctx, lap, p, p)
-        ker_lap = linalg.nullspace(lap_p)
+        ker_lap = linalg.nullspace(_rows(_columns(lap, (p,))), monos[p])
         # Ker L == Ker d n Ker delta on this degree
-        stacked = d_blocks.get(p, []) + delta_blocks.get(p, [])
-        ker_both = linalg.nullspace(stacked or linalg.zeros(1, dim))
-        if not linalg.same_subspace(ker_lap if ker_lap else [[ZERO] * dim],
-                                    ker_both if ker_both else [[ZERO] * dim]):
+        ker_both = linalg.nullspace(
+            _rows(d_cols[p]) + _rows(delta_cols[p]), monos[p])
+        if not linalg.same_subspace(ker_lap, ker_both):
             kernels_match = False
         # three-way independence: all image/kernel vectors stacked must be
         # linearly independent and fill the degree
-        pieces = [vec for block in (d_blocks.get(p - k),
-                                    delta_blocks.get(p + k)) if block
-                  for vec in _column_space(block)] + ker_lap
+        pieces = [vec for cols in (d_cols.get(p - k), delta_cols.get(p + k))
+                  if cols for vec in linalg.row_space(cols.values())]
+        pieces += ker_lap
         total_pieces = im_d + im_delta + len(ker_lap)
         if total_pieces != dim or (pieces and linalg.rank(pieces) != dim):
             direct_ok = False
@@ -351,12 +340,8 @@ def _decompose_homogeneous(ctx, d, delta, lap, k):
             direct_ok = False
         rows.append(HodgeDegreeRow(p, dim, rank_d_p, rank_delta_p, im_d,
                                    im_delta, len(ker_lap), cohom))
-        harmonic[p] = [
-            Element(ctx.space,
-                    {ctx.degree_monomials[p][i]: c
-                     for i, c in enumerate(vec) if c != 0})
-            for vec in linalg.row_space(ker_lap)
-        ] if ker_lap else []
+        harmonic[p] = [Element(ctx.space, vec)
+                       for vec in linalg.row_space(ker_lap)]
     return HodgeReport(
         m=m,
         degrees=rows,
@@ -372,47 +357,31 @@ def _decompose_homogeneous(ctx, d, delta, lap, k):
     )
 
 
-def _full_matrix(ctx, op):
-    """Dense matrix over the full monomial basis (degree then lex order)."""
-    offset = [0]
-    for monos in ctx.degree_monomials:
-        offset.append(offset[-1] + len(monos))
-    mat = linalg.zeros(offset[-1], offset[-1])
-    for (p, q), block in op.items():
-        for src, img in block.items():
-            j = offset[p] + ctx.index[src][1]
-            for dst, c in img.items():
-                mat[offset[q] + ctx.index[dst][1]][j] = c
-    return mat
-
-
-def _rank_from(ctx, op, p):
-    """Rank of op on degree p: the blocks leaving degree p, stacked."""
-    return linalg.rank([row for (src, q) in op if src == p
-                        for row in _dense(ctx, op, p, q)])
-
-
 def _decompose_mixed(ctx, d, delta, lap):
     m = ctx.m
-    dims = [len(ctx.degree_monomials[p]) for p in range(m + 1)]
+    monos = ctx.degree_monomials
+    dims = [len(monos[p]) for p in range(m + 1)]
     total = sum(dims)
-    d_full = _full_matrix(ctx, d)
-    delta_full = _full_matrix(ctx, delta)
-    lap_full = _full_matrix(ctx, lap)
-    rank_d = linalg.rank(d_full)
-    rank_delta = linalg.rank(delta_full)
-    ker_lap = linalg.nullspace(lap_full)
-    ker_both = linalg.nullspace(d_full + delta_full)
-    kernels_match = linalg.same_subspace(
-        ker_lap if ker_lap else [[ZERO] * total],
-        ker_both if ker_both else [[ZERO] * total])
-    pieces = _column_space(d_full) + _column_space(delta_full) + ker_lap
+    everything = range(m + 1)
+    columns = sorted(mono for degree in monos for mono in degree)
+    d_cols = _columns(d, everything)
+    delta_cols = _columns(delta, everything)
+    rank_d = linalg.rank(d_cols.values())
+    rank_delta = linalg.rank(delta_cols.values())
+    ker_lap = linalg.nullspace(_rows(_columns(lap, everything)), columns)
+    ker_both = linalg.nullspace(_rows(d_cols) + _rows(delta_cols), columns)
+    kernels_match = linalg.same_subspace(ker_lap, ker_both)
+    pieces = (linalg.row_space(d_cols.values())
+              + linalg.row_space(delta_cols.values()) + ker_lap)
     direct_ok = (rank_d + rank_delta + len(ker_lap) == total
                  and (not pieces or linalg.rank(pieces) == total))
     cohom = (total - rank_d) - rank_d
-    rows = [HodgeDegreeRow(p, dims[p], _rank_from(ctx, d, p),
-                           _rank_from(ctx, delta, p), None, None,
-                           dims[p] - _rank_from(ctx, lap, p), None)
+
+    def rank_on(op, p):
+        return linalg.rank(_columns(op, (p,)).values())
+
+    rows = [HodgeDegreeRow(p, dims[p], rank_on(d, p), rank_on(delta, p),
+                           None, None, dims[p] - rank_on(lap, p), None)
             for p in range(m + 1)]
     return HodgeReport(
         m=m,

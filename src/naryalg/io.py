@@ -39,9 +39,17 @@ def _check_schema(obj, path):
         raise SchemaError(f"{path}.schema", f"unsupported schema {obj['schema']!r}")
 
 
-def _check_positive_int(value, path):
+def _check_positive_int(value, path, most=None):
+    """A positive int (no bool), at most ``most`` when given: a basis index."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise SchemaError(path, "expected a positive integer")
+    if most is not None and value > most:
+        raise SchemaError(path, f"index out of range 1..{most}")
+
+
+def _check_list(value, path, what="a list"):
+    if not isinstance(value, list):
+        raise SchemaError(path, f"expected {what}")
 
 
 # ---------------------------------------------------------------------------
@@ -61,11 +69,9 @@ def parse_superspace(obj, path="superspace", max_degree=None):
         if key not in obj:
             raise SchemaError(f"{path}.{key}", "missing field")
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise SchemaError(f"{path}.dim", "expected a positive integer")
+    _check_positive_int(dim, f"{path}.dim")
     parity_names = obj["parity"]
-    if not isinstance(parity_names, list):
-        raise SchemaError(f"{path}.parity", "expected a list")
+    _check_list(parity_names, f"{path}.parity")
     if len(parity_names) != dim:
         raise SchemaError(f"{path}.parity", f"expected {dim} entries")
     parity = []
@@ -74,14 +80,12 @@ def parse_superspace(obj, path="superspace", max_degree=None):
             raise SchemaError(f"{path}.parity[{i}]", "expected 'even' or 'odd'")
         parity.append(1 if name == "odd" else 0)
     gram_rows = obj["gram"]
-    if not isinstance(gram_rows, list):
-        raise SchemaError(f"{path}.gram", "expected a list of rows")
+    _check_list(gram_rows, f"{path}.gram", "a list of rows")
     if len(gram_rows) != dim:
         raise SchemaError(f"{path}.gram", f"expected {dim} rows")
     gram = []
     for i, row in enumerate(gram_rows):
-        if not isinstance(row, list):
-            raise SchemaError(f"{path}.gram[{i}]", "expected a list")
+        _check_list(row, f"{path}.gram[{i}]")
         if len(row) != dim:
             raise SchemaError(f"{path}.gram[{i}]", f"expected {dim} entries")
         gram.append([parse_scalar(x, f"{path}.gram[{i}][{j}]")
@@ -109,19 +113,17 @@ def superspace_to_json(space):
 
 
 def parse_element(space, arr, path="element"):
-    if not isinstance(arr, list):
-        raise SchemaError(path, "expected a list of terms")
+    _check_list(arr, path, "a list of terms")
     terms = {}
     for t, item in enumerate(arr):
         where = f"{path}[{t}]"
         if not isinstance(item, dict) or "monomial" not in item or "coeff" not in item:
             raise SchemaError(where, "expected {'monomial': [...], 'coeff': ...}")
         raw = item["monomial"]
+        _check_list(raw, f"{where}.monomial")
         mono = []
         for k, idx in enumerate(raw):
-            if not isinstance(idx, int) or not 1 <= idx <= space.dim:
-                raise SchemaError(f"{where}.monomial[{k}]",
-                                  f"index out of range 1..{space.dim}")
+            _check_positive_int(idx, f"{where}.monomial[{k}]", space.dim)
             mono.append(idx - 1)
         for a, b in zip(mono, mono[1:]):
             if a > b:
@@ -151,8 +153,7 @@ def parse_potential(space, obj, path="potential"):
     _check_schema(obj, path)
     if "linf" in obj:
         layers = obj["linf"]
-        if not isinstance(layers, list):
-            raise SchemaError(f"{path}.linf", "expected a list of elements")
+        _check_list(layers, f"{path}.linf", "a list of elements")
         total = Element.zero(space)
         for i, layer in enumerate(layers):
             total = total + parse_element(space, layer, f"{path}.linf[{i}]")
@@ -161,8 +162,8 @@ def parse_potential(space, obj, path="potential"):
         raise SchemaError(f"{path}.element", "missing field")
     el = parse_element(space, obj["element"], f"{path}.element")
     arity = obj.get("arity")
-    if arity is not None and (not isinstance(arity, int) or arity < 1):
-        raise SchemaError(f"{path}.arity", "expected a positive integer")
+    if arity is not None:
+        _check_positive_int(arity, f"{path}.arity")
     return Potential.single(space, el, arity=arity)
 
 
@@ -182,18 +183,17 @@ def parse_structure(space, obj, path="structure"):
     if "arity" not in obj or "constants" not in obj:
         raise SchemaError(path, "expected 'arity' and 'constants'")
     arity = obj["arity"]
-    if not isinstance(arity, int) or arity < 1:
-        raise SchemaError(f"{path}.arity", "expected a positive integer")
+    _check_positive_int(arity, f"{path}.arity")
+    _check_list(obj["constants"], f"{path}.constants")
     table = {}
     for t, item in enumerate(obj["constants"]):
         where = f"{path}.constants[{t}]"
         if not isinstance(item, dict) or "args" not in item or "value" not in item:
             raise SchemaError(where, "expected {'args': [...], 'value': [...]}")
+        _check_list(item["args"], f"{where}.args")
         args = []
         for k, idx in enumerate(item["args"]):
-            if not isinstance(idx, int) or not 1 <= idx <= space.dim:
-                raise SchemaError(f"{where}.args[{k}]",
-                                  f"index out of range 1..{space.dim}")
+            _check_positive_int(idx, f"{where}.args[{k}]", space.dim)
             args.append(idx - 1)
         if any(a > b for a, b in zip(args, args[1:])):
             raise SchemaError(f"{where}.args", "indices must be non-decreasing")
@@ -228,6 +228,7 @@ def parse_matrix(obj, dim, path="matrix"):
         raise SchemaError(path, f"expected {dim} rows")
     out = []
     for i, row in enumerate(rows):
+        _check_list(row, f"{path}[{i}]")
         if len(row) != dim:
             raise SchemaError(f"{path}[{i}]", f"expected {dim} entries")
         out.append([parse_scalar(x, f"{path}[{i}][{j}]")

@@ -1,6 +1,17 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of rows of Fractions (ints are accepted as entries).
+The subspace routines ``rank``, ``row_space``, ``same_subspace`` and
+``nullspace`` take a sized collection of sparse rows and return lists of
+them.  A sparse row is a dict {column: coefficient} with no zeros stored;
+its column keys are any mutually comparable hashables (ints, or the
+monomial tuples of ``hodge``).  A sparse row does not know its width, so
+``nullspace`` is also given the ordered column keys.
+
+Dense matrices, lists of rows of Fractions (ints are accepted as entries),
+stay only in ``rref``, ``solve``, ``inverse``, ``det`` and the
+matrix-arithmetic helpers, which serve small square matrices; ``sparse``
+converts a dense matrix at that boundary.
+
 Every elimination runs through one kernel, ``_eliminate``: a fraction-free
 Gauss-Jordan elimination over sparse integer rows, in the sense of Bareiss,
 "Sylvester's identity and multistep integer-preserving Gaussian
@@ -8,18 +19,19 @@ elimination" (1968).  Each input row is cleared of denominators, every
 working row is kept primitive (divided by the gcd of its entries), and each
 working row records the integer combination of input rows it comes from.
 Its forward step, ``reduce_into``, is also the reducer of the
-invariant-subspace closure in ``classify``.  ``rref``, ``nullspace``,
-``solve``, ``inverse``, ``row_space`` and ``same_subspace`` read the
+invariant-subspace closure in ``classify``.  The other routines read the
 reduced row echelon form it returns, which is unique, so no answer depends
 on the kernel's pivot order.
 
 ``rank`` returns only after ``_check_rank_certificate`` has checked the
-kernel's answer against the input matrix by multiply-and-compare code that
+kernel's answer against the input rows by multiply-and-compare code that
 shares nothing with the kernel:
 
 * rank >= r: the recorded combinations reproduce the r echelon rows, and
   those rows are independent by their pivot pattern;
-* rank <= r: the input annihilates every canonical kernel vector.
+* rank <= r: the input annihilates the canonical kernel vector of every
+  free column the input touches (a column no input row touches is zero
+  and already in the kernel).
 
 ``bareiss_rank`` is a dense fraction-free rank kept as a test oracle; no
 engine code calls it.
@@ -88,6 +100,11 @@ def mat_vec(a, v):
 
 def is_zero_matrix(a):
     return all(x == 0 for row in a for x in row)
+
+
+def sparse(a):
+    """The rows of a dense matrix as sparse rows {column index: entry}."""
+    return [{c: x for c, x in enumerate(row) if x} for row in a]
 
 
 # ---------------------------------------------------------------------------
@@ -163,20 +180,18 @@ def reduce_into(lead_rows, vec, comb, scale):
     return None
 
 
-def _eliminate(a):
-    """Fraction-free Gauss-Jordan elimination of the rows of ``a``.
+def _eliminate(rows):
+    """Fraction-free Gauss-Jordan elimination of the sparse rows.
 
-    Returns ``(rows, pivots, combos)``: the nonzero rows of the reduced row
-    echelon form as dense Fraction lists, their pivot columns in increasing
-    order, and for each row a pair ``(comb, den)`` of a dict
-    {input row index: int} and a nonzero int with
-    ``sum(comb[j] * a[j] for j in comb) == den * row``.
+    Returns ``(echelon, pivots, combos)``: the nonzero rows of the reduced
+    row echelon form as sparse Fraction rows, their pivot columns in
+    increasing order, and for each echelon row a pair ``(comb, den)`` of a
+    dict {input row index: int} and a nonzero int with
+    ``sum(comb[j] * rows[j] for j in comb) == den * echelon_row``.
     """
-    cols = len(a[0]) if a else 0
     lead_rows = {}                            # leading column -> working row
-    for j, row in enumerate(a):
-        # the shared ZERO of zeros() is skipped by identity, cheaply
-        entries = [(c, x) for c, x in enumerate(row) if x is not ZERO and x]
+    for j, row in enumerate(rows):
+        entries = [(c, x) for c, x in row.items() if x]
         if not entries:
             continue
         den = lcm(*(x.denominator for _, x in entries))
@@ -193,62 +208,64 @@ def _eliminate(a):
         for q in pivots[:k]:
             if p in lead_rows[q][0]:
                 lead_rows[q] = _clear(lead_rows[q], piv, p)
-    rows, combos = [], []
+    echelon, combos = [], []
     for p in pivots:
         vec, comb, scale = lead_rows[p]
         head = vec[p]
-        row = [ZERO] * cols
-        for c, x in vec.items():
-            row[c] = Fraction(x, head)
-        rows.append(row)
+        echelon.append({c: Fraction(x, head) for c, x in vec.items()})
         combos.append((comb, scale * head))
-    return rows, pivots, combos
+    return echelon, pivots, combos
 
 
-def _check_rank_certificate(a, rows, pivots, combos):
-    """Raise NaryError unless the kernel's output proves rank(a) == len(rows).
+def _check_rank_certificate(rows, echelon, pivots, combos):
+    """Raise NaryError unless the kernel's output proves rank == len(echelon).
 
-    Uses nothing but products of the input with the returned rows,
+    Uses nothing but products of the input rows with the returned rows,
     combinations and pivots.
     """
-    def nonzeros(row):
+    def ints(row):
         # integral entries as ints, which multiply faster than Fractions
         return {c: x.numerator if x.denominator == 1 else x
-                for c, x in enumerate(row) if x is not ZERO and x}
+                for c, x in row.items() if x}
 
-    n = len(a[0]) if a else 0
-    r = len(rows)
+    r = len(echelon)
     if len(pivots) != r or len(combos) != r or any(
-            not 0 <= p < q for p, q in zip(pivots, pivots[1:] + [n])):
+            not p < q for p, q in zip(pivots, pivots[1:])):
         raise NaryError("rank certificate: malformed pivot list")
-    given = [nonzeros(row) for row in rows]
+    given = [ints(row) for row in echelon]
+    sparse_rows = [ints(row) for row in rows]
+    touched = {col for row in sparse_rows for col in row}
+    for i, nz in enumerate(given):
+        if not nz.keys() <= touched:
+            raise NaryError(f"rank certificate: row {i} has an entry in a "
+                            "column no input row touches")
     # rank >= r: unit pivots, zero in every other pivot column ...
     for i, nz in enumerate(given):
         if [p for p in pivots if p in nz] != [pivots[i]] or nz[pivots[i]] != 1:
             raise NaryError(
                 f"rank certificate: row {i} breaks the pivot pattern")
     # ... and every row a combination of input rows
-    sparse = [nonzeros(row) for row in a]
     for i, (nz, (comb, den)) in enumerate(zip(given, combos)):
-        if den == 0 or any(not 0 <= j < len(a) for j in comb):
+        if den == 0 or any(not 0 <= j < len(rows) for j in comb):
             raise NaryError(f"rank certificate: bad combination for row {i}")
         acc = {}
         for j, c in comb.items():
-            for col, x in sparse[j].items():
+            for col, x in sparse_rows[j].items():
                 acc[col] = acc.get(col, 0) + c * x
         if ({col: x for col, x in acc.items() if x}
                 != {col: den * x for col, x in nz.items()}):
             raise NaryError(
                 f"rank certificate: combination does not give row {i}")
-    # rank <= r: a annihilates the canonical kernel vector of each free column
+    # rank <= r: the input annihilates the canonical kernel vector of each
+    # free column it touches
     pivset = set(pivots)
-    kernel = {f: {f: 1} for f in range(n) if f not in pivset}
+    kernel = {f: {f: 1} for f in touched if f not in pivset}
     for p, nz in zip(pivots, given):
         for col, x in nz.items():
             if col != p:
                 kernel[col][p] = -x
     by_col = {}
-    for j, row in enumerate(sparse):
+    for j, row in enumerate(sparse_rows):
         for col, x in row.items():
             by_col.setdefault(col, []).append((j, x))
     for f, v in kernel.items():
@@ -258,8 +275,8 @@ def _check_rank_certificate(a, rows, pivots, combos):
                 image[j] = image.get(j, 0) + y * x
         if any(image.values()):
             raise NaryError(
-                f"rank certificate: a does not annihilate the kernel vector "
-                f"of column {f}")
+                f"rank certificate: the input does not annihilate the kernel "
+                f"vector of column {f!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -267,33 +284,37 @@ def _check_rank_certificate(a, rows, pivots, combos):
 
 
 def rref(a):
-    """Reduced row echelon form.  Returns (R, pivot column list)."""
-    rows, pivots, _ = _eliminate(a)
+    """Reduced row echelon form of a dense matrix.  Returns (R, pivots)."""
+    echelon, pivots, _ = _eliminate(sparse(a))
     cols = len(a[0]) if a else 0
-    return rows + [[ZERO] * cols for _ in range(len(a) - len(rows))], pivots
+    dense = [[row.get(c, ZERO) for c in range(cols)] for row in echelon]
+    return dense + [[ZERO] * cols for _ in range(len(a) - len(dense))], pivots
 
 
-def rank(a):
-    """Rank of a, returned only once its certificate has been checked."""
-    rows, pivots, combos = _eliminate(a)
-    _check_rank_certificate(a, rows, pivots, combos)
+def rank(rows):
+    """Rank of the sparse rows, returned once its certificate is checked."""
+    echelon, pivots, combos = _eliminate(rows)
+    _check_rank_certificate(rows, echelon, pivots, combos)
     return len(pivots)
 
 
-def nullspace(a):
-    """Canonical nullspace basis (one vector per free column of the RREF)."""
-    if not a:
-        return []
-    cols = len(a[0])
-    r, pivots = rref(a)
+def nullspace(rows, columns):
+    """Canonical kernel basis of the sparse rows over the column keys.
+
+    columns lists every column key, in increasing order; the basis has one
+    sparse vector per free column of the reduced row echelon form.
+    """
+    echelon, pivots, _ = _eliminate(rows)
     pivset = set(pivots)
-    free = [c for c in range(cols) if c not in pivset]
     basis = []
-    for fc in free:
-        v = [ZERO] * cols
-        v[fc] = ONE
-        for ri, pc in enumerate(pivots):
-            v[pc] = -r[ri][fc]
+    for f in columns:
+        if f in pivset:
+            continue
+        v = {f: ONE}
+        for row, p in zip(echelon, pivots):
+            x = row.get(f)
+            if x:
+                v[p] = -x
         basis.append(v)
     return basis
 
@@ -323,13 +344,13 @@ def inverse(a):
     return [row[n:] for row in r]
 
 
-def row_space(a):
-    """RREF rows with zero rows dropped: a canonical basis of the row space."""
-    return _eliminate(a)[0]
+def row_space(rows):
+    """The nonzero RREF rows: a canonical basis of the span of the rows."""
+    return _eliminate(rows)[0]
 
 
 def same_subspace(a, b):
-    """Do the rows of a and b span the same subspace?"""
+    """Do the sparse rows a and b span the same subspace?"""
     return row_space(a) == row_space(b)
 
 

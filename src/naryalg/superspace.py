@@ -71,7 +71,7 @@ class Superspace:
         self.gram = gram
         self.pure_odd = all(p == ODD for p in parity)
         self.pure_even = all(p == EVEN for p in parity)
-        self._rank = linalg.rank([list(row) for row in gram])
+        self._rank = linalg.rank(linalg.sparse(gram))
         self.nondegenerate = self._rank == dim
         if max_degree is None:
             env = os.environ.get(_ENV_MAX_DEGREE)
@@ -94,10 +94,6 @@ class Superspace:
     def __repr__(self):
         kinds = "".join("o" if p else "e" for p in self.parity)
         return f"Superspace(dim={self.dim}, parity={kinds})"
-
-
-def new_superspace(dim, parity, gram, max_degree=None):
-    return Superspace(dim, parity, gram, max_degree=max_degree)
 
 
 def odd_space(m, gram=None, max_degree=None):

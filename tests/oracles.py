@@ -64,18 +64,19 @@ def spin_by_fixed_point(mats, seed_rows, m):
     """Invariant closure of the seeds by a dense fixed-point loop.  Oracle only.
 
     Every round maps every basis row by every dense Fraction matrix and
-    re-eliminates the whole stack, until a round adds nothing.
+    re-eliminates the whole stack, until a round adds nothing.  The seeds
+    and the returned basis are sparse rows, as in ``classify._spin``.
     """
-    rows = linalg.row_space([list(r) for r in seed_rows])
+    rows = linalg.row_space(seed_rows)
     changed = True
     while changed and len(rows) < m:
         changed = False
         new_rows = list(rows)
         for mat in mats:
             for vec in rows:
-                img = linalg.mat_vec(mat, vec)
+                img = linalg.mat_vec(mat, [vec.get(c, 0) for c in range(m)])
                 if any(x != 0 for x in img):
-                    new_rows.append(img)
+                    new_rows += linalg.sparse([img])
         reduced = linalg.row_space(new_rows)
         if len(reduced) > len(rows):
             rows = reduced

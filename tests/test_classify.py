@@ -150,8 +150,8 @@ def test_find_ideal_kernel_case():
     basis_rows = [[b.coefficient((i,)) for i in range(5)] for b in rep.basis]
     want = [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]]
     assert linalg.same_subspace(
-        [[Fraction(x) for x in r] for r in basis_rows],
-        [[Fraction(x) for x in r] for r in want])
+        linalg.sparse([[Fraction(x) for x in r] for r in basis_rows]),
+        linalg.sparse([[Fraction(x) for x in r] for r in want]))
 
 
 def test_find_ideal_simple_case_probabilistic():
@@ -183,12 +183,14 @@ def test_found_ideals_verify_exactly():
         if not rep.found:
             continue
         rows = [[b.coefficient((i,)) for i in range(5)] for b in rep.basis]
-        rows = linalg.row_space(rows)
+        rows = linalg.row_space(linalg.sparse(rows))
         for t in canonical_tuples(V5, s.arity - 1):
-            mat = s.operator(t)
+            cols = s.operator(t)
+            mat = [[col.get(i, 0) for col in cols] for i in range(5)]
             for vec in rows:
-                img = linalg.mat_vec(mat, vec)
-                assert len(linalg.row_space(rows + [img])) == len(rows)
+                img = linalg.mat_vec(mat, [vec.get(i, 0) for i in range(5)])
+                assert len(linalg.row_space(rows + linalg.sparse([img]))) \
+                    == len(rows)
 
 
 def test_simplicity_matches_rank_criterion_on_grids():
@@ -211,7 +213,7 @@ def _random_rational(rng):
 def _random_invertible(rng, m):
     while True:
         p = [[_random_rational(rng) for _ in range(m)] for _ in range(m)]
-        if linalg.rank(p) == m:
+        if linalg.rank(linalg.sparse(p)) == m:
             return p
 
 
@@ -258,11 +260,12 @@ def test_spin_matches_fixed_point_oracle():
                 # find_ideal spins under the operators and, in its last
                 # stage, under their transposes, whose columns are the rows
                 for dense, ops in (
-                        (case, [classify._integer_lines(zip(*mat))
-                                for mat in case]),
+                        (case, [classify._integer_lines(
+                            linalg.sparse(zip(*mat))) for mat in case]),
                         ([linalg.transpose(mat) for mat in case],
-                         [classify._integer_lines(mat) for mat in case])):
-                    for seeds in seed_sets:
+                         [classify._integer_lines(linalg.sparse(mat))
+                          for mat in case])):
+                    for seeds in map(linalg.sparse, seed_sets):
                         want = spin_by_fixed_point(dense, seeds, m)
                         assert classify._spin(ops, seeds, m) == want
                         proper += 0 < len(want) < m
@@ -277,12 +280,12 @@ def test_find_ideal_reports_unchanged_with_the_oracle_spin(monkeypatch):
     def oracle_spin(ops, seed_rows, m):
         key = (tuple(tuple(tuple(sorted(col.items())) for col in cols)
                      for cols in ops),
-               tuple(map(tuple, seed_rows)))
+               tuple(tuple(sorted(row.items())) for row in seed_rows))
         if key not in answers:
             dense = [[[Fraction(col.get(i, 0)) for col in cols]
                       for i in range(m)] for cols in ops]
             answers[key] = spin_by_fixed_point(dense, seed_rows, m)
-        return [row[:] for row in answers[key]]
+        return [dict(row) for row in answers[key]]
 
     def reports(s, seed):
         rep = find_ideal(s, rounds=3, seed=seed)

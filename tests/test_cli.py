@@ -206,6 +206,45 @@ def test_non_list_superspace_field_exits_2(files, capsys, field, value, where):
     assert report["error"].startswith(where + ":")
 
 
+MONO = [{"monomial": [3, 4, 5], "coeff": "1"}]
+
+
+@pytest.mark.parametrize("flag, doc, where", [
+    ("--structure", {"arity": 2, "constants": 5}, "structure.constants"),
+    ("--structure", {"arity": 2, "constants": [{"args": 5, "value": MONO}]},
+     "structure.constants[0].args"),
+    ("--structure", {"arity": True, "constants": []}, "structure.arity"),
+    ("--structure", {"arity": 2,
+                     "constants": [{"args": [True, 2], "value": []}]},
+     "structure.constants[0].args[0]"),
+    ("--potential", {"element": [{"monomial": 5, "coeff": 1}]},
+     "potential.element[0].monomial"),
+    ("--potential", {"arity": True, "element": MONO}, "potential.arity"),
+    ("--potential", {"element": [{"monomial": [True, 2, 3], "coeff": "1"}]},
+     "potential.element[0].monomial[0]"),
+    ("--space", dict(SPACE5, dim=True), "superspace.dim"),
+    ("--phi", [5] * 5, "matrix[0]"),
+])
+def test_malformed_field_exits_2_with_its_path(files, capsys, flag, doc,
+                                                where):
+    write, _ = files
+    inputs = {"--space": SPACE5}
+    if flag == "--potential":
+        argv = ["verify", "--identity", "l-infinity"]
+    else:
+        argv = ["verify", "--identity", "quasi-frobenius"]
+        inputs["--phi"] = [[0] * 5 for _ in range(5)]
+        inputs["--structure"] = {"arity": 2, "constants": []}
+    inputs[flag] = doc
+    for name, value in inputs.items():
+        argv += [name, write(name.strip("-") + ".json", value)]
+    code, out, err = run_main(argv, capsys)
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["kind"] == "SchemaError"
+    assert report["error"].startswith(where + ":")
+
+
 @pytest.mark.parametrize("value", ["x", 0, -1, 2.5, True, None])
 def test_bad_max_degree_exits_2(files, capsys, value):
     # a mixed space, so the cap is read when the bracket builds monomials

@@ -1,12 +1,14 @@
 """Star operator, inner product, adjointness, and the decomposition."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from naryalg import hodge, linalg
+from naryalg import hodge, io, linalg
+from naryalg.classify import map_element
 from naryalg.derived import Potential, canonical_tuples
 from naryalg.errors import NotHodgeContext, NotLInfinity
 from naryalg.hodge import (
@@ -18,7 +20,7 @@ from naryalg.hodge import (
     laplacian,
     op_apply,
     star,
-    star_matrix,
+    star_monomial,
 )
 from naryalg.poisson import Element, nested_bracket_indices, poisson_bracket
 from naryalg.superspace import Orientation, even_symplectic_space, odd_space
@@ -82,10 +84,16 @@ def test_double_star_sign_law(m):
 
 
 def test_star_matrices_invertible():
+    # so the matrix of star from degree p to degree m - p is a signed
+    # permutation matrix, and invertible
     for m in (2, 3, 4, 5, 6):
         ctx = HodgeContext(odd_space(m))
         for p in range(m + 1):
-            assert linalg.det(star_matrix(ctx, p)) != 0
+            images = [star_monomial(ctx, mono)
+                      for mono in ctx.degree_monomials[p]]
+            assert all(sign in (1, -1) for sign, _ in images)
+            assert sorted(comp for _, comp in images) == \
+                ctx.degree_monomials[m - p]
 
 
 def test_star_respects_orientation():
@@ -173,10 +181,13 @@ def test_disjointness_on_kernel_bases():
     d_m = full_matrix(CTX5, d)
     dd = linalg.mat_mul(d_m, delta_m)
     dm = linalg.mat_mul(delta_m, d_m)
-    for vec in linalg.nullspace(dd):
-        assert all(x == 0 for x in linalg.mat_vec(delta_m, vec))
-    for vec in linalg.nullspace(dm):
-        assert all(x == 0 for x in linalg.mat_vec(d_m, vec))
+    cols = range(len(d_m))
+    for vec in linalg.nullspace(linalg.sparse(dd), cols):
+        dense = [vec.get(c, 0) for c in cols]
+        assert all(x == 0 for x in linalg.mat_vec(delta_m, dense))
+    for vec in linalg.nullspace(linalg.sparse(dm), cols):
+        dense = [vec.get(c, 0) for c in cols]
+        assert all(x == 0 for x in linalg.mat_vec(d_m, dense))
 
 
 @pytest.mark.parametrize("name", ["zero", "star12", "top"])
@@ -343,3 +354,103 @@ def test_square_zero_checks_raise():
             blocks.setdefault((len(src), len(src) + 1), {})[src] = img
     with pytest.raises(NotLInfinity):
         codifferential(CTX5, blocks)
+
+
+# ---------------------------------------------------------------------------
+# report bytes pinned on seeded potentials
+#
+# A homogeneous potential is a sum of disjoint monomials with rational
+# coefficients (or star of a degree-2 monomial), turned by a product of
+# rational Givens rotations (Pythagorean triples), so that [mu, mu] stays a
+# scalar while the coefficients stop being +-1.  The digest covers
+# io.hodge_report_to_json and the harmonic bases, which the report JSON
+# leaves out.  The digests were recorded before the elimination routines
+# took sparse rows.
+
+TRIPLES = ((3, 4, 5), (5, 12, 13), (8, 15, 17))
+
+
+def _rotation(rng, m, turns, support):
+    phi = linalg.identity(m)
+    for _ in range(turns):
+        a, b, c = rng.choice(TRIPLES)
+        i = rng.choice(support)
+        j = rng.choice([x for x in range(m) if x != i])
+        support = sorted(set(support) | {j})
+        g = linalg.identity(m)
+        g[i][i] = g[j][j] = Fraction(a, c)
+        g[i][j], g[j][i] = Fraction(-b, c), Fraction(b, c)
+        phi = linalg.mat_mul(phi, g)
+    return phi
+
+
+def _seeded_case(m, kind, sizes, turns, seed):
+    rng = random.Random(seed)
+    space = odd_space(m)
+    ctx = HodgeContext(space)
+    if kind == "star":
+        pair = sorted(rng.sample(range(m), 2))
+        el = star(ctx, Element.monomial(space, pair,
+                                        Fraction(rng.choice([1, -2]))))
+    else:
+        pool = list(range(m))
+        rng.shuffle(pool)
+        el = Element.zero(space)
+        for s in sizes:
+            coeff = Fraction(rng.choice([1, -1, 2, -3]),
+                             rng.choice([1, 1, 2, 3]))
+            el = el + Element.monomial(space, sorted(pool[:s]), coeff)
+            pool = pool[s:]
+    if turns:
+        support = sorted({i for mono in el.terms for i in mono})
+        el = map_element(space, _rotation(rng, m, turns, support), el)
+    if kind == "family":
+        return ctx, Potential.homotopy_family(space, el)
+    return ctx, Potential.single(space, el)
+
+
+PINNED_REPORTS = [
+    (5, "single", [3], 3,
+     "08bee6332582d348f6a390aa0b6c3c177f9f8325acc49e95fb78c4e696970509"),
+    (5, "star", None, 3,
+     "1fb5b26ace801bda01fd71a65bf721a669a8fd509ec304313cc745f2cdd1eb7f"),
+    (5, "single", [5], 2,
+     "4853daa01fc33501bddf8e434eef0c3978865abdd8a4e8e13c26fa4dd0b1c649"),
+    (6, "single", [3, 3], 3,
+     "35e5b6c67791d0d5bdd0c43da6054ba5a3b998999fc0609a68283a652e2c5767"),
+    (6, "single", [5], 3,
+     "f4b3977a822f3243da4f95ad595e1c3f9719567889352e0d2224f51af5329599"),
+    (7, "star", None, 2,
+     "2cef3f0484d2f28c85d7d7f86dace48b089d07be9afb654aee4c2a141944d153"),
+    (7, "single", [3, 3], 2,
+     "857b50df0a004f65b1881f7e114917bc2ba7640e277c0cde78eb41448db774a7"),
+    (8, "single", [3], 2,
+     "0b3602cba38ce4d70cd5ad0c0a1638833767a9e13d49cfe09cf8ce0b4fa97fc0"),
+    (8, "single", [3, 3], 0,
+     "6161a71661abe83f1426357debafd87531e9798fe0620bdb951a4bf3d690dae5"),
+    (8, "single", [5], 1,
+     "85d7761e6d695c1a0078817e0cf6fd1bf655d6cc7dfea52f47d95aba011509e9"),
+    (5, "family", [1, 3], 3,
+     "ffa46823549afc0c195b84b355d886ef49b5cf10ebc398a22015d01f2acfe21c"),
+    (6, "family", [1, 3], 2,
+     "261b25fbe45944c360c080859573ce97737c333e45ae487281c60a80de700ce1"),
+    (6, "family", [1, 5], 1,
+     "532aeaa943c6d2963091d3c128aada23def447d947e9a1753a546ca573f2ae52"),
+    (7, "family", [3, 1], 2,
+     "1c27138aa2e24334d1b6bf0ff9ab04493ce1680b80d22b82f33ca547f4e83b88"),
+    (7, "family", [1, 5], 0,
+     "08108cb9e2c7d8b2b7b160099a6d5a2e2df76575852b766e7d3ffa4718df5c22"),
+]
+
+
+@pytest.mark.parametrize("index", range(len(PINNED_REPORTS)))
+def test_report_bytes_pinned(index):
+    m, kind, sizes, turns, digest = PINNED_REPORTS[index]
+    ctx, mu = _seeded_case(m, kind, sizes, turns, 100 + index)
+    rep = hodge_decomposition(ctx, mu)
+    assert rep.direct_sum_ok and rep.kernel_intersection_ok
+    harmonic = {str(p): [io.element_to_json(h) for h in elems]
+                for p, elems in sorted(rep.harmonic.items())}
+    payload = io.dumps({"report": io.hodge_report_to_json(rep),
+                        "harmonic": harmonic})
+    assert hashlib.sha256(payload.encode()).hexdigest() == digest

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -60,9 +61,14 @@ def width(a):
     return len(a[0]) if a else 0
 
 
+def dense(v, cols):
+    return [v.get(c, 0) for c in range(cols)]
+
+
 @pytest.mark.parametrize("a", CASES)
 def test_rank_matches_oracles(a):
-    assert linalg.rank(a) == linalg.bareiss_rank(a) == rank_by_minors(a)
+    assert linalg.rank(linalg.sparse(a)) == linalg.bareiss_rank(a) \
+        == rank_by_minors(a)
 
 
 @pytest.mark.parametrize("a", CASES)
@@ -84,19 +90,37 @@ def test_rref_is_reduced_and_spans_the_row_space(a):
     assert linalg.bareiss_rank(a) == k
     # every echelon row lies in the input's row space, and conversely
     assert linalg.bareiss_rank(a + r[:k]) == k
-    assert linalg.row_space(a) == r[:k]
+    assert linalg.row_space(linalg.sparse(a)) == linalg.sparse(r[:k])
 
 
 @pytest.mark.parametrize("a", CASES)
 def test_nullspace_is_annihilated(a):
-    basis = linalg.nullspace(a)
+    basis = linalg.nullspace(linalg.sparse(a), range(width(a)))
     if not a:
         assert basis == []
         return
     assert len(basis) == width(a) - linalg.bareiss_rank(a)
+    basis = [dense(v, width(a)) for v in basis]
     for v in basis:
         assert all(x == 0 for x in linalg.mat_vec(a, v))
     assert linalg.bareiss_rank(basis) == len(basis)
+
+
+# increasing column keys of mixed lengths, as the monomials of hodge
+KEYS = sorted(c for p in range(4) for c in combinations(range(4), p))
+
+
+def keyed(rows):
+    return [{KEYS[c]: x for c, x in row.items()} for row in rows]
+
+
+@pytest.mark.parametrize("a", CASES)
+def test_monomial_keys_agree_with_int_keys(a):
+    rows, cols = linalg.sparse(a), range(width(a))
+    assert linalg.rank(keyed(rows)) == linalg.rank(rows)
+    assert linalg.row_space(keyed(rows)) == keyed(linalg.row_space(rows))
+    assert linalg.nullspace(keyed(rows), KEYS[:width(a)]) == \
+        keyed(linalg.nullspace(rows, cols))
 
 
 @pytest.mark.parametrize("a", [a for a in CASES if a])
@@ -122,6 +146,7 @@ def test_same_subspace_ignores_row_order_and_scaling():
     b = [[Fraction(0), Fraction(-2), Fraction(-1)],
          [Fraction(3), Fraction(6), Fraction(0)],
          [Fraction(1), Fraction(3), Fraction(1, 2)]]
+    a, b = linalg.sparse(a), linalg.sparse(b)
     assert linalg.same_subspace(a, b)
     assert not linalg.same_subspace(a, b[:1])
 
@@ -138,17 +163,20 @@ def drop_pivot_row(rows, pivots, combos):
     return rows[:-1], pivots[:-1], combos[:-1]
 
 
+FREE = 3          # the one free column of FULL
+UNTOUCHED = 4     # a column that no row of FULL touches
+
+
 def forge_row_entry(rows, pivots, combos):
-    free = next(c for c in range(len(rows[0])) if c not in pivots)
-    rows = [row[:] for row in rows]
-    rows[0][free] += 1
+    rows = [dict(row) for row in rows]
+    rows[0][FREE] = rows[0].get(FREE, 0) + 1
     return rows, pivots, combos
 
 
 def forge_extra_row(rows, pivots, combos):
     # claims a pivot in the free last column, with a made-up combination
-    extra = [Fraction(0)] * (len(rows[0]) - 1) + [Fraction(1)]
-    return rows + [extra], pivots + [len(extra) - 1], combos + [({0: 1}, 1)]
+    return (rows + [{FREE: Fraction(1)}], pivots + [FREE],
+            combos + [({0: 1}, 1)])
 
 
 def forge_combination(rows, pivots, combos):
@@ -156,16 +184,27 @@ def forge_combination(rows, pivots, combos):
     return rows, pivots, [(comb, 2 * den)] + combos[1:]
 
 
-@pytest.mark.parametrize("mutate", [drop_pivot_row, forge_row_entry,
-                                    forge_extra_row, forge_combination])
-def test_certificate_rejects_a_broken_kernel(monkeypatch, mutate):
+def forge_untouched_entry(rows, pivots, combos):
+    rows = [dict(row) for row in rows]
+    rows[0][UNTOUCHED] = Fraction(1)
+    return rows, pivots, combos
+
+
+@pytest.mark.parametrize("mutate,message", [
+    pytest.param(mutate, "rank certificate", id=mutate.__name__)
+    for mutate in (drop_pivot_row, forge_row_entry, forge_extra_row,
+                   forge_combination)
+] + [pytest.param(forge_untouched_entry,
+                  "rank certificate: row 0 .* no input row touches",
+                  id="forge_untouched_entry")])
+def test_certificate_rejects_a_broken_kernel(monkeypatch, mutate, message):
     a = FULL + [[x + y for x, y in zip(FULL[0], FULL[1])]]
-    assert linalg.rank(a) == 3
+    assert linalg.rank(linalg.sparse(a)) == 3
     assert linalg.rref(a)[1] == [0, 1, 2]
     kernel = linalg._eliminate
     monkeypatch.setattr(linalg, "_eliminate", lambda m: mutate(*kernel(m)))
-    with pytest.raises(NaryError, match="rank certificate"):
-        linalg.rank(a)
+    with pytest.raises(NaryError, match=message):
+        linalg.rank(linalg.sparse(a))
 
 
 def test_inverse_is_two_sided():
@@ -174,7 +213,7 @@ def test_inverse_is_two_sided():
     while done < 20:
         n = rng.randint(1, 7)
         a = random_matrix(rng, n, n)
-        if linalg.rank(a) < n:
+        if linalg.rank(linalg.sparse(a)) < n:
             continue
         inv = linalg.inverse(a)
         assert linalg.mat_mul(a, inv) == linalg.identity(n)

@@ -9,8 +9,8 @@ from naryalg.errors import (InexactCoefficient, MixedParityEntry, NotPureOdd,
                             SymmetryViolation)
 from naryalg.superspace import (
     Orientation,
+    Superspace,
     is_positive_definite,
-    new_superspace,
     odd_space,
 )
 
@@ -18,34 +18,34 @@ from oracles import rank_by_minors
 
 
 def test_odd_identity_valid_nondegenerate():
-    sp = new_superspace(2, [1, 1], [[1, 0], [0, 1]])
+    sp = Superspace(2, [1, 1], [[1, 0], [0, 1]])
     assert sp.nondegenerate
     assert sp.pure_odd
 
 
 def test_even_symplectic_valid():
-    sp = new_superspace(2, [0, 0], [[0, 1], [-1, 0]])
+    sp = Superspace(2, [0, 0], [[0, 1], [-1, 0]])
     assert sp.nondegenerate
     assert sp.pure_even
 
 
 def test_odd_antisymmetric_rejected():
     with pytest.raises(SymmetryViolation):
-        new_superspace(2, [1, 1], [[0, 1], [-1, 0]])
+        Superspace(2, [1, 1], [[0, 1], [-1, 0]])
 
 
 def test_even_symmetric_rejected():
     with pytest.raises(SymmetryViolation):
-        new_superspace(2, [0, 0], [[1, 0], [0, 1]])
+        Superspace(2, [0, 0], [[1, 0], [0, 1]])
 
 
 def test_mixed_parity_entry_rejected():
     with pytest.raises(MixedParityEntry):
-        new_superspace(2, [0, 1], [[0, 1], [1, 0]])
+        Superspace(2, [0, 1], [[0, 1], [1, 0]])
 
 
 def test_mixed_parity_zero_entries_ok():
-    sp = new_superspace(4, [0, 0, 1, 1],
+    sp = Superspace(4, [0, 0, 1, 1],
                         [[0, 1, 0, 0], [-1, 0, 0, 0],
                          [0, 0, 1, 0], [0, 0, 0, 1]])
     assert sp.nondegenerate
@@ -69,7 +69,7 @@ def test_positive_definite_off_diagonal():
 
 def test_positive_definite_needs_pure_odd():
     with pytest.raises(NotPureOdd):
-        is_positive_definite(new_superspace(2, [0, 0], [[0, 1], [-1, 0]]))
+        is_positive_definite(Superspace(2, [0, 0], [[0, 1], [-1, 0]]))
 
 
 def test_rank_routines_agree_small_dims():
@@ -91,7 +91,7 @@ def test_rank_routines_agree_small_dims():
 
 
 def test_serialization_round_trip():
-    sp = new_superspace(3, [1, 1, 1],
+    sp = Superspace(3, [1, 1, 1],
                         [[Fraction(2), 1, 0], [1, Fraction(1, 3), 0],
                          [0, 0, 1]])
     back = io.parse_superspace(io.superspace_to_json(sp))
@@ -106,10 +106,10 @@ def test_orientation_sign():
 
 def test_env_var_sets_degree_cap(monkeypatch):
     monkeypatch.setenv("NARY_MAX_DEGREE", "5")
-    sp = new_superspace(2, [0, 0], [[0, 1], [-1, 0]])
+    sp = Superspace(2, [0, 0], [[0, 1], [-1, 0]])
     assert sp.max_degree == 5
     # explicit argument wins over the environment
-    sp = new_superspace(2, [0, 0], [[0, 1], [-1, 0]], max_degree=7)
+    sp = Superspace(2, [0, 0], [[0, 1], [-1, 0]], max_degree=7)
     assert sp.max_degree == 7
     # pure odd spaces are bounded by the dimension regardless
     assert odd_space(3).max_degree == 3
@@ -118,6 +118,6 @@ def test_env_var_sets_degree_cap(monkeypatch):
 def test_float_gram_rejected():
     # Fraction(0.1) would silently store 3602879701896397/36028797018963968
     with pytest.raises(InexactCoefficient):
-        new_superspace(1, [1], [[0.1]])
+        Superspace(1, [1], [[0.1]])
     tenth = Fraction(1, 10)
-    assert new_superspace(1, [1], [[tenth]]).gram == ((tenth,),)
+    assert Superspace(1, [1], [[tenth]]).gram == ((tenth,),)
