@@ -16,18 +16,26 @@ inverse is unique, so that comparison certifies it.
 
 The verifiers reduce each universally quantified identity to finitely many
 basis instances.  Multilinearity makes basis tuples sufficient, and the
-built-in symmetry of the structures lets every loop run over canonical
-tuples only (indices non-decreasing, odd indices strict).  A report
-carries the first violation, or every one when ``exhaustive``; the probe
-loops stop at the first violation otherwise.  They run in one thread: the
-``threads`` keyword of check_invariant, check_nary_jacobi and
-check_filippov is accepted and ignored, since exact Fraction work cannot
-run in parallel under the GIL.
+built-in symmetry of the structures makes canonical tuples (indices
+non-decreasing, odd indices strict) sufficient.  The work then follows the
+nonzero structure constants instead of every canonical tuple: bracketing
+with e_a contracts a against one factor of a monomial through the Gram
+matrix, so derive_structure and check_filippov bracket only the tuples
+whose indices pair with the factors of some monomial of the potential;
+check_invariant probes only the pairs where a table value can pair with
+a_0; and check_nary_jacobi scatters each table entry into the Jacobiators
+it feeds.  A report carries the first violation in canonical order, or
+every one when ``exhaustive``; the probe loops stop at the first violation
+otherwise.  The gather loops over every canonical tuple are the oracles in
+``tests/oracles.py``.  The loops run in one thread: the ``threads``
+keyword of check_invariant, check_nary_jacobi and check_filippov is
+accepted and ignored, since exact Fraction work cannot run in parallel
+under the GIL.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from . import linalg
 from .errors import (
@@ -59,9 +67,13 @@ ONE = Fraction(1)
 # shared helpers
 
 
-def canonical_tuples(space, n):
-    """Non-decreasing index tuples of length n; odd indices never repeat."""
-    dim = space.dim
+def canonical_tuples(space, n, indices=None):
+    """Non-decreasing index tuples of length n; odd indices never repeat.
+
+    The tuples are drawn from ``indices`` (ascending) when given, else from
+    the whole basis; either way they come in lexicographic order.
+    """
+    pool = range(space.dim) if indices is None else list(indices)
     parity = space.parity
     out = []
 
@@ -69,11 +81,41 @@ def canonical_tuples(space, n):
         if k == 0:
             out.append(tuple(prefix))
             return
-        for i in range(start, dim):
-            rec(i if parity[i] == 0 else i + 1, k - 1, prefix + [i])
+        for pos in range(start, len(pool)):
+            i = pool[pos]
+            rec(pos if parity[i] == 0 else pos + 1, k - 1, prefix + [i])
 
     rec(0, n, [])
     return out
+
+
+def _partners(space):
+    """partners[x] = the indices a with G[a][x] != 0."""
+    gram = space.gram
+    return [frozenset(a for a in range(space.dim) if gram[a][x])
+            for x in range(space.dim)]
+
+
+def _pairing_support(partners, indices):
+    """The indices that pair with at least one of ``indices``."""
+    return frozenset().union(*(partners[x] for x in indices))
+
+
+def _support_tuples(mu, n):
+    """The canonical n-tuples t whose nested bracket with mu can be nonzero.
+
+    Bracketing with e_a contracts a against one factor of a monomial
+    through the Gram matrix and adds no factor, so [t_1,[...,[t_n, u]]]
+    vanishes unless every t_i pairs with a factor of u.  Returns the union
+    over the monomials u of mu of the canonical n-tuples drawn from those
+    indices, in lexicographic order.
+    """
+    partners = _partners(mu.space)
+    supports = {_pairing_support(partners, u) for u in mu.element.terms}
+    out = set()
+    for support in supports:
+        out.update(canonical_tuples(mu.space, n, sorted(support)))
+    return sorted(out)
 
 
 def koszul_selection_sign(parities, chosen):
@@ -278,13 +320,18 @@ class NaryStructure:
 
 
 def derive_structure(mu):
-    """Structure constants of the product derived from a potential."""
+    """Structure constants of the product derived from a potential.
+
+    Only the canonical tuples whose indices pair with the factors of some
+    monomial of mu are bracketed (``_support_tuples``); every other tuple
+    gives zero.  The table is built in lexicographic key order.
+    """
     if mu.family:
         raise NaryError("derive_structure needs a single-arity potential")
     n = mu.arity
     space = mu.space
     table = {}
-    for t in canonical_tuples(space, n):
+    for t in _support_tuples(mu, n):
         val = nested_bracket_indices(space, t, mu.element)
         if not val.is_zero():
             table[t] = val
@@ -312,10 +359,31 @@ def check_commutative(s, exhaustive=False):
 
 
 def check_invariant(s, exhaustive=False, threads=1):
-    """(a_0, {a_1,...,a_n}) = (-1)^{|a_0||a_1|} (a_1, {a_0, a_2,...,a_n})."""
+    """(a_0, {a_1,...,a_n}) = (-1)^{|a_0||a_1|} (a_1, {a_0, a_2,...,a_n}).
+
+    Probed at the pairs (a_0, key), key canonical, where one side can be
+    nonzero: key is in the table and a_0 pairs with a generator in the
+    support of its value, or the word (a_0, key[1:]) normalizes to a table
+    key and key[0] pairs with the support of that value.  Every other
+    pair reads 0 = 0.  Pairs are probed in (a_0, key) order.
+    """
     space = s.space
+    parity = space.parity
     gen = [Element.generator(space, i) for i in range(space.dim)]
-    keys = canonical_tuples(space, s.arity)
+    partners = _partners(space)
+    items = set()
+    for key, value in s.table.items():
+        if normalize_word(space, key) is None:
+            continue  # a repeated odd key reads as zero
+        support = _pairing_support(partners, (m[0] for m in value.terms))
+        items.update((a0, key) for a0 in support)
+        # the keys (k0,) + rest with (a0,) + rest normalizing to key
+        for pos, a0 in enumerate(key):
+            rest = key[:pos] + key[pos + 1:]
+            for k0 in support:
+                if rest and (k0 > rest[0] or k0 == rest[0] and parity[k0]):
+                    continue
+                items.add((a0, (k0,) + rest))
 
     def probe(item):
         a0, key = item
@@ -328,8 +396,8 @@ def check_invariant(s, exhaustive=False, threads=1):
             return ((a0,) + key, lhs - rhs)
         return None
 
-    items = ((a0, key) for a0 in range(space.dim) for key in keys)
-    return _violation_report("invariant", _probe_all(probe, items, exhaustive))
+    return _violation_report("invariant", _probe_all(probe, sorted(items),
+                                                      exhaustive))
 
 
 def dual_basis(space):
@@ -428,42 +496,65 @@ def check_l_infinity(mu):
 def check_nary_jacobi(s, exhaustive=False, threads=1):
     """Unshuffle Jacobi identity for an n-ary structure.
 
-    For every tuple (a_1,...,a_{2n-1}) the signed sum of
+    For every canonical tuple (a_1,...,a_{2n-1}) the signed sum of
     {{a_I}, a_J} over unshuffles |I| = n, |J| = n-1 must vanish.
+
+    The sum is scattered from the table instead of gathered per tuple:
+    each key I that normalizes adds {{I}, J} into the residual of
+    sorted(I + J), for every canonical J with no odd index in common with
+    I.  The sign is -1 per pair (x in I, y in J) of odd indices with
+    y < x, and the multiplicity counts the position splits of the sorted
+    tuple that select I, prod_v C(#v in I + J, #v in I), more than 1 only
+    for a repeated even v.  {{I}, J} vanishes unless (i,) + J normalizes
+    to a table key for some i in the support of {I}, so J runs over the
+    keys with one index removed.  This is the same finite sum, reindexed;
+    only nonzero accumulators are kept, and residuals are reported in
+    canonical order.
     """
     space = s.space
-    n = s.arity
-    parities = space.parity
-    from itertools import combinations
-    width = 2 * n - 1
-    splits = list(combinations(range(width), n))
-
-    def jacobiator(args):
-        pars = [parities[i] for i in args]
-        total = Element.zero(space)
-        for inner_pos in splits:
-            outer_pos = [p for p in range(width) if p not in inner_pos]
-            sign = koszul_selection_sign(pars, inner_pos)
-            inner = s.eval_basis(tuple(args[p] for p in inner_pos))
-            if inner.is_zero():
+    parity = space.parity
+    live = {key: value for key, value in s.table.items()
+            if normalize_word(space, key) is not None}
+    outers = {}  # i -> the J with (i,) + J a permutation of a live key
+    for key in live:
+        for pos, i in enumerate(key):
+            outers.setdefault(i, set()).add(key[:pos] + key[pos + 1:])
+    acc = {}
+    for inner, value in live.items():
+        inner_odd = [x for x in inner if parity[x]]
+        for J in set().union(*(outers.get(m[0], ()) for m in value.terms)):
+            if any(parity[y] and y in inner_odd for y in J):
                 continue
-            outer_args = tuple(args[p] for p in outer_pos)
-            term = Element.zero(space)
-            for mono, c in inner.terms.items():
-                term = term + s.eval_basis((mono[0],) + outer_args).scale(c)
-            total = total + (term if sign == 1 else -term)
-        return total
-
-    def probe(args):
-        res = jacobiator(args)
-        return None if res.is_zero() else (args, res)
-
-    return _violation_report("nary-jacobi", _probe_all(
-        probe, canonical_tuples(space, width), exhaustive))
+            crossings = sum(1 for y in J if parity[y]
+                            for x in inner_odd if y < x)
+            coeff = -1 if crossings % 2 else 1
+            for v in set(inner):
+                if not parity[v]:
+                    coeff *= comb(inner.count(v) + J.count(v), inner.count(v))
+            slot = acc.setdefault(tuple(sorted(inner + J)), {})
+            for mono, c in value.terms.items():
+                for (r,), d in s.eval_basis((mono[0],) + J).terms.items():
+                    total = slot.get(r, 0) + coeff * c * d
+                    if total:
+                        slot[r] = total
+                    else:
+                        del slot[r]
+    violations = []
+    for args in sorted(acc):
+        if acc[args]:
+            violations.append((args, Element(
+                space, {(r,): c for r, c in acc[args].items()})))
+            if not exhaustive:
+                break
+    return _violation_report("nary-jacobi", violations)
 
 
 def check_filippov(mu, exhaustive=False, threads=1):
-    """Derivation-style Jacobi: [mu_{a^{n-1}}, mu] = 0 for all a^{n-1}."""
+    """Derivation-style Jacobi: [mu_{a^{n-1}}, mu] = 0 for all a^{n-1}.
+
+    mu_t vanishes on every tuple outside ``_support_tuples(mu, n - 1)``, so
+    only those are probed, in lexicographic order.
+    """
     if not mu.space.pure_odd:
         raise NotPureOdd("the Filippov criterion is stated for pure odd spaces")
     if mu.family:
@@ -477,7 +568,7 @@ def check_filippov(mu, exhaustive=False, threads=1):
         return None if res.is_zero() else (t, res)
 
     return _violation_report("filippov", _probe_all(
-        probe, canonical_tuples(space, n - 1), exhaustive))
+        probe, _support_tuples(mu, n - 1), exhaustive))
 
 
 def _require_cubic_even(mu, what):
@@ -502,11 +593,12 @@ def check_jordan(A, exhaustive=False):
     gen = [Element.generator(space, i) for i in range(m)]
     A_ = [poisson_bracket(gen[i], A.element) for i in range(m)]
     coeffs = {}
-    for k in range(m):
-        for i in range(m):
-            for j in range(m):
-                inner = poisson_bracket(
-                    poisson_bracket(A_[i], gen[j]), A.element)
+    for i in range(m):
+        for j in range(m):
+            inner = poisson_bracket(poisson_bracket(A_[i], gen[j]), A.element)
+            if inner.is_zero():
+                continue
+            for k in range(m):
                 term = poisson_bracket(A_[k], inner)
                 if term.is_zero():
                     continue

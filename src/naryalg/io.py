@@ -353,9 +353,13 @@ def dumps(obj, pretty=False):
 
 def load_file(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as ex:
         raise SchemaError(path, f"cannot read file: {ex}")
     except json.JSONDecodeError as ex:
         raise SchemaError(f"{path}:{ex.lineno}:{ex.colno}", ex.msg)
+    except (ValueError, RecursionError) as ex:
+        # bytes that are not UTF-8, an integer literal past Python's digit
+        # limit, or arrays nested past the recursion limit
+        raise SchemaError(path, f"unreadable JSON: {ex}")

@@ -4,11 +4,22 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from naryalg import linalg
-from naryalg.derived import Potential, canonical_tuples
+from naryalg.derived import (
+    CheckReport,
+    NaryStructure,
+    Potential,
+    canonical_tuples,
+    koszul_selection_sign,
+)
 from naryalg.frobenius import QFCertificate, validate_phi
 from naryalg.hodge import star
 from naryalg.linalg import det
-from naryalg.poisson import Element, nested_bracket_indices, poisson_bracket
+from naryalg.poisson import (
+    Element,
+    nested_bracket_indices,
+    pair_vectors,
+    poisson_bracket,
+)
 
 
 def rank_by_minors(a):
@@ -155,3 +166,104 @@ def hodge_operators_by_compose(ctx, mu):
                             compose(star_op, compose(d_k, star_op)).items()})
     lap = add(compose(delta, d), compose(d, delta))
     return d, delta, lap
+
+
+def _report(name, violations, exhaustive):
+    if not violations:
+        return CheckReport(name, True)
+    if not exhaustive:
+        violations = violations[:1]
+    w, r = violations[0]
+    return CheckReport(name, False, witness=w, residual=r,
+                       violations=violations)
+
+
+def derive_structure_by_all_tuples(mu):
+    """Nested brackets of mu with every canonical n-tuple.  Oracle only."""
+    space = mu.space
+    table = {}
+    for t in canonical_tuples(space, mu.arity):
+        val = nested_bracket_indices(space, t, mu.element)
+        if not val.is_zero():
+            table[t] = val
+    return NaryStructure(space, mu.arity, table)
+
+
+def invariant_by_all_pairs(s, exhaustive=False):
+    """Invariance probed at every (a_0, canonical key) pair.  Oracle only."""
+    space = s.space
+    gen = [Element.generator(space, i) for i in range(space.dim)]
+    violations = []
+    for a0 in range(space.dim):
+        for key in canonical_tuples(space, s.arity):
+            lhs = pair_vectors(space, gen[a0], s.eval_basis(key))
+            swapped = s.eval_basis((a0,) + key[1:])
+            rhs = pair_vectors(space, gen[key[0]], swapped)
+            if space.parity[a0] & space.parity[key[0]]:
+                rhs = -rhs
+            if lhs != rhs:
+                violations.append(((a0,) + key, lhs - rhs))
+    return _report("invariant", violations, exhaustive)
+
+
+def nary_jacobi_by_gather(s, exhaustive=False):
+    """Unshuffle Jacobiator gathered at every canonical (2n-1)-tuple.
+
+    Sums {{a_I}, a_J} over all C(2n-1, n) position splits of each tuple,
+    repeats of an even index included, with the Koszul sign of each
+    split.  Oracle only.
+    """
+    space = s.space
+    n = s.arity
+    width = 2 * n - 1
+    splits = list(combinations(range(width), n))
+    violations = []
+    for args in canonical_tuples(space, width):
+        pars = [space.parity[i] for i in args]
+        total = Element.zero(space)
+        for inner_pos in splits:
+            outer = tuple(args[p] for p in range(width) if p not in inner_pos)
+            inner = s.eval_basis(tuple(args[p] for p in inner_pos))
+            term = Element.zero(space)
+            for mono, c in inner.terms.items():
+                term = term + s.eval_basis((mono[0],) + outer).scale(c)
+            if koszul_selection_sign(pars, inner_pos) == 1:
+                total = total + term
+            else:
+                total = total - term
+        if not total.is_zero():
+            violations.append((args, total))
+    return _report("nary-jacobi", violations, exhaustive)
+
+
+def filippov_by_all_tuples(mu, exhaustive=False):
+    """[mu_t, mu] at every canonical (n-1)-tuple t.  Oracle only."""
+    space = mu.space
+    violations = []
+    for t in canonical_tuples(space, mu.arity - 1):
+        res = poisson_bracket(nested_bracket_indices(space, t, mu.element),
+                              mu.element)
+        if not res.is_zero():
+            violations.append((t, res))
+    return _report("filippov", violations, exhaustive)
+
+
+def jordan_by_triple_loop(A, exhaustive=False):
+    """Jordan bracket criterion with the inner bracket inside the k loop.
+
+    Evaluates [A_k, [[A_i, e_j], A]] for every ordered (k, i, j), m^3
+    inner brackets, and sums each into its sorted triple.  Oracle only.
+    """
+    space = A.space
+    m = space.dim
+    gen = [Element.generator(space, i) for i in range(m)]
+    A_ = [poisson_bracket(gen[i], A.element) for i in range(m)]
+    coeffs = {}
+    for k, i, j in product(range(m), repeat=3):
+        inner = poisson_bracket(poisson_bracket(A_[i], gen[j]), A.element)
+        key = tuple(sorted((k, i, j)))
+        coeffs[key] = coeffs.get(key, Element.zero(space)) + \
+            poisson_bracket(A_[k], inner)
+    violations = [(key, val) for key, val in sorted(coeffs.items())
+                  if not val.is_zero()]
+    return _report("jordan", violations, exhaustive)

@@ -11,7 +11,7 @@ from itertools import product
 
 import pytest
 
-from naryalg import derived
+from naryalg import derived, io
 from naryalg.derived import (
     NaryStructure,
     Potential,
@@ -44,7 +44,14 @@ from naryalg.frobenius import doubled_space
 from naryalg.poisson import Element, nested_bracket, poisson_bracket
 from naryalg.superspace import Superspace, even_symplectic_space, odd_space
 
-from oracles import potential_by_solve
+from oracles import (
+    derive_structure_by_all_tuples,
+    filippov_by_all_tuples,
+    invariant_by_all_pairs,
+    jordan_by_triple_loop,
+    nary_jacobi_by_gather,
+    potential_by_solve,
+)
 
 V5 = odd_space(5)
 V6 = odd_space(6)
@@ -683,3 +690,148 @@ def test_inversion_skips_the_law_checks_on_success(monkeypatch):
     mu = Potential.single(V6, mono(V6, 3, 4, 5, 6) + mono(V6, 1, 2, 5, 6))
     assert potential_from_structure(derive_structure(mu)).element == \
         mu.element
+
+
+# ---------------------------------------------------------------------------
+# support-driven loops against the gather oracles
+
+
+def random_superspace(rng, m, pure_odd=False):
+    """Random parities and a sparse rational Gram matrix, often degenerate."""
+    parity = [1] * m if pure_odd else [rng.randint(0, 1) for _ in range(m)]
+    gram = [[Fraction(0)] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            if parity[i] != parity[j] or rng.random() < 0.5:
+                continue
+            x = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            if parity[i]:
+                gram[i][j] = gram[j][i] = x
+            elif i != j:
+                gram[i][j], gram[j][i] = x, -x
+    return Superspace(m, parity, gram)
+
+
+def random_degree1(rng, space, terms):
+    return Element(space, {(rng.randrange(space.dim),):
+                           Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                           for _ in range(terms)})
+
+
+def random_table(rng, space, n):
+    """Up to six non-decreasing keys, repeated odd indices included."""
+    keys = {tuple(sorted(rng.randrange(space.dim) for _ in range(n)))
+            for _ in range(rng.randint(0, 6))}
+    return NaryStructure(space, n, {key: random_degree1(rng, space,
+                                                        rng.randint(1, 3))
+                                    for key in keys})
+
+
+def perturbed(rng, s):
+    """s with one random degree-1 element added at one key, if any."""
+    if not s.table:
+        return s
+    table = dict(s.table)
+    key = rng.choice(sorted(table))
+    table[key] = table[key] + random_degree1(rng, s.space, 1)
+    return NaryStructure(s.space, s.arity, table)
+
+
+def report_bytes(rep):
+    return io.dumps(io.check_report_to_json(rep))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("pure_odd", [False, True], ids=["mixed", "odd"])
+def test_support_loops_match_gather_oracles(n, pure_odd):
+    rng = random.Random(100 * n + pure_odd)
+    seen = {"degenerate": 0, "fail": 0, "pass": 0}
+    if n > 1:
+        seen["odd-repeat"] = 0
+    for _ in range(40):
+        space = random_superspace(rng, rng.randint(2, 6), pure_odd)
+        seen["degenerate"] += not space.nondegenerate
+        el = random_homogeneous(space, rng, n + 1, terms=rng.randint(1, 3))
+        mu = Potential.single(space, el, arity=n)
+        s = derive_structure(mu)
+        oracle = derive_structure_by_all_tuples(mu)
+        assert s == oracle and list(s.table) == list(oracle.table)
+        tables = [s, perturbed(rng, s), random_table(rng, space, n)]
+        if n > 1:
+            seen["odd-repeat"] += any(
+                a == b and space.parity[a]
+                for key in tables[2].table for a, b in zip(key, key[1:]))
+        for exhaustive in (False, True):
+            for t in tables:
+                for check, gather in ((check_invariant, invariant_by_all_pairs),
+                                      (check_nary_jacobi,
+                                       nary_jacobi_by_gather)):
+                    rep = check(t, exhaustive=exhaustive)
+                    assert report_bytes(rep) == report_bytes(
+                        gather(t, exhaustive=exhaustive))
+                    seen["pass" if rep.passed else "fail"] += 1
+            if pure_odd:
+                assert report_bytes(check_filippov(
+                    mu, exhaustive=exhaustive)) == report_bytes(
+                        filippov_by_all_tuples(mu, exhaustive=exhaustive))
+    assert all(seen.values()), seen
+
+
+def test_repeated_odd_key_reads_as_zero():
+    # NaryStructure keeps a value on the repeated odd key (1, 1) although
+    # eval_basis reads zero there; the scatter and the pair enumeration
+    # must skip that key
+    g = Element.generator
+    only = NaryStructure(V5, 2, {(1, 1): g(V5, 0)})
+    mixed = NaryStructure(V5, 2, {(1, 1): g(V5, 0), (0, 1): g(V5, 2),
+                                  (1, 2): g(V5, 1).scale(2)})
+    assert check_invariant(only).passed and check_nary_jacobi(only).passed
+    for s in (only, mixed):
+        for exhaustive in (False, True):
+            assert report_bytes(check_invariant(s, exhaustive)) == \
+                report_bytes(invariant_by_all_pairs(s, exhaustive))
+            assert report_bytes(check_nary_jacobi(s, exhaustive)) == \
+                report_bytes(nary_jacobi_by_gather(s, exhaustive))
+    assert not check_nary_jacobi(mixed).passed
+    assert not check_invariant(mixed).passed
+
+
+def test_derive_brackets_only_the_support(monkeypatch):
+    # k disjoint cubics on an odd orthonormal space: each pairs only with
+    # its own three generators, so 3 tuples each instead of C(12, 2) = 66
+    space = odd_space(12)
+    calls = []
+    real = derived.nested_bracket_indices
+    monkeypatch.setattr(derived, "nested_bracket_indices",
+                        lambda sp, t, el: calls.append(t) or real(sp, t, el))
+    for k in range(1, 5):
+        el = Element.zero(space)
+        for c in range(k):
+            el = el + Element.monomial(space, (3 * c, 3 * c + 1, 3 * c + 2),
+                                       c + 1)
+        mu = Potential.single(space, el)
+        calls.clear()
+        s = derive_structure(mu)
+        assert len(calls) == 3 * k
+        assert s == derive_structure_by_all_tuples(mu)
+
+
+def test_jordan_brackets_each_inner_once(monkeypatch):
+    # [[A_i, e_j], A] does not depend on k: m^2 inner brackets, not m^3
+    rng = random.Random(11)
+    for sp in (E2, E4):
+        m = sp.dim
+        for _ in range(6):
+            A = Potential.single(sp, random_homogeneous(sp, rng, 3, terms=3),
+                                 arity=2)
+            with monkeypatch.context() as patch:
+                calls = []
+                real = derived.poisson_bracket
+                patch.setattr(derived, "poisson_bracket", lambda a, b: (
+                    calls.append(b is A.element) or real(a, b)))
+                reps = [check_jordan(A, exhaustive=ex) for ex in (False, True)]
+            # per call, m brackets build A_i, then one per inner
+            assert sum(calls) == 2 * (m + m * m)
+            for ex, rep in zip((False, True), reps):
+                assert report_bytes(rep) == report_bytes(
+                    jordan_by_triple_loop(A, exhaustive=ex))
