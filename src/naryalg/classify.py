@@ -261,7 +261,7 @@ def _spin(ops, seed_rows, m):
     work = []
 
     def insert(vec):
-        lead = linalg.reduce_into(lead_rows, vec, {}, 1)
+        lead, _ = linalg.reduce_into(lead_rows, vec, {}, 1)
         if lead is not None:
             work.append(lead_rows[lead][0])
 

@@ -14,19 +14,26 @@ with Ker(Laplacian) = Ker(d) n Ker(delta) isomorphic to the cohomology of d.
 
 The operators are sparse block maps: one block per source degree p and
 target degree q, mapping each source monomial to its image.
-``differential`` brackets each layer of mu with each monomial once; the
-layer of degree s fills the blocks (p, p + s - 2).  Star is a signed
-permutation of monomials, so ``codifferential(ctx, d)`` re-indexes each
-block of d through ``star_monomial``, with the sign (-1)^{k(1-k)/2} read
-from the block's shift k, and takes no bracket.  The Laplacian and both
-square-zero checks are sparse block products.
+``differential`` brackets each layer of mu once with each monomial it
+reaches, one that shares exactly one index with some term of the layer;
+every other monomial has a zero image.  The layer of degree s fills the
+blocks (p, p + s - 2).  Star is a signed permutation of monomials, so
+``codifferential(ctx, d)`` re-indexes each block of d through
+``star_monomial``, with the sign (-1)^{k(1-k)/2} read from the block's
+shift k, and takes no bracket.  The Laplacian and both square-zero
+checks are sparse block products.
 
 Everything here is exact rational arithmetic.  The blocks go to ``linalg``
 as they are, with no dense matrix in between: the columns of an operator
 on degree p are the images of the degree-p monomials, sparse rows keyed by
 monomial, and its rows are their transpose.  ``linalg.rank`` checks an
-exact certificate of every rank it returns, and the harmonic elements are
-read from the canonical sparse kernel rows, keyed by monomial.
+exact certificate of every rank it returns.  ``linalg.nullspace`` returns
+a basis that is a function of the kernel alone, so Ker L = Ker d n Ker
+delta is checked by comparing the two bases for equality.  The direct sum
+is checked by ranking the columns of d and delta landing in a degree
+together with the kernel rows.  The harmonic elements are read from the
+canonical sparse kernel rows, keyed by monomial, when the report's
+``harmonic`` is first read.
 """
 
 import functools
@@ -193,11 +200,25 @@ def _layer_shift(deg):
     return deg - 2
 
 
+def _reached(layer, monos):
+    """The monomials x among monos with |u n x| = 1 for some term u of layer.
+
+    On a pure odd orthonormal space [e_u, e_x] contracts one index shared
+    by u and x and leaves any other shared index on both sides, where it
+    squares to zero; so the layer brackets every other monomial to zero.
+    """
+    terms = [set(u) for u in layer.terms]
+    return [x for x in monos if any(len(u.intersection(x)) == 1
+                                    for u in terms)]
+
+
 def differential(ctx, mu):
     """The operator d = [mu, -], verified to square to zero.
 
-    Each layer is bracketed with each monomial once.  A layer of degree s
-    maps degree p to degree p + s - 2, so each block belongs to one layer.
+    Each layer is bracketed once with each monomial it reaches (``_reached``);
+    the others have a zero image, which a block leaves out.  A layer of
+    degree s maps degree p to degree p + s - 2, so each block belongs to one
+    layer.
     """
     _require_ctx_element(ctx, mu.element)
     d = {}
@@ -206,7 +227,7 @@ def differential(ctx, mu):
         k = _layer_shift(deg)
         for p, monos in enumerate(ctx.degree_monomials):
             block = {}
-            for mono in monos:
+            for mono in _reached(layer, monos):
                 img = poisson_bracket(layer, Element(ctx.space, {mono: ONE}))
                 if img.terms:
                     block[mono] = img.terms
@@ -280,8 +301,16 @@ class HodgeReport:
     direct_sum_ok: bool
     kernel_intersection_ok: bool   # Ker L == Ker d n Ker delta
     cohomology_total: int
-    harmonic: dict = field(default_factory=dict)
     homogeneous: bool = True
+    space: object = field(default=None, repr=False)
+    # degree -> canonical sparse rows of Ker L on that degree
+    kernels: dict = field(default_factory=dict, repr=False)
+
+    @functools.cached_property
+    def harmonic(self):
+        """Degree -> the canonical basis of Ker L there, as elements."""
+        return {p: [Element(self.space, vec) for vec in linalg.row_space(ker)]
+                for p, ker in self.kernels.items()}
 
 
 def hodge_decomposition(ctx, mu):
@@ -307,7 +336,7 @@ def _decompose_homogeneous(ctx, d, delta, lap, k):
     d_cols = {p: _columns(d, (p,)) for p in range(m + 1)}
     delta_cols = {p: _columns(delta, (p,)) for p in range(m + 1)}
     rows = []
-    harmonic = {}
+    kernels = {}
     direct_ok = True
     kernels_match = True
     # Im d in degree p is the image of the d block of degree p - k, and
@@ -325,12 +354,14 @@ def _decompose_homogeneous(ctx, d, delta, lap, k):
         # Ker L == Ker d n Ker delta on this degree
         ker_both = linalg.nullspace(
             _rows(d_cols[p]) + _rows(delta_cols[p]), monos[p])
-        if not linalg.same_subspace(ker_lap, ker_both):
+        # both are canonical bases: equal exactly when the kernels are
+        if ker_lap != ker_both:
             kernels_match = False
-        # three-way independence: all image/kernel vectors stacked must be
-        # linearly independent and fill the degree
+        # three-way independence: the columns of d and delta landing here
+        # and the kernel rows, stacked, must span the degree, and the
+        # ranks and the kernel dimension must add up to it
         pieces = [vec for cols in (d_cols.get(p - k), delta_cols.get(p + k))
-                  if cols for vec in linalg.row_space(cols.values())]
+                  if cols for vec in cols.values()]
         pieces += ker_lap
         total_pieces = im_d + im_delta + len(ker_lap)
         if total_pieces != dim or (pieces and linalg.rank(pieces) != dim):
@@ -340,8 +371,7 @@ def _decompose_homogeneous(ctx, d, delta, lap, k):
             direct_ok = False
         rows.append(HodgeDegreeRow(p, dim, rank_d_p, rank_delta_p, im_d,
                                    im_delta, len(ker_lap), cohom))
-        harmonic[p] = [Element(ctx.space, vec)
-                       for vec in linalg.row_space(ker_lap)]
+        kernels[p] = ker_lap
     return HodgeReport(
         m=m,
         degrees=rows,
@@ -352,8 +382,9 @@ def _decompose_homogeneous(ctx, d, delta, lap, k):
         direct_sum_ok=direct_ok,
         kernel_intersection_ok=kernels_match,
         cohomology_total=sum(r.cohomology for r in rows),
-        harmonic=harmonic,
         homogeneous=True,
+        space=ctx.space,
+        kernels=kernels,
     )
 
 
@@ -370,9 +401,8 @@ def _decompose_mixed(ctx, d, delta, lap):
     rank_delta = linalg.rank(delta_cols.values())
     ker_lap = linalg.nullspace(_rows(_columns(lap, everything)), columns)
     ker_both = linalg.nullspace(_rows(d_cols) + _rows(delta_cols), columns)
-    kernels_match = linalg.same_subspace(ker_lap, ker_both)
-    pieces = (linalg.row_space(d_cols.values())
-              + linalg.row_space(delta_cols.values()) + ker_lap)
+    kernels_match = ker_lap == ker_both
+    pieces = list(d_cols.values()) + list(delta_cols.values()) + ker_lap
     direct_ok = (rank_d + rank_delta + len(ker_lap) == total
                  and (not pieces or linalg.rank(pieces) == total))
     cohom = (total - rank_d) - rank_d
@@ -393,6 +423,5 @@ def _decompose_mixed(ctx, d, delta, lap):
         direct_sum_ok=direct_ok,
         kernel_intersection_ok=kernels_match,
         cohomology_total=cohom,
-        harmonic={},
         homogeneous=False,
     )

@@ -12,26 +12,35 @@ stay only in ``rref``, ``solve``, ``inverse``, ``det`` and the
 matrix-arithmetic helpers, which serve small square matrices; ``sparse``
 converts a dense matrix at that boundary.
 
-Every elimination runs through one kernel, ``_eliminate``: a fraction-free
-Gauss-Jordan elimination over sparse integer rows, in the sense of Bareiss,
+Every elimination runs through one kernel: a fraction-free sparse
+Gauss-Jordan elimination over integer rows, in the sense of Bareiss,
 "Sylvester's identity and multistep integer-preserving Gaussian
-elimination" (1968).  Each input row is cleared of denominators, every
-working row is kept primitive (divided by the gcd of its entries), and each
-working row records the integer combination of input rows it comes from.
-Its forward step, ``reduce_into``, is also the reducer of the
-invariant-subspace closure in ``classify``.  The other routines read the
-reduced row echelon form it returns, which is unique, so no answer depends
-on the kernel's pivot order.
+elimination" (1968).  Each input row is cleared of denominators and every
+working row is kept primitive (divided by the gcd of its entries).  The
+kernel has two halves:
 
-``rank`` returns only after ``_check_rank_certificate`` has checked the
-kernel's answer against the input rows by multiply-and-compare code that
-shares nothing with the kernel:
+* the forward pass, ``reduce_into`` over the input rows, which stores one
+  working row per leading column (``reduce_into`` is also the reducer of
+  the invariant-subspace closure in ``classify``);
+* the back-substitution in ``_eliminate``, which turns the stored rows into
+  the reduced row echelon form.
 
-* rank >= r: the recorded combinations reproduce the r echelon rows, and
-  those rows are independent by their pivot pattern;
-* rank <= r: the input annihilates the canonical kernel vector of every
-  free column the input touches (a column no input row touches is zero
-  and already in the kernel).
+``rref``, ``nullspace``, ``row_space`` and ``same_subspace`` run both and
+read the reduced row echelon form, which is unique, so no answer depends on
+the kernel's pivot order.  ``rank`` runs the forward pass alone, in
+``_forward``, where each working row also records the integer combination
+of input rows it comes from, and an input row that reduces to zero leaves
+that combination behind as a dependency.  ``rank`` returns only after
+``_check_rank_certificate`` has checked the forward pass against the input
+rows by multiply-and-compare code that shares nothing with the kernel:
+
+* rank >= r: each of the r stored rows is nonzero with its least column as
+  its key, so they are independent, and each is its recorded combination
+  of input rows divided by its scale;
+* rank <= r: the stored rows come from r distinct input rows, and every
+  other input row is empty or carries a dependency that names it and
+  otherwise stored rows only and that the input annihilates, so it lies in
+  the span of the stored rows.
 
 ``bareiss_rank`` is a dense fraction-free rank kept as a test oracle; no
 engine code calls it.
@@ -114,6 +123,8 @@ def sparse(a):
 # integer row {column: int}, comb a sparse integer combination
 # {input row index: int}, and scale a positive int, with
 #     scale * vec == sum(comb[j] * a[j] for j in comb).
+# A caller that needs no combination (``_eliminate``, ``classify``) starts
+# every row with comb {} and scale 1, and they stay so.
 
 
 def _primitive(vec, comb, scale):
@@ -130,7 +141,11 @@ def _primitive(vec, comb, scale):
 
 
 def _clear(work, piv, col):
-    """Integer combination of work and piv with a zero in column col."""
+    """Integer combination of work and piv with a zero in column col.
+
+    The combination is merged even when the row vanishes: it is then a
+    dependency among the input rows.
+    """
     vec, comb, scale = work
     pvec, pcomb, pscale = piv
     a, b = pvec[col], vec[col]
@@ -144,8 +159,6 @@ def _clear(work, piv, col):
             new[c] = y
         else:
             del new[c]
-    if not new:
-        return new, comb, scale
     fu, fw = a * (s // scale), b * (s // pscale)
     merged = {j: fu * x for j, x in comb.items()}
     for j, x in pcomb.items():
@@ -163,8 +176,9 @@ def reduce_into(lead_rows, vec, comb, scale):
     lead_rows maps each leading column to a stored working row.  The row
     (vec, comb, scale) is cleared at each leading column it shares with a
     stored row; if anything survives, it is stored under its new leading
-    column with a positive leading entry, and that column is returned.
-    Returns None when the row reduces to zero.
+    column with a positive leading entry.  Returns ``(lead, comb)``: the
+    leading column it is stored under and its combination, or None and the
+    combination that reduced to zero.
     """
     vec, comb, scale = _primitive(vec, comb, scale)
     while vec:
@@ -175,30 +189,52 @@ def reduce_into(lead_rows, vec, comb, scale):
                 vec = {c: -x for c, x in vec.items()}
                 comb = {i: -x for i, x in comb.items()}
             lead_rows[lead] = (vec, comb, scale)
-            return lead
+            return lead, comb
         vec, comb, scale = _clear((vec, comb, scale), piv, lead)
-    return None
+    return None, comb
+
+
+def _integral(row):
+    """(ints, den): the sparse row times den, the lcm of its denominators."""
+    entries = [(c, x) for c, x in row.items() if x]
+    if not entries:
+        return {}, 1
+    den = lcm(*(x.denominator for _, x in entries))
+    return {c: x.numerator * (den // x.denominator) for c, x in entries}, den
+
+
+def _forward(rows):
+    """The kernel's forward pass over the sparse rows, with combinations.
+
+    Returns ``(lead_rows, deps)``.  lead_rows maps each leading column to a
+    stored working row (vec, comb, scale); the largest index in comb is the
+    input row it comes from.  deps maps the index j of each nonzero input
+    row that reduced to zero to its dependency comb: comb[j] != 0, its
+    other indices are those of stored rows, and
+    ``sum(comb[i] * rows[i] for i in comb) == 0``.
+    """
+    lead_rows, deps = {}, {}
+    for j, row in enumerate(rows):
+        vec, den = _integral(row)
+        if vec:
+            lead, comb = reduce_into(lead_rows, vec, {j: den}, 1)
+            if lead is None:
+                deps[j] = comb
+    return lead_rows, deps
 
 
 def _eliminate(rows):
     """Fraction-free Gauss-Jordan elimination of the sparse rows.
 
-    Returns ``(echelon, pivots, combos)``: the nonzero rows of the reduced
-    row echelon form as sparse Fraction rows, their pivot columns in
-    increasing order, and for each echelon row a pair ``(comb, den)`` of a
-    dict {input row index: int} and a nonzero int with
-    ``sum(comb[j] * rows[j] for j in comb) == den * echelon_row``.
+    Returns ``(echelon, pivots)``: the nonzero rows of the reduced row
+    echelon form as sparse Fraction rows, and their pivot columns in
+    increasing order.  No combination is tracked.
     """
     lead_rows = {}                            # leading column -> working row
-    for j, row in enumerate(rows):
-        entries = [(c, x) for c, x in row.items() if x]
-        if not entries:
-            continue
-        den = lcm(*(x.denominator for _, x in entries))
-        reduce_into(
-            lead_rows,
-            {c: x.numerator * (den // x.denominator) for c, x in entries},
-            {j: den}, 1)
+    for row in rows:
+        vec, _ = _integral(row)
+        if vec:
+            reduce_into(lead_rows, vec, {}, 1)
     pivots = sorted(lead_rows)
     # back substitution, last pivot first: a pivot row is already clear of
     # every later pivot column when it is used to clear the rows above it
@@ -208,75 +244,59 @@ def _eliminate(rows):
         for q in pivots[:k]:
             if p in lead_rows[q][0]:
                 lead_rows[q] = _clear(lead_rows[q], piv, p)
-    echelon, combos = [], []
+    echelon = []
     for p in pivots:
-        vec, comb, scale = lead_rows[p]
+        vec = lead_rows[p][0]
         head = vec[p]
         echelon.append({c: Fraction(x, head) for c, x in vec.items()})
-        combos.append((comb, scale * head))
-    return echelon, pivots, combos
+    return echelon, pivots
 
 
-def _check_rank_certificate(rows, echelon, pivots, combos):
-    """Raise NaryError unless the kernel's output proves rank == len(echelon).
+def _check_rank_certificate(rows, lead_rows, deps):
+    """Raise NaryError unless the forward pass proves rank == len(lead_rows).
 
-    Uses nothing but products of the input rows with the returned rows,
-    combinations and pivots.
+    Uses nothing but products of the input rows with the stored rows and
+    the recorded combinations.
     """
-    def ints(row):
-        # integral entries as ints, which multiply faster than Fractions
-        return {c: x.numerator if x.denominator == 1 else x
-                for c, x in row.items() if x}
+    # integral entries as ints, which multiply faster than Fractions
+    given = [{c: x.numerator if x.denominator == 1 else x
+              for c, x in row.items() if x} for row in rows]
+    n = len(given)
 
-    r = len(echelon)
-    if len(pivots) != r or len(combos) != r or any(
-            not p < q for p, q in zip(pivots, pivots[1:])):
-        raise NaryError("rank certificate: malformed pivot list")
-    given = [ints(row) for row in echelon]
-    sparse_rows = [ints(row) for row in rows]
-    touched = {col for row in sparse_rows for col in row}
-    for i, nz in enumerate(given):
-        if not nz.keys() <= touched:
-            raise NaryError(f"rank certificate: row {i} has an entry in a "
-                            "column no input row touches")
-    # rank >= r: unit pivots, zero in every other pivot column ...
-    for i, nz in enumerate(given):
-        if [p for p in pivots if p in nz] != [pivots[i]] or nz[pivots[i]] != 1:
-            raise NaryError(
-                f"rank certificate: row {i} breaks the pivot pattern")
-    # ... and every row a combination of input rows
-    for i, (nz, (comb, den)) in enumerate(zip(given, combos)):
-        if den == 0 or any(not 0 <= j < len(rows) for j in comb):
-            raise NaryError(f"rank certificate: bad combination for row {i}")
+    def combine(comb):
         acc = {}
         for j, c in comb.items():
-            for col, x in sparse_rows[j].items():
+            if j not in range(n):
+                raise NaryError(f"rank certificate: no input row {j!r}")
+            for col, x in given[j].items():
                 acc[col] = acc.get(col, 0) + c * x
-        if ({col: x for col, x in acc.items() if x}
-                != {col: den * x for col, x in nz.items()}):
-            raise NaryError(
-                f"rank certificate: combination does not give row {i}")
-    # rank <= r: the input annihilates the canonical kernel vector of each
-    # free column it touches
-    pivset = set(pivots)
-    kernel = {f: {f: 1} for f in touched if f not in pivset}
-    for p, nz in zip(pivots, given):
-        for col, x in nz.items():
-            if col != p:
-                kernel[col][p] = -x
-    by_col = {}
-    for j, row in enumerate(sparse_rows):
-        for col, x in row.items():
-            by_col.setdefault(col, []).append((j, x))
-    for f, v in kernel.items():
-        image = {}
-        for col, x in v.items():
-            for j, y in by_col.get(col, ()):
-                image[j] = image.get(j, 0) + y * x
-        if any(image.values()):
-            raise NaryError(
-                f"rank certificate: the input does not annihilate the kernel "
-                f"vector of column {f!r}")
+        return {col: x for col, x in acc.items() if x}
+
+    # rank >= r: nonzero rows with distinct least columns, in the row space
+    origins = []
+    for lead, (vec, comb, scale) in lead_rows.items():
+        if not vec or min(vec) != lead:
+            raise NaryError(f"rank certificate: stored row {lead!r} does "
+                            "not lead at its key")
+        if not scale or combine(comb) != {c: scale * x
+                                          for c, x in vec.items()}:
+            raise NaryError(f"rank certificate: combination does not give "
+                            f"stored row {lead!r}")
+        origins.append(max(comb))
+    # rank <= r: every other input row is empty or depends on stored rows
+    stored = set(origins)
+    empty = [j for j, row in enumerate(given) if not row]
+    indices = origins + list(deps) + empty
+    if len(indices) != n or set(indices) != set(range(n)):
+        raise NaryError("rank certificate: input rows are not each stored, "
+                        "dependent or empty exactly once")
+    for j, comb in deps.items():
+        if not comb.get(j) or not comb.keys() - {j} <= stored:
+            raise NaryError(f"rank certificate: dependency of row {j} does "
+                            "not name it and stored rows only")
+        if combine(comb):
+            raise NaryError(f"rank certificate: dependency of row {j} does "
+                            "not vanish")
 
 
 # ---------------------------------------------------------------------------
@@ -285,17 +305,20 @@ def _check_rank_certificate(rows, echelon, pivots, combos):
 
 def rref(a):
     """Reduced row echelon form of a dense matrix.  Returns (R, pivots)."""
-    echelon, pivots, _ = _eliminate(sparse(a))
+    echelon, pivots = _eliminate(sparse(a))
     cols = len(a[0]) if a else 0
     dense = [[row.get(c, ZERO) for c in range(cols)] for row in echelon]
     return dense + [[ZERO] * cols for _ in range(len(a) - len(dense))], pivots
 
 
 def rank(rows):
-    """Rank of the sparse rows, returned once its certificate is checked."""
-    echelon, pivots, combos = _eliminate(rows)
-    _check_rank_certificate(rows, echelon, pivots, combos)
-    return len(pivots)
+    """Rank of the sparse rows, returned once its certificate is checked.
+
+    Runs the forward pass alone: no back-substitution, no Fraction.
+    """
+    lead_rows, deps = _forward(rows)
+    _check_rank_certificate(rows, lead_rows, deps)
+    return len(lead_rows)
 
 
 def nullspace(rows, columns):
@@ -304,7 +327,7 @@ def nullspace(rows, columns):
     columns lists every column key, in increasing order; the basis has one
     sparse vector per free column of the reduced row echelon form.
     """
-    echelon, pivots, _ = _eliminate(rows)
+    echelon, pivots = _eliminate(rows)
     pivset = set(pivots)
     basis = []
     for f in columns:

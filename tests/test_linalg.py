@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from naryalg import linalg
 from naryalg.errors import NaryError
@@ -152,59 +154,115 @@ def test_same_subspace_ignores_row_order_and_scaling():
 
 
 # ---------------------------------------------------------------------------
-# a broken kernel must not get a rank past the certificate
+# rank against the dense oracle on random sparse rows
+
+ENTRIES = st.builds(Fraction, st.integers(-3, 3).filter(bool),
+                    st.sampled_from((1, 2, 3, 7)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_rank_matches_bareiss_on_random_sparse_rows(data):
+    cols = KEYS[:data.draw(st.integers(1, len(KEYS)), label="width")]
+    row = st.dictionaries(st.sampled_from(cols), ENTRIES, max_size=4)
+    rows = data.draw(st.lists(row, max_size=8), label="rows")
+    if rows:
+        # duplicate rows, and rational multiples of rows
+        picks = st.lists(st.sampled_from(range(len(rows))), max_size=3)
+        rows += [rows[i] for i in data.draw(picks, label="duplicates")]
+        rows += [{c: x / 5 for c, x in rows[i].items()}
+                 for i in data.draw(picks, label="multiples")]
+    rows += [{}] * data.draw(st.integers(0, 2), label="empty rows")
+    rows = data.draw(st.permutations(rows), label="order")
+    dense_rows = [[r.get(c, Fraction(0)) for c in cols] for r in rows]
+    assert linalg.rank(rows) == linalg.bareiss_rank(dense_rows)
+
+
+# ---------------------------------------------------------------------------
+# a broken forward pass must not get a rank past the certificate
 
 FULL = [[Fraction(1), Fraction(2), Fraction(0), Fraction(1)],
         [Fraction(0), Fraction(1, 2), Fraction(3), Fraction(0)],
         [Fraction(2), Fraction(0), Fraction(1), Fraction(-1, 3)]]
+SUM01 = [x + y for x, y in zip(FULL[0], FULL[1])]
+# rows 0-2 stored, 3 and 5 dependent, 4 empty
+CERTIFIED = FULL + [SUM01, [Fraction(0)] * 4, [2 * x for x in SUM01]]
+
+FREE = 3          # the one column of CERTIFIED that leads no stored row
 
 
-def drop_pivot_row(rows, pivots, combos):
-    return rows[:-1], pivots[:-1], combos[:-1]
+def copied(lead_rows, deps):
+    return ({lead: (dict(vec), dict(comb), scale)
+             for lead, (vec, comb, scale) in lead_rows.items()},
+            {j: dict(comb) for j, comb in deps.items()})
 
 
-FREE = 3          # the one free column of FULL
-UNTOUCHED = 4     # a column that no row of FULL touches
+def drop_pivot_row(lead_rows, deps):
+    del lead_rows[max(lead_rows)]
+    return lead_rows, deps
 
 
-def forge_row_entry(rows, pivots, combos):
-    rows = [dict(row) for row in rows]
-    rows[0][FREE] = rows[0].get(FREE, 0) + 1
-    return rows, pivots, combos
+def forge_row_entry(lead_rows, deps):
+    vec = lead_rows[0][0]
+    vec[FREE] = vec.get(FREE, 0) + 1
+    return lead_rows, deps
 
 
-def forge_extra_row(rows, pivots, combos):
-    # claims a pivot in the free last column, with a made-up combination
-    return (rows + [{FREE: Fraction(1)}], pivots + [FREE],
-            combos + [({0: 1}, 1)])
+def forge_extra_row(lead_rows, deps):
+    # claims a row leading in the free column, with a made-up combination
+    lead_rows[FREE] = ({FREE: 1}, {0: 1}, 1)
+    return lead_rows, deps
 
 
-def forge_combination(rows, pivots, combos):
-    comb, den = combos[0]
-    return rows, pivots, [(comb, 2 * den)] + combos[1:]
+def forge_combination(lead_rows, deps):
+    vec, comb, scale = lead_rows[0]
+    lead_rows[0] = vec, comb, 2 * scale
+    return lead_rows, deps
 
 
-def forge_untouched_entry(rows, pivots, combos):
-    rows = [dict(row) for row in rows]
-    rows[0][UNTOUCHED] = Fraction(1)
-    return rows, pivots, combos
+def forge_dependency(lead_rows, deps):
+    # the zero combination vanishes, but proves nothing about row 3
+    deps[3] = {j: 0 for j in deps[3]}
+    return lead_rows, deps
 
 
-@pytest.mark.parametrize("mutate,message", [
-    pytest.param(mutate, "rank certificate", id=mutate.__name__)
-    for mutate in (drop_pivot_row, forge_row_entry, forge_extra_row,
-                   forge_combination)
-] + [pytest.param(forge_untouched_entry,
-                  "rank certificate: row 0 .* no input row touches",
-                  id="forge_untouched_entry")])
-def test_certificate_rejects_a_broken_kernel(monkeypatch, mutate, message):
-    a = FULL + [[x + y for x, y in zip(FULL[0], FULL[1])]]
-    assert linalg.rank(linalg.sparse(a)) == 3
-    assert linalg.rref(a)[1] == [0, 1, 2]
-    kernel = linalg._eliminate
-    monkeypatch.setattr(linalg, "_eliminate", lambda m: mutate(*kernel(m)))
-    with pytest.raises(NaryError, match=message):
-        linalg.rank(linalg.sparse(a))
+def dependency_does_not_vanish(lead_rows, deps):
+    deps[3][3] *= 2
+    return lead_rows, deps
+
+
+def dependency_names_unstored_row(lead_rows, deps):
+    # row 5 is twice row 3: this vanishes, but row 3 is not stored
+    deps[5] = {5: 1, 3: -2}
+    return lead_rows, deps
+
+
+def row_neither_stored_nor_dependent(lead_rows, deps):
+    del deps[3]
+    return lead_rows, deps
+
+
+def key_not_min_column(lead_rows, deps):
+    lead_rows[FREE] = lead_rows.pop(0)
+    return lead_rows, deps
+
+
+@pytest.mark.parametrize("mutate", [
+    drop_pivot_row, forge_row_entry, forge_extra_row, forge_combination,
+    forge_dependency, dependency_does_not_vanish,
+    dependency_names_unstored_row, row_neither_stored_nor_dependent,
+    key_not_min_column,
+], ids=lambda mutate: mutate.__name__)
+def test_certificate_rejects_a_broken_kernel(monkeypatch, mutate):
+    rows = linalg.sparse(CERTIFIED)
+    assert linalg.rank(rows) == 3
+    lead_rows, deps = linalg._forward(rows)
+    assert sorted(lead_rows) == [0, 1, 2] and sorted(deps) == [3, 5]
+    forward = linalg._forward
+    monkeypatch.setattr(linalg, "_forward",
+                        lambda m: mutate(*copied(*forward(m))))
+    with pytest.raises(NaryError, match="rank certificate"):
+        linalg.rank(rows)
 
 
 def test_inverse_is_two_sided():
