@@ -4,15 +4,14 @@ Degree-2 elements correspond to skew-symmetric matrices through the adjoint
 action; the orthogonal group acts by conjugation, so orbits are labelled by
 the block parameters of the real skew canonical form.  The (m-3)-ary
 algebra attached to a degree-2 element v is the derived algebra of star(v).
-Simplicity is decided by an exact ideal search (common kernels, spin
-closures, and a randomized invariant-subspace stage) and, independently,
-by the rank of v.
+Simplicity is decided twice, independently: by the rank of v (the paper's
+criterion) and by an exact certificate, the common kernel of the adjoint
+operators or the dimension of their commutant.
 """
 
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 from . import linalg
 from .derived import (
@@ -26,6 +25,7 @@ from .errors import (
     ConvergenceFailure,
     DimensionTooSmall,
     NaryError,
+    NotHodgeContext,
     NotOrthogonal,
     NotPureOdd,
     NotSkew,
@@ -33,8 +33,6 @@ from .errors import (
 )
 from .hodge import HodgeContext, star
 from .poisson import Element, multiply, poisson_bracket
-
-ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +44,8 @@ def _require_orthonormal_odd(space):
         raise NotPureOdd("correspondence needs a pure odd space")
     ident = tuple(tuple(row) for row in linalg.identity(space.dim))
     if space.gram != ident:
-        raise NaryError("correspondence is normalized for the identity Gram matrix")
+        raise NotHodgeContext("correspondence is normalized for the identity "
+                              "Gram matrix")
 
 
 def ad_matrix(space, w):
@@ -214,28 +213,7 @@ class IdealReport:
     basis: list = field(default_factory=list)   # degree-1 elements
     method: str = ""
     status: str = ""
-    rounds: int = 0
-
-
-def _transpose(lines, m):
-    """Rows of an operator given by its m columns, or columns from rows."""
-    out = [{} for _ in range(m)]
-    for j, line in enumerate(lines):
-        for i, x in line.items():
-            out[i][j] = x
-    return out
-
-
-def _integer_lines(lines):
-    """Sparse lines (rows or columns) as sparse integer rows {index: int}.
-
-    All lines are scaled by one positive int, the common denominator;
-    scaling an operator changes none of its invariant subspaces.
-    """
-    lines = list(lines)
-    den = lcm(*(x.denominator for line in lines for x in line.values()))
-    return [{i: x.numerator * (den // x.denominator)
-             for i, x in line.items() if x} for line in lines]
+    rounds: int = 0       # always 0: the report format keeps the field
 
 
 def _apply(cols, vec):
@@ -245,35 +223,6 @@ def _apply(cols, vec):
         for i, y in cols[j].items():
             img[i] = img.get(i, 0) + x * y
     return {i: y for i, y in img.items() if y}
-
-
-def _spin(ops, seed_rows, m):
-    """Smallest subspace containing the seeds and invariant under the ops.
-
-    Each op is an operator given by its columns (``_integer_lines``) and
-    the seeds are sparse rows.  A worklist maps every new basis vector by
-    every op exactly once and reduces each image into the echelon basis
-    with the elimination kernel's forward step, stopping once the basis
-    spans everything.  The closure is unique, so its canonical
-    ``row_space`` basis is the answer.
-    """
-    lead_rows = {}
-    work = []
-
-    def insert(vec):
-        lead, _ = linalg.reduce_into(lead_rows, vec, {}, 1)
-        if lead is not None:
-            work.append(lead_rows[lead][0])
-
-    for vec in _integer_lines(seed_rows):
-        insert(vec)
-    while work and len(lead_rows) < m:
-        vec = work.pop()
-        for cols in ops:
-            insert(_apply(cols, vec))
-            if len(lead_rows) == m:
-                break
-    return linalg.row_space([vec for vec, _, _ in lead_rows.values()])
 
 
 def _verify_ideal(ops, rows):
@@ -292,23 +241,43 @@ def _rows_to_elements(space, rows):
     return [Element(space, {(i,): c for i, c in vec.items()}) for vec in rows]
 
 
-def _orth_complement(rows, m):
-    return linalg.nullspace(rows, range(m))
+def _commutant(operators, m):
+    """(system, dim): the rows of X L - L X = 0 and the commutant's dimension.
+
+    The unknown X[a][b] is column a*m + b.  For a skew L given by its
+    columns, entry (i, j) of X L - L X is sum_k X[i][k] L[k][j] +
+    sum_k L[k][i] X[k][j]; the diagonal of L is zero, so the two sums share
+    no unknown.  The dimension is m^2 minus the certified rank.
+    """
+    system = []
+    for cols in operators:
+        for i in range(m):
+            for j in range(m):
+                eq = {i * m + k: x for k, x in cols[j].items()}
+                eq.update((k * m + j, x) for k, x in cols[i].items())
+                if eq:
+                    system.append(eq)
+    return system, m * m - linalg.rank(system)
 
 
-def find_ideal(s, rank_hint=None, rounds=64, seed=0):
-    """Search for a proper ideal of an n-ary structure on a pure odd space.
+def find_ideal(s, rank_hint=None):
+    """Decide exactly whether an n-ary structure has a proper ideal.
 
-    Stages: common kernel of the adjoint operators; spin closures of
-    kernels, images, basis lines and their orthogonal complements; then a
-    randomized invariant-subspace search over the generated operator
-    algebra.  A failure to find an ideal is reported as simple
-    (certified through the rank criterion when a rank hint applies,
-    probabilistic otherwise).
+    The space must be pure odd and orthonormal, and every operator
+    L_t = s(e_t1, ..., e_t(n-1), -) skew, as for an invariant structure.
+    Stage 1 returns the common kernel of the L_t if it is a proper ideal.
+    Then the commutant {X : X L_t = L_t X for all t} decides, its dimension
+    read from one certified ``linalg.rank``.  If W is a proper ideal, so is
+    its orthogonal complement, and the orthogonal projection onto W
+    commutes with every L_t: dimension 1 proves the algebra simple.  Above
+    1 the kernel of every commutant element is an invariant subspace; the
+    first proper kernel of a canonical basis element is returned, and if
+    there is none the status is "undecided", never "simple".  A rank hint
+    above 2 (m > 4) means simple by the paper's rank criterion, and the
+    commutant must agree, or NaryError is raised.
     """
     space = s.space
-    if not space.pure_odd:
-        raise NotPureOdd("ideal search is implemented for pure odd spaces")
+    _require_orthonormal_odd(space)
     m = space.dim
     # each operator v -> product(prefix..., v) by its exact sparse columns
     operators = [cols for cols in map(s.operator,
@@ -319,90 +288,40 @@ def find_ideal(s, rank_hint=None, rounds=64, seed=0):
         # zero structure: every line is an ideal
         return IdealReport(True, [Element.generator(space, 0)],
                            method="kernel", status="ideal found")
+    if any(cols[i].get(j) != -x for cols in operators
+           for j, col in enumerate(cols) for i, x in col.items()):
+        raise NotSkew("an operator of the structure is not skew")
 
-    # stage 1: common kernel
-    op_rows = [_transpose(cols, m) for cols in operators]
-    kernel = linalg.nullspace([row for rows in op_rows for row in rows],
+    # stage 1: common kernel; the columns of a skew L are its rows negated
+    kernel = linalg.nullspace([col for cols in operators for col in cols],
                               range(m))
-    ops = [_integer_lines(cols) for cols in operators]
     if kernel:
         rows = linalg.row_space(kernel)
-        if 0 < len(rows) < m and _verify_ideal(ops, rows):
+        if 0 < len(rows) < m and _verify_ideal(operators, rows):
             return IdealReport(True, _rows_to_elements(space, rows),
                                method="kernel", status="ideal found")
 
-    # stage 2: spin closures of deterministic candidates
-    candidates = []
-    for cols, rows in zip(operators, op_rows):
-        ns = linalg.nullspace(rows, range(m))
-        if ns:
-            candidates.append(ns)
-            candidates.append(_orth_complement(ns, m))
-        cs = linalg.row_space(cols)
-        if 0 < len(cs) < m:
-            candidates.append(cs)
-            candidates.append(_orth_complement(cs, m))
-    for i in range(m):
-        candidates.append([{i: ONE}])
-    for cand in candidates:
-        if not cand:
-            continue
-        spun = _spin(ops, cand, m)
-        if 0 < len(spun) < m and _verify_ideal(ops, spun):
-            return IdealReport(True, _rows_to_elements(space, spun),
-                               method="spin", status="ideal found")
-
-    # rank shortcut: above rank 2 these algebras have no proper ideals (m > 4)
+    # the identity commutes with everything, so dim >= 1
+    system, dim = _commutant(operators, m)
     if rank_hint is not None and rank_hint > 2 and m > 4:
+        if dim != 1:
+            raise NaryError("rank criterion disagrees with the commutant "
+                            f"(dimension {dim})")
         return IdealReport(False, method="rank-criterion",
                            status="simple (certified)")
-
-    # stage 3: randomized invariant-subspace search
-    rng = random.Random(seed)
-    # the columns of a transpose are the rows of the operator
-    ops_t = [_integer_lines(rows) for rows in op_rows]
-    for rnd in range(1, rounds + 1):
-        z = [{} for _ in range(m)]            # the columns of a random word
-        for _ in range(rng.randint(1, 3)):
-            word = operators[rng.randrange(len(operators))]
-            for _ in range(rng.randint(0, 2)):
-                right = operators[rng.randrange(len(operators))]
-                word = [_apply(word, col) for col in right]
-            c = Fraction(rng.randint(-3, 3))
-            if c == 0:
-                continue
-            for z_col, col in zip(z, word):
-                for i, x in col.items():
-                    z_col[i] = z_col.get(i, 0) + c * x
-        z = [{i: x for i, x in col.items() if x} for col in z]
-        ns = linalg.nullspace(_transpose(z, m), range(m))
-        if not ns or len(ns) == m:
-            continue
-        for vec in ns:
-            spun = _spin(ops, [vec], m)
-            if 0 < len(spun) < m and _verify_ideal(ops, spun):
-                return IdealReport(True, _rows_to_elements(space, spun),
-                                   method="meataxe", status="ideal found",
-                                   rounds=rnd)
-        if len(ns) == 1:
-            nst = linalg.nullspace(z, range(m))
-            dual_full = True
-            for vec in nst:
-                spun = _spin(ops_t, [vec], m)
-                if 0 < len(spun) < m:
-                    comp = _orth_complement(spun, m)
-                    comp = linalg.row_space(comp)
-                    if 0 < len(comp) < m and _verify_ideal(ops, comp):
-                        return IdealReport(True,
-                                           _rows_to_elements(space, comp),
-                                           method="meataxe",
-                                           status="ideal found", rounds=rnd)
-                    dual_full = False
-            if dual_full:
-                return IdealReport(False, method="meataxe",
-                                   status="simple (probabilistic)", rounds=rnd)
-    return IdealReport(False, method="meataxe",
-                       status="simple (probabilistic)", rounds=rounds)
+    if dim == 1:
+        return IdealReport(False, method="commutant",
+                           status="simple (certified)")
+    for x in linalg.nullspace(system, range(m * m)):
+        x_rows = [{} for _ in range(m)]
+        for ab, c in x.items():
+            x_rows[ab // m][ab % m] = c
+        rows = linalg.nullspace(x_rows, range(m))
+        if 0 < len(rows) < m and _verify_ideal(operators, rows):
+            return IdealReport(True, _rows_to_elements(space, rows),
+                               method="commutant", status="ideal found")
+    return IdealReport(False, method="commutant",
+                       status=f"undecided (commutant dimension {dim})")
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +341,7 @@ class ClassificationRecord:
     ideal: IdealReport
 
 
-def classify_m3(space, v, rounds=64, seed=0, cross_validate=True,
-                tolerance=1e-9):
+def classify_m3(space, v, tolerance=1e-9):
     """Full record for the (m-3)-ary algebra of a degree-2 element."""
     if space.dim <= 4:
         raise DimensionTooSmall("classification needs dimension > 4")
@@ -436,8 +354,8 @@ def classify_m3(space, v, rounds=64, seed=0, cross_validate=True,
     sh = check_nary_jacobi(s).passed
     simple = rank > 2
     method = "rank-criterion"
-    ideal = find_ideal(s, rank_hint=rank, rounds=rounds, seed=seed)
-    if cross_validate and ideal.found == simple:
+    ideal = find_ideal(s, rank_hint=rank)
+    if ideal.found == simple:
         raise NaryError("rank criterion disagrees with the ideal search")
     params = canonical_form([[float(x) for x in row] for row in a],
                             residual_tol=tolerance).params

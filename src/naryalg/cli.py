@@ -153,8 +153,7 @@ def cmd_classify(args):
         v = io.parse_element(space, io.load_file(args.v))
     else:
         raise NaryError("need --v or --skew")
-    rec = classify_m3(space, v, rounds=args.rounds, seed=args.seed,
-                      tolerance=args.tolerance)
+    rec = classify_m3(space, v, tolerance=args.tolerance)
     _emit(args, io.classification_record_to_json(rec))
     return 0
 
@@ -167,8 +166,7 @@ def cmd_table(args):
         for params in _grids(args.grid, k):
             v = Element(space, {(2 * t, 2 * t + 1): params[t]
                                 for t in range(k) if params[t] != 0})
-            rec = classify_m3(space, v, rounds=args.rounds, seed=args.seed,
-                              tolerance=args.tolerance)
+            rec = classify_m3(space, v, tolerance=args.tolerance)
             lines.append(io.dumps(io.classification_record_to_json(rec)))
     _write(args, "".join(lines))
     return 0
@@ -213,7 +211,7 @@ def build_parser():
                         help="accepted and ignored: verifier loops run in "
                              "one thread")
     shared.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized searches")
+                        help="accepted and ignored: no search is randomized")
     shared.add_argument("--max-degree", type=int, default=None,
                         help="degree cap for spaces with even generators")
     shared.add_argument("--tolerance", type=float, default=1e-9,
@@ -275,14 +273,16 @@ def build_parser():
     common(c)
     c.add_argument("--v", help="degree-2 element JSON")
     c.add_argument("--skew", help="skew matrix JSON")
-    c.add_argument("--rounds", type=int, default=64)
+    c.add_argument("--rounds", type=int, default=64,
+                   help="accepted and ignored: no search is randomized")
     c.set_defaults(fn=cmd_classify)
 
     t = add_cmd("table", "classification table as JSON lines")
     common(t, space=False)
     t.add_argument("--m", type=int, nargs="+", required=True)
     t.add_argument("--grid", type=int, nargs="+", default=[0, 1, 2])
-    t.add_argument("--rounds", type=int, default=64)
+    t.add_argument("--rounds", type=int, default=64,
+                   help="accepted and ignored: no search is randomized")
     t.set_defaults(fn=cmd_table)
 
     f = add_cmd("frobenius", "quasi-Frobenius certificate")

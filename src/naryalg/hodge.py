@@ -340,10 +340,11 @@ def _decompose_homogeneous(ctx, d, delta, lap, k):
     direct_ok = True
     kernels_match = True
     # Im d in degree p is the image of the d block of degree p - k, and
-    # Im delta in degree p that of the delta block of degree p + k
+    # Im delta in degree p that of the delta block of degree p + k.  The
+    # delta block of degree m - p is the d block of degree p under a signed
+    # permutation of monomials, so it has the same rank.
     rank_d = {p: linalg.rank(cols.values()) for p, cols in d_cols.items()}
-    rank_delta = {p: linalg.rank(cols.values())
-                  for p, cols in delta_cols.items()}
+    rank_delta = {m - p: r for p, r in rank_d.items()}
     for p in range(m + 1):
         dim = dims[p]
         rank_d_p = rank_d[p]
@@ -398,7 +399,10 @@ def _decompose_mixed(ctx, d, delta, lap):
     d_cols = _columns(d, everything)
     delta_cols = _columns(delta, everything)
     rank_d = linalg.rank(d_cols.values())
-    rank_delta = linalg.rank(delta_cols.values())
+    # delta = star (sum_k s_k d_k) star with s_k = (-1)^{k(1-k)/2}.  The
+    # layers of an odd potential have odd shifts k, where s_k = -i i^k, and
+    # sum_k i^k d_k is d conjugated by e_j -> i e_j over C: same rank as d
+    rank_delta = rank_d
     ker_lap = linalg.nullspace(_rows(_columns(lap, everything)), columns)
     ker_both = linalg.nullspace(_rows(d_cols) + _rows(delta_cols), columns)
     kernels_match = ker_lap == ker_both

@@ -167,15 +167,6 @@ def parse_potential(space, obj, path="potential"):
     return Potential.single(space, el, arity=arity)
 
 
-def potential_to_json(mu):
-    if mu.family:
-        return {"schema": SCHEMA,
-                "linf": [element_to_json(layer)
-                         for _, layer in sorted(mu.layers().items())]}
-    return {"schema": SCHEMA, "arity": mu.arity,
-            "element": element_to_json(mu.element)}
-
-
 def parse_structure(space, obj, path="structure"):
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected an object")
@@ -234,11 +225,6 @@ def parse_matrix(obj, dim, path="matrix"):
         out.append([parse_scalar(x, f"{path}[{i}][{j}]")
                     for j, x in enumerate(row)])
     return out
-
-
-def matrix_to_json(mat):
-    return {"schema": SCHEMA,
-            "matrix": [[fmt_scalar(x) for x in row] for row in mat]}
 
 
 # ---------------------------------------------------------------------------
@@ -316,16 +302,6 @@ def ideal_report_to_json(rep):
         "method": rep.method,
         "status": rep.status,
         "rounds": rep.rounds,
-    }
-
-
-def canonical_form_to_json(cf):
-    return {
-        "schema": SCHEMA,
-        "approx": True,
-        "params": [float(p) for p in cf.params],
-        "residual": cf.residual,
-        "q": [[float(x) for x in row] for row in cf.q],
     }
 
 

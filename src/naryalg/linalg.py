@@ -20,8 +20,7 @@ working row is kept primitive (divided by the gcd of its entries).  The
 kernel has two halves:
 
 * the forward pass, ``reduce_into`` over the input rows, which stores one
-  working row per leading column (``reduce_into`` is also the reducer of
-  the invariant-subspace closure in ``classify``);
+  working row per leading column;
 * the back-substitution in ``_eliminate``, which turns the stored rows into
   the reduced row echelon form.
 
@@ -123,8 +122,8 @@ def sparse(a):
 # integer row {column: int}, comb a sparse integer combination
 # {input row index: int}, and scale a positive int, with
 #     scale * vec == sum(comb[j] * a[j] for j in comb).
-# A caller that needs no combination (``_eliminate``, ``classify``) starts
-# every row with comb {} and scale 1, and they stay so.
+# ``_eliminate`` needs no combination: it starts every row with comb {} and
+# scale 1, and they stay so.
 
 
 def _primitive(vec, comb, scale):

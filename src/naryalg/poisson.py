@@ -104,17 +104,6 @@ class Element:
         sign, mono = r
         return cls(space, {mono: sign * exact(coeff)})
 
-    @classmethod
-    def from_terms(cls, space, pairs):
-        acc = {}
-        for word, coeff in pairs:
-            r = normalize_word(space, tuple(word))
-            if r is None:
-                continue
-            sign, mono = r
-            acc[mono] = acc.get(mono, ZERO) + sign * exact(coeff)
-        return cls(space, acc)
-
     # ---- structure ----
 
     def is_zero(self):

@@ -40,17 +40,21 @@ def _env_max_degree(env):
 class Superspace:
     """Immutable: dimension, parity vector, Gram matrix, degree cap."""
 
-    __slots__ = ("dim", "parity", "gram", "nondegenerate", "max_degree",
-                 "pure_odd", "pure_even", "_rank")
+    __slots__ = ("dim", "parity", "gram", "max_degree", "pure_odd",
+                 "pure_even", "_rank")
 
     def __init__(self, dim, parity, gram, max_degree=None):
-        if dim < 1:
-            raise NaryError("dimension must be >= 1")
+        if not isinstance(dim, int) or dim < 1:
+            raise NaryError(f"dimension must be an int >= 1, got {dim!r}")
         if len(parity) != dim:
             raise NaryError("parity vector length != dim")
+        for i, p in enumerate(parity):
+            if not isinstance(p, int) or p not in (EVEN, ODD):
+                raise NaryError(f"parity[{i}] must be 0 (even) or 1 (odd), "
+                                f"got {p!r}")
         if len(gram) != dim or any(len(row) != dim for row in gram):
             raise NaryError("gram must be dim x dim")
-        parity = tuple(int(p) & 1 for p in parity)
+        parity = tuple(int(p) for p in parity)
         gram = tuple(tuple(linalg.exact(x) for x in row) for row in gram)
         for i in range(dim):
             for j in range(dim):
@@ -71,8 +75,7 @@ class Superspace:
         self.gram = gram
         self.pure_odd = all(p == ODD for p in parity)
         self.pure_even = all(p == EVEN for p in parity)
-        self._rank = linalg.rank(linalg.sparse(gram))
-        self.nondegenerate = self._rank == dim
+        self._rank = None
         if max_degree is None:
             env = os.environ.get(_ENV_MAX_DEGREE)
             if env is not None:
@@ -82,7 +85,14 @@ class Superspace:
             max_degree if max_degree is not None else 2 * dim)
 
     def rank(self):
+        """Rank of the Gram matrix, computed on first use."""
+        if self._rank is None:
+            self._rank = linalg.rank(linalg.sparse(self.gram))
         return self._rank
+
+    @property
+    def nondegenerate(self):
+        return self.rank() == self.dim
 
     def __eq__(self, other):
         return (isinstance(other, Superspace) and self.dim == other.dim

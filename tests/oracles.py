@@ -76,7 +76,7 @@ def spin_by_fixed_point(mats, seed_rows, m):
 
     Every round maps every basis row by every dense Fraction matrix and
     re-eliminates the whole stack, until a round adds nothing.  The seeds
-    and the returned basis are sparse rows, as in ``classify._spin``.
+    and the returned basis are sparse rows.
     """
     rows = linalg.row_space(seed_rows)
     changed = True
@@ -93,6 +93,30 @@ def spin_by_fixed_point(mats, seed_rows, m):
             rows = reduced
             changed = True
     return rows
+
+
+def commutant_dim_by_kronecker(s):
+    """Dimension of {X : X L = L X for every operator L of s}.  Oracle only.
+
+    With X flattened row by row, X L - L X = 0 reads (I (x) L^T - L (x) I)
+    x = 0.  The dense Kronecker blocks of all operators are stacked, zero
+    and repeated rows dropped, and ranked by ``bareiss_rank``; the
+    dimension is m^2 minus that rank.
+    """
+    m = s.space.dim
+    rows = set()
+    for t in canonical_tuples(s.space, s.arity - 1):
+        cols = s.operator(t)
+        op = [[Fraction(cols[j].get(i, 0)) for j in range(m)]
+              for i in range(m)]
+        for i, j in product(range(m), repeat=2):
+            row = [Fraction(0)] * (m * m)
+            for k in range(m):
+                row[i * m + k] += op[k][j]
+                row[k * m + j] -= op[i][k]
+            if any(row):
+                rows.add(tuple(row))
+    return m * m - linalg.bareiss_rank(sorted(rows))
 
 
 def qf_by_ordered_loop(s, phi, exhaustive=False):

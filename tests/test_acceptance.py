@@ -243,7 +243,7 @@ def test_criterion_09_simplicity():
             v = Element(space, {(2 * t, 2 * t + 1): Fraction(t + 1)
                                 for t in range(nblocks)})
             s = derive_structure(build_m3_algebra(ctx, v))
-            found = find_ideal(s, rounds=48, seed=1).found
+            found = find_ideal(s).found
             if found != (2 * nblocks <= 2):
                 ok = False
     assert report(9, ok, "ideal search matches the rank criterion and finds "

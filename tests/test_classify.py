@@ -28,13 +28,15 @@ from naryalg.derived import (
 )
 from naryalg.errors import (
     DimensionTooSmall,
+    NaryError,
+    NotHodgeContext,
     NotOrthogonal,
     NotSkew,
 )
 from naryalg.hodge import HodgeContext, star
 from naryalg.poisson import Element, pair_vectors, poisson_bracket
 from naryalg.superspace import odd_space
-from oracles import spin_by_fixed_point
+from oracles import commutant_dim_by_kronecker, spin_by_fixed_point
 
 V5 = odd_space(5)
 CTX5 = HodgeContext(V5)
@@ -154,11 +156,11 @@ def test_find_ideal_kernel_case():
         linalg.sparse([[Fraction(x) for x in r] for r in want]))
 
 
-def test_find_ideal_simple_case_probabilistic():
+def test_find_ideal_simple_case_certified():
     mu = build_m3_algebra(CTX5, mono(V5, 1, 2) + mono(V5, 3, 4))
-    rep = find_ideal(derive_structure(mu), rounds=64, seed=0)
-    assert not rep.found
-    assert rep.status.startswith("simple")
+    rep = find_ideal(derive_structure(mu))
+    assert not rep.found and rep.method == "commutant"
+    assert rep.status == "simple (certified)" and rep.rounds == 0
 
 
 def test_find_ideal_zero_structure_reports_a_line():
@@ -179,7 +181,7 @@ def test_found_ideals_verify_exactly():
     for _ in range(10):
         v = skew_to_element(V5, random_skew(rng, 5, denominators=1))
         s = derive_structure(build_m3_algebra(CTX5, v))
-        rep = find_ideal(s, rounds=32, seed=7)
+        rep = find_ideal(s)
         if not rep.found:
             continue
         rows = [[b.coefficient((i,)) for i in range(5)] for b in rep.basis]
@@ -193,119 +195,92 @@ def test_found_ideals_verify_exactly():
                     == len(rows)
 
 
-def test_simplicity_matches_rank_criterion_on_grids():
-    for m in (5, 6, 7):
-        sp = odd_space(m)
-        ctx = HodgeContext(sp)
-        k = m // 2
-        for nblocks in range(k + 1):
-            v = Element(sp, {(2 * t, 2 * t + 1): Fraction(t + 1)
-                             for t in range(nblocks)})
-            s = derive_structure(build_m3_algebra(ctx, v))
-            rep = find_ideal(s, rounds=48, seed=3)
-            assert rep.found == (2 * nblocks <= 2)
-
-
-def _random_rational(rng):
-    return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-
-
-def _random_invertible(rng, m):
-    while True:
-        p = [[_random_rational(rng) for _ in range(m)] for _ in range(m)]
-        if linalg.rank(linalg.sparse(p)) == m:
-            return p
-
-
-def _operators_and_seeds(rng, m):
-    """Random operators with a known invariant subspace, and seed sets.
-
-    The operators are block upper triangular with a leading k x k block,
-    conjugated by a random invertible p; each preserves the span of the
-    first k columns of p.
-    """
-    k = rng.randint(0, m)
-    p = _random_invertible(rng, m)
-    p_inv = linalg.inverse(p)
-    mats = []
-    for _ in range(rng.randint(1, 3)):
-        b = [[_random_rational(rng) if j >= k or i < k else Fraction(0)
-              for j in range(m)] for i in range(m)]
-        mats.append(linalg.mat_mul(linalg.mat_mul(p, b), p_inv))
-    if rng.random() < 0.3:
-        mats.append(linalg.zeros(m, m))
-    invariant = linalg.transpose(p)[:k]
-
-    def combination(rows):
-        return [sum((_random_rational(rng) * r[c] for r in rows), Fraction(0))
-                for c in range(m)]
-
-    seeds = [
-        [combination(invariant)] if invariant else [linalg.zeros(1, m)[0]],
-        list(invariant),                                # already invariant
-        linalg.identity(m),                             # spans everything
-        [combination(linalg.identity(m))],
-        [combination(linalg.identity(m)), linalg.zeros(1, m)[0]],
-    ]
-    return mats, [rows for rows in seeds if rows]
-
-
-def test_spin_matches_fixed_point_oracle():
-    rng = random.Random(41)
-    proper = 0
-    for m in range(1, 9):
-        for _ in range(6):
-            mats, seed_sets = _operators_and_seeds(rng, m)
-            for case in (mats, [], [linalg.zeros(m, m)]):
-                # find_ideal spins under the operators and, in its last
-                # stage, under their transposes, whose columns are the rows
-                for dense, ops in (
-                        (case, [classify._integer_lines(
-                            linalg.sparse(zip(*mat))) for mat in case]),
-                        ([linalg.transpose(mat) for mat in case],
-                         [classify._integer_lines(linalg.sparse(mat))
-                          for mat in case])):
-                    for seeds in map(linalg.sparse, seed_sets):
-                        want = spin_by_fixed_point(dense, seeds, m)
-                        assert classify._spin(ops, seeds, m) == want
-                        proper += 0 < len(want) < m
-    assert proper >= 40
-
-
-def test_find_ideal_reports_unchanged_with_the_oracle_spin(monkeypatch):
-    # stage 2 spins the same candidates for every seed, so each distinct
-    # spin is handed to the slow oracle once
-    answers = {}
-
-    def oracle_spin(ops, seed_rows, m):
-        key = (tuple(tuple(tuple(sorted(col.items())) for col in cols)
-                     for cols in ops),
-               tuple(tuple(sorted(row.items())) for row in seed_rows))
-        if key not in answers:
-            dense = [[[Fraction(col.get(i, 0)) for col in cols]
-                      for i in range(m)] for cols in ops]
-            answers[key] = spin_by_fixed_point(dense, seed_rows, m)
-        return [dict(row) for row in answers[key]]
-
-    def reports(s, seed):
-        rep = find_ideal(s, rounds=3, seed=seed)
-        return rep.found, rep.basis, rep.method, rep.status, rep.rounds
-
-    methods = set()
-    for m in (5, 6, 7, 8):
+def _grid_structures(ms):
+    for m in ms:
         sp = odd_space(m)
         ctx = HodgeContext(sp)
         for nblocks in range(m // 2 + 1):
             v = Element(sp, {(2 * t, 2 * t + 1): Fraction(t + 1)
                              for t in range(nblocks)})
-            s = derive_structure(build_m3_algebra(ctx, v))
-            for seed in (0, 1, 2):
-                got = reports(s, seed)
-                with monkeypatch.context() as patch:
-                    patch.setattr(classify, "_spin", oracle_spin)
-                    assert reports(s, seed) == got
-                methods.add(got[2])
-    assert methods == {"kernel", "meataxe"}
+            yield 2 * nblocks, derive_structure(build_m3_algebra(ctx, v))
+
+
+def test_simplicity_matches_rank_criterion_on_grids():
+    for rank, s in _grid_structures((5, 6, 7)):
+        assert find_ideal(s).found == (rank <= 2)
+
+
+def _rational_rotation(rng, m):
+    """Cayley transform (I - A)(I + A)^-1 of a random rational skew A."""
+    a = random_skew(rng, m, denominators=3)
+    eye = linalg.identity(m)
+    minus = [[x - y for x, y in zip(r, s)] for r, s in zip(eye, a)]
+    plus = [[x + y for x, y in zip(r, s)] for r, s in zip(eye, a)]
+    return linalg.mat_mul(minus, linalg.inverse(plus))
+
+
+def _so3_plus_so3(rotated):
+    """e1e2e3 + e4e5e6 on V6, the structure of so(3) + so(3)."""
+    sp = odd_space(6)
+    mu = mono(sp, 1, 2, 3) + mono(sp, 4, 5, 6)
+    if rotated:
+        mu = map_element(sp, _rational_rotation(random.Random(5), 6), mu)
+    return derive_structure(Potential.single(sp, mu))
+
+
+def test_commutant_dimension_matches_kronecker_oracle():
+    cases = list(_grid_structures((5, 6, 7, 8)))
+    cases += [(None, _so3_plus_so3(False)), (None, _so3_plus_so3(True))]
+    dims = []
+    for rank, s in cases:
+        m = s.space.dim
+        ops = [cols for cols in map(s.operator,
+                                    canonical_tuples(s.space, s.arity - 1))
+               if any(cols)]
+        got = classify._commutant(ops, m)[1]
+        assert got == commutant_dim_by_kronecker(s)
+        dims.append(got)
+        if rank is not None and rank > 2:
+            assert got == 1
+    assert dims[-2:] == [2, 2]
+
+
+def test_find_ideal_refuses_a_non_skew_operator():
+    # {e1, e2} = e1 gives L_1 e2 = e1 but L_1 e1 = 0
+    s = NaryStructure(V5, 2, {(0, 1): Element.generator(V5, 0)})
+    with pytest.raises(NotSkew):
+        find_ideal(s)
+
+
+def test_find_ideal_refuses_a_space_that_is_not_orthonormal():
+    sp = odd_space(5, gram=[[2 if i == j == 0 else int(i == j)
+                             for j in range(5)] for i in range(5)])
+    mu = Potential.single(sp, mono(sp, 1, 2, 5) + mono(sp, 3, 4, 5))
+    with pytest.raises(NotHodgeContext):
+        find_ideal(derive_structure(mu))
+
+
+def test_rotated_so3_plus_so3_is_never_called_simple():
+    rep = find_ideal(_so3_plus_so3(rotated=True))
+    assert not rep.found and rep.method == "commutant"
+    assert rep.status == "undecided (commutant dimension 2)"
+
+
+def test_aligned_so3_plus_so3_has_an_invariant_proper_ideal():
+    s = _so3_plus_so3(rotated=False)
+    rep = find_ideal(s)
+    assert rep.found and rep.method == "commutant"
+    rows = linalg.row_space([{i: c for (i,), c in b.terms.items()}
+                             for b in rep.basis])
+    assert rows == [{3: 1}, {4: 1}, {5: 1}]
+    mats = [[[Fraction(col.get(i, 0)) for col in s.operator(t)]
+             for i in range(6)] for t in canonical_tuples(s.space, 1)]
+    assert spin_by_fixed_point(mats, rows, 6) == rows
+
+
+def test_rank_hint_must_agree_with_the_commutant():
+    with pytest.raises(NaryError, match="disagrees with the commutant"):
+        find_ideal(_so3_plus_so3(rotated=False), rank_hint=4)
 
 
 def test_classify_records_match_theory():

@@ -472,3 +472,16 @@ def test_report_bytes_pinned(index):
     payload = io.dumps({"report": io.hodge_report_to_json(rep),
                         "harmonic": harmonic})
     assert hashlib.sha256(payload.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("index", range(len(PINNED_REPORTS)))
+def test_delta_ranks_read_from_d_match_delta_ranked_directly(index):
+    m, kind, sizes, turns, _ = PINNED_REPORTS[index]
+    ctx, mu = _seeded_case(m, kind, sizes, turns, 100 + index)
+    rep = hodge_decomposition(ctx, mu)
+    delta = codifferential(ctx, differential(ctx, mu))
+    by_degree = [linalg.rank(hodge._columns(delta, (p,)).values())
+                 for p in range(m + 1)]
+    assert [row.rank_delta for row in rep.degrees] == by_degree
+    total = linalg.rank(hodge._columns(delta, range(m + 1)).values())
+    assert rep.rank_delta == total

@@ -5,13 +5,14 @@ from fractions import Fraction
 import pytest
 
 from naryalg import io, linalg
-from naryalg.errors import (InexactCoefficient, MixedParityEntry, NotPureOdd,
-                            SymmetryViolation)
+from naryalg.errors import (Degenerate, InexactCoefficient, MixedParityEntry,
+                            NaryError, NotPureOdd, SymmetryViolation)
 from naryalg.superspace import (
     Orientation,
     Superspace,
     is_positive_definite,
     odd_space,
+    require_nondegenerate,
 )
 
 from oracles import rank_by_minors
@@ -49,6 +50,35 @@ def test_mixed_parity_zero_entries_ok():
                         [[0, 1, 0, 0], [-1, 0, 0, 0],
                          [0, 0, 1, 0], [0, 0, 0, 1]])
     assert sp.nondegenerate
+
+
+@pytest.mark.parametrize("dim, parity", [
+    (2, [2, 2]), (1, [3]), (1, [1.5]), (1, [1.0]), (1, ["odd"]), (1, [None]),
+    ("2", [1, 1]), (2.0, [1, 1]), (0, []), (None, []),
+])
+def test_bad_dim_or_parity_refused(dim, parity):
+    gram = [[int(i == j) for j in range(len(parity))]
+            for i in range(len(parity))]
+    with pytest.raises(NaryError) as info:
+        Superspace(dim, parity, gram)
+    assert type(info.value) is NaryError
+
+
+def test_gram_rank_is_computed_on_first_use(monkeypatch):
+    calls = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank",
+                        lambda rows: calls.append(1) or rank(rows))
+    full = Superspace(2, [0, 0], [[0, 1], [-1, 0]])
+    half = odd_space(3, gram=[[1, 1, 0], [1, 1, 0], [0, 0, 2]])
+    assert calls == []
+    require_nondegenerate(full)
+    assert calls == [1]
+    assert full.nondegenerate and full.rank() == 2
+    assert half.rank() == 2 and not half.nondegenerate
+    with pytest.raises(Degenerate, match="form has rank 2 < 3"):
+        require_nondegenerate(half)
+    assert calls == [1, 1]
 
 
 def test_positive_definite_identity():
