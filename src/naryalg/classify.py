@@ -226,15 +226,9 @@ def _apply(cols, vec):
 
 
 def _verify_ideal(ops, rows):
-    if not rows:
-        return False
-    space_rows = linalg.row_space(rows)
-    for cols in ops:
-        for vec in space_rows:
-            stacked = space_rows + [_apply(cols, vec)]
-            if len(linalg.row_space(stacked)) != len(space_rows):
-                return False
-    return True
+    """Does every operator map the span of the sparse rows into itself?"""
+    images = [_apply(cols, vec) for cols in ops for vec in rows]
+    return linalg.rank(rows + images) == linalg.rank(rows)
 
 
 def _rows_to_elements(space, rows):

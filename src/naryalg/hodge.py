@@ -23,23 +23,33 @@ blocks (p, p + s - 2).  Star is a signed permutation of monomials, so
 shift k, and takes no bracket.  The Laplacian and both square-zero
 checks are sparse block products.
 
+The decomposition is certified sector by sector.  A layer of degree s has
+shift k = s - 2, and g is the gcd of the differences of the shifts.  L
+keeps each class of degrees mod g (each degree when g = 0), and d maps the
+class of p onto that of p + k.  On such a sector S, Im d and Im delta are
+the images of the sectors that d and delta map onto S, and delta on a
+sector T has the rank of d on star T.  Every total is a sum over sectors;
+the per-degree images, cohomology and harmonic bases are filled in when
+g = 0.
+
 Everything here is exact rational arithmetic.  The blocks go to ``linalg``
 as they are, with no dense matrix in between: the columns of an operator
-on degree p are the images of the degree-p monomials, sparse rows keyed by
-monomial, and its rows are their transpose.  ``linalg.rank`` checks an
+on a set of degrees are the images of their monomials, sparse rows keyed
+by monomial, and its rows are their transpose.  ``linalg.rank`` checks an
 exact certificate of every rank it returns.  ``linalg.nullspace`` returns
 a basis that is a function of the kernel alone, so Ker L = Ker d n Ker
-delta is checked by comparing the two bases for equality.  The direct sum
-is checked by ranking the columns of d and delta landing in a degree
-together with the kernel rows.  The harmonic elements are read from the
-canonical sparse kernel rows, keyed by monomial, when the report's
-``harmonic`` is first read.
+delta is checked on each sector by comparing the two bases for equality.
+The direct sum is checked by ranking the columns of d and delta landing in
+the sector together with the kernel rows.  The harmonic elements are read
+from the canonical sparse kernel rows, keyed by monomial, when the
+report's ``harmonic`` is first read.
 """
 
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from . import linalg
 from .errors import NotHodgeContext, NotLInfinity
@@ -314,7 +324,11 @@ class HodgeReport:
 
 
 def hodge_decomposition(ctx, mu):
-    """Exact decomposition certificate for a homotopy potential."""
+    """Exact decomposition certificate for a homotopy potential.
+
+    Each sector, a class of degrees mod g (a single degree when g = 0),
+    is certified on its own; see the module docstring.
+    """
     _validate_homotopy(ctx, mu)
     degrees = mu.element.degrees()
     if len(degrees) > 1 and ctx.m > MAX_DIM_MIXED:
@@ -323,109 +337,86 @@ def hodge_decomposition(ctx, mu):
     d = differential(ctx, mu)
     delta = codifferential(ctx, d)
     lap = laplacian(ctx, d, delta)
-    if len(degrees) <= 1:
-        k = _layer_shift(degrees[0]) if degrees else 0
-        return _decompose_homogeneous(ctx, d, delta, lap, k)
-    return _decompose_mixed(ctx, d, delta, lap)
-
-
-def _decompose_homogeneous(ctx, d, delta, lap, k):
     m = ctx.m
     monos = ctx.degree_monomials
-    dims = [len(monos[p]) for p in range(m + 1)]
-    d_cols = {p: _columns(d, (p,)) for p in range(m + 1)}
-    delta_cols = {p: _columns(delta, (p,)) for p in range(m + 1)}
-    rows = []
-    kernels = {}
-    direct_ok = True
-    kernels_match = True
-    # Im d in degree p is the image of the d block of degree p - k, and
-    # Im delta in degree p that of the delta block of degree p + k.  The
-    # delta block of degree m - p is the d block of degree p under a signed
-    # permutation of monomials, so it has the same rank.
-    rank_d = {p: linalg.rank(cols.values()) for p, cols in d_cols.items()}
-    rank_delta = {m - p: r for p, r in rank_d.items()}
+    shifts = [_layer_shift(s) for s in degrees] or [0]
+    k = shifts[0]
+    g = gcd(*(s - k for s in shifts))
+
+    def sector(p):
+        return p % g if g else p
+
+    sectors = {}
     for p in range(m + 1):
-        dim = dims[p]
-        rank_d_p = rank_d[p]
-        rank_delta_p = rank_delta[p]
-        im_d = rank_d.get(p - k, 0)
-        im_delta = rank_delta.get(p + k, 0)
-        ker_lap = linalg.nullspace(_rows(_columns(lap, (p,))), monos[p])
-        # Ker L == Ker d n Ker delta on this degree
+        sectors[sector(p)] = sectors.get(sector(p), ()) + (p,)
+
+    def basis(ps):
+        return sorted(mono for p in ps for mono in monos[p])
+
+    @functools.cache
+    def rank_d(ps):
+        """Rank of d on the degrees ps."""
+        return linalg.rank(_columns(d, ps).values())
+
+    @functools.cache
+    def kernel(ps):
+        """Canonical basis of Ker L on the degrees ps."""
+        return linalg.nullspace(_rows(_columns(lap, ps)), basis(ps))
+
+    images = {}
+    direct_ok = kernels_match = True
+    for key, ps in sectors.items():
+        cols = basis(ps)
+        dim = len(cols)
+        ker = kernel(ps)
+        # Ker L == Ker d n Ker delta on the sector; both bases are
+        # canonical, so they are equal exactly when the kernels are
         ker_both = linalg.nullspace(
-            _rows(d_cols[p]) + _rows(delta_cols[p]), monos[p])
-        # both are canonical bases: equal exactly when the kernels are
-        if ker_lap != ker_both:
-            kernels_match = False
-        # three-way independence: the columns of d and delta landing here
-        # and the kernel rows, stacked, must span the degree, and the
-        # ranks and the kernel dimension must add up to it
-        pieces = [vec for cols in (d_cols.get(p - k), delta_cols.get(p + k))
-                  if cols for vec in cols.values()]
-        pieces += ker_lap
-        total_pieces = im_d + im_delta + len(ker_lap)
-        if total_pieces != dim or (pieces and linalg.rank(pieces) != dim):
+            _rows(_columns(d, ps)) + _rows(_columns(delta, ps)), cols)
+        kernels_match = kernels_match and ker == ker_both
+        # Im d here is the image of the sector that d maps here, and Im
+        # delta that of the sector that delta maps here.  delta = sum_k s_k
+        # star d_k star with s_k = (-1)^{k(1-k)/2}; on the odd shifts of an
+        # odd potential s_k = -i i^k, and sum_k i^k d_k is d conjugated by
+        # the map i^p on degree p, diagonal per degree.  So delta on T has
+        # the rank of d on star T, over C and hence over Q.
+        from_d = sectors.get(sector(ps[0] - k), ())
+        from_delta = sectors.get(sector(ps[0] + k), ())
+        im_d = rank_d(from_d) if from_d else 0
+        im_delta = rank_d(tuple(sorted(m - p for p in from_delta))) \
+            if from_delta else 0
+        images[key] = im_d, im_delta
+        # three-way independence: the images and the kernel rows, stacked,
+        # span the sector, and their dimensions add up to it
+        pieces = list(_columns(d, from_d).values())
+        pieces += _columns(delta, from_delta).values()
+        pieces += ker
+        if im_d + im_delta + len(ker) != dim or \
+                (pieces and linalg.rank(pieces) != dim):
             direct_ok = False
-        cohom = (dim - rank_d_p) - im_d
-        if cohom != len(ker_lap):
+        if (dim - rank_d(ps)) - im_d != len(ker):
             direct_ok = False
-        rows.append(HodgeDegreeRow(p, dim, rank_d_p, rank_delta_p, im_d,
-                                   im_delta, len(ker_lap), cohom))
-        kernels[p] = ker_lap
-    return HodgeReport(
-        m=m,
-        degrees=rows,
-        total_dim=sum(dims),
-        rank_d=sum(r.rank_d for r in rows),
-        rank_delta=sum(r.rank_delta for r in rows),
-        ker_laplacian=sum(r.ker_laplacian for r in rows),
-        direct_sum_ok=direct_ok,
-        kernel_intersection_ok=kernels_match,
-        cohomology_total=sum(r.cohomology for r in rows),
-        homogeneous=True,
-        space=ctx.space,
-        kernels=kernels,
-    )
 
-
-def _decompose_mixed(ctx, d, delta, lap):
-    m = ctx.m
-    monos = ctx.degree_monomials
-    dims = [len(monos[p]) for p in range(m + 1)]
-    total = sum(dims)
-    everything = range(m + 1)
-    columns = sorted(mono for degree in monos for mono in degree)
-    d_cols = _columns(d, everything)
-    delta_cols = _columns(delta, everything)
-    rank_d = linalg.rank(d_cols.values())
-    # delta = star (sum_k s_k d_k) star with s_k = (-1)^{k(1-k)/2}.  The
-    # layers of an odd potential have odd shifts k, where s_k = -i i^k, and
-    # sum_k i^k d_k is d conjugated by e_j -> i e_j over C: same rank as d
-    rank_delta = rank_d
-    ker_lap = linalg.nullspace(_rows(_columns(lap, everything)), columns)
-    ker_both = linalg.nullspace(_rows(d_cols) + _rows(delta_cols), columns)
-    kernels_match = ker_lap == ker_both
-    pieces = list(d_cols.values()) + list(delta_cols.values()) + ker_lap
-    direct_ok = (rank_d + rank_delta + len(ker_lap) == total
-                 and (not pieces or linalg.rank(pieces) == total))
-    cohom = (total - rank_d) - rank_d
-
-    def rank_on(op, p):
-        return linalg.rank(_columns(op, (p,)).values())
-
-    rows = [HodgeDegreeRow(p, dims[p], rank_on(d, p), rank_on(delta, p),
-                           None, None, dims[p] - rank_on(lap, p), None)
-            for p in range(m + 1)]
+    rows = []
+    for p in range(m + 1):
+        dim, rank_d_p = len(monos[p]), rank_d((p,))
+        im_d, im_delta = (None, None) if g else images[p]
+        rows.append(HodgeDegreeRow(
+            p, dim, rank_d_p, rank_d((m - p,)), im_d, im_delta,
+            len(kernel((p,))), None if g else (dim - rank_d_p) - im_d))
+    total = sum(len(x) for x in monos)
+    rank_total = sum(rank_d(ps) for ps in sectors.values())
     return HodgeReport(
         m=m,
         degrees=rows,
         total_dim=total,
-        rank_d=rank_d,
-        rank_delta=rank_delta,
-        ker_laplacian=len(ker_lap),
+        rank_d=rank_total,
+        rank_delta=rank_total,
+        ker_laplacian=sum(len(kernel(ps)) for ps in sectors.values()),
         direct_sum_ok=direct_ok,
         kernel_intersection_ok=kernels_match,
-        cohomology_total=cohom,
-        homogeneous=False,
+        cohomology_total=total - 2 * rank_total,
+        homogeneous=not g,
+        space=ctx.space,
+        kernels={} if g else {p: kernel((p,)) for p in range(m + 1)},
     )

@@ -257,8 +257,10 @@ def _check_rank_certificate(rows, lead_rows, deps):
     Uses nothing but products of the input rows with the stored rows and
     the recorded combinations.
     """
-    # integral entries as ints, which multiply faster than Fractions
-    given = [{c: x.numerator if x.denominator == 1 else x
+    # every input row times den, the lcm of all denominators, as ints: the
+    # combinations then give den * scale * vec for a stored row
+    den = lcm(*(x.denominator for row in rows for x in row.values()))
+    given = [{c: x.numerator * (den // x.denominator)
               for c, x in row.items() if x} for row in rows]
     n = len(given)
 
@@ -277,7 +279,7 @@ def _check_rank_certificate(rows, lead_rows, deps):
         if not vec or min(vec) != lead:
             raise NaryError(f"rank certificate: stored row {lead!r} does "
                             "not lead at its key")
-        if not scale or combine(comb) != {c: scale * x
+        if not scale or combine(comb) != {c: den * scale * x
                                           for c, x in vec.items()}:
             raise NaryError(f"rank certificate: combination does not give "
                             f"stored row {lead!r}")

@@ -112,9 +112,6 @@ class Element:
     def degrees(self):
         return sorted({len(m) for m in self.terms})
 
-    def is_homogeneous(self):
-        return len(self.degrees()) <= 1
-
     def degree(self):
         ds = self.degrees()
         if len(ds) != 1:

@@ -12,7 +12,16 @@ from naryalg.derived import (
     koszul_selection_sign,
 )
 from naryalg.frobenius import QFCertificate, validate_phi
-from naryalg.hodge import star
+from naryalg.hodge import (
+    HodgeDegreeRow,
+    HodgeReport,
+    _columns,
+    _rows,
+    codifferential,
+    differential,
+    laplacian,
+    star,
+)
 from naryalg.linalg import det
 from naryalg.poisson import (
     Element,
@@ -190,6 +199,45 @@ def hodge_operators_by_compose(ctx, mu):
                             compose(star_op, compose(d_k, star_op)).items()})
     lap = add(compose(delta, d), compose(d, delta))
     return d, delta, lap
+
+
+def hodge_by_global_ranks(ctx, mu):
+    """Hodge report of a mixed-layer potential over all of S*V.  Oracle only.
+
+    Ranks every column of d, and of delta, at once; compares one nullspace
+    of L with one of [d; delta] over the whole space; checks the direct sum
+    with one rank of all columns and kernel rows.  The per-degree rows rank
+    d, delta and L on each degree.  No sector is used.
+    """
+    d = differential(ctx, mu)
+    delta = codifferential(ctx, d)
+    lap = laplacian(ctx, d, delta)
+    m = ctx.m
+    dims = [len(monos) for monos in ctx.degree_monomials]
+    total = sum(dims)
+    everything = range(m + 1)
+    columns = sorted(mono for monos in ctx.degree_monomials for mono in monos)
+    d_cols = _columns(d, everything)
+    delta_cols = _columns(delta, everything)
+    rank_d = linalg.rank(d_cols.values())
+    rank_delta = linalg.rank(delta_cols.values())
+    ker_lap = linalg.nullspace(_rows(_columns(lap, everything)), columns)
+    ker_both = linalg.nullspace(_rows(d_cols) + _rows(delta_cols), columns)
+    pieces = list(d_cols.values()) + list(delta_cols.values()) + ker_lap
+    direct_ok = (rank_d + rank_delta + len(ker_lap) == total
+                 and (not pieces or linalg.rank(pieces) == total))
+
+    def rank_on(op, p):
+        return linalg.rank(_columns(op, (p,)).values())
+
+    rows = [HodgeDegreeRow(p, dims[p], rank_on(d, p), rank_on(delta, p),
+                           None, None, dims[p] - rank_on(lap, p), None)
+            for p in everything]
+    return HodgeReport(m=m, degrees=rows, total_dim=total, rank_d=rank_d,
+                       rank_delta=rank_delta, ker_laplacian=len(ker_lap),
+                       direct_sum_ok=direct_ok,
+                       kernel_intersection_ok=ker_lap == ker_both,
+                       cohomology_total=total - 2 * rank_d, homogeneous=False)
 
 
 def _report(name, violations, exhaustive):

@@ -176,23 +176,55 @@ def test_find_ideal_rank_shortcut():
     assert rep.status == "simple (certified)"
 
 
+def _rank2_structures(rng):
+    """(m-3)-ary algebras of random rank-2 skew matrices u w^T - w u^T."""
+    for m in (5, 6, 7):
+        sp = odd_space(m)
+        ctx = HodgeContext(sp)
+        done = 0
+        while done < 3:
+            u = [rng.randint(-3, 3) for _ in range(m)]
+            w = [rng.randint(-3, 3) for _ in range(m)]
+            a = [[Fraction(u[i] * w[j] - w[i] * u[j]) for j in range(m)]
+                 for i in range(m)]
+            if linalg.rank(linalg.sparse(a)) != 2:
+                continue
+            v = skew_to_element(sp, a)
+            yield derive_structure(build_m3_algebra(ctx, v))
+            done += 1
+
+
 def test_found_ideals_verify_exactly():
-    rng = random.Random(31)
-    for _ in range(10):
-        v = skew_to_element(V5, random_skew(rng, 5, denominators=1))
-        s = derive_structure(build_m3_algebra(CTX5, v))
+    cases = [(s, "kernel") for s in _rank2_structures(random.Random(31))]
+    cases.append((_so3_plus_so3(rotated=False), "commutant"))
+    for s, method in cases:
         rep = find_ideal(s)
-        if not rep.found:
-            continue
-        rows = [[b.coefficient((i,)) for i in range(5)] for b in rep.basis]
+        assert rep.found and rep.method == method
+        m = s.space.dim
+        rows = [[b.coefficient((i,)) for i in range(m)] for b in rep.basis]
         rows = linalg.row_space(linalg.sparse(rows))
-        for t in canonical_tuples(V5, s.arity - 1):
-            cols = s.operator(t)
-            mat = [[col.get(i, 0) for col in cols] for i in range(5)]
+        assert 0 < len(rows) < m
+        # the product with each basis row, by the multilinear extension
+        gens = [Element.generator(s.space, i) for i in range(m)]
+        prefixes = canonical_tuples(s.space, s.arity - 1)
+        probed = 0
+        for t in prefixes:
             for vec in rows:
-                img = linalg.mat_vec(mat, [vec.get(i, 0) for i in range(5)])
+                w = Element(s.space, {(i,): c for i, c in vec.items()})
+                img = s.eval_elements([gens[i] for i in t] + [w])
+                img = [img.coefficient((i,)) for i in range(m)]
                 assert len(linalg.row_space(rows + linalg.sparse([img]))) \
                     == len(rows)
+                probed += 1
+        assert probed == len(rows) * len(prefixes) > 0
+
+
+def test_verify_ideal_rejects_a_subspace_that_is_not_invariant():
+    s = _so3_plus_so3(rotated=False)
+    ops = [s.operator(t) for t in canonical_tuples(s.space, 1)]
+    assert classify._verify_ideal(ops, [{3: 1}, {4: 1}, {5: 1}])
+    # L_1 maps e_2 to a multiple of e_3, outside the span of e_2 and e_4
+    assert not classify._verify_ideal(ops, [{1: 1}, {3: 1}])
 
 
 def _grid_structures(ms):

@@ -24,7 +24,7 @@ from naryalg.hodge import (
 )
 from naryalg.poisson import Element, nested_bracket_indices, poisson_bracket
 from naryalg.superspace import Orientation, even_symplectic_space, odd_space
-from oracles import hodge_operators_by_compose
+from oracles import hodge_by_global_ranks, hodge_operators_by_compose
 
 V5 = odd_space(5)
 CTX5 = HodgeContext(V5)
@@ -227,6 +227,27 @@ def test_decomposition_mixed_family():
     assert rep.direct_sum_ok
     assert rep.kernel_intersection_ok
     assert rep.rank_d + rep.rank_delta + rep.ker_laplacian == 16
+
+
+# disjoint families e1e2e3 + e4...e_m with no degree-1 layer, so Ker L is
+# not zero: shifts 1 and 3 (g = 2) and 1 and 5 (g = 4).  Ker L has the
+# Kunneth dimension, the product of the layers' cohomology on their own
+# variables: 2 * 22 and 2 * 114.
+MIXED_KERNEL_CASES = [(8, 44), (10, 228)]
+
+
+@pytest.mark.parametrize("m,ker", MIXED_KERNEL_CASES)
+def test_mixed_sectors_match_global_oracle(m, ker):
+    space = odd_space(m)
+    ctx = HodgeContext(space)
+    mu = Potential.homotopy_family(
+        space, mono(space, 1, 2, 3) + mono(space, *range(4, m + 1)))
+    rep = hodge_decomposition(ctx, mu)
+    want = hodge_by_global_ranks(ctx, mu)
+    assert rep.ker_laplacian == want.ker_laplacian == ker
+    assert rep.direct_sum_ok and rep.kernel_intersection_ok
+    assert io.hodge_report_to_json(rep) == io.hodge_report_to_json(want)
+    assert not rep.harmonic
 
 
 def test_laplacian_of_harmonics_vanishes():
