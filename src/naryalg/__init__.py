@@ -14,7 +14,6 @@ from .superspace import (
 )
 from .poisson import (
     Element,
-    bracket_recursive_oracle,
     multiply,
     nested_bracket,
     nested_bracket_indices,
@@ -34,7 +33,6 @@ from .derived import (
     check_l_infinity,
     check_nary_jacobi,
     derive_structure,
-    generalized_jacobi,
     potential_from_structure,
 )
 from .hodge import (

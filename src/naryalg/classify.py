@@ -386,26 +386,25 @@ def map_element(space, phi, el):
     return out
 
 
-def isomorphic_via(space, mu1, mu2, phi, self_check=True):
+def isomorphic_via(space, mu1, mu2, phi):
     """Does phi in SO(V) carry the first potential to the second?"""
     phi = [[Fraction(x) for x in row] for row in phi]
     if not _is_special_orthogonal(space, phi):
         raise NotOrthogonal("phi does not preserve the form with det +1")
-    if self_check:
-        # bracket morphism property on a few fixed pairs
-        rng = random.Random(2)
-        for _ in range(4):
-            deg = rng.randint(1, min(3, space.dim))
-            t1 = canonical_tuples(space, deg)
-            t2 = canonical_tuples(space, deg)
-            if not t1 or not t2:
-                continue
-            a = Element.monomial(space, t1[rng.randrange(len(t1))])
-            b = Element.monomial(space, t2[rng.randrange(len(t2))])
-            lhs = map_element(space, phi, poisson_bracket(a, b))
-            rhs = poisson_bracket(map_element(space, phi, a),
-                                  map_element(space, phi, b))
-            if lhs != rhs:
-                raise NaryError("form-preserving map failed the bracket "
-                                "morphism self-check")
+    # bracket morphism property on a few fixed pairs
+    rng = random.Random(2)
+    for _ in range(4):
+        deg = rng.randint(1, min(3, space.dim))
+        t1 = canonical_tuples(space, deg)
+        t2 = canonical_tuples(space, deg)
+        if not t1 or not t2:
+            continue
+        a = Element.monomial(space, t1[rng.randrange(len(t1))])
+        b = Element.monomial(space, t2[rng.randrange(len(t2))])
+        lhs = map_element(space, phi, poisson_bracket(a, b))
+        rhs = poisson_bracket(map_element(space, phi, a),
+                              map_element(space, phi, b))
+        if lhs != rhs:
+            raise NaryError("form-preserving map failed the bracket "
+                            "morphism self-check")
     return map_element(space, phi, mu1.element) == mu2.element

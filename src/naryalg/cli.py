@@ -30,7 +30,7 @@ from .errors import NaryError
 from .frobenius import check_quasi_frobenius, graph_subalgebra_test, \
     t_star_extension
 from .hodge import HodgeContext, hodge_decomposition, star
-from .poisson import Element, bracket_recursive_oracle, poisson_bracket
+from .poisson import Element, poisson_bracket
 from .superspace import odd_space
 
 
@@ -130,8 +130,7 @@ def cmd_bracket(args):
     space = _load_space(args)
     a = io.parse_element(space, io.load_file(args.a))
     b = io.parse_element(space, io.load_file(args.b))
-    fn = bracket_recursive_oracle if args.oracle else poisson_bracket
-    _emit(args, io.element_to_json(fn(a, b)))
+    _emit(args, io.element_to_json(poisson_bracket(a, b)))
     return 0
 
 
@@ -260,8 +259,6 @@ def build_parser():
     common(b)
     b.add_argument("--a", required=True)
     b.add_argument("--b", required=True)
-    b.add_argument("--oracle", action="store_true",
-                   help="use the slow recursive evaluation")
     b.set_defaults(fn=cmd_bracket)
 
     h = add_cmd("hodge", "decomposition certificate")

@@ -31,6 +31,11 @@ otherwise.  The gather loops over every canonical tuple are the oracles in
 keyword of check_invariant, check_nary_jacobi and check_filippov is
 accepted and ignored, since exact Fraction work cannot run in parallel
 under the GIL.
+
+The homotopy condition has one check, check_l_infinity: [mu, mu] is a
+scalar.  The generalized Jacobi identities it is equivalent to are
+evaluated term by term only by the oracle ``generalized_jacobi`` in
+``tests/oracles.py``.
 """
 
 from dataclasses import dataclass, field
@@ -52,7 +57,6 @@ from .errors import (
 )
 from .poisson import (
     Element,
-    nested_bracket,
     nested_bracket_indices,
     normalize_word,
     pair_vectors,
@@ -116,23 +120,6 @@ def _support_tuples(mu, n):
     for support in supports:
         out.update(canonical_tuples(mu.space, n, sorted(support)))
     return sorted(out)
-
-
-def koszul_selection_sign(parities, chosen):
-    """Sign of reordering (a_0,...,a_{N-1}) to (a_chosen, a_rest).
-
-    chosen is an ascending position list; the sign is -1 for every pair of
-    odd arguments that crosses.
-    """
-    chosen_set = set(chosen)
-    sign = 1
-    for p in chosen:
-        if not parities[p]:
-            continue
-        for q in range(p):
-            if q not in chosen_set and parities[q]:
-                sign = -sign
-    return sign
 
 
 def _probe_all(probe, items, exhaustive):
@@ -632,56 +619,3 @@ def check_derivation(w, mu):
     if not w.is_zero() and w.degree() != 2:
         raise WrongDegree("derivations correspond to degree-2 elements")
     return poisson_bracket(w, mu.element).is_zero()
-
-
-# ---------------------------------------------------------------------------
-# generalized (homotopy) Jacobi identities
-
-
-def generalized_jacobi(mu, exhaustive=False):
-    """Evaluate the generalized Jacobi identities of a graded family.
-
-    Identity number q constrains q arguments: summed over splittings of
-    the arguments into an outer block J and an inner block I,
-
-        sum  sign(J, I) * op_{|J|+1}(a_J, op_{|I|}(a_I)) = 0,
-
-    where op_s is the s-ary product of the degree-(s+1) layer and the sign
-    is the Koszul sign of the reordering.  One report per identity index.
-    """
-    from itertools import combinations
-    space = mu.space
-    layers = mu.layers()
-    arities = sorted(layers)
-    reports = {}
-    if not arities:
-        return reports
-    for q in range(0, 2 * max(arities)):
-        # splittings |J| = k', |I| = l with k'+l = q, needing layers k'+1, l
-        pairs = [(kp, q - kp) for kp in range(q + 1)
-                 if (kp + 1) in layers and (q - kp) in layers]
-        if not pairs:
-            continue
-        violations = []
-        for args in canonical_tuples(space, q):
-            pars = [space.parity[i] for i in args]
-            total = Element.zero(space)
-            for kp, l in pairs:
-                for outer_pos in combinations(range(q), kp):
-                    inner_pos = [p for p in range(q) if p not in outer_pos]
-                    sign = koszul_selection_sign(pars, list(outer_pos))
-                    inner = nested_bracket_indices(
-                        space, [args[p] for p in inner_pos], layers[l])
-                    if inner.is_zero():
-                        continue
-                    outer = nested_bracket(
-                        [Element.generator(space, args[p]) for p in outer_pos]
-                        + [inner],
-                        layers[kp + 1])
-                    total = total + (outer if sign == 1 else -outer)
-            if not total.is_zero():
-                violations.append((args, total))
-                if not exhaustive:
-                    break
-        reports[q] = _violation_report(f"generalized-jacobi-{q}", violations)
-    return reports

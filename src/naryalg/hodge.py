@@ -52,6 +52,7 @@ from itertools import combinations
 from math import gcd
 
 from . import linalg
+from .derived import check_l_infinity
 from .errors import NotHodgeContext, NotLInfinity
 from .poisson import Element, multiply, poisson_bracket
 from .superspace import Orientation
@@ -60,7 +61,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 MAX_DIM = 14
-MAX_DIM_MIXED = 10
 
 
 class HodgeContext:
@@ -280,11 +280,10 @@ def laplacian(ctx, d, delta):
     return _product_sum([(delta, d), (d, delta)])
 
 
-def _validate_homotopy(ctx, mu):
+def _validate_homotopy(mu):
     if not mu.is_odd():
         raise NotLInfinity("decomposition needs an odd potential")
-    sq = poisson_bracket(mu.element, mu.element)
-    if not (sq - sq.homogeneous_part(0)).is_zero():
+    if not check_l_infinity(mu).passed:
         raise NotLInfinity("[mu, mu] is not a scalar")
 
 
@@ -329,11 +328,8 @@ def hodge_decomposition(ctx, mu):
     Each sector, a class of degrees mod g (a single degree when g = 0),
     is certified on its own; see the module docstring.
     """
-    _validate_homotopy(ctx, mu)
+    _validate_homotopy(mu)
     degrees = mu.element.degrees()
-    if len(degrees) > 1 and ctx.m > MAX_DIM_MIXED:
-        raise NotHodgeContext(
-            f"mixed-layer potentials are guarded at dimension {MAX_DIM_MIXED}")
     d = differential(ctx, mu)
     delta = codifferential(ctx, d)
     lap = laplacian(ctx, d, delta)

@@ -10,7 +10,7 @@ import json
 from fractions import Fraction
 
 from .derived import NaryStructure, Potential
-from .errors import SchemaError
+from .errors import NaryError, SchemaError
 from .poisson import Element
 from .superspace import Superspace
 
@@ -192,7 +192,7 @@ def parse_structure(space, obj, path="structure"):
         table[tuple(args)] = value
     try:
         return NaryStructure(space, arity, table)
-    except Exception as ex:
+    except NaryError as ex:
         raise SchemaError(path, str(ex))
 
 

@@ -14,9 +14,9 @@ The bracket is the even Poisson structure determined by three rules:
 ``poisson_bracket`` implements the closed form these rules force: a double
 sum over factor pairs, where pairing factor i of u with factor j of w
 carries the sign (-1)^{|u| |w_<j| + |u_>i| |w_j|} and the surviving factors
-are merged as w_<j, u-with-i-removed, w_>j.  ``bracket_recursive_oracle``
-applies the defining rules literally with no contraction formula and is
-kept as an independent cross-check.
+are merged as w_<j, u-with-i-removed, w_>j.  It is the engine's only
+bracket; the tests compare it with a literal recursion on the three rules,
+``tests/oracles.py::bracket_recursive_oracle``.
 """
 
 from fractions import Fraction
@@ -245,38 +245,6 @@ def poisson_bracket(a, b):
                 continue  # bracket with scalars vanishes
             _bracket_monomials(space, u, w, acc, cu * cw)
     return Element(space, acc)
-
-
-def bracket_recursive_oracle(a, b):
-    """Bracket by literal recursion on the defining rules.  Slow; oracle only."""
-    a._require_same_space(b)
-    space = a.space
-    out = Element.zero(space)
-    for u, cu in a.terms.items():
-        for w, cw in b.terms.items():
-            out = out + _bracket_mono_rec(space, u, w).scale(cu * cw)
-    return out
-
-
-def _bracket_mono_rec(space, u, w):
-    if not u or not w:
-        return Element.zero(space)
-    if len(u) == 1 and len(w) == 1:
-        return Element.scalar(space, space.gram[u[0]][w[0]])
-    if len(w) >= 2:
-        w1, wrest = w[:1], w[1:]
-        t1 = multiply(_bracket_mono_rec(space, u, w1),
-                      Element(space, {wrest: ONE}))
-        t2 = multiply(Element(space, {w1: ONE}),
-                      _bracket_mono_rec(space, u, wrest))
-        if mono_parity(space, u) & mono_parity(space, w1):
-            t2 = -t2
-        return t1 + t2
-    # single generator on the right: flip with the antisymmetry rule
-    flipped = _bracket_mono_rec(space, w, u)
-    if mono_parity(space, u) & mono_parity(space, w):
-        return flipped
-    return -flipped
 
 
 def nested_bracket(args, target):

@@ -9,7 +9,6 @@ from naryalg.derived import (
     NaryStructure,
     Potential,
     canonical_tuples,
-    koszul_selection_sign,
 )
 from naryalg.frobenius import QFCertificate, validate_phi
 from naryalg.hodge import (
@@ -24,7 +23,11 @@ from naryalg.hodge import (
 )
 from naryalg.linalg import det
 from naryalg.poisson import (
+    ONE,
     Element,
+    mono_parity,
+    multiply,
+    nested_bracket,
     nested_bracket_indices,
     pair_vectors,
     poisson_bracket,
@@ -43,6 +46,43 @@ def rank_by_minors(a):
                 if det(sub) != 0:
                     return k
     return 0
+
+
+def bracket_recursive_oracle(a, b):
+    """Bracket by literal recursion on the defining rules.  Slow; oracle only.
+
+    [x, y] = (x, y) on generators, the Leibniz rule in the right argument
+    and graded antisymmetry, with no contraction formula: independent of
+    the closed form in ``poisson_bracket``.
+    """
+    a._require_same_space(b)
+    space = a.space
+    out = Element.zero(space)
+    for u, cu in a.terms.items():
+        for w, cw in b.terms.items():
+            out = out + _bracket_mono_rec(space, u, w).scale(cu * cw)
+    return out
+
+
+def _bracket_mono_rec(space, u, w):
+    if not u or not w:
+        return Element.zero(space)
+    if len(u) == 1 and len(w) == 1:
+        return Element.scalar(space, space.gram[u[0]][w[0]])
+    if len(w) >= 2:
+        w1, wrest = w[:1], w[1:]
+        t1 = multiply(_bracket_mono_rec(space, u, w1),
+                      Element(space, {wrest: ONE}))
+        t2 = multiply(Element(space, {w1: ONE}),
+                      _bracket_mono_rec(space, u, wrest))
+        if mono_parity(space, u) & mono_parity(space, w1):
+            t2 = -t2
+        return t1 + t2
+    # single generator on the right: flip with the antisymmetry rule
+    flipped = _bracket_mono_rec(space, w, u)
+    if mono_parity(space, u) & mono_parity(space, w):
+        return flipped
+    return -flipped
 
 
 def potential_by_solve(s):
@@ -339,3 +379,68 @@ def jordan_by_triple_loop(A, exhaustive=False):
     violations = [(key, val) for key, val in sorted(coeffs.items())
                   if not val.is_zero()]
     return _report("jordan", violations, exhaustive)
+
+
+def koszul_selection_sign(parities, chosen):
+    """Sign of reordering (a_0,...,a_{N-1}) to (a_chosen, a_rest).
+
+    chosen is an ascending position list; the sign is -1 for every pair of
+    odd arguments that crosses.
+    """
+    chosen_set = set(chosen)
+    sign = 1
+    for p in chosen:
+        if not parities[p]:
+            continue
+        for q in range(p):
+            if q not in chosen_set and parities[q]:
+                sign = -sign
+    return sign
+
+
+def generalized_jacobi(mu, exhaustive=False):
+    """The generalized Jacobi identities of a graded family, term by term.
+
+    Identity number q constrains q arguments: summed over splittings of
+    the arguments into an outer block J and an inner block I,
+
+        sum  sign(J, I) * op_{|J|+1}(a_J, op_{|I|}(a_I)) = 0,
+
+    where op_s is the s-ary product of the degree-(s+1) layer and the sign
+    is the Koszul sign of the reordering.  One report per identity index.
+    Together they hold exactly when check_l_infinity passes.  Oracle only.
+    """
+    space = mu.space
+    layers = mu.layers()
+    reports = {}
+    if not layers:
+        return reports
+    for q in range(0, 2 * max(layers)):
+        # splittings |J| = k', |I| = l with k'+l = q, needing layers k'+1, l
+        pairs = [(kp, q - kp) for kp in range(q + 1)
+                 if (kp + 1) in layers and (q - kp) in layers]
+        if not pairs:
+            continue
+        violations = []
+        for args in canonical_tuples(space, q):
+            pars = [space.parity[i] for i in args]
+            total = Element.zero(space)
+            for kp, l in pairs:
+                for outer_pos in combinations(range(q), kp):
+                    inner_pos = [p for p in range(q) if p not in outer_pos]
+                    sign = koszul_selection_sign(pars, list(outer_pos))
+                    inner = nested_bracket_indices(
+                        space, [args[p] for p in inner_pos], layers[l])
+                    if inner.is_zero():
+                        continue
+                    outer = nested_bracket(
+                        [Element.generator(space, args[p]) for p in outer_pos]
+                        + [inner],
+                        layers[kp + 1])
+                    total = total + (outer if sign == 1 else -outer)
+            if not total.is_zero():
+                violations.append((args, total))
+                if not exhaustive:
+                    break
+        reports[q] = _report(f"generalized-jacobi-{q}", violations, exhaustive)
+    return reports

@@ -48,12 +48,9 @@ from naryalg.hodge import (
     op_apply,
     star,
 )
-from naryalg.poisson import (
-    Element,
-    bracket_recursive_oracle,
-    poisson_bracket,
-)
+from naryalg.poisson import Element, poisson_bracket
 from naryalg.superspace import Superspace, odd_space
+from oracles import bracket_recursive_oracle
 
 
 def report(num, ok, desc):

@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from naryalg import io
 from naryalg.cli import main
+from oracles import bracket_recursive_oracle
 
 SPACE5 = {
     "schema": "nary/1",
@@ -100,17 +102,19 @@ def test_bracket_and_oracle_agree(files, capsys):
     write, _ = files
     a = [{"monomial": [1], "coeff": "1"}]
     b = [{"monomial": [1, 2], "coeff": "1"}]
-    code, out1, _ = run_main(
-        ["bracket", "--space", write("s.json", SPACE5),
-         "--a", write("a.json", a), "--b", write("b.json", b)], capsys)
+    argv = ["bracket", "--space", write("s.json", SPACE5),
+            "--a", write("a.json", a), "--b", write("b.json", b)]
+    code, out, _ = run_main(argv, capsys)
     assert code == 0
-    code, out2, _ = run_main(
-        ["bracket", "--space", write("s2.json", SPACE5),
-         "--a", write("a2.json", a), "--b", write("b2.json", b), "--oracle"],
-        capsys)
-    assert code == 0
-    assert out1 == out2
-    assert json.loads(out1) == [{"monomial": [2], "coeff": "1"}]
+    space = io.parse_superspace(SPACE5)
+    want = bracket_recursive_oracle(io.parse_element(space, a),
+                                    io.parse_element(space, b))
+    assert out == io.dumps(io.element_to_json(want))
+    assert json.loads(out) == [{"monomial": [2], "coeff": "1"}]
+    # the option that chose the recursive evaluation is gone
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--oracle"])
+    assert exc.value.code == 2
 
 
 def test_hodge_subcommand_schema(files, capsys):

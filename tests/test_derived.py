@@ -28,7 +28,6 @@ from naryalg.derived import (
     contraction_constant,
     derive_structure,
     dual_basis,
-    generalized_jacobi,
     potential_from_structure,
 )
 from naryalg.errors import (
@@ -47,6 +46,7 @@ from naryalg.superspace import Superspace, even_symplectic_space, odd_space
 from oracles import (
     derive_structure_by_all_tuples,
     filippov_by_all_tuples,
+    generalized_jacobi,
     invariant_by_all_pairs,
     jordan_by_triple_loop,
     nary_jacobi_by_gather,

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from naryalg import hodge, io, linalg
+from naryalg import derived, hodge, io, linalg
 from naryalg.classify import map_element
 from naryalg.derived import Potential, canonical_tuples
 from naryalg.errors import NotHodgeContext, NotLInfinity
@@ -229,6 +229,21 @@ def test_decomposition_mixed_family():
     assert rep.rank_d + rep.rank_delta + rep.ker_laplacian == 16
 
 
+def test_context_refuses_dimension_above_guard():
+    with pytest.raises(NotHodgeContext):
+        HodgeContext(odd_space(15))
+
+
+def test_mixed_family_certifies_at_m11():
+    # a mixed family is admitted up to MAX_DIM, like a single layer
+    space = odd_space(11)
+    mu = Potential.homotopy_family(space, mono(space, 1) + mono(space, 2, 3, 4))
+    rep = hodge_decomposition(HodgeContext(space), mu)
+    assert rep.direct_sum_ok and rep.kernel_intersection_ok
+    assert rep.rank_d == rep.rank_delta == 1024
+    assert rep.ker_laplacian == rep.cohomology_total == 0
+
+
 # disjoint families e1e2e3 + e4...e_m with no degree-1 layer, so Ker L is
 # not zero: shifts 1 and 3 (g = 2) and 1 and 5 (g = 4).  Ker L has the
 # Kunneth dimension, the product of the layers' cohomology on their own
@@ -341,7 +356,9 @@ def _counting_brackets(monkeypatch):
         calls.append(1)
         return poisson_bracket(a, b)
 
+    # hodge brackets the layers; derived.check_l_infinity takes [mu, mu]
     monkeypatch.setattr(hodge, "poisson_bracket", counted)
+    monkeypatch.setattr(derived, "poisson_bracket", counted)
     return calls
 
 

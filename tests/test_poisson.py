@@ -10,12 +10,12 @@ from naryalg.errors import (DegreeCapExceeded, InexactCoefficient,
                             SpaceMismatch)
 from naryalg.poisson import (
     Element,
-    bracket_recursive_oracle,
     multiply,
     nested_bracket_indices,
     poisson_bracket,
 )
 from naryalg.superspace import Superspace, even_symplectic_space, odd_space
+from oracles import bracket_recursive_oracle
 
 V5 = odd_space(5)
 MIXED = Superspace(4, [0, 0, 1, 1],
