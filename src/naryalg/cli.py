@@ -7,11 +7,20 @@ process.  A batch driver may instead call ``main(argv)`` once per job in
 one process, as the benchmark harness ``perfbench/worker.py`` does; the
 argparse parser is then built on the first call and reused, and no option
 carries over from one call to the next.
+
+Each subcommand accepts only the options it reads.  ``--pretty`` and
+``--output`` go after any subcommand; ``--space`` and ``--max-degree`` after
+every one but ``table``, which builds its own spaces; ``--exhaustive`` after
+``verify``; ``--tolerance`` after ``classify`` and ``table``.  ``classify``
+also accepts ``--seed`` and ignores it: no search is randomized, but batch
+drivers pass it.
 """
 
 import argparse
 import functools
+import math
 import sys
+from itertools import combinations_with_replacement
 
 from . import io
 from .classify import classify_m3, skew_to_element
@@ -26,10 +35,10 @@ from .derived import (
     check_nary_jacobi,
     derive_structure,
 )
-from .errors import NaryError
+from .errors import NaryError, SchemaError
 from .frobenius import check_quasi_frobenius, graph_subalgebra_test, \
     t_star_extension
-from .hodge import HodgeContext, hodge_decomposition, star
+from .hodge import HodgeContext, hodge_decomposition, require_dim, star
 from .poisson import Element, poisson_bracket
 from .superspace import odd_space
 
@@ -51,17 +60,24 @@ def _load_space(args):
                                max_degree=args.max_degree)
 
 
+def _tolerance(args):
+    # a nan bound would pass every residual, so only finite values >= 0 do
+    if not 0 <= args.tolerance < math.inf:
+        raise SchemaError("--tolerance", "expected a finite number >= 0")
+    return args.tolerance
+
+
 def _load_structure(space, args):
-    if getattr(args, "structure", None):
+    if args.structure:
         return io.parse_structure(space, io.load_file(args.structure))
-    if getattr(args, "potential", None):
+    if args.potential:
         mu = io.parse_potential(space, io.load_file(args.potential))
         return derive_structure(mu)
     raise NaryError("need --structure or --potential")
 
 
 def _load_potential(space, args):
-    if not getattr(args, "potential", None):
+    if not args.potential:
         raise NaryError("need --potential")
     return io.parse_potential(space, io.load_file(args.potential))
 
@@ -144,6 +160,7 @@ def cmd_hodge(args):
 
 
 def cmd_classify(args):
+    tolerance = _tolerance(args)
     space = _load_space(args)
     if args.skew:
         mat = io.parse_matrix(io.load_file(args.skew), space.dim)
@@ -152,37 +169,28 @@ def cmd_classify(args):
         v = io.parse_element(space, io.load_file(args.v))
     else:
         raise NaryError("need --v or --skew")
-    rec = classify_m3(space, v, tolerance=args.tolerance)
+    rec = classify_m3(space, v, tolerance=tolerance)
     _emit(args, io.classification_record_to_json(rec))
     return 0
 
 
 def cmd_table(args):
+    tolerance = _tolerance(args)
+    for m in args.m:  # refused before any space is built
+        require_dim(m)
+    # non-increasing parameter tuples, the canonical ordering
+    values = sorted(set(args.grid), reverse=True)
     lines = []
     for m in args.m:
         space = odd_space(m)
         k = m // 2
-        for params in _grids(args.grid, k):
+        for params in combinations_with_replacement(values, k):
             v = Element(space, {(2 * t, 2 * t + 1): params[t]
                                 for t in range(k) if params[t] != 0})
-            rec = classify_m3(space, v, tolerance=args.tolerance)
+            rec = classify_m3(space, v, tolerance=tolerance)
             lines.append(io.dumps(io.classification_record_to_json(rec)))
     _write(args, "".join(lines))
     return 0
-
-
-def _grids(values, k):
-    # non-increasing parameter tuples, the canonical ordering
-    values = sorted(set(values), reverse=True)
-
-    def rec(start, left, prefix):
-        if left == 0:
-            yield tuple(prefix)
-            return
-        for i in range(start, len(values)):
-            yield from rec(i, left - 1, prefix + [values[i]])
-
-    yield from rec(0, k, [])
 
 
 def cmd_frobenius(args):
@@ -206,34 +214,30 @@ def build_parser():
     shared.add_argument("--pretty", action="store_true",
                         help="indent JSON output")
     shared.add_argument("--output", help="write the report to a file")
-    shared.add_argument("--threads", type=int, default=1,
-                        help="accepted and ignored: verifier loops run in "
-                             "one thread")
-    shared.add_argument("--seed", type=int, default=0,
-                        help="accepted and ignored: no search is randomized")
-    shared.add_argument("--max-degree", type=int, default=None,
-                        help="degree cap for spaces with even generators")
-    shared.add_argument("--tolerance", type=float, default=1e-9,
-                        help="residual bound for the numerical canonical form")
     p = argparse.ArgumentParser(
         prog="naryalg",
         description="Exact engine for commutative n-ary superalgebras "
                     "with an invariant form")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_cmd(name, help_text):
-        return sub.add_parser(name, help=help_text, parents=[shared])
-
-    def common(sp, space=True):
+    def add_cmd(name, help_text, space=True):
+        sp = sub.add_parser(name, help=help_text, parents=[shared])
         if space:
             sp.add_argument("--space", required=True, help="superspace JSON")
-        sp.add_argument("--exhaustive", action="store_true",
-                        help="collect all violations, not just the first "
-                             "(a quasi-Frobenius certificate keeps one "
-                             "witness, so there it changes nothing)")
+            sp.add_argument("--max-degree", type=int, default=None,
+                            help="degree cap for spaces with even generators")
+        return sp
+
+    def tolerance(sp):
+        sp.add_argument("--tolerance", type=float, default=1e-9,
+                        help="residual bound for the numerical canonical "
+                             "form")
 
     v = add_cmd("verify", "run an identity check")
-    common(v)
+    v.add_argument("--exhaustive", action="store_true",
+                   help="collect all violations, not just the first (a "
+                        "quasi-Frobenius certificate keeps one witness, so "
+                        "there it changes nothing)")
     v.add_argument("--identity", required=True,
                    choices=["commutative", "invariant", "l-infinity",
                             "nary-jacobi", "filippov", "jordan",
@@ -246,44 +250,37 @@ def build_parser():
     v.set_defaults(fn=cmd_verify)
 
     d = add_cmd("derive", "structure constants of a potential")
-    common(d)
     d.add_argument("--potential", required=True)
     d.set_defaults(fn=cmd_derive)
 
     s = add_cmd("star", "apply the star operator")
-    common(s)
     s.add_argument("--element", required=True)
     s.set_defaults(fn=cmd_star)
 
     b = add_cmd("bracket", "bracket of two elements")
-    common(b)
     b.add_argument("--a", required=True)
     b.add_argument("--b", required=True)
     b.set_defaults(fn=cmd_bracket)
 
     h = add_cmd("hodge", "decomposition certificate")
-    common(h)
     h.add_argument("--potential", required=True)
     h.set_defaults(fn=cmd_hodge)
 
     c = add_cmd("classify", "classification record of one algebra")
-    common(c)
     c.add_argument("--v", help="degree-2 element JSON")
     c.add_argument("--skew", help="skew matrix JSON")
-    c.add_argument("--rounds", type=int, default=64,
+    tolerance(c)
+    c.add_argument("--seed", type=int, default=0,
                    help="accepted and ignored: no search is randomized")
     c.set_defaults(fn=cmd_classify)
 
-    t = add_cmd("table", "classification table as JSON lines")
-    common(t, space=False)
+    t = add_cmd("table", "classification table as JSON lines", space=False)
     t.add_argument("--m", type=int, nargs="+", required=True)
     t.add_argument("--grid", type=int, nargs="+", default=[0, 1, 2])
-    t.add_argument("--rounds", type=int, default=64,
-                   help="accepted and ignored: no search is randomized")
+    tolerance(t)
     t.set_defaults(fn=cmd_table)
 
     f = add_cmd("frobenius", "quasi-Frobenius certificate")
-    common(f)
     f.add_argument("--potential")
     f.add_argument("--structure")
     f.add_argument("--phi", required=True)

@@ -101,7 +101,7 @@ class InexactCoefficient(NaryError):
 class SchemaError(NaryError):
     """Input violates a schema; carries the offending field path.
 
-    The path is a JSON field path, or the name of an environment variable.
+    The path is a JSON field path or a CLI flag.
     """
 
     def __init__(self, path, msg):

@@ -119,8 +119,7 @@ class QFCertificate:
     odd_arity: bool = False
 
 
-def check_quasi_frobenius(space, mu, phi, allow_odd_arity=False,
-                          exhaustive=False):
+def check_quasi_frobenius(space, mu, phi, allow_odd_arity=False):
     """Cyclic-sum criterion sum_t phi(a_t, s(a_{t+1}, ..., a_{t+n})) = 0.
 
     On a pure odd space s is alternating in its n arguments (eval_basis
@@ -134,9 +133,9 @@ def check_quasi_frobenius(space, mu, phi, allow_odd_arity=False,
     ordered tuple.  For odd n (allow_odd_arity) the sum is not alternating
     and all m^(n+1) ordered tuples are probed, in product order.
 
-    The certificate holds one witness, so the loop always stops at the
-    first violation; ``exhaustive`` is accepted and ignored.  A loop that
-    would probe more than _TUPLE_BUDGET tuples is refused before it starts.
+    The certificate holds one witness, so the loop stops at the first
+    violation.  A loop that would probe more than _TUPLE_BUDGET tuples is
+    refused before it starts.
     """
     if not space.pure_odd:
         raise NotPureOdd("quasi-Frobenius structures live on pure odd spaces")

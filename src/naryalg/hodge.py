@@ -63,6 +63,12 @@ ONE = Fraction(1)
 MAX_DIM = 14
 
 
+def require_dim(m):
+    """Refuse a dimension above MAX_DIM, as every HodgeContext does."""
+    if m > MAX_DIM:
+        raise NotHodgeContext(f"dimension {m} above guard {MAX_DIM}")
+
+
 class HodgeContext:
     """Pure odd space, identity Gram matrix, a choice of orientation."""
 
@@ -74,8 +80,7 @@ class HodgeContext:
         if space.gram != tuple(tuple(row) for row in linalg.identity(space.dim)):
             raise NotHodgeContext("star operator needs an orthonormal basis "
                                   "(identity Gram matrix)")
-        if space.dim > MAX_DIM:
-            raise NotHodgeContext(f"dimension {space.dim} above guard {MAX_DIM}")
+        require_dim(space.dim)
         self.space = space
         self.orientation = orientation or Orientation.standard(space.dim)
         full = tuple(range(space.dim))

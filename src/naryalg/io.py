@@ -59,8 +59,9 @@ def _check_list(value, path, what="a list"):
 def parse_superspace(obj, path="superspace", max_degree=None):
     """Superspace from its JSON document.
 
-    max_degree is the --max-degree flag: when given it overrides the
-    document's max_degree.  Both must be positive integers.
+    The degree cap has two sources: the document's max_degree and the
+    --max-degree flag, passed here as max_degree, which wins when given.
+    Both must be positive integers.
     """
     if not isinstance(obj, dict):
         raise SchemaError(path, "expected an object")

@@ -6,7 +6,6 @@ symmetric on odd-odd pairs, and zero on mixed pairs.  Basis indices are
 0-based everywhere inside the engine; serialization converts to 1-based.
 """
 
-import os
 from fractions import Fraction
 
 from . import linalg
@@ -15,26 +14,11 @@ from .errors import (
     MixedParityEntry,
     NaryError,
     NotPureOdd,
-    SchemaError,
     SymmetryViolation,
 )
 
 EVEN = 0
 ODD = 1
-
-_ENV_MAX_DEGREE = "NARY_MAX_DEGREE"
-
-
-def _env_max_degree(env):
-    """The degree cap set by NARY_MAX_DEGREE: a positive int, or an error."""
-    try:
-        cap = int(env)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise SchemaError(_ENV_MAX_DEGREE,
-                          f"expected a positive integer, got {env!r}")
-    return cap
 
 
 class Superspace:
@@ -76,10 +60,6 @@ class Superspace:
         self.pure_odd = all(p == ODD for p in parity)
         self.pure_even = all(p == EVEN for p in parity)
         self._rank = None
-        if max_degree is None:
-            env = os.environ.get(_ENV_MAX_DEGREE)
-            if env is not None:
-                max_degree = _env_max_degree(env)
         # pure odd spaces are bounded by dim automatically
         self.max_degree = dim if self.pure_odd else (
             max_degree if max_degree is not None else 2 * dim)

@@ -1,13 +1,15 @@
 """Command line behavior: schemas, exit codes, determinism."""
 
+import argparse
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from naryalg import io
-from naryalg.cli import main
+from naryalg.cli import build_parser, main
 from oracles import bracket_recursive_oracle
 
 SPACE5 = {
@@ -166,6 +168,17 @@ def test_table_lines(files, capsys):
         {(1.0, 1.0), (1.0,), ()}
 
 
+@pytest.mark.parametrize("ms", [["15"], ["5", "3000"]])
+def test_table_refuses_m_above_the_guard_first(capsys, ms):
+    # m = 3000 once recursed m/2 deep in the grid and died with a traceback
+    start = time.perf_counter()
+    code, out, err = run_main(["table", "--m"] + ms, capsys)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert err == (f'{{"error":"dimension {ms[-1]} above guard 14",'
+                   '"kind":"NotHodgeContext","schema":"nary/1"}\n')
+
+
 def test_frobenius_subcommand(files, capsys):
     write, _ = files
     space2 = {"schema": "nary/1", "dim": 2, "parity": ["odd", "odd"],
@@ -267,21 +280,6 @@ def test_bad_max_degree_exits_2(files, capsys, value):
     assert report["error"].startswith("superspace.max_degree:")
 
 
-@pytest.mark.parametrize("value", ["x", "0", "-1"])
-def test_bad_max_degree_variable_exits_2(files, capsys, monkeypatch, value):
-    # refused even on a pure odd space, where the cap itself is not used
-    write, _ = files
-    monkeypatch.setenv("NARY_MAX_DEGREE", value)
-    v = [{"monomial": [1, 2], "coeff": "1"}]
-    code, out, err = run_main(
-        ["classify", "--space", write("s.json", SPACE5),
-         "--v", write("v.json", v)], capsys)
-    assert code == 2 and out == ""
-    report = json.loads(err)
-    assert report["kind"] == "SchemaError"
-    assert report["error"].startswith("NARY_MAX_DEGREE:")
-
-
 def test_import_leaves_numpy_and_scipy_unloaded():
     code = ("import sys, naryalg.cli; "
             "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")
@@ -329,26 +327,11 @@ def test_byte_identical_across_runs(files):
     space = write("s.json", SPACE5)
     mu = write("mu.json", MU3)
     cmd = [sys.executable, "-m", "naryalg.cli", "verify", "--space", space,
-           "--identity", "l-infinity", "--potential", mu, "--seed", "0",
-           "--threads", "1"]
+           "--identity", "l-infinity", "--potential", mu]
     r1 = subprocess.run(cmd, capture_output=True)
     r2 = subprocess.run(cmd, capture_output=True)
     assert r1.stdout == r2.stdout
     assert r1.returncode == r2.returncode == 1
-
-
-def test_threads_flag_same_answer(files, capsys):
-    write, _ = files
-    space = write("s.json", SPACE5)
-    mu = write("mu.json", MU3)
-    outs = []
-    for threads in ("1", "4"):
-        code, out, _ = run_main(
-            ["verify", "--space", space, "--identity", "filippov",
-             "--potential", mu, "--threads", threads], capsys)
-        assert code == 1
-        outs.append(out)
-    assert outs[0] == outs[1]
 
 
 MIXED3 = {"schema": "nary/1", "dim": 3, "parity": ["even", "even", "odd"],
@@ -411,16 +394,18 @@ def test_repeated_main_calls_match_fresh_processes(files, capsys):
         ["verify", "--space", mixed, "--identity", "l-infinity",
          "--potential", mu_mixed],
         ["verify", "--space", s5, "--identity", "nary-jacobi",
-         "--potential", mu3, "--exhaustive", "--threads", "2"],
+         "--potential", mu3, "--exhaustive"],
         ["verify", "--space", s5, "--identity", "filippov",
          "--potential", mu3],
         ["frobenius", "--space", s2, "--structure", st, "--phi", phi,
-         "--graph", "--exhaustive", "--pretty"],
+         "--graph", "--pretty"],
         ["verify", "--space", s2, "--identity", "quasi-frobenius",
          "--structure", st, "--phi", phi0],
-        ["classify", "--space", s5, "--v", v, "--seed", "3",
-         "--rounds", "8"],
+        ["classify", "--space", s5, "--v", v, "--seed", "3"],
+        ["classify", "--space", s5, "--v", v, "--tolerance", "nan"],
         ["classify", "--space", s5, "--v", v],
+        ["table", "--m", "5", "--grid", "1", "--tolerance", "-1"],
+        ["table", "--m", "5", "--grid", "1"],
         ["derive", "--space", s5, "--potential", mu2],
     ]
     for argv in jobs:
@@ -428,3 +413,67 @@ def test_repeated_main_calls_match_fresh_processes(files, capsys):
         fresh = subprocess.run([sys.executable, "-m", "naryalg.cli"] + argv,
                                capture_output=True, text=True)
         assert (code, out) == (fresh.returncode, fresh.stdout), argv
+
+
+@pytest.mark.parametrize("command", ["classify", "table"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_bad_tolerance_flag_exits_2(files, capsys, command, value):
+    # a nan bound would pass every residual; -1 would fail every one
+    write, _ = files
+    argv = (["classify", "--space", write("s.json", SPACE5), "--v",
+             write("v.json", [{"monomial": [1, 2], "coeff": "1"}])]
+            if command == "classify" else ["table", "--m", "5"])
+    code, out, err = run_main(argv + ["--tolerance", value], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"schema": "nary/1", "kind": "SchemaError",
+                               "error": "--tolerance: expected a finite "
+                                        "number >= 0"}
+
+
+@pytest.mark.parametrize("argv, removed", [
+    (["verify", "--space", "s.json", "--identity", "filippov"],
+     ["--threads", "1"]),
+    (["classify", "--space", "s.json", "--v", "v.json"], ["--rounds", "8"]),
+    (["table", "--m", "5"], ["--seed", "0"]),
+    (["derive", "--space", "s.json", "--potential", "mu.json"],
+     ["--exhaustive"]),
+    (["hodge", "--space", "s.json", "--potential", "mu.json"],
+     ["--tolerance", "1e-9"]),
+    (["table", "--m", "5"], ["--max-degree", "3"]),
+])
+def test_removed_flag_exits_2(argv, removed, capsys):
+    with pytest.raises(SystemExit) as ex:
+        main(argv + removed)
+    assert ex.value.code == 2
+    assert "unrecognized arguments: " + " ".join(removed) in \
+        capsys.readouterr().err
+
+
+# every option each subcommand accepts; each one is read by its command
+OPTIONS = {
+    "verify": {"--space", "--max-degree", "--exhaustive", "--identity",
+               "--potential", "--structure", "--element", "--phi",
+               "--allow-odd-arity"},
+    "derive": {"--space", "--max-degree", "--potential"},
+    "star": {"--space", "--max-degree", "--element"},
+    "bracket": {"--space", "--max-degree", "--a", "--b"},
+    "hodge": {"--space", "--max-degree", "--potential"},
+    "classify": {"--space", "--max-degree", "--v", "--skew", "--tolerance",
+                 "--seed"},
+    "table": {"--m", "--grid", "--tolerance"},
+    "frobenius": {"--space", "--max-degree", "--potential", "--structure",
+                  "--phi", "--graph", "--allow-odd-arity"},
+}
+
+
+def test_each_subcommand_accepts_only_its_options():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    slots = {name: {opt for a in p._actions
+                    if not isinstance(a, argparse._HelpAction)
+                    for opt in a.option_strings}
+             for name, p in sub.choices.items()}
+    assert slots == {name: opts | {"--pretty", "--output"}
+                     for name, opts in OPTIONS.items()}
+    assert sum(map(len, slots.values())) == 54

@@ -47,15 +47,24 @@ def test_every_listed_flag_is_an_option():
     flags = set(re.findall(r"`(--[a-z][a-z-]*)", README))
     for line in _command_lines():
         flags.update(re.findall(r"--[a-z][a-z-]*", line))
-    assert {"--seed", "--rounds", "--threads", "--tolerance"} <= flags
+    assert {"--max-degree", "--exhaustive", "--tolerance", "--seed"} <= flags
     for flag in flags:
         assert any(flag in sub._option_string_actions
                    for sub in commands.values()), flag
-    # the flags listed as valid after any subcommand are on every one
-    shared = README[README.index("Useful flags"):]
-    shared = shared[:shared.index("`classify` and `table` also accept")]
-    for flag in re.findall(r"--[a-z][a-z-]*", shared):
+    section = README[README.index("Useful flags"):
+                     README.index("## Python API sketch")]
+    # the flags valid after any subcommand are exactly these two
+    shared = section[:section.index("The others")]
+    assert re.findall(r"--[a-z][a-z-]*", shared) == ["--pretty", "--output"]
+    for flag in ("--pretty", "--output"):
         for name, sub in commands.items():
             assert flag in sub._option_string_actions, (flag, name)
-    for name in ("classify", "table"):
-        assert "--rounds" in commands[name]._option_string_actions
+    # each other flag is on exactly the subcommands its entry names
+    entries = re.findall(r"^- `(--[a-z-]+)[^`]*` on (.*?):", section,
+                         flags=re.M | re.S)
+    assert [flag for flag, _ in entries] == \
+        ["--max-degree", "--exhaustive", "--tolerance", "--seed"]
+    for flag, names in entries:
+        listed = set(re.findall(r"`([a-z]+)`", names))
+        assert listed == {name for name, sub in commands.items()
+                          if flag in sub._option_string_actions}, flag

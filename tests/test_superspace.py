@@ -134,11 +134,11 @@ def test_orientation_sign():
     assert Orientation([1, 2, 0]).sign == 1
 
 
-def test_env_var_sets_degree_cap(monkeypatch):
+def test_degree_cap_ignores_the_environment(monkeypatch):
+    # the cap comes from the argument alone; NARY_MAX_DEGREE is not read
     monkeypatch.setenv("NARY_MAX_DEGREE", "5")
     sp = Superspace(2, [0, 0], [[0, 1], [-1, 0]])
-    assert sp.max_degree == 5
-    # explicit argument wins over the environment
+    assert sp.max_degree == 4
     sp = Superspace(2, [0, 0], [[0, 1], [-1, 0]], max_degree=7)
     assert sp.max_degree == 7
     # pure odd spaces are bounded by the dimension regardless
