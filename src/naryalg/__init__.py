@@ -49,6 +49,7 @@ from .classify import (
     CanonicalForm,
     ClassificationRecord,
     IdealReport,
+    block_parameters,
     build_m3_algebra,
     canonical_form,
     classify_m3,

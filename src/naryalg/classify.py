@@ -2,14 +2,20 @@
 
 Degree-2 elements correspond to skew-symmetric matrices through the adjoint
 action; the orthogonal group acts by conjugation, so orbits are labelled by
-the block parameters of the real skew canonical form.  The (m-3)-ary
-algebra attached to a degree-2 element v is the derived algebra of star(v).
+the block parameters of the real skew canonical form.  ``block_parameters``
+computes them exactly, each printed as its correctly rounded double;
+``canonical_form`` is the numerical route that also returns the rotation
+(it alone loads numpy and scipy).  The (m-3)-ary algebra attached to a
+degree-2 element v is the derived algebra of star(v).
 Simplicity is decided twice, independently: by the rank of v (the paper's
 criterion) and by an exact certificate, the common kernel of the adjoint
 operators or the dimension of their commutant.
 """
 
+import math
 import random
+import struct
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -94,7 +100,333 @@ def element_to_skew(space, w):
 
 
 # ---------------------------------------------------------------------------
-# real canonical form (the one numerical component of the engine)
+# exact block parameters
+#
+# Polynomials are lists of integer coefficients, lowest degree first, with
+# no trailing zero; an empty list is the zero polynomial.
+
+
+def _charpoly(b):
+    """Coefficients [1, c_1, ..., c_m] of det(xI - B), B an integer matrix.
+
+    Berkowitz's division-free recurrence ("On computing the determinant in
+    small parallel time using a small number of processors", 1984): with
+    B_k the leading k x k block, C the column and R the row that border it,
+    and a the corner, the polynomial of B_(k+1) is that of B_k times the
+    Toeplitz matrix of [1, -a, -R C, -R B_k C, -R B_k^2 C, ...].
+    """
+    m = len(b)
+    columns = [[(i, b[i][j]) for i in range(m) if b[i][j]] for j in range(m)]
+    poly = [1]
+    for k in range(m):
+        col = {i: x for i, x in columns[k] if i < k}
+        toeplitz = [1, -b[k][k]] + [0] * k
+        for step in range(2, k + 2):
+            if not col:
+                break
+            toeplitz[step] = -sum(b[k][i] * x for i, x in col.items())
+            image = {}
+            for j, x in col.items():
+                for i, y in columns[j]:
+                    if i < k:
+                        image[i] = image.get(i, 0) + y * x
+            col = {i: x for i, x in image.items() if x}
+        product = [0] * (k + 2)
+        for shift, t in enumerate(toeplitz):
+            if t:
+                for i, x in enumerate(poly[:k + 2 - shift]):
+                    product[i + shift] += x * t
+        poly = product
+    return poly
+
+
+def _trim(p):
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _primitive(p):
+    """p divided by its content, with a positive leading coefficient."""
+    g = math.gcd(*p)
+    g = g if p[-1] > 0 else -g
+    return [c // g for c in p]
+
+
+def _derivative(p):
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def _gcd(p, q):
+    """Primitive greatest common divisor of p and q, p nonzero, by the
+    primitive pseudo-remainder sequence."""
+    p = _primitive(p)
+    while q:
+        p, q = _primitive(q), p
+        lead, top = p[-1], len(p) - 1
+        while len(q) > top:  # q becomes the pseudo-remainder of q by p
+            shift, c = len(q) - len(p), q[-1]
+            q = [x * lead for x in q]
+            for j, x in enumerate(p):
+                q[shift + j] -= c * x
+            _trim(q)
+    return p
+
+
+def _quotient(p, q):
+    """p / q, for a primitive q that divides p (the quotient is integral by
+    Gauss's lemma)."""
+    rem = list(p)
+    quot = [0] * (len(p) - len(q) + 1)
+    for i in reversed(range(len(quot))):
+        c = quot[i] = rem[i + len(q) - 1] // q[-1]
+        for j, x in enumerate(q):
+            rem[i + j] -= c * x
+    return quot
+
+
+def _squarefree_factors(p):
+    """Pairs (f, j), j = 1, 2, ...: f the product of the distinct
+    irreducible factors that divide p exactly j times, if there are any.
+
+    With g_0 = p and g_j = gcd(g_(j-1), g_(j-1)'), the quotient g_(j-1) / g_j
+    is squarefree and holds the factors of multiplicity at least j.
+    """
+    factors, g, above, j = [], p, None, 0
+    while len(g) > 1:
+        h = _gcd(g, _derivative(g))
+        at_least = _quotient(g, h)
+        if above is not None and len(above) > len(at_least):
+            factors.append((_quotient(above, at_least), j))
+        above, g, j = at_least, h, j + 1
+    if above is not None:
+        factors.append((above, j))
+    return factors
+
+
+def _sign_at_square(f, x):
+    """Sign of f(x * x) for a rational x, in integer arithmetic."""
+    n, d = x.as_integer_ratio()
+    n, d = n * n, d * d
+    acc, dpow = 0, 1
+    for c in reversed(f):  # d^r f(n/d) by Horner
+        acc = acc * n + c * dpow
+        dpow *= d
+    return (acc > 0) - (acc < 0)
+
+
+def _roots_above_square(f, x):
+    """Number of roots y of the real-rooted f with y > x * x, x rational.
+
+    The roots of f(x*x + u) in u > 0 are counted by the sign changes of its
+    coefficients (Descartes' rule of signs), exactly because every root is
+    real (Collins and Akritas, "Polynomial real root isolation using
+    Descartes' rule of signs", 1976).
+    """
+    n, d = x.as_integer_ratio()
+    n, d = n * n, d * d
+    r = len(f) - 1
+    c = [coef * d ** (r - i) for i, coef in enumerate(f)]  # d^r f(z/d) ...
+    for i in range(r):                                # ... at z = n + u
+        for j in range(r - 1, i - 1, -1):
+            c[j] += n * c[j + 1]
+    signs = [v > 0 for v in c if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _double(bits):
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+_MAX_BITS = struct.unpack("<q", struct.pack("<d", sys.float_info.max))[0]
+
+
+def _midpoint(x, toward):
+    """The exact midpoint between the double x and its neighbour toward
+    the given side."""
+    return (Fraction(x) + Fraction(math.nextafter(x, toward))) / 2
+
+
+def _roots_by_bisection(f):
+    """The correctly rounded sqrt(y) of each root y of f, in ascending order.
+
+    f has integer coefficients and real, positive, simple roots.  The
+    positive doubles are ordered as their bit patterns, so for the j-th
+    root an exact bisection over the patterns finds the least double x
+    whose upper midpoint has at least j roots at or below its square.  A
+    root at that midpoint is a tie, which rounds to the even neighbour.
+    """
+    r = len(f) - 1
+    out = []
+    for j in range(1, r + 1):
+        lo, hi = 0, _MAX_BITS
+        while lo < hi:
+            mid = (lo + hi) // 2
+            edge = _midpoint(_double(mid), math.inf)
+            if r - _roots_above_square(f, edge) >= j:
+                hi = mid
+            else:
+                lo = mid + 1
+        if lo == _MAX_BITS:
+            raise NaryError("a block parameter is beyond the double range")
+        edge = _midpoint(_double(lo), math.inf)
+        if lo & 1 and _sign_at_square(f, edge) == 0 and \
+                r - _roots_above_square(f, edge) == j:
+            lo += 1
+        out.append(_double(lo))
+    return out
+
+
+def _float_roots(g):
+    """Float approximations of the roots of g, monic with float
+    coefficients, whose roots are real, positive and simple, largest first.
+
+    Above its largest root such a polynomial is increasing and convex, so
+    Newton's method started at the sum of the roots, which bounds the
+    largest, descends monotonically onto it.  The root is then divided out
+    by backward deflation, which is stable for the largest root.
+    """
+    roots = []
+    while len(g) > 1:
+        x = -g[-2]
+        while True:
+            p = dp = 0.0
+            for c in reversed(g):
+                dp = dp * x + p
+                p = p * x + c
+            if p <= 0 or dp <= 0:
+                break
+            step = x - p / dp
+            if not step < x:
+                break
+            x = step
+        if not x > 0:
+            break
+        roots.append(x)
+        q, acc = [], 0.0
+        for c in g[:-2]:
+            acc = (acc - c) / x
+            q.append(acc)
+        g = q + [1.0]
+    return roots
+
+
+def _certified(f, x):
+    """Does some root y of f have sqrt(y) = x or lie strictly inside the
+    rounding cell of the double x?  Exact."""
+    if _sign_at_square(f, x) == 0:
+        return True
+    return _sign_at_square(f, _midpoint(x, 0)) * \
+        _sign_at_square(f, _midpoint(x, math.inf)) < 0
+
+
+def _newton_step(f, x):
+    """One Newton step on f(t * t) = 0 from the double x, taken exactly and
+    rounded to a double."""
+    t = Fraction(x)
+    y, val, der = t * t, 0, 0
+    for c in reversed(f):
+        der = der * y + val
+        val = val * y + c
+    return float(t - val / (2 * t * der)) if der else x
+
+
+def _rounded_roots(f):
+    """The correctly rounded sqrt(y) of each root y of f, whose roots are
+    real, positive and simple.
+
+    Float guidance proposes a double x for each root; the proposal, or else
+    the rounded result of one exact Newton step from it, is certified
+    exactly.  The cells of distinct doubles are disjoint and f has as many
+    roots as its degree, so one certified cell per root leaves no root
+    unplaced.  When the guidance falls short, every root is placed by exact
+    bisection.
+    """
+    try:
+        guesses = _float_roots([c / f[-1] for c in f])
+    except OverflowError:  # a coefficient beyond the double range
+        guesses = []
+    found = []
+    for y in guesses:
+        x = math.sqrt(y)
+        if x in found or not _certified(f, x):
+            x = _newton_step(f, x)
+            if not (x > 0 and x not in found and _certified(f, x)):
+                continue
+        found.append(x)
+    if len(found) == len(f) - 1:
+        return found
+    return _roots_by_bisection(f)
+
+
+def _pfaffian(a):
+    """Pfaffian of an even skew rational matrix, by skew elimination:
+    Pf [[J, U], [-U^T, C]] = Pf J * Pf(C + U^T J^-1 U) for a 2 x 2 J."""
+    a = [list(row) for row in a]
+    n = len(a)
+    pf = 1
+    for k in range(0, n, 2):
+        p = next((j for j in range(k + 1, n) if a[k][j]), None)
+        if p is None:
+            return 0
+        if p != k + 1:  # swap rows and columns k+1 and p: the sign flips
+            a[k + 1], a[p] = a[p], a[k + 1]
+            for row in a:
+                row[k + 1], row[p] = row[p], row[k + 1]
+            pf = -pf
+        u, w, alpha = a[k], a[k + 1], a[k][k + 1]
+        pf *= alpha
+        support = [i for i in range(k + 2, n) if u[i] or w[i]]
+        for i in support:
+            for j in support:
+                a[i][j] -= Fraction(u[i] * w[j] - w[i] * u[j]) / alpha
+    return pf
+
+
+def block_parameters(a):
+    """Block parameters of the real skew canonical form of a, exactly.
+
+    a is a skew matrix of exact rationals (a float is refused).  The result
+    lists a_1 >= a_2 >= ... > 0, one per nonzero 2 x 2 block, each the
+    correctly rounded double of the exact value; for even m with no zero
+    block the last one carries the sign of the Pfaffian, the product of the
+    parameters.  With k = m // 2, the characteristic polynomial of a is
+    x^(m - 2k) times a polynomial in x^2, and y = -x^2 turns it into a
+    polynomial p of degree k whose roots are the a_t^2, counted with
+    multiplicity, and zeros for the zero blocks.  It is computed over the
+    integers from a scaled by its common denominator, split into squarefree
+    factors, and each root's square root rounded with an exact certificate.
+    """
+    a = [[x if isinstance(x, (int, Fraction)) else linalg.exact(x)
+          for x in row] for row in a]
+    m = len(a)
+    if any(len(row) != m for row in a):
+        raise NotSkew("input is not a square matrix")
+    den = math.lcm(*(x.denominator for row in a for x in row))
+    b = [[x.numerator * (den // x.denominator) for x in row] for row in a]
+    for i in range(m):
+        for j in range(i, m):
+            if b[i][j] != -b[j][i]:
+                raise NotSkew(f"entry ({i},{j}) breaks skew symmetry")
+    c = _charpoly(b)
+    k = m // 2
+    # det(xI - b) = sum_i c[2i] x^(m - 2i); at x^2 = -z this is x^(m - 2k)
+    # times sum_j (-1)^j c[2(k - j)] z^j, whose roots z are den^2 a_t^2
+    p = [(-1) ** j * c[2 * (k - j)] for j in range(k + 1)]
+    zero_blocks = next(j for j, x in enumerate(p) if x)
+    params = []
+    for f, multiplicity in _squarefree_factors(p[zero_blocks:]):
+        # f(den^2 y), whose roots y are the a_t^2 themselves
+        f = _primitive([x * den ** (2 * i) for i, x in enumerate(f)])
+        params += _rounded_roots(f) * multiplicity
+    params.sort(reverse=True)
+    if m % 2 == 0 and m and not zero_blocks and _pfaffian(b) < 0:
+        params[-1] = -params[-1]
+    return params
+
+
+# ---------------------------------------------------------------------------
+# real canonical form (numerical: the block parameters with a rotation)
 
 
 @dataclass
@@ -254,6 +586,52 @@ def _commutant(operators, m):
     return system, m * m - linalg.rank(system)
 
 
+def _minus_scalar(x, c):
+    """The sparse rows of X - cI."""
+    rows = [dict(row) for row in x]
+    for i, row in enumerate(rows):
+        row[i] = row.get(i, 0) - c
+        if not row[i]:
+            del row[i]
+    return rows
+
+
+def _rational_eigenvalues(x):
+    """The rational roots of t^2 = a + b t if X^2 = aI + bX, for X by
+    sparse rows; otherwise, or if X is scalar, none.
+
+    b and a are read from two entries, an off-diagonal entry of X or two
+    unequal diagonal ones, and the equation is then checked exactly.
+    """
+    m = len(x)
+    square = [_apply(x, row) for row in x]  # row i of X^2
+    diag = [row.get(i, 0) for i, row in enumerate(x)]
+    off = next(((i, j) for i in range(m) for j in x[i] if j != i), None)
+    if off:
+        i, j = off
+        b = Fraction(square[i].get(j, 0)) / x[i][j]
+    else:
+        j = next((j for j in range(m) if diag[j] != diag[0]), None)
+        if j is None:
+            return []
+        b = Fraction(square[j].get(j, 0) - square[0].get(0, 0)) / \
+            (diag[j] - diag[0])
+    a = square[0].get(0, 0) - b * diag[0]
+    for i, row in enumerate(x):
+        want = {k: b * y for k, y in row.items()}
+        want[i] = want.get(i, 0) + a
+        if square[i] != {k: y for k, y in want.items() if y}:
+            return []
+    disc = b * b + 4 * a
+    if disc < 0:
+        return []
+    num, den = math.isqrt(disc.numerator), math.isqrt(disc.denominator)
+    if num * num != disc.numerator or den * den != disc.denominator:
+        return []
+    root = Fraction(num, den)
+    return [(b + root) / 2, (b - root) / 2]
+
+
 def find_ideal(s, rank_hint=None):
     """Decide exactly whether an n-ary structure has a proper ideal.
 
@@ -265,8 +643,11 @@ def find_ideal(s, rank_hint=None):
     its orthogonal complement, and the orthogonal projection onto W
     commutes with every L_t: dimension 1 proves the algebra simple.  Above
     1 the kernel of every commutant element is an invariant subspace; the
-    first proper kernel of a canonical basis element is returned, and if
-    there is none the status is "undecided", never "simple".  A rank hint
+    first proper kernel of a canonical basis element is returned.  At
+    dimension 2 the commutant is span(I, X) for a non-scalar basis element
+    X, so X^2 = aI + bX, and at each rational root t of t^2 = a + b t the
+    kernel of X - tI, also in the commutant, is tried as well.  If no
+    kernel is proper the status is "undecided", never "simple".  A rank hint
     above 2 (m > 4) means simple by the paper's rank criterion, and the
     commutant must agree, or NaryError is raised.
     """
@@ -310,10 +691,12 @@ def find_ideal(s, rank_hint=None):
         x_rows = [{} for _ in range(m)]
         for ab, c in x.items():
             x_rows[ab // m][ab % m] = c
-        rows = linalg.nullspace(x_rows, range(m))
-        if 0 < len(rows) < m and _verify_ideal(operators, rows):
-            return IdealReport(True, _rows_to_elements(space, rows),
-                               method="commutant", status="ideal found")
+        shifts = [0] + (_rational_eigenvalues(x_rows) if dim == 2 else [])
+        for shift in shifts:
+            rows = linalg.nullspace(_minus_scalar(x_rows, shift), range(m))
+            if 0 < len(rows) < m and _verify_ideal(operators, rows):
+                return IdealReport(True, _rows_to_elements(space, rows),
+                                   method="commutant", status="ideal found")
     return IdealReport(False, method="commutant",
                        status=f"undecided (commutant dimension {dim})")
 
@@ -327,7 +710,7 @@ class ClassificationRecord:
     m: int
     v: object                # degree-2 element
     skew_rank: int
-    canonical_params: list   # approximate block parameters
+    canonical_params: list   # block_parameters: correctly rounded doubles
     simple: bool
     simple_method: str
     filippov: bool
@@ -335,7 +718,7 @@ class ClassificationRecord:
     ideal: IdealReport
 
 
-def classify_m3(space, v, tolerance=1e-9):
+def classify_m3(space, v):
     """Full record for the (m-3)-ary algebra of a degree-2 element."""
     if space.dim <= 4:
         raise DimensionTooSmall("classification needs dimension > 4")
@@ -351,10 +734,9 @@ def classify_m3(space, v, tolerance=1e-9):
     ideal = find_ideal(s, rank_hint=rank)
     if ideal.found == simple:
         raise NaryError("rank criterion disagrees with the ideal search")
-    params = canonical_form([[float(x) for x in row] for row in a],
-                            residual_tol=tolerance).params
     return ClassificationRecord(
-        m=space.dim, v=v, skew_rank=rank, canonical_params=params,
+        m=space.dim, v=v, skew_rank=rank,
+        canonical_params=block_parameters(a),
         simple=simple, simple_method=method, filippov=filippov,
         sh_jacobi=sh, ideal=ideal)
 

@@ -8,19 +8,19 @@ one process, as the benchmark harness ``perfbench/worker.py`` does; the
 argparse parser is then built on the first call and reused, and no option
 carries over from one call to the next.
 
-Each subcommand accepts only the options it reads.  ``--pretty`` and
-``--output`` go after any subcommand; ``--space`` and ``--max-degree`` after
-every one but ``table``, which builds its own spaces; ``--exhaustive`` after
-``verify``; ``--tolerance`` after ``classify`` and ``table``.  ``classify``
-also accepts ``--seed`` and ignores it: no search is randomized, but batch
-drivers pass it.
+Each subcommand accepts only the options it reads, spelled in full (no
+parser takes a unique prefix for an option).  ``--pretty`` and ``--output``
+go after any subcommand; ``--space`` and ``--max-degree`` after every one
+but ``table``, which builds its own spaces; ``--exhaustive`` after
+``verify``.  ``classify`` also accepts ``--seed`` and ignores it: no search
+is randomized, but batch drivers pass it.
 """
 
 import argparse
 import functools
-import math
 import sys
 from itertools import combinations_with_replacement
+from math import comb
 
 from . import io
 from .classify import classify_m3, skew_to_element
@@ -35,7 +35,7 @@ from .derived import (
     check_nary_jacobi,
     derive_structure,
 )
-from .errors import NaryError, SchemaError
+from .errors import NaryError
 from .frobenius import check_quasi_frobenius, graph_subalgebra_test, \
     t_star_extension
 from .hodge import HodgeContext, hodge_decomposition, require_dim, star
@@ -58,13 +58,6 @@ def _emit(args, obj):
 def _load_space(args):
     return io.parse_superspace(io.load_file(args.space),
                                max_degree=args.max_degree)
-
-
-def _tolerance(args):
-    # a nan bound would pass every residual, so only finite values >= 0 do
-    if not 0 <= args.tolerance < math.inf:
-        raise SchemaError("--tolerance", "expected a finite number >= 0")
-    return args.tolerance
 
 
 def _load_structure(space, args):
@@ -160,7 +153,6 @@ def cmd_hodge(args):
 
 
 def cmd_classify(args):
-    tolerance = _tolerance(args)
     space = _load_space(args)
     if args.skew:
         mat = io.parse_matrix(io.load_file(args.skew), space.dim)
@@ -169,17 +161,26 @@ def cmd_classify(args):
         v = io.parse_element(space, io.load_file(args.v))
     else:
         raise NaryError("need --v or --skew")
-    rec = classify_m3(space, v, tolerance=tolerance)
+    rec = classify_m3(space, v)
     _emit(args, io.classification_record_to_json(rec))
     return 0
 
 
+# A table job at m = 14, the largest dimension require_dim admits, took
+# 0.1 s (v = 0) to 0.9 s (full rank) on a 2-vCPU host, so this many jobs
+# bound a table at about 15 minutes; jobs at smaller m cost less.
+TABLE_JOB_BUDGET = 1000
+
+
 def cmd_table(args):
-    tolerance = _tolerance(args)
-    for m in args.m:  # refused before any space is built
-        require_dim(m)
     # non-increasing parameter tuples, the canonical ordering
     values = sorted(set(args.grid), reverse=True)
+    for m in args.m:  # refused before any space is built
+        require_dim(m)
+    jobs = sum(comb(len(values) + m // 2 - 1, m // 2) for m in args.m)
+    if jobs > TABLE_JOB_BUDGET:
+        raise NaryError(f"the table would run {jobs} classify jobs, above "
+                        f"the work budget of {TABLE_JOB_BUDGET}")
     lines = []
     for m in args.m:
         space = odd_space(m)
@@ -187,7 +188,7 @@ def cmd_table(args):
         for params in combinations_with_replacement(values, k):
             v = Element(space, {(2 * t, 2 * t + 1): params[t]
                                 for t in range(k) if params[t] != 0})
-            rec = classify_m3(space, v, tolerance=tolerance)
+            rec = classify_m3(space, v)
             lines.append(io.dumps(io.classification_record_to_json(rec)))
     _write(args, "".join(lines))
     return 0
@@ -210,28 +211,24 @@ def cmd_frobenius(args):
 
 
 def build_parser():
-    shared = argparse.ArgumentParser(add_help=False)
+    shared = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     shared.add_argument("--pretty", action="store_true",
                         help="indent JSON output")
     shared.add_argument("--output", help="write the report to a file")
     p = argparse.ArgumentParser(
-        prog="naryalg",
+        prog="naryalg", allow_abbrev=False,
         description="Exact engine for commutative n-ary superalgebras "
                     "with an invariant form")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add_cmd(name, help_text, space=True):
-        sp = sub.add_parser(name, help=help_text, parents=[shared])
+        sp = sub.add_parser(name, help=help_text, parents=[shared],
+                            allow_abbrev=False)
         if space:
             sp.add_argument("--space", required=True, help="superspace JSON")
             sp.add_argument("--max-degree", type=int, default=None,
                             help="degree cap for spaces with even generators")
         return sp
-
-    def tolerance(sp):
-        sp.add_argument("--tolerance", type=float, default=1e-9,
-                        help="residual bound for the numerical canonical "
-                             "form")
 
     v = add_cmd("verify", "run an identity check")
     v.add_argument("--exhaustive", action="store_true",
@@ -269,7 +266,6 @@ def build_parser():
     c = add_cmd("classify", "classification record of one algebra")
     c.add_argument("--v", help="degree-2 element JSON")
     c.add_argument("--skew", help="skew matrix JSON")
-    tolerance(c)
     c.add_argument("--seed", type=int, default=0,
                    help="accepted and ignored: no search is randomized")
     c.set_defaults(fn=cmd_classify)
@@ -277,7 +273,6 @@ def build_parser():
     t = add_cmd("table", "classification table as JSON lines", space=False)
     t.add_argument("--m", type=int, nargs="+", required=True)
     t.add_argument("--grid", type=int, nargs="+", default=[0, 1, 2])
-    tolerance(t)
     t.set_defaults(fn=cmd_table)
 
     f = add_cmd("frobenius", "quasi-Frobenius certificate")

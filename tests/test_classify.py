@@ -1,13 +1,16 @@
 """Skew correspondence, canonical forms, ideals, classification records."""
 
+import math
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
 from naryalg import classify, linalg
 from naryalg.classify import (
+    block_parameters,
     build_m3_algebra,
     canonical_form,
     classify_m3,
@@ -28,6 +31,7 @@ from naryalg.derived import (
 )
 from naryalg.errors import (
     DimensionTooSmall,
+    InexactCoefficient,
     NaryError,
     NotHodgeContext,
     NotOrthogonal,
@@ -135,6 +139,160 @@ def test_canonical_rejects_non_skew():
 
 
 # ---------------------------------------------------------------------------
+# exact block parameters
+
+
+def _random_skew_sets():
+    """The random skew sets of the canonical-form tests above and of
+    acceptance criterion 14, drawn the same way, as exact matrices."""
+    rng = random.Random(10)
+    for _ in range(100):
+        yield random_skew(rng, rng.randint(2, 10))
+    rng = random.Random(400)
+    for _ in range(100):
+        m = rng.randint(2, 10)
+        a = [[Fraction(0)] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i + 1, m):
+                x = Fraction(rng.randint(-8, 8), rng.randint(1, 4))
+                a[i][j], a[j][i] = x, -x
+        yield a
+
+
+def _floats(a):
+    return [[float(x) for x in row] for row in a]
+
+
+def _block_diagonal(m, params):
+    a = [[Fraction(0)] * m for _ in range(m)]
+    for t, x in enumerate(params):
+        a[2 * t][2 * t + 1], a[2 * t + 1][2 * t] = Fraction(x), -Fraction(x)
+    return a
+
+
+def _conjugate(q, a):
+    return linalg.mat_mul(linalg.mat_mul(q, a), linalg.transpose(q))
+
+
+def _cell(x):
+    """The exact midpoints between the double x and its two neighbours."""
+    return ((Fraction(math.nextafter(x, 0)) + Fraction(x)) / 2,
+            (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2)
+
+
+def _no_bisection(f):
+    raise AssertionError("the float guidance missed a root")
+
+
+def test_block_parameters_match_the_canonical_form(monkeypatch):
+    # every root is certified from its float guess, with no bisection
+    monkeypatch.setattr(classify, "_roots_by_bisection", _no_bisection)
+    for a in _random_skew_sets():
+        want = canonical_form(_floats(a)).params
+        got = block_parameters(a)
+        assert len(got) == len(want)
+        for x, y in zip(got, want):
+            assert abs(x - y) <= 1e-12 * abs(x)
+
+
+def test_block_parameters_equal_the_canonical_form_on_block_diagonals(
+        monkeypatch):
+    monkeypatch.setattr(classify, "_roots_by_bisection", _no_bisection)
+    for m in (6, 7, 8, 10):
+        for params in combinations_with_replacement([3, 2, 1, 0], m // 2):
+            a = _block_diagonal(m, params)
+            want = [float(x) for x in params if x]
+            assert block_parameters(a) == want
+            assert canonical_form(_floats(a)).params == want
+
+
+def test_block_parameters_exact_cases():
+    rng = random.Random(7)
+    cases = [
+        # odd m: the zero block takes the sign, so every parameter is > 0
+        (_block_diagonal(5, [-1, 3]), [3.0, 1.0]),
+        # zero blocks are not listed
+        (_block_diagonal(8, [0, 2, 0, 0]), [2.0]),
+        # a negative Pfaffian at even full rank signs the smallest one
+        (_block_diagonal(4, [-1, 3]), [3.0, -1.0]),
+        (_block_diagonal(6, [2, -2, 2]), [2.0, 2.0, -2.0]),
+        # repeated parameters, also behind a dense rational rotation
+        (_conjugate(_rational_rotation(rng, 8),
+                    _block_diagonal(8, [1, 2, 1, 2])), [2.0, 2.0, 1.0, 1.0]),
+        (_conjugate(_rational_rotation(rng, 7),
+                    _block_diagonal(7, [3, 3, 3])), [3.0, 3.0, 3.0]),
+        # rational, not integral: each value rounded once, exactly
+        (_conjugate(_rational_rotation(rng, 6),
+                    _block_diagonal(6, [Fraction(1, 3), Fraction(5, 2), 0])),
+         [2.5, float(Fraction(1, 3))]),
+        (_conjugate(_rational_rotation(rng, 4),
+                    _block_diagonal(4, [Fraction(-2, 7), Fraction(1, 10)])),
+         [float(Fraction(2, 7)), -float(Fraction(1, 10))]),
+        (linalg.zeros(3, 3), []),
+        ([], []),
+    ]
+    for a, want in cases:
+        assert block_parameters(a) == want, a
+
+
+def test_irrational_block_parameters_are_correctly_rounded():
+    # [[0, a, b], [-a, 0, c], [-b, -c, 0]] has the one parameter
+    # sqrt(a^2 + b^2 + c^2); its double's rounding cell must hold it
+    rng = random.Random(8)
+    for _ in range(50):
+        a, b, c = (Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                   for _ in range(3))
+        y = a * a + b * b + c * c
+        if not y:
+            continue
+        (x,) = block_parameters([[0, a, b], [-a, 0, c], [-b, -c, 0]])
+        lo, hi = _cell(x)
+        assert lo * lo < y < hi * hi or x * x == y
+
+
+@pytest.mark.parametrize("value, want", [
+    # midway between 1 and the next double up: the tie goes to even 1.0
+    (1 + Fraction(1, 2 ** 53), 1.0),
+    # midway between 1 + 2^-52 (odd) and 1 + 2^-51 (even)
+    (1 + Fraction(3, 2 ** 53), 1 + 2.0 ** -51),
+])
+def test_a_parameter_midway_between_doubles_rounds_to_even(value, want):
+    assert block_parameters(_block_diagonal(3, [value])) == [want]
+
+
+def test_bisection_agrees_with_the_float_guided_roots():
+    # the fallback alone, on the squarefree factors of random matrices
+    rng = random.Random(9)
+    for _ in range(20):
+        a = random_skew(rng, rng.randint(2, 8))
+        b = [[x * 12 for x in row] for row in a]  # 12 clears denominators
+        c = classify._charpoly([[int(x) for x in row] for row in b])
+        k = len(a) // 2
+        p = [(-1) ** j * c[2 * (k - j)] for j in range(k + 1)]
+        p = p[next(j for j, x in enumerate(p) if x):]
+        for f, _ in classify._squarefree_factors(p):
+            assert classify._roots_by_bisection(f) == \
+                sorted(classify._rounded_roots(f))
+
+
+def test_block_parameters_beyond_the_float_guidance():
+    # y = a^2 overflows a double, so the exact bisection places the root
+    big = 3 * 10 ** 200
+    assert block_parameters(_block_diagonal(2, [big])) == [float(big)]
+    with pytest.raises(NaryError, match="beyond the double range"):
+        block_parameters(_block_diagonal(2, [10 ** 400]))
+
+
+def test_block_parameters_refuse_bad_input():
+    with pytest.raises(InexactCoefficient):
+        block_parameters([[0.0, 1.5], [-1.5, 0.0]])
+    with pytest.raises(NotSkew):
+        block_parameters(linalg.identity(3))
+    with pytest.raises(NotSkew):
+        block_parameters([[0, 1], [-1, 0], [0, 0]])
+
+
+# ---------------------------------------------------------------------------
 # the (m-3)-ary algebra of a degree-2 element
 
 
@@ -196,7 +354,8 @@ def _rank2_structures(rng):
 
 def test_found_ideals_verify_exactly():
     cases = [(s, "kernel") for s in _rank2_structures(random.Random(31))]
-    cases.append((_so3_plus_so3(rotated=False), "commutant"))
+    cases += [(_so3_plus_so3(rotated), "commutant")
+              for rotated in (False, True)]
     for s, method in cases:
         rep = find_ideal(s)
         assert rep.found and rep.method == method
@@ -292,22 +451,32 @@ def test_find_ideal_refuses_a_space_that_is_not_orthonormal():
         find_ideal(derive_structure(mu))
 
 
-def test_rotated_so3_plus_so3_is_never_called_simple():
-    rep = find_ideal(_so3_plus_so3(rotated=True))
-    assert not rep.found and rep.method == "commutant"
-    assert rep.status == "undecided (commutant dimension 2)"
-
-
-def test_aligned_so3_plus_so3_has_an_invariant_proper_ideal():
-    s = _so3_plus_so3(rotated=False)
+def _commutant_ideal_rows(s):
+    """The ideal find_ideal reports from the commutant, checked closed
+    under every operator by the dense fixed-point oracle."""
     rep = find_ideal(s)
     assert rep.found and rep.method == "commutant"
+    assert rep.status == "ideal found"
     rows = linalg.row_space([{i: c for (i,), c in b.terms.items()}
                              for b in rep.basis])
-    assert rows == [{3: 1}, {4: 1}, {5: 1}]
+    assert 0 < len(rows) < 6
     mats = [[[Fraction(col.get(i, 0)) for col in s.operator(t)]
              for i in range(6)] for t in canonical_tuples(s.space, 1)]
     assert spin_by_fixed_point(mats, rows, 6) == rows
+    return rows
+
+
+def test_rotated_so3_plus_so3_is_never_called_simple():
+    # the commutant is span(I, X) with X^2 = aI + bX; the basis elements
+    # are invertible, so the ideal is the kernel of X - tI at a rational
+    # root t of t^2 = a + b t
+    rows = _commutant_ideal_rows(_so3_plus_so3(rotated=True))
+    assert len(rows) == 3
+
+
+def test_aligned_so3_plus_so3_has_an_invariant_proper_ideal():
+    rows = _commutant_ideal_rows(_so3_plus_so3(rotated=False))
+    assert rows == [{3: 1}, {4: 1}, {5: 1}]
 
 
 def test_rank_hint_must_agree_with_the_commutant():

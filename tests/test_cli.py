@@ -280,12 +280,29 @@ def test_bad_max_degree_exits_2(files, capsys, value):
     assert report["error"].startswith("superspace.max_degree:")
 
 
-def test_import_leaves_numpy_and_scipy_unloaded():
-    code = ("import sys, naryalg.cli; "
-            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")
+def test_import_leaves_numpy_and_scipy_unloaded(files):
+    # importing loads neither, and no command does either: classify and
+    # table compute exact block parameters; only canonical_form loads them
+    write, _ = files
+    s5 = write("s5.json", SPACE5)
+    v = write("v.json", [{"monomial": [1, 2], "coeff": "2"},
+                         {"monomial": [3, 4], "coeff": "1/3"}])
+    a = write("a.json", {"schema": "nary/1", "matrix": [
+        [str(int(i < j) - int(j < i)) for j in range(5)] for i in range(5)]})
+    jobs = [["classify", "--space", s5, "--v", v],
+            ["classify", "--space", s5, "--skew", a],
+            ["table", "--m", "5", "6", "--grid", "0", "1", "2"]]
+    code = ("import sys, naryalg.cli\n"
+            "def loaded():\n"
+            "    return [m for m in ('numpy', 'scipy') if m in sys.modules]\n"
+            "print(loaded(), file=sys.stderr)\n"
+            f"for argv in {jobs!r}:\n"
+            "    assert naryalg.cli.main(argv) == 0\n"
+            "    print(loaded(), file=sys.stderr)\n")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True,
                        text=True, check=True)
-    assert r.stdout.strip() == "[]"
+    assert r.stderr.split() == ["[]"] * 4
+    assert len(r.stdout.splitlines()) == 2 + 6 + 10
 
 
 def test_missing_file_exits_2(files, capsys):
@@ -402,9 +419,7 @@ def test_repeated_main_calls_match_fresh_processes(files, capsys):
         ["verify", "--space", s2, "--identity", "quasi-frobenius",
          "--structure", st, "--phi", phi0],
         ["classify", "--space", s5, "--v", v, "--seed", "3"],
-        ["classify", "--space", s5, "--v", v, "--tolerance", "nan"],
         ["classify", "--space", s5, "--v", v],
-        ["table", "--m", "5", "--grid", "1", "--tolerance", "-1"],
         ["table", "--m", "5", "--grid", "1"],
         ["derive", "--space", s5, "--potential", mu2],
     ]
@@ -418,16 +433,48 @@ def test_repeated_main_calls_match_fresh_processes(files, capsys):
 @pytest.mark.parametrize("command", ["classify", "table"])
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
 def test_bad_tolerance_flag_exits_2(files, capsys, command, value):
-    # a nan bound would pass every residual; -1 would fail every one
+    # the block parameters are exact, so no residual bound is read and the
+    # flag is refused
     write, _ = files
     argv = (["classify", "--space", write("s.json", SPACE5), "--v",
              write("v.json", [{"monomial": [1, 2], "coeff": "1"}])]
             if command == "classify" else ["table", "--m", "5"])
-    code, out, err = run_main(argv + ["--tolerance", value], capsys)
+    with pytest.raises(SystemExit) as ex:
+        main(argv + ["--tolerance", value])
+    assert ex.value.code == 2
+    assert f"unrecognized arguments: --tolerance {value}" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--space", "s.json", "--identity", "filippov", "--pot",
+     "mu.json"],
+    ["verify", "--space", "s.json", "--identity", "filippov", "--exh"],
+    ["classify", "--space", "s.json", "--sk", "a.json"],
+    ["table", "--m", "5", "--gr", "1"],
+    ["frobenius", "--space", "s.json", "--structure", "st.json", "--phi",
+     "phi.json", "--gra"],
+    ["hodge", "--space", "s.json", "--potential", "mu.json", "--pre"],
+])
+def test_abbreviated_flag_exits_2(argv, capsys):
+    # only the full spelling of an option parses, never a unique prefix
+    with pytest.raises(SystemExit) as ex:
+        main(argv)
+    assert ex.value.code == 2
+    assert "unrecognized arguments: " in capsys.readouterr().err
+
+
+def test_table_over_the_work_budget_exits_2_first(capsys):
+    # C(10 + 7 - 1, 7) = 11,440 jobs at m = 14, refused before any is run
+    start = time.perf_counter()
+    code, out, err = run_main(["table", "--m", "14", "--grid"] +
+                              [str(g) for g in range(10)], capsys)
+    assert time.perf_counter() - start < 0.5
     assert code == 2 and out == ""
-    assert json.loads(err) == {"schema": "nary/1", "kind": "SchemaError",
-                               "error": "--tolerance: expected a finite "
-                                        "number >= 0"}
+    assert json.loads(err) == {
+        "schema": "nary/1", "kind": "NaryError",
+        "error": "the table would run 11440 classify jobs, above the work "
+                 "budget of 1000"}
 
 
 @pytest.mark.parametrize("argv, removed", [
@@ -458,9 +505,8 @@ OPTIONS = {
     "star": {"--space", "--max-degree", "--element"},
     "bracket": {"--space", "--max-degree", "--a", "--b"},
     "hodge": {"--space", "--max-degree", "--potential"},
-    "classify": {"--space", "--max-degree", "--v", "--skew", "--tolerance",
-                 "--seed"},
-    "table": {"--m", "--grid", "--tolerance"},
+    "classify": {"--space", "--max-degree", "--v", "--skew", "--seed"},
+    "table": {"--m", "--grid"},
     "frobenius": {"--space", "--max-degree", "--potential", "--structure",
                   "--phi", "--graph", "--allow-odd-arity"},
 }
@@ -476,4 +522,4 @@ def test_each_subcommand_accepts_only_its_options():
              for name, p in sub.choices.items()}
     assert slots == {name: opts | {"--pretty", "--output"}
                      for name, opts in OPTIONS.items()}
-    assert sum(map(len, slots.values())) == 54
+    assert sum(map(len, slots.values())) == 52

@@ -1,6 +1,7 @@
 """The README's Python sketch runs, and every flag it lists parses."""
 
 import argparse
+import json
 import re
 import shlex
 from pathlib import Path
@@ -47,7 +48,7 @@ def test_every_listed_flag_is_an_option():
     flags = set(re.findall(r"`(--[a-z][a-z-]*)", README))
     for line in _command_lines():
         flags.update(re.findall(r"--[a-z][a-z-]*", line))
-    assert {"--max-degree", "--exhaustive", "--tolerance", "--seed"} <= flags
+    assert {"--max-degree", "--exhaustive", "--seed"} <= flags
     for flag in flags:
         assert any(flag in sub._option_string_actions
                    for sub in commands.values()), flag
@@ -63,8 +64,19 @@ def test_every_listed_flag_is_an_option():
     entries = re.findall(r"^- `(--[a-z-]+)[^`]*` on (.*?):", section,
                          flags=re.M | re.S)
     assert [flag for flag, _ in entries] == \
-        ["--max-degree", "--exhaustive", "--tolerance", "--seed"]
+        ["--max-degree", "--exhaustive", "--seed"]
     for flag, names in entries:
         listed = set(re.findall(r"`([a-z]+)`", names))
         assert listed == {name for name, sub in commands.items()
                           if flag in sub._option_string_actions}, flag
+
+
+def test_table_lines_run_within_the_work_budget(capsys):
+    lines = [shlex.split(line)[1:] for line in _command_lines()
+             if line.startswith("naryalg table ")]
+    assert lines
+    for argv in lines:
+        assert cli.main(argv) == 0
+        records = [json.loads(rec)
+                   for rec in capsys.readouterr().out.splitlines()]
+        assert records and all(rec["approx"] is True for rec in records)
