@@ -5,8 +5,10 @@ action; the orthogonal group acts by conjugation, so orbits are labelled by
 the block parameters of the real skew canonical form.  ``block_parameters``
 computes them exactly, each printed as its correctly rounded double;
 ``canonical_form`` is the numerical route that also returns the rotation
-(it alone loads numpy and scipy).  The (m-3)-ary algebra attached to a
-degree-2 element v is the derived algebra of star(v).
+(it alone loads numpy and scipy).  ``block_parameters`` reads the roots of
+``linalg.charpoly``; ``linalg`` checks every matrix a caller gives.  The
+(m-3)-ary algebra attached to a degree-2 element v is the derived algebra
+of star(v).
 Simplicity is decided twice, independently: by the rank of v (the paper's
 criterion) and by an exact certificate, the common kernel of the adjoint
 operators or the dimension of their commutant.
@@ -75,17 +77,9 @@ def skew_to_element(space, a):
     """
     _require_orthonormal_odd(space)
     m = space.dim
-    a = [[Fraction(x) for x in row] for row in a]
-    for i in range(m):
-        for j in range(m):
-            if a[i][j] != -a[j][i]:
-                raise NotSkew(f"entry ({i},{j}) breaks skew symmetry")
-    acc = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            if a[i][j] != 0:
-                acc[(i, j)] = a[i][j]
-    w = Element(space, acc)
+    a = linalg.skew_matrix(a, m)
+    w = Element(space, {(i, j): a[i][j]
+                        for i in range(m) for j in range(i + 1, m)})
     if ad_matrix(space, w) != a:
         raise NaryError("adjoint matrix does not reproduce the input")
     return w
@@ -104,40 +98,6 @@ def element_to_skew(space, w):
 #
 # Polynomials are lists of integer coefficients, lowest degree first, with
 # no trailing zero; an empty list is the zero polynomial.
-
-
-def _charpoly(b):
-    """Coefficients [1, c_1, ..., c_m] of det(xI - B), B an integer matrix.
-
-    Berkowitz's division-free recurrence ("On computing the determinant in
-    small parallel time using a small number of processors", 1984): with
-    B_k the leading k x k block, C the column and R the row that border it,
-    and a the corner, the polynomial of B_(k+1) is that of B_k times the
-    Toeplitz matrix of [1, -a, -R C, -R B_k C, -R B_k^2 C, ...].
-    """
-    m = len(b)
-    columns = [[(i, b[i][j]) for i in range(m) if b[i][j]] for j in range(m)]
-    poly = [1]
-    for k in range(m):
-        col = {i: x for i, x in columns[k] if i < k}
-        toeplitz = [1, -b[k][k]] + [0] * k
-        for step in range(2, k + 2):
-            if not col:
-                break
-            toeplitz[step] = -sum(b[k][i] * x for i, x in col.items())
-            image = {}
-            for j, x in col.items():
-                for i, y in columns[j]:
-                    if i < k:
-                        image[i] = image.get(i, 0) + y * x
-            col = {i: x for i, x in image.items() if x}
-        product = [0] * (k + 2)
-        for shift, t in enumerate(toeplitz):
-            if t:
-                for i, x in enumerate(poly[:k + 2 - shift]):
-                    product[i + shift] += x * t
-        poly = product
-    return poly
 
 
 def _trim(p):
@@ -386,29 +346,20 @@ def _pfaffian(a):
 def block_parameters(a):
     """Block parameters of the real skew canonical form of a, exactly.
 
-    a is a skew matrix of exact rationals (a float is refused).  The result
-    lists a_1 >= a_2 >= ... > 0, one per nonzero 2 x 2 block, each the
-    correctly rounded double of the exact value; for even m with no zero
-    block the last one carries the sign of the Pfaffian, the product of the
-    parameters.  With k = m // 2, the characteristic polynomial of a is
+    a is a square skew matrix of exact rationals (``linalg.skew_matrix``).
+    The result lists a_1 >= a_2 >= ... > 0, one per nonzero 2 x 2 block,
+    each the correctly rounded double of the exact value; for even m with
+    no zero block the last one carries the sign of the Pfaffian, the
+    product of the parameters.  With k = m // 2, the characteristic polynomial of a is
     x^(m - 2k) times a polynomial in x^2, and y = -x^2 turns it into a
     polynomial p of degree k whose roots are the a_t^2, counted with
     multiplicity, and zeros for the zero blocks.  It is computed over the
     integers from a scaled by its common denominator, split into squarefree
     factors, and each root's square root rounded with an exact certificate.
     """
-    a = [[x if isinstance(x, (int, Fraction)) else linalg.exact(x)
-          for x in row] for row in a]
-    m = len(a)
-    if any(len(row) != m for row in a):
-        raise NotSkew("input is not a square matrix")
-    den = math.lcm(*(x.denominator for row in a for x in row))
-    b = [[x.numerator * (den // x.denominator) for x in row] for row in a]
-    for i in range(m):
-        for j in range(i, m):
-            if b[i][j] != -b[j][i]:
-                raise NotSkew(f"entry ({i},{j}) breaks skew symmetry")
-    c = _charpoly(b)
+    b, den = linalg.clear_denominators(linalg.skew_matrix(a))
+    m = len(b)
+    c = linalg.charpoly(b)
     k = m // 2
     # det(xI - b) = sum_i c[2i] x^(m - 2i); at x^2 = -z this is x^(m - 2k)
     # times sum_j (-1)^j c[2(k - j)] z^j, whose roots z are den^2 a_t^2
@@ -428,6 +379,9 @@ def block_parameters(a):
 # ---------------------------------------------------------------------------
 # real canonical form (numerical: the block parameters with a rotation)
 
+SKEW_TOL = 1e-12
+RESIDUAL_TOL = 1e-9
+
 
 @dataclass
 class CanonicalForm:
@@ -445,8 +399,10 @@ class CanonicalForm:
         return a
 
 
-def canonical_form(a, skew_tol=1e-12, residual_tol=1e-9):
-    """Block parameters and transforming rotation of a real skew matrix."""
+def canonical_form(a):
+    """Block parameters and transforming rotation of a real skew matrix;
+    with s = max(1, |a|) in the max norm, NotSkew if |a + a^T| > SKEW_TOL * s
+    and ConvergenceFailure if |q A q^T - a| > RESIDUAL_TOL * s."""
     # imported here, so that only the canonical form loads numpy and scipy
     import numpy as np
     from scipy.linalg import schur
@@ -456,7 +412,7 @@ def canonical_form(a, skew_tol=1e-12, residual_tol=1e-9):
         raise NotSkew("input is not a square matrix")
     m = A.shape[0]
     scale = max(1.0, float(np.abs(A).max()))
-    if float(np.abs(A + A.T).max()) > skew_tol * scale:
+    if float(np.abs(A + A.T).max()) > SKEW_TOL * scale:
         raise NotSkew("matrix is not skew-symmetric within tolerance")
     T, Z = schur(A, output="real")
     q = Z.copy()
@@ -495,7 +451,7 @@ def canonical_form(a, skew_tol=1e-12, residual_tol=1e-9):
     form = CanonicalForm(params=params, q=q, residual=0.0, m=m)
     recon = q @ form.reconstruct() @ q.T
     form.residual = float(np.abs(recon - A).max())
-    if form.residual > residual_tol * scale:
+    if form.residual > RESIDUAL_TOL * scale:
         raise ConvergenceFailure(f"residual {form.residual} above tolerance")
     return form
 
@@ -745,15 +701,6 @@ def classify_m3(space, v):
 # isomorphisms
 
 
-def _is_special_orthogonal(space, phi):
-    m = space.dim
-    g = [list(row) for row in space.gram]
-    pgp = linalg.mat_mul(linalg.mat_mul(linalg.transpose(phi), g), phi)
-    if pgp != g:
-        return False
-    return linalg.det(phi) == 1
-
-
 def map_element(space, phi, el):
     """Induced action of a linear map on S*V: substitute generator images."""
     out = Element.zero(space)
@@ -770,8 +717,10 @@ def map_element(space, phi, el):
 
 def isomorphic_via(space, mu1, mu2, phi):
     """Does phi in SO(V) carry the first potential to the second?"""
-    phi = [[Fraction(x) for x in row] for row in phi]
-    if not _is_special_orthogonal(space, phi):
+    phi = linalg.square_matrix(phi, space.dim)
+    g = [list(row) for row in space.gram]
+    if linalg.mat_mul(linalg.mat_mul(linalg.transpose(phi), g), phi) != g \
+            or linalg.det(phi) != 1:
         raise NotOrthogonal("phi does not preserve the form with det +1")
     # bracket morphism property on a few fixed pairs
     rng = random.Random(2)

@@ -39,7 +39,6 @@ evaluated term by term only by the oracle ``generalized_jacobi`` in
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import comb, factorial
 
 from . import linalg
@@ -55,6 +54,7 @@ from .errors import (
     SpaceMismatch,
     WrongDegree,
 )
+from .linalg import ONE
 from .poisson import (
     Element,
     nested_bracket_indices,
@@ -63,8 +63,6 @@ from .poisson import (
     poisson_bracket,
 )
 from .superspace import require_nondegenerate
-
-ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +200,6 @@ class Potential:
     @classmethod
     def homotopy_family(cls, space, element):
         return cls(space, element, family=True)
-
-    def layers(self):
-        """Map arity -> homogeneous layer element."""
-        out = {}
-        for p in self.element.degrees():
-            out[p - 1] = self.element.homogeneous_part(p)
-        return out
 
     def is_odd(self):
         return self.element.is_zero() or self.element.parity() == 1
@@ -428,7 +419,7 @@ def closed_form_potential(s):
     return Potential.single(space, Element(space, acc), arity=s.arity)
 
 
-def potential_from_structure(s, space=None):
+def potential_from_structure(s):
     """Invert the derived-bracket construction (exact, unique).
 
     Requires a nondegenerate form and a commutative invariant structure.
@@ -440,10 +431,7 @@ def potential_from_structure(s, space=None):
     form over the degree cap is likewise reported only for a structure
     that obeys both laws.
     """
-    space = space or s.space
-    if space != s.space:
-        raise SpaceMismatch("structure over a different space")
-    require_nondegenerate(space)
+    require_nondegenerate(s.space)
     try:
         mu = closed_form_potential(s)
     except DegreeCapExceeded as exc:

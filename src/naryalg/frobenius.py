@@ -32,11 +32,9 @@ from . import linalg
 from .derived import NaryStructure, canonical_tuples, derive_structure, \
     potential_from_structure
 from .errors import NaryError, NotPureOdd, OddArity
+from .linalg import ONE, ZERO
 from .poisson import Element, pair_vectors
 from .superspace import ODD, Superspace
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 # work budget of the cyclic-sum loop, in tuples probed
 _TUPLE_BUDGET = 200000
@@ -53,16 +51,7 @@ def doubled_space(m):
 
 def validate_phi(space, phi):
     """A graded-symmetric form on a pure odd space: an ordinary skew matrix."""
-    m = space.dim
-    phi = [[linalg.exact(x) for x in row] for row in phi]
-    if len(phi) != m or any(len(row) != m for row in phi):
-        raise NaryError("phi must be a dim x dim matrix")
-    for i in range(m):
-        for j in range(m):
-            if phi[i][j] != -phi[j][i]:
-                raise NaryError(
-                    f"phi[{i}][{j}] breaks graded symmetry (skew on odd)")
-    return phi
+    return linalg.skew_matrix(phi, space.dim)
 
 
 @dataclass
@@ -105,7 +94,7 @@ def t_star_extension(space, mu):
     # certified: derive_structure(muT) equals this table, so the derived
     # extension restricts to s, acts on one dual argument as stated and
     # kills two or more
-    muT = potential_from_structure(ext_structure, ws)
+    muT = potential_from_structure(ext_structure)
     return TStarExtension(base_space=space, space=ws, arity=n, base=s,
                           potential=muT, structure=ext_structure)
 

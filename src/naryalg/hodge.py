@@ -47,18 +47,15 @@ report's ``harmonic`` is first read.
 
 import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
 from . import linalg
 from .derived import check_l_infinity
 from .errors import NotHodgeContext, NotLInfinity
+from .linalg import ONE, ZERO
 from .poisson import Element, multiply, poisson_bracket
 from .superspace import Orientation
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 MAX_DIM = 14
 
@@ -84,7 +81,7 @@ class HodgeContext:
         self.space = space
         self.orientation = orientation or Orientation.standard(space.dim)
         full = tuple(range(space.dim))
-        self.top = Element(space, {full: Fraction(self.orientation.sign)})
+        self.top = Element(space, {full: self.orientation.sign * ONE})
         self.degree_monomials = [
             [tuple(c) for c in combinations(range(space.dim), p)]
             for p in range(space.dim + 1)

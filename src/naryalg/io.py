@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from .derived import NaryStructure, Potential
 from .errors import NaryError, SchemaError
+from .linalg import ZERO, exact
 from .poisson import Element
 from .superspace import Superspace
 
@@ -20,14 +21,13 @@ SCHEMA = "nary/1"
 def parse_scalar(value, path="scalar"):
     if isinstance(value, bool):
         raise SchemaError(path, "expected a rational scalar")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as ex:
-            raise SchemaError(path, f"bad rational literal {value!r}: {ex}")
-    raise SchemaError(path, f"expected int or 'p/q' string, got {type(value).__name__}")
+    if not isinstance(value, (int, str)):
+        raise SchemaError(path, "expected int or 'p/q' string, got "
+                          f"{type(value).__name__}")
+    try:
+        return exact(value)
+    except NaryError as ex:
+        raise SchemaError(path, str(ex)) from None
 
 
 def fmt_scalar(q):
@@ -135,7 +135,7 @@ def parse_element(space, arr, path="element"):
                                   "repeated odd generator")
         coeff = parse_scalar(item["coeff"], f"{where}.coeff")
         mono = tuple(mono)
-        terms[mono] = terms.get(mono, Fraction(0)) + coeff
+        terms[mono] = terms.get(mono, ZERO) + coeff
     return Element(space, terms)
 
 

@@ -1,5 +1,13 @@
 """Exact linear algebra over the rationals.
 
+Every exactness decision of the engine is made here, once.  ``exact`` is
+the one rule for a caller's scalar: a ``Fraction`` is returned as it is,
+an int, a 'p/q' string or another ``numbers.Rational`` is converted, and a
+float (``InexactCoefficient``) or a bool (``NaryError``) is refused.
+``square_matrix`` takes an n x n matrix through it, ``skew_matrix`` also
+checks skew symmetry, and ``charpoly``, Berkowitz's characteristic
+polynomial over the integers, gives ``det`` its constant coefficient.
+
 The subspace routines ``rank``, ``row_space``, ``same_subspace`` and
 ``nullspace`` take a sized collection of sparse rows and return lists of
 them.  A sparse row is a dict {column: coefficient} with no zeros stored;
@@ -7,10 +15,9 @@ its column keys are any mutually comparable hashables (ints, or the
 monomial tuples of ``hodge``).  A sparse row does not know its width, so
 ``nullspace`` is also given the ordered column keys.
 
-Dense matrices, lists of rows of Fractions (ints are accepted as entries),
-stay only in ``rref``, ``solve``, ``inverse``, ``det`` and the
-matrix-arithmetic helpers, which serve small square matrices; ``sparse``
-converts a dense matrix at that boundary.
+Dense matrices (lists of rows) serve small square matrices: the checks
+and arithmetic helpers, ``charpoly``, ``det``, and ``rref``, ``solve`` and
+``inverse``, which convert with ``sparse`` and run the kernel below.
 
 Every elimination runs through one kernel: a fraction-free sparse
 Gauss-Jordan elimination over integer rows, in the sense of Bareiss,
@@ -47,19 +54,65 @@ engine code calls it.
 
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Rational, Real
 
-from .errors import InexactCoefficient, NaryError
+from .errors import InexactCoefficient, NaryError, NotSkew
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
 def exact(c):
-    """c as a Fraction; a float is refused, not expanded in binary."""
-    if isinstance(c, float):
+    """c as a Fraction: the one rule for a caller's scalar (module doc)."""
+    if type(c) is Fraction:
+        return c
+    if type(c) is int:
+        return Fraction(c)
+    if isinstance(c, str):
+        try:
+            return Fraction(c)
+        except (ValueError, ZeroDivisionError) as ex:
+            raise NaryError(f"bad rational literal {c!r}: {ex}") from None
+    if isinstance(c, Rational) and not isinstance(c, bool):
+        # through Python ints: a fixed-width numerator (numpy's int64)
+        # would wrap around inside the Fraction
+        return Fraction(int(c.numerator), int(c.denominator))
+    if isinstance(c, Real) and not isinstance(c, Rational):
         raise InexactCoefficient(f"float coefficient {c!r}: give an int, "
                                  "a Fraction or a 'p/q' string")
-    return Fraction(c)
+    raise NaryError(f"expected a rational scalar, got {c!r}")
+
+
+def square_matrix(a, n=None):
+    """a, a list of n lists or tuples of n entries (n defaults to len(a)),
+    as new rows of ``exact`` entries; any other shape raises NaryError."""
+    if not isinstance(a, (list, tuple)) or \
+            not all(isinstance(row, (list, tuple)) for row in a):
+        raise NaryError("a matrix is a list of rows")
+    n = len(a) if n is None else n
+    if len(a) != n or any(len(row) != n for row in a):
+        raise NaryError(f"matrix must be {n} x {n}")
+    return [[exact(x) for x in row] for row in a]
+
+
+def skew_matrix(a, n=None):
+    """``square_matrix(a, n)``, refused with NotSkew unless a^T = -a (read
+    off numerators and denominators in lowest terms: no Fraction is built)."""
+    a = square_matrix(a, n)
+    for i, row in enumerate(a):
+        for j in range(i, len(a)):
+            x, y = row[j], a[j][i]
+            if x.numerator != -y.numerator or x.denominator != y.denominator:
+                raise NotSkew(f"entry ({i},{j}) breaks skew symmetry")
+    return a
+
+
+def clear_denominators(a):
+    """(b, den): the exact matrix a times den, the lcm of its denominators,
+    as a matrix of ints."""
+    den = lcm(*(x.denominator for row in a for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row]
+            for row in a], den
 
 
 def zeros(rows, cols):
@@ -419,28 +472,47 @@ def bareiss_rank(a):
     return rk
 
 
+# ---------------------------------------------------------------------------
+# the characteristic polynomial and the determinant
+
+
+def charpoly(b):
+    """Coefficients [1, c_1, ..., c_m] of det(xI - B), B an integer matrix.
+
+    Berkowitz's division-free recurrence ("On computing the determinant in
+    small parallel time using a small number of processors", 1984): with
+    B_k the leading k x k block, C the column and R the row that border it,
+    and a the corner, the polynomial of B_(k+1) is that of B_k times the
+    Toeplitz matrix of [1, -a, -R C, -R B_k C, -R B_k^2 C, ...].
+    """
+    m = len(b)
+    columns = [[(i, b[i][j]) for i in range(m) if b[i][j]] for j in range(m)]
+    poly = [1]
+    for k in range(m):
+        col = {i: x for i, x in columns[k] if i < k}
+        toeplitz = [1, -b[k][k]] + [0] * k
+        for step in range(2, k + 2):
+            if not col:
+                break
+            toeplitz[step] = -sum(b[k][i] * x for i, x in col.items())
+            image = {}
+            for j, x in col.items():
+                for i, y in columns[j]:
+                    if i < k:
+                        image[i] = image.get(i, 0) + y * x
+            col = {i: x for i, x in image.items() if x}
+        product = [0] * (k + 2)
+        for shift, t in enumerate(toeplitz):
+            if t:
+                for i, x in enumerate(poly[:k + 2 - shift]):
+                    product[i + shift] += x * t
+        poly = product
+    return poly
+
+
 def det(a):
-    """Determinant by fraction-free Bareiss on a copy."""
-    n = len(a)
-    if n == 0:
-        return ONE
-    m = copy_matrix(a)
-    sign = 1
-    prev = ONE
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = None
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    piv = i
-                    break
-            if piv is None:
-                return ZERO
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) / prev
-            m[i][k] = ZERO
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    """Determinant of a square matrix: (-1)^m c_m / den^m, where c_m is the
+    constant coefficient of ``charpoly`` of the matrix times den."""
+    b, den = clear_denominators(square_matrix(a))
+    m = len(b)
+    return Fraction((-1) ** m * charpoly(b)[m], den ** m)

@@ -22,10 +22,7 @@ bracket; the tests compare it with a literal recursion on the three rules,
 from fractions import Fraction
 
 from .errors import DegreeCapExceeded, NaryError, SpaceMismatch, WrongDegree
-from .linalg import exact
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .linalg import ONE, ZERO, exact
 
 
 def mono_parity(space, mono):
@@ -72,6 +69,7 @@ class Element:
         clean = {}
         if terms:
             for mono, coeff in terms.items():
+                # exact's fast path, inline: this is the hot path
                 c = coeff if type(coeff) is Fraction else exact(coeff)
                 if c == 0:
                     continue

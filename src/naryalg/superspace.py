@@ -2,11 +2,10 @@
 
 The form is skew-symmetric in the graded sense, (a,b) = -(-1)^{|a||b|}(b,a).
 Concretely the Gram matrix must be antisymmetric on even-even pairs,
-symmetric on odd-odd pairs, and zero on mixed pairs.  Basis indices are
+symmetric on odd-odd pairs, and zero on mixed pairs; its shape and
+entries are checked by ``linalg.square_matrix``.  Basis indices are
 0-based everywhere inside the engine; serialization converts to 1-based.
 """
-
-from fractions import Fraction
 
 from . import linalg
 from .errors import (
@@ -36,10 +35,8 @@ class Superspace:
             if not isinstance(p, int) or p not in (EVEN, ODD):
                 raise NaryError(f"parity[{i}] must be 0 (even) or 1 (odd), "
                                 f"got {p!r}")
-        if len(gram) != dim or any(len(row) != dim for row in gram):
-            raise NaryError("gram must be dim x dim")
         parity = tuple(int(p) for p in parity)
-        gram = tuple(tuple(linalg.exact(x) for x in row) for row in gram)
+        gram = tuple(map(tuple, linalg.square_matrix(gram, dim)))
         for i in range(dim):
             for j in range(dim):
                 if parity[i] != parity[j]:
@@ -99,21 +96,23 @@ def even_symplectic_space(m, max_degree=None):
         raise NaryError("symplectic space needs even dimension")
     g = linalg.zeros(m, m)
     for i in range(0, m, 2):
-        g[i][i + 1] = Fraction(1)
-        g[i + 1][i] = Fraction(-1)
+        g[i][i + 1] = linalg.ONE
+        g[i + 1][i] = -linalg.ONE
     return Superspace(m, [EVEN] * m, g, max_degree=max_degree)
 
 
 def is_positive_definite(space):
-    """Exact Sylvester test on a pure odd (hence symmetric) Gram matrix."""
+    """Is the Gram matrix G of a pure odd space (symmetric there) positive
+    definite?  Exactly when the coefficients of det(xI - G) strictly
+    alternate in sign: G is symmetric, so every root is real and Descartes'
+    rule of signs counts the positive ones exactly, m of them only if all
+    m + 1 coefficients are nonzero and alternate.  Scaling G to integers by
+    a positive factor keeps every sign.
+    """
     if not space.pure_odd:
         raise NotPureOdd("positive definiteness is defined for pure odd spaces")
-    g = space.gram
-    for k in range(1, space.dim + 1):
-        minor = [[g[i][j] for j in range(k)] for i in range(k)]
-        if linalg.det(minor) <= 0:
-            return False
-    return True
+    b, _ = linalg.clear_denominators(space.gram)
+    return all((-1) ** k * c > 0 for k, c in enumerate(linalg.charpoly(b)))
 
 
 def require_nondegenerate(space):

@@ -21,7 +21,6 @@ from naryalg.hodge import (
     laplacian,
     star,
 )
-from naryalg.linalg import det
 from naryalg.poisson import (
     ONE,
     Element,
@@ -34,6 +33,37 @@ from naryalg.poisson import (
 )
 
 
+def det_by_bareiss(a):
+    """Determinant by dense fraction-free Bareiss elimination on a copy.
+
+    Shares no code with ``linalg.det``, which reads Berkowitz's
+    characteristic polynomial.
+    """
+    n = len(a)
+    if n == 0:
+        return ONE
+    m = [[Fraction(x) for x in row] for row in a]
+    sign = 1
+    prev = ONE
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            piv = None
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    piv = i
+                    break
+            if piv is None:
+                return Fraction(0)
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) / prev
+            m[i][k] = Fraction(0)
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
 def rank_by_minors(a):
     """Largest k with a nonvanishing k x k minor.  Exponential; small m only."""
     if not a or not a[0]:
@@ -43,7 +73,7 @@ def rank_by_minors(a):
         for ri in combinations(range(rows), k):
             for ci in combinations(range(cols), k):
                 sub = [[a[i][j] for j in ci] for i in ri]
-                if det(sub) != 0:
+                if det_by_bareiss(sub) != 0:
                     return k
     return 0
 
@@ -398,6 +428,12 @@ def koszul_selection_sign(parities, chosen):
     return sign
 
 
+def potential_layers(mu):
+    """Map arity -> homogeneous layer element of a potential."""
+    return {p - 1: mu.element.homogeneous_part(p)
+            for p in mu.element.degrees()}
+
+
 def generalized_jacobi(mu, exhaustive=False):
     """The generalized Jacobi identities of a graded family, term by term.
 
@@ -411,7 +447,7 @@ def generalized_jacobi(mu, exhaustive=False):
     Together they hold exactly when check_l_infinity passes.  Oracle only.
     """
     space = mu.space
-    layers = mu.layers()
+    layers = potential_layers(mu)
     reports = {}
     if not layers:
         return reports

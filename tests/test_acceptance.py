@@ -270,7 +270,7 @@ def test_criterion_10_bijection_round_trip():
         if el.is_zero():
             continue
         mu = Potential.single(sp, el)
-        back = potential_from_structure(derive_structure(mu), sp)
+        back = potential_from_structure(derive_structure(mu))
         if back.element != mu.element:
             ok = False
         done += 1

@@ -262,6 +262,27 @@ def test_malformed_field_exits_2_with_its_path(files, capsys, flag, doc,
     assert report["error"].startswith(where + ":")
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--identity", "quasi-frobenius", "--structure", "st.json",
+     "--phi", "m.json"],
+    ["frobenius", "--structure", "st.json", "--phi", "m.json"],
+    ["classify", "--skew", "m.json"],
+])
+def test_non_skew_matrix_exits_2_with_not_skew(files, capsys, argv):
+    write, _ = files
+    matrix = [["0"] * 5 for _ in range(5)]
+    matrix[1][2] = "1"
+    paths = {"st.json": write("st.json", {"arity": 2, "constants": []}),
+             "m.json": write("m.json", matrix),
+             "s.json": write("s.json", SPACE5)}
+    argv = [paths.get(a, a) for a in argv + ["--space", "s.json"]]
+    code, out, err = run_main(argv, capsys)
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["kind"] == "NotSkew"
+    assert report["error"] == "entry (1,2) breaks skew symmetry"
+
+
 @pytest.mark.parametrize("value", ["x", 0, -1, 2.5, True, None])
 def test_bad_max_degree_exits_2(files, capsys, value):
     # a mixed space, so the cap is read when the bracket builds monomials

@@ -139,7 +139,7 @@ def test_round_trip_random_potentials():
         if el.is_zero():
             continue
         mu = Potential.single(sp, el)
-        back = potential_from_structure(derive_structure(mu), sp)
+        back = potential_from_structure(derive_structure(mu))
         assert back.element == mu.element
         assert back.arity == n
         done += 1
@@ -147,7 +147,7 @@ def test_round_trip_random_potentials():
 
 def test_zero_structure_inverts_to_zero():
     s = NaryStructure(V5, 2, {})
-    mu = potential_from_structure(s, V5)
+    mu = potential_from_structure(s)
     assert mu.element.is_zero()
 
 
@@ -155,21 +155,21 @@ def test_non_invariant_structure_rejected():
     sp = odd_space(2)
     s = NaryStructure(sp, 2, {(0, 1): Element.generator(sp, 0)})
     with pytest.raises(NotInvariant) as exc:
-        potential_from_structure(s, sp)
+        potential_from_structure(s)
     assert exc.value.witness is not None
 
 
 def test_non_commutative_table_rejected():
     s = NaryStructure(V5, 2, {(0, 0): Element.generator(V5, 1)})
     with pytest.raises(NotCommutative):
-        potential_from_structure(s, V5)
+        potential_from_structure(s)
 
 
 def test_degenerate_form_rejected():
     from naryalg.errors import Degenerate
     sp = odd_space(2, gram=[[1, 0], [0, 0]])
     with pytest.raises(Degenerate):
-        potential_from_structure(NaryStructure(sp, 1, {}), sp)
+        potential_from_structure(NaryStructure(sp, 1, {}))
 
 
 # spaces for the closed-form inversion: non-identity Gram matrices of every kind
@@ -248,7 +248,7 @@ def test_closed_form_matches_solve_oracle():
             continue
         mu = Potential.single(sp, el)
         s = derive_structure(mu)
-        closed = potential_from_structure(s, sp)
+        closed = potential_from_structure(s)
         oracle = potential_by_solve(s)
         assert closed.element == oracle.element == mu.element, (name, n)
         seen.add((name, n))
@@ -263,7 +263,7 @@ def test_certificate_rejects_a_flipped_coefficient(name, monkeypatch):
     sp = INVERSION_SPACES[name]
     mu = Potential.single(sp, random_homogeneous(sp, random.Random(43), 3))
     s = derive_structure(mu)
-    assert potential_from_structure(s, sp).element == mu.element
+    assert potential_from_structure(s).element == mu.element
 
     def flipped(s):
         terms = dict(closed_form_potential(s).element.terms)
@@ -273,7 +273,7 @@ def test_certificate_rejects_a_flipped_coefficient(name, monkeypatch):
 
     monkeypatch.setattr(derived, "closed_form_potential", flipped)
     with pytest.raises(NotInvariant):
-        potential_from_structure(s, sp)
+        potential_from_structure(s)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,27 @@
-"""The elimination kernel against independent routines; its rank certificate."""
+"""The elimination kernel against independent routines; its rank certificate.
+
+Also the one door for a caller's scalars and matrices, and the determinant
+against a dense Bareiss oracle.
+"""
 
 import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from naryalg import linalg
-from naryalg.errors import NaryError
+from naryalg.classify import block_parameters, isomorphic_via, skew_to_element
+from naryalg.derived import NaryStructure, Potential
+from naryalg.errors import InexactCoefficient, NaryError, NotSkew
+from naryalg.frobenius import check_quasi_frobenius
+from naryalg.poisson import Element
+from naryalg.superspace import Superspace, is_positive_definite, odd_space
 
-from oracles import rank_by_minors
+from oracles import det_by_bareiss, rank_by_minors
 
 
 def random_matrix(rng, rows, cols, rank=None, dens=(1, 2, 3, 5)):
@@ -282,3 +292,150 @@ def test_inverse_is_two_sided():
 def test_inverse_of_singular_matrix_raises():
     with pytest.raises(NaryError):
         linalg.inverse([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+
+
+# ---------------------------------------------------------------------------
+# the one door: every entry point takes scalars and matrices through linalg
+
+
+def test_exact_is_the_one_scalar_rule():
+    tenth = Fraction(1, 10)
+    assert linalg.exact(tenth) is tenth
+    assert Superspace(1, [1], [[tenth]]).gram[0][0] is tenth
+    assert linalg.exact(3) == 3 and type(linalg.exact(3)) is Fraction
+    assert linalg.exact("-2/6") == Fraction(-1, 3)
+    with pytest.raises(InexactCoefficient):
+        linalg.exact(0.1)
+    for bad in (True, "1/0", "x", None, [1]):
+        with pytest.raises(NaryError) as exc:
+            linalg.exact(bad)
+        assert type(exc.value) is NaryError
+    # a numpy int64 is converted through Python ints, so nothing wraps
+    big = linalg.exact(np.int64(2 ** 62))
+    assert type(big.numerator) is int and big * 4 == 2 ** 64
+
+
+def test_charpoly_is_called_over_the_integers(monkeypatch):
+    calls = []
+
+    def over_ints(b):
+        calls.append(all(type(x) is int for row in b for x in row))
+        return charpoly(b)
+
+    charpoly = linalg.charpoly
+    monkeypatch.setattr(linalg, "charpoly", over_ints)
+    half = Fraction(1, 2)
+    assert linalg.det([[half, 1], [0, 3]]) == Fraction(3, 2)
+    assert is_positive_definite(odd_space(2, gram=[[half, 0], [0, 1]]))
+    assert block_parameters([[0, half], [-half, 0]]) == [0.5]
+    assert calls == [True] * 3
+
+
+V3 = odd_space(3)
+MU3 = Potential.single(V3, Element.monomial(V3, (0, 1, 2)))
+SKEW3 = [[0, 1, 0], [-1, 0, 2], [0, -2, 0]]
+IDENTITY3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+# name -> (call, a valid input, whether skew symmetry is required)
+DOORS = {
+    "Element": (lambda x: Element(V3, {(0,): x}), 1, False),
+    "Superspace": (lambda g: Superspace(3, [1, 1, 1], g), IDENTITY3, False),
+    "skew_to_element": (lambda a: skew_to_element(V3, a), SKEW3, True),
+    "isomorphic_via": (lambda phi: isomorphic_via(V3, MU3, MU3, phi),
+                       IDENTITY3, False),
+    "block_parameters": (block_parameters, SKEW3, True),
+    "check_quasi_frobenius": (
+        lambda phi: check_quasi_frobenius(V3, NaryStructure(V3, 2, {}), phi),
+        SKEW3, True),
+    "det": (linalg.det, SKEW3, False),
+}
+
+
+def _floats(x):
+    return float(x) if not isinstance(x, list) else [_floats(y) for y in x]
+
+
+def _bools(x):
+    """0 and 1 given as False and True."""
+    if isinstance(x, list):
+        return [_bools(y) for y in x]
+    return bool(x) if x in (0, 1) else x
+
+
+def _with(a, i, j, value):
+    a = [row[:] for row in a]
+    a[i][j] = value
+    return a
+
+
+BAD_SCALARS = [("float", _floats, InexactCoefficient),
+               ("bool", _bools, NaryError)]
+BAD_SHAPES = [
+    ("ragged", lambda a: a[:-1] + [a[-1][:-1]]),
+    ("3 rows of 2", lambda a: [row[:2] for row in a]),
+    ("flat", lambda a: a[0]),
+    ("4 x 4", lambda a: [row + [0] for row in a] + [[0] * 4]),
+]
+NOT_SKEW = [
+    ("diagonal", lambda a: _with(a, 1, 1, 1)),
+    ("off-diagonal", lambda a: _with(a, 1, 2, 5)),
+]
+
+
+def _cases():
+    for name, (call, valid, skew) in DOORS.items():
+        for kind, spoil, error in BAD_SCALARS:
+            yield pytest.param(call, spoil(valid), error,
+                               id=f"{name}-{kind}")
+        if isinstance(valid, list):
+            for kind, spoil in BAD_SHAPES:
+                if kind == "4 x 4" and name in ("block_parameters", "det"):
+                    continue  # any square size is theirs to take
+                yield pytest.param(call, spoil(valid), NaryError,
+                                   id=f"{name}-{kind}")
+        if skew:
+            for kind, spoil in NOT_SKEW:
+                yield pytest.param(call, spoil(valid), NotSkew,
+                                   id=f"{name}-not-skew-{kind}")
+
+
+@pytest.mark.parametrize("name", sorted(DOORS))
+def test_each_door_accepts_its_valid_input(name):
+    call, valid, _ = DOORS[name]
+    call(valid)
+
+
+@pytest.mark.parametrize("call, bad, error", _cases())
+def test_each_door_refuses_with_a_typed_error(call, bad, error):
+    with pytest.raises(NaryError) as exc:
+        call(bad)
+    assert type(exc.value) is error
+
+
+# ---------------------------------------------------------------------------
+# det over the characteristic polynomial against the Bareiss oracle
+
+
+def test_det_matches_the_bareiss_oracle():
+    rng = random.Random(11)
+    cases = [[], [[Fraction(0)]], [[Fraction(-2, 3)]], linalg.zeros(4, 4),
+             linalg.identity(8)]
+    for m in range(1, 9):
+        cases += [random_matrix(rng, m, m) for _ in range(6)]
+        # singular: rank below m
+        cases += [random_matrix(rng, m, m, rank=rng.randint(0, m - 1))
+                  for _ in range(3)]
+    for a in cases:
+        d = linalg.det(a)
+        assert type(d) is Fraction
+        assert d == det_by_bareiss(a), a
+        if len(a) > 1:  # swapping two rows flips the sign
+            assert linalg.det([a[1], a[0]] + a[2:]) == -d
+    assert sum(det_by_bareiss(a) == 0 for a in cases) >= 24
+
+
+def test_charpoly_of_a_diagonal_matrix():
+    # det(xI - diag(2, -1, 3)) = x^3 - 4x^2 + x + 6
+    assert linalg.charpoly([[2, 0, 0], [0, -1, 0], [0, 0, 3]]) == \
+        [1, -4, 1, 6]
+    assert linalg.charpoly([]) == [1]

@@ -1,12 +1,13 @@
 """Superspace validation, positive definiteness, exact rank."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from naryalg import io, linalg
-from naryalg.errors import (Degenerate, InexactCoefficient, MixedParityEntry,
-                            NaryError, NotPureOdd, SymmetryViolation)
+from naryalg.errors import (Degenerate, MixedParityEntry, NaryError,
+                            NotPureOdd, SymmetryViolation)
 from naryalg.superspace import (
     Orientation,
     Superspace,
@@ -15,7 +16,7 @@ from naryalg.superspace import (
     require_nondegenerate,
 )
 
-from oracles import rank_by_minors
+from oracles import det_by_bareiss, rank_by_minors
 
 
 def test_odd_identity_valid_nondegenerate():
@@ -97,6 +98,32 @@ def test_positive_definite_off_diagonal():
     assert linalg.det([[Fraction(2), Fraction(1)], [Fraction(1), Fraction(2)]]) == 3
 
 
+def _sylvester(g):
+    """All leading principal minors positive, by the Bareiss oracle."""
+    return all(det_by_bareiss([row[:k] for row in g[:k]]) > 0
+               for k in range(1, len(g) + 1))
+
+
+def test_positive_definite_matches_sylvester():
+    # G = B^T D B: positive definite, semidefinite (B of rank < m, or a
+    # zero in D) or indefinite (a negative entry in D)
+    rng = random.Random(5)
+    seen = {True: 0, False: 0}
+    for _ in range(150):
+        m, k = rng.randint(1, 6), rng.randint(1, 7)
+        b = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+              for _ in range(m)] for _ in range(k)]
+        d = [rng.choice((1, 1, 1, 2, Fraction(1, 3), 0, -1)) for _ in range(k)]
+        g = [[sum((b[t][i] * d[t] * b[t][j] for t in range(k)), Fraction(0))
+              for j in range(m)] for i in range(m)]
+        want = _sylvester(g)
+        assert is_positive_definite(odd_space(m, gram=g)) == want, g
+        seen[want] += 1
+    assert seen[True] >= 20 and seen[False] >= 20
+    # semidefinite with a positive leading minor: a strict rule is needed
+    assert not is_positive_definite(odd_space(2, gram=[[1, 1], [1, 1]]))
+
+
 def test_positive_definite_needs_pure_odd():
     with pytest.raises(NotPureOdd):
         is_positive_definite(Superspace(2, [0, 0], [[0, 1], [-1, 0]]))
@@ -143,11 +170,3 @@ def test_degree_cap_ignores_the_environment(monkeypatch):
     assert sp.max_degree == 7
     # pure odd spaces are bounded by the dimension regardless
     assert odd_space(3).max_degree == 3
-
-
-def test_float_gram_rejected():
-    # Fraction(0.1) would silently store 3602879701896397/36028797018963968
-    with pytest.raises(InexactCoefficient):
-        Superspace(1, [1], [[0.1]])
-    tenth = Fraction(1, 10)
-    assert Superspace(1, [1], [[tenth]]).gram == ((tenth,),)
