@@ -19,18 +19,18 @@ basis instances.  Multilinearity makes basis tuples sufficient, and the
 built-in symmetry of the structures makes canonical tuples (indices
 non-decreasing, odd indices strict) sufficient.  The work then follows the
 nonzero structure constants instead of every canonical tuple: bracketing
-with e_a contracts a against one factor of a monomial through the Gram
-matrix, so derive_structure and check_filippov bracket only the tuples
-whose indices pair with the factors of some monomial of the potential;
-check_invariant probes only the pairs where a table value can pair with
-a_0; and check_nary_jacobi scatters each table entry into the Jacobiators
-it feeds.  A report carries the first violation in canonical order, or
-every one when ``exhaustive``; the probe loops stop at the first violation
-otherwise.  The gather loops over every canonical tuple are the oracles in
-``tests/oracles.py``.  The loops run in one thread: the ``threads``
-keyword of check_invariant, check_nary_jacobi and check_filippov is
-accepted and ignored, since exact Fraction work cannot run in parallel
-under the GIL.
+with e_a contracts a against one factor of a monomial through the form,
+so derive_structure and check_filippov bracket only the tuples whose
+indices pair (by ``space.pairing``) with the factors of some monomial of
+the potential; check_invariant probes only the pairs where a table value
+can pair with a_0; and check_nary_jacobi scatters each table entry into
+the Jacobiators it feeds.  A report carries the first violation in
+canonical order, or every one when ``exhaustive``; the probe loops stop at
+the first violation otherwise.  The gather loops over every canonical
+tuple are the oracles in ``tests/oracles.py``.  The loops run in one
+thread: the ``threads`` keyword of check_invariant, check_nary_jacobi and
+check_filippov is accepted and ignored, since exact Fraction work cannot
+run in parallel under the GIL.
 
 The homotopy condition has one check, check_l_infinity: [mu, mu] is a
 scalar.  The generalized Jacobi identities it is equivalent to are
@@ -91,16 +91,9 @@ def canonical_tuples(space, n, indices=None):
     return out
 
 
-def _partners(space):
-    """partners[x] = the indices a with G[a][x] != 0."""
-    gram = space.gram
-    return [frozenset(a for a in range(space.dim) if gram[a][x])
-            for x in range(space.dim)]
-
-
-def _pairing_support(partners, indices):
+def _pairing_support(space, indices):
     """The indices that pair with at least one of ``indices``."""
-    return frozenset().union(*(partners[x] for x in indices))
+    return frozenset().union(*(space.pairing[x] for x in indices))
 
 
 def _support_tuples(mu, n):
@@ -112,8 +105,7 @@ def _support_tuples(mu, n):
     over the monomials u of mu of the canonical n-tuples drawn from those
     indices, in lexicographic order.
     """
-    partners = _partners(mu.space)
-    supports = {_pairing_support(partners, u) for u in mu.element.terms}
+    supports = {_pairing_support(mu.space, u) for u in mu.element.terms}
     out = set()
     for support in supports:
         out.update(canonical_tuples(mu.space, n, sorted(support)))
@@ -348,12 +340,11 @@ def check_invariant(s, exhaustive=False, threads=1):
     space = s.space
     parity = space.parity
     gen = [Element.generator(space, i) for i in range(space.dim)]
-    partners = _partners(space)
     items = set()
     for key, value in s.table.items():
         if normalize_word(space, key) is None:
             continue  # a repeated odd key reads as zero
-        support = _pairing_support(partners, (m[0] for m in value.terms))
+        support = _pairing_support(space, (m[0] for m in value.terms))
         items.update((a0, key) for a0 in support)
         # the keys (k0,) + rest with (a0,) + rest normalizing to key
         for pos, a0 in enumerate(key):

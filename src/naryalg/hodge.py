@@ -20,8 +20,9 @@ every other monomial has a zero image.  The layer of degree s fills the
 blocks (p, p + s - 2).  Star is a signed permutation of monomials, so
 ``codifferential(ctx, d)`` re-indexes each block of d through
 ``star_monomial``, with the sign (-1)^{k(1-k)/2} read from the block's
-shift k, and takes no bracket.  The Laplacian and both square-zero
-checks are sparse block products.
+shift k, and takes no bracket; its own sign is ``permutation_sign``, and
+``HodgeContext`` reads ``space.orthonormal``, both from ``superspace``.
+The Laplacian and both square-zero checks are sparse block products.
 
 The decomposition is certified sector by sector.  A layer of degree s has
 shift k = s - 2, and g is the gcd of the differences of the shifts.  L
@@ -55,7 +56,7 @@ from .derived import check_l_infinity
 from .errors import NotHodgeContext, NotLInfinity
 from .linalg import ONE, ZERO
 from .poisson import Element, multiply, poisson_bracket
-from .superspace import Orientation
+from .superspace import Orientation, permutation_sign
 
 MAX_DIM = 14
 
@@ -74,7 +75,7 @@ class HodgeContext:
     def __init__(self, space, orientation=None):
         if not space.pure_odd:
             raise NotHodgeContext("star operator needs a pure odd space")
-        if space.gram != tuple(tuple(row) for row in linalg.identity(space.dim)):
+        if not space.orthonormal:
             raise NotHodgeContext("star operator needs an orthonormal basis "
                                   "(identity Gram matrix)")
         require_dim(space.dim)
@@ -103,16 +104,9 @@ def star_monomial(ctx, mono):
     The sign is the signature of (i_p,...,i_1, j_1,...,j_{m-p}) as a
     permutation of (1,...,m), times the orientation sign.
     """
-    m = ctx.m
     inside = set(mono)
-    comp = tuple(i for i in range(m) if i not in inside)
-    seq = tuple(reversed(mono)) + comp
-    sign = ctx.orientation.sign
-    for a in range(len(seq)):
-        for b in range(a + 1, len(seq)):
-            if seq[a] > seq[b]:
-                sign = -sign
-    return sign, comp
+    comp = tuple(i for i in range(ctx.m) if i not in inside)
+    return ctx.orientation.sign * permutation_sign(mono[::-1] + comp), comp
 
 
 def star(ctx, v):

@@ -14,7 +14,8 @@ The bracket is the even Poisson structure determined by three rules:
 ``poisson_bracket`` implements the closed form these rules force: a double
 sum over factor pairs, where pairing factor i of u with factor j of w
 carries the sign (-1)^{|u| |w_<j| + |u_>i| |w_j|} and the surviving factors
-are merged as w_<j, u-with-i-removed, w_>j.  It is the engine's only
+are merged as w_<j, u-with-i-removed, w_>j; only the pairs that
+``space.pairing`` lists as nonzero are visited.  It is the engine's only
 bracket; the tests compare it with a literal recursion on the three rules,
 ``tests/oracles.py::bracket_recursive_oracle``.
 """
@@ -53,10 +54,15 @@ def normalize_word(space, word):
     return sign, tuple(w)
 
 
-def _check_cap(space, mono):
+def _check_mono(space, mono):
+    """Refuse a monomial above the degree cap or with an index outside the
+    basis, read off its ends; its ascending order is not checked."""
     if len(mono) > space.max_degree:
         raise DegreeCapExceeded(
             f"monomial degree {len(mono)} exceeds cap {space.max_degree}")
+    if mono and (mono[0] < 0 or mono[-1] >= space.dim):
+        raise NaryError(f"monomial {mono} has an index outside "
+                        f"0..{space.dim - 1}")
 
 
 class Element:
@@ -73,7 +79,7 @@ class Element:
                 c = coeff if type(coeff) is Fraction else exact(coeff)
                 if c == 0:
                     continue
-                _check_cap(space, mono)
+                _check_mono(space, mono)
                 clean[mono] = c
         self.terms = clean
 
@@ -193,7 +199,7 @@ def multiply(a, b):
             if r is None:
                 continue
             sign, mono = r
-            _check_cap(space, mono)
+            _check_mono(space, mono)
             acc[mono] = acc.get(mono, ZERO) + sign * cu * cw
     return Element(space, acc)
 
@@ -209,7 +215,7 @@ def _word_parity_prefix(space, word):
 
 
 def _bracket_monomials(space, u, w, acc, scale):
-    gram = space.gram
+    pairing = space.pairing
     par = space.parity
     pu = _word_parity_prefix(space, u)
     pw = _word_parity_prefix(space, w)
@@ -217,9 +223,10 @@ def _bracket_monomials(space, u, w, acc, scale):
     for i, ui in enumerate(u):
         # parity of the factors of u after position i
         u_after = pu[len(u)] ^ pu[i + 1]
+        row = pairing[ui]
         for j, wj in enumerate(w):
-            g = gram[ui][wj]
-            if g == 0:
+            g = row.get(wj)
+            if g is None:
                 continue
             exp = (u_par & pw[j]) ^ (u_after & par[wj])
             r = normalize_word(space, w[:j] + u[:i] + u[i + 1:] + w[j + 1:])
@@ -261,7 +268,7 @@ def nested_bracket_indices(space, indices, target):
 
 
 def pair_vectors(space, a, b):
-    """(a, b) for two degree <= 1 elements, through the Gram matrix."""
+    """(a, b) for two degree-1 elements, through ``space.pairing``."""
     total = ZERO
     for u, cu in a.terms.items():
         if len(u) != 1:
@@ -269,5 +276,5 @@ def pair_vectors(space, a, b):
         for w, cw in b.terms.items():
             if len(w) != 1:
                 raise WrongDegree("pairing is defined on degree-1 elements")
-            total += cu * cw * space.gram[u[0]][w[0]]
+            total += cu * cw * space.pairing[u[0]].get(w[0], ZERO)
     return total

@@ -5,6 +5,13 @@ Concretely the Gram matrix must be antisymmetric on even-even pairs,
 symmetric on odd-odd pairs, and zero on mixed pairs; its shape and
 entries are checked by ``linalg.square_matrix``.  Basis indices are
 0-based everywhere inside the engine; serialization converts to 1-based.
+
+``Superspace`` reads the form once: one row-major pass checks each pair
+with a nonzero entry on either side, skipping two zeros uncompared, and
+records ``pairing`` (each row's nonzeros as a ``linalg`` sparse row, by
+graded symmetry also the column's) and ``orthonormal`` (pure odd with the
+identity form), which the engine reads instead of ``gram``.
+``permutation_sign`` signs the orientation and the Hodge star.
 """
 
 from . import linalg
@@ -23,12 +30,14 @@ ODD = 1
 class Superspace:
     """Immutable: dimension, parity vector, Gram matrix, degree cap."""
 
-    __slots__ = ("dim", "parity", "gram", "max_degree", "pure_odd",
-                 "pure_even", "_rank")
+    __slots__ = ("dim", "parity", "gram", "pairing", "orthonormal",
+                 "max_degree", "pure_odd", "pure_even", "_rank")
 
     def __init__(self, dim, parity, gram, max_degree=None):
         if not isinstance(dim, int) or dim < 1:
             raise NaryError(f"dimension must be an int >= 1, got {dim!r}")
+        if not isinstance(parity, (list, tuple)):
+            raise NaryError(f"parity must be a list or tuple, got {parity!r}")
         if len(parity) != dim:
             raise NaryError("parity vector length != dim")
         for i, p in enumerate(parity):
@@ -37,25 +46,33 @@ class Superspace:
                                 f"got {p!r}")
         parity = tuple(int(p) for p in parity)
         gram = tuple(map(tuple, linalg.square_matrix(gram, dim)))
-        for i in range(dim):
-            for j in range(dim):
+        pairing = []
+        for i, row in enumerate(gram):
+            pairing.append({})
+            for j, x in enumerate(row):
+                y = gram[j][i]
+                if not x and not y:
+                    continue
                 if parity[i] != parity[j]:
-                    if gram[i][j] != 0:
+                    if x:
                         raise MixedParityEntry(
                             f"gram[{i}][{j}] pairs generators of different parity")
-                elif parity[i] == ODD:
-                    if gram[i][j] != gram[j][i]:
-                        raise SymmetryViolation(
-                            f"odd-odd entry gram[{i}][{j}] must equal gram[{j}][{i}]")
-                else:
-                    if gram[i][j] != -gram[j][i]:
-                        raise SymmetryViolation(
-                            f"even-even entry gram[{i}][{j}] must equal -gram[{j}][{i}]")
+                    continue
+                if parity[i] == ODD and x != y:
+                    raise SymmetryViolation(
+                        f"odd-odd entry gram[{i}][{j}] must equal gram[{j}][{i}]")
+                if parity[i] == EVEN and x != -y:
+                    raise SymmetryViolation(
+                        f"even-even entry gram[{i}][{j}] must equal -gram[{j}][{i}]")
+                pairing[i][j] = x
         self.dim = dim
         self.parity = parity
         self.gram = gram
+        self.pairing = tuple(pairing)  # read-only
         self.pure_odd = all(p == ODD for p in parity)
         self.pure_even = all(p == EVEN for p in parity)
+        self.orthonormal = self.pure_odd and all(
+            row == {i: 1} for i, row in enumerate(pairing))
         self._rank = None
         # pure odd spaces are bounded by dim automatically
         self.max_degree = dim if self.pure_odd else (
@@ -64,7 +81,7 @@ class Superspace:
     def rank(self):
         """Rank of the Gram matrix, computed on first use."""
         if self._rank is None:
-            self._rank = linalg.rank(linalg.sparse(self.gram))
+            self._rank = linalg.rank(self.pairing)
         return self._rank
 
     @property
@@ -120,6 +137,16 @@ def require_nondegenerate(space):
         raise Degenerate(f"form has rank {space.rank()} < {space.dim}")
 
 
+def permutation_sign(seq):
+    """(-1)^(number of inversions): the sign of the permutation sorting seq."""
+    sign = 1
+    for a, x in enumerate(seq):
+        for y in seq[a + 1:]:
+            if x > y:
+                sign = -sign
+    return sign
+
+
 class Orientation:
     """An ordering of the basis fixing the sign of the top form."""
 
@@ -129,20 +156,7 @@ class Orientation:
         if sorted(order) != list(range(len(order))):
             raise NaryError("orientation must be a permutation of the basis indices")
         self.order = tuple(order)
-        sign = 1
-        seen = [False] * len(order)
-        for i in range(len(order)):
-            if seen[i]:
-                continue
-            # cycle length parity
-            j, clen = i, 0
-            while not seen[j]:
-                seen[j] = True
-                j = order[j]
-                clen += 1
-            if clen % 2 == 0:
-                sign = -sign
-        self.sign = sign
+        self.sign = permutation_sign(order)
 
     @classmethod
     def standard(cls, m):

@@ -38,8 +38,9 @@ from naryalg.errors import (
 )
 from naryalg.hodge import HodgeContext, star
 from naryalg.poisson import Element, pair_vectors, poisson_bracket
-from naryalg.superspace import odd_space
+from naryalg.superspace import Superspace, odd_space
 from oracles import commutant_dim_by_kronecker, spin_by_fixed_point
+from spaces import random_even_isometry, random_homogeneous, random_superspace
 
 V5 = odd_space(5)
 CTX5 = HodgeContext(V5)
@@ -578,6 +579,48 @@ def test_isomorphic_orbits_preserve_identities():
     assert image == v  # e1e2 is rotation invariant
     mu = build_m3_algebra(CTX5, v)
     assert isomorphic_via(V5, mu, mu, phi)
+
+
+def test_isomorphic_via_refuses_a_map_that_mixes_parities():
+    # phi sends the odd e2 to e1 + e2 and preserves this degenerate form
+    # with det 1; the image e1^2 + e1e2 of e1e2 has no parity
+    space = Superspace(2, [0, 1], [[0, 0], [0, 1]])
+    phi = [[1, 1], [0, 1]]
+    mu = Potential.single(space, Element.monomial(space, (0, 1)))
+    image = map_element(space, phi, mu.element)
+    assert image.parity() is None
+    with pytest.raises(NotOrthogonal, match="other parity"):
+        isomorphic_via(space, mu, Potential.single(space, image), phi)
+
+
+def test_map_element_refuses_a_matrix_of_the_wrong_shape():
+    space = odd_space(3)
+    with pytest.raises(NaryError) as info:
+        map_element(space, [[1]], Element.generator(space, 2))
+    assert type(info.value) is NaryError
+
+
+def test_even_isometries_are_bracket_morphisms():
+    # what isomorphic_via no longer samples: an even phi with
+    # phi^T G phi = G preserves the bracket on all of S*V
+    rng = random.Random(41)
+    moved = 0
+    for _ in range(25):
+        space = random_superspace(rng, rng.randint(2, 6))
+        phi = random_even_isometry(rng, space)
+        moved += phi != linalg.identity(space.dim)
+        for _ in range(3):
+            a = random_homogeneous(space, rng, rng.randint(1, 3))
+            b = random_homogeneous(space, rng, rng.randint(1, 3))
+            assert map_element(space, phi, poisson_bracket(a, b)) == \
+                poisson_bracket(map_element(space, phi, a),
+                                map_element(space, phi, b))
+        mu = random_homogeneous(space, rng, 3)
+        if not mu.is_zero():
+            image = Potential.single(space, map_element(space, phi, mu))
+            assert isomorphic_via(space, Potential.single(space, mu),
+                                  image, phi)
+    assert moved >= 15
 
 
 def test_canonical_recovers_known_blocks_under_rotation():

@@ -7,7 +7,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from naryalg.errors import (DegreeCapExceeded, InexactCoefficient,
-                            SpaceMismatch)
+                            NaryError, SpaceMismatch)
 from naryalg.poisson import (
     Element,
     multiply,
@@ -16,6 +16,7 @@ from naryalg.poisson import (
 )
 from naryalg.superspace import Superspace, even_symplectic_space, odd_space
 from oracles import bracket_recursive_oracle
+from spaces import random_homogeneous, random_superspace
 
 V5 = odd_space(5)
 MIXED = Superspace(4, [0, 0, 1, 1],
@@ -36,25 +37,6 @@ def all_monomials(space, max_degree):
             if not el.is_zero():
                 out.append(el)
     return out
-
-
-def random_homogeneous(space, rng, degree, terms=3):
-    """Random element, homogeneous in degree and parity."""
-    acc = Element.zero(space)
-    want_parity = None
-    for _ in range(terms * 3):
-        word = tuple(sorted(rng.randrange(space.dim) for _ in range(degree)))
-        el = Element.monomial(space, word, rng.randint(-4, 4))
-        if el.is_zero():
-            continue
-        if want_parity is None:
-            want_parity = el.parity()
-        if el.parity() != want_parity:
-            continue
-        acc = acc + el
-        if len(acc.terms) >= terms:
-            break
-    return acc
 
 
 def test_multiply_examples():
@@ -135,6 +117,21 @@ def test_oracle_equivalence_random_pairs_up_to_m6():
         assert poisson_bracket(a, b) == bracket_recursive_oracle(a, b)
 
 
+def test_oracle_equivalence_on_random_mixed_spaces_up_to_m9():
+    # random parities and non-identity rational Gram matrices
+    rng = random.Random(31)
+    mixed = 0
+    for _ in range(60):
+        space = random_superspace(rng, rng.randint(2, 9),
+                                  rng.choice((0.3, 0.6, 0.9)))
+        mixed += not (space.pure_odd or space.pure_even)
+        for _ in range(5):
+            a = random_homogeneous(space, rng, rng.randint(1, 3))
+            b = random_homogeneous(space, rng, rng.randint(1, 3))
+            assert poisson_bracket(a, b) == bracket_recursive_oracle(a, b)
+    assert mixed >= 40
+
+
 def test_graded_antisymmetry_and_jacobi_random():
     rng = random.Random(4)
     for _ in range(150):
@@ -196,6 +193,16 @@ def test_degree_cap_enforced():
     cubed = Element.monomial(small, (0, 0, 0))
     with pytest.raises(DegreeCapExceeded):
         multiply(cubed, Element.generator(small, 0))
+
+
+def test_element_refuses_an_index_outside_the_basis():
+    for space in (odd_space(3), MIXED):
+        m = space.dim
+        for mono in [(m,), (-1,), (7,), (0, m), (-1, 0), (0, 1, m + 2)]:
+            with pytest.raises(NaryError) as info:
+                Element(space, {mono: 1})
+            assert type(info.value) is NaryError
+        assert Element(space, {(0, m - 1): 1}).terms == {(0, m - 1): 1}
 
 
 def test_float_coefficients_rejected():

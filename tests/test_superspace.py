@@ -1,5 +1,6 @@
 """Superspace validation, positive definiteness, exact rank."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,10 +14,12 @@ from naryalg.superspace import (
     Superspace,
     is_positive_definite,
     odd_space,
+    permutation_sign,
     require_nondegenerate,
 )
 
 from oracles import det_by_bareiss, rank_by_minors
+from spaces import random_gram, random_scalar, random_superspace
 
 
 def test_odd_identity_valid_nondegenerate():
@@ -170,3 +173,107 @@ def test_degree_cap_ignores_the_environment(monkeypatch):
     assert sp.max_degree == 7
     # pure odd spaces are bounded by the dimension regardless
     assert odd_space(3).max_degree == 3
+
+
+def test_parity_must_be_a_sequence():
+    with pytest.raises(NaryError) as info:
+        Superspace(2, 5, [[1, 0], [0, 1]])
+    assert type(info.value) is NaryError
+
+
+def _dense_violation(dim, parity, gram):
+    """(type, message) of the first violation in row-major order, by the
+    dense loop over every pair that Superspace ran before it read the form
+    once; None for a valid form."""
+    for i in range(dim):
+        for j in range(dim):
+            if parity[i] != parity[j]:
+                if gram[i][j] != 0:
+                    return MixedParityEntry, \
+                        f"gram[{i}][{j}] pairs generators of different parity"
+            elif parity[i] == 1:
+                if gram[i][j] != gram[j][i]:
+                    return SymmetryViolation, (
+                        f"odd-odd entry gram[{i}][{j}] must equal gram[{j}][{i}]")
+            elif gram[i][j] != -gram[j][i]:
+                return SymmetryViolation, (
+                    f"even-even entry gram[{i}][{j}] must equal -gram[{j}][{i}]")
+    return None
+
+
+def test_corrupted_forms_raise_as_the_dense_loop():
+    rng = random.Random(17)
+    raised = {MixedParityEntry: 0, SymmetryViolation: 0, None: 0}
+    for _ in range(400):
+        m = rng.randint(1, 9)
+        parity = [rng.randint(0, 1) for _ in range(m)]
+        g = random_gram(rng, parity, rng.choice((0.2, 0.5, 0.9)))
+        i, j = rng.randrange(m), rng.randrange(m)
+        g[i][j] = rng.choice((Fraction(0), random_scalar(rng), g[i][j] + 1))
+        want = _dense_violation(m, parity, g)
+        if want is None:
+            Superspace(m, parity, g)
+            raised[None] += 1
+            continue
+        with pytest.raises(want[0]) as info:
+            Superspace(m, parity, g)
+        assert (type(info.value), str(info.value)) == want
+        raised[want[0]] += 1
+    assert min(raised.values()) >= 30, raised
+
+
+def _nonzeros(gram):
+    return tuple({j: x for j, x in enumerate(row) if x != 0} for row in gram)
+
+
+def _is_identity(gram):
+    return all(x == (i == j) for i, row in enumerate(gram)
+               for j, x in enumerate(row))
+
+
+def test_pairing_orthonormal_and_rank_on_random_spaces():
+    # rank_by_minors is exponential in the rank deficiency, so the larger
+    # spaces are drawn dense, with ranks near full
+    rng = random.Random(23)
+    draws = [(rng.randint(1, 6), rng.choice((0.1, 0.4, 0.8)))
+             for _ in range(60)]
+    draws += [(rng.randint(7, 9), 0.8) for _ in range(15)]
+    deficient = 0
+    for m, density in draws:
+        sp = random_superspace(rng, m, density)
+        assert sp.pairing == _nonzeros(sp.gram)
+        assert sp.orthonormal == (sp.pure_odd and _is_identity(sp.gram))
+        assert sp.rank() == rank_by_minors(sp.gram)
+        deficient += sp.rank() < m
+    assert deficient >= 10
+    for m in range(1, 10):
+        assert odd_space(m).orthonormal
+        assert odd_space(m).pairing == tuple({i: 1} for i in range(m))
+    unit_diagonal = [[1, 2, 0], [2, 1, Fraction(1, 3)], [0, Fraction(1, 3), 1]]
+    for gram in (unit_diagonal, [[1, 0], [0, 2]], [[1, 0], [0, -1]]):
+        sp = odd_space(len(gram), gram=gram)
+        assert not sp.orthonormal
+        assert sp.pairing == _nonzeros(sp.gram)
+    assert not Superspace(2, [0, 0], [[0, 1], [-1, 0]]).orthonormal
+
+
+def _sign_by_cycles(perm):
+    sign, seen = 1, set()
+    for start in range(len(perm)):
+        length, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            i = perm[i]
+            length += 1
+        if length and length % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def test_permutation_sign_matches_the_cycle_count():
+    for n in range(7):
+        for perm in itertools.permutations(range(n)):
+            assert permutation_sign(perm) == _sign_by_cycles(perm), perm
+            assert Orientation(list(perm)).sign == _sign_by_cycles(perm)
+    # any distinct keys: the sign of the permutation that sorts them
+    assert permutation_sign((7, 2, 9)) == permutation_sign((1, 0, 2)) == -1
