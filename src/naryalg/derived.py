@@ -6,13 +6,19 @@ always graded-commutative and invariant with respect to the form; when the
 form is nondegenerate every commutative invariant structure arises this
 way, and ``potential_from_structure`` inverts the construction exactly.
 
-The inverse is a closed form (Kosmann-Schwarzbach, "Derived brackets",
-2004): with the dual basis [dual[i], e_k] = delta_ik, the coefficient of
-e_b is (dual[b_0], {dual[b_1],...,dual[b_n]}), the contraction of mu
-with those dual vectors, divided by ``contraction_constant``, the same
-contraction of e_b alone; it kills every other monomial.  The potential is
-returned only once derive_structure reproduces the input table; the
-inverse is unique, so that comparison certifies it.
+Bracketing with a generator is a signed contraction of one factor through
+the form (``poisson.nested_bracket_indices``), so the products are derived
+without the general bracket.  The inverse is a closed form
+(Kosmann-Schwarzbach, "Derived brackets", 2004): with the dual basis
+[dual[i], e_k] = delta_ik, the coefficient of e_b is
+(dual[b_0], {dual[b_1],...,dual[b_n]}), the contraction of mu with those
+dual vectors, divided by ``contraction_constant``, the same contraction of
+e_b alone; it kills every other monomial.  ``closed_form_potential``
+scatters the table through G^-1 onto the canonical b it reaches instead
+of evaluating every b; the gather over dual vectors is the oracle
+``tests/oracles.py::closed_form_by_duals``.  The potential is returned
+only once derive_structure reproduces the input table; the inverse is
+unique, so that comparison certifies it.
 
 The verifiers reduce each universally quantified identity to finitely many
 basis instances.  Multilinearity makes basis tuples sufficient, and the
@@ -54,7 +60,7 @@ from .errors import (
     SpaceMismatch,
     WrongDegree,
 )
-from .linalg import ONE
+from .linalg import ONE, ZERO
 from .poisson import (
     Element,
     nested_bracket_indices,
@@ -240,27 +246,38 @@ class NaryStructure:
                 clean[key] = value
         self.table = clean
 
-    def eval_basis(self, args):
-        """Product of basis vectors, arguments in any order."""
+    def _lookup(self, args):
+        """(sign, table value) for basis arguments in any order, or None
+        where the product is zero."""
         if len(args) != self.arity:
             raise NaryError(f"expected {self.arity} arguments")
         r = normalize_word(self.space, tuple(args))
         if r is None:
-            return Element.zero(self.space)
+            return None
         sign, key = r
         value = self.table.get(key)
-        if value is None:
+        return None if value is None else (sign, value)
+
+    def eval_basis(self, args):
+        """Product of basis vectors, arguments in any order."""
+        hit = self._lookup(args)
+        if hit is None:
             return Element.zero(self.space)
+        sign, value = hit
         return value if sign == 1 else -value
 
     def eval_elements(self, args):
-        """Multilinear extension to degree-1 elements."""
-        out = Element.zero(self.space)
+        """Multilinear extension to degree-1 elements, summed in one dict."""
+        acc = {}
 
         def rec(k, idx, coeff):
-            nonlocal out
             if k == len(args):
-                out = out + self.eval_basis(tuple(idx)).scale(coeff)
+                hit = self._lookup(idx)
+                if hit is not None:
+                    sign, value = hit
+                    c = coeff if sign == 1 else -coeff
+                    for mono, v in value.terms.items():
+                        acc[mono] = acc.get(mono, ZERO) + c * v
                 return
             for mono, c in args[k].terms.items():
                 if len(mono) != 1:
@@ -270,7 +287,8 @@ class NaryStructure:
                 idx.pop()
 
         rec(0, [], ONE)
-        return out
+        return Element._trusted(
+            self.space, {mono: c for mono, c in acc.items() if c})
 
     def is_zero(self):
         return not self.table
@@ -369,12 +387,6 @@ def check_invariant(s, exhaustive=False, threads=1):
                                                       exhaustive))
 
 
-def dual_basis(space):
-    """dual[i] = sum_j (G^-1)[i][j] e_j, so that [dual[i], e_k] = delta_ik."""
-    return [Element(space, {(j,): c for j, c in enumerate(row)})
-            for row in linalg.inverse(space.gram)]
-
-
 def contraction_constant(space, b):
     """Full contraction of the monomial e_b with its own dual vectors.
 
@@ -395,19 +407,57 @@ def closed_form_potential(s):
     """The potential whose derived structure is s, if there is one.
 
     The coefficient of e_b is F_b / kappa_b with
-    F_b = (dual[b_0], s(dual[b_1], ..., dual[b_n])): contracting mu with
-    dual vectors kills every monomial but e_b.  Not checked here; see
-    ``potential_from_structure``.
+    F_b = (dual[b_0], s(dual[b_1], ..., dual[b_n])) and
+    dual[i] = sum_j (G^-1)[i][j] e_j: contracting mu with dual vectors
+    kills every monomial but e_b.  F is scattered from the table instead
+    of gathered per b.  Expanding the dual vectors, each key t with
+    nonzero value, each e_y in that value and each distinct ordering j of
+    t, with the Koszul sign of sorting j, add
+    sign * v_y * prod_k (G^-1)[b_k][j_k] to F at b = (y, b_1, ..., b_n).
+    The b_k are chosen slot by slot from the column supports of G^-1, and
+    a branch stops as soon as its prefix of b is not canonical; for a
+    permutation-like G^-1 (the identity, or the hyperbolic form of V + V*)
+    at most one ordering per key survives.  A key with an odd square reads zero
+    and is skipped.  Not checked here; see ``potential_from_structure``.
     """
     space = s.space
-    dual = dual_basis(space)
+    par = space.parity
+    inv = linalg.inverse(space.gram)
+    columns = [[(b, row[x]) for b, row in enumerate(inv) if row[x]]
+               for x in range(space.dim)]
     acc = {}
-    for b in canonical_tuples(space, s.arity + 1):
-        # (dual[i], v) is the coefficient of e_i in v
-        f = s.eval_elements([dual[i] for i in b[1:]]).coefficient((b[0],))
-        if f:
-            acc[b] = f / contraction_constant(space, b)
-    return Potential.single(space, Element(space, acc), arity=s.arity)
+
+    def scatter(prefix, rest, coeff):
+        # prefix: canonical b_0..b_k so far; rest: sorted indices of the
+        # key not yet placed
+        if not rest:
+            b = tuple(prefix)
+            acc[b] = acc.get(b, ZERO) + coeff
+            return
+        last = prefix[-1]
+        odd_before = 0
+        for pos, x in enumerate(rest):
+            if pos and x == rest[pos - 1]:
+                continue  # a repeated (even) index: one ordering
+            # placing x first passes the odd indices before it in rest
+            flip = par[x] and odd_before % 2
+            remaining = rest[:pos] + rest[pos + 1:]
+            for b, g in columns[x]:
+                if b > last or b == last and not par[b]:
+                    prefix.append(b)
+                    scatter(prefix, remaining, -coeff * g if flip
+                            else coeff * g)
+                    prefix.pop()
+            odd_before += par[x]
+
+    for key, value in s.table.items():
+        if normalize_word(space, key) is None:
+            continue  # a repeated odd key reads as zero
+        for (y,), v in value.terms.items():
+            scatter([y], list(key), v)
+    terms = {b: acc[b] / contraction_constant(space, b)
+             for b in sorted(acc) if acc[b]}
+    return Potential.single(space, Element(space, terms), arity=s.arity)
 
 
 def potential_from_structure(s):

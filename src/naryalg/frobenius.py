@@ -9,7 +9,9 @@ arguments, and acts on one dual argument by
 
 The extension is commutative and invariant for the doubled pairing, so it
 has a derived potential muT.  The doubled Gram matrix is its own inverse,
-so each dual basis vector of the closed-form inversion is one generator.
+a permutation, so the closed-form inversion scatters each table entry
+through one column of it per slot, and at most one ordering of each key
+survives.
 The inversion returns muT only once derive_structure(muT) equals the table
 built from the formulas above, and that one comparison is the only check
 the extension needs.

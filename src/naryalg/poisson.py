@@ -16,8 +16,10 @@ sum over factor pairs, where pairing factor i of u with factor j of w
 carries the sign (-1)^{|u| |w_<j| + |u_>i| |w_j|} and the surviving factors
 are merged as w_<j, u-with-i-removed, w_>j; only the pairs that
 ``space.pairing`` lists as nonzero are visited.  It is the engine's only
-bracket; the tests compare it with a literal recursion on the three rules,
-``tests/oracles.py::bracket_recursive_oracle``.
+general bracket; the tests compare it with a literal recursion on the
+three rules, ``tests/oracles.py::bracket_recursive_oracle``.  A bracket
+with a generator is the special case u = (a,), a signed contraction of one
+factor of w, and ``nested_bracket_indices`` applies it directly.
 """
 
 from fractions import Fraction
@@ -54,12 +56,16 @@ def normalize_word(space, word):
     return sign, tuple(w)
 
 
+def _check_degree(space, degree):
+    if degree > space.max_degree:
+        raise DegreeCapExceeded(
+            f"monomial degree {degree} exceeds cap {space.max_degree}")
+
+
 def _check_mono(space, mono):
     """Refuse a monomial above the degree cap or with an index outside the
     basis, read off its ends; its ascending order is not checked."""
-    if len(mono) > space.max_degree:
-        raise DegreeCapExceeded(
-            f"monomial degree {len(mono)} exceeds cap {space.max_degree}")
+    _check_degree(space, len(mono))
     if mono and (mono[0] < 0 or mono[-1] >= space.dim):
         raise NaryError(f"monomial {mono} has an index outside "
                         f"0..{space.dim - 1}")
@@ -86,6 +92,15 @@ class Element:
     # ---- constructors ----
 
     @classmethod
+    def _trusted(cls, space, terms):
+        """An element on ``terms`` as given: nonzero Fraction coefficients
+        on monomials already checked against the space."""
+        el = cls.__new__(cls)
+        el.space = space
+        el.terms = terms
+        return el
+
+    @classmethod
     def zero(cls, space):
         return cls(space)
 
@@ -97,7 +112,8 @@ class Element:
     def generator(cls, space, i):
         if not 0 <= i < space.dim:
             raise NaryError(f"generator index {i} out of range")
-        return cls(space, {(i,): ONE})
+        _check_degree(space, 1)
+        return cls._trusted(space, {(i,): ONE})
 
     @classmethod
     def monomial(cls, space, word, coeff=ONE):
@@ -261,10 +277,44 @@ def nested_bracket(args, target):
 
 
 def nested_bracket_indices(space, indices, target):
-    out = target
-    for i in reversed(list(indices)):
-        out = poisson_bracket(Element.generator(space, i), out)
-    return out
+    """[e_{i_1}, [e_{i_2}, ... [e_{i_s}, target] ... ]] by direct contraction.
+
+    Bracketing a generator e_a with a sorted monomial w contracts a against
+    one factor of w through the form:
+
+        [e_a, w] = sum_j G[a][w_j] (-1)^{|a| |w_<j|} (w with w_j removed).
+
+    The remaining word is still sorted and has no odd square, so each step
+    reads ``space.pairing[a]``, carries the running parity of w and needs
+    no reordering; scalar terms vanish.  Every index is checked against
+    the basis, and target against the space, before any contraction.
+    """
+    indices = list(indices)
+    for i in reversed(indices):
+        if not 0 <= i < space.dim:
+            raise NaryError(f"generator index {i} out of range")
+    if indices and target.space is not space and target.space != space:
+        raise SpaceMismatch("elements live over different superspaces")
+    pairing = space.pairing
+    par = space.parity
+    terms = target.terms
+    for a in reversed(indices):
+        if not terms:
+            break
+        row = pairing[a]
+        odd = par[a]
+        acc = {}
+        for w, c in terms.items():
+            p = 0
+            for j, x in enumerate(w):
+                g = row.get(x)
+                if g is not None:
+                    mono = w[:j] + w[j + 1:]
+                    v = -c * g if odd and p else c * g
+                    acc[mono] = acc.get(mono, ZERO) + v
+                p ^= par[x]
+        terms = {mono: c for mono, c in acc.items() if c}
+    return Element._trusted(space, terms)
 
 
 def pair_vectors(space, a, b):

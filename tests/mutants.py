@@ -36,6 +36,12 @@ SUPERSPACE = "src/naryalg/superspace.py"
 POISSON = "src/naryalg/poisson.py"
 CLASSIFY = "src/naryalg/classify.py"
 LINALG = "src/naryalg/linalg.py"
+DERIVED = "src/naryalg/derived.py"
+
+CONTRACTION = "tests/test_poisson.py::" \
+    "test_nested_bracket_indices_matches_the_chain_on_random_spaces"
+SCATTER = "tests/test_derived.py::" \
+    "test_closed_form_scatter_matches_the_gather_on_random_spaces"
 
 MUTANTS = [
     # the form read once
@@ -119,6 +125,32 @@ MUTANTS = [
            "is_positive_definite", "linalg.charpoly(b)",
            "linalg.charpoly(space.gram)",
            ["tests/test_linalg.py::test_charpoly_is_called_over_the_integers"]),
+    # derived brackets by direct contraction
+    Mutant("contraction-sign-dropped", POISSON, "nested_bracket_indices",
+           "v = -c * g if odd and p else c * g", "v = c * g", [CONTRACTION]),
+    Mutant("contraction-parity-not-advanced", POISSON,
+           "nested_bracket_indices", "                p ^= par[x]\n", "",
+           [CONTRACTION]),
+    Mutant("generator-range-check-dropped", POISSON, "Element.generator",
+           "if not 0 <= i < space.dim:", "if False:",
+           ["tests/test_poisson.py::"
+            "test_generator_refuses_an_index_outside_the_basis"]),
+    Mutant("scatter-prune-lets-an-odd-index-repeat", DERIVED,
+           "closed_form_potential", "b > last or b == last and not par[b]",
+           "b >= last", [SCATTER]),
+    Mutant("scatter-counts-each-even-repeat-ordering", DERIVED,
+           "closed_form_potential", "if pos and x == rest[pos - 1]:",
+           "if False:", [SCATTER]),
+    Mutant("scatter-koszul-sign-dropped", DERIVED, "closed_form_potential",
+           "flip = par[x] and odd_before % 2", "flip = 0", [SCATTER]),
+    Mutant("eval-elements-drops-the-coefficient-product", DERIVED,
+           "NaryStructure.eval_elements", "rec(k + 1, idx, coeff * c)",
+           "rec(k + 1, idx, coeff)",
+           ["tests/test_derived.py::"
+            "test_eval_elements_is_the_multilinear_extension"]),
+    Mutant("jacobi-scatter-koszul-sign-dropped", DERIVED, "check_nary_jacobi",
+           "coeff = -1 if crossings % 2 else 1", "coeff = 1",
+           ["tests/test_derived.py::test_support_loops_match_gather_oracles"]),
 ]
 
 

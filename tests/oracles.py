@@ -9,6 +9,7 @@ from naryalg.derived import (
     NaryStructure,
     Potential,
     canonical_tuples,
+    contraction_constant,
 )
 from naryalg.frobenius import QFCertificate, validate_phi
 from naryalg.hodge import (
@@ -115,6 +116,37 @@ def _bracket_mono_rec(space, u, w):
     return -flipped
 
 
+def nested_bracket_by_chain(space, indices, target):
+    """[e_{i_1}, [... [e_{i_s}, target] ...]] by the general bracket, one
+    ``poisson_bracket`` per index.  Oracle for the contraction in
+    ``nested_bracket_indices``."""
+    out = target
+    for i in reversed(list(indices)):
+        out = poisson_bracket(Element.generator(space, i), out)
+    return out
+
+
+def dual_basis(space):
+    """dual[i] = sum_j (G^-1)[i][j] e_j, so that [dual[i], e_k] = delta_ik."""
+    return [Element(space, {(j,): c for j, c in enumerate(row)})
+            for row in linalg.inverse(space.gram)]
+
+
+def closed_form_by_duals(s):
+    """The closed-form inverse gathered per canonical (n+1)-tuple b:
+    F_b = (dual[b_0], s(dual[b_1], ..., dual[b_n])), divided by kappa_b.
+    Oracle for the scatter in ``closed_form_potential``."""
+    space = s.space
+    dual = dual_basis(space)
+    acc = {}
+    for b in canonical_tuples(space, s.arity + 1):
+        # (dual[i], v) is the coefficient of e_i in v
+        f = s.eval_elements([dual[i] for i in b[1:]]).coefficient((b[0],))
+        if f:
+            acc[b] = f / contraction_constant(space, b)
+    return Potential.single(space, Element(space, acc), arity=s.arity)
+
+
 def potential_by_solve(s):
     """Invert the derived bracket by a dense linear solve.  Slow; oracle only.
 
@@ -132,7 +164,7 @@ def potential_by_solve(s):
         mono = Element.monomial(space, b)
         col = []
         for t in keys:
-            img = nested_bracket_indices(space, t, mono)
+            img = nested_bracket_by_chain(space, t, mono)
             for r in range(space.dim):
                 col.append(img.coefficient((r,)))
         columns.append(col)

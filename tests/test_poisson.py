@@ -15,7 +15,7 @@ from naryalg.poisson import (
     poisson_bracket,
 )
 from naryalg.superspace import Superspace, even_symplectic_space, odd_space
-from oracles import bracket_recursive_oracle
+from oracles import bracket_recursive_oracle, nested_bracket_by_chain
 from spaces import random_homogeneous, random_superspace
 
 V5 = odd_space(5)
@@ -89,6 +89,56 @@ def test_nested_bracket_unrolls():
     lhs = nested_bracket_indices(V5, [0, 2], mu)
     rhs = poisson_bracket(a1, poisson_bracket(a2, mu))
     assert lhs == rhs
+
+
+def test_nested_bracket_indices_matches_the_chain_on_random_spaces():
+    """The contraction against one general bracket per index, on random
+    mixed-parity spaces with non-identity rational Gram matrices."""
+    rng = random.Random(20)
+    even_repeats = scalars = 0
+    for trial in range(150):
+        m = rng.randint(1, 9)
+        space = random_superspace(rng, m, density=rng.choice((0.3, 0.6, 1)))
+        target = Element.scalar(space, rng.randint(0, 2))
+        for degree in range(1, min(4, space.max_degree) + 1):
+            target = target + random_homogeneous(space, rng, degree, terms=3)
+        # unsorted, with repeats
+        indices = [rng.randrange(m) for _ in range(rng.randint(0, 4))]
+        got = nested_bracket_indices(space, indices, target)
+        assert got == nested_bracket_by_chain(space, indices, target), trial
+        even_repeats += any(a == b and not space.parity[a]
+                            for w in target.terms for a, b in zip(w, w[1:]))
+        scalars += () in target.terms
+    assert even_repeats >= 30 and scalars >= 30
+
+
+def test_nested_bracket_indices_refuses_as_the_chain():
+    rng = random.Random(21)
+    for _ in range(20):
+        m = rng.randint(1, 9)
+        space = random_superspace(rng, m)
+        target = random_homogeneous(space, rng, 2) + Element.scalar(space, 1)
+        indices = [rng.randrange(m) for _ in range(3)]
+        indices[rng.randrange(3)] = rng.choice((m, m + 3, -1))
+        with pytest.raises(NaryError) as got:
+            nested_bracket_indices(space, indices, target)
+        with pytest.raises(NaryError) as want:
+            nested_bracket_by_chain(space, indices, target)
+        assert type(got.value) is type(want.value) is NaryError
+        assert str(got.value) == str(want.value)
+        # the bracket of nothing is refused as well
+        with pytest.raises(NaryError):
+            nested_bracket_indices(space, indices, Element.zero(space))
+    with pytest.raises(SpaceMismatch):
+        nested_bracket_indices(V5, [0], Element.generator(odd_space(4), 0))
+
+
+def test_generator_refuses_an_index_outside_the_basis():
+    for i in (5, 9, -1):
+        with pytest.raises(NaryError,
+                           match=rf"^generator index {i} out of range$"):
+            Element.generator(V5, i)
+    assert Element.generator(V5, 4).terms == {(4,): 1}
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
