@@ -1,18 +1,22 @@
 """Classification of invariant (m-3)-ary algebras on an odd orthonormal space.
 
 Degree-2 elements correspond to skew-symmetric matrices through the adjoint
-action; the orthogonal group acts by conjugation, so orbits are labelled by
-the block parameters of the real skew canonical form.  ``block_parameters``
-computes them exactly, each printed as its correctly rounded double;
+action: a bracket with a basis vector is a contraction through the form,
+here the identity, so the adjoint matrix of v is its coefficient table,
+a[i][j] = c(e_i e_j) = -a[j][i] for i < j, read off with no bracket.  The
+orthogonal group acts by conjugation, so orbits are labelled by the block
+parameters of the real skew canonical form.  ``block_parameters`` computes
+them exactly from the roots of ``linalg.charpoly``, each printed as its
+correctly rounded double, and the skew rank is twice their number;
 ``canonical_form`` is the numerical route that also returns the rotation
-(it alone loads numpy and scipy).  ``block_parameters`` reads the roots of
-``linalg.charpoly``; ``linalg`` checks every matrix a caller gives.  The
-(m-3)-ary algebra attached to a degree-2 element v is the derived algebra
-of star(v); the space must be ``orthonormal`` (read off ``Superspace``).
+(it alone loads numpy and scipy).  ``linalg`` checks every matrix a caller
+gives.  The (m-3)-ary algebra attached to v is the derived algebra of
+star(v); the space must be ``orthonormal`` (read off ``Superspace``).
 Simplicity is decided twice, independently: by the rank of v (the paper's
 criterion) and by an exact certificate, the common kernel of the adjoint
-operators or the dimension of their commutant.  ``isomorphic_via`` checks
-that phi is even and orthogonal, with no sampled check.
+operators or the dimension of their commutant; ``classify_m3`` compares
+the two.  ``isomorphic_via`` checks that phi is even and orthogonal, with
+no sampled check.
 """
 
 import math
@@ -37,6 +41,7 @@ from .errors import (
     NotOrthogonal,
     NotPureOdd,
     NotSkew,
+    SpaceMismatch,
     WrongDegree,
 )
 from .hodge import HodgeContext, star
@@ -55,41 +60,31 @@ def _require_orthonormal_odd(space):
                               "Gram matrix")
 
 
-def ad_matrix(space, w):
-    """Matrix of ad w: v -> [w, v] on generators."""
-    m = space.dim
-    mat = linalg.zeros(m, m)
-    for k in range(m):
-        img = poisson_bracket(w, Element.generator(space, k))
-        for mono, c in img.terms.items():
-            if len(mono) != 1:
-                raise WrongDegree("ad w does not preserve degree 1")
-            mat[mono[0]][k] = c
-    return mat
-
-
 def skew_to_element(space, a):
     """Degree-2 element whose adjoint matrix is exactly a.
 
     Sign convention: e_i e_j (i < j) has adjoint matrix E_ij - E_ji, so the
-    coefficient of e_i e_j is a[i][j].  Verified after construction.
+    coefficient of e_i e_j is a[i][j].
     """
     _require_orthonormal_odd(space)
     m = space.dim
     a = linalg.skew_matrix(a, m)
-    w = Element(space, {(i, j): a[i][j]
-                        for i in range(m) for j in range(i + 1, m)})
-    if ad_matrix(space, w) != a:
-        raise NaryError("adjoint matrix does not reproduce the input")
-    return w
+    return Element(space, {(i, j): a[i][j]
+                           for i in range(m) for j in range(i + 1, m)})
 
 
 def element_to_skew(space, w):
-    """Inverse of skew_to_element (exact round-trip)."""
+    """Adjoint matrix of w, read off its coefficients: a[i][j] = c(e_i e_j)
+    = -a[j][i] for i < j (the exact inverse of skew_to_element)."""
     _require_orthonormal_odd(space)
+    if w.space != space:
+        raise SpaceMismatch("elements live over different superspaces")
     if not w.is_zero() and w.degree() != 2:
         raise WrongDegree("expected a degree-2 element")
-    return ad_matrix(space, w)
+    a = linalg.zeros(space.dim, space.dim)
+    for (i, j), c in w.terms.items():
+        a[i][j], a[j][i] = c, -c
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +582,7 @@ def _rational_eigenvalues(x):
     return [(b + root) / 2, (b - root) / 2]
 
 
-def find_ideal(s, rank_hint=None):
+def find_ideal(s):
     """Decide exactly whether an n-ary structure has a proper ideal.
 
     The space must be pure odd and orthonormal, and every operator
@@ -602,9 +597,7 @@ def find_ideal(s, rank_hint=None):
     dimension 2 the commutant is span(I, X) for a non-scalar basis element
     X, so X^2 = aI + bX, and at each rational root t of t^2 = a + b t the
     kernel of X - tI, also in the commutant, is tried as well.  If no
-    kernel is proper the status is "undecided", never "simple".  A rank hint
-    above 2 (m > 4) means simple by the paper's rank criterion, and the
-    commutant must agree, or NaryError is raised.
+    kernel is proper the status is "undecided", never "simple".
     """
     space = s.space
     _require_orthonormal_odd(space)
@@ -633,12 +626,6 @@ def find_ideal(s, rank_hint=None):
 
     # the identity commutes with everything, so dim >= 1
     system, dim = _commutant(operators, m)
-    if rank_hint is not None and rank_hint > 2 and m > 4:
-        if dim != 1:
-            raise NaryError("rank criterion disagrees with the commutant "
-                            f"(dimension {dim})")
-        return IdealReport(False, method="rank-criterion",
-                           status="simple (certified)")
     if dim == 1:
         return IdealReport(False, method="commutant",
                            status="simple (certified)")
@@ -674,25 +661,31 @@ class ClassificationRecord:
 
 
 def classify_m3(space, v):
-    """Full record for the (m-3)-ary algebra of a degree-2 element."""
+    """Full record for the (m-3)-ary algebra of a degree-2 element.
+
+    Simple means rank > 2 (the paper's criterion).  find_ideal must certify
+    it, or find an ideal if not, or NaryError is raised.
+    """
     if space.dim <= 4:
         raise DimensionTooSmall("classification needs dimension > 4")
     ctx = HodgeContext(space)
     a = element_to_skew(space, v)
-    rank = linalg.rank(linalg.sparse(a))
+    params = block_parameters(a)
+    rank = 2 * len(params)
     mu = build_m3_algebra(ctx, v)
     s = derive_structure(mu)
     filippov = check_filippov(mu).passed
     sh = check_nary_jacobi(s).passed
     simple = rank > 2
-    method = "rank-criterion"
-    ideal = find_ideal(s, rank_hint=rank)
-    if ideal.found == simple:
-        raise NaryError("rank criterion disagrees with the ideal search")
+    ideal = find_ideal(s)
+    if ideal.status != ("simple (certified)" if simple else "ideal found"):
+        raise NaryError("rank criterion disagrees with the ideal search "
+                        f"({ideal.status})")
+    if simple:
+        ideal.method = "rank-criterion"
     return ClassificationRecord(
-        m=space.dim, v=v, skew_rank=rank,
-        canonical_params=block_parameters(a),
-        simple=simple, simple_method=method, filippov=filippov,
+        m=space.dim, v=v, skew_rank=rank, canonical_params=params,
+        simple=simple, simple_method="rank-criterion", filippov=filippov,
         sh_jacobi=sh, ideal=ideal)
 
 

@@ -35,7 +35,7 @@ from .derived import (
     check_nary_jacobi,
     derive_structure,
 )
-from .errors import NaryError
+from .errors import DimensionTooSmall, NaryError
 from .frobenius import check_quasi_frobenius, graph_subalgebra_test, \
     t_star_extension
 from .hodge import HodgeContext, hodge_decomposition, require_dim, star
@@ -177,6 +177,8 @@ def cmd_table(args):
     values = sorted(set(args.grid), reverse=True)
     for m in args.m:  # refused before any space is built
         require_dim(m)
+    if min(args.m) <= 4:  # refused before the budget reads C(., m // 2)
+        raise DimensionTooSmall("classification needs dimension > 4")
     jobs = sum(comb(len(values) + m // 2 - 1, m // 2) for m in args.m)
     if jobs > TABLE_JOB_BUDGET:
         raise NaryError(f"the table would run {jobs} classify jobs, above "

@@ -7,8 +7,8 @@ form is nondegenerate every commutative invariant structure arises this
 way, and ``potential_from_structure`` inverts the construction exactly.
 
 Bracketing with a generator is a signed contraction of one factor through
-the form (``poisson.nested_bracket_indices``), so the products are derived
-without the general bracket.  The inverse is a closed form
+the form (``poisson.nested_bracket_indices``), the only way this module
+brackets with a generator.  The inverse is a closed form
 (Kosmann-Schwarzbach, "Derived brackets", 2004): with the dual basis
 [dual[i], e_k] = delta_ik, the coefficient of e_b is
 (dual[b_0], {dual[b_1],...,dual[b_n]}), the contraction of mu with those
@@ -606,12 +606,13 @@ def check_jordan(A, exhaustive=False):
     _require_cubic_even(A, "the Jordan criterion")
     space = A.space
     m = space.dim
-    gen = [Element.generator(space, i) for i in range(m)]
-    A_ = [poisson_bracket(gen[i], A.element) for i in range(m)]
+    A_ = [nested_bracket_indices(space, (i,), A.element) for i in range(m)]
     coeffs = {}
     for i in range(m):
         for j in range(m):
-            inner = poisson_bracket(poisson_bracket(A_[i], gen[j]), A.element)
+            # A_i and e_j are even, so [A_i, e_j] = -[e_j, A_i]
+            inner = poisson_bracket(
+                -nested_bracket_indices(space, (j,), A_[i]), A.element)
             if inner.is_zero():
                 continue
             for k in range(m):
@@ -631,8 +632,7 @@ def check_associative(mu, exhaustive=False):
     _require_cubic_even(mu, "the associativity criterion")
     space = mu.space
     m = space.dim
-    mu_ = [poisson_bracket(Element.generator(space, i), mu.element)
-           for i in range(m)]
+    mu_ = [nested_bracket_indices(space, (i,), mu.element) for i in range(m)]
 
     def probe(pair):
         res = poisson_bracket(mu_[pair[0]], mu_[pair[1]])

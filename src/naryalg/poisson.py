@@ -15,11 +15,11 @@ The bracket is the even Poisson structure determined by three rules:
 sum over factor pairs, where pairing factor i of u with factor j of w
 carries the sign (-1)^{|u| |w_<j| + |u_>i| |w_j|} and the surviving factors
 are merged as w_<j, u-with-i-removed, w_>j; only the pairs that
-``space.pairing`` lists as nonzero are visited.  It is the engine's only
-general bracket; the tests compare it with a literal recursion on the
-three rules, ``tests/oracles.py::bracket_recursive_oracle``.  A bracket
-with a generator is the special case u = (a,), a signed contraction of one
-factor of w, and ``nested_bracket_indices`` applies it directly.
+``space.pairing`` lists as nonzero are visited.  It is the general bracket;
+the tests compare it with a literal recursion on the three rules,
+``tests/oracles.py::bracket_recursive_oracle``.  A bracket with a basis
+vector (u = (a,)) is a signed contraction of one factor of w, which the
+derived and classify layers take only through ``nested_bracket_indices``.
 """
 
 from fractions import Fraction

@@ -37,11 +37,13 @@ POISSON = "src/naryalg/poisson.py"
 CLASSIFY = "src/naryalg/classify.py"
 LINALG = "src/naryalg/linalg.py"
 DERIVED = "src/naryalg/derived.py"
+FROBENIUS = "src/naryalg/frobenius.py"
 
 CONTRACTION = "tests/test_poisson.py::" \
     "test_nested_bracket_indices_matches_the_chain_on_random_spaces"
 SCATTER = "tests/test_derived.py::" \
     "test_closed_form_scatter_matches_the_gather_on_random_spaces"
+GRAPH = "tests/test_frobenius.py::test_graph_test_matches_the_pairing_oracle"
 
 MUTANTS = [
     # the form read once
@@ -151,6 +153,28 @@ MUTANTS = [
     Mutant("jacobi-scatter-koszul-sign-dropped", DERIVED, "check_nary_jacobi",
            "coeff = -1 if crossings % 2 else 1", "coeff = 1",
            ["tests/test_derived.py::test_support_loops_match_gather_oracles"]),
+    # each fact computed once
+    Mutant("skew-transpose-sign-flipped", CLASSIFY, "element_to_skew",
+           "a[i][j], a[j][i] = c, -c", "a[i][j], a[j][i] = c, c",
+           ["tests/test_classify.py::"
+            "test_element_to_skew_matches_the_bracket_oracle"]),
+    Mutant("skew-rank-counts-each-block-once", CLASSIFY, "classify_m3",
+           "rank = 2 * len(params)", "rank = len(params)",
+           ["tests/test_classify.py::test_classify_records_match_theory"]),
+    Mutant("graph-pairing-drops-the-phi-term", FROBENIUS,
+           "graph_subalgebra_test", "pairings[j] += phi[j][x] * c", "pass",
+           [GRAPH]),
+    Mutant("graph-pairing-drops-the-dual-term", FROBENIUS,
+           "graph_subalgebra_test", "pairings[x - m] += c", "pass", [GRAPH]),
+    Mutant("jordan-inner-sign-dropped", DERIVED, "check_jordan",
+           "-nested_bracket_indices(space, (j,), A_[i])",
+           "nested_bracket_indices(space, (j,), A_[i])",
+           ["tests/test_derived.py::test_jordan_brackets_each_inner_once"]),
+    Mutant("classify-agreement-check-disabled", CLASSIFY, "classify_m3",
+           'if ideal.status != ("simple (certified)" if simple else '
+           '"ideal found"):', "if False:",
+           ["tests/test_classify.py::"
+            "test_classify_m3_raises_when_the_ideal_search_disagrees"]),
 ]
 
 

@@ -11,7 +11,8 @@ from naryalg.derived import (
     canonical_tuples,
     contraction_constant,
 )
-from naryalg.frobenius import QFCertificate, validate_phi
+from naryalg.errors import WrongDegree
+from naryalg.frobenius import QFCertificate, graph_vectors, validate_phi
 from naryalg.hodge import (
     HodgeDegreeRow,
     HodgeReport,
@@ -261,6 +262,33 @@ def qf_by_ordered_loop(s, phi, exhaustive=False):
     return QFCertificate(True, phi_rank=rank_phi, odd_arity=odd)
 
 
+def ad_matrix_by_brackets(space, w):
+    """Matrix of ad w: v -> [w, v], one general bracket per generator.
+    Oracle only."""
+    m = space.dim
+    mat = linalg.zeros(m, m)
+    for k in range(m):
+        img = poisson_bracket(w, Element.generator(space, k))
+        for mono, c in img.terms.items():
+            if len(mono) != 1:
+                raise WrongDegree("ad w does not preserve degree 1")
+            mat[mono[0]][k] = c
+    return mat
+
+
+def graph_by_pairings(ext, phi):
+    """Graph-subalgebra test pairing each image with every graph vector
+    through ``pair_vectors``, m pairings per tuple.  Oracle only."""
+    phi = validate_phi(ext.base_space, phi)
+    b = graph_vectors(ext, phi)
+    m = ext.base_space.dim
+    for args in combinations(range(m), ext.arity):
+        img = ext.structure.eval_elements([b[i] for i in args])
+        if any(pair_vectors(ext.space, img, b[j]) for j in range(m)):
+            return False
+    return True
+
+
 def hodge_operators_by_compose(ctx, mu):
     """d, delta and L as 2^m-entry dicts {monomial: image}.  Oracle only.
 
@@ -441,6 +469,22 @@ def jordan_by_triple_loop(A, exhaustive=False):
     violations = [(key, val) for key, val in sorted(coeffs.items())
                   if not val.is_zero()]
     return _report("jordan", violations, exhaustive)
+
+
+def associative_by_generator_brackets(mu, exhaustive=False):
+    """[mu_a, mu_b] for a <= b, with mu_a the general bracket of the
+    generator e_a and mu.  Oracle only."""
+    space = mu.space
+    m = space.dim
+    mu_ = [poisson_bracket(Element.generator(space, i), mu.element)
+           for i in range(m)]
+    violations = []
+    for i in range(m):
+        for j in range(i, m):
+            res = poisson_bracket(mu_[i], mu_[j])
+            if not res.is_zero():
+                violations.append(((i, j), res))
+    return _report("associative", violations, exhaustive)
 
 
 def koszul_selection_sign(parities, chosen):

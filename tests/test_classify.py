@@ -10,6 +10,7 @@ import pytest
 
 from naryalg import classify, linalg
 from naryalg.classify import (
+    IdealReport,
     block_parameters,
     build_m3_algebra,
     canonical_form,
@@ -35,11 +36,16 @@ from naryalg.errors import (
     NotHodgeContext,
     NotOrthogonal,
     NotSkew,
+    SpaceMismatch,
 )
 from naryalg.hodge import HodgeContext, star
 from naryalg.poisson import Element, pair_vectors, poisson_bracket
 from naryalg.superspace import Superspace, odd_space
-from oracles import commutant_dim_by_kronecker, spin_by_fixed_point
+from oracles import (
+    ad_matrix_by_brackets,
+    commutant_dim_by_kronecker,
+    spin_by_fixed_point,
+)
 from spaces import random_even_isometry, random_homogeneous, random_superspace
 
 V5 = odd_space(5)
@@ -78,6 +84,24 @@ def test_round_trip_exact():
             a = random_skew(rng, m)
             w = skew_to_element(sp, a)
             assert element_to_skew(sp, w) == a
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_element_to_skew_matches_the_bracket_oracle(m):
+    rng = random.Random(60 + m)
+    sp = odd_space(m)
+    ws = [Element.zero(sp)] + [random_homogeneous(sp, rng, 2, terms=t)
+                               for t in (1, 2, 3, 6) for _ in range(3)]
+    for w in ws:
+        a = element_to_skew(sp, w)
+        assert a == ad_matrix_by_brackets(sp, w)
+        assert skew_to_element(sp, a) == w
+
+
+def test_element_to_skew_refuses_an_element_of_another_space():
+    w = mono(odd_space(6), 1, 6)
+    with pytest.raises(SpaceMismatch):
+        element_to_skew(V5, w)
 
 
 def test_not_skew_rejected():
@@ -318,11 +342,13 @@ def test_find_ideal_zero_structure_reports_a_line():
     assert rep.basis[0] == Element.generator(V5, 0)
 
 
-def test_find_ideal_rank_shortcut():
-    mu = build_m3_algebra(CTX5, mono(V5, 1, 2) + mono(V5, 3, 4))
-    rep = find_ideal(derive_structure(mu), rank_hint=4)
+def test_classify_m3_labels_a_simple_algebra_by_rank():
+    v = mono(V5, 1, 2) + mono(V5, 3, 4)
+    rep = classify_m3(V5, v).ideal
     assert not rep.found and rep.method == "rank-criterion"
-    assert rep.status == "simple (certified)"
+    assert rep.status == "simple (certified)" and rep.basis == []
+    rep = find_ideal(derive_structure(build_m3_algebra(CTX5, v)))
+    assert rep.method == "commutant" and rep.status == "simple (certified)"
 
 
 def _rank2_structures(rng):
@@ -470,9 +496,22 @@ def test_aligned_so3_plus_so3_has_an_invariant_proper_ideal():
     assert rows == [{3: 1}, {4: 1}, {5: 1}]
 
 
-def test_rank_hint_must_agree_with_the_commutant():
-    with pytest.raises(NaryError, match="disagrees with the commutant"):
-        find_ideal(_so3_plus_so3(rotated=False), rank_hint=4)
+def test_classify_m3_raises_when_the_ideal_search_disagrees(monkeypatch):
+    # rank 4 is simple by the paper's criterion, so an undecided search or
+    # a found ideal contradicts it
+    v = mono(V5, 1, 2) + mono(V5, 3, 4)
+    for rep in (IdealReport(False, method="commutant",
+                            status="undecided (commutant dimension 2)"),
+                IdealReport(True, [Element.generator(V5, 0)],
+                            method="kernel", status="ideal found")):
+        monkeypatch.setattr(classify, "find_ideal", lambda s, rep=rep: rep)
+        with pytest.raises(NaryError, match="disagrees with the ideal search"):
+            classify_m3(V5, v)
+    # rank 2 is not simple, so a certified simple algebra contradicts it
+    monkeypatch.setattr(classify, "find_ideal", lambda s: IdealReport(
+        False, method="commutant", status="simple (certified)"))
+    with pytest.raises(NaryError, match="disagrees with the ideal search"):
+        classify_m3(V5, mono(V5, 1, 2))
 
 
 def test_classify_records_match_theory():

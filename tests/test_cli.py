@@ -179,6 +179,18 @@ def test_table_refuses_m_above_the_guard_first(capsys, ms):
                    '"kind":"NotHodgeContext","schema":"nary/1"}\n')
 
 
+@pytest.mark.parametrize("m", ["-1", "0", "3"])
+def test_table_refuses_m_below_five_first(capsys, m):
+    # m = -1 once reached math.comb in the work budget and died with a
+    # traceback
+    start = time.perf_counter()
+    code, out, err = run_main(["table", "--m", m], capsys)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert err == ('{"error":"classification needs dimension > 4",'
+                   '"kind":"DimensionTooSmall","schema":"nary/1"}\n')
+
+
 def test_frobenius_subcommand(files, capsys):
     write, _ = files
     space2 = {"schema": "nary/1", "dim": 2, "parity": ["odd", "odd"],

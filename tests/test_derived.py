@@ -45,6 +45,8 @@ from naryalg.superspace import Superspace, even_symplectic_space, odd_space
 
 import spaces
 from oracles import (
+    ad_matrix_by_brackets,
+    associative_by_generator_brackets,
     closed_form_by_duals,
     derive_structure_by_all_tuples,
     dual_basis,
@@ -655,7 +657,6 @@ def test_jordan_needs_pure_even():
 
 
 def test_derivation_criterion_matches_leibniz_law():
-    from naryalg.classify import ad_matrix
     rng = random.Random(12)
     m = V5.dim
     gen = [Element.generator(V5, i) for i in range(m)]
@@ -667,7 +668,7 @@ def test_derivation_criterion_matches_leibniz_law():
             continue
         mu = Potential.single(V5, el)
         s = derive_structure(mu)
-        D = ad_matrix(V5, w)
+        D = ad_matrix_by_brackets(V5, w)
 
         def apply_d(v):
             return Element(V5, {
@@ -949,7 +950,8 @@ def test_derive_brackets_only_the_support(monkeypatch):
 
 
 def test_jordan_brackets_each_inner_once(monkeypatch):
-    # [[A_i, e_j], A] does not depend on k: m^2 inner brackets, not m^3
+    # [[A_i, e_j], A] does not depend on k: m^2 inner brackets, not m^3;
+    # A_i = [e_i, A] and [A_i, e_j] are contractions, not general brackets
     rng = random.Random(11)
     for sp in (E2, E4):
         m = sp.dim
@@ -957,13 +959,31 @@ def test_jordan_brackets_each_inner_once(monkeypatch):
             A = Potential.single(sp, random_homogeneous(sp, rng, 3, terms=3),
                                  arity=2)
             with monkeypatch.context() as patch:
-                calls = []
+                calls, contractions = [], []
                 real = derived.poisson_bracket
                 patch.setattr(derived, "poisson_bracket", lambda a, b: (
                     calls.append(b is A.element) or real(a, b)))
+                contract = derived.nested_bracket_indices
+                patch.setattr(derived, "nested_bracket_indices", lambda *a: (
+                    contractions.append(a[1]) or contract(*a)))
                 reps = [check_jordan(A, exhaustive=ex) for ex in (False, True)]
-            # per call, m brackets build A_i, then one per inner
-            assert sum(calls) == 2 * (m + m * m)
+            assert sum(calls) == 2 * m * m
+            assert len(contractions) == 2 * (m + m * m)
             for ex, rep in zip((False, True), reps):
                 assert report_bytes(rep) == report_bytes(
                     jordan_by_triple_loop(A, exhaustive=ex))
+
+
+@pytest.mark.parametrize("sp", [E2, E4], ids=["E2", "E4"])
+def test_associative_matches_the_generator_bracket_oracle(sp):
+    rng = random.Random(13 + sp.dim)
+    outcomes = set()
+    for trial in range(12):
+        el = random_homogeneous(sp, rng, 3, terms=1 + trial % 4)
+        mu = Potential.single(sp, el, arity=2)
+        for ex in (False, True):
+            rep = check_associative(mu, exhaustive=ex)
+            assert report_bytes(rep) == report_bytes(
+                associative_by_generator_brackets(mu, exhaustive=ex))
+            outcomes.add(rep.passed)
+    assert outcomes == {True, False}

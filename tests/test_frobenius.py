@@ -19,7 +19,7 @@ from naryalg.frobenius import (
 )
 from naryalg.poisson import Element, pair_vectors
 from naryalg.superspace import odd_space
-from oracles import qf_by_ordered_loop
+from oracles import graph_by_pairings, qf_by_ordered_loop
 
 V2 = odd_space(2)
 
@@ -220,6 +220,21 @@ def test_correspondence_on_random_cases():
         positive += cert.passed
     assert agree == 100
     assert 0 < positive < 100
+
+
+def test_graph_test_matches_the_pairing_oracle():
+    rng = random.Random(49)
+    verdicts = set()
+    for trial in range(40):
+        sp, s = random_anticommutative(rng, rng.choice([2, 3, 4, 5]))
+        m = sp.dim
+        phi = (random_phi(rng, m) if trial % 4
+               else [[Fraction(0)] * m for _ in range(m)])
+        ext = t_star_extension(sp, s)
+        got = graph_subalgebra_test(ext, phi)
+        assert got == graph_by_pairings(ext, phi)
+        verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_pairing_identity_exact():
