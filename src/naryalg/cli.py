@@ -8,6 +8,10 @@ one process, as the benchmark harness ``perfbench/worker.py`` does; the
 argparse parser is then built on the first call and reused, and no option
 carries over from one call to the next.
 
+``verify`` runs the identities of one table, ``IDENTITIES``, and two
+that read more files: ``derivation`` and ``quasi-frobenius``, whose helper
+``frobenius`` shares.
+
 Each subcommand accepts only the options it reads, spelled in full (no
 parser takes a unique prefix for an option).  ``--pretty`` and ``--output``
 go after any subcommand; ``--space`` and ``--max-degree`` after every one
@@ -35,7 +39,7 @@ from .derived import (
     check_nary_jacobi,
     derive_structure,
 )
-from .errors import DimensionTooSmall, NaryError
+from .errors import DimensionTooSmall, NaryError, OddArity
 from .frobenius import check_quasi_frobenius, graph_subalgebra_test, \
     t_star_extension
 from .hodge import HodgeContext, hodge_decomposition, require_dim, star
@@ -63,10 +67,9 @@ def _load_space(args):
 def _load_structure(space, args):
     if args.structure:
         return io.parse_structure(space, io.load_file(args.structure))
-    if args.potential:
-        mu = io.parse_potential(space, io.load_file(args.potential))
-        return derive_structure(mu)
-    raise NaryError("need --structure or --potential")
+    if not args.potential:
+        raise NaryError("need --structure or --potential")
+    return derive_structure(_load_potential(space, args))
 
 
 def _load_potential(space, args):
@@ -75,47 +78,55 @@ def _load_potential(space, args):
     return io.parse_potential(space, io.load_file(args.potential))
 
 
+# identity -> (it reads a structure, not a potential; its check).  A check
+# is called by its name here, so a span wrapper bound to it sees the call.
+IDENTITIES = {
+    "commutative": (True, lambda x, ex: check_commutative(x, exhaustive=ex)),
+    "invariant": (True, lambda x, ex: check_invariant(x, exhaustive=ex)),
+    "l-infinity": (False, lambda x, ex: check_l_infinity(x)),
+    "nary-jacobi": (True, lambda x, ex: check_nary_jacobi(x, exhaustive=ex)),
+    "filippov": (False, lambda x, ex: check_filippov(x, exhaustive=ex)),
+    "jordan": (False, lambda x, ex: check_jordan(x, exhaustive=ex)),
+    "associative": (False, lambda x, ex: check_associative(x, exhaustive=ex)),
+}
+
+
+def _quasi_frobenius(args, space, graph=False):
+    """The quasi-Frobenius certificate of the structure for --phi, with the
+    graph-subalgebra test when ``graph``; the structure is read first."""
+    if not args.phi:
+        raise NaryError("quasi-frobenius check needs --phi")
+    s = _load_structure(space, args)
+    if graph and args.allow_odd_arity and s.arity % 2:
+        # as graph_subalgebra_test would, after the m^(n+1) cyclic loop
+        raise OddArity("the correspondence is stated for even arity")
+    phi = io.parse_matrix(io.load_file(args.phi), space.dim)
+    cert = check_quasi_frobenius(space, s, phi,
+                                 allow_odd_arity=args.allow_odd_arity)
+    out = io.qf_certificate_to_json(cert)
+    if graph:
+        ext = t_star_extension(space, s)
+        graph_ok = graph_subalgebra_test(ext, phi)
+        out["graph_subalgebra"] = graph_ok
+        out["equivalence_ok"] = graph_ok == cert.passed
+    _emit(args, out)
+    return 0 if cert.passed else 1
+
+
 def cmd_verify(args):
     space = _load_space(args)
-    name = args.identity
-    if name == "commutative":
-        rep = check_commutative(_load_structure(space, args),
-                                exhaustive=args.exhaustive)
-    elif name == "invariant":
-        rep = check_invariant(_load_structure(space, args),
-                              exhaustive=args.exhaustive)
-    elif name == "nary-jacobi":
-        rep = check_nary_jacobi(_load_structure(space, args),
-                                exhaustive=args.exhaustive)
-    elif name == "l-infinity":
-        rep = check_l_infinity(_load_potential(space, args))
-    elif name == "filippov":
-        rep = check_filippov(_load_potential(space, args),
-                             exhaustive=args.exhaustive)
-    elif name == "jordan":
-        rep = check_jordan(_load_potential(space, args),
-                           exhaustive=args.exhaustive)
-    elif name == "associative":
-        rep = check_associative(_load_potential(space, args),
-                                exhaustive=args.exhaustive)
-    elif name == "derivation":
+    if args.identity == "quasi-frobenius":
+        return _quasi_frobenius(args, space)
+    if args.identity == "derivation":
         if not args.element:
             raise NaryError("derivation check needs --element")
         w = io.parse_element(space, io.load_file(args.element))
         ok = check_derivation(w, _load_potential(space, args))
         _emit(args, {"schema": io.SCHEMA, "check": "derivation", "pass": ok})
         return 0 if ok else 1
-    elif name == "quasi-frobenius":
-        if not args.phi:
-            raise NaryError("quasi-frobenius check needs --phi")
-        phi = io.parse_matrix(io.load_file(args.phi), space.dim)
-        s = _load_structure(space, args)
-        cert = check_quasi_frobenius(space, s, phi,
-                                     allow_odd_arity=args.allow_odd_arity)
-        _emit(args, io.qf_certificate_to_json(cert))
-        return 0 if cert.passed else 1
-    else:  # pragma: no cover - argparse restricts choices
-        raise NaryError(f"unknown identity {name}")
+    structure, check = IDENTITIES[args.identity]
+    load = _load_structure if structure else _load_potential
+    rep = check(load(space, args), args.exhaustive)
     _emit(args, io.check_report_to_json(rep))
     return 0 if rep.passed else 1
 
@@ -197,19 +208,7 @@ def cmd_table(args):
 
 
 def cmd_frobenius(args):
-    space = _load_space(args)
-    s = _load_structure(space, args)
-    phi = io.parse_matrix(io.load_file(args.phi), space.dim)
-    cert = check_quasi_frobenius(space, s, phi,
-                                 allow_odd_arity=args.allow_odd_arity)
-    out = io.qf_certificate_to_json(cert)
-    if args.graph:
-        ext = t_star_extension(space, s)
-        graph_ok = graph_subalgebra_test(ext, phi)
-        out["graph_subalgebra"] = graph_ok
-        out["equivalence_ok"] = graph_ok == cert.passed
-    _emit(args, out)
-    return 0 if cert.passed else 1
+    return _quasi_frobenius(args, _load_space(args), graph=args.graph)
 
 
 def build_parser():
@@ -234,13 +233,12 @@ def build_parser():
 
     v = add_cmd("verify", "run an identity check")
     v.add_argument("--exhaustive", action="store_true",
-                   help="collect all violations, not just the first (a "
-                        "quasi-Frobenius certificate keeps one witness, so "
-                        "there it changes nothing)")
+                   help="collect all violations, not just the first (it "
+                        "changes nothing for l-infinity, derivation and "
+                        "quasi-frobenius, whose reports hold at most one "
+                        "witness)")
     v.add_argument("--identity", required=True,
-                   choices=["commutative", "invariant", "l-infinity",
-                            "nary-jacobi", "filippov", "jordan",
-                            "associative", "derivation", "quasi-frobenius"])
+                   choices=[*IDENTITIES, "derivation", "quasi-frobenius"])
     v.add_argument("--potential")
     v.add_argument("--structure")
     v.add_argument("--element", help="degree-2 element for derivation checks")

@@ -30,13 +30,14 @@ so derive_structure and check_filippov bracket only the tuples whose
 indices pair (by ``space.pairing``) with the factors of some monomial of
 the potential; check_invariant probes only the pairs where a table value
 can pair with a_0; and check_nary_jacobi scatters each table entry into
-the Jacobiators it feeds.  A report carries the first violation in
-canonical order, or every one when ``exhaustive``; the probe loops stop at
-the first violation otherwise.  The gather loops over every canonical
-tuple are the oracles in ``tests/oracles.py``.  The loops run in one
-thread: the ``threads`` keyword of check_invariant, check_nary_jacobi and
-check_filippov is accepted and ignored, since exact Fraction work cannot
-run in parallel under the GIL.
+the Jacobiators it feeds.  Each check yields its violations lazily in
+canonical order, and ``_report`` keeps the first, or every one when
+``exhaustive``, so a loop stops at the first violation otherwise.  The
+gather loops over every canonical tuple are the oracles in
+``tests/oracles.py``.  The loops run in one thread: the ``threads``
+keyword of check_invariant, check_nary_jacobi and check_filippov is
+accepted and ignored, since exact Fraction work cannot run in parallel
+under the GIL.
 
 The homotopy condition has one check, check_l_infinity: [mu, mu] is a
 scalar.  The generalized Jacobi identities it is equivalent to are
@@ -45,6 +46,7 @@ evaluated term by term only by the oracle ``generalized_jacobi`` in
 """
 
 from dataclasses import dataclass, field
+from itertools import islice
 from math import comb, factorial
 
 from . import linalg
@@ -118,24 +120,15 @@ def _support_tuples(mu, n):
     return sorted(out)
 
 
-def _probe_all(probe, items, exhaustive):
-    """The non-None probe results in order, only the first unless exhaustive."""
-    hits = []
-    for item in items:
-        hit = probe(item)
-        if hit is not None:
-            hits.append(hit)
-            if not exhaustive:
-                break
-    return hits
-
-
-def _violation_report(name, violations):
-    if violations:
-        w, r = violations[0]
-        return CheckReport(name, False, witness=w, residual=r,
-                           violations=violations)
-    return CheckReport(name, True)
+def _report(name, violations, exhaustive, detail=""):
+    """The report on lazy (witness, residual) violations in canonical
+    order: the first, or all of them when ``exhaustive``."""
+    found = list(violations if exhaustive else islice(violations, 1))
+    if not found:
+        return CheckReport(name, True)
+    witness, residual = found[0]
+    return CheckReport(name, False, witness=witness, residual=residual,
+                       detail=detail, violations=found)
 
 
 @dataclass
@@ -328,22 +321,10 @@ def derive_structure(mu):
 
 def check_commutative(s, exhaustive=False):
     """Graded symmetry (the only representable violation: odd squares)."""
-    violations = []
-    for key in sorted(s.table):
-        seen = set()
-        for i in key:
-            if i in seen and s.space.parity[i] == 1:
-                violations.append((key, s.table[key]))
-                break
-            seen.add(i)
-    if violations and not exhaustive:
-        violations = violations[:1]
-    if violations:
-        key, value = violations[0]
-        return CheckReport("commutative", False, witness=key, residual=value,
-                           detail="nonzero product on a repeated odd argument",
-                           violations=violations)
-    return CheckReport("commutative", True)
+    return _report("commutative",
+                   ((key, s.table[key]) for key in sorted(s.table)
+                    if normalize_word(s.space, key) is None),
+                   exhaustive, "nonzero product on a repeated odd argument")
 
 
 def check_invariant(s, exhaustive=False, threads=1):
@@ -372,19 +353,17 @@ def check_invariant(s, exhaustive=False, threads=1):
                     continue
                 items.add((a0, (k0,) + rest))
 
-    def probe(item):
-        a0, key = item
-        lhs = pair_vectors(space, gen[a0], s.eval_basis(key))
-        swapped = s.eval_basis((a0,) + key[1:])
-        rhs = pair_vectors(space, gen[key[0]], swapped)
-        if space.parity[a0] & space.parity[key[0]]:
-            rhs = -rhs
-        if lhs != rhs:
-            return ((a0,) + key, lhs - rhs)
-        return None
+    def violations():
+        for a0, key in sorted(items):
+            lhs = pair_vectors(space, gen[a0], s.eval_basis(key))
+            swapped = s.eval_basis((a0,) + key[1:])
+            rhs = pair_vectors(space, gen[key[0]], swapped)
+            if space.parity[a0] & space.parity[key[0]]:
+                rhs = -rhs
+            if lhs != rhs:
+                yield (a0,) + key, lhs - rhs
 
-    return _violation_report("invariant", _probe_all(probe, sorted(items),
-                                                      exhaustive))
+    return _report("invariant", violations(), exhaustive)
 
 
 def contraction_constant(space, b):
@@ -555,14 +534,9 @@ def check_nary_jacobi(s, exhaustive=False, threads=1):
                         slot[r] = total
                     else:
                         del slot[r]
-    violations = []
-    for args in sorted(acc):
-        if acc[args]:
-            violations.append((args, Element(
-                space, {(r,): c for r, c in acc[args].items()})))
-            if not exhaustive:
-                break
-    return _violation_report("nary-jacobi", violations)
+    violations = ((args, Element(space, {(r,): c for r, c in slot.items()}))
+                  for args, slot in sorted(acc.items()) if slot)
+    return _report("nary-jacobi", violations, exhaustive)
 
 
 def check_filippov(mu, exhaustive=False, threads=1):
@@ -578,22 +552,27 @@ def check_filippov(mu, exhaustive=False, threads=1):
     space = mu.space
     n = mu.arity
 
-    def probe(t):
-        mu_a = nested_bracket_indices(space, t, mu.element)
-        res = poisson_bracket(mu_a, mu.element)
-        return None if res.is_zero() else (t, res)
+    def violations():
+        for t in _support_tuples(mu, n - 1):
+            mu_a = nested_bracket_indices(space, t, mu.element)
+            res = poisson_bracket(mu_a, mu.element)
+            if not res.is_zero():
+                yield t, res
 
-    return _violation_report("filippov", _probe_all(
-        probe, _support_tuples(mu, n - 1), exhaustive))
+    return _report("filippov", violations(), exhaustive)
 
 
-def _require_cubic_even(mu, what):
+def _cubic_operators(mu, what):
+    """[e_i, mu] for each generator e_i, of a cubic potential on a pure
+    even space."""
     if not mu.space.pure_even:
         raise NotPureEven(f"{what} is stated for pure even spaces")
     if mu.family:
         raise NaryError(f"{what} needs a single-arity potential")
     if mu.arity != 2:
         raise WrongDegree(f"{what} needs a cubic potential (arity 2)")
+    return [nested_bracket_indices(mu.space, (i,), mu.element)
+            for i in range(mu.space.dim)]
 
 
 def check_jordan(A, exhaustive=False):
@@ -603,10 +582,9 @@ def check_jordan(A, exhaustive=False):
     sum t_i e_i and every coefficient of the expansion must vanish; over
     the rationals this is equivalent to the identity for all x.
     """
-    _require_cubic_even(A, "the Jordan criterion")
+    A_ = _cubic_operators(A, "the Jordan criterion")
     space = A.space
     m = space.dim
-    A_ = [nested_bracket_indices(space, (i,), A.element) for i in range(m)]
     coeffs = {}
     for i in range(m):
         for j in range(m):
@@ -621,26 +599,24 @@ def check_jordan(A, exhaustive=False):
                     continue
                 key = tuple(sorted((k, i, j)))
                 coeffs[key] = coeffs.get(key, Element.zero(space)) + term
-    violations = [(key, val) for key, val in sorted(coeffs.items())
-                  if not val.is_zero()]
-    return _violation_report(
-        "jordan", violations if exhaustive else violations[:1])
+    violations = ((key, val) for key, val in sorted(coeffs.items())
+                  if not val.is_zero())
+    return _report("jordan", violations, exhaustive)
 
 
 def check_associative(mu, exhaustive=False):
     """Associativity criterion: [mu_a, mu_b] = 0 on basis vectors."""
-    _require_cubic_even(mu, "the associativity criterion")
-    space = mu.space
-    m = space.dim
-    mu_ = [nested_bracket_indices(space, (i,), mu.element) for i in range(m)]
+    mu_ = _cubic_operators(mu, "the associativity criterion")
+    m = len(mu_)
 
-    def probe(pair):
-        res = poisson_bracket(mu_[pair[0]], mu_[pair[1]])
-        return None if res.is_zero() else (pair, res)
+    def violations():
+        for i in range(m):
+            for j in range(i, m):
+                res = poisson_bracket(mu_[i], mu_[j])
+                if not res.is_zero():
+                    yield (i, j), res
 
-    pairs = ((i, j) for i in range(m) for j in range(i, m))
-    return _violation_report("associative",
-                             _probe_all(probe, pairs, exhaustive))
+    return _report("associative", violations(), exhaustive)
 
 
 def check_derivation(w, mu):

@@ -4,6 +4,9 @@ Scalars travel as exact "p/q" strings (plain integers allowed); basis
 indices are 1-based outside the engine.  Object-rooted documents carry a
 "schema": "nary/1" version field, which is required on output and checked
 when present on input.  Parse errors carry the offending field path.
+Basis index lists and square matrices (the Gram matrix, --phi, --skew)
+each have one reader.  A structure gives each key once; a potential is
+one element or an "linf" family, not both.
 """
 
 import json
@@ -34,7 +37,10 @@ def fmt_scalar(q):
     return str(Fraction(q))
 
 
-def _check_schema(obj, path):
+def _check_document(obj, path):
+    """A document's root: an object, of our schema when it names one."""
+    if not isinstance(obj, dict):
+        raise SchemaError(path, "expected an object")
     if "schema" in obj and obj["schema"] != SCHEMA:
         raise SchemaError(f"{path}.schema", f"unsupported schema {obj['schema']!r}")
 
@@ -52,6 +58,29 @@ def _check_list(value, path, what="a list"):
         raise SchemaError(path, f"expected {what}")
 
 
+def _parse_indices(raw, dim, path):
+    """0-based basis indices from a JSON list of 1-based ones."""
+    _check_list(raw, path)
+    for k, idx in enumerate(raw):
+        _check_positive_int(idx, f"{path}[{k}]", dim)
+    return tuple(idx - 1 for idx in raw)
+
+
+def _parse_rows(rows, dim, path):
+    """A dim x dim matrix of exact scalars from a JSON list of rows."""
+    _check_list(rows, path, "a list of rows")
+    if len(rows) != dim:
+        raise SchemaError(path, f"expected {dim} rows")
+    out = []
+    for i, row in enumerate(rows):
+        _check_list(row, f"{path}[{i}]")
+        if len(row) != dim:
+            raise SchemaError(f"{path}[{i}]", f"expected {dim} entries")
+        out.append([parse_scalar(x, f"{path}[{i}][{j}]")
+                    for j, x in enumerate(row)])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # superspace
 
@@ -63,9 +92,7 @@ def parse_superspace(obj, path="superspace", max_degree=None):
     --max-degree flag, passed here as max_degree, which wins when given.
     Both must be positive integers.
     """
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected an object")
-    _check_schema(obj, path)
+    _check_document(obj, path)
     for key in ("dim", "parity", "gram"):
         if key not in obj:
             raise SchemaError(f"{path}.{key}", "missing field")
@@ -80,17 +107,7 @@ def parse_superspace(obj, path="superspace", max_degree=None):
         if name not in ("even", "odd"):
             raise SchemaError(f"{path}.parity[{i}]", "expected 'even' or 'odd'")
         parity.append(1 if name == "odd" else 0)
-    gram_rows = obj["gram"]
-    _check_list(gram_rows, f"{path}.gram", "a list of rows")
-    if len(gram_rows) != dim:
-        raise SchemaError(f"{path}.gram", f"expected {dim} rows")
-    gram = []
-    for i, row in enumerate(gram_rows):
-        _check_list(row, f"{path}.gram[{i}]")
-        if len(row) != dim:
-            raise SchemaError(f"{path}.gram[{i}]", f"expected {dim} entries")
-        gram.append([parse_scalar(x, f"{path}.gram[{i}][{j}]")
-                     for j, x in enumerate(row)])
+    gram = _parse_rows(obj["gram"], dim, f"{path}.gram")
     if "max_degree" in obj:
         _check_positive_int(obj["max_degree"], f"{path}.max_degree")
     if max_degree is None:
@@ -120,12 +137,7 @@ def parse_element(space, arr, path="element"):
         where = f"{path}[{t}]"
         if not isinstance(item, dict) or "monomial" not in item or "coeff" not in item:
             raise SchemaError(where, "expected {'monomial': [...], 'coeff': ...}")
-        raw = item["monomial"]
-        _check_list(raw, f"{where}.monomial")
-        mono = []
-        for k, idx in enumerate(raw):
-            _check_positive_int(idx, f"{where}.monomial[{k}]", space.dim)
-            mono.append(idx - 1)
+        mono = _parse_indices(item["monomial"], space.dim, f"{where}.monomial")
         for a, b in zip(mono, mono[1:]):
             if a > b:
                 raise SchemaError(f"{where}.monomial",
@@ -134,7 +146,6 @@ def parse_element(space, arr, path="element"):
                 raise SchemaError(f"{where}.monomial",
                                   "repeated odd generator")
         coeff = parse_scalar(item["coeff"], f"{where}.coeff")
-        mono = tuple(mono)
         terms[mono] = terms.get(mono, ZERO) + coeff
     return Element(space, terms)
 
@@ -149,9 +160,9 @@ def element_to_json(el):
 
 
 def parse_potential(space, obj, path="potential"):
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected an object")
-    _check_schema(obj, path)
+    _check_document(obj, path)
+    if "linf" in obj and "element" in obj:
+        raise SchemaError(path, "expected 'linf' or 'element', not both")
     if "linf" in obj:
         layers = obj["linf"]
         _check_list(layers, f"{path}.linf", "a list of elements")
@@ -169,9 +180,7 @@ def parse_potential(space, obj, path="potential"):
 
 
 def parse_structure(space, obj, path="structure"):
-    if not isinstance(obj, dict):
-        raise SchemaError(path, "expected an object")
-    _check_schema(obj, path)
+    _check_document(obj, path)
     if "arity" not in obj or "constants" not in obj:
         raise SchemaError(path, "expected 'arity' and 'constants'")
     arity = obj["arity"]
@@ -182,15 +191,13 @@ def parse_structure(space, obj, path="structure"):
         where = f"{path}.constants[{t}]"
         if not isinstance(item, dict) or "args" not in item or "value" not in item:
             raise SchemaError(where, "expected {'args': [...], 'value': [...]}")
-        _check_list(item["args"], f"{where}.args")
-        args = []
-        for k, idx in enumerate(item["args"]):
-            _check_positive_int(idx, f"{where}.args[{k}]", space.dim)
-            args.append(idx - 1)
-        if any(a > b for a, b in zip(args, args[1:])):
+        key = _parse_indices(item["args"], space.dim, f"{where}.args")
+        if any(a > b for a, b in zip(key, key[1:])):
             raise SchemaError(f"{where}.args", "indices must be non-decreasing")
-        value = parse_element(space, item["value"], f"{where}.value")
-        table[tuple(args)] = value
+        if key in table:  # table holds one key per earlier entry, in order
+            raise SchemaError(f"{where}.args", "duplicates "
+                              f"{path}.constants[{list(table).index(key)}]")
+        table[key] = parse_element(space, item["value"], f"{where}.value")
     try:
         return NaryStructure(space, arity, table)
     except NaryError as ex:
@@ -213,19 +220,11 @@ def structure_to_json(s):
 
 
 def parse_matrix(obj, dim, path="matrix"):
-    rows = obj["matrix"] if isinstance(obj, dict) and "matrix" in obj else obj
+    """A dim x dim matrix: a list of rows, bare or as an object's "matrix"."""
     if isinstance(obj, dict):
-        _check_schema(obj, path)
-    if not isinstance(rows, list) or len(rows) != dim:
-        raise SchemaError(path, f"expected {dim} rows")
-    out = []
-    for i, row in enumerate(rows):
-        _check_list(row, f"{path}[{i}]")
-        if len(row) != dim:
-            raise SchemaError(f"{path}[{i}]", f"expected {dim} entries")
-        out.append([parse_scalar(x, f"{path}[{i}][{j}]")
-                    for j, x in enumerate(row)])
-    return out
+        _check_document(obj, path)
+        obj = obj.get("matrix")
+    return _parse_rows(obj, dim, path)
 
 
 # ---------------------------------------------------------------------------

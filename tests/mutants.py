@@ -1,8 +1,9 @@
 """Committed source mutants, and a runner that checks the suite kills them.
 
 Each mutant names a file of the checkout, a function in it (``name`` or
-``Class.name``), an old text that occurs exactly once inside that
-function, the new text that replaces it, and the tests that must kill it.
+``Class.name``) or a name assigned at its top level, an old text that
+occurs exactly once inside that definition, the new text that replaces
+it, and the tests that must kill it.
 For each mutant the runner copies ``src/``, ``tests/`` and
 ``pyproject.toml`` to a new temporary directory, applies the mutant there
 and runs its tests with ``python -m pytest -q -x``, one process at a time.
@@ -38,12 +39,15 @@ CLASSIFY = "src/naryalg/classify.py"
 LINALG = "src/naryalg/linalg.py"
 DERIVED = "src/naryalg/derived.py"
 FROBENIUS = "src/naryalg/frobenius.py"
+CLI = "src/naryalg/cli.py"
+IO = "src/naryalg/io.py"
 
 CONTRACTION = "tests/test_poisson.py::" \
     "test_nested_bracket_indices_matches_the_chain_on_random_spaces"
 SCATTER = "tests/test_derived.py::" \
     "test_closed_form_scatter_matches_the_gather_on_random_spaces"
 GRAPH = "tests/test_frobenius.py::test_graph_test_matches_the_pairing_oracle"
+COMMUTATIVE = "tests/test_cli.py::test_verify_commutative_report_bytes"
 
 MUTANTS = [
     # the form read once
@@ -175,6 +179,24 @@ MUTANTS = [
            '"ideal found"):', "if False:",
            ["tests/test_classify.py::"
             "test_classify_m3_raises_when_the_ideal_search_disagrees"]),
+    # the verify path decides each thing once
+    Mutant("report-ignores-exhaustive", DERIVED, "_report",
+           "violations if exhaustive else islice(violations, 1)",
+           "islice(violations, 1)",
+           [COMMUTATIVE, "tests/test_derived.py::"
+            "test_single_thread_verifiers_keep_first_witness"]),
+    Mutant("commutative-detail-dropped", DERIVED, "check_commutative",
+           'exhaustive, "nonzero product on a repeated odd argument")',
+           "exhaustive)", [COMMUTATIVE]),
+    Mutant("identity-structure-flag-flipped", CLI, "IDENTITIES",
+           '"commutative": (True,', '"commutative": (False,', [COMMUTATIVE]),
+    Mutant("matrix-field-path-off-by-one", IO, "_parse_rows",
+           'f"{path}[{i}][{j}]"', 'f"{path}[{i}][{j + 1}]"',
+           ["tests/test_cli.py::test_malformed_field_exits_2_with_its_path"]),
+    Mutant("odd-arity-graph-refusal-disabled", CLI, "_quasi_frobenius",
+           "if graph and args.allow_odd_arity and s.arity % 2:", "if False:",
+           ["tests/test_cli.py::"
+            "test_frobenius_graph_refuses_odd_arity_before_the_loop"]),
 ]
 
 
@@ -182,16 +204,22 @@ class NotApplicable(Exception):
     pass
 
 
+def _defined_name(node):
+    if isinstance(node, ast.Assign) and len(node.targets) == 1:
+        return getattr(node.targets[0], "id", None)
+    return getattr(node, "name", None)
+
+
 def _function_lines(source, qualname):
-    """(first, last) 1-based lines of the function ``qualname``."""
+    """(first, last) 1-based lines of the function or top-level
+    assignment ``qualname``."""
     body = ast.parse(source).body
     node = None
     for part in qualname.split("."):
-        node = next((n for n in body if getattr(n, "name", None) == part),
-                    None)
+        node = next((n for n in body if _defined_name(n) == part), None)
         if node is None:
             raise NotApplicable(f"no {qualname}")
-        body = node.body
+        body = getattr(node, "body", [])
     return node.lineno, node.end_lineno
 
 

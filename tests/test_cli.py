@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import re
 import subprocess
 import sys
 import time
@@ -253,6 +254,18 @@ MONO = [{"monomial": [3, 4, 5], "coeff": "1"}]
      "potential.element[0].monomial[0]"),
     ("--space", dict(SPACE5, dim=True), "superspace.dim"),
     ("--phi", [5] * 5, "matrix[0]"),
+    ("--phi", [["0"] * 5] + [["0", "0", "0", "x", "0"]] + [["0"] * 5] * 3,
+     "matrix[1][3]"),
+    ("--space", dict(SPACE5, gram=[["1", "0", "0", "0", "0"],
+                                   ["0", "1", "1/0", "0", "0"]]
+                     + SPACE5["gram"][2:]), "superspace.gram[1][2]"),
+    # a duplicate key once overwrote the earlier entry silently
+    ("--structure", {"arity": 2, "constants": [
+        {"args": [1, 2], "value": [{"monomial": [3], "coeff": "1"}]},
+        {"args": [1, 2], "value": [{"monomial": [4], "coeff": "1"}]}]},
+     "structure.constants[1].args"),
+    # the element was once ignored beside the family
+    ("--potential", {"linf": [MONO], "element": MONO}, "potential"),
 ])
 def test_malformed_field_exits_2_with_its_path(files, capsys, flag, doc,
                                                 where):
@@ -293,6 +306,62 @@ def test_non_skew_matrix_exits_2_with_not_skew(files, capsys, argv):
     report = json.loads(err)
     assert report["kind"] == "NotSkew"
     assert report["error"] == "entry (1,2) breaks skew symmetry"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--identity", "quasi-frobenius", "--structure", "st.json",
+     "--phi", "m.json"],
+    ["frobenius", "--structure", "st.json", "--phi", "m.json"],
+    ["classify", "--skew", "m.json"],
+])
+def test_matrix_object_without_rows_exits_2(files, capsys, argv):
+    write, _ = files
+    paths = {"st.json": write("st.json", {"arity": 2, "constants": []}),
+             "m.json": write("m.json", {"schema": "nary/1"}),
+             "s.json": write("s.json", SPACE5)}
+    argv = [paths.get(a, a) for a in argv + ["--space", "s.json"]]
+    code, out, err = run_main(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == ('{"error":"matrix: expected a list of rows",'
+                   '"kind":"SchemaError","schema":"nary/1"}\n')
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--identity", "quasi-frobenius"], ["frobenius"]])
+def test_quasi_frobenius_reads_the_structure_before_phi(files, capsys,
+                                                         command):
+    # both documents are malformed: the structure's error is the one shown
+    write, _ = files
+    code, out, err = run_main(command + [
+        "--space", write("s.json", SPACE5),
+        "--structure", write("st.json", {"arity": 2, "constants": 5}),
+        "--phi", write("m.json", [5] * 5)], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"].startswith("structure.constants:")
+
+
+def test_frobenius_graph_refuses_odd_arity_before_the_loop(files, capsys):
+    # arity 3 at m = 16 once ran the 16^4-tuple cyclic loop and built the
+    # extension before the graph test refused it
+    write, _ = files
+    m = 16
+    space = {"schema": "nary/1", "dim": m, "parity": ["odd"] * m,
+             "gram": [["1" if i == j else "0" for j in range(m)]
+                      for i in range(m)]}
+    st = {"schema": "nary/1", "arity": 3, "constants": [
+        {"args": [i, i + 1, i + 2],
+         "value": [{"monomial": [(i + 5) % m + 1], "coeff": "1"}]}
+        for i in range(1, m - 1)]}
+    phi = [["0"] * m for _ in range(m)]
+    argv = ["frobenius", "--space", write("s.json", space),
+            "--structure", write("st.json", st),
+            "--phi", write("m.json", phi), "--graph", "--allow-odd-arity"]
+    start = time.perf_counter()
+    code, out, err = run_main(argv, capsys)
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and out == ""
+    assert err == ('{"error":"the correspondence is stated for even arity",'
+                   '"kind":"OddArity","schema":"nary/1"}\n')
 
 
 @pytest.mark.parametrize("value", ["x", 0, -1, 2.5, True, None])
@@ -382,6 +451,59 @@ def test_byte_identical_across_runs(files):
     r2 = subprocess.run(cmd, capture_output=True)
     assert r1.stdout == r2.stdout
     assert r1.returncode == r2.returncode == 1
+
+
+def _constant(args, *terms):
+    return {"args": args, "value": [{"monomial": [i], "coeff": c}
+                                    for i, c in terms]}
+
+
+MIXED4 = {"schema": "nary/1", "dim": 4,
+          "parity": ["even", "even", "odd", "odd"],
+          "gram": [["0", "1", "0", "0"], ["-1", "0", "0", "0"],
+                   ["0", "0", "1", "0"], ["0", "0", "0", "1"]]}
+# an even square and a mixed key obey graded symmetry; an odd square does
+# not, and the table cannot encode any other violation
+SQUARES = [_constant([1, 1], (2, "1")), _constant([1, 3], (4, "1"))]
+ODD_SQUARES = [_constant([3, 3], (1, "-1/2")),
+               _constant([4, 4], (2, "3"), (3, "1"))]
+REPORT = ('{"check":"commutative","detail":"nonzero product on a repeated '
+          'odd argument","pass":false,"residual":[{"coeff":"-1/2",'
+          '"monomial":[1]}],"schema":"nary/1",')
+
+
+@pytest.mark.parametrize("odd_squares, exhaustive, want", [
+    (0, False, '{"check":"commutative","pass":true,"residual":null,'
+               '"schema":"nary/1","witness":null}\n'),
+    (1, False, REPORT + '"witness":[3,3]}\n'),
+    (1, True, REPORT + '"witness":[3,3]}\n'),
+    (2, False, REPORT + '"witness":[3,3]}\n'),
+    (2, True, REPORT + '"violations":[{"residual":[{"coeff":"-1/2",'
+              '"monomial":[1]}],"witness":[3,3]},{"residual":[{"coeff":"3",'
+              '"monomial":[2]},{"coeff":"1","monomial":[3]}],'
+              '"witness":[4,4]}],"witness":[3,3]}\n'),
+])
+def test_verify_commutative_report_bytes(files, capsys, odd_squares,
+                                         exhaustive, want):
+    write, _ = files
+    st = {"schema": "nary/1", "arity": 2,
+          "constants": SQUARES + ODD_SQUARES[:odd_squares]}
+    argv = ["verify", "--space", write("s.json", MIXED4), "--identity",
+            "commutative", "--structure", write("st.json", st)]
+    code, out, err = run_main(argv + ["--exhaustive"] * exhaustive, capsys)
+    assert (code, out, err) == (1 if odd_squares else 0, want, "")
+
+
+def test_unknown_identity_lists_the_nine_in_order(capsys):
+    with pytest.raises(SystemExit) as ex:
+        main(["verify", "--space", "s.json", "--identity", "bogus"])
+    assert ex.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'bogus'" in err
+    listed = re.findall(r"[a-z][a-z-]*", err.split("choose from")[1])
+    assert listed == ["commutative", "invariant", "l-infinity", "nary-jacobi",
+                      "filippov", "jordan", "associative", "derivation",
+                      "quasi-frobenius"]
 
 
 MIXED3 = {"schema": "nary/1", "dim": 3, "parity": ["even", "even", "odd"],

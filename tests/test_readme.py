@@ -1,4 +1,5 @@
-"""The README's Python sketch runs, and every flag it lists parses."""
+"""The README's Python sketch runs, every flag it lists parses, and its
+list of identities is the parser's."""
 
 import argparse
 import json
@@ -69,6 +70,23 @@ def test_every_listed_flag_is_an_option():
         listed = set(re.findall(r"`([a-z]+)`", names))
         assert listed == {name for name, sub in commands.items()
                           if flag in sub._option_string_actions}, flag
+
+
+def test_identity_list_matches_the_parser():
+    _, commands = _subparsers()
+    choices = commands["verify"]._option_string_actions["--identity"].choices
+    section = README[README.index("`verify --identity NAME`"):
+                     README.index("Useful flags")]
+    entries = re.findall(r"^- `([a-z-]+)`: (.*?)(?=^- |\Z)", section,
+                         flags=re.M | re.S)
+    assert [name for name, _ in entries] == list(choices)
+    reads = dict(entries)
+    assert all("`--potential`" in text for text in reads.values())
+    for name, (structure, _) in cli.IDENTITIES.items():
+        assert ("`--structure`" in reads[name]) == structure, name
+    assert "`--element`" in reads["derivation"]
+    assert "`--structure`" in reads["quasi-frobenius"]
+    assert "`--phi`" in reads["quasi-frobenius"]
 
 
 def test_table_lines_run_within_the_work_budget(capsys):
