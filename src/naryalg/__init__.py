@@ -15,7 +15,6 @@ from .superspace import (
 from .poisson import (
     Element,
     multiply,
-    nested_bracket,
     nested_bracket_indices,
     poisson_bracket,
 )

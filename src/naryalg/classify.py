@@ -13,10 +13,11 @@ correctly rounded double, and the skew rank is twice their number;
 gives.  The (m-3)-ary algebra attached to v is the derived algebra of
 star(v); the space must be ``orthonormal`` (read off ``Superspace``).
 Simplicity is decided twice, independently: by the rank of v (the paper's
-criterion) and by an exact certificate, the common kernel of the adjoint
-operators or the dimension of their commutant; ``classify_m3`` compares
-the two.  ``isomorphic_via`` checks that phi is even and orthogonal, with
-no sampled check.
+criterion) and by an exact certificate, the common kernel of the
+multiplication operators L_t (``NaryStructure.operators``) or the
+dimension of their commutant; ``classify_m3`` compares the two.
+``isomorphic_via`` checks that phi is even and orthogonal, with no
+sampled check.
 """
 
 import math
@@ -480,11 +481,6 @@ def ider(space, mu):
             for vec in linalg.row_space(kernel)]
 
 
-def degree2_rowspace(space, elements):
-    """Canonical row space of degree-2 elements (for subspace comparison)."""
-    return linalg.row_space([el.terms for el in elements])
-
-
 # ---------------------------------------------------------------------------
 # ideal search
 
@@ -586,7 +582,8 @@ def find_ideal(s):
     """Decide exactly whether an n-ary structure has a proper ideal.
 
     The space must be pure odd and orthonormal, and every operator
-    L_t = s(e_t1, ..., e_t(n-1), -) skew, as for an invariant structure.
+    L_t = s(e_t1, ..., e_t(n-1), -) skew, as for an invariant structure;
+    the operators are read once from the structure (``s.operators()``).
     Stage 1 returns the common kernel of the L_t if it is a proper ideal.
     Then the commutant {X : X L_t = L_t X for all t} decides, its dimension
     read from one certified ``linalg.rank``.  If W is a proper ideal, so is
@@ -602,10 +599,7 @@ def find_ideal(s):
     space = s.space
     _require_orthonormal_odd(space)
     m = space.dim
-    # each operator v -> product(prefix..., v) by its exact sparse columns
-    operators = [cols for cols in map(s.operator,
-                                      canonical_tuples(space, s.arity - 1))
-                 if any(cols)]
+    operators = list(s.operators().values())
 
     if not operators:
         # zero structure: every line is an ideal

@@ -30,9 +30,13 @@ so derive_structure and check_filippov bracket only the tuples whose
 indices pair (by ``space.pairing``) with the factors of some monomial of
 the potential; check_invariant probes only the pairs where a table value
 can pair with a_0; and check_nary_jacobi scatters each table entry into
-the Jacobiators it feeds.  Each check yields its violations lazily in
-canonical order, and ``_report`` keeps the first, or every one when
-``exhaustive``, so a loop stops at the first violation otherwise.  The
+the Jacobiators it feeds.  A structure decides once which of its entries
+are live (not odd squares) and reads its operators L_t = s(e_t1, ...,
+e_t(n-1), -) in one pass over them (``NaryStructure.operators``, which
+classify and frobenius read); the checks loop over the live entries and
+``check_commutative`` reports the rest.  Each check yields its violations
+lazily in canonical order, and ``_report`` keeps the first, or every one
+when ``exhaustive``, so a loop stops at the first violation otherwise.  The
 gather loops over every canonical tuple are the oracles in
 ``tests/oracles.py``.  The loops run in one thread: the ``threads``
 keyword of check_invariant, check_nary_jacobi and check_filippov is
@@ -207,22 +211,25 @@ class Potential:
 class NaryStructure:
     """Structure constants of an n-ary product on V.
 
-    The table maps canonical index tuples to degree-1 elements (the value
-    of the product on those basis vectors).  Values on permuted tuples are
-    recovered through the Koszul sign rule, so the graded symmetry law is
-    built into the representation; the only violation a table can encode is
-    a nonzero value on a repeated odd index, which the symmetry law forces
-    to vanish.
+    The table maps non-decreasing index tuples to nonzero degree-1 elements
+    (the value of the product on those basis vectors).  Values on permuted
+    tuples are recovered through the Koszul sign rule, so the graded
+    symmetry law is built into the representation; the only violation a
+    table can encode is a nonzero value on a repeated odd index (an odd
+    square), which the symmetry law forces to vanish.  ``live`` holds the
+    entries that are not odd squares, the ones the product reads; it is
+    decided once, here, for every loop over the values the product reads.
     """
 
-    __slots__ = ("space", "arity", "table")
+    __slots__ = ("space", "arity", "table", "live")
 
     def __init__(self, space, arity, table):
         if arity < 1:
             raise NaryError("structure arity must be >= 1")
         self.space = space
         self.arity = arity
-        clean = {}
+        parity = space.parity
+        self.table, self.live = {}, {}
         for key, value in table.items():
             key = tuple(key)
             if len(key) != arity:
@@ -236,8 +243,9 @@ class NaryStructure:
             if any(len(m) != 1 for m in value.terms):
                 raise WrongDegree(f"value at {key} is not a degree-1 element")
             if not value.is_zero():
-                clean[key] = value
-        self.table = clean
+                self.table[key] = value
+                if not any(a == b and parity[a] for a, b in zip(key, key[1:])):
+                    self.live[key] = value
 
     def _lookup(self, args):
         """(sign, table value) for basis arguments in any order, or None
@@ -286,14 +294,33 @@ class NaryStructure:
     def is_zero(self):
         return not self.table
 
-    def operator(self, prefix):
-        """Columns of v -> product(prefix..., v) in the generator basis.
+    def operators(self):
+        """{t: columns} for every nonzero L_t = s(e_t1, ..., e_t(n-1), -), t
+        canonical, in lexicographic order of t.
 
-        Column k is the image of e_k as a sparse row {i: coefficient of e_i}.
+        Column c is the image of e_c as a sparse row {i: coefficient of e_i}.
+        It is scattered from the live entries in one pass: column c of L_t
+        with t = K without c is s(K), and sorting t + (c,) into K moves c
+        past the indices that follow it in K, so it is negated exactly when
+        c is odd and an odd number of odd indices follow it.  Each (t, c)
+        comes from the one key sorted(t + (c,)), once: a repeated (even)
+        index gives one t.  The gather through ``eval_basis`` is the oracle
+        ``tests/oracles.py::operators_by_gather``.
         """
-        return [{mono[0]: c for mono, c in
-                 self.eval_basis(tuple(prefix) + (k,)).terms.items()}
-                for k in range(self.space.dim)]
+        parity = self.space.parity
+        ops = {}
+        for key, value in self.live.items():
+            for pos, c in enumerate(key):
+                if pos and key[pos - 1] == c:
+                    continue  # a repeated (even) index: one t
+                t = key[:pos] + key[pos + 1:]
+                flip = parity[c] and sum(parity[i] for i in t[pos:]) % 2
+                if t not in ops:
+                    ops[t] = [{} for _ in range(self.space.dim)]
+                col = ops[t][c]
+                for (i,), x in value.terms.items():
+                    col[i] = col.get(i, ZERO) + (-x if flip else x)
+        return dict(sorted(ops.items()))
 
     def __eq__(self, other):
         return (isinstance(other, NaryStructure) and self.space == other.space
@@ -323,7 +350,7 @@ def check_commutative(s, exhaustive=False):
     """Graded symmetry (the only representable violation: odd squares)."""
     return _report("commutative",
                    ((key, s.table[key]) for key in sorted(s.table)
-                    if normalize_word(s.space, key) is None),
+                    if key not in s.live),
                    exhaustive, "nonzero product on a repeated odd argument")
 
 
@@ -331,18 +358,16 @@ def check_invariant(s, exhaustive=False, threads=1):
     """(a_0, {a_1,...,a_n}) = (-1)^{|a_0||a_1|} (a_1, {a_0, a_2,...,a_n}).
 
     Probed at the pairs (a_0, key), key canonical, where one side can be
-    nonzero: key is in the table and a_0 pairs with a generator in the
-    support of its value, or the word (a_0, key[1:]) normalizes to a table
-    key and key[0] pairs with the support of that value.  Every other
-    pair reads 0 = 0.  Pairs are probed in (a_0, key) order.
+    nonzero: key is live and a_0 pairs with a generator in the support of
+    its value, or the word (a_0, key[1:]) normalizes to a live key and
+    key[0] pairs with the support of that value.  Every other pair reads
+    0 = 0.  Pairs are probed in (a_0, key) order.
     """
     space = s.space
     parity = space.parity
     gen = [Element.generator(space, i) for i in range(space.dim)]
     items = set()
-    for key, value in s.table.items():
-        if normalize_word(space, key) is None:
-            continue  # a repeated odd key reads as zero
+    for key, value in s.live.items():
         support = _pairing_support(space, (m[0] for m in value.terms))
         items.update((a0, key) for a0 in support)
         # the keys (k0,) + rest with (a0,) + rest normalizing to key
@@ -396,8 +421,9 @@ def closed_form_potential(s):
     The b_k are chosen slot by slot from the column supports of G^-1, and
     a branch stops as soon as its prefix of b is not canonical; for a
     permutation-like G^-1 (the identity, or the hyperbolic form of V + V*)
-    at most one ordering per key survives.  A key with an odd square reads zero
-    and is skipped.  Not checked here; see ``potential_from_structure``.
+    at most one ordering per key survives.  Only the live keys are read: an
+    odd square reads zero.  Not checked here; see
+    ``potential_from_structure``.
     """
     space = s.space
     par = space.parity
@@ -429,9 +455,7 @@ def closed_form_potential(s):
                     prefix.pop()
             odd_before += par[x]
 
-    for key, value in s.table.items():
-        if normalize_word(space, key) is None:
-            continue  # a repeated odd key reads as zero
+    for key, value in s.live.items():
         for (y,), v in value.terms.items():
             scatter([y], list(key), v)
     terms = {b: acc[b] / contraction_constant(space, b)
@@ -495,27 +519,25 @@ def check_nary_jacobi(s, exhaustive=False, threads=1):
     {{a_I}, a_J} over unshuffles |I| = n, |J| = n-1 must vanish.
 
     The sum is scattered from the table instead of gathered per tuple:
-    each key I that normalizes adds {{I}, J} into the residual of
+    each live key I adds {{I}, J} into the residual of
     sorted(I + J), for every canonical J with no odd index in common with
     I.  The sign is -1 per pair (x in I, y in J) of odd indices with
     y < x, and the multiplicity counts the position splits of the sorted
     tuple that select I, prod_v C(#v in I + J, #v in I), more than 1 only
     for a repeated even v.  {{I}, J} vanishes unless (i,) + J normalizes
-    to a table key for some i in the support of {I}, so J runs over the
-    keys with one index removed.  This is the same finite sum, reindexed;
-    only nonzero accumulators are kept, and residuals are reported in
-    canonical order.
+    to a live key for some i in the support of {I}, so J runs over the
+    live keys with one index removed.  This is the same finite sum,
+    reindexed; only nonzero accumulators are kept, and residuals are
+    reported in canonical order.
     """
     space = s.space
     parity = space.parity
-    live = {key: value for key, value in s.table.items()
-            if normalize_word(space, key) is not None}
     outers = {}  # i -> the J with (i,) + J a permutation of a live key
-    for key in live:
+    for key in s.live:
         for pos, i in enumerate(key):
             outers.setdefault(i, set()).add(key[:pos] + key[pos + 1:])
     acc = {}
-    for inner, value in live.items():
+    for inner, value in s.live.items():
         inner_odd = [x for x in inner if parity[x]]
         for J in set().union(*(outers.get(m[0], ()) for m in value.terms)):
             if any(parity[y] and y in inner_odd for y in J):

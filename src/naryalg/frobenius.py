@@ -7,11 +7,14 @@ arguments, and acts on one dual argument by
 
     muT(a_1,...,a_{n-1}, b*)(c) = -b*( mu(a_1,...,a_{n-1}, c) ).
 
-The extension is commutative and invariant for the doubled pairing, so it
-has a derived potential muT.  The doubled Gram matrix is its own inverse,
-a permutation, so the closed-form inversion scatters each table entry
-through one column of it per slot, and at most one ordering of each key
-survives.
+The one-dual entries are read off the operators L_t = mu(e_t1, ...,
+e_t(n-1), -), which the structure scatters in one pass over its table
+(``NaryStructure.operators``); the entries on V lift the whole table of
+mu, odd squares included.  The extension is commutative and invariant for
+the doubled pairing, so it has a derived potential muT.  The doubled Gram
+matrix is its own inverse, a permutation, so the closed-form inversion
+scatters each table entry through one column of it per slot, and at most
+one ordering of each key survives.
 The inversion returns muT only once derive_structure(muT) equals the table
 built from the formulas above, and that one comparison is the only check
 the extension needs.
@@ -31,8 +34,7 @@ from itertools import combinations, product
 from math import comb
 
 from . import linalg
-from .derived import NaryStructure, canonical_tuples, derive_structure, \
-    potential_from_structure
+from .derived import NaryStructure, derive_structure, potential_from_structure
 from .errors import NaryError, NotPureOdd, OddArity
 from .linalg import ONE, ZERO
 from .poisson import Element
@@ -51,11 +53,6 @@ def doubled_space(m):
     return Superspace(2 * m, [ODD] * (2 * m), g)
 
 
-def validate_phi(space, phi):
-    """A graded-symmetric form on a pure odd space: an ordinary skew matrix."""
-    return linalg.skew_matrix(phi, space.dim)
-
-
 @dataclass
 class TStarExtension:
     base_space: object
@@ -66,7 +63,7 @@ class TStarExtension:
     structure: NaryStructure # extended product = derive_structure(potential)
 
 
-def _as_structure(space, mu):
+def _as_structure(mu):
     if isinstance(mu, NaryStructure):
         return mu
     return derive_structure(mu)
@@ -76,17 +73,14 @@ def t_star_extension(space, mu):
     """Build the cotangent extension and its certified derived potential."""
     if not space.pure_odd:
         raise NotPureOdd("the extension is defined for pure odd spaces")
-    s = _as_structure(space, mu)
+    s = _as_structure(mu)
     m = space.dim
     n = s.arity
     ws = doubled_space(m)
 
-    table = {}
-    for t, value in s.table.items():
-        lifted = Element(ws, {mono: c for mono, c in value.terms.items()})
-        table[t] = lifted
-    for t in canonical_tuples(space, n - 1):
-        cols = s.operator(t)  # cols[c][b] = coefficient of e_b in s(t, e_c)
+    table = {t: Element(ws, dict(value.terms)) for t, value in s.table.items()}
+    for t, cols in s.operators().items():
+        # cols[c][b] = coefficient of e_b in s(t, e_c)
         for b in range(m):
             # one dual argument, canonically in the last slot
             img = {(m + c,): -col[b] for c, col in enumerate(cols) if b in col}
@@ -130,13 +124,13 @@ def check_quasi_frobenius(space, mu, phi, allow_odd_arity=False):
     """
     if not space.pure_odd:
         raise NotPureOdd("quasi-Frobenius structures live on pure odd spaces")
-    s = _as_structure(space, mu)
+    s = _as_structure(mu)
     n = s.arity
     odd = n % 2 == 1
     if odd and not allow_odd_arity:
         raise OddArity("the correspondence is stated for even arity; "
                        "pass allow_odd_arity=True for the raw cyclic check")
-    phi = validate_phi(space, phi)
+    phi = linalg.skew_matrix(phi, space.dim)
     m = space.dim
     count = m ** (n + 1) if odd else comb(m, n + 1)
     if count > _TUPLE_BUDGET:
@@ -190,14 +184,15 @@ def graph_subalgebra_test(ext, phi):
 
     The graph is maximal isotropic: the hyperbolic pairing gives
     (b_i, b_k) = phi[k][i] + phi[i][k], which vanishes for the skew phi
-    that validate_phi accepts.  So the image lies inside the graph exactly
-    when it pairs to zero with the graph itself: one pass over the image's
-    terms gives every (img, b_j) = img[e*_j] + sum_k phi[j][k] img[e_k].
+    that ``linalg.skew_matrix`` accepts.  So the image lies inside the
+    graph exactly when it pairs to zero with the graph itself: one pass
+    over the image's terms gives every
+    (img, b_j) = img[e*_j] + sum_k phi[j][k] img[e_k].
     """
     n = ext.arity
     if n % 2 == 1:
         raise OddArity("the correspondence is stated for even arity")
-    phi = validate_phi(ext.base_space, phi)
+    phi = linalg.skew_matrix(phi, ext.base_space.dim)
     b = graph_vectors(ext, phi)
     m = ext.base_space.dim
     for args in combinations(range(m), n):

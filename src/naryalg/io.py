@@ -5,8 +5,8 @@ indices are 1-based outside the engine.  Object-rooted documents carry a
 "schema": "nary/1" version field, which is required on output and checked
 when present on input.  Parse errors carry the offending field path.
 Basis index lists and square matrices (the Gram matrix, --phi, --skew)
-each have one reader.  A structure gives each key once; a potential is
-one element or an "linf" family, not both.
+each have one reader.  A structure gives each key once, with arity
+indices; a potential is one element or an "linf" family, not both.
 """
 
 import json
@@ -192,6 +192,8 @@ def parse_structure(space, obj, path="structure"):
         if not isinstance(item, dict) or "args" not in item or "value" not in item:
             raise SchemaError(where, "expected {'args': [...], 'value': [...]}")
         key = _parse_indices(item["args"], space.dim, f"{where}.args")
+        if len(key) != arity:
+            raise SchemaError(f"{where}.args", f"expected {arity} indices")
         if any(a > b for a, b in zip(key, key[1:])):
             raise SchemaError(f"{where}.args", "indices must be non-decreasing")
         if key in table:  # table holds one key per earlier entry, in order

@@ -14,9 +14,11 @@ before any mutation, exit 2.
     python tests/mutants.py              # every mutant
     python tests/mutants.py NAME ...     # the named ones
 
-The list is not part of the tier-1 suite: pytest collects only
-``test_*.py``.  A mutant that survives names a test still to be written;
-it is never taken off the list.
+The runs are not part of the tier-1 suite: pytest collects only
+``test_*.py``.  ``tests/test_mutants.py`` checks there, without running
+any mutant, that each one still applies and that the tests it names
+exist.  A mutant that survives names a test still to be written; it is
+never taken off the list.
 """
 
 import ast
@@ -48,6 +50,9 @@ SCATTER = "tests/test_derived.py::" \
     "test_closed_form_scatter_matches_the_gather_on_random_spaces"
 GRAPH = "tests/test_frobenius.py::test_graph_test_matches_the_pairing_oracle"
 COMMUTATIVE = "tests/test_cli.py::test_verify_commutative_report_bytes"
+OPERATORS = "tests/test_derived.py::" \
+    "test_operators_scatter_matches_the_gather_on_random_spaces"
+MALFORMED = "tests/test_cli.py::test_malformed_field_exits_2_with_its_path"
 
 MUTANTS = [
     # the form read once
@@ -191,12 +196,25 @@ MUTANTS = [
     Mutant("identity-structure-flag-flipped", CLI, "IDENTITIES",
            '"commutative": (True,', '"commutative": (False,', [COMMUTATIVE]),
     Mutant("matrix-field-path-off-by-one", IO, "_parse_rows",
-           'f"{path}[{i}][{j}]"', 'f"{path}[{i}][{j + 1}]"',
-           ["tests/test_cli.py::test_malformed_field_exits_2_with_its_path"]),
+           'f"{path}[{i}][{j}]"', 'f"{path}[{i}][{j + 1}]"', [MALFORMED]),
     Mutant("odd-arity-graph-refusal-disabled", CLI, "_quasi_frobenius",
            "if graph and args.allow_odd_arity and s.arity % 2:", "if False:",
            ["tests/test_cli.py::"
             "test_frobenius_graph_refuses_odd_arity_before_the_loop"]),
+    # a structure's live keys and operators decided once
+    Mutant("operators-sign-dropped", DERIVED, "NaryStructure.operators",
+           "flip = parity[c] and sum(parity[i] for i in t[pos:]) % 2",
+           "flip = 0",
+           [OPERATORS]),
+    Mutant("operators-repeated-even-index-scattered-twice", DERIVED,
+           "NaryStructure.operators",
+           "if pos and key[pos - 1] == c:", "if False:",
+           [OPERATORS]),
+    Mutant("live-keeps-odd-squares", DERIVED, "NaryStructure.__init__",
+           "if not any(a == b and parity[a] for a, b in zip(key, key[1:])):",
+           "if True:", [COMMUTATIVE, OPERATORS]),
+    Mutant("structure-key-length-refusal-disabled", IO, "parse_structure",
+           "if len(key) != arity:", "if False:", [MALFORMED]),
 ]
 
 

@@ -12,7 +12,7 @@ from naryalg.derived import (
     contraction_constant,
 )
 from naryalg.errors import WrongDegree
-from naryalg.frobenius import QFCertificate, graph_vectors, validate_phi
+from naryalg.frobenius import QFCertificate, graph_vectors
 from naryalg.hodge import (
     HodgeDegreeRow,
     HodgeReport,
@@ -207,6 +207,23 @@ def spin_by_fixed_point(mats, seed_rows, m):
     return rows
 
 
+def operators_by_gather(s):
+    """{t: columns} of every nonzero L_t = s(e_t1, ..., e_t(n-1), -), t
+    canonical, in lexicographic order.  Oracle only.
+
+    Column k of L_t is read through ``eval_basis(t + (k,))``, which sorts
+    the word with its Koszul sign, for every canonical (n-1)-tuple t.
+    """
+    out = {}
+    for t in canonical_tuples(s.space, s.arity - 1):
+        cols = [{mono[0]: c for mono, c in
+                 s.eval_basis(t + (k,)).terms.items()}
+                for k in range(s.space.dim)]
+        if any(cols):
+            out[t] = cols
+    return out
+
+
 def commutant_dim_by_kronecker(s):
     """Dimension of {X : X L = L X for every operator L of s}.  Oracle only.
 
@@ -217,8 +234,7 @@ def commutant_dim_by_kronecker(s):
     """
     m = s.space.dim
     rows = set()
-    for t in canonical_tuples(s.space, s.arity - 1):
-        cols = s.operator(t)
+    for cols in operators_by_gather(s).values():
         op = [[Fraction(cols[j].get(i, 0)) for j in range(m)]
               for i in range(m)]
         for i, j in product(range(m), repeat=2):
@@ -239,7 +255,7 @@ def qf_by_ordered_loop(s, phi, exhaustive=False):
     invariance; the first violation is the witness.  The rank of phi comes
     from rank_by_minors.
     """
-    phi = validate_phi(s.space, phi)
+    phi = linalg.skew_matrix(phi, s.space.dim)
     n = s.arity
     violations = []
     for args in product(range(s.space.dim), repeat=n + 1):
@@ -279,7 +295,7 @@ def ad_matrix_by_brackets(space, w):
 def graph_by_pairings(ext, phi):
     """Graph-subalgebra test pairing each image with every graph vector
     through ``pair_vectors``, m pairings per tuple.  Oracle only."""
-    phi = validate_phi(ext.base_space, phi)
+    phi = linalg.skew_matrix(phi, ext.base_space.dim)
     b = graph_vectors(ext, phi)
     m = ext.base_space.dim
     for args in combinations(range(m), ext.arity):

@@ -20,7 +20,6 @@ from naryalg import linalg
 from naryalg.classify import (
     build_m3_algebra,
     canonical_form,
-    degree2_rowspace,
     find_ideal,
     ider,
 )
@@ -337,8 +336,8 @@ def test_criterion_13_ider_duality():
             continue
         mu = Potential.single(V5, el)
         dual = Potential.single(V5, star(ctx, el))
-        if degree2_rowspace(V5, ider(V5, mu)) != \
-                degree2_rowspace(V5, ider(V5, dual)):
+        if linalg.row_space([w.terms for w in ider(V5, mu)]) != \
+                linalg.row_space([w.terms for w in ider(V5, dual)]):
             ok = False
         done += 1
     assert report(13, ok, "invariant derivations agree for mu and star(mu), "

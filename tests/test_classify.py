@@ -15,7 +15,6 @@ from naryalg.classify import (
     build_m3_algebra,
     canonical_form,
     classify_m3,
-    degree2_rowspace,
     element_to_skew,
     find_ideal,
     ider,
@@ -44,6 +43,7 @@ from naryalg.superspace import Superspace, odd_space
 from oracles import (
     ad_matrix_by_brackets,
     commutant_dim_by_kronecker,
+    operators_by_gather,
     spin_by_fixed_point,
 )
 from spaces import random_even_isometry, random_homogeneous, random_superspace
@@ -397,7 +397,7 @@ def test_found_ideals_verify_exactly():
 
 def test_verify_ideal_rejects_a_subspace_that_is_not_invariant():
     s = _so3_plus_so3(rotated=False)
-    ops = [s.operator(t) for t in canonical_tuples(s.space, 1)]
+    ops = list(s.operators().values())
     assert classify._verify_ideal(ops, [{3: 1}, {4: 1}, {5: 1}])
     # L_1 maps e_2 to a multiple of e_3, outside the span of e_2 and e_4
     assert not classify._verify_ideal(ops, [{1: 1}, {3: 1}])
@@ -442,10 +442,7 @@ def test_commutant_dimension_matches_kronecker_oracle():
     dims = []
     for rank, s in cases:
         m = s.space.dim
-        ops = [cols for cols in map(s.operator,
-                                    canonical_tuples(s.space, s.arity - 1))
-               if any(cols)]
-        got = classify._commutant(ops, m)[1]
+        got = classify._commutant(list(s.operators().values()), m)[1]
         assert got == commutant_dim_by_kronecker(s)
         dims.append(got)
         if rank is not None and rank > 2:
@@ -477,8 +474,8 @@ def _commutant_ideal_rows(s):
     rows = linalg.row_space([{i: c for (i,), c in b.terms.items()}
                              for b in rep.basis])
     assert 0 < len(rows) < 6
-    mats = [[[Fraction(col.get(i, 0)) for col in s.operator(t)]
-             for i in range(6)] for t in canonical_tuples(s.space, 1)]
+    mats = [[[Fraction(col.get(i, 0)) for col in cols] for i in range(6)]
+            for cols in operators_by_gather(s).values()]
     assert spin_by_fixed_point(mats, rows, 6) == rows
     return rows
 
@@ -566,8 +563,8 @@ def test_ider_star_duality_random():
             continue
         mu = Potential.single(V5, el)
         dual = Potential.single(V5, star(CTX5, el))
-        a = degree2_rowspace(V5, ider(V5, mu))
-        b = degree2_rowspace(V5, ider(V5, dual))
+        a = linalg.row_space([w.terms for w in ider(V5, mu)])
+        b = linalg.row_space([w.terms for w in ider(V5, dual)])
         assert a == b
 
 

@@ -266,6 +266,10 @@ MONO = [{"monomial": [3, 4, 5], "coeff": "1"}]
      "structure.constants[1].args"),
     # the element was once ignored beside the family
     ("--potential", {"linf": [MONO], "element": MONO}, "potential"),
+    # a key of the wrong length was once refused at the bare "structure"
+    ("--structure", {"arity": 2, "constants": [
+        {"args": [1, 2, 3], "value": [{"monomial": [4], "coeff": "1"}]}]},
+     "structure.constants[0].args"),
 ])
 def test_malformed_field_exits_2_with_its_path(files, capsys, flag, doc,
                                                 where):

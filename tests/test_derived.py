@@ -55,6 +55,7 @@ from oracles import (
     invariant_by_all_pairs,
     jordan_by_triple_loop,
     nary_jacobi_by_gather,
+    operators_by_gather,
     potential_by_solve,
 )
 
@@ -361,6 +362,40 @@ def test_eval_elements_is_the_multilinear_extension():
             want = want + s.eval_basis(
                 tuple(mono[0] for mono, _ in picks)).scale(coeff)
         assert s.eval_elements(args) == want
+
+
+def test_operators_scatter_matches_the_gather_on_random_spaces():
+    """operators() against the gather through eval_basis, and live against
+    the odd squares, on random tables (repeated even indices and odd
+    squares included) and derived structures over random mixed-parity
+    spaces of dimension <= 6, arity 1 to 4."""
+    rng = random.Random(61)
+    seen = {"odd-square": 0, "even-repeat": 0, "derived": 0, "negated": 0}
+    for trial in range(400):
+        n = rng.randint(1, 4)
+        space = spaces.random_superspace(rng, rng.randint(2, 6),
+                                         rng.choice((0.4, 0.7, 1)))
+        par = space.parity
+        if rng.random() < 0.3 and n + 1 <= space.max_degree:
+            el = spaces.random_homogeneous(space, rng, n + 1, terms=4)
+            s = derive_structure(Potential.single(space, el, arity=n))
+            seen["derived"] += bool(s.table)
+        else:
+            s = random_table(rng, space, n)
+        squares = {key for key in s.table if any(
+            a == b and par[a] for a, b in zip(key, key[1:]))}
+        assert set(s.live) == set(s.table) - squares, trial
+        seen["odd-square"] += bool(squares)
+        seen["even-repeat"] += any(a == b and not par[a] for key in s.live
+                                   for a, b in zip(key, key[1:]))
+        ops = s.operators()
+        want = operators_by_gather(s)
+        assert ops == want and list(ops) == list(want), trial
+        seen["negated"] += any(
+            col[i] != s.live[tuple(sorted(t + (c,)))].terms[(i,)]
+            for t, cols in ops.items() for c, col in enumerate(cols)
+            for i in col)
+    assert all(count >= 20 for count in seen.values()), seen
 
 
 def test_inversion_makes_no_general_bracket(monkeypatch):

@@ -15,7 +15,6 @@ from naryalg.frobenius import (
     graph_subalgebra_test,
     graph_vectors,
     t_star_extension,
-    validate_phi,
 )
 from naryalg.poisson import Element, pair_vectors
 from naryalg.superspace import odd_space
@@ -61,9 +60,14 @@ def test_doubled_space_pairing():
 
 
 def test_phi_must_be_graded_symmetric():
+    s = lie_xy_structure()
+    ext = t_star_extension(V2, s)
     with pytest.raises(NaryError):
-        validate_phi(V2, [[1, 0], [0, 1]])
-    validate_phi(V2, [[0, 1], [-1, 0]])
+        check_quasi_frobenius(V2, s, [[1, 0], [0, 1]])
+    with pytest.raises(NaryError):
+        graph_subalgebra_test(ext, [[1, 0], [0, 1]])
+    check_quasi_frobenius(V2, s, [[0, 1], [-1, 0]])
+    graph_subalgebra_test(ext, [[0, 1], [-1, 0]])
 
 
 def test_extension_of_zero_structure():

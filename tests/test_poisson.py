@@ -216,6 +216,55 @@ def test_leibniz_random():
             multiply(poisson_bracket(v, w1), w2) + t2
 
 
+def _random_form_spaces(rng, count):
+    """Random mixed-parity spaces with non-identity Gram matrices."""
+    out = []
+    while len(out) < count:
+        space = random_superspace(rng, rng.randint(3, 6),
+                                  rng.choice((0.3, 0.6, 1)))
+        if not space.orthonormal:
+            out.append(space)
+    return out
+
+
+def test_graded_antisymmetry_and_jacobi_on_random_spaces():
+    rng = random.Random(41)
+    mixed = 0
+    for space in _random_form_spaces(rng, 150):
+        mixed += not (space.pure_odd or space.pure_even)
+        v = random_homogeneous(space, rng, rng.randint(1, 3))
+        w1 = random_homogeneous(space, rng, rng.randint(1, 3))
+        w2 = random_homogeneous(space, rng, rng.randint(1, 3))
+        pv, p1 = v.parity(), w1.parity()
+        flip = poisson_bracket(w1, v)
+        if not (pv & p1):
+            flip = -flip
+        assert poisson_bracket(v, w1) == flip
+        t2 = poisson_bracket(w1, poisson_bracket(v, w2))
+        if pv & p1:
+            t2 = -t2
+        assert poisson_bracket(v, poisson_bracket(w1, w2)) == \
+            poisson_bracket(poisson_bracket(v, w1), w2) + t2
+    assert mixed >= 100
+
+
+def test_leibniz_on_random_spaces():
+    rng = random.Random(42)
+    mixed = 0
+    for space in _random_form_spaces(rng, 150):
+        mixed += not (space.pure_odd or space.pure_even)
+        v = random_homogeneous(space, rng, rng.randint(1, 3))
+        w1 = random_homogeneous(space, rng, rng.randint(1, 2))
+        w2 = random_homogeneous(space, rng, rng.randint(1, 2))
+        pv, p1 = v.parity(), w1.parity()
+        t2 = multiply(w1, poisson_bracket(v, w2))
+        if pv & p1:
+            t2 = -t2
+        assert poisson_bracket(v, multiply(w1, w2)) == \
+            multiply(poisson_bracket(v, w1), w2) + t2
+    assert mixed >= 100
+
+
 def test_multiply_associative_and_supercommutative_random():
     rng = random.Random(13)
     for _ in range(120):
