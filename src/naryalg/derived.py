@@ -7,8 +7,11 @@ form is nondegenerate every commutative invariant structure arises this
 way, and ``potential_from_structure`` inverts the construction exactly.
 
 Bracketing with a generator is a signed contraction of one factor through
-the form (``poisson.nested_bracket_indices``), the only way this module
-brackets with a generator.  The inverse is a closed form
+the form.  ``contractions`` computes every nested contraction of a
+potential at once, contracting each shared suffix of the canonical tuples
+once; derive_structure, check_filippov and the cubic criteria read it, and
+only Jordan's inner [e_j, A_i] contracts one element through
+``poisson.nested_bracket_indices``.  The inverse is a closed form
 (Kosmann-Schwarzbach, "Derived brackets", 2004): with the dual basis
 [dual[i], e_k] = delta_ik, the coefficient of e_b is
 (dual[b_0], {dual[b_1],...,dual[b_n]}), the contraction of mu with those
@@ -26,14 +29,15 @@ built-in symmetry of the structures makes canonical tuples (indices
 non-decreasing, odd indices strict) sufficient.  The work then follows the
 nonzero structure constants instead of every canonical tuple: bracketing
 with e_a contracts a against one factor of a monomial through the form,
-so derive_structure and check_filippov bracket only the tuples whose
-indices pair (by ``space.pairing``) with the factors of some monomial of
-the potential; check_invariant probes only the pairs where a table value
-can pair with a_0; and check_nary_jacobi scatters each table entry into
-the Jacobiators it feeds.  A structure decides once which of its entries
-are live (not odd squares) and reads its operators L_t = s(e_t1, ...,
-e_t(n-1), -) in one pass over them (``NaryStructure.operators``, which
-classify and frobenius read); the checks loop over the live entries and
+so the suffix pass of derive_structure and check_filippov reaches only the
+tuples whose contraction with the potential is nonzero; check_invariant
+probes only the pairs where a table value can pair with a_0, reading
+``space.pairing`` against the value's terms; and check_nary_jacobi
+scatters each table entry into the Jacobiators it feeds.  A structure
+decides once which of its entries are live (not odd squares) and reads its
+operators L_t = s(e_t1, ..., e_t(n-1), -) in one pass over them
+(``NaryStructure.operators``, which classify and frobenius read); the
+checks loop over the live entries and
 ``check_commutative`` reports the rest.  Each check yields its violations
 lazily in canonical order, and ``_report`` keeps the first, or every one
 when ``exhaustive``, so a loop stops at the first violation otherwise.  The
@@ -71,7 +75,6 @@ from .poisson import (
     Element,
     nested_bracket_indices,
     normalize_word,
-    pair_vectors,
     poisson_bracket,
 )
 from .superspace import require_nondegenerate
@@ -103,25 +106,53 @@ def canonical_tuples(space, n, indices=None):
     return out
 
 
-def _pairing_support(space, indices):
-    """The indices that pair with at least one of ``indices``."""
-    return frozenset().union(*(space.pairing[x] for x in indices))
+def contractions(mu, k):
+    """{t: terms} of [e_t1, [..., [e_tk, mu]...]] for every canonical k-tuple
+    t where it is nonzero, in one pass over the suffixes of t.
 
-
-def _support_tuples(mu, n):
-    """The canonical n-tuples t whose nested bracket with mu can be nonzero.
-
-    Bracketing with e_a contracts a against one factor of a monomial
-    through the Gram matrix and adds no factor, so [t_1,[...,[t_n, u]]]
-    vanishes unless every t_i pairs with a factor of u.  Returns the union
-    over the monomials u of mu of the canonical n-tuples drawn from those
-    indices, in lexicographic order.
+    ``poisson.nested_bracket_indices`` contracts the last index first, so
+    the tuples that share the suffix (t_j, ..., t_k) share its contraction
+    exactly.  Level 0 is {(): mu}; level j+1 contracts each factor x of
+    each term of each suffix s with every generator a that pairs with x
+    (the partners (a, G[a][x]) are read once from ``space.pairing``),
+    keeping a only where (a,) + s is canonical: a < s[0], or a == s[0]
+    with a even.  Each term is negated when a is odd and the factors before
+    x have odd total parity, as in ``nested_bracket_indices``; the results
+    are summed into one plain dict per new suffix, and zero coefficients
+    are dropped between levels.  Each suffix is contracted once, and the
+    terms of each dict come in the order the per-tuple contraction gives.
     """
-    supports = {_pairing_support(mu.space, u) for u in mu.element.terms}
-    out = set()
-    for support in supports:
-        out.update(canonical_tuples(mu.space, n, sorted(support)))
-    return sorted(out)
+    space = mu.space
+    par = space.parity
+    partners = [[] for _ in range(space.dim)]
+    for a, row in enumerate(space.pairing):  # ascending a, for the prune
+        for x, g in row.items():
+            partners[x].append((a, g))
+    level = {(): mu.element.terms} if mu.element.terms else {}
+    for _ in range(k):
+        acc = {}
+        for s, terms in level.items():
+            first = s[0] if s else space.dim
+            for w, c in terms.items():
+                p = 0
+                for j, x in enumerate(w):
+                    for a, g in partners[x]:
+                        if a > first or a == first and par[a]:
+                            break
+                        t = (a,) + s
+                        node = acc.get(t)
+                        if node is None:
+                            node = acc[t] = {}
+                        mono = w[:j] + w[j + 1:]
+                        v = -c * g if par[a] and p else c * g
+                        node[mono] = node.get(mono, ZERO) + v
+                    p ^= par[x]
+        level = {}
+        for t, node in acc.items():
+            node = {mono: c for mono, c in node.items() if c}
+            if node:
+                level[t] = node
+    return level
 
 
 def _report(name, violations, exhaustive, detail=""):
@@ -330,20 +361,15 @@ class NaryStructure:
 def derive_structure(mu):
     """Structure constants of the product derived from a potential.
 
-    Only the canonical tuples whose indices pair with the factors of some
-    monomial of mu are bracketed (``_support_tuples``); every other tuple
-    gives zero.  The table is built in lexicographic key order.
+    The nonzero entries are the n-th level of ``contractions``; the table
+    is built in lexicographic key order.
     """
     if mu.family:
         raise NaryError("derive_structure needs a single-arity potential")
-    n = mu.arity
     space = mu.space
-    table = {}
-    for t in _support_tuples(mu, n):
-        val = nested_bracket_indices(space, t, mu.element)
-        if not val.is_zero():
-            table[t] = val
-    return NaryStructure(space, n, table)
+    level = contractions(mu, mu.arity)
+    return NaryStructure(space, mu.arity, {
+        t: Element._trusted(space, level[t]) for t in sorted(level)})
 
 
 def check_commutative(s, exhaustive=False):
@@ -365,10 +391,11 @@ def check_invariant(s, exhaustive=False, threads=1):
     """
     space = s.space
     parity = space.parity
-    gen = [Element.generator(space, i) for i in range(space.dim)]
     items = set()
     for key, value in s.live.items():
-        support = _pairing_support(space, (m[0] for m in value.terms))
+        # the indices that pair with a generator of the value
+        support = frozenset().union(*(space.pairing[x]
+                                      for (x,) in value.terms))
         items.update((a0, key) for a0 in support)
         # the keys (k0,) + rest with (a0,) + rest normalizing to key
         for pos, a0 in enumerate(key):
@@ -378,12 +405,17 @@ def check_invariant(s, exhaustive=False, threads=1):
                     continue
                 items.add((a0, (k0,) + rest))
 
+    def pair(a, value):
+        # (e_a, value): the row of a read against the value's terms
+        row = space.pairing[a]
+        return sum((c * row[x] for (x,), c in value.terms.items()
+                    if x in row), ZERO)
+
     def violations():
         for a0, key in sorted(items):
-            lhs = pair_vectors(space, gen[a0], s.eval_basis(key))
-            swapped = s.eval_basis((a0,) + key[1:])
-            rhs = pair_vectors(space, gen[key[0]], swapped)
-            if space.parity[a0] & space.parity[key[0]]:
+            lhs = pair(a0, s.eval_basis(key))
+            rhs = pair(key[0], s.eval_basis((a0,) + key[1:]))
+            if parity[a0] & parity[key[0]]:
                 rhs = -rhs
             if lhs != rhs:
                 yield (a0,) + key, lhs - rhs
@@ -564,20 +596,20 @@ def check_nary_jacobi(s, exhaustive=False, threads=1):
 def check_filippov(mu, exhaustive=False, threads=1):
     """Derivation-style Jacobi: [mu_{a^{n-1}}, mu] = 0 for all a^{n-1}.
 
-    mu_t vanishes on every tuple outside ``_support_tuples(mu, n - 1)``, so
-    only those are probed, in lexicographic order.
+    Only the tuples t with mu_t nonzero, level n-1 of ``contractions``, are
+    probed, in lexicographic order.
     """
     if not mu.space.pure_odd:
         raise NotPureOdd("the Filippov criterion is stated for pure odd spaces")
     if mu.family:
         raise NaryError("check_filippov needs a single-arity potential")
     space = mu.space
-    n = mu.arity
+    level = contractions(mu, mu.arity - 1)
 
     def violations():
-        for t in _support_tuples(mu, n - 1):
-            mu_a = nested_bracket_indices(space, t, mu.element)
-            res = poisson_bracket(mu_a, mu.element)
+        for t in sorted(level):
+            res = poisson_bracket(Element._trusted(space, level[t]),
+                                  mu.element)
             if not res.is_zero():
                 yield t, res
 
@@ -593,7 +625,8 @@ def _cubic_operators(mu, what):
         raise NaryError(f"{what} needs a single-arity potential")
     if mu.arity != 2:
         raise WrongDegree(f"{what} needs a cubic potential (arity 2)")
-    return [nested_bracket_indices(mu.space, (i,), mu.element)
+    level = contractions(mu, 1)
+    return [Element._trusted(mu.space, level.get((i,), {}))
             for i in range(mu.space.dim)]
 
 

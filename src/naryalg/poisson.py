@@ -18,8 +18,9 @@ are merged as w_<j, u-with-i-removed, w_>j; only the pairs that
 ``space.pairing`` lists as nonzero are visited.  It is the general bracket;
 the tests compare it with a literal recursion on the three rules,
 ``tests/oracles.py::bracket_recursive_oracle``.  A bracket with a basis
-vector (u = (a,)) is a signed contraction of one factor of w, which the
-derived and classify layers take only through ``nested_bracket_indices``.
+vector (u = (a,)) is a signed contraction of one factor of w:
+``nested_bracket_indices`` for one element, and ``derived.contractions``
+for every canonical tuple of a potential at once.
 """
 
 from fractions import Fraction

@@ -53,6 +53,8 @@ COMMUTATIVE = "tests/test_cli.py::test_verify_commutative_report_bytes"
 OPERATORS = "tests/test_derived.py::" \
     "test_operators_scatter_matches_the_gather_on_random_spaces"
 MALFORMED = "tests/test_cli.py::test_malformed_field_exits_2_with_its_path"
+SUFFIXES = "tests/test_derived.py::" \
+    "test_contractions_match_the_per_tuple_path_on_random_spaces"
 
 MUTANTS = [
     # the form read once
@@ -215,6 +217,26 @@ MUTANTS = [
            "if True:", [COMMUTATIVE, OPERATORS]),
     Mutant("structure-key-length-refusal-disabled", IO, "parse_structure",
            "if len(key) != arity:", "if False:", [MALFORMED]),
+    # a potential contracted once per shared suffix
+    Mutant("contractions-koszul-sign-dropped", DERIVED, "contractions",
+           "v = -c * g if par[a] and p else c * g", "v = c * g", [SUFFIXES]),
+    Mutant("contractions-parity-not-advanced", DERIVED, "contractions",
+           "                    p ^= par[x]\n", "", [SUFFIXES]),
+    Mutant("contractions-prune-lets-an-odd-index-repeat", DERIVED,
+           "contractions", "if a > first or a == first and par[a]:",
+           "if a > first:", [SUFFIXES]),
+    Mutant("contractions-zero-filter-dropped", DERIVED, "contractions",
+           "node = {mono: c for mono, c in node.items() if c}",
+           "node = dict(node)", [SUFFIXES]),
+    Mutant("cubic-operators-fill-the-wrong-index", DERIVED,
+           "_cubic_operators", "level.get((i,), {})",
+           "level.get((i - 1,), {})",
+           ["tests/test_derived.py::"
+            "test_cubic_operators_match_the_generator_contractions"]),
+    Mutant("invariant-pairing-drops-the-form-entry", DERIVED,
+           "check_invariant", "c * row[x]", "c",
+           ["tests/test_derived.py::"
+            "test_invariant_pairs_through_the_form_on_random_spaces"]),
 ]
 
 

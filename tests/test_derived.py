@@ -27,6 +27,7 @@ from naryalg.derived import (
     check_nary_jacobi,
     closed_form_potential,
     contraction_constant,
+    contractions,
     derive_structure,
     potential_from_structure,
 )
@@ -40,7 +41,12 @@ from naryalg.errors import (
     NotPureOdd,
 )
 from naryalg.frobenius import doubled_space, t_star_extension
-from naryalg.poisson import Element, nested_bracket, poisson_bracket
+from naryalg.poisson import (
+    Element,
+    nested_bracket,
+    nested_bracket_indices,
+    poisson_bracket,
+)
 from naryalg.superspace import Superspace, even_symplectic_space, odd_space
 
 import spaces
@@ -586,7 +592,6 @@ def test_filippov_rank4_fails_with_witness():
     assert not rep.passed
     assert rep.witness is not None
     # residual really is [mu_a, mu] for the witness tuple
-    from naryalg.poisson import nested_bracket_indices
     mu_a = nested_bracket_indices(V5, rep.witness, mu.element)
     assert rep.residual == poisson_bracket(mu_a, mu.element)
 
@@ -966,7 +971,8 @@ def test_repeated_odd_key_reads_as_zero():
 
 def test_derive_brackets_only_the_support(monkeypatch):
     # k disjoint cubics on an odd orthonormal space: each pairs only with
-    # its own three generators, so 3 tuples each instead of C(12, 2) = 66
+    # its own three generators, so 3 suffixes and 3 entries each instead of
+    # C(12, 2) = 66, and no per-tuple contraction
     space = odd_space(12)
     calls = []
     real = derived.nested_bracket_indices
@@ -978,15 +984,155 @@ def test_derive_brackets_only_the_support(monkeypatch):
             el = el + Element.monomial(space, (3 * c, 3 * c + 1, 3 * c + 2),
                                        c + 1)
         mu = Potential.single(space, el)
-        calls.clear()
+        assert len(contractions(mu, 1)) == 3 * k
         s = derive_structure(mu)
-        assert len(calls) == 3 * k
+        assert len(s.table) == 3 * k
+        assert calls == []
         assert s == derive_structure_by_all_tuples(mu)
+
+
+class Tally(Fraction):
+    """A Fraction that counts the products made with it (test only)."""
+
+    products = 0
+
+    def __mul__(self, other):
+        Tally.products += 1
+        return Tally(Fraction.__mul__(self, other))
+
+    def __neg__(self):
+        return Tally(Fraction.__neg__(self))
+
+    def __add__(self, other):
+        return Tally(Fraction.__add__(self, other))
+
+    __radd__ = __add__
+
+
+def suffix_work(mu, k):
+    """Products made by a pass that contracts each nonzero canonical suffix
+    s shorter than k once: one per term w of mu_s, factor x of w and
+    generator a pairing with x such that (a,) + s is canonical."""
+    space = mu.space
+    par = space.parity
+    work = 0
+    for j in range(k):
+        for s in canonical_tuples(space, j):
+            for w in nested_bracket_indices(space, s, mu.element).terms:
+                work += sum(1 for x in w for a in space.pairing[x]
+                            if not s or a < s[0] or a == s[0] and not par[a])
+    return work
+
+
+def test_contractions_match_the_per_tuple_path_on_random_spaces():
+    """contractions(mu, k), k = 0..n, against nested_bracket_indices on
+    every canonical k-tuple (values, keys and term order), and its products
+    against one contraction per canonical suffix, over random mixed-parity
+    spaces with non-identity forms, dense ones included, and potentials
+    with repeated even indices; the zero potential gives no entry."""
+    rng = random.Random(62)
+    seen = {"dense": 0, "even-repeat": 0, "odd-partner": 0, "zero": 0}
+    for trial in range(400):
+        n = rng.randint(1, 4)
+        space = spaces.random_superspace(rng, rng.randint(2, 7),
+                                         rng.choice((0.4, 0.7, 1)))
+        if n + 1 > space.max_degree:
+            continue
+        par = space.parity
+        el = spaces.random_homogeneous(space, rng, n + 1,
+                                       terms=rng.randint(0, 10))
+        mu = Potential.single(space, Element._trusted(
+            space, {w: Tally(c) for w, c in el.terms.items()}), arity=n)
+        seen["zero"] += el.is_zero()
+        seen["dense"] += any(len(row) >= 2 for row in space.pairing)
+        for k in range(n + 1):
+            Tally.products = 0
+            level = contractions(mu, k)
+            assert Tally.products == suffix_work(mu, k), (trial, k)
+            want = {}
+            for t in canonical_tuples(space, k):
+                terms = nested_bracket_indices(space, t, el).terms
+                if terms:
+                    want[t] = terms
+            assert level == want, (trial, k)
+            assert all(list(level[t]) == list(want[t]) for t in want), trial
+            seen["even-repeat"] += any(a == b for t in level
+                                       for a, b in zip(t, t[1:]))
+            # an odd index that still pairs with a factor after its own
+            # contraction: the node the canonical prune must not build
+            seen["odd-partner"] += k < n and any(
+                par[t[0]] and t[0] in space.pairing[x]
+                for t in level if t for w in level[t] for x in w)
+    assert all(count >= 20 for count in seen.values()), seen
+
+
+def test_filippov_matches_the_gather_on_random_odd_spaces():
+    """check_filippov against filippov_by_all_tuples (witness, residual
+    and every violation) on pure odd spaces with random forms, arity 1 to
+    4 and the zero potential included."""
+    rng = random.Random(63)
+    seen = {"pass": 0, "fail": 0, "arity-1": 0, "zero": 0}
+    for trial in range(150):
+        n = rng.randint(1, 4)
+        m = rng.randint(n + 2, 7)
+        space = Superspace(m, [1] * m, spaces.random_gram(
+            rng, [1] * m, rng.choice((0.4, 0.7, 1))))
+        el = spaces.random_homogeneous(space, rng, n + 1,
+                                       terms=rng.randint(0, 4))
+        mu = Potential.single(space, el, arity=n)
+        for exhaustive in (False, True):
+            rep = check_filippov(mu, exhaustive=exhaustive)
+            assert report_bytes(rep) == report_bytes(filippov_by_all_tuples(
+                mu, exhaustive=exhaustive)), trial
+        seen["pass" if rep.passed else "fail"] += 1
+        seen["arity-1"] += n == 1
+        seen["zero"] += el.is_zero()
+    assert all(count >= 20 for count in seen.values()), seen
+
+
+def test_cubic_operators_match_the_generator_contractions():
+    """_cubic_operators against [e_i, mu] by nested_bracket_indices on pure
+    even spaces with random skew forms."""
+    rng = random.Random(64)
+    for trial in range(60):
+        m = 2 * rng.randint(1, 3)
+        space = Superspace(m, [0] * m, spaces.random_gram(
+            rng, [0] * m, rng.choice((0.4, 0.7, 1))))
+        el = spaces.random_homogeneous(space, rng, 3, terms=rng.randint(0, 5))
+        mu = Potential.single(space, el, arity=2)
+        assert derived._cubic_operators(mu, "test") == [
+            nested_bracket_indices(space, (i,), el) for i in range(m)], trial
+
+
+def test_invariant_pairs_through_the_form_on_random_spaces():
+    """check_invariant against invariant_by_all_pairs on derived, perturbed
+    and random tables over random mixed-parity spaces whose forms are not
+    the identity, dense ones included."""
+    rng = random.Random(65)
+    seen = {"pass": 0, "fail": 0, "dense": 0}
+    for trial in range(150):
+        n = rng.randint(1, 3)
+        space = spaces.random_superspace(rng, rng.randint(2, 6),
+                                         rng.choice((0.4, 0.7, 1)))
+        seen["dense"] += any(len(row) >= 2 for row in space.pairing)
+        s = random_table(rng, space, n)
+        if n + 1 <= space.max_degree and rng.random() < 0.6:
+            el = spaces.random_homogeneous(space, rng, n + 1, terms=4)
+            s = derive_structure(Potential.single(space, el, arity=n))
+            if rng.random() < 0.5:
+                s = perturbed(rng, s)
+        for exhaustive in (False, True):
+            rep = check_invariant(s, exhaustive=exhaustive)
+            assert report_bytes(rep) == report_bytes(invariant_by_all_pairs(
+                s, exhaustive=exhaustive)), trial
+        seen["pass" if rep.passed else "fail"] += 1
+    assert all(count >= 20 for count in seen.values()), seen
 
 
 def test_jordan_brackets_each_inner_once(monkeypatch):
     # [[A_i, e_j], A] does not depend on k: m^2 inner brackets, not m^3;
-    # A_i = [e_i, A] and [A_i, e_j] are contractions, not general brackets
+    # A_i = [e_i, A] (one ``contractions`` pass) and [A_i, e_j] are
+    # contractions, not general brackets
     rng = random.Random(11)
     for sp in (E2, E4):
         m = sp.dim
@@ -994,16 +1140,16 @@ def test_jordan_brackets_each_inner_once(monkeypatch):
             A = Potential.single(sp, random_homogeneous(sp, rng, 3, terms=3),
                                  arity=2)
             with monkeypatch.context() as patch:
-                calls, contractions = [], []
+                calls, inner = [], []
                 real = derived.poisson_bracket
                 patch.setattr(derived, "poisson_bracket", lambda a, b: (
                     calls.append(b is A.element) or real(a, b)))
                 contract = derived.nested_bracket_indices
                 patch.setattr(derived, "nested_bracket_indices", lambda *a: (
-                    contractions.append(a[1]) or contract(*a)))
+                    inner.append(a[1]) or contract(*a)))
                 reps = [check_jordan(A, exhaustive=ex) for ex in (False, True)]
             assert sum(calls) == 2 * m * m
-            assert len(contractions) == 2 * (m + m * m)
+            assert len(inner) == 2 * m * m
             for ex, rep in zip((False, True), reps):
                 assert report_bytes(rep) == report_bytes(
                     jordan_by_triple_loop(A, exhaustive=ex))
