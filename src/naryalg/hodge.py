@@ -2,11 +2,12 @@
 
 With an orthonormal basis of a pure odd V and the top form L = e_1...e_m,
 the degree-reversing star operator is *(x_1...x_p) = [x_1,[...[x_p, L]]];
-on monomials it acts by a signed complement.  The pairing
-<v,w> L = (-1)^{p(p-1)/2} v * (star w) is symmetric positive definite with
-<e_I, e_J> = delta_IJ.  A potential mu with square-zero differential
-d = [mu, -] then yields a codifferential delta (conjugate of d by star,
-with a per-layer sign), a Laplacian, and an exact three-way decomposition
+on monomials it acts by a signed complement, and ** = (-1)^{m(m-1)/2}.
+The pairing <v,w> L = (-1)^{p(p-1)/2} v * (star w) is symmetric positive
+definite with <e_I, e_J> = delta_IJ.  A potential mu with square-zero
+differential d = [mu, -] then yields a codifferential delta (conjugate of
+d by star, with a per-layer sign), a Laplacian L = delta d + d delta, and
+an exact three-way decomposition
 
     S*V = Im(d) (+) Im(delta) (+) Ker(Laplacian),
 
@@ -22,28 +23,63 @@ blocks (p, p + s - 2).  Star is a signed permutation of monomials, so
 ``star_monomial``, with the sign (-1)^{k(1-k)/2} read from the block's
 shift k, and takes no bracket; its own sign is ``permutation_sign``, and
 ``HodgeContext`` reads ``space.orthonormal``, both from ``superspace``.
-The Laplacian and both square-zero checks are sparse block products.
+Both square-zero checks are sparse block products.
 
-The decomposition is certified sector by sector.  A layer of degree s has
-shift k = s - 2, and g is the gcd of the differences of the shifts.  L
-keeps each class of degrees mod g (each degree when g = 0), and d maps the
-class of p onto that of p + k.  On such a sector S, Im d and Im delta are
-the images of the sectors that d and delta map onto S, and delta on a
-sector T has the rank of d on star T.  Every total is a sum over sectors;
-the per-degree images, cohomology and harmonic bases are filled in when
-g = 0.
+delta is the adjoint of d up to one sign.  Let d_k = [mu_s, -] be the
+layer of degree s = k + 2, so delta = sum_k s_k * d_k * with s_k =
+(-1)^{k(1-k)/2}, and write I(z) for the coefficient of L in z.
+
+  (a) I([mu_s, z]) = 0: the bracket of two monomials is zero unless they
+      share exactly one index, which it removes, so it never reaches L.
+  (b) mu_s is odd, so [mu_s, -] is an odd derivation:
+      [mu_s, v w] = [mu_s, v] w + (-1)^p v [mu_s, w] for v of degree p.
+
+So I((d_k v) w) = -(-1)^p I(v d_k w).  Take x of degree p and y of degree
+q = p + k.  Then d_k * y = * z with z = (-1)^{m(m-1)/2} * d_k * y =
+(-1)^{m(m-1)/2} s_k delta_k y, of degree p, and
+
+    <d_k x, y> = (-1)^{q(q-1)/2} I((d_k x) * y)
+               = -(-1)^{q(q-1)/2 + p} I(x * z)
+               = -(-1)^{q(q-1)/2 + p + p(p-1)/2 + m(m-1)/2} s_k <x, delta_k y>.
+
+Here q(q-1)/2 + p(p-1)/2 = p(p-1) + pk + k(k-1)/2, and k is odd, so the
+exponent reduces to k(k-1)/2 + m(m-1)/2, and (-1)^{k(k-1)/2} s_k = 1.
+Summed over the layers, <d x, y> = eps <x, delta y> for all x and y, with
+eps = -(-1)^{m(m-1)/2}: -1 for m = 0, 1 (mod 4) and +1 for m = 2, 3.  The
+monomials are orthonormal, so delta = eps d^T entrywise: an entry c of d
+from u to y is the entry eps c of delta from y to u.
+
+The Hodge lemma then holds over Q (Eckmann 1944; Warner, ch. 6).  L =
+eps (d^T d + d d^T), so <L x, x> = eps (|dx|^2 + |d^T x|^2), a sum of
+rational squares: L x = 0 exactly when dx = 0 and d^T x = 0, and Ker L =
+Ker d n Ker delta.  With d^2 = 0, Im d, Im d^T and Ker d n Ker d^T are
+pairwise orthogonal and span S*V, and Ker d = Im d (+) Ker L.
+
+So every count is a rank of d.  A layer of degree s has shift k = s - 2,
+and g is the gcd of the differences of the shifts.  L keeps each class of
+degrees mod g (each degree when g = 0), and d maps the class of p into
+that of p + k.  On such a sector S, Im d is the image of the sector T
+that d maps into S, Im delta = Im d^T has the rank of d on S, and Ker L
+has dimension dim S - rank d(S) - rank d(T); in all, total - 2 rank d.
+delta on degree p has the rank of d on degree m - p: on the odd shifts of
+an odd potential s_k = -i i^k, and sum_k i^k d_k is d conjugated by the
+map i^p on degree p, so delta on p is d on star p up to invertible maps,
+over C and hence over Q.  Per degree p, when g != 0, Ker L is the common
+kernel on degree p of the rows of d out of p and the columns of d into p,
+cut to degree p.
+
+``hodge_decomposition`` rests on three exact checks: d^2 = 0 in
+``differential``, delta^2 = 0 in ``codifferential``, and delta == eps d^T
+entry by entry.  The last one is the certificate that ``direct_sum_ok``
+and ``kernel_intersection_ok`` report; no Laplacian is built.
 
 Everything here is exact rational arithmetic.  The blocks go to ``linalg``
 as they are, with no dense matrix in between: the columns of an operator
 on a set of degrees are the images of their monomials, sparse rows keyed
 by monomial, and its rows are their transpose.  ``linalg.rank`` checks an
-exact certificate of every rank it returns.  ``linalg.nullspace`` returns
-a basis that is a function of the kernel alone, so Ker L = Ker d n Ker
-delta is checked on each sector by comparing the two bases for equality.
-The direct sum is checked by ranking the columns of d and delta landing in
-the sector together with the kernel rows.  The harmonic elements are read
-from the canonical sparse kernel rows, keyed by monomial, when the
-report's ``harmonic`` is first read.
+exact certificate of every rank it returns.  The harmonic elements (g = 0)
+are the canonical ``linalg.nullspace`` rows of Ker d n Ker d^T on each
+degree, taken when the report's ``kernels`` or ``harmonic`` is first read.
 """
 
 import functools
@@ -303,13 +339,22 @@ class HodgeReport:
     rank_d: int
     rank_delta: int
     ker_laplacian: int
-    direct_sum_ok: bool
-    kernel_intersection_ok: bool   # Ker L == Ker d n Ker delta
+    direct_sum_ok: bool            # both flags carry delta == eps d^T,
+    kernel_intersection_ok: bool   # from which the Hodge lemma follows
     cohomology_total: int
     homogeneous: bool = True
     space: object = field(default=None, repr=False)
-    # degree -> canonical sparse rows of Ker L on that degree
-    kernels: dict = field(default_factory=dict, repr=False)
+    d: dict = field(default_factory=dict, repr=False)
+
+    @functools.cached_property
+    def kernels(self):
+        """Degree -> canonical sparse rows of Ker d n Ker d^T there, which
+        is Ker L there; {} unless the report is homogeneous (g = 0)."""
+        if not self.homogeneous:
+            return {}
+        return {p: linalg.nullspace(_harmonic_rows(self.d, p),
+                                    list(combinations(range(self.m), p)))
+                for p in range(self.m + 1)}
 
     @functools.cached_property
     def harmonic(self):
@@ -318,97 +363,77 @@ class HodgeReport:
                 for p, ker in self.kernels.items()}
 
 
+def _harmonic_rows(d, p):
+    """Rows whose common kernel on degree p is Ker d n Ker d^T there.
+
+    These are the rows of d out of p, and the columns of d cut to degree
+    p: the images in the blocks (q, p), one block per layer.
+    """
+    into = [img for (_, q), block in d.items() if q == p
+            for img in block.values()]
+    return _rows(_columns(d, (p,))) + into
+
+
+def _transpose(op, scale):
+    """The block map of scale times the transpose of op."""
+    out = {}
+    for (p, q), block in op.items():
+        t = out.setdefault((q, p), {})
+        for src, img in block.items():
+            for dst, c in img.items():
+                t.setdefault(dst, {})[src] = scale * c
+    return out
+
+
 def hodge_decomposition(ctx, mu):
     """Exact decomposition certificate for a homotopy potential.
 
-    Each sector, a class of degrees mod g (a single degree when g = 0),
-    is certified on its own; see the module docstring.
+    Certified by d^2 = 0, delta^2 = 0 and delta == eps d^T; every count is
+    a rank of d.  See the module docstring.
     """
     _validate_homotopy(mu)
-    degrees = mu.element.degrees()
     d = differential(ctx, mu)
-    delta = codifferential(ctx, d)
-    lap = laplacian(ctx, d, delta)
     m = ctx.m
+    eps = 1 if (m * (m - 1) // 2) % 2 else -1
+    adjoint = codifferential(ctx, d) == _transpose(d, eps)
     monos = ctx.degree_monomials
-    shifts = [_layer_shift(s) for s in degrees] or [0]
+    shifts = [_layer_shift(s) for s in mu.element.degrees()] or [0]
     k = shifts[0]
     g = gcd(*(s - k for s in shifts))
-
-    def sector(p):
-        return p % g if g else p
-
-    sectors = {}
-    for p in range(m + 1):
-        sectors[sector(p)] = sectors.get(sector(p), ()) + (p,)
-
-    def basis(ps):
-        return sorted(mono for p in ps for mono in monos[p])
 
     @functools.cache
     def rank_d(ps):
         """Rank of d on the degrees ps."""
         return linalg.rank(_columns(d, ps).values())
 
-    @functools.cache
-    def kernel(ps):
-        """Canonical basis of Ker L on the degrees ps."""
-        return linalg.nullspace(_rows(_columns(lap, ps)), basis(ps))
-
-    images = {}
-    direct_ok = kernels_match = True
-    for key, ps in sectors.items():
-        cols = basis(ps)
-        dim = len(cols)
-        ker = kernel(ps)
-        # Ker L == Ker d n Ker delta on the sector; both bases are
-        # canonical, so they are equal exactly when the kernels are
-        ker_both = linalg.nullspace(
-            _rows(_columns(d, ps)) + _rows(_columns(delta, ps)), cols)
-        kernels_match = kernels_match and ker == ker_both
-        # Im d here is the image of the sector that d maps here, and Im
-        # delta that of the sector that delta maps here.  delta = sum_k s_k
-        # star d_k star with s_k = (-1)^{k(1-k)/2}; on the odd shifts of an
-        # odd potential s_k = -i i^k, and sum_k i^k d_k is d conjugated by
-        # the map i^p on degree p, diagonal per degree.  So delta on T has
-        # the rank of d on star T, over C and hence over Q.
-        from_d = sectors.get(sector(ps[0] - k), ())
-        from_delta = sectors.get(sector(ps[0] + k), ())
-        im_d = rank_d(from_d) if from_d else 0
-        im_delta = rank_d(tuple(sorted(m - p for p in from_delta))) \
-            if from_delta else 0
-        images[key] = im_d, im_delta
-        # three-way independence: the images and the kernel rows, stacked,
-        # span the sector, and their dimensions add up to it
-        pieces = list(_columns(d, from_d).values())
-        pieces += _columns(delta, from_delta).values()
-        pieces += ker
-        if im_d + im_delta + len(ker) != dim or \
-                (pieces and linalg.rank(pieces) != dim):
-            direct_ok = False
-        if (dim - rank_d(ps)) - im_d != len(ker):
-            direct_ok = False
-
+    sectors = {}
+    for p in range(m + 1):
+        sectors.setdefault(p % g if g else p, []).append(p)
+    rank_total = sum(rank_d(tuple(ps)) for ps in sectors.values())
     rows = []
     for p in range(m + 1):
         dim, rank_d_p = len(monos[p]), rank_d((p,))
-        im_d, im_delta = (None, None) if g else images[p]
-        rows.append(HodgeDegreeRow(
-            p, dim, rank_d_p, rank_d((m - p,)), im_d, im_delta,
-            len(kernel((p,))), None if g else (dim - rank_d_p) - im_d))
+        if g:
+            im_d = im_delta = cohomology = None
+            ker = dim - linalg.rank(_harmonic_rows(d, p))
+        else:
+            im_d = rank_d((p - k,)) if 0 <= p - k <= m else 0
+            im_delta = rank_d_p
+            ker = cohomology = dim - rank_d_p - im_d
+        rows.append(HodgeDegreeRow(p, dim, rank_d_p, rank_d((m - p,)), im_d,
+                                   im_delta, ker, cohomology))
     total = sum(len(x) for x in monos)
-    rank_total = sum(rank_d(ps) for ps in sectors.values())
     return HodgeReport(
         m=m,
         degrees=rows,
         total_dim=total,
         rank_d=rank_total,
         rank_delta=rank_total,
-        ker_laplacian=sum(len(kernel(ps)) for ps in sectors.values()),
-        direct_sum_ok=direct_ok,
-        kernel_intersection_ok=kernels_match,
+        ker_laplacian=total - 2 * rank_total,
+        direct_sum_ok=adjoint,
+        kernel_intersection_ok=adjoint,
         cohomology_total=total - 2 * rank_total,
         homogeneous=not g,
         space=ctx.space,
-        kernels={} if g else {p: kernel((p,)) for p in range(m + 1)},
+        d=d,
     )

@@ -43,6 +43,7 @@ DERIVED = "src/naryalg/derived.py"
 FROBENIUS = "src/naryalg/frobenius.py"
 CLI = "src/naryalg/cli.py"
 IO = "src/naryalg/io.py"
+HODGE = "src/naryalg/hodge.py"
 
 CONTRACTION = "tests/test_poisson.py::" \
     "test_nested_bracket_indices_matches_the_chain_on_random_spaces"
@@ -55,6 +56,8 @@ OPERATORS = "tests/test_derived.py::" \
 MALFORMED = "tests/test_cli.py::test_malformed_field_exits_2_with_its_path"
 SUFFIXES = "tests/test_derived.py::" \
     "test_contractions_match_the_per_tuple_path_on_random_spaces"
+MIXED_KERNELS = "tests/test_hodge.py::" \
+    "test_mixed_kernels_match_the_laplacian_oracle"
 
 MUTANTS = [
     # the form read once
@@ -237,6 +240,25 @@ MUTANTS = [
            "check_invariant", "c * row[x]", "c",
            ["tests/test_derived.py::"
             "test_invariant_pairs_through_the_form_on_random_spaces"]),
+    # Hodge from d alone: delta == eps d^T certifies every count
+    Mutant("adjoint-sign-flipped", HODGE, "hodge_decomposition",
+           "eps = 1 if (m * (m - 1) // 2) % 2 else -1",
+           "eps = -1 if (m * (m - 1) // 2) % 2 else 1",
+           ["tests/test_hodge.py::test_report_bytes_pinned"]),
+    Mutant("adjoint-check-always-true", HODGE, "hodge_decomposition",
+           "adjoint = codifferential(ctx, d) == _transpose(d, eps)",
+           "adjoint = True",
+           ["tests/test_hodge.py::"
+            "test_a_forged_sign_of_delta_fails_the_certificate"]),
+    Mutant("mixed-stack-drops-the-transpose-rows", HODGE, "_harmonic_rows",
+           "return _rows(_columns(d, (p,))) + into",
+           "return _rows(_columns(d, (p,)))",
+           [MIXED_KERNELS,
+            "tests/test_hodge.py::test_mixed_sectors_match_global_oracle"]),
+    Mutant("sector-gcd-forced-to-zero", HODGE, "hodge_decomposition",
+           "g = gcd(*(s - k for s in shifts))", "g = 0",
+           ["tests/test_hodge.py::test_decomposition_mixed_family",
+            MIXED_KERNELS]),
 ]
 
 

@@ -1,0 +1,47 @@
+"""The seed-1 benchmark decks replay through the CLI with their digests.
+
+Each deck of ``perfbench/workloads.py`` at the default seed, its probe job
+included, is written under ``tmp_path``, run in-process through
+``naryalg.cli.main`` by the worker's ``execute``, and judged by
+``perfbench/checks.py`` against the known answers and the stdout digests
+in ``perfbench/digests.json``.  A change to any output byte of the four
+workloads fails here, not only in a benchmark run.  A change made on
+purpose reruns ``python3 perfbench/run.py --record-digests``.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from naryalg import cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.mark.parametrize("name", ["hodge", "verify", "tstar", "classify"])
+def test_seed_one_deck_matches_its_digests(name, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import checks
+    import worker
+    import workloads
+
+    digests = json.loads((PERFBENCH / "digests.json").read_text())
+    assert digests["seed"] == workloads.DEFAULT_SEED
+    recorded = digests["workloads"][name]
+    deck, probe = workloads.build(name, workloads.DEFAULT_SEED)
+    specs = [spec for rnd in deck for spec in rnd] + [probe]
+    failed, reasons = 0, {}
+    for spec in specs:
+        argv, key = workloads.materialize(spec, str(tmp_path))
+        if key in recorded:
+            (execution,) = worker.execute(cli, [{"argv": argv}], [0])
+            bad, _, why = checks.judge(execution, spec["expect"],
+                                       recorded[key])
+        else:
+            bad, why = True, "no recorded digest"
+        failed += bad
+        if bad:
+            reasons.setdefault(spec["cls"], why)
+    first = [f"{cls}: {why}" for cls, why in list(reasons.items())[:5]]
+    assert not failed, f"{failed} of {len(specs)} jobs failed: {first}"

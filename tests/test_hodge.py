@@ -1,13 +1,14 @@
 """Star operator, inner product, adjointness, and the decomposition."""
 
 import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from naryalg import derived, hodge, io, linalg
+from naryalg import cli, derived, hodge, io, linalg
 from naryalg.classify import map_element
 from naryalg.derived import Potential, canonical_tuples
 from naryalg.errors import NotHodgeContext, NotLInfinity
@@ -24,7 +25,11 @@ from naryalg.hodge import (
 )
 from naryalg.poisson import Element, nested_bracket_indices, poisson_bracket
 from naryalg.superspace import Orientation, even_symplectic_space, odd_space
-from oracles import hodge_by_global_ranks, hodge_operators_by_compose
+from oracles import (
+    hodge_by_global_ranks,
+    hodge_by_laplacian,
+    hodge_operators_by_compose,
+)
 
 V5 = odd_space(5)
 CTX5 = HodgeContext(V5)
@@ -523,3 +528,146 @@ def test_delta_ranks_read_from_d_match_delta_ranked_directly(index):
     assert [row.rank_delta for row in rep.degrees] == by_degree
     total = linalg.rank(hodge._columns(delta, range(m + 1)).values())
     assert rep.rank_delta == total
+
+
+# ---------------------------------------------------------------------------
+# delta == eps d^T against the Laplacian route
+#
+# hodge_by_laplacian certifies each sector through the kernels of L, the
+# kernel of d and delta stacked, and the direct-sum rank.  The report read
+# off the ranks of d must give the same JSON bytes, the same degree rows
+# and the same harmonic bases.
+
+
+def _random_hodge_cases(count, seed):
+    """(m, kind, sizes, turns, seed) for _seeded_case, with m <= 10.
+
+    Single layers of degree 3, 5 or 7, stars of a degree-2 monomial (odd
+    m), and families of two or three layers with distinct degrees (g != 0);
+    turns > 0 rotates the support so that it is connected.
+    """
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        kind = rng.choice(["single", "star", "family"])
+        m = rng.randint(4 if kind == "family" else 3, 10)
+        sizes = None
+        if kind == "single":
+            s = rng.choice([s for s in (3, 5, 7) if s <= m])
+            sizes = [s] * rng.randint(1, min(3, m // s))
+        elif kind == "family":
+            sizes = rng.sample([1, 3, 5, 7], 2)
+            while sum(sizes) > m:
+                sizes = rng.sample([1, 3, 5, 7], 2)
+            if m >= 9 and rng.random() < 0.5:
+                sizes = [1, 3, 5]
+        else:
+            m = max(5, m - 1 + m % 2)
+        cases.append((m, kind, sizes, rng.randint(0, 3), rng.randrange(10**6)))
+    return cases
+
+
+ORACLE_CASES = [case[:4] + (100 + i,) for i, case in enumerate(PINNED_REPORTS)]
+ORACLE_CASES += _random_hodge_cases(40, 26)
+
+
+def _matches_laplacian_route(ctx, mu):
+    got = hodge_decomposition(ctx, mu)
+    want = hodge_by_laplacian(ctx, mu)
+    assert want.direct_sum_ok and want.kernel_intersection_ok
+    assert io.dumps(io.hodge_report_to_json(got)) == \
+        io.dumps(io.hodge_report_to_json(want))
+    assert got.degrees == want.degrees
+    assert got.harmonic == want.harmonic
+    return got
+
+
+def _case_id(case):
+    m, kind, sizes, turns, seed = case
+    return "-".join([f"m{m}", kind, *map(str, sizes or []), f"t{turns}",
+                     f"seed{seed}"])
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES, ids=_case_id)
+def test_report_matches_the_laplacian_oracle(case):
+    _matches_laplacian_route(*_seeded_case(*case))
+
+
+@pytest.mark.parametrize("m", [3, 6])
+def test_zero_potential_matches_the_laplacian_oracle(m):
+    ctx, mu = _case(m, "zero")
+    assert differential(ctx, mu) == {}
+    rep = _matches_laplacian_route(ctx, mu)
+    assert rep.ker_laplacian == 2 ** m
+
+
+@pytest.mark.parametrize("m,ker", MIXED_KERNEL_CASES)
+def test_mixed_kernels_match_the_laplacian_oracle(m, ker):
+    space = odd_space(m)
+    mu = Potential.homotopy_family(
+        space, mono(space, 1, 2, 3) + mono(space, *range(4, m + 1)))
+    rep = _matches_laplacian_route(HodgeContext(space), mu)
+    assert rep.ker_laplacian == ker and not rep.homogeneous
+
+
+def _counting(monkeypatch, module, name, calls):
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(name)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("first", ["harmonic", "kernels"])
+def test_no_laplacian_and_no_kernel_until_the_bases_are_read(monkeypatch,
+                                                             first):
+    calls = []
+    _counting(monkeypatch, hodge, "laplacian", calls)
+    _counting(monkeypatch, linalg, "nullspace", calls)
+    m, kind, sizes, turns, _ = PINNED_REPORTS[10]   # a family, g = 2
+    rep = hodge_decomposition(*_seeded_case(m, kind, sizes, turns, 110))
+    assert not rep.homogeneous and rep.harmonic == {} and calls == []
+    m, kind, sizes, turns, _ = PINNED_REPORTS[3]    # two rotated cubics
+    rep = hodge_decomposition(*_seeded_case(m, kind, sizes, turns, 103))
+    assert calls == []
+    getattr(rep, first)
+    assert calls == ["nullspace"] * (m + 1)
+    assert sum(map(len, rep.harmonic.values())) == rep.ker_laplacian
+    assert calls == ["nullspace"] * (m + 1)
+
+
+SPACE5_DOC = {"schema": "nary/1", "dim": 5, "parity": ["odd"] * 5,
+              "gram": [["1" if i == j else "0" for j in range(5)]
+                       for i in range(5)]}
+CUBIC345_DOC = {"schema": "nary/1", "arity": 2,
+                "element": [{"monomial": [3, 4, 5], "coeff": "-1"}]}
+
+
+def test_a_forged_sign_of_delta_fails_the_certificate(monkeypatch, tmp_path,
+                                                      capsys):
+    real = hodge.codifferential
+
+    def forged(ctx, d):
+        # delta, past its own square-zero check, with one entry negated
+        delta = real(ctx, d)
+        block = delta[min(delta)]
+        img = block[min(block)]
+        img[min(img)] *= -1
+        return delta
+
+    monkeypatch.setattr(hodge, "codifferential", forged)
+    ctx, mu = _case(5, "cubic")
+    rep = hodge_decomposition(ctx, mu)
+    assert not rep.direct_sum_ok and not rep.kernel_intersection_ok
+    paths = []
+    for name, doc in (("space", SPACE5_DOC), ("mu", CUBIC345_DOC)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(doc))
+    code = cli.main(["hodge", "--space", str(paths[0]),
+                     "--potential", str(paths[1])])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert out["direct_sum_ok"] is False
+    assert out["kernel_intersection_ok"] is False
