@@ -15,15 +15,25 @@ with Ker(Laplacian) = Ker(d) n Ker(delta) isomorphic to the cohomology of d.
 
 The operators are sparse block maps: one block per source degree p and
 target degree q, mapping each source monomial to its image.
-``differential`` brackets each layer of mu once with each monomial it
-reaches, one that shares exactly one index with some term of the layer;
-every other monomial has a zero image.  The layer of degree s fills the
-blocks (p, p + s - 2).  Star is a signed permutation of monomials, so
-``codifferential(ctx, d)`` re-indexes each block of d through
-``star_monomial``, with the sign (-1)^{k(1-k)/2} read from the block's
-shift k, and takes no bracket; its own sign is ``permutation_sign``, and
-``HodgeContext`` reads ``space.orthonormal``, both from ``superspace``.
-Both square-zero checks are sparse block products.
+``differential`` builds d = [mu, -] by the Leibniz rule from its values on
+the generators.  The bracket is even, so [a, v w] = [a, v] w +
+(-1)^{|a||v|} v [a, w], and [mu, e_i] = -(-1)^{|mu|} mu_i with mu_i =
+[e_i, mu], level 1 of ``derived.contractions``.  For x = x_0 ... x_{p-1}
+(j counted from 0), [mu, -] passes e_{x_0} ... e_{x_{j-1}} with the sign
+(-1)^{|mu| j}, and mu_{x_j}, of parity |mu| + 1, moves back past them
+with (-1)^{(|mu|+1) j}; together (-1)^j, so
+
+    [mu, e_x] = -(-1)^{|mu|} sum_j (-1)^j mu_{x_j} e_{x minus x_j}:
+
+the sign is (-1)^j on an odd layer and -(-1)^j on an even one.  A term
+e_w of mu_{x_j} times e_r, r = x minus x_j, is zero when w and r share an
+index, and otherwise (-1)^n e_{w u r}, where n counts the pairs a in w,
+b in r with a > b.  The layer of degree s fills the blocks (p, p + s - 2).
+Star is a signed permutation of monomials, so ``codifferential(ctx, d)``
+re-indexes each block of d through ``star_monomial``, with the sign
+(-1)^{k(1-k)/2} read from the block's shift k; its own sign is
+``permutation_sign``, and ``HodgeContext`` reads ``space.orthonormal``,
+both from ``superspace``.  No bracket is taken in either.
 
 delta is the adjoint of d up to one sign.  Let d_k = [mu_s, -] be the
 layer of degree s = k + 2, so delta = sum_k s_k * d_k * with s_k =
@@ -68,10 +78,12 @@ over C and hence over Q.  Per degree p, when g != 0, Ker L is the common
 kernel on degree p of the rows of d out of p and the columns of d into p,
 cut to degree p.
 
-``hodge_decomposition`` rests on three exact checks: d^2 = 0 in
-``differential``, delta^2 = 0 in ``codifferential``, and delta == eps d^T
-entry by entry.  The last one is the certificate that ``direct_sum_ok``
-and ``kernel_intersection_ok`` report; no Laplacian is built.
+``hodge_decomposition`` rests on two exact checks: d^2 = 0 in
+``differential``, the certificate of the Leibniz construction, and delta
+== eps d^T entry by entry.  delta^2 = (eps d^T)^2 = (d^2)^T then vanishes
+too, and is not computed.  The adjoint check is the certificate that
+``direct_sum_ok`` and ``kernel_intersection_ok`` report; no Laplacian is
+built.
 
 Everything here is exact rational arithmetic.  The blocks go to ``linalg``
 as they are, with no dense matrix in between: the columns of an operator
@@ -83,15 +95,16 @@ degree, taken when the report's ``kernels`` or ``harmonic`` is first read.
 """
 
 import functools
+from bisect import bisect
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd
 
 from . import linalg
-from .derived import check_l_infinity
+from .derived import check_l_infinity, contractions
 from .errors import NotHodgeContext, NotLInfinity
 from .linalg import ONE, ZERO
-from .poisson import Element, multiply, poisson_bracket
+from .poisson import Element, multiply
 from .superspace import Orientation, permutation_sign
 
 MAX_DIM = 14
@@ -180,16 +193,6 @@ def inner_product(ctx, v, w):
 # zero operator is {}.
 
 
-def op_apply(op, v):
-    """The image of the element v under the block map op."""
-    acc = {}
-    for block in op.values():
-        for mono, c in v.terms.items():
-            for out, x in block.get(mono, {}).items():
-                acc[out] = acc.get(out, ZERO) + c * x
-    return Element(v.space, acc)
-
-
 def _product_sum(pairs):
     """Block map of x -> sum of f(g(x)) over the pairs (f, g)."""
     out = {}
@@ -242,39 +245,38 @@ def _layer_shift(deg):
     return deg - 2
 
 
-def _reached(layer, monos):
-    """The monomials x among monos with |u n x| = 1 for some term u of layer.
-
-    On a pure odd orthonormal space [e_u, e_x] contracts one index shared
-    by u and x and leaves any other shared index on both sides, where it
-    squares to zero; so the layer brackets every other monomial to zero.
-    """
-    terms = [set(u) for u in layer.terms]
-    return [x for x in monos if any(len(u.intersection(x)) == 1
-                                    for u in terms)]
-
-
 def differential(ctx, mu):
-    """The operator d = [mu, -], verified to square to zero.
+    """The operator d = [mu, -] by the Leibniz rule, verified to square to
+    zero.
 
-    Each layer is bracketed once with each monomial it reaches (``_reached``);
-    the others have a zero image, which a block leaves out.  A layer of
-    degree s maps degree p to degree p + s - 2, so each block belongs to one
-    layer.
+    mu_i = [e_i, mu] is read once from ``derived.contractions``.  For each
+    monomial x and each factor x_j, every term w of mu_{x_j} that misses x
+    is multiplied into the rest r of x: the merged word, with the sign
+    (-1)^n of the n pairs a in w, b in r with a > b, times (-1)^j, and one
+    more -1 on an even layer (see the module docstring).  Each term of the
+    image of x is filed under the block (len(x), q) of its degree q, so a
+    layer of degree s fills the blocks (p, p + s - 2).  No bracket is
+    taken.
     """
     _require_ctx_element(ctx, mu.element)
+    mu_at = {i: terms for (i,), terms in contractions(mu, 1).items()}
     d = {}
-    for deg in mu.element.degrees():
-        layer = mu.element.homogeneous_part(deg)
-        k = _layer_shift(deg)
-        for p, monos in enumerate(ctx.degree_monomials):
-            block = {}
-            for mono in _reached(layer, monos):
-                img = poisson_bracket(layer, Element(ctx.space, {mono: ONE}))
-                if img.terms:
-                    block[mono] = img.terms
-            if block:
-                d[(p, p + k)] = block
+    for x in chain.from_iterable(ctx.degree_monomials):
+        img = {}
+        inside = set(x)
+        for j, i in enumerate(x):
+            rest = x[:j] + x[j + 1:]
+            for w, c in mu_at.get(i, {}).items():
+                # w lacks i, so it meets rest exactly where it meets x
+                if inside.isdisjoint(w):
+                    out = tuple(sorted(w + rest))
+                    # (-1)^j, the merge sign, and -1 on an even layer,
+                    # whose terms w have odd length
+                    n = j + len(w) + sum(len(w) - bisect(w, b) for b in rest)
+                    img[out] = img.get(out, ZERO) + (-c if n % 2 else c)
+        for out, c in img.items():
+            if c:
+                d.setdefault((len(x), len(out)), {}).setdefault(x, {})[out] = c
     if _product_sum([(d, d)]):
         raise NotLInfinity("d = [mu,-] does not square to zero")
     return d
@@ -302,8 +304,6 @@ def codifferential(ctx, d):
             for y, c in img.items():
                 sigma, y_comp = star_of(y)
                 out[u_comp][y_comp] = scale * sigma * c
-    if _product_sum([(delta, delta)]):
-        raise NotLInfinity("delta does not square to zero")
     return delta
 
 
@@ -388,8 +388,8 @@ def _transpose(op, scale):
 def hodge_decomposition(ctx, mu):
     """Exact decomposition certificate for a homotopy potential.
 
-    Certified by d^2 = 0, delta^2 = 0 and delta == eps d^T; every count is
-    a rank of d.  See the module docstring.
+    Certified by d^2 = 0 and delta == eps d^T; every count is a rank of
+    d.  See the module docstring.
     """
     _validate_homotopy(mu)
     d = differential(ctx, mu)

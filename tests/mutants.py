@@ -58,6 +58,8 @@ SUFFIXES = "tests/test_derived.py::" \
     "test_contractions_match_the_per_tuple_path_on_random_spaces"
 MIXED_KERNELS = "tests/test_hodge.py::" \
     "test_mixed_kernels_match_the_laplacian_oracle"
+LEIBNIZ = "tests/test_hodge.py::test_differential_matches_the_bracket_oracle"
+SQUARE_ZERO = "tests/test_hodge.py::test_square_zero_checks_raise"
 
 MUTANTS = [
     # the form read once
@@ -249,7 +251,8 @@ MUTANTS = [
            "adjoint = codifferential(ctx, d) == _transpose(d, eps)",
            "adjoint = True",
            ["tests/test_hodge.py::"
-            "test_a_forged_sign_of_delta_fails_the_certificate"]),
+            "test_a_forged_sign_of_delta_fails_the_certificate",
+            SQUARE_ZERO]),
     Mutant("mixed-stack-drops-the-transpose-rows", HODGE, "_harmonic_rows",
            "return _rows(_columns(d, (p,))) + into",
            "return _rows(_columns(d, (p,)))",
@@ -259,6 +262,19 @@ MUTANTS = [
            "g = gcd(*(s - k for s in shifts))", "g = 0",
            ["tests/test_hodge.py::test_decomposition_mixed_family",
             MIXED_KERNELS]),
+    Mutant("sector-gcd-doubled", HODGE, "hodge_decomposition",
+           "g = gcd(*(s - k for s in shifts))",
+           "g = 2 * gcd(*(s - k for s in shifts))", [MIXED_KERNELS]),
+    # d by the Leibniz rule from mu_i = [e_i, mu]
+    Mutant("leibniz-position-sign-dropped", HODGE, "differential",
+           "n = j + len(w) + sum(", "n = len(w) + sum(", [LEIBNIZ]),
+    Mutant("leibniz-even-layer-sign-dropped", HODGE, "differential",
+           "n = j + len(w) + sum(", "n = j + sum(", [LEIBNIZ]),
+    Mutant("leibniz-merge-sign-ignored", HODGE, "differential",
+           " + sum(len(w) - bisect(w, b) for b in rest)", "", [LEIBNIZ]),
+    Mutant("differential-square-check-dropped", HODGE, "differential",
+           "    if _product_sum([(d, d)]):\n        raise NotLInfinity(",
+           "    if False:\n        raise NotLInfinity(", [SQUARE_ZERO]),
 ]
 
 

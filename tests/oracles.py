@@ -13,12 +13,15 @@ from naryalg.derived import (
     canonical_tuples,
     contraction_constant,
 )
-from naryalg.errors import WrongDegree
+from naryalg.errors import NotLInfinity, WrongDegree
 from naryalg.frobenius import QFCertificate, graph_vectors
 from naryalg.hodge import (
     HodgeDegreeRow,
     HodgeReport,
     _columns,
+    _layer_shift,
+    _product_sum,
+    _require_ctx_element,
     _rows,
     _validate_homotopy,
     codifferential,
@@ -28,6 +31,7 @@ from naryalg.hodge import (
 )
 from naryalg.poisson import (
     ONE,
+    ZERO,
     Element,
     mono_parity,
     multiply,
@@ -306,6 +310,54 @@ def graph_by_pairings(ext, phi):
         if any(pair_vectors(ext.space, img, b[j]) for j in range(m)):
             return False
     return True
+
+
+def op_apply(op, v):
+    """The image of the element v under the block map op."""
+    acc = {}
+    for block in op.values():
+        for mono, c in v.terms.items():
+            for out, x in block.get(mono, {}).items():
+                acc[out] = acc.get(out, ZERO) + c * x
+    return Element(v.space, acc)
+
+
+def _reached(layer, monos):
+    """The monomials x among monos with |u n x| = 1 for some term u of layer.
+
+    On a pure odd orthonormal space [e_u, e_x] contracts one index shared
+    by u and x and leaves any other shared index on both sides, where it
+    squares to zero; so the layer brackets every other monomial to zero.
+    """
+    terms = [set(u) for u in layer.terms]
+    return [x for x in monos if any(len(u.intersection(x)) == 1
+                                    for u in terms)]
+
+
+def differential_by_brackets(ctx, mu):
+    """The operator d = [mu, -], verified to square to zero.  Oracle only.
+
+    Each layer is bracketed once with each monomial it reaches (``_reached``);
+    the others have a zero image, which a block leaves out.  A layer of
+    degree s maps degree p to degree p + s - 2, so each block belongs to one
+    layer.
+    """
+    _require_ctx_element(ctx, mu.element)
+    d = {}
+    for deg in mu.element.degrees():
+        layer = mu.element.homogeneous_part(deg)
+        k = _layer_shift(deg)
+        for p, monos in enumerate(ctx.degree_monomials):
+            block = {}
+            for mono in _reached(layer, monos):
+                img = poisson_bracket(layer, Element(ctx.space, {mono: ONE}))
+                if img.terms:
+                    block[mono] = img.terms
+            if block:
+                d[(p, p + k)] = block
+    if _product_sum([(d, d)]):
+        raise NotLInfinity("d = [mu,-] does not square to zero")
+    return d
 
 
 def hodge_operators_by_compose(ctx, mu):

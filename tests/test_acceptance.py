@@ -44,12 +44,11 @@ from naryalg.hodge import (
     differential,
     hodge_decomposition,
     inner_product,
-    op_apply,
     star,
 )
 from naryalg.poisson import Element, poisson_bracket
 from naryalg.superspace import Superspace, odd_space
-from oracles import bracket_recursive_oracle
+from oracles import bracket_recursive_oracle, op_apply
 
 
 def report(num, ok, desc):

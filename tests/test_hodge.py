@@ -3,12 +3,13 @@
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from naryalg import cli, derived, hodge, io, linalg
+from naryalg import cli, hodge, io, linalg
 from naryalg.classify import map_element
 from naryalg.derived import Potential, canonical_tuples
 from naryalg.errors import NotHodgeContext, NotLInfinity
@@ -19,16 +20,17 @@ from naryalg.hodge import (
     hodge_decomposition,
     inner_product,
     laplacian,
-    op_apply,
     star,
     star_monomial,
 )
 from naryalg.poisson import Element, nested_bracket_indices, poisson_bracket
 from naryalg.superspace import Orientation, even_symplectic_space, odd_space
 from oracles import (
+    differential_by_brackets,
     hodge_by_global_ranks,
     hodge_by_laplacian,
     hodge_operators_by_compose,
+    op_apply,
 )
 
 V5 = odd_space(5)
@@ -355,66 +357,102 @@ def test_block_operators_match_compose_oracle(m, name, orientation):
 
 
 def _counting_brackets(monkeypatch):
+    """Count poisson_bracket calls through every naryalg module's name."""
     calls = []
 
     def counted(a, b):
         calls.append(1)
         return poisson_bracket(a, b)
 
-    # hodge brackets the layers; derived.check_l_infinity takes [mu, mu]
-    monkeypatch.setattr(hodge, "poisson_bracket", counted)
-    monkeypatch.setattr(derived, "poisson_bracket", counted)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "naryalg" and \
+                getattr(module, "poisson_bracket", None) is poisson_bracket:
+            monkeypatch.setattr(module, "poisson_bracket", counted)
     return calls
 
 
-def _reached_count(ctx, mu):
-    """Sum over the layers of #{x : some term u has |u n x| = 1}."""
-    count = 0
-    for deg in mu.element.degrees():
-        terms = mu.element.homogeneous_part(deg).terms
-        count += sum(
-            1 for v in all_monomials(ctx.space)
-            if any(len(set(u) & set(next(iter(v.terms)))) == 1
-                   for u in terms))
-    return count
-
-
-# star(e1e2) at m=9 is one monomial u of degree 7: x reaches it through one
-# of the 7 factors of u and any subset of {e1, e2}, 28 of the 512 monomials
-PINNED_BRACKETS = {(9, "star12"): 28}
-
-
-@pytest.mark.parametrize("m,name", [(5, "star12"), (6, "family13"),
-                                    (5, "zero"), (9, "star12")])
-def test_one_bracket_per_layer_and_monomial(monkeypatch, m, name):
+@pytest.mark.parametrize("m,name", [(5, "star12"), (6, "star12"),
+                                    (6, "family13"), (5, "zero"),
+                                    (9, "star12")])
+def test_differential_takes_no_bracket(monkeypatch, m, name):
     ctx, mu = _case(m, name)
-    reached = _reached_count(ctx, mu)
-    assert reached == PINNED_BRACKETS.get((m, name), reached)
     calls = _counting_brackets(monkeypatch)
-    d = differential(ctx, mu)
-    assert len(calls) == reached
-    codifferential(ctx, d)
-    assert len(calls) == reached   # delta takes no bracket
-    del calls[:]
-    hodge_decomposition(ctx, mu)
-    # plus the one [mu, mu] of the homotopy check
-    assert len(calls) == reached + 1
+    codifferential(ctx, differential(ctx, mu))
+    assert calls == []
+    if mu.is_odd():
+        hodge_decomposition(ctx, mu)
+        # only the [mu, mu] of the homotopy check
+        assert len(calls) == 1
 
 
-def test_square_zero_checks_raise():
-    # two cubic terms sharing e5: [mu, mu] has a degree-4 part
-    bad = mono(V5, 3, 4, 5) + mono(V5, 1, 2, 5)
-    with pytest.raises(NotLInfinity):
-        differential(CTX5, Potential.single(V5, bad))
-    # delta of a block map with d^2 != 0 fails its own square-zero check
-    blocks = {}
-    for v in all_monomials(V5):
-        (src,) = v.terms
-        img = poisson_bracket(bad, v).terms
-        if img:
-            blocks.setdefault((len(src), len(src) + 1), {})[src] = img
-    with pytest.raises(NotLInfinity):
-        codifferential(CTX5, blocks)
+# ---------------------------------------------------------------------------
+# d by the Leibniz rule against one bracket per reached monomial
+
+
+def _random_leibniz_case(rng):
+    """(ctx, mu) with m = 3..9.
+
+    A seeded single layer, star of a degree-2 monomial (an even layer when
+    m is even) or odd family, rotated to a connected support when its
+    turns are > 0; the zero potential; or one to three random monomials,
+    of one degree or of odd degrees in a family, whose supports may
+    overlap so that d^2 = 0 can fail.
+    """
+    m = rng.randint(3, 9)
+    kind = rng.choice(["single", "star", "family", "random", "random",
+                       "zero"])
+    if kind == "zero":
+        return _case(m, "zero")
+    if kind == "random":
+        space = odd_space(m)
+        family = rng.random() < 0.5
+        deg = rng.randint(2, m)
+        el = Element.zero(space)
+        for _ in range(rng.randint(1, 3)):
+            if family:
+                deg = rng.choice(range(1, m + 1, 2))
+            coeff = Fraction(rng.choice([1, -1, 2, -3]), rng.choice([1, 2]))
+            word = sorted(rng.sample(range(m), deg))
+            el = el + Element.monomial(space, word, coeff)
+        if el.is_zero():
+            return _case(m, "zero")
+        if family:
+            return HodgeContext(space), Potential.homotopy_family(space, el)
+        return HodgeContext(space), Potential.single(space, el)
+    sizes = None
+    if kind == "single":
+        s = rng.choice([s for s in (3, 5, 7) if s <= m])
+        sizes = [s] * rng.randint(1, m // s)
+    else:
+        m = max(m, 4)
+    if kind == "family":
+        sizes = rng.sample([1, 3, 5, 7], 2)
+        while sum(sizes) > m:
+            sizes = rng.sample([1, 3, 5, 7], 2)
+    return _seeded_case(m, kind, sizes, rng.randint(0, 3),
+                        rng.randrange(10**6))
+
+
+def test_differential_matches_the_bracket_oracle():
+    rng = random.Random(27)
+    seen = {"even": 0, "refused": 0, "zero": 0, "rotated": 0}
+    for _ in range(240):
+        ctx, mu = _random_leibniz_case(rng)
+        seen["even"] += any(s % 2 == 0 for s in mu.element.degrees())
+        seen["zero"] += mu.element.is_zero()
+        seen["rotated"] += any(c.denominator > 3
+                               for c in mu.element.terms.values())
+        try:
+            want = differential_by_brackets(ctx, mu)
+        except NotLInfinity:
+            seen["refused"] += 1
+            with pytest.raises(NotLInfinity):
+                differential(ctx, mu)
+            continue
+        assert differential(ctx, mu) == want
+    assert min(seen.values()) >= 10, seen
+    ctx, mu = _case(6, "star12")
+    assert differential(ctx, mu) == differential_by_brackets(ctx, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -645,18 +683,9 @@ CUBIC345_DOC = {"schema": "nary/1", "arity": 2,
                 "element": [{"monomial": [3, 4, 5], "coeff": "-1"}]}
 
 
-def test_a_forged_sign_of_delta_fails_the_certificate(monkeypatch, tmp_path,
-                                                      capsys):
-    real = hodge.codifferential
-
-    def forged(ctx, d):
-        # delta, past its own square-zero check, with one entry negated
-        delta = real(ctx, d)
-        block = delta[min(delta)]
-        img = block[min(block)]
-        img[min(img)] *= -1
-        return delta
-
+def _refused_by_the_certificate(monkeypatch, tmp_path, capsys, forged):
+    """With codifferential replaced by forged, the report of the cubic
+    e3e4e5 at m = 5 has both flags false, and ``naryalg hodge`` exits 1."""
     monkeypatch.setattr(hodge, "codifferential", forged)
     ctx, mu = _case(5, "cubic")
     rep = hodge_decomposition(ctx, mu)
@@ -671,3 +700,37 @@ def test_a_forged_sign_of_delta_fails_the_certificate(monkeypatch, tmp_path,
     assert code == 1
     assert out["direct_sum_ok"] is False
     assert out["kernel_intersection_ok"] is False
+
+
+def test_a_forged_sign_of_delta_fails_the_certificate(monkeypatch, tmp_path,
+                                                      capsys):
+    real = hodge.codifferential
+
+    def forged(ctx, d):
+        # delta with one entry negated
+        delta = real(ctx, d)
+        block = delta[min(delta)]
+        img = block[min(block)]
+        img[min(img)] *= -1
+        return delta
+
+    _refused_by_the_certificate(monkeypatch, tmp_path, capsys, forged)
+
+
+def test_square_zero_checks_raise(monkeypatch, tmp_path, capsys):
+    # two cubic terms sharing e5: [mu, mu] has a degree-4 part
+    bad = mono(V5, 3, 4, 5) + mono(V5, 1, 2, 5)
+    with pytest.raises(NotLInfinity):
+        differential(CTX5, Potential.single(V5, bad))
+    # delta of that bad d does not square to zero; no square of delta is
+    # taken, and the adjoint check refuses it
+    blocks = {}
+    for v in all_monomials(V5):
+        (src,) = v.terms
+        img = poisson_bracket(bad, v).terms
+        if img:
+            blocks.setdefault((len(src), len(src) + 1), {})[src] = img
+    delta = codifferential(CTX5, blocks)
+    assert hodge._product_sum([(delta, delta)])
+    _refused_by_the_certificate(monkeypatch, tmp_path, capsys,
+                                lambda ctx, d: delta)
