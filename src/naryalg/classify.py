@@ -494,18 +494,9 @@ class IdealReport:
     rounds: int = 0       # always 0: the report format keeps the field
 
 
-def _apply(cols, vec):
-    """The image of the sparse vector vec under the operator cols."""
-    img = {}
-    for j, x in vec.items():
-        for i, y in cols[j].items():
-            img[i] = img.get(i, 0) + x * y
-    return {i: y for i, y in img.items() if y}
-
-
 def _verify_ideal(ops, rows):
     """Does every operator map the span of the sparse rows into itself?"""
-    images = [_apply(cols, vec) for cols in ops for vec in rows]
+    images = [linalg.apply_op(op, vec) for op in ops for vec in rows]
     return linalg.rank(rows + images) == linalg.rank(rows)
 
 
@@ -522,11 +513,11 @@ def _commutant(operators, m):
     no unknown.  The dimension is m^2 minus the certified rank.
     """
     system = []
-    for cols in operators:
+    for op in operators:
         for i in range(m):
             for j in range(m):
-                eq = {i * m + k: x for k, x in cols[j].items()}
-                eq.update((k * m + j, x) for k, x in cols[i].items())
+                eq = {i * m + k: x for k, x in op.get(j, {}).items()}
+                eq.update((k * m + j, x) for k, x in op.get(i, {}).items())
                 if eq:
                     system.append(eq)
     return system, m * m - linalg.rank(system)
@@ -546,11 +537,14 @@ def _rational_eigenvalues(x):
     """The rational roots of t^2 = a + b t if X^2 = aI + bX, for X by
     sparse rows; otherwise, or if X is scalar, none.
 
-    b and a are read from two entries, an off-diagonal entry of X or two
-    unequal diagonal ones, and the equation is then checked exactly.
+    The nonzero rows {i: row i} are X^T as a ``linalg`` operator, which
+    maps row i of X to row i of X^2.  b and a are read from two entries,
+    an off-diagonal entry of X or two unequal diagonal ones, and the
+    equation is then checked exactly.
     """
     m = len(x)
-    square = [_apply(x, row) for row in x]  # row i of X^2
+    op = {i: row for i, row in enumerate(x) if row}
+    square = [linalg.apply_op(op, row) for row in x]  # row i of X^2
     diag = [row.get(i, 0) for i, row in enumerate(x)]
     off = next(((i, j) for i in range(m) for j in x[i] if j != i), None)
     if off:
@@ -582,8 +576,10 @@ def find_ideal(s):
     """Decide exactly whether an n-ary structure has a proper ideal.
 
     The space must be pure odd and orthonormal, and every operator
-    L_t = s(e_t1, ..., e_t(n-1), -) skew, as for an invariant structure;
-    the operators are read once from the structure (``s.operators()``).
+    L_t = s(e_t1, ..., e_t(n-1), -) skew, as for an invariant structure:
+    -L_t^T == L_t.  The operators are read once from the structure
+    (``s.operators()``), in the operator format of the ``linalg``
+    docstring, which applies and transposes them.
     Stage 1 returns the common kernel of the L_t if it is a proper ideal.
     Then the commutant {X : X L_t = L_t X for all t} decides, its dimension
     read from one certified ``linalg.rank``.  If W is a proper ideal, so is
@@ -605,13 +601,12 @@ def find_ideal(s):
         # zero structure: every line is an ideal
         return IdealReport(True, [Element.generator(space, 0)],
                            method="kernel", status="ideal found")
-    if any(cols[i].get(j) != -x for cols in operators
-           for j, col in enumerate(cols) for i, x in col.items()):
+    if any(linalg.transpose_op(op, -1) != op for op in operators):
         raise NotSkew("an operator of the structure is not skew")
 
     # stage 1: common kernel; the columns of a skew L are its rows negated
-    kernel = linalg.nullspace([col for cols in operators for col in cols],
-                              range(m))
+    kernel = linalg.nullspace([col for op in operators
+                               for col in op.values()], range(m))
     if kernel:
         rows = linalg.row_space(kernel)
         if 0 < len(rows) < m and _verify_ideal(operators, rows):

@@ -9,9 +9,8 @@ way, and ``potential_from_structure`` inverts the construction exactly.
 Bracketing with a generator is a signed contraction of one factor through
 the form.  ``contractions`` computes every nested contraction of a
 potential at once, contracting each shared suffix of the canonical tuples
-once; derive_structure, check_filippov and the cubic criteria read it, and
-only Jordan's inner [e_j, A_i] contracts one element through
-``poisson.nested_bracket_indices``.  The inverse is a closed form
+once; derive_structure, check_filippov, the cubic criteria and Jordan's
+inner [e_j, A_i] read it.  The inverse is a closed form
 (Kosmann-Schwarzbach, "Derived brackets", 2004): with the dual basis
 [dual[i], e_k] = delta_ik, the coefficient of e_b is
 (dual[b_0], {dual[b_1],...,dual[b_n]}), the contraction of mu with those
@@ -71,12 +70,7 @@ from .errors import (
     WrongDegree,
 )
 from .linalg import ONE, ZERO
-from .poisson import (
-    Element,
-    nested_bracket_indices,
-    normalize_word,
-    poisson_bracket,
-)
+from .poisson import Element, normalize_word, poisson_bracket
 from .superspace import require_nondegenerate
 
 
@@ -326,10 +320,12 @@ class NaryStructure:
         return not self.table
 
     def operators(self):
-        """{t: columns} for every nonzero L_t = s(e_t1, ..., e_t(n-1), -), t
+        """{t: L_t} for every nonzero L_t = s(e_t1, ..., e_t(n-1), -), t
         canonical, in lexicographic order of t.
 
-        Column c is the image of e_c as a sparse row {i: coefficient of e_i}.
+        L_t is an operator in the format of the ``linalg`` docstring: it
+        maps c to its column, the image of e_c as a sparse row
+        {i: coefficient of e_i}, and leaves out the zero columns.
         It is scattered from the live entries in one pass: column c of L_t
         with t = K without c is s(K), and sorting t + (c,) into K moves c
         past the indices that follow it in K, so it is negated exactly when
@@ -346,9 +342,7 @@ class NaryStructure:
                     continue  # a repeated (even) index: one t
                 t = key[:pos] + key[pos + 1:]
                 flip = parity[c] and sum(parity[i] for i in t[pos:]) % 2
-                if t not in ops:
-                    ops[t] = [{} for _ in range(self.space.dim)]
-                col = ops[t][c]
+                col = ops.setdefault(t, {}).setdefault(c, {})
                 for (i,), x in value.terms.items():
                     col[i] = col.get(i, ZERO) + (-x if flip else x)
         return dict(sorted(ops.items()))
@@ -639,21 +633,23 @@ def check_jordan(A, exhaustive=False):
     """
     A_ = _cubic_operators(A, "the Jordan criterion")
     space = A.space
-    m = space.dim
     coeffs = {}
-    for i in range(m):
-        for j in range(m):
-            # A_i and e_j are even, so [A_i, e_j] = -[e_j, A_i]
-            inner = poisson_bracket(
-                -nested_bracket_indices(space, (j,), A_[i]), A.element)
-            if inner.is_zero():
+    # [e_j, A_i] = [e_j, [e_i, A]] is level 2 of contractions at
+    # (a, b) = sorted((j, i)): on a pure even space [e_i, e_j] is a
+    # scalar, so by Jacobi the two orders agree, and for a < b the pairs
+    # (i, j) = (a, b) and (b, a) add the same term
+    for (a, b), terms in contractions(A, 2).items():
+        # A_i and e_j are even, so [A_i, e_j] = -[e_j, A_i]
+        inner = poisson_bracket(-Element._trusted(space, terms), A.element)
+        if inner.is_zero():
+            continue
+        for k in range(space.dim):
+            term = poisson_bracket(A_[k], inner)
+            if term.is_zero():
                 continue
-            for k in range(m):
-                term = poisson_bracket(A_[k], inner)
-                if term.is_zero():
-                    continue
-                key = tuple(sorted((k, i, j)))
-                coeffs[key] = coeffs.get(key, Element.zero(space)) + term
+            key = tuple(sorted((k, a, b)))
+            coeffs[key] = coeffs.get(key, Element.zero(space)) + \
+                (term if a == b else term.scale(2))
     violations = ((key, val) for key, val in sorted(coeffs.items())
                   if not val.is_zero())
     return _report("jordan", violations, exhaustive)

@@ -9,8 +9,10 @@ arguments, and acts on one dual argument by
 
 The one-dual entries are read off the operators L_t = mu(e_t1, ...,
 e_t(n-1), -), which the structure scatters in one pass over its table
-(``NaryStructure.operators``); the entries on V lift the whole table of
-mu, odd squares included.  The extension is commutative and invariant for
+(``NaryStructure.operators``): muT(t, e*_b) = -sum_c L_t[b][c] e*_c, so
+the entries at (t, e*_b) are the image of b under -L_t^T, one
+``linalg.transpose_op``.  The entries on V lift the whole table of mu,
+odd squares included.  The extension is commutative and invariant for
 the doubled pairing, so it has a derived potential muT.  The doubled Gram
 matrix is its own inverse, a permutation, so the closed-form inversion
 scatters each table entry through one column of it per slot, and at most
@@ -79,13 +81,11 @@ def t_star_extension(space, mu):
     ws = doubled_space(m)
 
     table = {t: Element(ws, dict(value.terms)) for t, value in s.table.items()}
-    for t, cols in s.operators().items():
-        # cols[c][b] = coefficient of e_b in s(t, e_c)
-        for b in range(m):
-            # one dual argument, canonically in the last slot
-            img = {(m + c,): -col[b] for c, col in enumerate(cols) if b in col}
-            if img:
-                table[t + (m + b,)] = Element(ws, img)
+    for t, op in s.operators().items():
+        # one dual argument, canonically in the last slot
+        for b, img in linalg.transpose_op(op, -1).items():
+            table[t + (m + b,)] = Element(ws, {(m + c,): x
+                                               for c, x in img.items()})
     ext_structure = NaryStructure(ws, n, table)
     # certified: derive_structure(muT) equals this table, so the derived
     # extension restricts to s, acts on one dual argument as stated and

@@ -13,8 +13,9 @@ an exact three-way decomposition
 
 with Ker(Laplacian) = Ker(d) n Ker(delta) isomorphic to the cohomology of d.
 
-The operators are sparse block maps: one block per source degree p and
-target degree q, mapping each source monomial to its image.
+The operators are ``linalg`` operators keyed by monomial (the format is
+stated once, in the ``linalg`` docstring): each source monomial maps to
+its image, and ``linalg`` applies, composes and transposes them.
 ``differential`` builds d = [mu, -] by the Leibniz rule from its values on
 the generators.  The bracket is even, so [a, v w] = [a, v] w +
 (-1)^{|a||v|} v [a, w], and [mu, e_i] = -(-1)^{|mu|} mu_i with mu_i =
@@ -28,12 +29,13 @@ with (-1)^{(|mu|+1) j}; together (-1)^j, so
 the sign is (-1)^j on an odd layer and -(-1)^j on an even one.  A term
 e_w of mu_{x_j} times e_r, r = x minus x_j, is zero when w and r share an
 index, and otherwise (-1)^n e_{w u r}, where n counts the pairs a in w,
-b in r with a > b.  The layer of degree s fills the blocks (p, p + s - 2).
+b in r with a > b.  The layer of degree s maps degree p to p + s - 2.
 Star is a signed permutation of monomials, so ``codifferential(ctx, d)``
-re-indexes each block of d through ``star_monomial``, with the sign
-(-1)^{k(1-k)/2} read from the block's shift k; its own sign is
-``permutation_sign``, and ``HodgeContext`` reads ``space.orthonormal``,
-both from ``superspace``.  No bracket is taken in either.
+re-indexes each entry of d through ``star_monomial``, with the sign
+(-1)^{k(1-k)/2} read from the entry's shift k, the degree of its target
+less that of its source; ``star_monomial`` reads its sign in closed form,
+and ``HodgeContext`` reads ``space.orthonormal`` from ``superspace``.  No
+bracket is taken in either.
 
 delta is the adjoint of d up to one sign.  Let d_k = [mu_s, -] be the
 layer of degree s = k + 2, so delta = sum_k s_k * d_k * with s_k =
@@ -79,33 +81,34 @@ kernel on degree p of the rows of d out of p and the columns of d into p,
 cut to degree p.
 
 ``hodge_decomposition`` rests on two exact checks: d^2 = 0 in
-``differential``, the certificate of the Leibniz construction, and delta
-== eps d^T entry by entry.  delta^2 = (eps d^T)^2 = (d^2)^T then vanishes
+``differential``, one ``linalg.compose_ops`` and the certificate of the
+Leibniz construction, and delta == eps d^T entry by entry, against
+``linalg.transpose_op``.  delta^2 = (eps d^T)^2 = (d^2)^T then vanishes
 too, and is not computed.  The adjoint check is the certificate that
 ``direct_sum_ok`` and ``kernel_intersection_ok`` report; no Laplacian is
 built.
 
-Everything here is exact rational arithmetic.  The blocks go to ``linalg``
-as they are, with no dense matrix in between: the columns of an operator
-on a set of degrees are the images of their monomials, sparse rows keyed
-by monomial, and its rows are their transpose.  ``linalg.rank`` checks an
-exact certificate of every rank it returns.  The harmonic elements (g = 0)
-are the canonical ``linalg.nullspace`` rows of Ker d n Ker d^T on each
-degree, taken when the report's ``kernels`` or ``harmonic`` is first read.
+Everything here is exact rational arithmetic.  d goes to ``linalg`` as
+it is, with no dense matrix in between: its columns on a set of degrees
+are the images of their monomials, and its rows are the images of its
+transpose.  ``linalg.rank`` checks an exact certificate of every rank it
+returns.  The harmonic elements (g = 0) are the canonical
+``linalg.nullspace`` rows of Ker d n Ker d^T on each degree, taken when
+the report's ``kernels`` or ``harmonic`` is first read.
 """
 
 import functools
 from bisect import bisect
 from dataclasses import dataclass, field
 from itertools import chain, combinations
-from math import gcd
+from math import comb, gcd
 
 from . import linalg
 from .derived import check_l_infinity, contractions
 from .errors import NotHodgeContext, NotLInfinity
 from .linalg import ONE, ZERO
 from .poisson import Element, multiply
-from .superspace import Orientation, permutation_sign
+from .superspace import Orientation
 
 MAX_DIM = 14
 
@@ -119,7 +122,7 @@ def require_dim(m):
 class HodgeContext:
     """Pure odd space, identity Gram matrix, a choice of orientation."""
 
-    __slots__ = ("space", "orientation", "top", "degree_monomials")
+    __slots__ = ("space", "orientation", "top")
 
     def __init__(self, space, orientation=None):
         if not space.pure_odd:
@@ -132,10 +135,6 @@ class HodgeContext:
         self.orientation = orientation or Orientation.standard(space.dim)
         full = tuple(range(space.dim))
         self.top = Element(space, {full: self.orientation.sign * ONE})
-        self.degree_monomials = [
-            [tuple(c) for c in combinations(range(space.dim), p)]
-            for p in range(space.dim + 1)
-        ]
 
     @property
     def m(self):
@@ -150,12 +149,17 @@ def _require_ctx_element(ctx, v):
 def star_monomial(ctx, mono):
     """(sign, complement) of a single monomial under the star operator.
 
-    The sign is the signature of (i_p,...,i_1, j_1,...,j_{m-p}) as a
-    permutation of (1,...,m), times the orientation sign.
+    The sign is the orientation sign times the signature of the word
+    (x_p, ..., x_1, y_1, ..., y_{m-p}), where x = mono and y, its
+    complement, increase.  With 0-based indices that signature is
+    (-1)^{x_1 + ... + x_p}.  The reversed x has p(p-1)/2 inversions and y
+    none.  Each x_i has x_i indices below it, i - 1 of them in x, so the
+    pairs across x and y add sum_i (x_i - (i - 1)) = sum x - p(p-1)/2,
+    and the inversions total sum x.
     """
     inside = set(mono)
     comp = tuple(i for i in range(ctx.m) if i not in inside)
-    return ctx.orientation.sign * permutation_sign(mono[::-1] + comp), comp
+    return ctx.orientation.sign * (-1) ** sum(mono), comp
 
 
 def star(ctx, v):
@@ -184,65 +188,7 @@ def inner_product(ctx, v, w):
 
 
 # ---------------------------------------------------------------------------
-# operators on S*V as sparse block maps
-#
-# An operator is a dict {(p, q): block}, one block for each source degree p
-# and target degree q that it connects.  A block maps a source monomial of
-# degree p to its image, a dict {target monomial: coefficient} without
-# zeros.  Monomials with a zero image and empty blocks are left out, so the
-# zero operator is {}.
-
-
-def _product_sum(pairs):
-    """Block map of x -> sum of f(g(x)) over the pairs (f, g)."""
-    out = {}
-    for f, g in pairs:
-        for (p, q), g_block in g.items():
-            for (q2, r), f_block in f.items():
-                if q2 != q:
-                    continue
-                block = out.setdefault((p, r), {})
-                for src, img in g_block.items():
-                    acc = block.setdefault(src, {})
-                    for mid, c in img.items():
-                        for dst, x in f_block.get(mid, {}).items():
-                            acc[dst] = acc.get(dst, ZERO) + c * x
-    out = {key: {src: {dst: c for dst, c in img.items() if c}
-                 for src, img in block.items()} for key, block in out.items()}
-    return {key: {src: img for src, img in block.items() if img}
-            for key, block in out.items() if any(block.values())}
-
-
-def _columns(op, degrees):
-    """The images of the source monomials of op whose degree is in degrees.
-
-    These are the operator's columns, as sparse rows keyed by target
-    monomial; a monomial's images in several target degrees are merged.
-    """
-    cols = {}
-    for (p, _), block in op.items():
-        if p in degrees:
-            for src, img in block.items():
-                cols.setdefault(src, {}).update(img)
-    return cols
-
-
-def _rows(cols):
-    """The rows of an operator given by its columns, keyed by source."""
-    rows = {}
-    for src, img in cols.items():
-        for dst, c in img.items():
-            rows.setdefault(dst, {})[src] = c
-    return list(rows.values())
-
-
-# ---------------------------------------------------------------------------
 # differential, codifferential, Laplacian
-
-
-def _layer_shift(deg):
-    # a layer of degree s raises polynomial degree by s - 2 under [mu_s, -]
-    return deg - 2
 
 
 def differential(ctx, mu):
@@ -253,15 +199,15 @@ def differential(ctx, mu):
     monomial x and each factor x_j, every term w of mu_{x_j} that misses x
     is multiplied into the rest r of x: the merged word, with the sign
     (-1)^n of the n pairs a in w, b in r with a > b, times (-1)^j, and one
-    more -1 on an even layer (see the module docstring).  Each term of the
-    image of x is filed under the block (len(x), q) of its degree q, so a
-    layer of degree s fills the blocks (p, p + s - 2).  No bracket is
+    more -1 on an even layer (see the module docstring).  No bracket is
     taken.
     """
     _require_ctx_element(ctx, mu.element)
     mu_at = {i: terms for (i,), terms in contractions(mu, 1).items()}
+    m = ctx.m
     d = {}
-    for x in chain.from_iterable(ctx.degree_monomials):
+    for x in chain.from_iterable(combinations(range(m), p)
+                                 for p in range(m + 1)):
         img = {}
         inside = set(x)
         for j, i in enumerate(x):
@@ -274,10 +220,10 @@ def differential(ctx, mu):
                     # whose terms w have odd length
                     n = j + len(w) + sum(len(w) - bisect(w, b) for b in rest)
                     img[out] = img.get(out, ZERO) + (-c if n % 2 else c)
-        for out, c in img.items():
-            if c:
-                d.setdefault((len(x), len(out)), {}).setdefault(x, {})[out] = c
-    if _product_sum([(d, d)]):
+        img = {out: c for out, c in img.items() if c}
+        if img:
+            d[x] = img
+    if linalg.compose_ops(d, d):
         raise NotLInfinity("d = [mu,-] does not square to zero")
     return d
 
@@ -286,30 +232,36 @@ def codifferential(ctx, d):
     """delta = sum over layers of (-1)^{k(1-k)/2} star d_k star, k = deg - 2.
 
     Star is a signed permutation of monomials, star(x) = sigma(x) x' with x'
-    the complement of x.  So an entry c of d from u to y becomes the entry
-    (-1)^{k(1-k)/2} sigma(u') sigma(y) c of delta from u' to y', and the
-    block (p, p + k) of d, whose shift k names its layer, becomes the block
-    (m - p, m - p - k) of delta.  No bracket is taken.
+    the complement of x.  So an entry c of d from u to y, whose shift k =
+    len(y) - len(u) names its layer, becomes the entry
+    (-1)^{k(1-k)/2} sigma(u') sigma(y) c of delta from u' to y'.  No
+    bracket is taken.
     """
     star_of = functools.cache(lambda mono: star_monomial(ctx, mono))
     delta = {}
-    for (p, q), block in d.items():
-        k = q - p
-        sign = -1 if (k * (1 - k) // 2) % 2 else 1
-        out = delta[(ctx.m - p, ctx.m - q)] = {}
-        for u, img in block.items():
-            u_comp = star_of(u)[1]
-            scale = sign * star_of(u_comp)[0]
-            out[u_comp] = {}
-            for y, c in img.items():
-                sigma, y_comp = star_of(y)
-                out[u_comp][y_comp] = scale * sigma * c
+    for u, img in d.items():
+        u_comp = star_of(u)[1]
+        sigma_u = star_of(u_comp)[0]
+        out = delta[u_comp] = {}
+        for y, c in img.items():
+            k = len(y) - len(u)
+            sigma, y_comp = star_of(y)
+            scale = -sigma_u if (k * (1 - k) // 2) % 2 else sigma_u
+            out[y_comp] = scale * sigma * c
     return delta
 
 
 def laplacian(ctx, d, delta):
-    """L = delta d + d delta."""
-    return _product_sum([(delta, d), (d, delta)])
+    """L = delta d + d delta, the sum of two ``linalg.compose_ops``."""
+    lap = linalg.compose_ops(delta, d)
+    for src, img in linalg.compose_ops(d, delta).items():
+        acc = lap.pop(src, {})
+        for dst, c in img.items():
+            acc[dst] = acc.get(dst, ZERO) + c
+        acc = {dst: c for dst, c in acc.items() if c}
+        if acc:
+            lap[src] = acc
+    return lap
 
 
 def _validate_homotopy(mu):
@@ -366,23 +318,14 @@ class HodgeReport:
 def _harmonic_rows(d, p):
     """Rows whose common kernel on degree p is Ker d n Ker d^T there.
 
-    These are the rows of d out of p, and the columns of d cut to degree
-    p: the images in the blocks (q, p), one block per layer.
+    These are the rows of d out of p, the images of the transpose of d
+    cut to the sources of degree p, and the columns of d cut to degree p.
     """
-    into = [img for (_, q), block in d.items() if q == p
-            for img in block.values()]
-    return _rows(_columns(d, (p,))) + into
-
-
-def _transpose(op, scale):
-    """The block map of scale times the transpose of op."""
-    out = {}
-    for (p, q), block in op.items():
-        t = out.setdefault((q, p), {})
-        for src, img in block.items():
-            for dst, c in img.items():
-                t.setdefault(dst, {})[src] = scale * c
-    return out
+    out_of = {x: img for x, img in d.items() if len(x) == p}
+    into = ({y: c for y, c in img.items() if len(y) == p}
+            for img in d.values())
+    return list(linalg.transpose_op(out_of).values()) + \
+        [row for row in into if row]
 
 
 def hodge_decomposition(ctx, mu):
@@ -395,16 +338,15 @@ def hodge_decomposition(ctx, mu):
     d = differential(ctx, mu)
     m = ctx.m
     eps = 1 if (m * (m - 1) // 2) % 2 else -1
-    adjoint = codifferential(ctx, d) == _transpose(d, eps)
-    monos = ctx.degree_monomials
-    shifts = [_layer_shift(s) for s in mu.element.degrees()] or [0]
+    adjoint = codifferential(ctx, d) == linalg.transpose_op(d, eps)
+    shifts = [s - 2 for s in mu.element.degrees()] or [0]
     k = shifts[0]
     g = gcd(*(s - k for s in shifts))
 
     @functools.cache
     def rank_d(ps):
         """Rank of d on the degrees ps."""
-        return linalg.rank(_columns(d, ps).values())
+        return linalg.rank([img for x, img in d.items() if len(x) in ps])
 
     sectors = {}
     for p in range(m + 1):
@@ -412,7 +354,7 @@ def hodge_decomposition(ctx, mu):
     rank_total = sum(rank_d(tuple(ps)) for ps in sectors.values())
     rows = []
     for p in range(m + 1):
-        dim, rank_d_p = len(monos[p]), rank_d((p,))
+        dim, rank_d_p = comb(m, p), rank_d((p,))
         if g:
             im_d = im_delta = cohomology = None
             ker = dim - linalg.rank(_harmonic_rows(d, p))
@@ -422,7 +364,7 @@ def hodge_decomposition(ctx, mu):
             ker = cohomology = dim - rank_d_p - im_d
         rows.append(HodgeDegreeRow(p, dim, rank_d_p, rank_d((m - p,)), im_d,
                                    im_delta, ker, cohomology))
-    total = sum(len(x) for x in monos)
+    total = 2 ** m
     return HodgeReport(
         m=m,
         degrees=rows,

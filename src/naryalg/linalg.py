@@ -15,6 +15,15 @@ its column keys are any mutually comparable hashables (ints, or the
 monomial tuples of ``hodge``).  A sparse row does not know its width, so
 ``nullspace`` is also given the ordered column keys.
 
+An operator is a dict {source key: image}: the image of each source key
+is a sparse row keyed by target, and no image is empty, so the zero
+operator is {}.  Its images are its columns; the sparse rows of its
+transpose are its rows.  Operators are applied, composed and transposed
+here and nowhere else: ``apply_op`` applies one to a sparse vector,
+``compose_ops`` composes two, and ``transpose_op`` takes a scalar
+multiple of the transpose.  The Hodge pair d, delta and the
+multiplication operators L_t of a structure are operators in this sense.
+
 Dense matrices (lists of rows) serve small square matrices: the checks
 and arithmetic helpers, ``charpoly``, ``det``, and ``rref``, ``solve`` and
 ``inverse``, which convert with ``sparse`` and run the kernel below.
@@ -166,6 +175,38 @@ def is_zero_matrix(a):
 def sparse(a):
     """The rows of a dense matrix as sparse rows {column index: entry}."""
     return [{c: x for c, x in enumerate(row) if x} for row in a]
+
+
+# ---------------------------------------------------------------------------
+# operators (module doc)
+
+
+def apply_op(op, vec):
+    """The image of the sparse vector vec under the operator op."""
+    img = {}
+    for j, x in vec.items():
+        for i, y in op.get(j, {}).items():
+            img[i] = img.get(i, 0) + x * y
+    return {i: y for i, y in img.items() if y}
+
+
+def compose_ops(f, g):
+    """The operator f after g."""
+    out = {}
+    for src, img in g.items():
+        img = apply_op(f, img)
+        if img:
+            out[src] = img
+    return out
+
+
+def transpose_op(op, scale=1):
+    """scale times the transpose of the operator op, for a nonzero scale."""
+    out = {}
+    for src, img in op.items():
+        for dst, c in img.items():
+            out.setdefault(dst, {})[src] = scale * c
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,10 @@ MIXED_KERNELS = "tests/test_hodge.py::" \
     "test_mixed_kernels_match_the_laplacian_oracle"
 LEIBNIZ = "tests/test_hodge.py::test_differential_matches_the_bracket_oracle"
 SQUARE_ZERO = "tests/test_hodge.py::test_square_zero_checks_raise"
+OPERATOR_ROUTINES = "tests/test_linalg.py::" \
+    "test_operator_routines_match_dense_matrices"
+STAR_SIGN = "tests/test_hodge.py::" \
+    "test_star_sign_closed_form_matches_permutation_sign"
 
 MUTANTS = [
     # the form read once
@@ -85,7 +89,7 @@ MUTANTS = [
            ["tests/test_superspace.py::"
             "test_permutation_sign_matches_the_cycle_count",
             "tests/test_superspace.py::test_orientation_sign",
-            "tests/test_hodge.py::test_star_basics_frozen"]),
+            STAR_SIGN]),
     Mutant("evenness-check-dropped", CLASSIFY, "isomorphic_via",
            'raise NotOrthogonal("phi maps a generator onto the other parity")',
            "pass",
@@ -183,8 +187,11 @@ MUTANTS = [
     Mutant("graph-pairing-drops-the-dual-term", FROBENIUS,
            "graph_subalgebra_test", "pairings[x - m] += c", "pass", [GRAPH]),
     Mutant("jordan-inner-sign-dropped", DERIVED, "check_jordan",
-           "-nested_bracket_indices(space, (j,), A_[i])",
-           "nested_bracket_indices(space, (j,), A_[i])",
+           "poisson_bracket(-Element._trusted(space, terms)",
+           "poisson_bracket(Element._trusted(space, terms)",
+           ["tests/test_derived.py::test_jordan_brackets_each_inner_once"]),
+    Mutant("jordan-counts-each-unordered-pair-once", DERIVED, "check_jordan",
+           "(term if a == b else term.scale(2))", "term",
            ["tests/test_derived.py::test_jordan_brackets_each_inner_once"]),
     Mutant("classify-agreement-check-disabled", CLASSIFY, "classify_m3",
            'if ideal.status != ("simple (certified)" if simple else '
@@ -248,14 +255,15 @@ MUTANTS = [
            "eps = -1 if (m * (m - 1) // 2) % 2 else 1",
            ["tests/test_hodge.py::test_report_bytes_pinned"]),
     Mutant("adjoint-check-always-true", HODGE, "hodge_decomposition",
-           "adjoint = codifferential(ctx, d) == _transpose(d, eps)",
+           "adjoint = codifferential(ctx, d) == linalg.transpose_op(d, eps)",
            "adjoint = True",
            ["tests/test_hodge.py::"
             "test_a_forged_sign_of_delta_fails_the_certificate",
             SQUARE_ZERO]),
     Mutant("mixed-stack-drops-the-transpose-rows", HODGE, "_harmonic_rows",
-           "return _rows(_columns(d, (p,))) + into",
-           "return _rows(_columns(d, (p,)))",
+           "list(linalg.transpose_op(out_of).values()) + \\\n"
+           "        [row for row in into if row]",
+           "list(linalg.transpose_op(out_of).values())",
            [MIXED_KERNELS,
             "tests/test_hodge.py::test_mixed_sectors_match_global_oracle"]),
     Mutant("sector-gcd-forced-to-zero", HODGE, "hodge_decomposition",
@@ -264,7 +272,9 @@ MUTANTS = [
             MIXED_KERNELS]),
     Mutant("sector-gcd-doubled", HODGE, "hodge_decomposition",
            "g = gcd(*(s - k for s in shifts))",
-           "g = 2 * gcd(*(s - k for s in shifts))", [MIXED_KERNELS]),
+           "g = 2 * gcd(*(s - k for s in shifts))",
+           ["tests/test_hodge.py::test_decomposition_mixed_family",
+            MIXED_KERNELS]),
     # d by the Leibniz rule from mu_i = [e_i, mu]
     Mutant("leibniz-position-sign-dropped", HODGE, "differential",
            "n = j + len(w) + sum(", "n = len(w) + sum(", [LEIBNIZ]),
@@ -273,8 +283,24 @@ MUTANTS = [
     Mutant("leibniz-merge-sign-ignored", HODGE, "differential",
            " + sum(len(w) - bisect(w, b) for b in rest)", "", [LEIBNIZ]),
     Mutant("differential-square-check-dropped", HODGE, "differential",
-           "    if _product_sum([(d, d)]):\n        raise NotLInfinity(",
+           "    if linalg.compose_ops(d, d):\n        raise NotLInfinity(",
            "    if False:\n        raise NotLInfinity(", [SQUARE_ZERO]),
+    # one operator format, applied, composed and transposed in linalg
+    Mutant("compose-drops-a-term", LINALG, "compose_ops",
+           "img = apply_op(f, img)",
+           "img = apply_op(f, dict(list(img.items())[1:]))",
+           [OPERATOR_ROUTINES, SQUARE_ZERO]),
+    Mutant("transpose-ignores-its-scale", LINALG, "transpose_op",
+           "[src] = scale * c", "[src] = c",
+           [OPERATOR_ROUTINES, "tests/test_hodge.py::test_report_bytes_pinned"]),
+    Mutant("skew-operator-check-always-passes", CLASSIFY, "find_ideal",
+           "if any(linalg.transpose_op(op, -1) != op for op in operators):",
+           "if False:",
+           ["tests/test_classify.py::"
+            "test_find_ideal_refuses_a_non_skew_operator"]),
+    Mutant("star-sign-exponent-off-by-one", HODGE, "star_monomial",
+           "(-1) ** sum(mono)", "(-1) ** (sum(mono) + 1)",
+           [STAR_SIGN, "tests/test_hodge.py::test_star_basics_frozen"]),
 ]
 
 

@@ -3,7 +3,7 @@
 import functools
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import comb, gcd
 
 from naryalg import linalg
 from naryalg.derived import (
@@ -18,11 +18,7 @@ from naryalg.frobenius import QFCertificate, graph_vectors
 from naryalg.hodge import (
     HodgeDegreeRow,
     HodgeReport,
-    _columns,
-    _layer_shift,
-    _product_sum,
     _require_ctx_element,
-    _rows,
     _validate_homotopy,
     codifferential,
     differential,
@@ -31,7 +27,6 @@ from naryalg.hodge import (
 )
 from naryalg.poisson import (
     ONE,
-    ZERO,
     Element,
     mono_parity,
     multiply,
@@ -215,18 +210,20 @@ def spin_by_fixed_point(mats, seed_rows, m):
 
 
 def operators_by_gather(s):
-    """{t: columns} of every nonzero L_t = s(e_t1, ..., e_t(n-1), -), t
-    canonical, in lexicographic order.  Oracle only.
+    """{t: L_t} for every nonzero L_t = s(e_t1, ..., e_t(n-1), -), t
+    canonical, in lexicographic order, as ``linalg`` operators {k: column
+    k} without zero columns.  Oracle only.
 
     Column k of L_t is read through ``eval_basis(t + (k,))``, which sorts
     the word with its Koszul sign, for every canonical (n-1)-tuple t.
     """
     out = {}
     for t in canonical_tuples(s.space, s.arity - 1):
-        cols = [{mono[0]: c for mono, c in
-                 s.eval_basis(t + (k,)).terms.items()}
-                for k in range(s.space.dim)]
-        if any(cols):
+        cols = {k: {mono[0]: c for mono, c in
+                    s.eval_basis(t + (k,)).terms.items()}
+                for k in range(s.space.dim)}
+        cols = {k: col for k, col in cols.items() if col}
+        if cols:
             out[t] = cols
     return out
 
@@ -242,7 +239,7 @@ def commutant_dim_by_kronecker(s):
     m = s.space.dim
     rows = set()
     for cols in operators_by_gather(s).values():
-        op = [[Fraction(cols[j].get(i, 0)) for j in range(m)]
+        op = [[Fraction(cols.get(j, {}).get(i, 0)) for j in range(m)]
               for i in range(m)]
         for i, j in product(range(m), repeat=2):
             row = [Fraction(0)] * (m * m)
@@ -312,16 +309,6 @@ def graph_by_pairings(ext, phi):
     return True
 
 
-def op_apply(op, v):
-    """The image of the element v under the block map op."""
-    acc = {}
-    for block in op.values():
-        for mono, c in v.terms.items():
-            for out, x in block.get(mono, {}).items():
-                acc[out] = acc.get(out, ZERO) + c * x
-    return Element(v.space, acc)
-
-
 def _reached(layer, monos):
     """The monomials x among monos with |u n x| = 1 for some term u of layer.
 
@@ -334,28 +321,28 @@ def _reached(layer, monos):
                                     for u in terms)]
 
 
+def all_monomials(m):
+    """Every monomial of S*V, m = dim V, by degree."""
+    return [x for p in range(m + 1) for x in combinations(range(m), p)]
+
+
 def differential_by_brackets(ctx, mu):
     """The operator d = [mu, -], verified to square to zero.  Oracle only.
 
-    Each layer is bracketed once with each monomial it reaches (``_reached``);
-    the others have a zero image, which a block leaves out.  A layer of
-    degree s maps degree p to degree p + s - 2, so each block belongs to one
-    layer.
+    Each layer is bracketed once with each monomial it reaches
+    (``_reached``); the others have a zero image, which the operator
+    leaves out.  A layer of degree s maps degree p to degree p + s - 2, so
+    the layers' images of one monomial share no target.
     """
     _require_ctx_element(ctx, mu.element)
     d = {}
     for deg in mu.element.degrees():
         layer = mu.element.homogeneous_part(deg)
-        k = _layer_shift(deg)
-        for p, monos in enumerate(ctx.degree_monomials):
-            block = {}
-            for mono in _reached(layer, monos):
-                img = poisson_bracket(layer, Element(ctx.space, {mono: ONE}))
-                if img.terms:
-                    block[mono] = img.terms
-            if block:
-                d[(p, p + k)] = block
-    if _product_sum([(d, d)]):
+        for mono in _reached(layer, all_monomials(ctx.m)):
+            img = poisson_bracket(layer, Element(ctx.space, {mono: ONE}))
+            if img.terms:
+                d.setdefault(mono, {}).update(img.terms)
+    if linalg.compose_ops(d, d):
         raise NotLInfinity("d = [mu,-] does not square to zero")
     return d
 
@@ -370,7 +357,7 @@ def hodge_operators_by_compose(ctx, mu):
     star re-indexing is used.
     """
     space = ctx.space
-    basis = [mono for monos in ctx.degree_monomials for mono in monos]
+    basis = all_monomials(ctx.m)
 
     def from_function(fn):
         return {mono: fn(Element(space, {mono: Fraction(1)}))
@@ -402,6 +389,21 @@ def hodge_operators_by_compose(ctx, mu):
     return d, delta, lap
 
 
+def columns_of(op, degrees=None):
+    """The images of the sources of op whose degree is in degrees (all
+    sources when degrees is None)."""
+    return [img for src, img in op.items()
+            if degrees is None or len(src) in degrees]
+
+
+def rows_of(op, degrees=None):
+    """The rows of op on the sources of the given degrees: the images of
+    its transpose cut to those sources."""
+    cut = {src: img for src, img in op.items()
+           if degrees is None or len(src) in degrees}
+    return list(linalg.transpose_op(cut).values())
+
+
 def hodge_by_global_ranks(ctx, mu):
     """Hodge report of a mixed-layer potential over all of S*V.  Oracle only.
 
@@ -414,22 +416,22 @@ def hodge_by_global_ranks(ctx, mu):
     delta = codifferential(ctx, d)
     lap = laplacian(ctx, d, delta)
     m = ctx.m
-    dims = [len(monos) for monos in ctx.degree_monomials]
+    dims = [comb(m, p) for p in range(m + 1)]
     total = sum(dims)
     everything = range(m + 1)
-    columns = sorted(mono for monos in ctx.degree_monomials for mono in monos)
-    d_cols = _columns(d, everything)
-    delta_cols = _columns(delta, everything)
-    rank_d = linalg.rank(d_cols.values())
-    rank_delta = linalg.rank(delta_cols.values())
-    ker_lap = linalg.nullspace(_rows(_columns(lap, everything)), columns)
-    ker_both = linalg.nullspace(_rows(d_cols) + _rows(delta_cols), columns)
-    pieces = list(d_cols.values()) + list(delta_cols.values()) + ker_lap
+    columns = sorted(all_monomials(m))
+    d_cols = list(d.values())
+    delta_cols = list(delta.values())
+    rank_d = linalg.rank(d_cols)
+    rank_delta = linalg.rank(delta_cols)
+    ker_lap = linalg.nullspace(rows_of(lap), columns)
+    ker_both = linalg.nullspace(rows_of(d) + rows_of(delta), columns)
+    pieces = d_cols + delta_cols + ker_lap
     direct_ok = (rank_d + rank_delta + len(ker_lap) == total
                  and (not pieces or linalg.rank(pieces) == total))
 
     def rank_on(op, p):
-        return linalg.rank(_columns(op, (p,)).values())
+        return linalg.rank(columns_of(op, (p,)))
 
     rows = [HodgeDegreeRow(p, dims[p], rank_on(d, p), rank_on(delta, p),
                            None, None, dims[p] - rank_on(lap, p), None)
@@ -456,7 +458,6 @@ def hodge_by_laplacian(ctx, mu):
     delta = codifferential(ctx, d)
     lap = laplacian(ctx, d, delta)
     m = ctx.m
-    monos = ctx.degree_monomials
     shifts = [s - 2 for s in degrees] or [0]
     k = shifts[0]
     g = gcd(*(s - k for s in shifts))
@@ -469,17 +470,17 @@ def hodge_by_laplacian(ctx, mu):
         sectors[sector(p)] = sectors.get(sector(p), ()) + (p,)
 
     def basis(ps):
-        return sorted(mono for p in ps for mono in monos[p])
+        return sorted(mono for p in ps for mono in combinations(range(m), p))
 
     @functools.cache
     def rank_d(ps):
         """Rank of d on the degrees ps."""
-        return linalg.rank(_columns(d, ps).values())
+        return linalg.rank(columns_of(d, ps))
 
     @functools.cache
     def kernel(ps):
         """Canonical basis of Ker L on the degrees ps."""
-        return linalg.nullspace(_rows(_columns(lap, ps)), basis(ps))
+        return linalg.nullspace(rows_of(lap, ps), basis(ps))
 
     images = {}
     direct_ok = kernels_match = True
@@ -489,8 +490,8 @@ def hodge_by_laplacian(ctx, mu):
         ker = kernel(ps)
         # Ker L == Ker d n Ker delta on the sector; both bases are
         # canonical, so they are equal exactly when the kernels are
-        ker_both = linalg.nullspace(
-            _rows(_columns(d, ps)) + _rows(_columns(delta, ps)), cols)
+        ker_both = linalg.nullspace(rows_of(d, ps) + rows_of(delta, ps),
+                                    cols)
         kernels_match = kernels_match and ker == ker_both
         # Im d here is the image of the sector that d maps here, and Im
         # delta that of the sector that delta maps here.  delta = sum_k s_k
@@ -506,9 +507,7 @@ def hodge_by_laplacian(ctx, mu):
         images[key] = im_d, im_delta
         # three-way independence: the images and the kernel rows, stacked,
         # span the sector, and their dimensions add up to it
-        pieces = list(_columns(d, from_d).values())
-        pieces += _columns(delta, from_delta).values()
-        pieces += ker
+        pieces = columns_of(d, from_d) + columns_of(delta, from_delta) + ker
         if im_d + im_delta + len(ker) != dim or \
                 (pieces and linalg.rank(pieces) != dim):
             direct_ok = False
@@ -517,12 +516,12 @@ def hodge_by_laplacian(ctx, mu):
 
     rows = []
     for p in range(m + 1):
-        dim, rank_d_p = len(monos[p]), rank_d((p,))
+        dim, rank_d_p = comb(m, p), rank_d((p,))
         im_d, im_delta = (None, None) if g else images[p]
         rows.append(HodgeDegreeRow(
             p, dim, rank_d_p, rank_d((m - p,)), im_d, im_delta,
             len(kernel((p,))), None if g else (dim - rank_d_p) - im_d))
-    total = sum(len(x) for x in monos)
+    total = 2 ** m
     rank_total = sum(rank_d(ps) for ps in sectors.values())
     report = HodgeReport(
         m=m,

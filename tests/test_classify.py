@@ -474,8 +474,8 @@ def _commutant_ideal_rows(s):
     rows = linalg.row_space([{i: c for (i,), c in b.terms.items()}
                              for b in rep.basis])
     assert 0 < len(rows) < 6
-    mats = [[[Fraction(col.get(i, 0)) for col in cols] for i in range(6)]
-            for cols in operators_by_gather(s).values()]
+    mats = [[[Fraction(op.get(j, {}).get(i, 0)) for j in range(6)]
+             for i in range(6)] for op in operators_by_gather(s).values()]
     assert spin_by_fixed_point(mats, rows, 6) == rows
     return rows
 

@@ -397,10 +397,10 @@ def test_operators_scatter_matches_the_gather_on_random_spaces():
         ops = s.operators()
         want = operators_by_gather(s)
         assert ops == want and list(ops) == list(want), trial
+        assert all(col for op in ops.values() for col in op.values())
         seen["negated"] += any(
             col[i] != s.live[tuple(sorted(t + (c,)))].terms[(i,)]
-            for t, cols in ops.items() for c, col in enumerate(cols)
-            for i in col)
+            for t, op in ops.items() for c, col in op.items() for i in col)
     assert all(count >= 20 for count in seen.values()), seen
 
 
@@ -969,15 +969,13 @@ def test_repeated_odd_key_reads_as_zero():
     assert not check_invariant(mixed).passed
 
 
-def test_derive_brackets_only_the_support(monkeypatch):
+def test_derive_brackets_only_the_support():
     # k disjoint cubics on an odd orthonormal space: each pairs only with
     # its own three generators, so 3 suffixes and 3 entries each instead of
-    # C(12, 2) = 66, and no per-tuple contraction
+    # C(12, 2) = 66, and no per-tuple contraction: derived does not even
+    # bind nested_bracket_indices
+    assert not hasattr(derived, "nested_bracket_indices")
     space = odd_space(12)
-    calls = []
-    real = derived.nested_bracket_indices
-    monkeypatch.setattr(derived, "nested_bracket_indices",
-                        lambda sp, t, el: calls.append(t) or real(sp, t, el))
     for k in range(1, 5):
         el = Element.zero(space)
         for c in range(k):
@@ -987,7 +985,6 @@ def test_derive_brackets_only_the_support(monkeypatch):
         assert len(contractions(mu, 1)) == 3 * k
         s = derive_structure(mu)
         assert len(s.table) == 3 * k
-        assert calls == []
         assert s == derive_structure_by_all_tuples(mu)
 
 
@@ -1104,6 +1101,25 @@ def test_cubic_operators_match_the_generator_contractions():
             nested_bracket_indices(space, (i,), el) for i in range(m)], trial
 
 
+def test_jordan_inner_is_level_two_of_the_contractions():
+    """[e_j, [e_i, A]] by nested_bracket_indices equals level 2 of
+    contractions at sorted((j, i)), both orders of i and j, on pure even
+    spaces with random skew forms: [e_i, e_j] is a scalar there."""
+    rng = random.Random(66)
+    for trial in range(60):
+        m = 2 * rng.randint(1, 3)
+        space = Superspace(m, [0] * m, spaces.random_gram(
+            rng, [0] * m, rng.choice((0.4, 0.7, 1))))
+        el = spaces.random_homogeneous(space, rng, 3, terms=rng.randint(0, 5))
+        mu = Potential.single(space, el, arity=2)
+        level = contractions(mu, 2)
+        for i in range(m):
+            a_i = nested_bracket_indices(space, (i,), el)
+            for j in range(m):
+                want = nested_bracket_indices(space, (j,), a_i).terms
+                assert level.get(tuple(sorted((j, i))), {}) == want, trial
+
+
 def test_invariant_pairs_through_the_form_on_random_spaces():
     """check_invariant against invariant_by_all_pairs on derived, perturbed
     and random tables over random mixed-parity spaces whose forms are not
@@ -1130,9 +1146,11 @@ def test_invariant_pairs_through_the_form_on_random_spaces():
 
 
 def test_jordan_brackets_each_inner_once(monkeypatch):
-    # [[A_i, e_j], A] does not depend on k: m^2 inner brackets, not m^3;
-    # A_i = [e_i, A] (one ``contractions`` pass) and [A_i, e_j] are
-    # contractions, not general brackets
+    # [[A_i, e_j], A] does not depend on k, nor on the order of i and j:
+    # one bracket with A per unordered pair with a nonzero inner, not m^3;
+    # A_i = [e_i, A] and [e_j, A_i] are read off ``contractions``, levels
+    # 1 and 2, not general brackets
+    assert not hasattr(derived, "nested_bracket_indices")
     rng = random.Random(11)
     for sp in (E2, E4):
         m = sp.dim
@@ -1140,16 +1158,14 @@ def test_jordan_brackets_each_inner_once(monkeypatch):
             A = Potential.single(sp, random_homogeneous(sp, rng, 3, terms=3),
                                  arity=2)
             with monkeypatch.context() as patch:
-                calls, inner = [], []
+                calls = []
                 real = derived.poisson_bracket
                 patch.setattr(derived, "poisson_bracket", lambda a, b: (
                     calls.append(b is A.element) or real(a, b)))
-                contract = derived.nested_bracket_indices
-                patch.setattr(derived, "nested_bracket_indices", lambda *a: (
-                    inner.append(a[1]) or contract(*a)))
                 reps = [check_jordan(A, exhaustive=ex) for ex in (False, True)]
-            assert sum(calls) == 2 * m * m
-            assert len(inner) == 2 * m * m
+            level = contractions(A, 2)
+            assert 0 < len(level) <= m * (m + 1) // 2
+            assert sum(calls) == 2 * len(level)
             for ex, rep in zip((False, True), reps):
                 assert report_bytes(rep) == report_bytes(
                     jordan_by_triple_loop(A, exhaustive=ex))

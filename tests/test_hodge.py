@@ -24,13 +24,18 @@ from naryalg.hodge import (
     star_monomial,
 )
 from naryalg.poisson import Element, nested_bracket_indices, poisson_bracket
-from naryalg.superspace import Orientation, even_symplectic_space, odd_space
+from naryalg.superspace import (
+    Orientation,
+    even_symplectic_space,
+    odd_space,
+    permutation_sign,
+)
 from oracles import (
+    all_monomials as monomial_tuples,
     differential_by_brackets,
     hodge_by_global_ranks,
     hodge_by_laplacian,
     hodge_operators_by_compose,
-    op_apply,
 )
 
 V5 = odd_space(5)
@@ -50,12 +55,16 @@ def all_monomials(space):
     return [el for p in range(space.dim + 1) for el in monomials(space, p)]
 
 
+def image(op, v):
+    """The image of the element v under the operator op."""
+    return Element(v.space, linalg.apply_op(op, v.terms))
+
+
 def full_matrix(ctx, op):
-    """Dense matrix of a block map, read image by image through op_apply."""
-    basis = [mono for monos in ctx.degree_monomials for mono in monos]
-    cols = [op_apply(op, Element(ctx.space, {mono: Fraction(1)}))
-            for mono in basis]
-    return [[col.coefficient(row) for col in cols] for row in basis]
+    """Dense matrix of an operator, read image by image."""
+    basis = monomial_tuples(ctx.m)
+    cols = [linalg.apply_op(op, {mono: 1}) for mono in basis]
+    return [[Fraction(col.get(row, 0)) for col in cols] for row in basis]
 
 
 def test_context_requires_pure_odd_orthonormal():
@@ -97,10 +106,23 @@ def test_star_matrices_invertible():
         ctx = HodgeContext(odd_space(m))
         for p in range(m + 1):
             images = [star_monomial(ctx, mono)
-                      for mono in ctx.degree_monomials[p]]
+                      for mono in combinations(range(m), p)]
             assert all(sign in (1, -1) for sign, _ in images)
             assert sorted(comp for _, comp in images) == \
-                ctx.degree_monomials[m - p]
+                list(combinations(range(m), m - p))
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_star_sign_closed_form_matches_permutation_sign(m):
+    # the signature of (x reversed, complement) is (-1)^{sum x}, 0-based
+    turned = list(range(m))
+    turned[:2] = turned[1::-1]
+    for order in {tuple(range(m)), tuple(turned)}:
+        ctx = HodgeContext(odd_space(m), Orientation(order))
+        for mono in monomial_tuples(m):
+            comp = tuple(i for i in range(m) if i not in mono)
+            want = ctx.orientation.sign * permutation_sign(mono[::-1] + comp)
+            assert star_monomial(ctx, mono) == (want, comp)
 
 
 def test_star_respects_orientation():
@@ -139,15 +161,14 @@ def test_differential_of_zero_and_of_scalars():
     mu = Potential.single(V5, star(CTX5, mono(V5, 1, 2)))
     d = differential(CTX5, mu)
     # bracket with scalars vanishes
-    assert op_apply(d, Element.scalar(V5, 1)).is_zero()
-    assert all(() not in block for block in d.values())
+    assert not linalg.apply_op(d, {(): 1})
+    assert () not in d
 
 
 def test_differential_squares_to_zero_checked():
     mu = Potential.single(V5, star(CTX5, mono(V5, 1, 2)))
     d = differential(CTX5, mu)
-    assert all(op_apply(d, op_apply(d, v)).is_zero()
-               for v in all_monomials(V5))
+    assert all(not image(d, image(d, v)).terms for v in all_monomials(V5))
     # [mu,mu] has a degree-4 part here, so d fails to square to zero
     bad = Potential.single(V5, mono(V5, 3, 4, 5) + mono(V5, 1, 2, 5))
     with pytest.raises(NotLInfinity):
@@ -161,8 +182,8 @@ def test_codifferential_single_layer_is_conjugated_differential():
     d = differential(CTX5, mu)
     delta = codifferential(CTX5, d)
     for v in all_monomials(V5):
-        assert op_apply(delta, v) == \
-            star(CTX5, op_apply(d, star(CTX5, v))).scale(sign)
+        assert image(delta, v) == \
+            star(CTX5, image(d, star(CTX5, v))).scale(sign)
 
 
 @pytest.mark.parametrize("name", ["star12", "top"])
@@ -175,8 +196,8 @@ def test_adjointness_all_pairs_m5(name):
     basis = all_monomials(V5)
     for v in basis:
         for w in basis:
-            assert inner_product(CTX5, op_apply(d, v), w) == \
-                -sign * inner_product(CTX5, v, op_apply(delta, w))
+            assert inner_product(CTX5, image(d, v), w) == \
+                -sign * inner_product(CTX5, v, image(delta, w))
 
 
 def test_disjointness_on_kernel_bases():
@@ -234,6 +255,11 @@ def test_decomposition_mixed_family():
     assert rep.direct_sum_ok
     assert rep.kernel_intersection_ok
     assert rep.rank_d + rep.rank_delta + rep.ker_laplacian == 16
+    # shifts -1 and 1 split S*V into the even and the odd degrees; the
+    # pinned totals are those of the Laplacian route on that split
+    want = hodge_by_laplacian(ctx, mu)
+    assert rep.rank_d == want.rank_d == 8
+    assert rep.ker_laplacian == want.ker_laplacian == 0
 
 
 def test_context_refuses_dimension_above_guard():
@@ -280,27 +306,32 @@ def test_laplacian_of_harmonics_vanishes():
     rep = hodge_decomposition(CTX5, mu)
     for p, elems in rep.harmonic.items():
         for h in elems:
-            assert op_apply(lap, h).is_zero()
-            assert op_apply(d, h).is_zero()
-            assert op_apply(delta, h).is_zero()
+            assert image(lap, h).is_zero()
+            assert image(d, h).is_zero()
+            assert image(delta, h).is_zero()
 
 
 def test_codifferential_of_zero_potential_is_zero():
     mu = Potential.single(V5, Element.zero(V5), arity=2)
     delta = codifferential(CTX5, differential(CTX5, mu))
     assert delta == {}
-    assert all(op_apply(delta, v).is_zero() for v in all_monomials(V5))
+    assert all(image(delta, v).is_zero() for v in all_monomials(V5))
 
 
-def test_operator_blocks_shapes():
+def test_operator_flat_shapes():
     mu = Potential.single(V5, star(CTX5, mono(V5, 1, 2)))
     d = differential(CTX5, mu)
-    # the cubic layer raises degree by exactly one
-    assert d and all(q == p + 1 for (p, q) in d)
-    for (p, q), block in d.items():
-        assert set(block) <= set(CTX5.degree_monomials[p])
-        for img in block.values():
-            assert img and set(img) <= set(CTX5.degree_monomials[q])
+    delta = codifferential(CTX5, d)
+    # flat maps keyed by monomial with no empty image and no zero entry;
+    # the cubic layer raises degree by exactly one, and delta lowers it
+    monos = set(monomial_tuples(5))
+    assert d and delta
+    for op, shift in ((d, 1), (delta, -1)):
+        assert set(op) <= monos
+        for src, img in op.items():
+            assert img and set(img) <= monos
+            assert all(len(dst) == len(src) + shift and c != 0
+                       for dst, c in img.items())
 
 
 def _case(m, name, orientation=None):
@@ -347,13 +378,17 @@ def test_block_operators_match_compose_oracle(m, name, orientation):
     delta = codifferential(ctx, d)
     lap = laplacian(ctx, d, delta)
     want = hodge_operators_by_compose(ctx, mu)
-    for op, oracle in zip((d, delta, lap), want):
+    # d moves degree by a layer shift s - 2, delta by minus one, and L
+    # keeps it
+    shifts = {s - 2 for s in mu.element.degrees()}
+    for op, oracle, moves in zip((d, delta, lap), want, (
+            shifts, {-k for k in shifts}, {0})):
         for v in all_monomials(ctx.space):
-            assert op_apply(op, v) == oracle[next(iter(v.terms))]
-        for (p, q), block in op.items():
-            for src, img in block.items():
-                assert len(src) == p and img
-                assert all(len(dst) == q and c != 0 for dst, c in img.items())
+            assert image(op, v) == oracle[next(iter(v.terms))]
+        for src, img in op.items():
+            assert img
+            assert all(len(dst) - len(src) in moves and c != 0
+                       for dst, c in img.items())
 
 
 def _counting_brackets(monkeypatch):
@@ -561,11 +596,10 @@ def test_delta_ranks_read_from_d_match_delta_ranked_directly(index):
     ctx, mu = _seeded_case(m, kind, sizes, turns, 100 + index)
     rep = hodge_decomposition(ctx, mu)
     delta = codifferential(ctx, differential(ctx, mu))
-    by_degree = [linalg.rank(hodge._columns(delta, (p,)).values())
+    by_degree = [linalg.rank([img for x, img in delta.items() if len(x) == p])
                  for p in range(m + 1)]
     assert [row.rank_delta for row in rep.degrees] == by_degree
-    total = linalg.rank(hodge._columns(delta, range(m + 1)).values())
-    assert rep.rank_delta == total
+    assert rep.rank_delta == linalg.rank(list(delta.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -709,8 +743,7 @@ def test_a_forged_sign_of_delta_fails_the_certificate(monkeypatch, tmp_path,
     def forged(ctx, d):
         # delta with one entry negated
         delta = real(ctx, d)
-        block = delta[min(delta)]
-        img = block[min(block)]
+        img = delta[min(delta)]
         img[min(img)] *= -1
         return delta
 
@@ -724,13 +757,13 @@ def test_square_zero_checks_raise(monkeypatch, tmp_path, capsys):
         differential(CTX5, Potential.single(V5, bad))
     # delta of that bad d does not square to zero; no square of delta is
     # taken, and the adjoint check refuses it
-    blocks = {}
+    d = {}
     for v in all_monomials(V5):
         (src,) = v.terms
         img = poisson_bracket(bad, v).terms
         if img:
-            blocks.setdefault((len(src), len(src) + 1), {})[src] = img
-    delta = codifferential(CTX5, blocks)
-    assert hodge._product_sum([(delta, delta)])
+            d[src] = img
+    delta = codifferential(CTX5, d)
+    assert linalg.compose_ops(delta, delta)
     _refused_by_the_certificate(monkeypatch, tmp_path, capsys,
                                 lambda ctx, d: delta)

@@ -439,3 +439,38 @@ def test_charpoly_of_a_diagonal_matrix():
     assert linalg.charpoly([[2, 0, 0], [0, -1, 0], [0, 0, 3]]) == \
         [1, -4, 1, 6]
     assert linalg.charpoly([]) == [1]
+
+
+def _operator(a, keys):
+    """The dense matrix a as an operator {source key: image} over the keys,
+    its columns with the zero ones left out."""
+    op = {}
+    for j, src in enumerate(keys):
+        img = {dst: row[j] for dst, row in zip(keys, a) if row[j]}
+        if img:
+            op[src] = img
+    return op
+
+
+def test_operator_routines_match_dense_matrices():
+    """apply_op, compose_ops and transpose_op against mat_vec, mat_mul and
+    transpose on random square matrices, keyed by monomial tuples: no image
+    they return is empty, and no entry is zero."""
+    rng = random.Random(28)
+    for trial in range(200):
+        n = rng.randint(1, 6)
+        keys = sorted(rng.sample(list(combinations(range(5), 2)), n))
+        rank = rng.choice([None, 1, 2])
+        a, b = (random_matrix(rng, n, n, rank) for _ in range(2))
+        v = random_matrix(rng, 1, n)[0]
+        scale = rng.choice([1, -1, Fraction(-2, 3), 3])
+        f, g = _operator(a, keys), _operator(b, keys)
+        vec = {key: x for key, x in zip(keys, v) if x}
+        assert linalg.apply_op(f, vec) == {
+            key: x for key, x in zip(keys, linalg.mat_vec(a, v)) if x}, trial
+        product = linalg.compose_ops(f, g)
+        assert product == _operator(linalg.mat_mul(a, b), keys), trial
+        scaled = [[scale * x for x in row] for row in linalg.transpose(a)]
+        assert linalg.transpose_op(f, scale) == _operator(scaled, keys), trial
+        for op in (product, linalg.transpose_op(f, scale)):
+            assert all(img and all(img.values()) for img in op.values())
