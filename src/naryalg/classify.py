@@ -8,8 +8,9 @@ orthogonal group acts by conjugation, so orbits are labelled by the block
 parameters of the real skew canonical form.  ``block_parameters`` computes
 them exactly from the roots of ``linalg.charpoly``, each printed as its
 correctly rounded double, and the skew rank is twice their number;
-``canonical_form`` is the numerical route that also returns the rotation
-(it alone loads numpy and scipy).  ``linalg`` checks every matrix a caller
+``canonical_form`` also returns the rotation, from a real Schur form
+(it alone loads numpy and scipy), and on exact input reads its parameters
+from ``block_parameters``.  ``linalg`` checks every matrix a caller
 gives.  The (m-3)-ary algebra attached to v is the derived algebra of
 star(v); the space must be ``orthonormal`` (read off ``Superspace``).
 Simplicity is decided twice, independently: by the rank of v (the paper's
@@ -37,6 +38,7 @@ from .derived import (
 from .errors import (
     ConvergenceFailure,
     DimensionTooSmall,
+    InexactCoefficient,
     NaryError,
     NotHodgeContext,
     NotOrthogonal,
@@ -397,7 +399,12 @@ class CanonicalForm:
 def canonical_form(a):
     """Block parameters and transforming rotation of a real skew matrix;
     with s = max(1, |a|) in the max norm, NotSkew if |a + a^T| > SKEW_TOL * s
-    and ConvergenceFailure if |q A q^T - a| > RESIDUAL_TOL * s."""
+    and ConvergenceFailure if |q A q^T - a| > RESIDUAL_TOL * s.
+
+    For exact input (every entry an int or a rational) the parameters are
+    ``block_parameters(a)``, each correctly rounded, and the real Schur
+    form supplies only q; the residual check then covers both.  A float
+    entry anywhere makes the parameters those of the Schur form."""
     # imported here, so that only the canonical form loads numpy and scipy
     import numpy as np
     from scipy.linalg import schur
@@ -409,6 +416,10 @@ def canonical_form(a):
     scale = max(1.0, float(np.abs(A).max()))
     if float(np.abs(A + A.T).max()) > SKEW_TOL * scale:
         raise NotSkew("matrix is not skew-symmetric within tolerance")
+    try:
+        exact = linalg.skew_matrix([list(row) for row in a])
+    except InexactCoefficient:
+        exact = None
     T, Z = schur(A, output="real")
     q = Z.copy()
     blocks = []      # (value, first column index)
@@ -443,6 +454,8 @@ def canonical_form(a):
             params[-1] = -params[-1]
         else:
             raise ConvergenceFailure("cannot normalize determinant")
+    if exact is not None:
+        params = block_parameters(exact)
     form = CanonicalForm(params=params, q=q, residual=0.0, m=m)
     recon = q @ form.reconstruct() @ q.T
     form.residual = float(np.abs(recon - A).max())

@@ -510,6 +510,18 @@ def potential_from_structure(s):
         if derive_structure(mu).table == s.table:
             return mu
         failure = NotInvariant("structure is not derived from any potential")
+    refuse_structure(s, failure)
+
+
+def refuse_structure(s, failure):
+    """Raise the law that s breaks, with its witness, else ``failure``.
+
+    The refusal of a structure that no potential derives: graded
+    commutativity is checked first, then invariance, and ``failure``
+    (the inversion's own error) is raised only when s obeys both.
+    ``potential_from_structure`` and ``frobenius.t_star_extension`` share
+    it, so the two refuse alike.
+    """
     rep = check_commutative(s)
     if not rep.passed:
         raise NotCommutative("structure is not graded-commutative",

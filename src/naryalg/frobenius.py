@@ -12,14 +12,33 @@ e_t(n-1), -), which the structure scatters in one pass over its table
 (``NaryStructure.operators``): muT(t, e*_b) = -sum_c L_t[b][c] e*_c, so
 the entries at (t, e*_b) are the image of b under -L_t^T, one
 ``linalg.transpose_op``.  The entries on V lift the whole table of mu,
-odd squares included.  The extension is commutative and invariant for
-the doubled pairing, so it has a derived potential muT.  The doubled Gram
-matrix is its own inverse, a permutation, so the closed-form inversion
-scatters each table entry through one column of it per slot, and at most
-one ordering of each key survives.
-The inversion returns muT only once derive_structure(muT) equals the table
-built from the formulas above, and that one comparison is the only check
-the extension needs.
+odd squares included.
+
+The derived potential of the extension is written down, not solved for.
+With e*_i = e_{m+i} and kappa = (-1)^{n(n+1)/2},
+
+    muT = kappa sum_K sum_y x_{K,y} e_y e*_K1 ... e*_Kn,
+
+one monomial for each term x_{K,y} e_y of each live entry s(K), in one
+pass over ``s.live``.  The sign: e_a pairs only with e*_a, so [e_a, -]
+contracts the factor e*_a, negated when an odd number of (odd) factors
+stand before it (``derived.contractions``).  In e_y e*_K1 ... e*_Kn the
+factor e*_Kj stands after j factors, and {e_K1, ..., e_Kn} =
+[e_K1, [..., [e_Kn, muT]...]] contracts e*_Kn first, with (-1)^n, then
+e*_K(n-1) with (-1)^(n-1), down to e*_K1 with (-1)^1: kappa in all, so
+the entry at K is kappa^2 x_{K,y} e_y = x_{K,y} e_y.  No other monomial
+reaches a key in V (e_y, y < m, pairs with no generator of V), and K is
+the only canonical ordering of its dual factors.  This is the closed form
+of ``derived`` for the doubled Gram matrix, which is its own inverse: its
+scatter reaches only these monomials, each with kappa_b = kappa.
+The one certificate is that derive_structure(muT), compared as plain term
+dicts, equals the table built from the formulas above: the entries of mu
+on V, the -L_t^T entries, and no other key, so the derived extension
+restricts to mu, acts on one dual argument as stated and kills two or
+more.  That derived structure is the extension.  On a mismatch the table
+of the formulas is refused as ``derived.potential_from_structure`` would
+refuse it (``derived.refuse_structure``): an odd square of mu is no
+derived entry, and is reported as a commutativity violation.
 
 A graded-symmetric bilinear form phi (an ordinary skew matrix on a pure
 odd space) is quasi-Frobenius for mu when every cyclic sum
@@ -36,8 +55,9 @@ from itertools import combinations, product
 from math import comb
 
 from . import linalg
-from .derived import NaryStructure, derive_structure, potential_from_structure
-from .errors import NaryError, NotPureOdd, OddArity
+from .derived import NaryStructure, Potential, derive_structure, \
+    refuse_structure
+from .errors import NaryError, NotInvariant, NotPureOdd, OddArity
 from .linalg import ONE, ZERO
 from .poisson import Element
 from .superspace import ODD, Superspace
@@ -79,20 +99,38 @@ def t_star_extension(space, mu):
     m = space.dim
     n = s.arity
     ws = doubled_space(m)
-
-    table = {t: Element(ws, dict(value.terms)) for t, value in s.table.items()}
+    muT = cotangent_potential(s, ws)
+    ext_structure = derive_structure(muT)
+    want = {t: value.terms for t, value in s.table.items()}
     for t, op in s.operators().items():
         # one dual argument, canonically in the last slot
         for b, img in linalg.transpose_op(op, -1).items():
-            table[t + (m + b,)] = Element(ws, {(m + c,): x
-                                               for c, x in img.items()})
-    ext_structure = NaryStructure(ws, n, table)
-    # certified: derive_structure(muT) equals this table, so the derived
-    # extension restricts to s, acts on one dual argument as stated and
-    # kills two or more
-    muT = potential_from_structure(ext_structure)
+            want[t + (m + b,)] = {(m + c,): x for c, x in img.items()}
+    # the one certificate: the derived table, as plain term dicts, is the
+    # table of the formulas; otherwise that table is refused as
+    # potential_from_structure refuses it
+    if {t: value.terms for t, value in ext_structure.table.items()} != want:
+        refuse_structure(NaryStructure(ws, n, {
+            t: Element._trusted(ws, terms) for t, terms in want.items()}),
+            NotInvariant("structure is not derived from any potential"))
     return TStarExtension(base_space=space, space=ws, arity=n, base=s,
                           potential=muT, structure=ext_structure)
+
+
+def cotangent_potential(s, ws):
+    """kappa x e_y e*_K1 ... e*_Kn for each term x e_y of each live s(K),
+    kappa = (-1)^{n(n+1)/2}, on the doubled space ws (module docstring)."""
+    m = ws.dim // 2
+    n = s.arity
+    flip = n * (n + 1) // 2 % 2
+    terms = {}
+    for key, value in s.live.items():
+        duals = tuple(m + i for i in key)
+        for (y,), x in value.terms.items():
+            terms[(y,) + duals] = -x if flip else x
+    # in canonical order, as the closed form of ``derived`` gives them
+    return Potential.single(ws, Element._trusted(ws, dict(sorted(
+        terms.items()))), arity=n)
 
 
 @dataclass

@@ -343,10 +343,14 @@ def hodge_decomposition(ctx, mu):
     k = shifts[0]
     g = gcd(*(s - k for s in shifts))
 
+    images = {}  # source degree -> the images of d out of it
+    for x, img in d.items():
+        images.setdefault(len(x), []).append(img)
+
     @functools.cache
     def rank_d(ps):
         """Rank of d on the degrees ps."""
-        return linalg.rank([img for x, img in d.items() if len(x) in ps])
+        return linalg.rank([img for p in ps for img in images.get(p, ())])
 
     sectors = {}
     for p in range(m + 1):

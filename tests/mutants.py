@@ -64,6 +64,8 @@ OPERATOR_ROUTINES = "tests/test_linalg.py::" \
     "test_operator_routines_match_dense_matrices"
 STAR_SIGN = "tests/test_hodge.py::" \
     "test_star_sign_closed_form_matches_permutation_sign"
+COTANGENT = "tests/test_frobenius.py::" \
+    "test_cotangent_potential_matches_the_closed_form"
 
 MUTANTS = [
     # the form read once
@@ -301,6 +303,19 @@ MUTANTS = [
     Mutant("star-sign-exponent-off-by-one", HODGE, "star_monomial",
            "(-1) ** sum(mono)", "(-1) ** (sum(mono) + 1)",
            [STAR_SIGN, "tests/test_hodge.py::test_star_basics_frozen"]),
+    # the cotangent extension's potential written down and derived once
+    Mutant("cotangent-kappa-sign-flipped", FROBENIUS, "cotangent_potential",
+           "flip = n * (n + 1) // 2 % 2", "flip = 1 - n * (n + 1) // 2 % 2",
+           [COTANGENT]),
+    Mutant("one-dual-entries-without-the-minus-sign", FROBENIUS,
+           "t_star_extension", "linalg.transpose_op(op, -1)",
+           "linalg.transpose_op(op)", [COTANGENT]),
+    Mutant("cotangent-certificate-always-true", FROBENIUS, "t_star_extension",
+           "if {t: value.terms for t, value in ext_structure.table.items()} "
+           "!= want:", "if False:",
+           ["tests/test_frobenius.py::test_forged_extension_potential_rejected",
+            "tests/test_frobenius.py::"
+            "test_odd_squares_refused_as_by_the_inversion"]),
 ]
 
 

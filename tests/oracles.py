@@ -12,9 +12,15 @@ from naryalg.derived import (
     Potential,
     canonical_tuples,
     contraction_constant,
+    potential_from_structure,
 )
 from naryalg.errors import NotLInfinity, WrongDegree
-from naryalg.frobenius import QFCertificate, graph_vectors
+from naryalg.frobenius import (
+    QFCertificate,
+    TStarExtension,
+    doubled_space,
+    graph_vectors,
+)
 from naryalg.hodge import (
     HodgeDegreeRow,
     HodgeReport,
@@ -307,6 +313,29 @@ def graph_by_pairings(ext, phi):
         if any(pair_vectors(ext.space, img, b[j]) for j in range(m)):
             return False
     return True
+
+
+def cotangent_table(space, s):
+    """The cotangent extension's table built by hand on the doubled space:
+    s on V, odd squares included, and -L_t^T at (t, e*_b).  Oracle only."""
+    m = space.dim
+    ws = doubled_space(m)
+    table = {t: Element(ws, dict(value.terms)) for t, value in s.table.items()}
+    for t, op in s.operators().items():
+        for b, img in linalg.transpose_op(op, -1).items():
+            table[t + (m + b,)] = Element(ws, {(m + c,): x
+                                               for c, x in img.items()})
+    return NaryStructure(ws, s.arity, table)
+
+
+def t_star_by_inversion(space, s):
+    """The cotangent extension whose potential is the generic inversion
+    ``potential_from_structure`` of the hand-built table.  Oracle only."""
+    table = cotangent_table(space, s)
+    return TStarExtension(base_space=space, space=table.space,
+                          arity=s.arity, base=s,
+                          potential=potential_from_structure(table),
+                          structure=table)
 
 
 def _reached(layer, monos):

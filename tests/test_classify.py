@@ -157,6 +157,34 @@ def test_canonical_random_round_trip_and_ordering():
         assert np.abs(recon - a).max() <= 1e-9 * max(1.0, np.abs(a).max())
 
 
+def test_canonical_form_takes_exact_parameters_from_block_parameters():
+    """On exact input the parameters are the correctly rounded ones of
+    block_parameters, and the Schur rotation still carries them onto a."""
+    rng = random.Random(44)
+    cases = [[[0, 0, 1], [0, 0, 1], [-1, -1, 0]]]
+    for _ in range(200):
+        m = rng.randint(5, 8)
+        a = [[0] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i + 1, m):
+                a[i][j] = rng.randint(-3, 3)
+                a[j][i] = -a[i][j]
+        cases.append(a)
+    schur_differs = 0
+    for a in cases:
+        cf = canonical_form(a)
+        assert cf.params == block_parameters(a)
+        floats = np.array(a, dtype=float)
+        scale = max(1.0, float(np.abs(floats).max()))
+        recon = cf.q @ cf.reconstruct() @ cf.q.T
+        assert cf.residual == float(np.abs(recon - floats).max()) \
+            <= 1e-9 * scale
+        assert abs(np.linalg.det(cf.q) - 1.0) < 1e-9
+        schur_differs += canonical_form(floats).params != cf.params
+    assert canonical_form(cases[0]).params == [math.sqrt(2)]
+    assert schur_differs > 100
+
+
 def test_canonical_rejects_non_skew():
     with pytest.raises(NotSkew):
         canonical_form(np.eye(3))

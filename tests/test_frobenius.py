@@ -1,14 +1,16 @@
 """Cotangent extension and the quasi-Frobenius correspondence."""
 
+import json
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, count, product
 
 import pytest
 
-from naryalg import derived
+from naryalg import cli, derived, frobenius, io, linalg
+from naryalg.cli import main
 from naryalg.derived import NaryStructure, Potential, derive_structure
-from naryalg.errors import NaryError, NotInvariant, OddArity
+from naryalg.errors import NaryError, NotCommutative, NotInvariant, OddArity
 from naryalg.frobenius import (
     check_quasi_frobenius,
     doubled_space,
@@ -18,9 +20,31 @@ from naryalg.frobenius import (
 )
 from naryalg.poisson import Element, pair_vectors
 from naryalg.superspace import odd_space
-from oracles import graph_by_pairings, qf_by_ordered_loop
+from oracles import (
+    cotangent_table,
+    graph_by_pairings,
+    qf_by_ordered_loop,
+    t_star_by_inversion,
+)
 
 V2 = odd_space(2)
+
+
+def odd_space_doc(m):
+    return {"schema": io.SCHEMA, "dim": m, "parity": ["odd"] * m,
+            "gram": [["1" if i == j else "0" for j in range(m)]
+                     for i in range(m)]}
+
+
+@pytest.fixture
+def write_json(tmp_path):
+    names = count()
+
+    def write(obj):
+        path = tmp_path / f"{next(names)}.json"
+        path.write_text(json.dumps(obj))
+        return str(path)
+    return write
 
 
 def lie_xy_structure():
@@ -135,16 +159,145 @@ def test_forged_extension_potential_rejected(duals, monkeypatch):
     sp, s = random_anticommutative(random.Random(37), 3)
     m = sp.dim
     forged = tuple(range(3 - duals)) + tuple(m + i for i in range(duals))
-    original = derived.closed_form_potential
+    original = frobenius.cotangent_potential
 
-    def forge(ext):
-        mu = original(ext)
-        extra = Element.monomial(ext.space, forged)
-        return Potential.single(ext.space, mu.element + extra, arity=ext.arity)
+    def forge(s, ws):
+        mu = original(s, ws)
+        extra = Element.monomial(ws, forged)
+        return Potential.single(ws, mu.element + extra, arity=s.arity)
 
-    monkeypatch.setattr(derived, "closed_form_potential", forge)
+    monkeypatch.setattr(frobenius, "cotangent_potential", forge)
     with pytest.raises(NotInvariant):
         t_star_extension(sp, s)
+
+
+def _fraction(rng):
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 4))
+
+
+def random_cotangent_case(rng, m, n, density, odd_squares=0):
+    """Any table over a pure odd space with fractional coefficients, plus
+    ``odd_squares`` entries on keys with a repeated index."""
+    sp = odd_space(m)
+    table = {}
+    for key in combinations(range(m), n):
+        if rng.random() < density:
+            vec = {(k,): _fraction(rng) for k in range(m)
+                   if rng.random() < density}
+            if vec:
+                table[key] = Element(sp, vec)
+    while odd_squares:
+        key = tuple(sorted(rng.choice(range(m)) for _ in range(n)))
+        if len(set(key)) < n and key not in table:
+            table[key] = Element(sp, {(rng.randrange(m),): _fraction(rng)})
+            odd_squares -= 1
+    return sp, NaryStructure(sp, n, table)
+
+
+def test_cotangent_potential_matches_the_closed_form():
+    """muT in one pass equals the closed-form inversion of the hand-built
+    table, and the derived extension equals that table, on 240 seeded
+    structures with m = 1-6, arity 1-4 and fractional coefficients."""
+    rng = random.Random(61)
+    seen = {"arity-1": 0, "arity-4": 0, "zero": 0, "nonzero": 0}
+    for trial in range(240):
+        m = rng.randint(1, 6)
+        n = rng.randint(1, min(4, m))
+        density = 0.0 if trial % 10 == 0 else rng.choice([0.2, 0.5, 1.0])
+        sp, s = random_cotangent_case(rng, m, n, density)
+        hand = cotangent_table(sp, s)
+        muT = frobenius.cotangent_potential(s, doubled_space(m))
+        want = derived.closed_form_potential(hand)
+        assert list(muT.element.terms.items()) == \
+            list(want.element.terms.items()), trial
+        assert muT.arity == want.arity == n
+        ext = t_star_extension(sp, s)
+        assert ext.structure == hand
+        assert ext.potential.element == muT.element
+        old = t_star_by_inversion(sp, s)
+        assert (ext.potential.element, ext.structure) == \
+            (old.potential.element, old.structure)
+        seen["arity-1"] += n == 1
+        seen["zero"] += s.is_zero()
+        seen["arity-4"] += n == 4
+        seen["nonzero"] += not s.is_zero()
+    assert all(count >= 20 for count in seen.values()), seen
+
+
+def _refusal(build, space, s):
+    try:
+        build(space, s)
+    except (NotCommutative, NotInvariant) as ex:
+        return type(ex), str(ex), ex.witness
+    raise AssertionError("no refusal")
+
+
+def test_odd_squares_refused_as_by_the_inversion(write_json, capsys,
+                                                 monkeypatch):
+    """An odd square is refused with the inversion's error, witness and
+    CLI stderr bytes, alone or among live entries, at every position."""
+    rng = random.Random(67)
+    witnesses = set()
+    for trial in range(60):
+        n = 2 + trial % 3
+        m = rng.randint(n, 5)
+        density = rng.choice([0.0, 0.3, 1.0])
+        sp, s = random_cotangent_case(rng, m, n, density,
+                                      odd_squares=1 + trial % 2)
+        got = _refusal(t_star_extension, sp, s)
+        assert got == _refusal(t_star_by_inversion, sp, s)
+        assert got[0] is NotCommutative and got[2] not in s.live
+        key = got[2]
+        witnesses.add(next(i for i in range(n - 1) if key[i] == key[i + 1]))
+        if trial % 4 or n % 2:  # odd arity is refused before the extension
+            continue
+        phi = {"schema": io.SCHEMA, "matrix": [["0"] * m for _ in range(m)]}
+        argv = ["frobenius", "--space", write_json(odd_space_doc(m)),
+                "--structure", write_json(io.structure_to_json(s)),
+                "--phi", write_json(phi), "--graph"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert json.loads(err)["kind"] == "NotCommutative"
+        monkeypatch.setattr(cli, "t_star_extension", t_star_by_inversion)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == err
+        monkeypatch.undo()
+    assert witnesses == {0, 1, 2}
+
+
+def test_extension_makes_no_generic_inversion(monkeypatch):
+    """The success path calls neither linalg.inverse nor the inversion
+    ``potential_from_structure``, and validates one doubled table."""
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(linalg, "inverse", counted("inverse", linalg.inverse))
+    for module in (derived, frobenius):
+        for name in ("potential_from_structure", "closed_form_potential",
+                     "require_nondegenerate"):
+            fn = getattr(module, name, None)
+            if fn is not None:
+                monkeypatch.setattr(module, name, counted(name, fn))
+    init = NaryStructure.__init__
+
+    def counted_init(self, space, arity, table):
+        if space.dim == 2 * m:
+            calls["doubled table"] = calls.get("doubled table", 0) + 1
+        init(self, space, arity, table)
+
+    monkeypatch.setattr(NaryStructure, "__init__", counted_init)
+    rng = random.Random(71)
+    for trial in range(20):
+        m = rng.randint(2, 5)
+        sp, s = random_anticommutative(rng, m)
+        calls.clear()
+        t_star_extension(sp, s)
+        assert calls == {"doubled table": 1}, trial
 
 
 def test_quasi_frobenius_zero_structure_any_phi():

@@ -710,6 +710,34 @@ def test_no_laplacian_and_no_kernel_until_the_bases_are_read(monkeypatch,
     assert calls == ["nullspace"] * (m + 1)
 
 
+class _CountingOperator(dict):
+    """An operator that counts the passes made over its items."""
+    passes = 0
+
+    def items(self):
+        self.passes += 1
+        return super().items()
+
+
+@pytest.mark.parametrize("index", [3, 7, 9])
+def test_rank_d_groups_the_sources_of_d_once(monkeypatch, index):
+    # the adjoint check reads d twice (codifferential and transpose_op)
+    # and the ranks read it once more, however many degrees they rank
+    m, kind, sizes, turns, _ = PINNED_REPORTS[index]
+    ctx, mu = _seeded_case(m, kind, sizes, turns, 100 + index)
+    real = hodge.differential
+    seen = []
+
+    def counted(ctx, mu):
+        seen.append(_CountingOperator(real(ctx, mu)))
+        return seen[-1]
+
+    monkeypatch.setattr(hodge, "differential", counted)
+    rep = hodge_decomposition(ctx, mu)
+    assert rep.homogeneous and rep.direct_sum_ok
+    assert seen[0].passes == 3
+
+
 SPACE5_DOC = {"schema": "nary/1", "dim": 5, "parity": ["odd"] * 5,
               "gram": [["1" if i == j else "0" for j in range(5)]
                        for i in range(5)]}
