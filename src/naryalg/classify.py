@@ -76,12 +76,11 @@ def skew_to_element(space, a):
                            for i in range(m) for j in range(i + 1, m)})
 
 
-def element_to_skew(space, w):
+def element_to_skew(w):
     """Adjoint matrix of w, read off its coefficients: a[i][j] = c(e_i e_j)
     = -a[j][i] for i < j (the exact inverse of skew_to_element)."""
+    space = w.space
     _require_orthonormal_odd(space)
-    if w.space != space:
-        raise SpaceMismatch("elements live over different superspaces")
     if not w.is_zero() and w.degree() != 2:
         raise WrongDegree("expected a degree-2 element")
     a = linalg.zeros(space.dim, space.dim)
@@ -478,11 +477,12 @@ def build_m3_algebra(ctx, v):
     return Potential.single(ctx.space, star(ctx, v), arity=m - 3)
 
 
-def ider(space, mu):
+def ider(mu):
     """Basis of the invariant derivations of (V, mu), inside degree 2.
 
     Exact kernel of w -> [w, mu] on the degree-2 component.
     """
+    space = mu.space
     basis2 = canonical_tuples(space, 2)
     rows = {}
     for j, b in enumerate(basis2):
@@ -662,16 +662,18 @@ class ClassificationRecord:
     ideal: IdealReport
 
 
-def classify_m3(space, v):
-    """Full record for the (m-3)-ary algebra of a degree-2 element.
+def classify_m3(v):
+    """Full record for the (m-3)-ary algebra of a degree-2 element v,
+    over the space of v.
 
     Simple means rank > 2 (the paper's criterion).  find_ideal must certify
     it, or find an ideal if not, or NaryError is raised.
     """
+    space = v.space
     if space.dim <= 4:
         raise DimensionTooSmall("classification needs dimension > 4")
     ctx = HodgeContext(space)
-    a = element_to_skew(space, v)
+    a = element_to_skew(v)
     params = block_parameters(a)
     rank = 2 * len(params)
     mu = build_m3_algebra(ctx, v)
@@ -695,8 +697,10 @@ def classify_m3(space, v):
 # isomorphisms
 
 
-def map_element(space, phi, el):
-    """Induced action of a linear map on S*V: substitute generator images."""
+def map_element(phi, el):
+    """Induced action of a linear map on S*V, V the space of el: substitute
+    generator images."""
+    space = el.space
     phi = linalg.square_matrix(phi, space.dim)
     out = Element.zero(space)
     images = [Element(space, {(j,): phi[j][i] for j in range(space.dim)})
@@ -709,14 +713,18 @@ def map_element(space, phi, el):
     return out
 
 
-def isomorphic_via(space, mu1, mu2, phi):
+def isomorphic_via(mu1, mu2, phi):
     """Does phi in SO(V) carry the first potential to the second?
 
-    phi must be even (phi[j][i] = 0 when e_i, e_j differ in parity), with
-    phi^T G phi = G and det +1, or NotOrthogonal is raised.  Then it needs
-    no sampled check: it preserves the bracket on generators, [phi e_i,
-    phi e_j] = (phi^T G phi)[i][j], and the Leibniz rule extends that to
-    all of S*V."""
+    Both potentials must live over one space V, or SpaceMismatch is
+    raised.  phi must be even (phi[j][i] = 0 when e_i, e_j differ in
+    parity), with phi^T G phi = G and det +1, or NotOrthogonal is raised.
+    Then it needs no sampled check: it preserves the bracket on
+    generators, [phi e_i, phi e_j] = (phi^T G phi)[i][j], and the Leibniz
+    rule extends that to all of S*V."""
+    space = mu1.space
+    if mu2.space != space:
+        raise SpaceMismatch("potentials live over different superspaces")
     phi = linalg.square_matrix(phi, space.dim)
     par = space.parity
     if any(x and par[i] != par[j] for j, row in enumerate(phi)
@@ -726,4 +734,4 @@ def isomorphic_via(space, mu1, mu2, phi):
     if linalg.mat_mul(linalg.mat_mul(linalg.transpose(phi), g), phi) != g \
             or linalg.det(phi) != 1:
         raise NotOrthogonal("phi does not preserve the form with det +1")
-    return map_element(space, phi, mu1.element) == mu2.element
+    return map_element(phi, mu1.element) == mu2.element

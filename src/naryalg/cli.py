@@ -14,10 +14,12 @@ that read more files: ``derivation`` and ``quasi-frobenius``, whose helper
 
 Each subcommand accepts only the options it reads, spelled in full (no
 parser takes a unique prefix for an option).  ``--pretty`` and ``--output``
-go after any subcommand; ``--space`` and ``--max-degree`` after every one
-but ``table``, which builds its own spaces; ``--exhaustive`` after
-``verify``.  ``classify`` also accepts ``--seed`` and ignores it: no search
-is randomized, but batch drivers pass it.
+go after any subcommand; ``--space`` after every one but ``table``, which
+builds its own spaces; ``--exhaustive`` after ``verify``.  ``classify``
+also accepts ``--seed`` and ignores it: no search is randomized, but batch
+drivers pass it.  The degree cap of a space with even generators is the
+space document's ``max_degree``; no option overrides it.  A report that
+cannot be written to ``--output`` exits 2, as bad input does.
 """
 
 import argparse
@@ -39,7 +41,7 @@ from .derived import (
     check_nary_jacobi,
     derive_structure,
 )
-from .errors import DimensionTooSmall, NaryError, OddArity
+from .errors import DimensionTooSmall, NaryError, OddArity, SchemaError
 from .frobenius import check_quasi_frobenius, graph_subalgebra_test, \
     t_star_extension
 from .hodge import HodgeContext, hodge_decomposition, require_dim, star
@@ -49,8 +51,11 @@ from .superspace import odd_space
 
 def _write(args, text):
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as ex:
+            raise SchemaError("--output", f"cannot write file: {ex}") from None
     else:
         sys.stdout.write(text)
 
@@ -60,8 +65,7 @@ def _emit(args, obj):
 
 
 def _load_space(args):
-    return io.parse_superspace(io.load_file(args.space),
-                               max_degree=args.max_degree)
+    return io.parse_superspace(io.load_file(args.space))
 
 
 def _load_structure(space, args):
@@ -172,7 +176,7 @@ def cmd_classify(args):
         v = io.parse_element(space, io.load_file(args.v))
     else:
         raise NaryError("need --v or --skew")
-    rec = classify_m3(space, v)
+    rec = classify_m3(v)
     _emit(args, io.classification_record_to_json(rec))
     return 0
 
@@ -201,7 +205,7 @@ def cmd_table(args):
         for params in combinations_with_replacement(values, k):
             v = Element(space, {(2 * t, 2 * t + 1): params[t]
                                 for t in range(k) if params[t] != 0})
-            rec = classify_m3(space, v)
+            rec = classify_m3(v)
             lines.append(io.dumps(io.classification_record_to_json(rec)))
     _write(args, "".join(lines))
     return 0
@@ -227,8 +231,6 @@ def build_parser():
                             allow_abbrev=False)
         if space:
             sp.add_argument("--space", required=True, help="superspace JSON")
-            sp.add_argument("--max-degree", type=int, default=None,
-                            help="degree cap for spaces with even generators")
         return sp
 
     v = add_cmd("verify", "run an identity check")

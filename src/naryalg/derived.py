@@ -78,13 +78,9 @@ from .superspace import require_nondegenerate
 # shared helpers
 
 
-def canonical_tuples(space, n, indices=None):
-    """Non-decreasing index tuples of length n; odd indices never repeat.
-
-    The tuples are drawn from ``indices`` (ascending) when given, else from
-    the whole basis; either way they come in lexicographic order.
-    """
-    pool = range(space.dim) if indices is None else list(indices)
+def canonical_tuples(space, n):
+    """Non-decreasing index tuples of length n over the basis, in
+    lexicographic order; odd indices never repeat."""
     parity = space.parity
     out = []
 
@@ -92,9 +88,8 @@ def canonical_tuples(space, n, indices=None):
         if k == 0:
             out.append(tuple(prefix))
             return
-        for pos in range(start, len(pool)):
-            i = pool[pos]
-            rec(pos if parity[i] == 0 else pos + 1, k - 1, prefix + [i])
+        for i in range(start, space.dim):
+            rec(i if parity[i] == 0 else i + 1, k - 1, prefix + [i])
 
     rec(0, n, [])
     return out

@@ -57,7 +57,8 @@ from math import comb
 from . import linalg
 from .derived import NaryStructure, Potential, derive_structure, \
     refuse_structure
-from .errors import NaryError, NotInvariant, NotPureOdd, OddArity
+from .errors import NaryError, NotInvariant, NotPureOdd, OddArity, \
+    SpaceMismatch
 from .linalg import ONE, ZERO
 from .poisson import Element
 from .superspace import ODD, Superspace
@@ -85,17 +86,24 @@ class TStarExtension:
     structure: NaryStructure # extended product = derive_structure(potential)
 
 
-def _as_structure(mu):
+def _as_structure(space, mu):
+    """The structure of mu, a structure or a potential over space; refused
+    with SpaceMismatch, before any work, when mu lives over another."""
+    if mu.space != space:
+        raise SpaceMismatch("the structure lives over a different space")
     if isinstance(mu, NaryStructure):
         return mu
     return derive_structure(mu)
 
 
 def t_star_extension(space, mu):
-    """Build the cotangent extension and its certified derived potential."""
+    """Build the cotangent extension and its certified derived potential.
+
+    mu is a structure or a potential over space, or SpaceMismatch is
+    raised."""
     if not space.pure_odd:
         raise NotPureOdd("the extension is defined for pure odd spaces")
-    s = _as_structure(mu)
+    s = _as_structure(space, mu)
     m = space.dim
     n = s.arity
     ws = doubled_space(m)
@@ -145,6 +153,9 @@ class QFCertificate:
 def check_quasi_frobenius(space, mu, phi, allow_odd_arity=False):
     """Cyclic-sum criterion sum_t phi(a_t, s(a_{t+1}, ..., a_{t+n})) = 0.
 
+    mu is a structure or a potential over space, or SpaceMismatch is
+    raised before any work; phi is a skew matrix of the size of space.
+
     On a pure odd space s is alternating in its n arguments (eval_basis
     sorts with the permutation sign and vanishes on a repeat), and a
     rotation of the n+1 slots has sign (-1)^n.  For even n the cyclic sum
@@ -162,7 +173,7 @@ def check_quasi_frobenius(space, mu, phi, allow_odd_arity=False):
     """
     if not space.pure_odd:
         raise NotPureOdd("quasi-Frobenius structures live on pure odd spaces")
-    s = _as_structure(mu)
+    s = _as_structure(space, mu)
     n = s.arity
     odd = n % 2 == 1
     if odd and not allow_odd_arity:

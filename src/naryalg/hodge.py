@@ -131,6 +131,9 @@ class HodgeContext:
             raise NotHodgeContext("star operator needs an orthonormal basis "
                                   "(identity Gram matrix)")
         require_dim(space.dim)
+        if orientation is not None and len(orientation.order) != space.dim:
+            raise NotHodgeContext(f"orientation of {len(orientation.order)} "
+                                  f"elements for dimension {space.dim}")
         self.space = space
         self.orientation = orientation or Orientation.standard(space.dim)
         full = tuple(range(space.dim))

@@ -3,7 +3,11 @@
 Scalars travel as exact "p/q" strings (plain integers allowed); basis
 indices are 1-based outside the engine.  Object-rooted documents carry a
 "schema": "nary/1" version field, which is required on output and checked
-when present on input.  Parse errors carry the offending field path.
+when present on input.  Parse errors carry the offending field path, and
+so does the engine's refusal of a document that the schema admits: a
+monomial above the space's degree cap, a potential whose arity is not its
+degree less one or whose element has mixed degrees, or an ``linf`` family
+that is not odd.
 Basis index lists and square matrices (the Gram matrix, --phi, --skew)
 each have one reader.  A structure gives each key once, with arity
 indices; a potential is one element or an "linf" family, not both.
@@ -13,7 +17,7 @@ import json
 from fractions import Fraction
 
 from .derived import NaryStructure, Potential
-from .errors import NaryError, SchemaError
+from .errors import DegreeMismatch, NaryError, SchemaError, WrongDegree
 from .linalg import ZERO, exact
 from .poisson import Element
 from .superspace import Superspace
@@ -85,12 +89,11 @@ def _parse_rows(rows, dim, path):
 # superspace
 
 
-def parse_superspace(obj, path="superspace", max_degree=None):
+def parse_superspace(obj, path="superspace"):
     """Superspace from its JSON document.
 
-    The degree cap has two sources: the document's max_degree and the
-    --max-degree flag, passed here as max_degree, which wins when given.
-    Both must be positive integers.
+    The document's optional max_degree, a positive integer, is the
+    space's degree cap, the only one.
     """
     _check_document(obj, path)
     for key in ("dim", "parity", "gram"):
@@ -110,11 +113,7 @@ def parse_superspace(obj, path="superspace", max_degree=None):
     gram = _parse_rows(obj["gram"], dim, f"{path}.gram")
     if "max_degree" in obj:
         _check_positive_int(obj["max_degree"], f"{path}.max_degree")
-    if max_degree is None:
-        max_degree = obj.get("max_degree")
-    else:
-        _check_positive_int(max_degree, "--max-degree")
-    return Superspace(dim, parity, gram, max_degree=max_degree)
+    return Superspace(dim, parity, gram, max_degree=obj.get("max_degree"))
 
 
 def superspace_to_json(space):
@@ -145,6 +144,9 @@ def parse_element(space, arr, path="element"):
             if a == b and space.parity[a] == 1:
                 raise SchemaError(f"{where}.monomial",
                                   "repeated odd generator")
+        if len(mono) > space.max_degree:
+            raise SchemaError(f"{where}.monomial", f"monomial degree "
+                              f"{len(mono)} exceeds cap {space.max_degree}")
         coeff = parse_scalar(item["coeff"], f"{where}.coeff")
         terms[mono] = terms.get(mono, ZERO) + coeff
     return Element(space, terms)
@@ -169,14 +171,22 @@ def parse_potential(space, obj, path="potential"):
         total = Element.zero(space)
         for i, layer in enumerate(layers):
             total = total + parse_element(space, layer, f"{path}.linf[{i}]")
-        return Potential.homotopy_family(space, total)
+        try:
+            return Potential.homotopy_family(space, total)
+        except NaryError as ex:
+            raise SchemaError(f"{path}.linf", str(ex)) from None
     if "element" not in obj:
         raise SchemaError(f"{path}.element", "missing field")
     el = parse_element(space, obj["element"], f"{path}.element")
     arity = obj.get("arity")
     if arity is not None:
         _check_positive_int(arity, f"{path}.arity")
-    return Potential.single(space, el, arity=arity)
+    try:
+        return Potential.single(space, el, arity=arity)
+    except DegreeMismatch as ex:  # the arity given, missing or implied
+        raise SchemaError(f"{path}.arity", str(ex)) from None
+    except WrongDegree as ex:  # an element of mixed degrees
+        raise SchemaError(f"{path}.element", str(ex)) from None
 
 
 def parse_structure(space, obj, path="structure"):

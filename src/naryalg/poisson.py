@@ -21,6 +21,11 @@ the tests compare it with a literal recursion on the three rules,
 vector (u = (a,)) is a signed contraction of one factor of w:
 ``nested_bracket_indices`` for one element, and ``derived.contractions``
 for every canonical tuple of a potential at once.
+
+Every element carries its space, so no function here takes one beside
+an element: each reads it off its elements, and one that takes two
+refuses a pair over different spaces with ``SpaceMismatch``.  The space
+also carries the degree cap that each new monomial is checked against.
 """
 
 from fractions import Fraction
@@ -277,7 +282,7 @@ def nested_bracket(args, target):
     return out
 
 
-def nested_bracket_indices(space, indices, target):
+def nested_bracket_indices(indices, target):
     """[e_{i_1}, [e_{i_2}, ... [e_{i_s}, target] ... ]] by direct contraction.
 
     Bracketing a generator e_a with a sorted monomial w contracts a against
@@ -286,16 +291,15 @@ def nested_bracket_indices(space, indices, target):
         [e_a, w] = sum_j G[a][w_j] (-1)^{|a| |w_<j|} (w with w_j removed).
 
     The remaining word is still sorted and has no odd square, so each step
-    reads ``space.pairing[a]``, carries the running parity of w and needs
-    no reordering; scalar terms vanish.  Every index is checked against
-    the basis, and target against the space, before any contraction.
+    reads ``space.pairing[a]`` of target's space, carries the running
+    parity of w and needs no reordering; scalar terms vanish.  Every index
+    is checked against the basis before any contraction.
     """
+    space = target.space
     indices = list(indices)
     for i in reversed(indices):
         if not 0 <= i < space.dim:
             raise NaryError(f"generator index {i} out of range")
-    if indices and target.space is not space and target.space != space:
-        raise SpaceMismatch("elements live over different superspaces")
     pairing = space.pairing
     par = space.parity
     terms = target.terms
@@ -318,8 +322,10 @@ def nested_bracket_indices(space, indices, target):
     return Element._trusted(space, terms)
 
 
-def pair_vectors(space, a, b):
-    """(a, b) for two degree-1 elements, through ``space.pairing``."""
+def pair_vectors(a, b):
+    """(a, b) for two degree-1 elements over one space, through its
+    ``pairing``."""
+    a._require_same_space(b)
     total = ZERO
     for u, cu in a.terms.items():
         if len(u) != 1:
@@ -327,5 +333,5 @@ def pair_vectors(space, a, b):
         for w, cw in b.terms.items():
             if len(w) != 1:
                 raise WrongDegree("pairing is defined on degree-1 elements")
-            total += cu * cw * space.pairing[u[0]].get(w[0], ZERO)
+            total += cu * cw * a.space.pairing[u[0]].get(w[0], ZERO)
     return total

@@ -12,6 +12,12 @@ records ``pairing`` (each row's nonzeros as a ``linalg`` sparse row, by
 graded symmetry also the column's) and ``orthonormal`` (pure odd with the
 identity form), which the engine reads instead of ``gram``.
 ``permutation_sign`` signs the orientation and the Hodge star.
+
+The space is the one owner of the degree cap ``max_degree``: a positive
+int, 2 * dim when not given, and dim on a pure odd space, where no
+monomial is longer; the space document's ``max_degree`` is read into it.
+Every other object reads the space, and so the cap, off the element,
+potential or structure it is given.
 """
 
 from . import linalg
@@ -36,6 +42,10 @@ class Superspace:
     def __init__(self, dim, parity, gram, max_degree=None):
         if not isinstance(dim, int) or dim < 1:
             raise NaryError(f"dimension must be an int >= 1, got {dim!r}")
+        if max_degree is not None and (type(max_degree) is not int
+                                       or max_degree < 1):
+            raise NaryError(f"max_degree must be an int >= 1, "
+                            f"got {max_degree!r}")
         if not isinstance(parity, (list, tuple)):
             raise NaryError(f"parity must be a list or tuple, got {parity!r}")
         if len(parity) != dim:
@@ -100,11 +110,11 @@ class Superspace:
         return f"Superspace(dim={self.dim}, parity={kinds})"
 
 
-def odd_space(m, gram=None, max_degree=None):
+def odd_space(m, gram=None):
     """Pure odd space; identity Gram matrix by default."""
     if gram is None:
         gram = linalg.identity(m)
-    return Superspace(m, [ODD] * m, gram, max_degree=max_degree)
+    return Superspace(m, [ODD] * m, gram)
 
 
 def even_symplectic_space(m, max_degree=None):

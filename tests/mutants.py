@@ -66,6 +66,8 @@ STAR_SIGN = "tests/test_hodge.py::" \
     "test_star_sign_closed_form_matches_permutation_sign"
 COTANGENT = "tests/test_frobenius.py::" \
     "test_cotangent_potential_matches_the_closed_form"
+SEMANTIC = "tests/test_io_fuzz.py::" \
+    "test_semantic_error_exits_2_at_the_field_at_fault"
 
 MUTANTS = [
     # the form read once
@@ -316,6 +318,48 @@ MUTANTS = [
            ["tests/test_frobenius.py::test_forged_extension_potential_rejected",
             "tests/test_frobenius.py::"
             "test_odd_squares_refused_as_by_the_inversion"]),
+    # one source per input: a second source refused, not read
+    Mutant("frobenius-space-mismatch-let-through", FROBENIUS, "_as_structure",
+           "if mu.space != space:", "if False:",
+           ["tests/test_frobenius.py::"
+            "test_frobenius_refuses_a_structure_over_another_space"]),
+    Mutant("isomorphic-via-space-mismatch-let-through", CLASSIFY,
+           "isomorphic_via", "if mu2.space != space:", "if False:",
+           ["tests/test_classify.py::"
+            "test_isomorphic_via_refuses_potentials_over_different_spaces"]),
+    Mutant("pair-vectors-space-check-dropped", POISSON, "pair_vectors",
+           "    a._require_same_space(b)\n", "",
+           ["tests/test_poisson.py::"
+            "test_pair_vectors_refuses_vectors_over_different_spaces"]),
+    Mutant("orientation-dimension-unchecked", HODGE, "HodgeContext.__init__",
+           "if orientation is not None and len(orientation.order) != "
+           "space.dim:", "if False:",
+           ["tests/test_hodge.py::"
+            "test_context_refuses_an_orientation_of_another_dimension"]),
+    Mutant("degree-cap-unchecked", SUPERSPACE, "Superspace.__init__",
+           "if max_degree is not None and (", "if False and (",
+           ["tests/test_superspace.py::"
+            "test_degree_cap_must_be_a_positive_int"]),
+    Mutant("degree-cap-lets-a-bool-through", SUPERSPACE,
+           "Superspace.__init__", "type(max_degree) is not int",
+           "not isinstance(max_degree, int)",
+           ["tests/test_superspace.py::"
+            "test_degree_cap_must_be_a_positive_int"]),
+    Mutant("degree-cap-refused-without-its-field", IO, "parse_element",
+           "if len(mono) > space.max_degree:", "if False:", [SEMANTIC]),
+    Mutant("family-refused-without-its-field", IO, "parse_potential",
+           'raise SchemaError(f"{path}.linf", str(ex)) from None', "raise",
+           [SEMANTIC]),
+    Mutant("mixed-degrees-refused-without-its-field", IO, "parse_potential",
+           "except WrongDegree as ex:", "except ZeroDivisionError as ex:",
+           [SEMANTIC]),
+    Mutant("arity-mismatch-refused-without-its-field", IO,
+           "parse_potential", "except DegreeMismatch as ex:",
+           "except ZeroDivisionError as ex:", [SEMANTIC]),
+    Mutant("unwritable-output-left-to-a-traceback", CLI, "_write",
+           'raise SchemaError("--output", f"cannot write file: {ex}") '
+           'from None', "raise",
+           ["tests/test_cli.py::test_unwritable_output_exits_2"]),
 ]
 
 

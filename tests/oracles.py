@@ -310,7 +310,7 @@ def graph_by_pairings(ext, phi):
     m = ext.base_space.dim
     for args in combinations(range(m), ext.arity):
         img = ext.structure.eval_elements([b[i] for i in args])
-        if any(pair_vectors(ext.space, img, b[j]) for j in range(m)):
+        if any(pair_vectors(img, b[j]) for j in range(m)):
             return False
     return True
 
@@ -584,7 +584,7 @@ def derive_structure_by_all_tuples(mu):
     space = mu.space
     table = {}
     for t in canonical_tuples(space, mu.arity):
-        val = nested_bracket_indices(space, t, mu.element)
+        val = nested_bracket_indices(t, mu.element)
         if not val.is_zero():
             table[t] = val
     return NaryStructure(space, mu.arity, table)
@@ -597,9 +597,9 @@ def invariant_by_all_pairs(s, exhaustive=False):
     violations = []
     for a0 in range(space.dim):
         for key in canonical_tuples(space, s.arity):
-            lhs = pair_vectors(space, gen[a0], s.eval_basis(key))
+            lhs = pair_vectors(gen[a0], s.eval_basis(key))
             swapped = s.eval_basis((a0,) + key[1:])
-            rhs = pair_vectors(space, gen[key[0]], swapped)
+            rhs = pair_vectors(gen[key[0]], swapped)
             if space.parity[a0] & space.parity[key[0]]:
                 rhs = -rhs
             if lhs != rhs:
@@ -642,7 +642,7 @@ def filippov_by_all_tuples(mu, exhaustive=False):
     space = mu.space
     violations = []
     for t in canonical_tuples(space, mu.arity - 1):
-        res = poisson_bracket(nested_bracket_indices(space, t, mu.element),
+        res = poisson_bracket(nested_bracket_indices(t, mu.element),
                               mu.element)
         if not res.is_zero():
             violations.append((t, res))
@@ -741,7 +741,7 @@ def generalized_jacobi(mu, exhaustive=False):
                     inner_pos = [p for p in range(q) if p not in outer_pos]
                     sign = koszul_selection_sign(pars, list(outer_pos))
                     inner = nested_bracket_indices(
-                        space, [args[p] for p in inner_pos], layers[l])
+                        [args[p] for p in inner_pos], layers[l])
                     if inner.is_zero():
                         continue
                     outer = nested_bracket(

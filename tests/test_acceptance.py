@@ -337,8 +337,8 @@ def test_criterion_13_ider_duality():
             continue
         mu = Potential.single(V5, el)
         dual = Potential.single(V5, star(ctx, el))
-        if linalg.row_space([w.terms for w in ider(V5, mu)]) != \
-                linalg.row_space([w.terms for w in ider(V5, dual)]):
+        if linalg.row_space([w.terms for w in ider(mu)]) != \
+                linalg.row_space([w.terms for w in ider(dual)]):
             ok = False
         done += 1
     assert report(13, ok, "invariant derivations agree for mu and star(mu), "

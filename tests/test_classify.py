@@ -83,7 +83,7 @@ def test_round_trip_exact():
         for _ in range(10):
             a = random_skew(rng, m)
             w = skew_to_element(sp, a)
-            assert element_to_skew(sp, w) == a
+            assert element_to_skew(w) == a
 
 
 @pytest.mark.parametrize("m", range(2, 9))
@@ -93,15 +93,9 @@ def test_element_to_skew_matches_the_bracket_oracle(m):
     ws = [Element.zero(sp)] + [random_homogeneous(sp, rng, 2, terms=t)
                                for t in (1, 2, 3, 6) for _ in range(3)]
     for w in ws:
-        a = element_to_skew(sp, w)
+        a = element_to_skew(w)
         assert a == ad_matrix_by_brackets(sp, w)
         assert skew_to_element(sp, a) == w
-
-
-def test_element_to_skew_refuses_an_element_of_another_space():
-    w = mono(odd_space(6), 1, 6)
-    with pytest.raises(SpaceMismatch):
-        element_to_skew(V5, w)
 
 
 def test_not_skew_rejected():
@@ -117,8 +111,8 @@ def test_adjoint_preserves_the_form():
             for j in range(5):
                 ei = Element.generator(V5, i)
                 ej = Element.generator(V5, j)
-                s = pair_vectors(V5, poisson_bracket(w, ei), ej) + \
-                    pair_vectors(V5, ei, poisson_bracket(w, ej))
+                s = pair_vectors(poisson_bracket(w, ei), ej) + \
+                    pair_vectors(ei, poisson_bracket(w, ej))
                 assert s == 0
 
 
@@ -372,7 +366,7 @@ def test_find_ideal_zero_structure_reports_a_line():
 
 def test_classify_m3_labels_a_simple_algebra_by_rank():
     v = mono(V5, 1, 2) + mono(V5, 3, 4)
-    rep = classify_m3(V5, v).ideal
+    rep = classify_m3(v).ideal
     assert not rep.found and rep.method == "rank-criterion"
     assert rep.status == "simple (certified)" and rep.basis == []
     rep = find_ideal(derive_structure(build_m3_algebra(CTX5, v)))
@@ -460,7 +454,7 @@ def _so3_plus_so3(rotated):
     sp = odd_space(6)
     mu = mono(sp, 1, 2, 3) + mono(sp, 4, 5, 6)
     if rotated:
-        mu = map_element(sp, _rational_rotation(random.Random(5), 6), mu)
+        mu = map_element(_rational_rotation(random.Random(5), 6), mu)
     return derive_structure(Potential.single(sp, mu))
 
 
@@ -531,29 +525,29 @@ def test_classify_m3_raises_when_the_ideal_search_disagrees(monkeypatch):
                             method="kernel", status="ideal found")):
         monkeypatch.setattr(classify, "find_ideal", lambda s, rep=rep: rep)
         with pytest.raises(NaryError, match="disagrees with the ideal search"):
-            classify_m3(V5, v)
+            classify_m3(v)
     # rank 2 is not simple, so a certified simple algebra contradicts it
     monkeypatch.setattr(classify, "find_ideal", lambda s: IdealReport(
         False, method="commutant", status="simple (certified)"))
     with pytest.raises(NaryError, match="disagrees with the ideal search"):
-        classify_m3(V5, mono(V5, 1, 2))
+        classify_m3(mono(V5, 1, 2))
 
 
 def test_classify_records_match_theory():
-    rec = classify_m3(V5, mono(V5, 1, 2) + mono(V5, 3, 4))
+    rec = classify_m3(mono(V5, 1, 2) + mono(V5, 3, 4))
     assert rec.simple and not rec.filippov and not rec.sh_jacobi
     assert rec.skew_rank == 4
-    rec = classify_m3(V5, mono(V5, 1, 2))
+    rec = classify_m3(mono(V5, 1, 2))
     assert not rec.simple and rec.filippov and rec.sh_jacobi
     assert rec.ideal.found
-    rec = classify_m3(V5, Element.zero(V5))
+    rec = classify_m3(Element.zero(V5))
     assert not rec.simple and rec.filippov and rec.sh_jacobi
 
 
 def test_classify_rejects_small_dimension():
     sp = odd_space(4)
     with pytest.raises(DimensionTooSmall):
-        classify_m3(sp, Element.monomial(sp, (0, 1)))
+        classify_m3(Element.monomial(sp, (0, 1)))
 
 
 def test_filippov_table_small():
@@ -574,9 +568,9 @@ def test_filippov_table_small():
 
 def test_ider_of_top_form_is_everything():
     L = Potential.single(V5, Element.monomial(V5, (0, 1, 2, 3, 4)))
-    assert len(ider(V5, L)) == 10
+    assert len(ider(L)) == 10
     zero = Potential.single(V5, Element.zero(V5), arity=2)
-    assert len(ider(V5, zero)) == 10
+    assert len(ider(zero)) == 10
 
 
 def test_ider_star_duality_random():
@@ -591,15 +585,15 @@ def test_ider_star_duality_random():
             continue
         mu = Potential.single(V5, el)
         dual = Potential.single(V5, star(CTX5, el))
-        a = linalg.row_space([w.terms for w in ider(V5, mu)])
-        b = linalg.row_space([w.terms for w in ider(V5, dual)])
+        a = linalg.row_space([w.terms for w in ider(mu)])
+        b = linalg.row_space([w.terms for w in ider(dual)])
         assert a == b
 
 
 def test_ider_members_satisfy_derivation_criterion():
     from naryalg.derived import check_derivation
     mu = Potential.single(V5, mono(V5, 3, 4, 5))
-    for w in ider(V5, mu):
+    for w in ider(mu):
         assert check_derivation(w, mu)
 
 
@@ -610,19 +604,35 @@ def test_ider_members_satisfy_derivation_criterion():
 def test_isomorphic_via_identity():
     mu = Potential.single(V5, mono(V5, 1, 2, 5))
     phi = linalg.identity(5)
-    assert isomorphic_via(V5, mu, mu, phi)
+    assert isomorphic_via(mu, mu, phi)
+
+
+def test_isomorphic_via_refuses_potentials_over_different_spaces():
+    # the map is read at the potentials' size: an identity of another
+    # size is refused as a matrix of the wrong shape
+    mu = Potential.single(V5, mono(V5, 1, 2, 5))
+    V6 = odd_space(6)
+    mu6 = Potential.single(V6, mono(V6, 1, 2, 5))
+    for first, second in ((mu, mu6), (mu6, mu)):
+        with pytest.raises(SpaceMismatch):
+            isomorphic_via(first, second, linalg.identity(5))
+    with pytest.raises(NaryError) as info:
+        isomorphic_via(mu, mu, linalg.identity(6))
+    assert type(info.value) is NaryError
+    assert isomorphic_via(mu6, mu6, linalg.identity(6))
+    assert map_element(linalg.identity(6), mu6.element) == mu6.element
 
 
 def test_isomorphic_via_signed_permutation():
     phi = [[0, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, 0, 1, 0],
            [0, 0, 1, 0, 0], [0, 0, 0, 0, 1]]
     mu = Potential.single(V5, mono(V5, 1, 2, 5))
-    image = map_element(V5, [[Fraction(x) for x in row] for row in phi],
+    image = map_element([[Fraction(x) for x in row] for row in phi],
                         mu.element)
     # direct substitution: e1e2e5 -> e2e1e5 = -e1e2e5
     assert image == mono(V5, 1, 2, 5, coeff=-1)
-    assert isomorphic_via(V5, mu, Potential.single(V5, image), phi)
-    assert not isomorphic_via(V5, mu, mu, phi)
+    assert isomorphic_via(mu, Potential.single(V5, image), phi)
+    assert not isomorphic_via(mu, mu, phi)
 
 
 def test_isomorphic_via_rejects_det_minus_one():
@@ -630,7 +640,7 @@ def test_isomorphic_via_rejects_det_minus_one():
            [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]
     mu = Potential.single(V5, mono(V5, 1, 2, 5))
     with pytest.raises(NotOrthogonal):
-        isomorphic_via(V5, mu, mu, phi)
+        isomorphic_via(mu, mu, phi)
 
 
 def test_isomorphic_orbits_preserve_identities():
@@ -639,10 +649,10 @@ def test_isomorphic_orbits_preserve_identities():
     phi = [[c, -s, 0, 0, 0], [s, c, 0, 0, 0], [0, 0, 1, 0, 0],
            [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]
     v = mono(V5, 1, 2)
-    image = map_element(V5, phi, v)
+    image = map_element(phi, v)
     assert image == v  # e1e2 is rotation invariant
     mu = build_m3_algebra(CTX5, v)
-    assert isomorphic_via(V5, mu, mu, phi)
+    assert isomorphic_via(mu, mu, phi)
 
 
 def test_isomorphic_via_refuses_a_map_that_mixes_parities():
@@ -651,16 +661,16 @@ def test_isomorphic_via_refuses_a_map_that_mixes_parities():
     space = Superspace(2, [0, 1], [[0, 0], [0, 1]])
     phi = [[1, 1], [0, 1]]
     mu = Potential.single(space, Element.monomial(space, (0, 1)))
-    image = map_element(space, phi, mu.element)
+    image = map_element(phi, mu.element)
     assert image.parity() is None
     with pytest.raises(NotOrthogonal, match="other parity"):
-        isomorphic_via(space, mu, Potential.single(space, image), phi)
+        isomorphic_via(mu, Potential.single(space, image), phi)
 
 
 def test_map_element_refuses_a_matrix_of_the_wrong_shape():
     space = odd_space(3)
     with pytest.raises(NaryError) as info:
-        map_element(space, [[1]], Element.generator(space, 2))
+        map_element([[1]], Element.generator(space, 2))
     assert type(info.value) is NaryError
 
 
@@ -676,13 +686,13 @@ def test_even_isometries_are_bracket_morphisms():
         for _ in range(3):
             a = random_homogeneous(space, rng, rng.randint(1, 3))
             b = random_homogeneous(space, rng, rng.randint(1, 3))
-            assert map_element(space, phi, poisson_bracket(a, b)) == \
-                poisson_bracket(map_element(space, phi, a),
-                                map_element(space, phi, b))
+            assert map_element(phi, poisson_bracket(a, b)) == \
+                poisson_bracket(map_element(phi, a),
+                                map_element(phi, b))
         mu = random_homogeneous(space, rng, 3)
         if not mu.is_zero():
-            image = Potential.single(space, map_element(space, phi, mu))
-            assert isomorphic_via(space, Potential.single(space, mu),
+            image = Potential.single(space, map_element(phi, mu))
+            assert isomorphic_via(Potential.single(space, mu),
                                   image, phi)
     assert moved >= 15
 

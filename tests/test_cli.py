@@ -445,6 +445,24 @@ def test_output_flag_and_pretty(files, capsys, tmp_path):
     assert json.loads(text)["pass"] is True
 
 
+@pytest.mark.parametrize("target", ["missing/report.json", "."])
+def test_unwritable_output_exits_2(files, capsys, target):
+    # exit 1 means "identity check failed", so a report that cannot be
+    # written is refused as bad input instead, with no traceback
+    write, tmp = files
+    argv = ["verify", "--space", write("s.json", SPACE5), "--identity",
+            "filippov", "--potential", write("mu.json", MU2),
+            "--output", str(tmp / target)]
+    code, out, err = run_main(argv, capsys)
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["kind"] == "SchemaError"
+    assert report["error"].startswith("--output: cannot write file: ")
+    fresh = subprocess.run([sys.executable, "-m", "naryalg.cli"] + argv,
+                           capture_output=True, text=True)
+    assert (fresh.returncode, fresh.stdout, fresh.stderr) == (2, "", err)
+
+
 def test_byte_identical_across_runs(files):
     write, tmp = files
     space = write("s.json", SPACE5)
@@ -516,32 +534,51 @@ MU_MIXED = {"schema": "nary/1", "arity": 2,
             "element": [{"monomial": [1, 2, 3], "coeff": "1"}]}
 
 
-@pytest.mark.parametrize("value", ["-1", "0"])
-def test_bad_max_degree_flag_exits_2(files, capsys, value):
+# a minimal command line of each subcommand
+COMMAND_LINES = {
+    "verify": ["verify", "--space", "s.json", "--identity", "l-infinity",
+               "--potential", "mu.json"],
+    "derive": ["derive", "--space", "s.json", "--potential", "mu.json"],
+    "star": ["star", "--space", "s.json", "--element", "v.json"],
+    "bracket": ["bracket", "--space", "s.json", "--a", "a.json",
+                "--b", "b.json"],
+    "hodge": ["hodge", "--space", "s.json", "--potential", "mu.json"],
+    "classify": ["classify", "--space", "s.json", "--v", "v.json"],
+    "table": ["table", "--m", "5"],
+    "frobenius": ["frobenius", "--space", "s.json", "--structure", "st.json",
+                  "--phi", "phi.json"],
+}
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "6"])
+def test_bad_max_degree_flag_exits_2(capsys, value):
+    # the degree cap lives in the space document alone: every subcommand
+    # refuses the flag, whatever its value, before any file is read
+    for argv in COMMAND_LINES.values():
+        with pytest.raises(SystemExit) as ex:
+            main(argv + ["--max-degree", value])
+        assert ex.value.code == 2
+        assert "unrecognized arguments: --max-degree" in \
+            capsys.readouterr().err
+
+
+def test_space_document_cap_is_the_only_cap(files, capsys):
+    # a degree-3 monomial is refused under a document cap of 2, at its
+    # field, and read under the default cap of 2 * dim
     write, _ = files
+    mu = write("mu.json", MU_MIXED)
+    code, out, err = run_main(
+        ["verify", "--space", write("s2.json", dict(MIXED3, max_degree=2)),
+         "--identity", "l-infinity", "--potential", mu], capsys)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {
+        "schema": "nary/1", "kind": "SchemaError",
+        "error": "potential.element[0].monomial: monomial degree 3 exceeds "
+                 "cap 2"}
     code, out, err = run_main(
         ["verify", "--space", write("s.json", MIXED3), "--identity",
-         "l-infinity", "--potential", write("mu.json", MU_MIXED),
-         "--max-degree", value], capsys)
-    assert code == 2 and out == ""
-    report = json.loads(err)
-    assert report["kind"] == "SchemaError"
-    assert report["error"].startswith("--max-degree:")
-
-
-@pytest.mark.parametrize("value", ["x", 0, -1])
-def test_bad_max_degree_field_refused_under_flag(files, capsys, value):
-    # the flag overrides the document's cap, but the field is still checked
-    write, _ = files
-    space = dict(MIXED3, max_degree=value)
-    code, out, err = run_main(
-        ["verify", "--space", write("s.json", space), "--identity",
-         "l-infinity", "--potential", write("mu.json", MU_MIXED),
-         "--max-degree", "6"], capsys)
-    assert code == 2 and out == ""
-    report = json.loads(err)
-    assert report["kind"] == "SchemaError"
-    assert report["error"].startswith("superspace.max_degree:")
+         "l-infinity", "--potential", mu], capsys)
+    assert code in (0, 1) and out and not err
 
 
 def test_repeated_main_calls_match_fresh_processes(files, capsys):
@@ -553,6 +590,7 @@ def test_repeated_main_calls_match_fresh_processes(files, capsys):
                            "parity": ["odd", "odd"],
                            "gram": [["1", "0"], ["0", "1"]]})
     mixed = write("mixed.json", MIXED3)
+    capped = write("capped.json", dict(MIXED3, max_degree=2))
     mu_mixed = write("mu_mixed.json", MU_MIXED)
     mu2 = write("mu2.json", MU2)
     mu3 = write("mu3.json", MU3)
@@ -565,8 +603,8 @@ def test_repeated_main_calls_match_fresh_processes(files, capsys):
                                "matrix": [["0", "0"], ["0", "0"]]})
     v = write("v.json", [{"monomial": [1, 2], "coeff": "1"}])
     jobs = [
-        ["verify", "--space", mixed, "--identity", "l-infinity",
-         "--potential", mu_mixed, "--max-degree", "2"],
+        ["verify", "--space", capped, "--identity", "l-infinity",
+         "--potential", mu_mixed],
         ["verify", "--space", mixed, "--identity", "l-infinity",
          "--potential", mu_mixed],
         ["verify", "--space", s5, "--identity", "nary-jacobi",
@@ -657,17 +695,16 @@ def test_removed_flag_exits_2(argv, removed, capsys):
 
 # every option each subcommand accepts; each one is read by its command
 OPTIONS = {
-    "verify": {"--space", "--max-degree", "--exhaustive", "--identity",
-               "--potential", "--structure", "--element", "--phi",
-               "--allow-odd-arity"},
-    "derive": {"--space", "--max-degree", "--potential"},
-    "star": {"--space", "--max-degree", "--element"},
-    "bracket": {"--space", "--max-degree", "--a", "--b"},
-    "hodge": {"--space", "--max-degree", "--potential"},
-    "classify": {"--space", "--max-degree", "--v", "--skew", "--seed"},
+    "verify": {"--space", "--exhaustive", "--identity", "--potential",
+               "--structure", "--element", "--phi", "--allow-odd-arity"},
+    "derive": {"--space", "--potential"},
+    "star": {"--space", "--element"},
+    "bracket": {"--space", "--a", "--b"},
+    "hodge": {"--space", "--potential"},
+    "classify": {"--space", "--v", "--skew", "--seed"},
     "table": {"--m", "--grid"},
-    "frobenius": {"--space", "--max-degree", "--potential", "--structure",
-                  "--phi", "--graph", "--allow-odd-arity"},
+    "frobenius": {"--space", "--potential", "--structure", "--phi",
+                  "--graph", "--allow-odd-arity"},
 }
 
 
@@ -681,4 +718,4 @@ def test_each_subcommand_accepts_only_its_options():
              for name, p in sub.choices.items()}
     assert slots == {name: opts | {"--pretty", "--output"}
                      for name, opts in OPTIONS.items()}
-    assert sum(map(len, slots.values())) == 52
+    assert sum(map(len, slots.values())) == 45

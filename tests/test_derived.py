@@ -592,7 +592,7 @@ def test_filippov_rank4_fails_with_witness():
     assert not rep.passed
     assert rep.witness is not None
     # residual really is [mu_a, mu] for the witness tuple
-    mu_a = nested_bracket_indices(V5, rep.witness, mu.element)
+    mu_a = nested_bracket_indices(rep.witness, mu.element)
     assert rep.residual == poisson_bracket(mu_a, mu.element)
 
 
@@ -1015,7 +1015,7 @@ def suffix_work(mu, k):
     work = 0
     for j in range(k):
         for s in canonical_tuples(space, j):
-            for w in nested_bracket_indices(space, s, mu.element).terms:
+            for w in nested_bracket_indices(s, mu.element).terms:
                 work += sum(1 for x in w for a in space.pairing[x]
                             if not s or a < s[0] or a == s[0] and not par[a])
     return work
@@ -1048,7 +1048,7 @@ def test_contractions_match_the_per_tuple_path_on_random_spaces():
             assert Tally.products == suffix_work(mu, k), (trial, k)
             want = {}
             for t in canonical_tuples(space, k):
-                terms = nested_bracket_indices(space, t, el).terms
+                terms = nested_bracket_indices(t, el).terms
                 if terms:
                     want[t] = terms
             assert level == want, (trial, k)
@@ -1098,7 +1098,7 @@ def test_cubic_operators_match_the_generator_contractions():
         el = spaces.random_homogeneous(space, rng, 3, terms=rng.randint(0, 5))
         mu = Potential.single(space, el, arity=2)
         assert derived._cubic_operators(mu, "test") == [
-            nested_bracket_indices(space, (i,), el) for i in range(m)], trial
+            nested_bracket_indices((i,), el) for i in range(m)], trial
 
 
 def test_jordan_inner_is_level_two_of_the_contractions():
@@ -1114,9 +1114,9 @@ def test_jordan_inner_is_level_two_of_the_contractions():
         mu = Potential.single(space, el, arity=2)
         level = contractions(mu, 2)
         for i in range(m):
-            a_i = nested_bracket_indices(space, (i,), el)
+            a_i = nested_bracket_indices((i,), el)
             for j in range(m):
-                want = nested_bracket_indices(space, (j,), a_i).terms
+                want = nested_bracket_indices((j,), a_i).terms
                 assert level.get(tuple(sorted((j, i))), {}) == want, trial
 
 

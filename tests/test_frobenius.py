@@ -10,7 +10,8 @@ import pytest
 from naryalg import cli, derived, frobenius, io, linalg
 from naryalg.cli import main
 from naryalg.derived import NaryStructure, Potential, derive_structure
-from naryalg.errors import NaryError, NotCommutative, NotInvariant, OddArity
+from naryalg.errors import NaryError, NotCommutative, NotInvariant, \
+    OddArity, SpaceMismatch
 from naryalg.frobenius import (
     check_quasi_frobenius,
     doubled_space,
@@ -326,6 +327,33 @@ def test_quasi_frobenius_failure_witness():
     assert found
 
 
+def test_frobenius_refuses_a_structure_over_another_space(monkeypatch):
+    # the space given must be the structure's own: a mismatch is refused
+    # before any work, never read as a smaller or a larger space
+    V4, V6 = odd_space(4), odd_space(6)
+    _, s4 = random_anticommutative(random.Random(7), 4)
+    s6 = NaryStructure(V6, 2, {(3, 5): Element.generator(V6, 0)})
+    phi6 = [[Fraction(0)] * 6 for _ in range(6)]
+    phi6[1][0], phi6[0][1] = Fraction(1), Fraction(-1)
+    cert = check_quasi_frobenius(V6, s6, phi6)
+    assert (cert.passed, cert.witness) == (False, (1, 3, 5))
+    phi4 = [row[:4] for row in phi6[:4]]
+    mu6 = Potential.single(V6, Element.monomial(V6, (0, 3, 5)))
+
+    def no_work(*args):
+        raise AssertionError("derived a structure before the refusal")
+
+    monkeypatch.setattr(frobenius, "derive_structure", no_work)
+    for refused in (lambda: check_quasi_frobenius(V6, s4, phi6),
+                    lambda: t_star_extension(V4, s6),
+                    lambda: t_star_extension(V6, s4),
+                    lambda: check_quasi_frobenius(V4, s6, phi4),
+                    lambda: t_star_extension(V4, mu6),
+                    lambda: check_quasi_frobenius(V4, mu6, phi4)):
+        with pytest.raises(SpaceMismatch):
+            refused()
+
+
 def test_quasi_frobenius_rejects_odd_arity_without_flag():
     sp = odd_space(3)
     s = NaryStructure(sp, 3, {})
@@ -354,7 +382,7 @@ def test_graph_vectors_isotropic():
         b = graph_vectors(ext, phi)
         for x in b:
             for y in b:
-                assert pair_vectors(ext.space, x, y) == 0
+                assert pair_vectors(x, y) == 0
 
 
 def test_graph_with_zero_phi_is_base_space():
@@ -405,7 +433,7 @@ def test_pairing_identity_exact():
         b = graph_vectors(ext, phi)
         for args in product(range(m), repeat=3):
             img = ext.structure.eval_elements([b[args[0]], b[args[1]]])
-            lhs = pair_vectors(ext.space, img, b[args[2]])
+            lhs = pair_vectors(img, b[args[2]])
             rhs = Fraction(0)
             for t in range(3):
                 rot = args[t:] + args[:t]

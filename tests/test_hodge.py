@@ -74,6 +74,15 @@ def test_context_requires_pure_odd_orthonormal():
         HodgeContext(odd_space(3, gram=[[2, 0, 0], [0, 1, 0], [0, 0, 1]]))
 
 
+def test_context_refuses_an_orientation_of_another_dimension():
+    # the sign of a 2-element order is no orientation of a 5-dim space
+    for order in ([1, 0], [0, 1, 2, 3], [0, 1, 2, 3, 4, 5]):
+        with pytest.raises(NotHodgeContext):
+            HodgeContext(V5, Orientation(order))
+    ctx = HodgeContext(V5, Orientation([1, 0, 2, 3, 4]))
+    assert ctx.top == -mono(V5, 1, 2, 3, 4, 5)
+
+
 def test_star_of_one_is_top_form():
     assert star(CTX5, Element.scalar(V5, 1)) == mono(V5, 1, 2, 3, 4, 5)
 
@@ -88,7 +97,7 @@ def test_star_matches_nested_brackets():
         ctx = HodgeContext(odd_space(m))
         for v in all_monomials(ctx.space):
             assert star(ctx, v) == nested_bracket_indices(
-                ctx.space, sorted(next(iter(v.terms))), ctx.top)
+                sorted(next(iter(v.terms))), ctx.top)
 
 
 @pytest.mark.parametrize("m", range(2, 9))
@@ -537,7 +546,7 @@ def _seeded_case(m, kind, sizes, turns, seed):
             pool = pool[s:]
     if turns:
         support = sorted({i for mono in el.terms for i in mono})
-        el = map_element(space, _rotation(rng, m, turns, support), el)
+        el = map_element(_rotation(rng, m, turns, support), el)
     if kind == "family":
         return ctx, Potential.homotopy_family(space, el)
     return ctx, Potential.single(space, el)

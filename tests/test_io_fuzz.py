@@ -3,7 +3,11 @@
 Every document kind that an ``io.parse_*`` routine reads is mutated and
 run through ``cli.main`` in-process.  A schema mutation puts a value the
 schema refuses at one field, or drops a required field; it must exit 2
-with that field's path and no traceback.  A byte mutation edits the file
+with that field's path and no traceback.  A semantic document, which
+every schema rule admits but the engine refuses (an arity that is not
+the degree less one, an element of mixed degrees, a family that is not
+odd, a monomial above the space's degree cap), exits 2 with the path of
+the field at fault.  A byte mutation edits the file
 text itself; whatever it yields, the CLI answers with exit 0, 1 or 2 and
 never a traceback.  The examples are derandomized, so every run draws the
 same ones.
@@ -187,7 +191,7 @@ def _replace(doc, keys, value):
     return doc
 
 
-def run_cli(kind, text):
+def run_cli(kind, text, space=SPACE):
     """Run the kind's command on the document bytes: (exit, out, err, file)."""
     _, flag, command, _ = KINDS[kind]
     with tempfile.TemporaryDirectory() as tmp:
@@ -201,7 +205,8 @@ def run_cli(kind, text):
                 else write(f"arg{i}.json", json.dumps(item).encode())
                 for i, item in enumerate(command)]
         if kind != "superspace":
-            argv += ["--space", write("space.json", json.dumps(SPACE).encode())]
+            argv += ["--space",
+                     write("space.json", json.dumps(space).encode())]
         target = write("target.json", text)
         out, err = StringIO(), StringIO()
         with redirect_stdout(out), redirect_stderr(err):
@@ -231,6 +236,49 @@ def test_schema_mutation_exits_2_with_its_path(kind, data):
     assert code == 2 and out == ""
     report = json.loads(err)
     assert report["kind"] == "SchemaError"
+    assert report["error"].startswith(path + ": "), (path, report["error"])
+
+
+def _terms(*monomials):
+    return [{"monomial": list(mono), "coeff": 1} for mono in monomials]
+
+
+CAPPED = {"schema": "nary/1", "dim": 3, "parity": ["even", "even", "odd"],
+          "max_degree": 2,
+          "gram": [["0", "1", "0"], ["-1", "0", "0"], ["0", "0", "1"]]}
+
+# documents that every schema rule admits but the engine refuses: (kind,
+# document, space, the field at fault)
+SEMANTIC = [
+    # an arity that is not the degree less one
+    ("potential", dict(POTENTIAL, arity=3), SPACE, "potential.arity"),
+    ("potential", {"element": []}, SPACE, "potential.arity"),
+    ("potential", {"element": _terms((1,))}, SPACE, "potential.arity"),
+    # mixed degrees, with an arity or without
+    ("potential", {"element": _terms((1, 2, 3), (2, 3))}, SPACE,
+     "potential.element"),
+    ("potential", {"arity": 2, "element": _terms((1, 2, 3), (2, 3))}, SPACE,
+     "potential.element"),
+    # a family that is not odd, or with a scalar layer
+    ("family", {"linf": [_terms((1, 2))]}, SPACE, "potential.linf"),
+    ("family", {"linf": [_terms((1,), (1, 2))]}, SPACE, "potential.linf"),
+    ("family", {"linf": [_terms((), (1,))]}, SPACE, "potential.linf"),
+    # a monomial above the space's degree cap
+    ("element", _terms((1, 2, 3)), CAPPED, "element[0].monomial"),
+    ("element", _terms((1,), (1, 1, 2)), CAPPED, "element[1].monomial"),
+    ("potential", POTENTIAL, CAPPED, "potential.element[0].monomial"),
+    ("family", {"linf": [_terms((3,)), _terms((1, 2, 3))]}, CAPPED,
+     "potential.linf[1][0].monomial"),
+]
+
+
+@pytest.mark.parametrize("kind, doc, space, path", SEMANTIC)
+def test_semantic_error_exits_2_at_the_field_at_fault(kind, doc, space,
+                                                      path):
+    code, out, err, _ = run_cli(kind, json.dumps(doc).encode(), space)
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["kind"] == "SchemaError", report
     assert report["error"].startswith(path + ": "), (path, report["error"])
 
 

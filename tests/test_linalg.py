@@ -341,7 +341,7 @@ DOORS = {
     "Element": (lambda x: Element(V3, {(0,): x}), 1, False),
     "Superspace": (lambda g: Superspace(3, [1, 1, 1], g), IDENTITY3, False),
     "skew_to_element": (lambda a: skew_to_element(V3, a), SKEW3, True),
-    "isomorphic_via": (lambda phi: isomorphic_via(V3, MU3, MU3, phi),
+    "isomorphic_via": (lambda phi: isomorphic_via(MU3, MU3, phi),
                        IDENTITY3, False),
     "block_parameters": (block_parameters, SKEW3, True),
     "check_quasi_frobenius": (

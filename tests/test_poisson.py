@@ -12,6 +12,7 @@ from naryalg.poisson import (
     Element,
     multiply,
     nested_bracket_indices,
+    pair_vectors,
     poisson_bracket,
 )
 from naryalg.superspace import Superspace, even_symplectic_space, odd_space
@@ -78,15 +79,15 @@ def test_bracket_with_scalar_vanishes():
 def test_nested_bracket_single_step():
     # [e5, L] contracts the top form to a sign times the complement
     L = mono(V5, 1, 2, 3, 4, 5)
-    assert nested_bracket_indices(V5, [4], L) == mono(V5, 1, 2, 3, 4)
-    assert nested_bracket_indices(V5, [], L) == L
+    assert nested_bracket_indices([4], L) == mono(V5, 1, 2, 3, 4)
+    assert nested_bracket_indices([], L) == L
 
 
 def test_nested_bracket_unrolls():
     rng = random.Random(0)
     mu = random_homogeneous(V5, rng, 3)
     a1, a2 = Element.generator(V5, 0), Element.generator(V5, 2)
-    lhs = nested_bracket_indices(V5, [0, 2], mu)
+    lhs = nested_bracket_indices([0, 2], mu)
     rhs = poisson_bracket(a1, poisson_bracket(a2, mu))
     assert lhs == rhs
 
@@ -104,7 +105,7 @@ def test_nested_bracket_indices_matches_the_chain_on_random_spaces():
             target = target + random_homogeneous(space, rng, degree, terms=3)
         # unsorted, with repeats
         indices = [rng.randrange(m) for _ in range(rng.randint(0, 4))]
-        got = nested_bracket_indices(space, indices, target)
+        got = nested_bracket_indices(indices, target)
         assert got == nested_bracket_by_chain(space, indices, target), trial
         even_repeats += any(a == b and not space.parity[a]
                             for w in target.terms for a, b in zip(w, w[1:]))
@@ -121,16 +122,33 @@ def test_nested_bracket_indices_refuses_as_the_chain():
         indices = [rng.randrange(m) for _ in range(3)]
         indices[rng.randrange(3)] = rng.choice((m, m + 3, -1))
         with pytest.raises(NaryError) as got:
-            nested_bracket_indices(space, indices, target)
+            nested_bracket_indices(indices, target)
         with pytest.raises(NaryError) as want:
             nested_bracket_by_chain(space, indices, target)
         assert type(got.value) is type(want.value) is NaryError
         assert str(got.value) == str(want.value)
         # the bracket of nothing is refused as well
         with pytest.raises(NaryError):
-            nested_bracket_indices(space, indices, Element.zero(space))
+            nested_bracket_indices(indices, Element.zero(space))
+
+
+def test_nested_bracket_indices_reads_the_space_off_its_target():
+    # an element of a 5-dim space stays one, with no index or none
+    t = mono(V5, 1, 2, 3, 4, 5)
+    assert nested_bracket_indices((), t).space is V5
+    assert nested_bracket_indices([4], t).space is V5
+    with pytest.raises(NaryError, match="^generator index 5 out of range$"):
+        nested_bracket_indices([5], t)
+
+
+def test_pair_vectors_refuses_vectors_over_different_spaces():
+    e = Element.generator
     with pytest.raises(SpaceMismatch):
-        nested_bracket_indices(V5, [0], Element.generator(odd_space(4), 0))
+        pair_vectors(e(V5, 4), e(odd_space(4), 0))
+    with pytest.raises(SpaceMismatch):
+        pair_vectors(e(odd_space(4), 0), e(V5, 4))
+    assert pair_vectors(e(V5, 4), e(V5, 4)) == 1
+    assert pair_vectors(e(MIXED, 0), e(MIXED, 1)) == 1
 
 
 def test_generator_refuses_an_index_outside_the_basis():

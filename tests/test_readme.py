@@ -49,7 +49,7 @@ def test_every_listed_flag_is_an_option():
     flags = set(re.findall(r"`(--[a-z][a-z-]*)", README))
     for line in _command_lines():
         flags.update(re.findall(r"--[a-z][a-z-]*", line))
-    assert {"--max-degree", "--exhaustive", "--seed"} <= flags
+    assert {"--exhaustive", "--seed"} <= flags
     for flag in flags:
         assert any(flag in sub._option_string_actions
                    for sub in commands.values()), flag
@@ -64,8 +64,7 @@ def test_every_listed_flag_is_an_option():
     # each other flag is on exactly the subcommands its entry names
     entries = re.findall(r"^- `(--[a-z-]+)[^`]*` on (.*?):", section,
                          flags=re.M | re.S)
-    assert [flag for flag, _ in entries] == \
-        ["--max-degree", "--exhaustive", "--seed"]
+    assert [flag for flag, _ in entries] == ["--exhaustive", "--seed"]
     for flag, names in entries:
         listed = set(re.findall(r"`([a-z]+)`", names))
         assert listed == {name for name, sub in commands.items()

@@ -175,6 +175,18 @@ def test_degree_cap_ignores_the_environment(monkeypatch):
     assert odd_space(3).max_degree == 3
 
 
+@pytest.mark.parametrize("cap", ["x", "3", 0, -1, 2.5, True, False, [4]])
+def test_degree_cap_must_be_a_positive_int(cap):
+    # the space is the cap's one owner, so it refuses a bad cap at once,
+    # whatever its parity
+    for parity, gram in (([0, 0], [[0, 1], [-1, 0]]),
+                         ([1, 1], [[1, 0], [0, 1]])):
+        with pytest.raises(NaryError, match="^max_degree must be an int"):
+            Superspace(2, parity, gram, max_degree=cap)
+    assert Superspace(2, [0, 0], [[0, 1], [-1, 0]], max_degree=1).max_degree \
+        == 1
+
+
 def test_parity_must_be_a_sequence():
     with pytest.raises(NaryError) as info:
         Superspace(2, 5, [[1, 0], [0, 1]])
