@@ -15,8 +15,9 @@ gives.  The (m-3)-ary algebra attached to v is the derived algebra of
 star(v); the space must be ``orthonormal`` (read off ``Superspace``).
 Simplicity is decided twice, independently: by the rank of v (the paper's
 criterion) and by an exact certificate, the common kernel of the
-multiplication operators L_t (``NaryStructure.operators``) or the
-dimension of their commutant; ``classify_m3`` compares the two.
+multiplication operators L_t (``NaryStructure.operators``), the Lie
+algebra they generate, or the dimension of their commutant;
+``classify_m3`` compares the two.
 ``isomorphic_via`` checks that phi is even and orthogonal, with no
 sampled check.
 """
@@ -24,7 +25,6 @@ sampled check.
 import math
 import struct
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
@@ -49,6 +49,7 @@ from .errors import (
 )
 from .hodge import HodgeContext, star
 from .poisson import Element, multiply, poisson_bracket
+from .record import Record
 
 
 # ---------------------------------------------------------------------------
@@ -379,12 +380,12 @@ SKEW_TOL = 1e-12
 RESIDUAL_TOL = 1e-9
 
 
-@dataclass
-class CanonicalForm:
-    params: list            # a_1 >= a_2 >= ...; last may be negative if m even
-    q: object               # orthogonal matrix with det +1 (numpy array)
-    residual: float
-    m: int
+class CanonicalForm(Record):
+    def __init__(self, params, q, residual, m):
+        self.params = params      # a_1 >= a_2 >= ...; last may be negative
+        self.q = q                # orthogonal, det +1 (numpy array)
+        self.residual = residual  # float
+        self.m = m
 
     def reconstruct(self):
         import numpy as np
@@ -498,13 +499,13 @@ def ider(mu):
 # ideal search
 
 
-@dataclass
-class IdealReport:
-    found: bool
-    basis: list = field(default_factory=list)   # degree-1 elements
-    method: str = ""
-    status: str = ""
-    rounds: int = 0       # always 0: the report format keeps the field
+class IdealReport(Record):
+    def __init__(self, found, basis=None, method="", status="", rounds=0):
+        self.found = found
+        self.basis = [] if basis is None else basis  # degree-1 elements
+        self.method = method
+        self.status = status
+        self.rounds = rounds  # always 0: the report format keeps the field
 
 
 def _verify_ideal(ops, rows):
@@ -534,6 +535,34 @@ def _commutant(operators, m):
                 if eq:
                     system.append(eq)
     return system, m * m - linalg.rank(system)
+
+
+def _closes_to_so(operators, m):
+    """Do the skew operators generate all of so(m) as a Lie algebra?
+
+    Their span is closed under commutators in batches, the first batch
+    being the operators themselves.  The ``row_space`` of the basis and a
+    batch is the next basis; the next batch brackets every pair of its
+    rows of which one is new, a row at a pivot that the basis before did
+    not have.  A batch that adds nothing is a fixed point, a Lie algebra
+    of lower dimension: False.  The basis rows are combinations of the
+    operators and their commutators, so one certified ``linalg.rank`` of
+    them at m(m-1)/2 proves that the algebra generated is so(m).
+    """
+    full = m * (m - 1) // 2
+    basis, batch = [], [linalg.skew_coordinates(op) for op in operators]
+    while True:
+        grown = linalg.row_space(basis + batch)
+        if len(grown) == len(basis):
+            return False
+        if len(grown) == full:
+            return linalg.rank(grown) == full
+        pivots = {min(row) for row in basis}
+        new = [min(row) not in pivots for row in grown]
+        basis, ops = grown, [linalg.skew_operator(row) for row in grown]
+        batch = [linalg.skew_commutator(ops[i], ops[j])
+                 for i in range(len(ops))
+                 for j in range(i) if new[i] or new[j]]
 
 
 def _minus_scalar(x, c):
@@ -594,16 +623,26 @@ def find_ideal(s):
     (``s.operators()``), in the operator format of the ``linalg``
     docstring, which applies and transposes them.
     Stage 1 returns the common kernel of the L_t if it is a proper ideal.
-    Then the commutant {X : X L_t = L_t X for all t} decides, its dimension
-    read from one certified ``linalg.rank``.  If W is a proper ideal, so is
-    its orthogonal complement, and the orthogonal projection onto W
-    commutes with every L_t: dimension 1 proves the algebra simple.  Above
-    1 the kernel of every commutant element is an invariant subspace; the
-    first proper kernel of a canonical basis element is returned.  At
-    dimension 2 the commutant is span(I, X) for a non-scalar basis element
-    X, so X^2 = aI + bX, and at each rational root t of t^2 = a + b t the
-    kernel of X - tI, also in the commutant, is tried as well.  If no
-    kernel is proper the status is "undecided", never "simple".
+    Stage 2, for m >= 3, closes the span of the L_t under commutators
+    (``_closes_to_so``).  An ideal is invariant under every L_t and their
+    commutators, and the L_t are skew, so the Lie algebra they generate
+    lies in so(m).  If it is all of so(m), which acts absolutely
+    irreducibly on R^m for m >= 3 (so by Schur's lemma its commutant is
+    the scalars, as stage 3 would find), there is no proper ideal and the
+    method is "closure"; so(2) is not absolutely irreducible, its
+    commutant is span(I, J).  A closure that stops short of so(m) decides
+    nothing.
+    Stage 3: the commutant {X : X L_t = L_t X for all t} decides, its
+    dimension read from one certified ``linalg.rank``.  If W is a proper
+    ideal, so is its orthogonal complement, and the orthogonal projection
+    onto W commutes with every L_t: dimension 1 proves the algebra simple.
+    Above 1 the kernel of every commutant element is an invariant
+    subspace; the first proper kernel of a canonical basis element is
+    returned.  At dimension 2 the commutant is span(I, X) for a non-scalar
+    basis element X, so X^2 = aI + bX, and at each rational root t of
+    t^2 = a + b t the kernel of X - tI, also in the commutant, is tried as
+    well.  If no kernel is proper the status is "undecided", never
+    "simple".
     """
     space = s.space
     _require_orthonormal_odd(space)
@@ -625,6 +664,11 @@ def find_ideal(s):
         if 0 < len(rows) < m and _verify_ideal(operators, rows):
             return IdealReport(True, _rows_to_elements(space, rows),
                                method="kernel", status="ideal found")
+
+    # stage 2: the L_t generate so(m)
+    if m >= 3 and _closes_to_so(operators, m):
+        return IdealReport(False, method="closure",
+                           status="simple (certified)")
 
     # the identity commutes with everything, so dim >= 1
     system, dim = _commutant(operators, m)
@@ -649,17 +693,18 @@ def find_ideal(s):
 # classification records
 
 
-@dataclass
-class ClassificationRecord:
-    m: int
-    v: object                # degree-2 element
-    skew_rank: int
-    canonical_params: list   # block_parameters: correctly rounded doubles
-    simple: bool
-    simple_method: str
-    filippov: bool
-    sh_jacobi: bool
-    ideal: IdealReport
+class ClassificationRecord(Record):
+    def __init__(self, m, v, skew_rank, canonical_params, simple,
+                 simple_method, filippov, sh_jacobi, ideal):
+        self.m = m
+        self.v = v                                # degree-2 element
+        self.skew_rank = skew_rank
+        self.canonical_params = canonical_params  # correctly rounded doubles
+        self.simple = simple
+        self.simple_method = simple_method
+        self.filippov = filippov
+        self.sh_jacobi = sh_jacobi
+        self.ideal = ideal                        # IdealReport
 
 
 def classify_m3(v):

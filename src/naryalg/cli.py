@@ -124,7 +124,7 @@ def cmd_verify(args):
     if args.identity == "derivation":
         if not args.element:
             raise NaryError("derivation check needs --element")
-        w = io.parse_element(space, io.load_file(args.element))
+        w = io.parse_element(space, io.load_file(args.element), degree=2)
         ok = check_derivation(w, _load_potential(space, args))
         _emit(args, {"schema": io.SCHEMA, "check": "derivation", "pass": ok})
         return 0 if ok else 1
@@ -173,7 +173,7 @@ def cmd_classify(args):
         mat = io.parse_matrix(io.load_file(args.skew), space.dim)
         v = skew_to_element(space, mat)
     elif args.v:
-        v = io.parse_element(space, io.load_file(args.v))
+        v = io.parse_element(space, io.load_file(args.v), degree=2)
     else:
         raise NaryError("need --v or --skew")
     rec = classify_m3(v)

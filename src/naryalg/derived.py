@@ -52,7 +52,6 @@ evaluated term by term only by the oracle ``generalized_jacobi`` in
 ``tests/oracles.py``.
 """
 
-from dataclasses import dataclass, field
 from itertools import islice
 from math import comb, factorial
 
@@ -71,6 +70,7 @@ from .errors import (
 )
 from .linalg import ONE, ZERO
 from .poisson import Element, normalize_word, poisson_bracket
+from .record import Record
 from .superspace import require_nondegenerate
 
 
@@ -155,14 +155,15 @@ def _report(name, violations, exhaustive, detail=""):
                        detail=detail, violations=found)
 
 
-@dataclass
-class CheckReport:
-    name: str
-    passed: bool
-    witness: tuple = None
-    residual: object = None
-    detail: str = ""
-    violations: list = field(default_factory=list)
+class CheckReport(Record):
+    def __init__(self, name, passed, witness=None, residual=None, detail="",
+                 violations=None):
+        self.name = name
+        self.passed = passed
+        self.witness = witness  # a tuple
+        self.residual = residual
+        self.detail = detail
+        self.violations = [] if violations is None else violations
 
     def __bool__(self):
         return self.passed

@@ -49,8 +49,6 @@ too and is checked on strictly increasing tuples only (see
 check_quasi_frobenius).
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
@@ -61,6 +59,7 @@ from .errors import NaryError, NotInvariant, NotPureOdd, OddArity, \
     SpaceMismatch
 from .linalg import ONE, ZERO
 from .poisson import Element
+from .record import Record
 from .superspace import ODD, Superspace
 
 # work budget of the cyclic-sum loop, in tuples probed
@@ -76,14 +75,14 @@ def doubled_space(m):
     return Superspace(2 * m, [ODD] * (2 * m), g)
 
 
-@dataclass
-class TStarExtension:
-    base_space: object
-    space: object            # the doubled space
-    arity: int
-    base: NaryStructure
-    potential: object        # derived potential of the extension
-    structure: NaryStructure # extended product = derive_structure(potential)
+class TStarExtension(Record):
+    def __init__(self, base_space, space, arity, base, potential, structure):
+        self.base_space = base_space
+        self.space = space          # the doubled space
+        self.arity = arity
+        self.base = base            # NaryStructure
+        self.potential = potential  # derived potential of the extension
+        self.structure = structure  # derive_structure(potential)
 
 
 def _as_structure(space, mu):
@@ -141,13 +140,14 @@ def cotangent_potential(s, ws):
         terms.items()))), arity=n)
 
 
-@dataclass
-class QFCertificate:
-    passed: bool
-    witness: tuple = None
-    residual: Fraction = None
-    phi_rank: int = 0
-    odd_arity: bool = False
+class QFCertificate(Record):
+    def __init__(self, passed, witness=None, residual=None, phi_rank=0,
+                 odd_arity=False):
+        self.passed = passed
+        self.witness = witness    # a tuple
+        self.residual = residual  # a Fraction
+        self.phi_rank = phi_rank
+        self.odd_arity = odd_arity
 
 
 def check_quasi_frobenius(space, mu, phi, allow_odd_arity=False):

@@ -99,7 +99,6 @@ the report's ``kernels`` or ``harmonic`` is first read.
 
 import functools
 from bisect import bisect
-from dataclasses import dataclass, field
 from itertools import chain, combinations
 from math import comb, gcd
 
@@ -108,6 +107,7 @@ from .derived import check_l_infinity, contractions
 from .errors import NotHodgeContext, NotLInfinity
 from .linalg import ONE, ZERO
 from .poisson import Element, multiply
+from .record import Record
 from .superspace import Orientation
 
 MAX_DIM = 14
@@ -274,32 +274,37 @@ def _validate_homotopy(mu):
         raise NotLInfinity("[mu, mu] is not a scalar")
 
 
-@dataclass
-class HodgeDegreeRow:
-    p: int
-    dim: int
-    rank_d: int          # rank of d restricted to degree p
-    rank_delta: int      # rank of delta restricted to degree p
-    im_d: int            # dimension of Im(d) landing in degree p
-    im_delta: int        # dimension of Im(delta) landing in degree p
-    ker_laplacian: int
-    cohomology: int = None
+class HodgeDegreeRow(Record):
+    def __init__(self, p, dim, rank_d, rank_delta, im_d, im_delta,
+                 ker_laplacian, cohomology=None):
+        self.p = p
+        self.dim = dim
+        self.rank_d = rank_d            # rank of d restricted to degree p
+        self.rank_delta = rank_delta    # rank of delta restricted to degree p
+        self.im_d = im_d                # dimension of Im(d) in degree p
+        self.im_delta = im_delta        # dimension of Im(delta) in degree p
+        self.ker_laplacian = ker_laplacian
+        self.cohomology = cohomology
 
 
-@dataclass
-class HodgeReport:
-    m: int
-    degrees: list
-    total_dim: int
-    rank_d: int
-    rank_delta: int
-    ker_laplacian: int
-    direct_sum_ok: bool            # both flags carry delta == eps d^T,
-    kernel_intersection_ok: bool   # from which the Hodge lemma follows
-    cohomology_total: int
-    homogeneous: bool = True
-    space: object = field(default=None, repr=False)
-    d: dict = field(default_factory=dict, repr=False)
+class HodgeReport(Record):
+    def __init__(self, m, degrees, total_dim, rank_d, rank_delta,
+                 ker_laplacian, direct_sum_ok, kernel_intersection_ok,
+                 cohomology_total, homogeneous=True, space=None, d=None):
+        self.m = m
+        self.degrees = degrees
+        self.total_dim = total_dim
+        self.rank_d = rank_d
+        self.rank_delta = rank_delta
+        self.ker_laplacian = ker_laplacian
+        # both flags carry delta == eps d^T, from which the Hodge lemma
+        # follows
+        self.direct_sum_ok = direct_sum_ok
+        self.kernel_intersection_ok = kernel_intersection_ok
+        self.cohomology_total = cohomology_total
+        self.homogeneous = homogeneous
+        self.space = space
+        self.d = {} if d is None else d
 
     @functools.cached_property
     def kernels(self):

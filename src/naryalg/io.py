@@ -5,9 +5,10 @@ indices are 1-based outside the engine.  Object-rooted documents carry a
 "schema": "nary/1" version field, which is required on output and checked
 when present on input.  Parse errors carry the offending field path, and
 so does the engine's refusal of a document that the schema admits: a
-monomial above the space's degree cap, a potential whose arity is not its
-degree less one or whose element has mixed degrees, or an ``linf`` family
-that is not odd.
+monomial above the space's degree cap, an element whose degree is not the
+one its option reads (``parse_element``'s degree), a potential whose arity
+is not its degree less one or whose element has mixed degrees, or an
+``linf`` family that is not odd.
 Basis index lists and square matrices (the Gram matrix, --phi, --skew)
 each have one reader.  A structure gives each key once, with arity
 indices; a potential is one element or an "linf" family, not both.
@@ -129,7 +130,10 @@ def superspace_to_json(space):
 # elements
 
 
-def parse_element(space, arr, path="element"):
+def parse_element(space, arr, path="element", degree=None):
+    """The element of the document at path; with a degree, an element of
+    another degree (or of mixed degrees) is refused there, as the engine
+    would refuse it with WrongDegree."""
     _check_list(arr, path, "a list of terms")
     terms = {}
     for t, item in enumerate(arr):
@@ -149,7 +153,10 @@ def parse_element(space, arr, path="element"):
                               f"{len(mono)} exceeds cap {space.max_degree}")
         coeff = parse_scalar(item["coeff"], f"{where}.coeff")
         terms[mono] = terms.get(mono, ZERO) + coeff
-    return Element(space, terms)
+    el = Element(space, terms)
+    if degree is not None and el.degrees() not in ([], [degree]):
+        raise SchemaError(path, f"expected an element of degree {degree}")
+    return el
 
 
 def element_to_json(el):

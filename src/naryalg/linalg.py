@@ -23,6 +23,10 @@ here and nowhere else: ``apply_op`` applies one to a sparse vector,
 ``compose_ops`` composes two, and ``transpose_op`` takes a scalar
 multiple of the transpose.  The Hodge pair d, delta and the
 multiplication operators L_t of a structure are operators in this sense.
+A skew operator L is also the sparse row of its coordinates
+{(i, j): L[i][j]}, i < j, in so(m): ``skew_coordinates`` and
+``skew_operator`` convert, and ``skew_commutator`` gives the coordinates
+of AB - BA.
 
 Dense matrices (lists of rows) serve small square matrices: the checks
 and arithmetic helpers, ``charpoly``, ``det``, and ``rref``, ``solve`` and
@@ -207,6 +211,35 @@ def transpose_op(op, scale=1):
         for dst, c in img.items():
             out.setdefault(dst, {})[src] = scale * c
     return out
+
+
+def skew_coordinates(op):
+    """The coordinates {(i, j): L[i][j]}, i < j, of a skew operator L: the
+    entry at i of column j."""
+    return {(i, j): x for j, col in op.items() for i, x in col.items()
+            if i < j}
+
+
+def skew_operator(row):
+    """The skew operator with the coordinates of row (``skew_coordinates``)."""
+    op = {}
+    for (i, j), x in row.items():
+        op.setdefault(j, {})[i] = x
+        op.setdefault(i, {})[j] = -x
+    return op
+
+
+def skew_commutator(a, b):
+    """The coordinates of AB - BA for skew operators a and b: BA is the
+    transpose of AB, so entry (i, j) is AB[i][j] - AB[j][i]."""
+    row = {}
+    for j, col in compose_ops(a, b).items():
+        for i, x in col.items():
+            if i < j:
+                row[i, j] = row.get((i, j), 0) + x
+            elif i > j:
+                row[j, i] = row.get((j, i), 0) - x
+    return {key: x for key, x in row.items() if x}
 
 
 # ---------------------------------------------------------------------------

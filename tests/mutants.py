@@ -302,6 +302,30 @@ MUTANTS = [
            "if False:",
            ["tests/test_classify.py::"
             "test_find_ideal_refuses_a_non_skew_operator"]),
+    # simplicity certified by closing the L_t to so(m)
+    Mutant("closure-stops-after-its-first-batch", CLASSIFY, "_closes_to_so",
+           "if len(grown) == len(basis):", "if len(grown) < full:",
+           ["tests/test_classify.py::"
+            "test_find_ideal_simple_case_certified"]),
+    Mutant("commutator-sign-flipped", LINALG, "skew_commutator",
+           "row.get((j, i), 0) - x", "row.get((j, i), 0) + x",
+           ["tests/test_classify.py::"
+            "test_rotated_so3_plus_so3_is_never_called_simple",
+            OPERATOR_ROUTINES]),
+    Mutant("closure-accepts-one-row-short", CLASSIFY, "_closes_to_so",
+           "return linalg.rank(grown) == full",
+           "return linalg.rank(grown) >= full - 1",
+           ["tests/test_classify.py::"
+            "test_closure_claims_so_m_only_on_a_certified_rank"]),
+    Mutant("closure-guard-admits-so2", CLASSIFY, "find_ideal",
+           "if m >= 3 and _closes_to_so(operators, m):",
+           "if m >= 2 and _closes_to_so(operators, m):",
+           ["tests/test_classify.py::test_closure_does_not_call_so2_simple"]),
+    Mutant("element-degree-unchecked", IO, "parse_element",
+           "if degree is not None and el.degrees() not in ([], [degree]):",
+           "if False:",
+           ["tests/test_cli.py::"
+            "test_element_of_another_degree_exits_2_at_its_field"]),
     Mutant("star-sign-exponent-off-by-one", HODGE, "star_monomial",
            "(-1) ** sum(mono)", "(-1) ** (sum(mono) + 1)",
            [STAR_SIGN, "tests/test_hodge.py::test_star_basics_frozen"]),

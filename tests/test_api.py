@@ -6,6 +6,8 @@ import importlib
 import inspect
 import pkgutil
 
+import pytest
+
 import naryalg
 
 # every public function, method and record of naryalg.* with a ``space``
@@ -68,3 +70,56 @@ def test_the_degree_cap_is_set_only_where_a_space_is_built():
     assert params["derived.canonical_tuples"] == ["space", "n"]
     assert params["superspace.odd_space"] == ["m", "gram"]
     assert params["io.parse_superspace"] == ["obj", "path"]
+
+
+# record -> (its fields in order, the number without a default, and the
+# values of the others when they are left out)
+RECORDS = {
+    "classify.CanonicalForm": (["params", "q", "residual", "m"], 4, {}),
+    "classify.IdealReport": (
+        ["found", "basis", "method", "status", "rounds"], 1,
+        {"basis": [], "method": "", "status": "", "rounds": 0}),
+    "classify.ClassificationRecord": (
+        ["m", "v", "skew_rank", "canonical_params", "simple",
+         "simple_method", "filippov", "sh_jacobi", "ideal"], 9, {}),
+    "derived.CheckReport": (
+        ["name", "passed", "witness", "residual", "detail", "violations"], 2,
+        {"witness": None, "residual": None, "detail": "", "violations": []}),
+    "frobenius.TStarExtension": (
+        ["base_space", "space", "arity", "base", "potential", "structure"],
+        6, {}),
+    "frobenius.QFCertificate": (
+        ["passed", "witness", "residual", "phi_rank", "odd_arity"], 1,
+        {"witness": None, "residual": None, "phi_rank": 0,
+         "odd_arity": False}),
+    "hodge.HodgeDegreeRow": (
+        ["p", "dim", "rank_d", "rank_delta", "im_d", "im_delta",
+         "ker_laplacian", "cohomology"], 7, {"cohomology": None}),
+    "hodge.HodgeReport": (
+        ["m", "degrees", "total_dim", "rank_d", "rank_delta",
+         "ker_laplacian", "direct_sum_ok", "kernel_intersection_ok",
+         "cohomology_total", "homogeneous", "space", "d"], 9,
+        {"homogeneous": True, "space": None, "d": {}}),
+}
+
+
+def test_records_keep_their_fields_and_compare_by_value():
+    params = public_callables()
+    for where, (fields, required, defaults) in RECORDS.items():
+        assert params[where] == ["self"] + fields
+        module, name = where.split(".")
+        cls = getattr(importlib.import_module(f"naryalg.{module}"), name)
+        a, b = cls(*range(required)), cls(*range(required))
+        assert {f: getattr(a, f) for f in fields[required:]} == defaults
+        for f in fields[required:]:
+            if isinstance(getattr(a, f), (list, dict)):
+                assert getattr(a, f) is not getattr(b, f)  # fresh
+        assert a == b and not a != b
+        with pytest.raises(TypeError):
+            hash(a)
+        for i in range(required):
+            changed = cls(*(-1 if j == i else j for j in range(required)))
+            assert changed != a
+    ideal = naryalg.classify.IdealReport
+    assert ideal(True) != ideal(True, method="kernel")
+    assert ideal(True) != naryalg.derived.CheckReport(True, True)

@@ -354,7 +354,7 @@ def test_find_ideal_kernel_case():
 def test_find_ideal_simple_case_certified():
     mu = build_m3_algebra(CTX5, mono(V5, 1, 2) + mono(V5, 3, 4))
     rep = find_ideal(derive_structure(mu))
-    assert not rep.found and rep.method == "commutant"
+    assert not rep.found and rep.method == "closure"
     assert rep.status == "simple (certified)" and rep.rounds == 0
 
 
@@ -370,7 +370,7 @@ def test_classify_m3_labels_a_simple_algebra_by_rank():
     assert not rep.found and rep.method == "rank-criterion"
     assert rep.status == "simple (certified)" and rep.basis == []
     rep = find_ideal(derive_structure(build_m3_algebra(CTX5, v)))
-    assert rep.method == "commutant" and rep.status == "simple (certified)"
+    assert rep.method == "closure" and rep.status == "simple (certified)"
 
 
 def _rank2_structures(rng):
@@ -470,6 +470,83 @@ def test_commutant_dimension_matches_kronecker_oracle():
         if rank is not None and rank > 2:
             assert got == 1
     assert dims[-2:] == [2, 2]
+
+
+def _table_structures(ms):
+    """The structures of every point of the ``table`` grids at m."""
+    for m in ms:
+        sp = odd_space(m)
+        ctx = HodgeContext(sp)
+        for params in combinations_with_replacement((2, 1, 0), m // 2):
+            v = Element(sp, {(2 * t, 2 * t + 1): Fraction(p)
+                             for t, p in enumerate(params) if p})
+            yield derive_structure(build_m3_algebra(ctx, v))
+
+
+def _random_structures(rng, ms):
+    """One structure per m, of a random rational v = u1 w1 - w1 u1 (+
+    u2 w2 - w2 u2), u and w with about half their entries nonzero: skew
+    rank 4 or less, where the closure needs commutators or stops short."""
+    for m in ms:
+        sp = odd_space(m)
+        a = [[Fraction(0)] * m for _ in range(m)]
+        for _ in range(rng.randint(1, 2)):
+            u, w = ([Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                     if rng.random() < 0.5 else 0 for _ in range(m)]
+                    for _ in range(2))
+            for i in range(m):
+                for j in range(m):
+                    a[i][j] += u[i] * w[j] - w[i] * u[j]
+        v = skew_to_element(sp, a)
+        yield derive_structure(build_m3_algebra(HodgeContext(sp), v))
+
+
+def test_closure_reaches_so_m_exactly_when_the_commutant_is_scalar():
+    cases = list(_table_structures((6, 7, 8)))
+    cases += _random_structures(random.Random(14), range(5, 10))
+    cases += [_so3_plus_so3(False), _so3_plus_so3(True)]
+    closed = []
+    for s in cases:
+        m = s.space.dim
+        ops = list(s.operators().values())
+        reaches = classify._closes_to_so(ops, m)
+        scalar = classify._commutant(ops, m)[1] == 1
+        assert reaches == scalar == (commutant_dim_by_kronecker(s) == 1)
+        closed.append(reaches)
+    # both answers occur on the grids, on random v, and so(3) + so(3)
+    # stops short
+    assert closed[:35].count(True) == 26  # the points of rank above 2
+    assert True in closed[35:-2] and False in closed[35:-2]
+    assert closed[-2:] == [False, False]
+
+
+def test_closure_claims_so_m_only_on_a_certified_rank(monkeypatch):
+    # a row_space that reports m(m-1)/2 rows, one of them a repeat, cannot
+    # make the closure claim so(m), and the commutant still decides
+    s = derive_structure(build_m3_algebra(CTX5,
+                                          mono(V5, 1, 2) + mono(V5, 3, 4)))
+    ops = list(s.operators().values())
+    row_space = linalg.row_space
+
+    def overcounting(rows):
+        out = row_space(rows)
+        return out[:-1] + out[:1] if len(out) == 10 else out
+
+    monkeypatch.setattr(linalg, "row_space", overcounting)
+    assert not classify._closes_to_so(ops, 5)
+    rep = find_ideal(s)
+    assert rep.method == "commutant" and rep.status == "simple (certified)"
+
+
+def test_closure_does_not_call_so2_simple():
+    # e1e2 on V2 gives L = J, which spans so(2); so(2) is irreducible on
+    # R^2 but not absolutely (J commutes with it), so only m >= 3 closes
+    sp = odd_space(2)
+    s = derive_structure(Potential.single(sp, Element.monomial(sp, (0, 1))))
+    assert classify._closes_to_so(list(s.operators().values()), 2)
+    rep = find_ideal(s)
+    assert not rep.found and rep.method == "commutant"
+    assert rep.status == "undecided (commutant dimension 2)"
 
 
 def test_find_ideal_refuses_a_non_skew_operator():

@@ -10,7 +10,10 @@ import time
 import pytest
 
 from naryalg import io
+from naryalg.classify import element_to_skew
 from naryalg.cli import build_parser, main
+from naryalg.derived import check_derivation
+from naryalg.errors import WrongDegree
 from oracles import bracket_recursive_oracle
 
 SPACE5 = {
@@ -411,6 +414,17 @@ def test_import_leaves_numpy_and_scipy_unloaded(files):
     assert len(r.stdout.splitlines()) == 2 + 6 + 10
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # the records are plain classes: importing dataclasses would also load
+    # inspect, dis, tokenize and ast at every command's start-up
+    code = ("import sys, naryalg.cli\n"
+            "print([m for m in ('dataclasses', 'inspect') "
+            "if m in sys.modules])\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, check=True)
+    assert r.stdout.split() == ["[]"]
+
+
 def test_missing_file_exits_2(files, capsys):
     write, tmp = files
     code, _, err = run_main(
@@ -430,6 +444,37 @@ def test_unsorted_monomial_exits_2(files, capsys):
         capsys)
     assert code == 2
     assert "ascending" in err
+
+
+# each option that reads a degree-2 element, with the engine's refusal of
+# the same element through the Python API
+DEGREE_2_OPTIONS = {
+    "classify --v": (["classify", "--v", "w.json"], element_to_skew),
+    "verify derivation --element": (
+        ["verify", "--identity", "derivation", "--potential", "mu.json",
+         "--element", "w.json"],
+        lambda w: check_derivation(w, io.parse_potential(w.space, MU2))),
+}
+
+
+@pytest.mark.parametrize("option", sorted(DEGREE_2_OPTIONS))
+@pytest.mark.parametrize("monomials", [[[1, 2, 3]], [[1, 2], [3, 4, 5]]],
+                         ids=["degree-3", "mixed"])
+def test_element_of_another_degree_exits_2_at_its_field(files, capsys,
+                                                        option, monomials):
+    write, _ = files
+    argv, api = DEGREE_2_OPTIONS[option]
+    w = [{"monomial": mono, "coeff": "1"} for mono in monomials]
+    paths = {"w.json": write("w.json", w), "mu.json": write("mu.json", MU2)}
+    argv = [paths.get(a, a) for a in argv] + \
+        ["--space", write("s.json", SPACE5)]
+    code, out, err = run_main(argv, capsys)
+    assert code == 2 and out == ""
+    report = json.loads(err)
+    assert report["kind"] == "SchemaError"
+    assert report["error"] == "element: expected an element of degree 2"
+    with pytest.raises(WrongDegree):
+        api(io.parse_element(io.parse_superspace(SPACE5), w))
 
 
 def test_output_flag_and_pretty(files, capsys, tmp_path):

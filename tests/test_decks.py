@@ -6,15 +6,19 @@ included, is written under ``tmp_path``, run in-process through
 ``perfbench/checks.py`` against the known answers and the stdout digests
 in ``perfbench/digests.json``.  A change to any output byte of the four
 workloads fails here, not only in a benchmark run.  A change made on
-purpose reruns ``python3 perfbench/run.py --record-digests``.
+purpose reruns ``python3 perfbench/run.py --record-digests``.  The
+classify deck also shows that ``find_ideal`` certifies every simple job
+before its commutant stage.
 """
 
 import json
+from contextlib import redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
 
-from naryalg import cli
+from naryalg import classify, cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -45,3 +49,29 @@ def test_seed_one_deck_matches_its_digests(name, tmp_path, monkeypatch):
             reasons.setdefault(spec["cls"], why)
     first = [f"{cls}: {why}" for cls, why in list(reasons.items())[:5]]
     assert not failed, f"{failed} of {len(specs)} jobs failed: {first}"
+
+
+def test_no_simple_classify_job_reaches_the_commutant(tmp_path, monkeypatch):
+    # the closure certifies every simple job of the seed-1 classify deck
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    calls = []
+    commutant = classify._commutant
+
+    def counted(operators, m):
+        calls.append(m)
+        return commutant(operators, m)
+
+    monkeypatch.setattr(classify, "_commutant", counted)
+    deck, _ = workloads.build("classify", workloads.DEFAULT_SEED)
+    simple = 0
+    for spec in (spec for rnd in deck for spec in rnd):
+        argv, _ = workloads.materialize(spec, str(tmp_path))
+        calls.clear()
+        with redirect_stdout(StringIO()):
+            assert cli.main(argv) == 0
+        if len(spec["expect"]["params"]) > 1:  # skew rank above 2
+            simple += 1
+            assert not calls, spec["cls"]
+    assert simple == 40

@@ -455,7 +455,9 @@ def _operator(a, keys):
 def test_operator_routines_match_dense_matrices():
     """apply_op, compose_ops and transpose_op against mat_vec, mat_mul and
     transpose on random square matrices, keyed by monomial tuples: no image
-    they return is empty, and no entry is zero."""
+    they return is empty, and no entry is zero.  On the skew parts of the
+    matrices, the coordinates and the commutator AB - BA against the dense
+    entries above the diagonal."""
     rng = random.Random(28)
     for trial in range(200):
         n = rng.randint(1, 6)
@@ -474,3 +476,16 @@ def test_operator_routines_match_dense_matrices():
         assert linalg.transpose_op(f, scale) == _operator(scaled, keys), trial
         for op in (product, linalg.transpose_op(f, scale)):
             assert all(img and all(img.values()) for img in op.values())
+        sa, sb = ([[x - y for x, y in zip(r, c)]
+                   for r, c in zip(m, linalg.transpose(m))] for m in (a, b))
+        ab, ba = linalg.mat_mul(sa, sb), linalg.mat_mul(sb, sa)
+
+        def upper(mat):
+            return {(keys[i], keys[j]): mat[i][j] for i in range(n)
+                    for j in range(i + 1, n) if mat[i][j]}
+
+        fa, fb = _operator(sa, keys), _operator(sb, keys)
+        assert linalg.skew_coordinates(fa) == upper(sa), trial
+        assert linalg.skew_operator(upper(sa)) == fa, trial
+        assert linalg.skew_commutator(fa, fb) == upper(
+            [[x - y for x, y in zip(r, s)] for r, s in zip(ab, ba)]), trial
