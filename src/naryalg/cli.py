@@ -104,7 +104,7 @@ def _quasi_frobenius(args, space, graph=False):
     if graph and args.allow_odd_arity and s.arity % 2:
         # as graph_subalgebra_test would, after the m^(n+1) cyclic loop
         raise OddArity("the correspondence is stated for even arity")
-    phi = io.parse_matrix(io.load_file(args.phi), space.dim)
+    phi = io.parse_matrix(io.load_file(args.phi), space.dim, "phi")
     cert = check_quasi_frobenius(space, s, phi,
                                  allow_odd_arity=args.allow_odd_arity)
     out = io.qf_certificate_to_json(cert)
@@ -170,7 +170,7 @@ def cmd_hodge(args):
 def cmd_classify(args):
     space = _load_space(args)
     if args.skew:
-        mat = io.parse_matrix(io.load_file(args.skew), space.dim)
+        mat = io.parse_matrix(io.load_file(args.skew), space.dim, "skew")
         v = skew_to_element(space, mat)
     elif args.v:
         v = io.parse_element(space, io.load_file(args.v), degree=2)

@@ -52,8 +52,8 @@ evaluated term by term only by the oracle ``generalized_jacobi`` in
 ``tests/oracles.py``.
 """
 
-from itertools import islice
-from math import comb, factorial
+from itertools import islice, product
+from math import comb, factorial, prod
 
 from . import linalg
 from .errors import (
@@ -68,7 +68,7 @@ from .errors import (
     SpaceMismatch,
     WrongDegree,
 )
-from .linalg import ONE, ZERO
+from .linalg import ZERO
 from .poisson import Element, normalize_word, poisson_bracket
 from .record import Record
 from .superspace import require_nondegenerate
@@ -289,26 +289,19 @@ class NaryStructure:
         return value if sign == 1 else -value
 
     def eval_elements(self, args):
-        """Multilinear extension to degree-1 elements, summed in one dict."""
+        """Multilinear extension to degree-1 elements, summed in one dict:
+        one basis product per choice of a term from each argument."""
+        terms = [list(a.terms.items()) for a in args]
+        if any(len(mono) != 1 for t in terms for mono, _ in t):
+            raise WrongDegree("arguments must be degree-1 elements")
         acc = {}
-
-        def rec(k, idx, coeff):
-            if k == len(args):
-                hit = self._lookup(idx)
-                if hit is not None:
-                    sign, value = hit
-                    c = coeff if sign == 1 else -coeff
-                    for mono, v in value.terms.items():
-                        acc[mono] = acc.get(mono, ZERO) + c * v
-                return
-            for mono, c in args[k].terms.items():
-                if len(mono) != 1:
-                    raise WrongDegree("arguments must be degree-1 elements")
-                idx.append(mono[0])
-                rec(k + 1, idx, coeff * c)
-                idx.pop()
-
-        rec(0, [], ONE)
+        for picks in product(*terms):
+            hit = self._lookup([mono[0] for mono, _ in picks])
+            if hit is not None:
+                sign, value = hit
+                coeff = sign * prod(c for _, c in picks)
+                for mono, v in value.terms.items():
+                    acc[mono] = acc.get(mono, ZERO) + coeff * v
         return Element._trusted(
             self.space, {mono: c for mono, c in acc.items() if c})
 

@@ -30,6 +30,13 @@ the sign is (-1)^j on an odd layer and -(-1)^j on an even one.  A term
 e_w of mu_{x_j} times e_r, r = x minus x_j, is zero when w and r share an
 index, and otherwise (-1)^n e_{w u r}, where n counts the pairs a in w,
 b in r with a > b.  The layer of degree s maps degree p to p + s - 2.
+So d is read off its entries: a term c e_w of mu_i and a set r of
+generators outside w u {i} give the entry (-1)^{j + |w| + n} c from e_x,
+x = r u {i}, with j the place of i in x, to e_{w u r} (|w| = s - 1 is
+odd exactly on an even layer).  No two entries meet: the target meets x
+in r = x minus i, which names i, and the rest of it is w.  So building d
+costs sum_i sum_w 2^{m-1-|w|}, its entry count, and not the m 2^{m-1}
+factors of all monomials.
 Star is a signed permutation of monomials, so ``codifferential(ctx, d)``
 re-indexes each entry of d through ``star_monomial``, with the sign
 (-1)^{k(1-k)/2} read from the entry's shift k, the degree of its target
@@ -98,8 +105,7 @@ the report's ``kernels`` or ``harmonic`` is first read.
 """
 
 import functools
-from bisect import bisect
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb, gcd
 
 from . import linalg
@@ -195,37 +201,39 @@ def inner_product(ctx, v, w):
 
 
 def differential(ctx, mu):
-    """The operator d = [mu, -] by the Leibniz rule, verified to square to
-    zero.
+    """The operator d = [mu, -], entry by entry from the terms of the
+    mu_i = [e_i, mu], verified to square to zero.
 
-    mu_i = [e_i, mu] is read once from ``derived.contractions``.  For each
-    monomial x and each factor x_j, every term w of mu_{x_j} that misses x
-    is multiplied into the rest r of x: the merged word, with the sign
-    (-1)^n of the n pairs a in w, b in r with a > b, times (-1)^j, and one
-    more -1 on an even layer (see the module docstring).  No bracket is
-    taken.
+    mu_i is read once from ``derived.contractions``.  A term c e_w of mu_i
+    gives d one entry for each set r of generators outside w and i: from
+    e_x, x = r u {i}, to e_{w u r}, with the sign (-1)^{j + |w| + n} of the
+    module docstring.  One walk over the indices builds both words: i
+    joins x, an index of w joins the target, and any other index joins
+    both or neither; one that joins moves i's place j on when it precedes
+    i, and adds to n the indices of w still to come.  No two entries meet
+    (module docstring), so each is written once.  No bracket is taken.
     """
     _require_ctx_element(ctx, mu.element)
-    mu_at = {i: terms for (i,), terms in contractions(mu, 1).items()}
-    m = ctx.m
     d = {}
-    for x in chain.from_iterable(combinations(range(m), p)
-                                 for p in range(m + 1)):
-        img = {}
-        inside = set(x)
-        for j, i in enumerate(x):
-            rest = x[:j] + x[j + 1:]
-            for w, c in mu_at.get(i, {}).items():
-                # w lacks i, so it meets rest exactly where it meets x
-                if inside.isdisjoint(w):
-                    out = tuple(sorted(w + rest))
-                    # (-1)^j, the merge sign, and -1 on an even layer,
-                    # whose terms w have odd length
-                    n = j + len(w) + sum(len(w) - bisect(w, b) for b in rest)
-                    img[out] = img.get(out, ZERO) + (-c if n % 2 else c)
-        img = {out: c for out, c in img.items() if c}
-        if img:
-            d[x] = img
+    for (i,), terms in contractions(mu, 1).items():
+        for w, c in terms.items():
+            # (x, w u r, parity of the sign), which |w| starts: -1 on an
+            # even layer, whose terms w have odd length
+            entries = [((), (), len(w) % 2)]
+            before_i, after = 1, len(w)
+            for b in range(ctx.m):
+                if b == i:
+                    entries = [(x + (b,), y, s) for x, y, s in entries]
+                    before_i = 0
+                elif b in w:
+                    entries = [(x, y + (b,), s) for x, y, s in entries]
+                    after -= 1
+                else:
+                    flip = (before_i + after) % 2
+                    entries += [(x + (b,), y + (b,), s ^ flip)
+                                for x, y, s in entries]
+            for x, y, s in entries:
+                d.setdefault(x, {})[y] = -c if s else c
     if linalg.compose_ops(d, d):
         raise NotLInfinity("d = [mu,-] does not square to zero")
     return d

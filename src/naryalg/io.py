@@ -7,8 +7,9 @@ when present on input.  Parse errors carry the offending field path, and
 so does the engine's refusal of a document that the schema admits: a
 monomial above the space's degree cap, an element whose degree is not the
 one its option reads (``parse_element``'s degree), a potential whose arity
-is not its degree less one or whose element has mixed degrees, or an
-``linf`` family that is not odd.
+is not its degree less one or whose element has mixed degrees, an
+``linf`` family that is not odd, or a --phi or --skew matrix that is not
+skew.
 Basis index lists and square matrices (the Gram matrix, --phi, --skew)
 each have one reader.  A structure gives each key once, with arity
 indices; a potential is one element or an "linf" family, not both.
@@ -18,8 +19,14 @@ import json
 from fractions import Fraction
 
 from .derived import NaryStructure, Potential
-from .errors import DegreeMismatch, NaryError, SchemaError, WrongDegree
-from .linalg import ZERO, exact
+from .errors import (
+    DegreeMismatch,
+    NaryError,
+    NotSkew,
+    SchemaError,
+    WrongDegree,
+)
+from .linalg import ZERO, exact, skew_matrix
 from .poisson import Element
 from .superspace import Superspace
 
@@ -238,12 +245,18 @@ def structure_to_json(s):
 # matrices
 
 
-def parse_matrix(obj, dim, path="matrix"):
-    """A dim x dim matrix: a list of rows, bare or as an object's "matrix"."""
+def parse_matrix(obj, dim, path):
+    """A dim x dim skew matrix, read from the document of the option at
+    path (--phi and --skew both need a skew one): a list of rows, bare or
+    as an object's "matrix"."""
     if isinstance(obj, dict):
         _check_document(obj, path)
         obj = obj.get("matrix")
-    return _parse_rows(obj, dim, path)
+        path = f"{path}.matrix"
+    try:
+        return skew_matrix(_parse_rows(obj, dim, path))
+    except NotSkew as ex:
+        raise SchemaError(path, str(ex)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,8 @@ SUFFIXES = "tests/test_derived.py::" \
 MIXED_KERNELS = "tests/test_hodge.py::" \
     "test_mixed_kernels_match_the_laplacian_oracle"
 LEIBNIZ = "tests/test_hodge.py::test_differential_matches_the_bracket_oracle"
+MONOMIAL_SCAN = "tests/test_hodge.py::" \
+    "test_differential_matches_the_monomial_scan_oracle"
 SQUARE_ZERO = "tests/test_hodge.py::test_square_zero_checks_raise"
 OPERATOR_ROUTINES = "tests/test_linalg.py::" \
     "test_operator_routines_match_dense_matrices"
@@ -170,8 +172,8 @@ MUTANTS = [
     Mutant("scatter-koszul-sign-dropped", DERIVED, "closed_form_potential",
            "flip = par[x] and odd_before % 2", "flip = 0", [SCATTER]),
     Mutant("eval-elements-drops-the-coefficient-product", DERIVED,
-           "NaryStructure.eval_elements", "rec(k + 1, idx, coeff * c)",
-           "rec(k + 1, idx, coeff)",
+           "NaryStructure.eval_elements",
+           "coeff = sign * prod(c for _, c in picks)", "coeff = sign",
            ["tests/test_derived.py::"
             "test_eval_elements_is_the_multilinear_extension"]),
     Mutant("jacobi-scatter-koszul-sign-dropped", DERIVED, "check_nary_jacobi",
@@ -281,11 +283,14 @@ MUTANTS = [
             MIXED_KERNELS]),
     # d by the Leibniz rule from mu_i = [e_i, mu]
     Mutant("leibniz-position-sign-dropped", HODGE, "differential",
-           "n = j + len(w) + sum(", "n = len(w) + sum(", [LEIBNIZ]),
+           "flip = (before_i + after) % 2", "flip = after % 2",
+           [LEIBNIZ, MONOMIAL_SCAN]),
     Mutant("leibniz-even-layer-sign-dropped", HODGE, "differential",
-           "n = j + len(w) + sum(", "n = j + sum(", [LEIBNIZ]),
+           "entries = [((), (), len(w) % 2)]", "entries = [((), (), 0)]",
+           [LEIBNIZ, MONOMIAL_SCAN]),
     Mutant("leibniz-merge-sign-ignored", HODGE, "differential",
-           " + sum(len(w) - bisect(w, b) for b in rest)", "", [LEIBNIZ]),
+           "flip = (before_i + after) % 2", "flip = before_i",
+           [LEIBNIZ, MONOMIAL_SCAN]),
     Mutant("differential-square-check-dropped", HODGE, "differential",
            "    if linalg.compose_ops(d, d):\n        raise NotLInfinity(",
            "    if False:\n        raise NotLInfinity(", [SQUARE_ZERO]),
@@ -380,6 +385,9 @@ MUTANTS = [
     Mutant("arity-mismatch-refused-without-its-field", IO,
            "parse_potential", "except DegreeMismatch as ex:",
            "except ZeroDivisionError as ex:", [SEMANTIC]),
+    Mutant("non-skew-matrix-refused-without-its-field", IO, "parse_matrix",
+           "except NotSkew as ex:", "except ZeroDivisionError as ex:",
+           [SEMANTIC]),
     Mutant("unwritable-output-left-to-a-traceback", CLI, "_write",
            'raise SchemaError("--output", f"cannot write file: {ex}") '
            'from None', "raise",

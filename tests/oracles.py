@@ -1,6 +1,7 @@
 """Reference routines the tests compare the engine against."""
 
 import functools
+from bisect import bisect
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, gcd
@@ -12,6 +13,7 @@ from naryalg.derived import (
     Potential,
     canonical_tuples,
     contraction_constant,
+    contractions,
     potential_from_structure,
 )
 from naryalg.errors import NotLInfinity, WrongDegree
@@ -371,6 +373,36 @@ def differential_by_brackets(ctx, mu):
             img = poisson_bracket(layer, Element(ctx.space, {mono: ONE}))
             if img.terms:
                 d.setdefault(mono, {}).update(img.terms)
+    if linalg.compose_ops(d, d):
+        raise NotLInfinity("d = [mu,-] does not square to zero")
+    return d
+
+
+def differential_by_monomial_scan(ctx, mu):
+    """d = [mu, -] by the Leibniz rule, monomial by monomial.  Oracle only.
+
+    For each of the 2^m monomials x and each factor x_j, every term w of
+    mu_{x_j} = [e_{x_j}, mu] that misses x is multiplied into the rest r
+    of x: the merged word, with the sign (-1)^n of the n pairs a in w, b
+    in r with a > b, times (-1)^j, and one more -1 on an even layer.
+    """
+    _require_ctx_element(ctx, mu.element)
+    mu_at = {i: terms for (i,), terms in contractions(mu, 1).items()}
+    d = {}
+    for x in all_monomials(ctx.m):
+        img = {}
+        inside = set(x)
+        for j, i in enumerate(x):
+            rest = x[:j] + x[j + 1:]
+            for w, c in mu_at.get(i, {}).items():
+                # w lacks i, so it meets rest exactly where it meets x
+                if inside.isdisjoint(w):
+                    out = tuple(sorted(w + rest))
+                    n = j + len(w) + sum(len(w) - bisect(w, b) for b in rest)
+                    img[out] = img.get(out, 0) + (-c if n % 2 else c)
+        img = {out: c for out, c in img.items() if c}
+        if img:
+            d[x] = img
     if linalg.compose_ops(d, d):
         raise NotLInfinity("d = [mu,-] does not square to zero")
     return d

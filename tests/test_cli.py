@@ -256,9 +256,9 @@ MONO = [{"monomial": [3, 4, 5], "coeff": "1"}]
     ("--potential", {"element": [{"monomial": [True, 2, 3], "coeff": "1"}]},
      "potential.element[0].monomial[0]"),
     ("--space", dict(SPACE5, dim=True), "superspace.dim"),
-    ("--phi", [5] * 5, "matrix[0]"),
+    ("--phi", [5] * 5, "phi[0]"),
     ("--phi", [["0"] * 5] + [["0", "0", "0", "x", "0"]] + [["0"] * 5] * 3,
-     "matrix[1][3]"),
+     "phi[1][3]"),
     ("--space", dict(SPACE5, gram=[["1", "0", "0", "0", "0"],
                                    ["0", "1", "1/0", "0", "0"]]
                      + SPACE5["gram"][2:]), "superspace.gram[1][2]"),
@@ -301,18 +301,21 @@ def test_malformed_field_exits_2_with_its_path(files, capsys, flag, doc,
     ["classify", "--skew", "m.json"],
 ])
 def test_non_skew_matrix_exits_2_with_not_skew(files, capsys, argv):
+    # refused while the option's document is read, with NotSkew's message
+    # at that document's path
     write, _ = files
     matrix = [["0"] * 5 for _ in range(5)]
     matrix[1][2] = "1"
     paths = {"st.json": write("st.json", {"arity": 2, "constants": []}),
              "m.json": write("m.json", matrix),
              "s.json": write("s.json", SPACE5)}
+    option = argv[-2].strip("-")
     argv = [paths.get(a, a) for a in argv + ["--space", "s.json"]]
     code, out, err = run_main(argv, capsys)
     assert code == 2 and out == ""
     report = json.loads(err)
-    assert report["kind"] == "NotSkew"
-    assert report["error"] == "entry (1,2) breaks skew symmetry"
+    assert report["kind"] == "SchemaError"
+    assert report["error"] == f"{option}: entry (1,2) breaks skew symmetry"
 
 
 @pytest.mark.parametrize("argv", [
@@ -326,10 +329,11 @@ def test_matrix_object_without_rows_exits_2(files, capsys, argv):
     paths = {"st.json": write("st.json", {"arity": 2, "constants": []}),
              "m.json": write("m.json", {"schema": "nary/1"}),
              "s.json": write("s.json", SPACE5)}
+    option = argv[-2].strip("-")
     argv = [paths.get(a, a) for a in argv + ["--space", "s.json"]]
     code, out, err = run_main(argv, capsys)
     assert code == 2 and out == ""
-    assert err == ('{"error":"matrix: expected a list of rows",'
+    assert err == (f'{{"error":"{option}.matrix: expected a list of rows",'
                    '"kind":"SchemaError","schema":"nary/1"}\n')
 
 

@@ -8,9 +8,10 @@ in ``perfbench/digests.json``.  A change to any output byte of the four
 workloads fails here, not only in a benchmark run.  A change made on
 purpose reruns ``python3 perfbench/run.py --record-digests``.  The
 classify deck also shows that ``find_ideal`` certifies every simple job
-before its commutant stage.
+before its commutant stage, and no job leaves a reference cycle behind.
 """
 
+import gc
 import json
 from contextlib import redirect_stdout
 from io import StringIO
@@ -75,3 +76,31 @@ def test_no_simple_classify_job_reaches_the_commutant(tmp_path, monkeypatch):
             simple += 1
             assert not calls, spec["cls"]
     assert simple == 40
+
+
+def test_jobs_leave_no_cyclic_garbage(tmp_path, monkeypatch):
+    # one job of each class of round 0 of every deck; with the cyclic
+    # collector off, whatever a job leaves in a cycle is found by collect()
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    jobs = {}
+    for name in ("hodge", "verify", "tstar", "classify"):
+        deck, _ = workloads.build(name, workloads.DEFAULT_SEED)
+        for spec in deck[0]:
+            key = f"{name}/{spec['cls']}"
+            if key not in jobs:
+                jobs[key] = workloads.materialize(spec, str(tmp_path))[0]
+    left = {}
+    cli._parser()  # built once per process; argparse leaves cycles there
+    gc.collect()
+    gc.disable()
+    try:
+        for key, argv in jobs.items():
+            with redirect_stdout(StringIO()):
+                cli.main(argv)
+            left[key] = gc.collect()
+    finally:
+        gc.enable()
+    assert len(jobs) > 20
+    assert not any(left.values()), {k: n for k, n in left.items() if n}

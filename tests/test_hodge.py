@@ -11,7 +11,7 @@ import pytest
 
 from naryalg import cli, hodge, io, linalg
 from naryalg.classify import map_element
-from naryalg.derived import Potential, canonical_tuples
+from naryalg.derived import Potential, canonical_tuples, contractions
 from naryalg.errors import NotHodgeContext, NotLInfinity
 from naryalg.hodge import (
     HodgeContext,
@@ -33,6 +33,7 @@ from naryalg.superspace import (
 from oracles import (
     all_monomials as monomial_tuples,
     differential_by_brackets,
+    differential_by_monomial_scan,
     hodge_by_global_ranks,
     hodge_by_laplacian,
     hodge_operators_by_compose,
@@ -499,6 +500,28 @@ def test_differential_matches_the_bracket_oracle():
     assert differential(ctx, mu) == differential_by_brackets(ctx, mu)
 
 
+def test_differential_matches_the_monomial_scan_oracle():
+    # seeded single layers and families, most of them turned so that their
+    # overlapping terms cancel in [mu, mu], and a cubic at m = 14; d has
+    # one entry per term w of a mu_i and set r, none meeting another
+    seeded = _random_hodge_cases(30, 32)
+    assert sum(turns > 0 for _, _, _, turns, _ in seeded) >= 15
+    cases = [_seeded_case(*case) for case in seeded]
+    cases += [_case(m, name) for m, name in ((6, "family13"), (6, "zero"),
+                                             (6, "star12"), (7, "top"))]
+    space = odd_space(14)
+    cases.append((HodgeContext(space),
+                  Potential.single(space, mono(space, 2, 7, 11, coeff=3))))
+    for ctx, mu in cases:
+        d = differential(ctx, mu)
+        assert d == differential_by_monomial_scan(ctx, mu)
+        entries = sum(2 ** (ctx.m - 1 - len(w))
+                      for terms in contractions(mu, 1).values()
+                      for w in terms)
+        assert sum(map(len, d.values())) == entries
+    assert entries == 3 * 2 ** 11  # the cubic at m = 14
+
+
 # ---------------------------------------------------------------------------
 # report bytes pinned on seeded potentials
 #
@@ -754,13 +777,36 @@ CUBIC345_DOC = {"schema": "nary/1", "arity": 2,
                 "element": [{"monomial": [3, 4, 5], "coeff": "-1"}]}
 
 
-def _refused_by_the_certificate(monkeypatch, tmp_path, capsys, forged):
-    """With codifferential replaced by forged, the report of the cubic
-    e3e4e5 at m = 5 has both flags false, and ``naryalg hodge`` exits 1."""
-    monkeypatch.setattr(hodge, "codifferential", forged)
+def _assert_counts_are_direct(rep, k=None):
+    """Every count of rep is its rank of rep.d, eliminated degree by
+    degree; k is the shift of a single layer."""
+    m, d = rep.m, rep.d
+    rank_on = [linalg.rank([img for x, img in d.items() if len(x) == p])
+               for p in range(m + 1)]
+    for row in rep.degrees:
+        p = row.p
+        assert (row.rank_d, row.rank_delta) == (rank_on[p], rank_on[m - p])
+        if rep.homogeneous:
+            im_d = rank_on[p - k] if 0 <= p - k <= m else 0
+            assert (row.im_d, row.im_delta) == (im_d, rank_on[p])
+            assert row.ker_laplacian == row.dim - rank_on[p] - im_d
+        else:
+            assert row.ker_laplacian == \
+                row.dim - linalg.rank(hodge._harmonic_rows(d, p))
+    if rep.homogeneous:
+        assert rep.rank_d == rep.rank_delta == sum(rank_on)
+
+
+def _refused_by_the_certificate(monkeypatch, tmp_path, capsys, forged,
+                                name="codifferential"):
+    """With hodge's name (codifferential or differential) replaced by
+    forged, the report of the cubic e3e4e5 at m = 5 has both flags false
+    and every count eliminated directly, and ``naryalg hodge`` exits 1."""
+    monkeypatch.setattr(hodge, name, forged)
     ctx, mu = _case(5, "cubic")
     rep = hodge_decomposition(ctx, mu)
     assert not rep.direct_sum_ok and not rep.kernel_intersection_ok
+    _assert_counts_are_direct(rep, k=1)
     paths = []
     for name, doc in (("space", SPACE5_DOC), ("mu", CUBIC345_DOC)):
         paths.append(tmp_path / f"{name}.json")
@@ -785,6 +831,25 @@ def test_a_forged_sign_of_delta_fails_the_certificate(monkeypatch, tmp_path,
         return delta
 
     _refused_by_the_certificate(monkeypatch, tmp_path, capsys, forged)
+
+
+def _without_degree(real, p):
+    """differential with the images out of degree p left out."""
+    return lambda ctx, mu: {x: img for x, img in real(ctx, mu).items()
+                            if len(x) != p}
+
+
+def test_a_forged_d_fails_the_certificate(monkeypatch, tmp_path, capsys):
+    # without its degree-1 images the cubic's d has rank 0 on degree 1 and
+    # 3 on degree 3, which are not star-symmetric: delta, built from d by
+    # star, is no longer eps d^T, and every rank is d's own
+    forged = _without_degree(hodge.differential, 1)
+    ctx, mu = _case(5, "cubic")
+    d = forged(ctx, mu)
+    assert [linalg.rank([img for x, img in d.items() if len(x) == p])
+            for p in (1, 3)] == [0, 3]
+    _refused_by_the_certificate(monkeypatch, tmp_path, capsys, forged,
+                                "differential")
 
 
 def test_square_zero_checks_raise(monkeypatch, tmp_path, capsys):

@@ -44,6 +44,13 @@ STRUCTURE = {"schema": "nary/1", "arity": 2, "constants": [
     {"args": [1, 2], "value": [{"monomial": [3], "coeff": "1/2"}]},
     {"args": [2, 3], "value": [{"monomial": [1], "coeff": -1}]}]}
 ROWS = [["0", "1", "0"], ["-1", "0", "2"], ["0", "-2", "0"]]
+# classify reads --skew over an orthonormal odd space of dimension > 4
+ORTHONORMAL5 = {"schema": "nary/1", "dim": 5, "parity": ["odd"] * 5,
+                "gram": [["1" if i == j else "0" for j in range(5)]
+                         for i in range(5)]}
+SKEW5 = [["0", "1", "0", "0", "0"], ["-1", "0", "0", "0", "0"],
+         ["0", "0", "0", "2", "0"], ["0", "0", "-2", "0", "0"],
+         ["0", "0", "0", "0", "0"]]
 
 # document kind -> (its document, the flag it is read from, the command
 # that reads it, with documents for its other inputs, the path of its root)
@@ -60,11 +67,16 @@ KINDS = {
                   ["verify", "--identity", "invariant"], "structure"),
     "matrix": (ROWS, "--phi",
                ["verify", "--identity", "quasi-frobenius",
-                "--structure", STRUCTURE], "matrix"),
+                "--structure", STRUCTURE], "phi"),
     "matrix-object": ({"schema": "nary/1", "matrix": ROWS}, "--phi",
                       ["verify", "--identity", "quasi-frobenius",
-                       "--structure", STRUCTURE], "matrix"),
+                       "--structure", STRUCTURE], "phi"),
+    "frobenius-phi": (ROWS, "--phi", ["frobenius", "--structure", STRUCTURE],
+                      "phi"),
+    "skew": (SKEW5, "--skew", ["classify"], "skew"),
 }
+# the space each kind's command reads, when not SPACE
+SPACES = {"skew": ORTHONORMAL5}
 
 
 def _posint(most=None):
@@ -113,8 +125,11 @@ def sites(kind):
 
     A predicate of ``None`` marks a required field to delete instead.
     """
-    doc, _, _, path = KINDS[kind]
-    out = [([], path, _is(type(doc)))]
+    doc, flag, _, path = KINDS[kind]
+    # a matrix is read bare or from an object's "matrix", which the
+    # matrix-object kind mutates
+    out = [([], path, _is((list, dict) if flag in ("--phi", "--skew")
+                          else type(doc)))]
     if isinstance(doc, dict) and "schema" in doc:
         out.append((["schema"], f"{path}.schema", lambda v: v == "nary/1"))
     if kind == "superspace":
@@ -157,11 +172,11 @@ def sites(kind):
                      _posint(DIM)) for k, _ in enumerate(item["args"])]
             out += _element_sites(["constants", t, "value"],
                                   f"{where}.value", item["value"])
-    elif kind == "matrix":
+    elif kind == "matrix-object":
+        out.append((["matrix"], f"{path}.matrix", _is(list)))
+        out += _matrix_sites(["matrix"], f"{path}.matrix", doc["matrix"])
+    else:  # a bare matrix
         out += _matrix_sites([], path, doc)
-    else:  # matrix-object
-        out.append((["matrix"], path, _is(list)))
-        out += _matrix_sites(["matrix"], path, doc["matrix"])
     return out
 
 
@@ -191,9 +206,10 @@ def _replace(doc, keys, value):
     return doc
 
 
-def run_cli(kind, text, space=SPACE):
+def run_cli(kind, text, space=None):
     """Run the kind's command on the document bytes: (exit, out, err, file)."""
     _, flag, command, _ = KINDS[kind]
+    space = space or SPACES.get(kind, SPACE)
     with tempfile.TemporaryDirectory() as tmp:
         def write(name, data):
             path = os.path.join(tmp, name)
@@ -247,6 +263,9 @@ CAPPED = {"schema": "nary/1", "dim": 3, "parity": ["even", "even", "odd"],
           "max_degree": 2,
           "gram": [["0", "1", "0"], ["-1", "0", "0"], ["0", "0", "1"]]}
 
+NOT_SKEW = [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "0"]]
+SMALL = [["0", "1"], ["-1", "0"]]
+
 # documents that every schema rule admits but the engine refuses: (kind,
 # document, space, the field at fault)
 SEMANTIC = [
@@ -269,6 +288,14 @@ SEMANTIC = [
     ("potential", POTENTIAL, CAPPED, "potential.element[0].monomial"),
     ("family", {"linf": [_terms((3,)), _terms((1, 2, 3))]}, CAPPED,
      "potential.linf[1][0].monomial"),
+    # a matrix that is not skew, or of another size, at its option
+    ("matrix", NOT_SKEW, SPACE, "phi"),
+    ("matrix-object", {"matrix": NOT_SKEW}, SPACE, "phi.matrix"),
+    ("frobenius-phi", NOT_SKEW, SPACE, "phi"),
+    ("skew", [row[::-1] for row in SKEW5], ORTHONORMAL5, "skew"),
+    ("matrix", SMALL, SPACE, "phi"),
+    ("frobenius-phi", SMALL, SPACE, "phi"),
+    ("skew", SMALL, ORTHONORMAL5, "skew"),
 ]
 
 
