@@ -124,7 +124,8 @@ def cmd_verify(args):
     if args.identity == "derivation":
         if not args.element:
             raise NaryError("derivation check needs --element")
-        w = io.parse_element(space, io.load_file(args.element), degree=2)
+        w = io.parse_element(space, io.load_file(args.element), "element",
+                             degree=2)
         ok = check_derivation(w, _load_potential(space, args))
         _emit(args, {"schema": io.SCHEMA, "check": "derivation", "pass": ok})
         return 0 if ok else 1
@@ -145,15 +146,15 @@ def cmd_derive(args):
 def cmd_star(args):
     space = _load_space(args)
     ctx = HodgeContext(space)
-    v = io.parse_element(space, io.load_file(args.element))
+    v = io.parse_element(space, io.load_file(args.element), "element")
     _emit(args, io.element_to_json(star(ctx, v)))
     return 0
 
 
 def cmd_bracket(args):
     space = _load_space(args)
-    a = io.parse_element(space, io.load_file(args.a))
-    b = io.parse_element(space, io.load_file(args.b))
+    a = io.parse_element(space, io.load_file(args.a), "a")
+    b = io.parse_element(space, io.load_file(args.b), "b")
     _emit(args, io.element_to_json(poisson_bracket(a, b)))
     return 0
 
@@ -173,7 +174,7 @@ def cmd_classify(args):
         mat = io.parse_matrix(io.load_file(args.skew), space.dim, "skew")
         v = skew_to_element(space, mat)
     elif args.v:
-        v = io.parse_element(space, io.load_file(args.v), degree=2)
+        v = io.parse_element(space, io.load_file(args.v), "v", degree=2)
     else:
         raise NaryError("need --v or --skew")
     rec = classify_m3(v)

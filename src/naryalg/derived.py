@@ -46,10 +46,11 @@ keyword of check_invariant, check_nary_jacobi and check_filippov is
 accepted and ignored, since exact Fraction work cannot run in parallel
 under the GIL.
 
-The homotopy condition has one check, check_l_infinity: [mu, mu] is a
-scalar.  The generalized Jacobi identities it is equivalent to are
-evaluated term by term only by the oracle ``generalized_jacobi`` in
-``tests/oracles.py``.
+The homotopy condition has one check here, check_l_infinity: [mu, mu] is
+a scalar.  ``hodge`` reads the same condition off d^2 = 0, with no
+bracket, as its module docstring proves.  The generalized Jacobi
+identities it is equivalent to are evaluated term by term only by the
+oracle ``generalized_jacobi`` in ``tests/oracles.py``.
 """
 
 from itertools import islice, product
@@ -99,17 +100,18 @@ def contractions(mu, k):
     """{t: terms} of [e_t1, [..., [e_tk, mu]...]] for every canonical k-tuple
     t where it is nonzero, in one pass over the suffixes of t.
 
-    ``poisson.nested_bracket_indices`` contracts the last index first, so
-    the tuples that share the suffix (t_j, ..., t_k) share its contraction
-    exactly.  Level 0 is {(): mu}; level j+1 contracts each factor x of
-    each term of each suffix s with every generator a that pairs with x
-    (the partners (a, G[a][x]) are read once from ``space.pairing``),
-    keeping a only where (a,) + s is canonical: a < s[0], or a == s[0]
-    with a even.  Each term is negated when a is odd and the factors before
-    x have odd total parity, as in ``nested_bracket_indices``; the results
-    are summed into one plain dict per new suffix, and zero coefficients
-    are dropped between levels.  Each suffix is contracted once, and the
-    terms of each dict come in the order the per-tuple contraction gives.
+    The nested bracket takes the last index first, so the tuples that
+    share the suffix (t_j, ..., t_k) share its contraction exactly.  Level
+    0 is {(): mu}; level j+1 contracts each factor x of each term of each
+    suffix s with every generator a that pairs with x (the partners
+    (a, G[a][x]) are read once from ``space.pairing``), keeping a only
+    where (a,) + s is canonical: a < s[0], or a == s[0] with a even.  This
+    is ``poisson_bracket``'s closed form with u = (a,): the word left is
+    still sorted, and each term is negated when a is odd and the factors
+    before x have odd total parity.  The results are summed into one plain
+    dict per new suffix, and zero coefficients are dropped between levels.
+    Each suffix is contracted once; ``poisson.nested_bracket_indices`` is
+    the per-tuple chain of brackets that the tests compare it with.
     """
     space = mu.space
     par = space.parity

@@ -3,15 +3,40 @@
 With an orthonormal basis of a pure odd V and the top form L = e_1...e_m,
 the degree-reversing star operator is *(x_1...x_p) = [x_1,[...[x_p, L]]];
 on monomials it acts by a signed complement, and ** = (-1)^{m(m-1)/2}.
-The pairing <v,w> L = (-1)^{p(p-1)/2} v * (star w) is symmetric positive
-definite with <e_I, e_J> = delta_IJ.  A potential mu with square-zero
-differential d = [mu, -] then yields a codifferential delta (conjugate of
-d by star, with a per-layer sign), a Laplacian L = delta d + d delta, and
-an exact three-way decomposition
+The pairing <v,w> L = (-1)^{p(p-1)/2} v * (star w), v and w of degree p,
+is symmetric positive definite with <e_I, e_J> = delta_IJ.  For monomials
+x and y of degree p, x * (star y) is zero unless x misses the complement
+y' of y, that is unless x = y.  star(x) is the orientation sign times the
+signature of (x reversed, x') times e_{x'}, and reversing x moves that
+signature by (-1)^{p(p-1)/2} from the signature of (x, x'), which
+x * e_{x'} carries; so x * (star x) = (-1)^{p(p-1)/2} L and <x, x> = 1.
+So ``inner_product`` is sum_I v_I w_I, and takes no product and no star.
+
+A potential mu with square-zero differential d = [mu, -] then yields a
+codifferential delta (conjugate of d by star, with a per-layer sign), a
+Laplacian L = delta d + d delta, and an exact three-way decomposition
 
     S*V = Im(d) (+) Im(delta) (+) Ker(Laplacian),
 
 with Ker(Laplacian) = Ker(d) n Ker(delta) isomorphic to the cohomology of d.
+
+The homotopy condition is the square-zero check of d.  The bracket is
+even and mu is odd, so the graded Jacobi identity [a, [b, z]] =
+[[a, b], z] + (-1)^{|a||b|} [b, [a, z]] at a = b = mu reads
+[mu, [mu, z]] = [[mu, mu], z] - [mu, [mu, z]], that is
+
+    d^2 = 1/2 [[mu, mu], -],
+
+and d^2 = 0 exactly when c = [mu, mu] is central.  A scalar is central.
+Conversely, [e_i, -] and sum_j G_ij d/de_j are derivations of the parity
+of e_i (G_ij = 0 across parities) that agree on the generators, so they
+are equal; with G invertible, a central c then has d c/de_j = 0 for
+every j.  Removing one e_j from the monomials of c that contain it is
+one to one and scales by a nonzero multiplicity, so no monomial of c
+contains any e_j: a nondegenerate form leaves only the scalars central.
+So d^2 = 0 exactly when [mu, mu] is a scalar, and ``differential``'s
+exact check of d^2 = 0 is the homotopy check; ``hodge_decomposition``
+checks only the parity of mu before it, and takes no bracket.
 
 The operators are ``linalg`` operators keyed by monomial (the format is
 stated once, in the ``linalg`` docstring): each source monomial maps to
@@ -88,12 +113,12 @@ kernel on degree p of the rows of d out of p and the columns of d into p,
 cut to degree p.
 
 ``hodge_decomposition`` rests on two exact checks: d^2 = 0 in
-``differential``, one ``linalg.compose_ops`` and the certificate of the
-Leibniz construction, and delta == eps d^T entry by entry, against
-``linalg.transpose_op``.  delta^2 = (eps d^T)^2 = (d^2)^T then vanishes
-too, and is not computed.  The adjoint check is the certificate that
-``direct_sum_ok`` and ``kernel_intersection_ok`` report; no Laplacian is
-built.
+``differential``, one ``linalg.compose_ops`` that is both the homotopy
+check and the certificate of the Leibniz construction, and delta ==
+eps d^T entry by entry, against ``linalg.transpose_op``.  delta^2 =
+(eps d^T)^2 = (d^2)^T then vanishes too, and is not computed.  The
+adjoint check is the certificate that ``direct_sum_ok`` and
+``kernel_intersection_ok`` report; no Laplacian is built.
 
 Everything here is exact rational arithmetic.  d goes to ``linalg`` as
 it is, with no dense matrix in between: its columns on a set of degrees
@@ -109,10 +134,10 @@ from itertools import combinations
 from math import comb, gcd
 
 from . import linalg
-from .derived import check_l_infinity, contractions
+from .derived import contractions
 from .errors import NotHodgeContext, NotLInfinity
 from .linalg import ONE, ZERO
-from .poisson import Element, multiply
+from .poisson import Element
 from .record import Record
 from .superspace import Orientation
 
@@ -182,18 +207,12 @@ def star(ctx, v):
 
 
 def inner_product(ctx, v, w):
-    """<v, w>: zero across degrees, computed through v * (star w)."""
+    """<v, w> = sum_I v_I w_I: the monomials are orthonormal (module
+    docstring), so no product and no star is taken."""
     _require_ctx_element(ctx, v)
     _require_ctx_element(ctx, w)
-    total = ZERO
-    full = tuple(range(ctx.m))
-    top_coeff = ctx.top.terms.get(full, ONE)
-    for p in set(v.degrees()) & set(w.degrees()):
-        prod = multiply(v.homogeneous_part(p), star(ctx, w.homogeneous_part(p)))
-        c = prod.terms.get(full, ZERO)
-        sign = -1 if (p * (p - 1) // 2) % 2 else 1
-        total += sign * c / top_coeff
-    return total
+    return sum((c * w.terms[x] for x, c in v.terms.items() if x in w.terms),
+               ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +231,11 @@ def differential(ctx, mu):
     both or neither; one that joins moves i's place j on when it precedes
     i, and adds to n the indices of w still to come.  No two entries meet
     (module docstring), so each is written once.  No bracket is taken.
+
+    For an odd mu, d^2 = 0 exactly when [mu, mu] is a scalar (module
+    docstring), and the refusal names that condition.  An even mu is no
+    homotopy potential, and ``hodge_decomposition`` refuses it first; its
+    d is checked all the same, and refused under the same name.
     """
     _require_ctx_element(ctx, mu.element)
     d = {}
@@ -235,7 +259,7 @@ def differential(ctx, mu):
             for x, y, s in entries:
                 d.setdefault(x, {})[y] = -c if s else c
     if linalg.compose_ops(d, d):
-        raise NotLInfinity("d = [mu,-] does not square to zero")
+        raise NotLInfinity("[mu, mu] is not a scalar")
     return d
 
 
@@ -278,8 +302,6 @@ def laplacian(ctx, d, delta):
 def _validate_homotopy(mu):
     if not mu.is_odd():
         raise NotLInfinity("decomposition needs an odd potential")
-    if not check_l_infinity(mu).passed:
-        raise NotLInfinity("[mu, mu] is not a scalar")
 
 
 class HodgeDegreeRow(Record):

@@ -3,13 +3,14 @@
 Scalars travel as exact "p/q" strings (plain integers allowed); basis
 indices are 1-based outside the engine.  Object-rooted documents carry a
 "schema": "nary/1" version field, which is required on output and checked
-when present on input.  Parse errors carry the offending field path, and
-so does the engine's refusal of a document that the schema admits: a
-monomial above the space's degree cap, an element whose degree is not the
-one its option reads (``parse_element``'s degree), a potential whose arity
-is not its degree less one or whose element has mixed degrees, an
-``linf`` family that is not odd, or a --phi or --skew matrix that is not
-skew.
+when present on input.  Parse errors carry the offending field path,
+rooted at the option that read the document, and so does the engine's
+refusal of a document that the schema admits: a monomial above the
+space's degree cap, an element whose degree is not the one its option or
+field reads (``parse_element``'s degree; a structure's values have degree
+1), a potential whose arity is not its degree less one or whose element
+has mixed degrees, an ``linf`` family that is not odd, or a --phi or
+--skew matrix that is not skew.
 Basis index lists and square matrices (the Gram matrix, --phi, --skew)
 each have one reader.  A structure gives each key once, with arity
 indices; a potential is one element or an "linf" family, not both.
@@ -137,10 +138,11 @@ def superspace_to_json(space):
 # elements
 
 
-def parse_element(space, arr, path="element", degree=None):
-    """The element of the document at path; with a degree, an element of
-    another degree (or of mixed degrees) is refused there, as the engine
-    would refuse it with WrongDegree."""
+def parse_element(space, arr, path, degree=None):
+    """The element of the document at path: the option it is read from, or
+    its field in a larger document.  With a degree, an element of another
+    degree (or of mixed degrees) is refused there, as the engine would
+    refuse it with WrongDegree."""
     _check_list(arr, path, "a list of terms")
     terms = {}
     for t, item in enumerate(arr):
@@ -223,7 +225,8 @@ def parse_structure(space, obj, path="structure"):
         if key in table:  # table holds one key per earlier entry, in order
             raise SchemaError(f"{where}.args", "duplicates "
                               f"{path}.constants[{list(table).index(key)}]")
-        table[key] = parse_element(space, item["value"], f"{where}.value")
+        table[key] = parse_element(space, item["value"], f"{where}.value",
+                                   degree=1)
     try:
         return NaryStructure(space, arity, table)
     except NaryError as ex:

@@ -15,11 +15,12 @@ The bracket is the even Poisson structure determined by three rules:
 sum over factor pairs, where pairing factor i of u with factor j of w
 carries the sign (-1)^{|u| |w_<j| + |u_>i| |w_j|} and the surviving factors
 are merged as w_<j, u-with-i-removed, w_>j; only the pairs that
-``space.pairing`` lists as nonzero are visited.  It is the general bracket;
-the tests compare it with a literal recursion on the three rules,
-``tests/oracles.py::bracket_recursive_oracle``.  A bracket with a basis
-vector (u = (a,)) is a signed contraction of one factor of w:
-``nested_bracket_indices`` for one element, and ``derived.contractions``
+``space.pairing`` lists as nonzero are visited.  It is the engine's one
+bracket; the tests compare it with a literal recursion on the three rules,
+``tests/oracles.py::bracket_recursive_oracle``.  ``nested_bracket`` chains
+it, and ``nested_bracket_indices`` chains it with generators.  A bracket
+with a basis vector (u = (a,)) is a signed contraction of one factor of
+w; ``derived.contractions`` is the one pass that takes those contractions
 for every canonical tuple of a potential at once.
 
 Every element carries its space, so no function here takes one beside
@@ -283,43 +284,12 @@ def nested_bracket(args, target):
 
 
 def nested_bracket_indices(indices, target):
-    """[e_{i_1}, [e_{i_2}, ... [e_{i_s}, target] ... ]] by direct contraction.
-
-    Bracketing a generator e_a with a sorted monomial w contracts a against
-    one factor of w through the form:
-
-        [e_a, w] = sum_j G[a][w_j] (-1)^{|a| |w_<j|} (w with w_j removed).
-
-    The remaining word is still sorted and has no odd square, so each step
-    reads ``space.pairing[a]`` of target's space, carries the running
-    parity of w and needs no reordering; scalar terms vanish.  Every index
-    is checked against the basis before any contraction.
-    """
+    """[e_{i_1}, [e_{i_2}, ... [e_{i_s}, target] ... ]]: ``nested_bracket``
+    of the generators of target's space.  ``Element.generator`` checks
+    every index against the basis before any bracket is taken."""
     space = target.space
-    indices = list(indices)
-    for i in reversed(indices):
-        if not 0 <= i < space.dim:
-            raise NaryError(f"generator index {i} out of range")
-    pairing = space.pairing
-    par = space.parity
-    terms = target.terms
-    for a in reversed(indices):
-        if not terms:
-            break
-        row = pairing[a]
-        odd = par[a]
-        acc = {}
-        for w, c in terms.items():
-            p = 0
-            for j, x in enumerate(w):
-                g = row.get(x)
-                if g is not None:
-                    mono = w[:j] + w[j + 1:]
-                    v = -c * g if odd and p else c * g
-                    acc[mono] = acc.get(mono, ZERO) + v
-                p ^= par[x]
-        terms = {mono: c for mono, c in acc.items() if c}
-    return Element._trusted(space, terms)
+    return nested_bracket([Element.generator(space, i) for i in indices],
+                          target)
 
 
 def pair_vectors(a, b):

@@ -70,6 +70,8 @@ COTANGENT = "tests/test_frobenius.py::" \
     "test_cotangent_potential_matches_the_closed_form"
 SEMANTIC = "tests/test_io_fuzz.py::" \
     "test_semantic_error_exits_2_at_the_field_at_fault"
+HODGE_REFUSAL = "tests/test_hodge.py::" \
+    "test_hodge_refuses_a_non_homotopy_potential_with_its_bytes"
 
 MUTANTS = [
     # the form read once
@@ -153,11 +155,13 @@ MUTANTS = [
            "is_positive_definite", "linalg.charpoly(b)",
            "linalg.charpoly(space.gram)",
            ["tests/test_linalg.py::test_charpoly_is_called_over_the_integers"]),
-    # derived brackets by direct contraction
-    Mutant("contraction-sign-dropped", POISSON, "nested_bracket_indices",
-           "v = -c * g if odd and p else c * g", "v = c * g", [CONTRACTION]),
-    Mutant("contraction-parity-not-advanced", POISSON,
-           "nested_bracket_indices", "                p ^= par[x]\n", "",
+    # the one bracket: the sign and the parity of the w-prefix that a
+    # contracted factor passes
+    Mutant("contraction-sign-dropped", POISSON, "_bracket_monomials",
+           "exp = (u_par & pw[j]) ^ (u_after & par[wj])",
+           "exp = u_after & par[wj]", [CONTRACTION]),
+    Mutant("contraction-parity-not-advanced", POISSON, "_bracket_monomials",
+           "pw = _word_parity_prefix(space, w)", "pw = [0] * (len(w) + 1)",
            [CONTRACTION]),
     Mutant("generator-range-check-dropped", POISSON, "Element.generator",
            "if not 0 <= i < space.dim:", "if False:",
@@ -293,7 +297,12 @@ MUTANTS = [
            [LEIBNIZ, MONOMIAL_SCAN]),
     Mutant("differential-square-check-dropped", HODGE, "differential",
            "    if linalg.compose_ops(d, d):\n        raise NotLInfinity(",
-           "    if False:\n        raise NotLInfinity(", [SQUARE_ZERO]),
+           "    if False:\n        raise NotLInfinity(",
+           [SQUARE_ZERO, HODGE_REFUSAL]),
+    Mutant("inner-product-ignores-the-second-coefficient", HODGE,
+           "inner_product", "c * w.terms[x]", "c",
+           ["tests/test_hodge.py::"
+            "test_inner_product_matches_the_star_oracle"]),
     # one operator format, applied, composed and transposed in linalg
     Mutant("compose-drops-a-term", LINALG, "compose_ops",
            "img = apply_op(f, img)",
@@ -387,6 +396,13 @@ MUTANTS = [
            "except ZeroDivisionError as ex:", [SEMANTIC]),
     Mutant("non-skew-matrix-refused-without-its-field", IO, "parse_matrix",
            "except NotSkew as ex:", "except ZeroDivisionError as ex:",
+           [SEMANTIC]),
+    Mutant("structure-value-degree-refused-without-its-field", IO,
+           "parse_structure", 'f"{where}.value",\n'
+           "                                   degree=1)",
+           'f"{where}.value")', [SEMANTIC]),
+    Mutant("element-b-refused-at-the-path-of-a", CLI, "cmd_bracket",
+           'io.load_file(args.b), "b")', 'io.load_file(args.b), "a")',
            [SEMANTIC]),
     Mutant("unwritable-output-left-to-a-traceback", CLI, "_write",
            'raise SchemaError("--output", f"cannot write file: {ex}") '

@@ -127,13 +127,13 @@ def _bracket_mono_rec(space, u, w):
     return -flipped
 
 
-def nested_bracket_by_chain(space, indices, target):
-    """[e_{i_1}, [... [e_{i_s}, target] ...]] by the general bracket, one
-    ``poisson_bracket`` per index.  Oracle for the contraction in
-    ``nested_bracket_indices``."""
+def nested_bracket_by_recursion(space, indices, target):
+    """[e_{i_1}, [... [e_{i_s}, target] ...]] by the literal recursion, one
+    ``bracket_recursive_oracle`` per index, innermost first.  Oracle for
+    ``nested_bracket_indices``, which chains ``poisson_bracket``."""
     out = target
     for i in reversed(list(indices)):
-        out = poisson_bracket(Element.generator(space, i), out)
+        out = bracket_recursive_oracle(Element.generator(space, i), out)
     return out
 
 
@@ -175,7 +175,7 @@ def potential_by_solve(s):
         mono = Element.monomial(space, b)
         col = []
         for t in keys:
-            img = nested_bracket_by_chain(space, t, mono)
+            img = nested_bracket_indices(t, mono)
             for r in range(space.dim):
                 col.append(img.coefficient((r,)))
         columns.append(col)
@@ -338,6 +338,22 @@ def t_star_by_inversion(space, s):
                           arity=s.arity, base=s,
                           potential=potential_from_structure(table),
                           structure=table)
+
+
+def inner_product_by_star(ctx, v, w):
+    """<v, w> through the product, sum over the degrees p of v and w of
+    (-1)^{p(p-1)/2} times the coefficient of L in v_p * (star w_p).
+    Oracle for ``hodge.inner_product``, which reads sum_I v_I w_I."""
+    _require_ctx_element(ctx, v)
+    _require_ctx_element(ctx, w)
+    total = Fraction(0)
+    full = tuple(range(ctx.m))
+    top_coeff = ctx.top.terms[full]
+    for p in set(v.degrees()) & set(w.degrees()):
+        prod = multiply(v.homogeneous_part(p), star(ctx, w.homogeneous_part(p)))
+        sign = -1 if (p * (p - 1) // 2) % 2 else 1
+        total += sign * prod.terms.get(full, 0) / top_coeff
+    return total
 
 
 def _reached(layer, monos):

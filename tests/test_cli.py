@@ -113,8 +113,8 @@ def test_bracket_and_oracle_agree(files, capsys):
     code, out, _ = run_main(argv, capsys)
     assert code == 0
     space = io.parse_superspace(SPACE5)
-    want = bracket_recursive_oracle(io.parse_element(space, a),
-                                    io.parse_element(space, b))
+    want = bracket_recursive_oracle(io.parse_element(space, a, "a"),
+                                    io.parse_element(space, b, "b"))
     assert out == io.dumps(io.element_to_json(want))
     assert json.loads(out) == [{"monomial": [2], "coeff": "1"}]
     # the option that chose the recursive evaluation is gone
@@ -468,6 +468,8 @@ def test_element_of_another_degree_exits_2_at_its_field(files, capsys,
                                                         option, monomials):
     write, _ = files
     argv, api = DEGREE_2_OPTIONS[option]
+    # the refusal names the option the element was read from
+    path = argv[argv.index("w.json") - 1].removeprefix("--")
     w = [{"monomial": mono, "coeff": "1"} for mono in monomials]
     paths = {"w.json": write("w.json", w), "mu.json": write("mu.json", MU2)}
     argv = [paths.get(a, a) for a in argv] + \
@@ -476,9 +478,9 @@ def test_element_of_another_degree_exits_2_at_its_field(files, capsys,
     assert code == 2 and out == ""
     report = json.loads(err)
     assert report["kind"] == "SchemaError"
-    assert report["error"] == "element: expected an element of degree 2"
+    assert report["error"] == f"{path}: expected an element of degree 2"
     with pytest.raises(WrongDegree):
-        api(io.parse_element(io.parse_superspace(SPACE5), w))
+        api(io.parse_element(io.parse_superspace(SPACE5), w, path))
 
 
 def test_output_flag_and_pretty(files, capsys, tmp_path):

@@ -37,6 +37,7 @@ from oracles import (
     hodge_by_global_ranks,
     hodge_by_laplacian,
     hodge_operators_by_compose,
+    inner_product_by_star,
 )
 
 V5 = odd_space(5)
@@ -162,6 +163,29 @@ def test_inner_product_orthonormal_m5():
 
 def test_inner_product_mixed_degree_zero():
     assert inner_product(CTX5, mono(V5, 1, 2), mono(V5, 3)) == 0
+
+
+@pytest.mark.parametrize("order", [None, [1, 0, 2, 3, 4]],
+                         ids=["orientation+1", "orientation-1"])
+def test_inner_product_matches_the_star_oracle(order):
+    # sum_I v_I w_I against (-1)^{p(p-1)/2} v * (star w) on elements of
+    # mixed degrees with random coefficients, some of them sharing terms
+    ctx = HodgeContext(V5, order and Orientation(order))
+    rng = random.Random(35)
+    basis = monomial_tuples(5)
+    seen = {"shared": 0, "mixed": 0}
+    for _ in range(200):
+        pool = rng.sample(basis, 8)
+        v, w = (Element(V5, {x: Fraction(rng.randint(-5, 5),
+                                         rng.randint(1, 4))
+                             for x in rng.sample(pool, rng.randint(0, 5))})
+                for _ in range(2))
+        got = inner_product(ctx, v, w)
+        assert got == inner_product_by_star(ctx, v, w)
+        assert got == inner_product(ctx, w, v)
+        seen["shared"] += bool(set(v.terms) & set(w.terms))
+        seen["mixed"] += len(set(v.degrees()) | set(w.degrees())) > 2
+    assert min(seen.values()) >= 50, seen
 
 
 def test_differential_of_zero_and_of_scalars():
@@ -416,6 +440,14 @@ def _counting_brackets(monkeypatch):
     return calls
 
 
+def test_hodge_binds_no_bracket_and_no_product():
+    # Hodge reads contractions and elements only; the homotopy check is
+    # d^2 = 0 and the inner product a sum over shared monomials
+    assert not [name for name in ("poisson_bracket", "multiply",
+                                  "check_l_infinity", "nested_bracket")
+                if hasattr(hodge, name)]
+
+
 @pytest.mark.parametrize("m,name", [(5, "star12"), (6, "star12"),
                                     (6, "family13"), (5, "zero"),
                                     (9, "star12")])
@@ -425,9 +457,9 @@ def test_differential_takes_no_bracket(monkeypatch, m, name):
     codifferential(ctx, differential(ctx, mu))
     assert calls == []
     if mu.is_odd():
+        # the homotopy check is d^2 = 0, so no [mu, mu] either
         hodge_decomposition(ctx, mu)
-        # only the [mu, mu] of the homotopy check
-        assert len(calls) == 1
+        assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -853,10 +885,12 @@ def test_a_forged_d_fails_the_certificate(monkeypatch, tmp_path, capsys):
 
 
 def test_square_zero_checks_raise(monkeypatch, tmp_path, capsys):
-    # two cubic terms sharing e5: [mu, mu] has a degree-4 part
+    # two cubic terms sharing e5: [mu, mu] has a degree-4 part, and d^2 =
+    # 1/2 [[mu, mu], -] is not zero; the decomposition refuses it there
     bad = mono(V5, 3, 4, 5) + mono(V5, 1, 2, 5)
-    with pytest.raises(NotLInfinity):
-        differential(CTX5, Potential.single(V5, bad))
+    for refuse in (hodge_decomposition, differential):
+        with pytest.raises(NotLInfinity, match=r"^\[mu, mu\] is not a scalar$"):
+            refuse(CTX5, Potential.single(V5, bad))
     # delta of that bad d does not square to zero; no square of delta is
     # taken, and the adjoint check refuses it
     d = {}
@@ -869,3 +903,21 @@ def test_square_zero_checks_raise(monkeypatch, tmp_path, capsys):
     assert linalg.compose_ops(delta, delta)
     _refused_by_the_certificate(monkeypatch, tmp_path, capsys,
                                 lambda ctx, d: delta)
+
+
+def test_hodge_refuses_a_non_homotopy_potential_with_its_bytes(tmp_path,
+                                                               capsys):
+    # d^2 = 0 is the homotopy check, so the refusal reads as [mu, mu]'s
+    paths = []
+    bad = {"schema": "nary/1", "arity": 2, "element": [
+        {"monomial": [1, 2, 5], "coeff": "1"},
+        {"monomial": [3, 4, 5], "coeff": "1"}]}
+    for name, doc in (("space", SPACE5_DOC), ("mu", bad)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(doc))
+    code = cli.main(["hodge", "--space", str(paths[0]),
+                     "--potential", str(paths[1])])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == '{"error":"[mu, mu] is not a scalar","kind":"NotLInfinity",' \
+        '"schema":"nary/1"}\n'

@@ -1,18 +1,21 @@
 """Mutated input documents never crash the CLI.
 
 Every document kind that an ``io.parse_*`` routine reads is mutated and
-run through ``cli.main`` in-process.  A schema mutation puts a value the
+run through ``cli.main`` in-process, and every document option of the
+parser is driven by a kind.  A schema mutation puts a value the
 schema refuses at one field, or drops a required field; it must exit 2
 with that field's path and no traceback.  A semantic document, which
 every schema rule admits but the engine refuses (an arity that is not
-the degree less one, an element of mixed degrees, a family that is not
-odd, a monomial above the space's degree cap), exits 2 with the path of
-the field at fault.  A byte mutation edits the file
+the degree less one, an element of mixed degrees or of another degree
+than its option or field reads, a family that is not odd, a monomial
+above the space's degree cap), exits 2 with the path of the field at
+fault, rooted at the option that read the document.  A byte mutation edits the file
 text itself; whatever it yields, the CLI answers with exit 0, 1 or 2 and
 never a traceback.  The examples are derandomized, so every run draws the
 same ones.
 """
 
+import argparse
 import json
 import os
 import sys
@@ -25,7 +28,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from naryalg.cli import main
+from naryalg.cli import build_parser, main
 
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True,
                 database=None)
@@ -36,6 +39,11 @@ SPACE = {"schema": "nary/1", "dim": DIM, "parity": ODD, "max_degree": 3,
          "gram": [["2", "1", "0"], ["1", "1", "0"], ["0", "0", "-1/2"]]}
 TERMS = [{"monomial": [1, 2, 3], "coeff": "-3/2"},
          {"monomial": [2, 3], "coeff": 4}]
+# the degree-2 elements that --element (derivation) and --v (classify) read
+TERMS2 = [{"monomial": [1, 2], "coeff": "-3/2"},
+          {"monomial": [2, 3], "coeff": 4}]
+TERMS_V5 = [{"monomial": [1, 2], "coeff": 2},
+            {"monomial": [3, 4], "coeff": "-1/2"}]
 POTENTIAL = {"schema": "nary/1", "arity": 2,
              "element": [{"monomial": [1, 2, 3], "coeff": "1/3"}]}
 FAMILY = {"schema": "nary/1", "linf": [[{"monomial": [1], "coeff": 1}],
@@ -58,7 +66,14 @@ KINDS = {
     "superspace": (SPACE, "--space",
                    ["verify", "--identity", "l-infinity",
                     "--potential", POTENTIAL], "superspace"),
-    "element": (TERMS, "--a", ["bracket", "--b", TERMS], "element"),
+    "element": (TERMS, "--a", ["bracket", "--b", TERMS], "a"),
+    # --a reads e_1, which every space here admits
+    "element-b": (TERMS, "--b",
+                  ["bracket", "--a", [{"monomial": [1], "coeff": 1}]], "b"),
+    "element-v": (TERMS_V5, "--v", ["classify"], "v"),
+    "element-derivation": (TERMS2, "--element",
+                           ["verify", "--identity", "derivation",
+                            "--potential", POTENTIAL], "element"),
     "potential": (POTENTIAL, "--potential",
                   ["verify", "--identity", "l-infinity"], "potential"),
     "family": (FAMILY, "--potential",
@@ -76,7 +91,25 @@ KINDS = {
     "skew": (SKEW5, "--skew", ["classify"], "skew"),
 }
 # the space each kind's command reads, when not SPACE
-SPACES = {"skew": ORTHONORMAL5}
+SPACES = {"skew": ORTHONORMAL5, "element-v": ORTHONORMAL5}
+
+# the options that read no document
+NOT_DOCUMENTS = {"--help", "--pretty", "--output", "--identity",
+                 "--exhaustive", "--allow-odd-arity", "--graph", "--seed",
+                 "--m", "--grid"}
+
+
+def test_every_document_option_is_fuzzed():
+    """Each document option of each subcommand, read off the parser, is
+    the flag of some kind, so a new one fails here until it is fuzzed."""
+    (commands,) = [action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    options = {(name, flag) for name, sub in commands.items()
+               for action in sub._actions for flag in action.option_strings
+               if flag.startswith("--") and flag not in NOT_DOCUMENTS}
+    fuzzed = {flag for _, flag, _, _ in KINDS.values()}
+    assert not {(name, flag) for name, flag in options
+                if flag not in fuzzed}
 
 
 def _posint(most=None):
@@ -100,7 +133,7 @@ def _is(kind):
     return lambda v: isinstance(v, kind)
 
 
-def _element_sites(keys, path, terms):
+def _element_sites(keys, path, terms, dim=DIM):
     for t, term in enumerate(terms):
         where = f"{path}[{t}]"
         yield keys + [t], where, _is(dict)
@@ -109,7 +142,7 @@ def _element_sites(keys, path, terms):
         yield keys + [t, "monomial"], f"{where}.monomial", _is(list)
         for k, _ in enumerate(term["monomial"]):
             yield (keys + [t, "monomial", k], f"{where}.monomial[{k}]",
-                   _posint(DIM))
+                   _posint(dim))
         yield keys + [t, "coeff"], f"{where}.coeff", _scalar
 
 
@@ -142,8 +175,9 @@ def sites(kind):
         out += [(["parity", i], f"{path}.parity[{i}]",
                  lambda v: v in ("even", "odd")) for i in range(DIM)]
         out += _matrix_sites(["gram"], f"{path}.gram", doc["gram"])
-    elif kind == "element":
-        out += _element_sites([], path, doc)
+    elif kind.startswith("element"):
+        out += _element_sites([], path, doc,
+                              SPACES.get(kind, SPACE)["dim"])
     elif kind == "potential":
         out += [(["arity"], f"{path}.arity",
                  lambda v: v is None or _posint()(v)),
@@ -283,8 +317,8 @@ SEMANTIC = [
     ("family", {"linf": [_terms((1,), (1, 2))]}, SPACE, "potential.linf"),
     ("family", {"linf": [_terms((), (1,))]}, SPACE, "potential.linf"),
     # a monomial above the space's degree cap
-    ("element", _terms((1, 2, 3)), CAPPED, "element[0].monomial"),
-    ("element", _terms((1,), (1, 1, 2)), CAPPED, "element[1].monomial"),
+    ("element", _terms((1, 2, 3)), CAPPED, "a[0].monomial"),
+    ("element", _terms((1,), (1, 1, 2)), CAPPED, "a[1].monomial"),
     ("potential", POTENTIAL, CAPPED, "potential.element[0].monomial"),
     ("family", {"linf": [_terms((3,)), _terms((1, 2, 3))]}, CAPPED,
      "potential.linf[1][0].monomial"),
@@ -296,6 +330,14 @@ SEMANTIC = [
     ("matrix", SMALL, SPACE, "phi"),
     ("frobenius-phi", SMALL, SPACE, "phi"),
     ("skew", SMALL, ORTHONORMAL5, "skew"),
+    # a structure value that is not of degree 1
+    ("structure", {"arity": 2, "constants": [
+        {"args": [1, 2], "value": _terms((1, 2))}]}, SPACE,
+     "structure.constants[0].value"),
+    # each element option names itself
+    ("element-b", _terms((1, 2, 3)), CAPPED, "b[0].monomial"),
+    ("element-v", _terms((1, 2, 3)), ORTHONORMAL5, "v"),
+    ("element-derivation", _terms((1, 2), (1, 2, 3)), SPACE, "element"),
 ]
 
 

@@ -6,6 +6,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from naryalg import poisson
 from naryalg.errors import (DegreeCapExceeded, InexactCoefficient,
                             NaryError, SpaceMismatch)
 from naryalg.poisson import (
@@ -16,7 +17,7 @@ from naryalg.poisson import (
     poisson_bracket,
 )
 from naryalg.superspace import Superspace, even_symplectic_space, odd_space
-from oracles import bracket_recursive_oracle, nested_bracket_by_chain
+from oracles import bracket_recursive_oracle, nested_bracket_by_recursion
 from spaces import random_homogeneous, random_superspace
 
 V5 = odd_space(5)
@@ -93,8 +94,9 @@ def test_nested_bracket_unrolls():
 
 
 def test_nested_bracket_indices_matches_the_chain_on_random_spaces():
-    """The contraction against one general bracket per index, on random
-    mixed-parity spaces with non-identity rational Gram matrices."""
+    """The chain of brackets against a chain of the literal recursion on
+    the defining rules, one ``bracket_recursive_oracle`` per index, on
+    random mixed-parity spaces with non-identity rational Gram matrices."""
     rng = random.Random(20)
     even_repeats = scalars = 0
     for trial in range(150):
@@ -106,14 +108,20 @@ def test_nested_bracket_indices_matches_the_chain_on_random_spaces():
         # unsorted, with repeats
         indices = [rng.randrange(m) for _ in range(rng.randint(0, 4))]
         got = nested_bracket_indices(indices, target)
-        assert got == nested_bracket_by_chain(space, indices, target), trial
+        assert got == nested_bracket_by_recursion(space, indices, target), \
+            trial
         even_repeats += any(a == b and not space.parity[a]
                             for w in target.terms for a, b in zip(w, w[1:]))
         scalars += () in target.terms
     assert even_repeats >= 30 and scalars >= 30
 
 
-def test_nested_bracket_indices_refuses_as_the_chain():
+def test_nested_bracket_indices_refuses_as_the_chain(monkeypatch):
+    # every index is checked before the first bracket is taken
+    def no_bracket(a, b):
+        raise AssertionError("bracket taken before the indices were checked")
+
+    monkeypatch.setattr(poisson, "poisson_bracket", no_bracket)
     rng = random.Random(21)
     for _ in range(20):
         m = rng.randint(1, 9)
@@ -124,7 +132,7 @@ def test_nested_bracket_indices_refuses_as_the_chain():
         with pytest.raises(NaryError) as got:
             nested_bracket_indices(indices, target)
         with pytest.raises(NaryError) as want:
-            nested_bracket_by_chain(space, indices, target)
+            nested_bracket_by_recursion(space, indices, target)
         assert type(got.value) is type(want.value) is NaryError
         assert str(got.value) == str(want.value)
         # the bracket of nothing is refused as well
@@ -339,8 +347,8 @@ def test_element_json_round_trip_and_rejections():
     from naryalg import io
     from naryalg.errors import SchemaError
     el = mono(V5, 1, 3, 5, coeff=Fraction(-2, 7)) + mono(V5, 2, 4)
-    assert io.parse_element(V5, io.element_to_json(el)) == el
-    with pytest.raises(SchemaError):
-        io.parse_element(V5, [{"monomial": [3, 1], "coeff": "1"}])
-    with pytest.raises(SchemaError):
-        io.parse_element(V5, [{"monomial": [1, 1], "coeff": "1"}])
+    assert io.parse_element(V5, io.element_to_json(el), "element") == el
+    with pytest.raises(SchemaError, match=r"^a\[0\]\.monomial: "):
+        io.parse_element(V5, [{"monomial": [3, 1], "coeff": "1"}], "a")
+    with pytest.raises(SchemaError, match=r"^b\[0\]\.monomial: "):
+        io.parse_element(V5, [{"monomial": [1, 1], "coeff": "1"}], "b")
