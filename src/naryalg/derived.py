@@ -41,10 +41,10 @@ checks loop over the live entries and
 lazily in canonical order, and ``_report`` keeps the first, or every one
 when ``exhaustive``, so a loop stops at the first violation otherwise.  The
 gather loops over every canonical tuple are the oracles in
-``tests/oracles.py``.  The loops run in one thread: the ``threads``
-keyword of check_invariant, check_nary_jacobi and check_filippov is
-accepted and ignored, since exact Fraction work cannot run in parallel
-under the GIL.
+``tests/oracles.py``.  The loops run in one thread, since exact Fraction
+work cannot run in parallel under the GIL.  Only check_nary_jacobi still
+accepts a ``threads`` keyword, and ignores it: the baselines in
+``perfbench/baselines.py`` pass it.
 
 The homotopy condition has one check here, check_l_infinity: [mu, mu] is
 a scalar.  ``hodge`` reads the same condition off d^2 = 0, with no
@@ -53,7 +53,7 @@ identities it is equivalent to are evaluated term by term only by the
 oracle ``generalized_jacobi`` in ``tests/oracles.py``.
 """
 
-from itertools import islice, product
+from itertools import combinations_with_replacement, islice, product
 from math import comb, factorial, prod
 
 from . import linalg
@@ -365,7 +365,7 @@ def check_commutative(s, exhaustive=False):
                    exhaustive, "nonzero product on a repeated odd argument")
 
 
-def check_invariant(s, exhaustive=False, threads=1):
+def check_invariant(s, exhaustive=False):
     """(a_0, {a_1,...,a_n}) = (-1)^{|a_0||a_1|} (a_1, {a_0, a_2,...,a_n}).
 
     Probed at the pairs (a_0, key), key canonical, where one side can be
@@ -590,7 +590,7 @@ def check_nary_jacobi(s, exhaustive=False, threads=1):
     return _report("nary-jacobi", violations, exhaustive)
 
 
-def check_filippov(mu, exhaustive=False, threads=1):
+def check_filippov(mu, exhaustive=False):
     """Derivation-style Jacobi: [mu_{a^{n-1}}, mu] = 0 for all a^{n-1}.
 
     Only the tuples t with mu_t nonzero, level n-1 of ``contractions``, are
@@ -614,8 +614,8 @@ def check_filippov(mu, exhaustive=False, threads=1):
 
 
 def _cubic_operators(mu, what):
-    """[e_i, mu] for each generator e_i, of a cubic potential on a pure
-    even space."""
+    """{i: [e_i, mu]} for each generator e_i where it is nonzero, in
+    ascending i, of a cubic potential on a pure even space."""
     if not mu.space.pure_even:
         raise NotPureEven(f"{what} is stated for pure even spaces")
     if mu.family:
@@ -623,8 +623,8 @@ def _cubic_operators(mu, what):
     if mu.arity != 2:
         raise WrongDegree(f"{what} needs a cubic potential (arity 2)")
     level = contractions(mu, 1)
-    return [Element._trusted(mu.space, level.get((i,), {}))
-            for i in range(mu.space.dim)]
+    return {i: Element._trusted(mu.space, level[(i,)])
+            for (i,) in sorted(level)}
 
 
 def check_jordan(A, exhaustive=False):
@@ -646,8 +646,8 @@ def check_jordan(A, exhaustive=False):
         inner = poisson_bracket(-Element._trusted(space, terms), A.element)
         if inner.is_zero():
             continue
-        for k in range(space.dim):
-            term = poisson_bracket(A_[k], inner)
+        for k, A_k in A_.items():
+            term = poisson_bracket(A_k, inner)
             if term.is_zero():
                 continue
             key = tuple(sorted((k, a, b)))
@@ -659,16 +659,15 @@ def check_jordan(A, exhaustive=False):
 
 
 def check_associative(mu, exhaustive=False):
-    """Associativity criterion: [mu_a, mu_b] = 0 on basis vectors."""
+    """Associativity criterion: [mu_a, mu_b] = 0 on basis vectors; a pair
+    with a zero mu_a or mu_b reads 0 = 0 and is not bracketed."""
     mu_ = _cubic_operators(mu, "the associativity criterion")
-    m = len(mu_)
 
     def violations():
-        for i in range(m):
-            for j in range(i, m):
-                res = poisson_bracket(mu_[i], mu_[j])
-                if not res.is_zero():
-                    yield (i, j), res
+        for i, j in combinations_with_replacement(mu_, 2):
+            res = poisson_bracket(mu_[i], mu_[j])
+            if not res.is_zero():
+                yield (i, j), res
 
     return _report("associative", violations(), exhaustive)
 

@@ -235,7 +235,8 @@ def differential(ctx, mu):
     For an odd mu, d^2 = 0 exactly when [mu, mu] is a scalar (module
     docstring), and the refusal names that condition.  An even mu is no
     homotopy potential, and ``hodge_decomposition`` refuses it first; its
-    d is checked all the same, and refused under the same name.
+    d is checked all the same, and refused as d not squaring to zero,
+    since [mu, mu] = 0 for every even mu.
     """
     _require_ctx_element(ctx, mu.element)
     d = {}
@@ -259,7 +260,8 @@ def differential(ctx, mu):
             for x, y, s in entries:
                 d.setdefault(x, {})[y] = -c if s else c
     if linalg.compose_ops(d, d):
-        raise NotLInfinity("[mu, mu] is not a scalar")
+        raise NotLInfinity("[mu, mu] is not a scalar" if mu.is_odd()
+                           else "d does not square to zero")
     return d
 
 
@@ -286,7 +288,7 @@ def codifferential(ctx, d):
     return delta
 
 
-def laplacian(ctx, d, delta):
+def laplacian(d, delta):
     """L = delta d + d delta, the sum of two ``linalg.compose_ops``."""
     lap = linalg.compose_ops(delta, d)
     for src, img in linalg.compose_ops(d, delta).items():

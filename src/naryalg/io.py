@@ -5,8 +5,10 @@ indices are 1-based outside the engine.  Object-rooted documents carry a
 "schema": "nary/1" version field, which is required on output and checked
 when present on input.  Parse errors carry the offending field path,
 rooted at the option that read the document, and so does the engine's
-refusal of a document that the schema admits: a monomial above the
-space's degree cap, an element whose degree is not the one its option or
+refusal of a document that the schema admits: a Gram matrix that the
+space refuses (``superspace.gram``), a monomial that breaks ``poisson``'s
+one monomial rule (out of order, an odd square, or above the space's
+degree cap), an element whose degree is not the one its option or
 field reads (``parse_element``'s degree; a structure's values have degree
 1), a potential whose arity is not its degree less one or whose element
 has mixed degrees, an ``linf`` family that is not odd, or a --phi or
@@ -28,7 +30,7 @@ from .errors import (
     WrongDegree,
 )
 from .linalg import ZERO, exact, skew_matrix
-from .poisson import Element
+from .poisson import Element, _check_mono
 from .superspace import Superspace
 
 SCHEMA = "nary/1"
@@ -122,16 +124,10 @@ def parse_superspace(obj, path="superspace"):
     gram = _parse_rows(obj["gram"], dim, f"{path}.gram")
     if "max_degree" in obj:
         _check_positive_int(obj["max_degree"], f"{path}.max_degree")
-    return Superspace(dim, parity, gram, max_degree=obj.get("max_degree"))
-
-
-def superspace_to_json(space):
-    return {
-        "schema": SCHEMA,
-        "dim": space.dim,
-        "parity": ["odd" if p else "even" for p in space.parity],
-        "gram": [[fmt_scalar(x) for x in row] for row in space.gram],
-    }
+    try:
+        return Superspace(dim, parity, gram, max_degree=obj.get("max_degree"))
+    except NaryError as ex:  # the form: every other field is checked above
+        raise SchemaError(f"{path}.gram", str(ex)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -150,19 +146,13 @@ def parse_element(space, arr, path, degree=None):
         if not isinstance(item, dict) or "monomial" not in item or "coeff" not in item:
             raise SchemaError(where, "expected {'monomial': [...], 'coeff': ...}")
         mono = _parse_indices(item["monomial"], space.dim, f"{where}.monomial")
-        for a, b in zip(mono, mono[1:]):
-            if a > b:
-                raise SchemaError(f"{where}.monomial",
-                                  "indices must be ascending")
-            if a == b and space.parity[a] == 1:
-                raise SchemaError(f"{where}.monomial",
-                                  "repeated odd generator")
-        if len(mono) > space.max_degree:
-            raise SchemaError(f"{where}.monomial", f"monomial degree "
-                              f"{len(mono)} exceeds cap {space.max_degree}")
+        try:
+            _check_mono(space, mono)
+        except NaryError as ex:
+            raise SchemaError(f"{where}.monomial", str(ex)) from None
         coeff = parse_scalar(item["coeff"], f"{where}.coeff")
         terms[mono] = terms.get(mono, ZERO) + coeff
-    el = Element(space, terms)
+    el = Element._trusted(space, {m: c for m, c in terms.items() if c})
     if degree is not None and el.degrees() not in ([], [degree]):
         raise SchemaError(path, f"expected an element of degree {degree}")
     return el

@@ -1,7 +1,11 @@
 """Elements of the symmetric superalgebra S*(V) and its Poisson bracket.
 
 Monomials are tuples of generator indices, sorted ascending, with repeats
-allowed only for even generators (odd squares vanish).  The canonical sign
+allowed only for even generators (odd squares vanish).  ``_check_mono`` is
+the engine's one monomial rule: that order, no odd square, every index
+inside the basis and the length within the degree cap.  ``Element``
+enforces it on every term it is given, and ``io.parse_element`` refuses a
+document's monomial by the same rule at its field.  The canonical sign
 of a reordering is the Koszul sign: -1 for every transposition of two odd
 factors.  Elements are sparse maps monomial -> Fraction.
 
@@ -63,16 +67,23 @@ def normalize_word(space, word):
     return sign, tuple(w)
 
 
-def _check_degree(space, degree):
-    if degree > space.max_degree:
-        raise DegreeCapExceeded(
-            f"monomial degree {degree} exceeds cap {space.max_degree}")
-
-
 def _check_mono(space, mono):
-    """Refuse a monomial above the degree cap or with an index outside the
-    basis, read off its ends; its ascending order is not checked."""
-    _check_degree(space, len(mono))
+    """The engine's one monomial rule: indices ascending, no odd generator
+    twice, at most the degree cap, and inside the basis.
+
+    The pairs are read in order and the first bad one is named, so the
+    order is known before the ends are compared, and then the ends bound
+    every index; an equal pair is read as an odd square only below dim."""
+    par = space.parity
+    for a, b in zip(mono, mono[1:]):
+        if a >= b:
+            if a > b:
+                raise NaryError("indices must be ascending")
+            if b < space.dim and par[b]:
+                raise NaryError("repeated odd generator")
+    if len(mono) > space.max_degree:
+        raise DegreeCapExceeded(
+            f"monomial degree {len(mono)} exceeds cap {space.max_degree}")
     if mono and (mono[0] < 0 or mono[-1] >= space.dim):
         raise NaryError(f"monomial {mono} has an index outside "
                         f"0..{space.dim - 1}")
@@ -119,7 +130,6 @@ class Element:
     def generator(cls, space, i):
         if not 0 <= i < space.dim:
             raise NaryError(f"generator index {i} out of range")
-        _check_degree(space, 1)
         return cls._trusted(space, {(i,): ONE})
 
     @classmethod
@@ -222,7 +232,6 @@ def multiply(a, b):
             if r is None:
                 continue
             sign, mono = r
-            _check_mono(space, mono)
             acc[mono] = acc.get(mono, ZERO) + sign * cu * cw
     return Element(space, acc)
 

@@ -72,6 +72,8 @@ SEMANTIC = "tests/test_io_fuzz.py::" \
     "test_semantic_error_exits_2_at_the_field_at_fault"
 HODGE_REFUSAL = "tests/test_hodge.py::" \
     "test_hodge_refuses_a_non_homotopy_potential_with_its_bytes"
+MONOMIAL_RULE = "tests/test_poisson.py::" \
+    "test_element_takes_each_monomial_by_the_one_rule"
 
 MUTANTS = [
     # the form read once
@@ -111,6 +113,11 @@ MUTANTS = [
            "mono[-1] >= space.dim", "mono[-1] > space.dim",
            ["tests/test_poisson.py::"
             "test_element_refuses_an_index_outside_the_basis"]),
+    # the one monomial rule, for every Element and every document
+    Mutant("monomial-order-unchecked", POISSON, "_check_mono",
+           "if a > b:", "if False:", [MONOMIAL_RULE]),
+    Mutant("odd-square-let-through", POISSON, "_check_mono",
+           "if b < space.dim and par[b]:", "if False:", [MONOMIAL_RULE]),
     # exactness decided once in linalg
     Mutant("float-refusal-dropped", LINALG, "exact",
            "if isinstance(c, Real) and not isinstance(c, Rational):",
@@ -251,10 +258,14 @@ MUTANTS = [
            "node = {mono: c for mono, c in node.items() if c}",
            "node = dict(node)", [SUFFIXES]),
     Mutant("cubic-operators-fill-the-wrong-index", DERIVED,
-           "_cubic_operators", "level.get((i,), {})",
-           "level.get((i - 1,), {})",
+           "_cubic_operators", "return {i: ", "return {i - 1: ",
            ["tests/test_derived.py::"
             "test_cubic_operators_match_the_generator_contractions"]),
+    Mutant("cubic-zero-operands-bracketed", DERIVED, "_cubic_operators",
+           "level[(i,)])\n            for (i,) in sorted(level)}",
+           "level.get((i,), {}))\n            for i in range(mu.space.dim)}",
+           ["tests/test_derived.py::"
+            "test_cubic_criteria_bracket_no_zero_operand"]),
     Mutant("invariant-pairing-drops-the-form-entry", DERIVED,
            "check_invariant", "c * row[x]", "c",
            ["tests/test_derived.py::"
@@ -299,6 +310,8 @@ MUTANTS = [
            "    if linalg.compose_ops(d, d):\n        raise NotLInfinity(",
            "    if False:\n        raise NotLInfinity(",
            [SQUARE_ZERO, HODGE_REFUSAL]),
+    Mutant("even-differential-refused-as-the-bracket", HODGE, "differential",
+           "if mu.is_odd()", "if True", [SQUARE_ZERO]),
     Mutant("inner-product-ignores-the-second-coefficient", HODGE,
            "inner_product", "c * w.terms[x]", "c",
            ["tests/test_hodge.py::"
@@ -384,7 +397,12 @@ MUTANTS = [
            ["tests/test_superspace.py::"
             "test_degree_cap_must_be_a_positive_int"]),
     Mutant("degree-cap-refused-without-its-field", IO, "parse_element",
-           "if len(mono) > space.max_degree:", "if False:", [SEMANTIC]),
+           "except NaryError as ex:", "except ZeroDivisionError as ex:",
+           [SEMANTIC]),
+    Mutant("gram-refused-without-its-field", IO, "parse_superspace",
+           "except NaryError as ex:", "except ZeroDivisionError as ex:",
+           ["tests/test_io_fuzz.py::"
+            "test_every_space_option_refuses_a_bad_gram_at_its_field"]),
     Mutant("family-refused-without-its-field", IO, "parse_potential",
            'raise SchemaError(f"{path}.linf", str(ex)) from None', "raise",
            [SEMANTIC]),

@@ -491,7 +491,7 @@ def hodge_by_global_ranks(ctx, mu):
     """
     d = differential(ctx, mu)
     delta = codifferential(ctx, d)
-    lap = laplacian(ctx, d, delta)
+    lap = laplacian(d, delta)
     m = ctx.m
     dims = [comb(m, p) for p in range(m + 1)]
     total = sum(dims)
@@ -533,7 +533,7 @@ def hodge_by_laplacian(ctx, mu):
     degrees = mu.element.degrees()
     d = differential(ctx, mu)
     delta = codifferential(ctx, d)
-    lap = laplacian(ctx, d, delta)
+    lap = laplacian(d, delta)
     m = ctx.m
     shifts = [s - 2 for s in degrees] or [0]
     k = shifts[0]

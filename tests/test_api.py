@@ -1,9 +1,11 @@
 """One source per input: a public function takes a space only where
 nothing else it is given carries one, and the degree cap only where a
-space is built."""
+space is built.  No function takes a parameter that it never reads."""
 
+import ast
 import importlib
 import inspect
+import os
 import pkgutil
 
 import pytest
@@ -23,8 +25,8 @@ SPACE_TAKERS = {
     "poisson.mono_parity", "poisson.normalize_word",
     "superspace.is_positive_definite", "superspace.require_nondegenerate",
     "derived.canonical_tuples", "derived.contraction_constant",
-    "classify.skew_to_element", "io.superspace_to_json",
-    "io.parse_element", "io.parse_potential", "io.parse_structure",
+    "classify.skew_to_element", "io.parse_element", "io.parse_potential",
+    "io.parse_structure",
     # given a structure too, which must live over the space given
     # (SpaceMismatch otherwise)
     "frobenius.t_star_extension", "frobenius.check_quasi_frobenius",
@@ -123,3 +125,54 @@ def test_records_keep_their_fields_and_compare_by_value():
     ideal = naryalg.classify.IdealReport
     assert ideal(True) != ideal(True, method="kernel")
     assert ideal(True) != naryalg.derived.CheckReport(True, True)
+
+
+# parameters that no body reads, each with the reason it stays
+UNREAD = {
+    "derived.check_nary_jacobi.threads":
+        "perfbench/baselines.py times the check with threads=1 and 2",
+    "cli.IDENTITIES[l-infinity].<lambda>.ex":
+        "every identity is called with exhaustive; this report has one "
+        "obstruction",
+}
+
+
+def _parameters(node, where, out):
+    """(qualified parameter name, read in its body) for every function and
+    lambda under node; a lambda is named by the definition, assignment
+    and dict key it sits in."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        a = node.args
+        names = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs]
+        names += [x.arg for x in (a.vararg, a.kwarg) if x is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [(f"{where}.{name}", name in read) for name in names]
+    if isinstance(node, ast.Dict):
+        for key, value in zip(node.keys, node.values):
+            label = f"[{key.value}]" if isinstance(key, ast.Constant) else ""
+            _parameters(value, where + label, out)
+        return
+    for child in ast.iter_child_nodes(node):
+        inner = where
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            inner = f"{where}.{child.name}"
+        elif isinstance(child, ast.Lambda):
+            inner = f"{where}.<lambda>"
+        elif isinstance(child, ast.Assign) and len(child.targets) == 1 \
+                and isinstance(child.targets[0], ast.Name):
+            inner = f"{where}.{child.targets[0].id}"
+        _parameters(child, inner, out)
+
+
+def test_every_parameter_is_read_or_allowlisted():
+    out = []
+    for info in pkgutil.iter_modules(naryalg.__path__):
+        path = os.path.join(os.path.dirname(naryalg.__file__),
+                            f"{info.name}.py")
+        with open(path, encoding="utf-8") as fh:
+            _parameters(ast.parse(fh.read()), info.name, out)
+    assert len(out) > 400
+    assert sorted(name for name, read in out if not read) == sorted(UNREAD)

@@ -780,12 +780,15 @@ def _failing_verifier_inputs():
 def test_single_thread_verifiers_keep_first_witness(case):
     _, check, x, witness, residual = case
     full = check(x, exhaustive=True)
-    for threads in (1, 4):
-        rep = check(x, threads=threads)
+    # check_nary_jacobi alone still takes a threads keyword, and ignores it
+    jacobi = check is check_nary_jacobi
+    for kwargs in ({}, {"threads": 4}) if jacobi else ({},):
+        rep = check(x, **kwargs)
         assert not rep.passed
         assert (rep.witness, rep.residual) == (witness, residual)
         assert rep.violations == full.violations[:1]
-    assert check(x, exhaustive=True, threads=4).violations == full.violations
+        assert check(x, exhaustive=True, **kwargs).violations == \
+            full.violations
 
 
 def test_invariant_loop_stops_at_first_violation(monkeypatch):
@@ -1088,8 +1091,9 @@ def test_filippov_matches_the_gather_on_random_odd_spaces():
 
 
 def test_cubic_operators_match_the_generator_contractions():
-    """_cubic_operators against [e_i, mu] by nested_bracket_indices on pure
-    even spaces with random skew forms."""
+    """_cubic_operators against the nonzero [e_i, mu] by
+    nested_bracket_indices, in ascending i, on pure even spaces with random
+    skew forms."""
     rng = random.Random(64)
     for trial in range(60):
         m = 2 * rng.randint(1, 3)
@@ -1097,8 +1101,11 @@ def test_cubic_operators_match_the_generator_contractions():
             rng, [0] * m, rng.choice((0.4, 0.7, 1))))
         el = spaces.random_homogeneous(space, rng, 3, terms=rng.randint(0, 5))
         mu = Potential.single(space, el, arity=2)
-        assert derived._cubic_operators(mu, "test") == [
-            nested_bracket_indices((i,), el) for i in range(m)], trial
+        ops = derived._cubic_operators(mu, "test")
+        want = {i: nested_bracket_indices((i,), el) for i in range(m)}
+        assert ops == {i: v for i, v in want.items() if not v.is_zero()}, \
+            trial
+        assert list(ops) == sorted(ops), trial
 
 
 def test_jordan_inner_is_level_two_of_the_contractions():
@@ -1169,6 +1176,46 @@ def test_jordan_brackets_each_inner_once(monkeypatch):
             for ex, rep in zip((False, True), reps):
                 assert report_bytes(rep) == report_bytes(
                     jordan_by_triple_loop(A, exhaustive=ex))
+
+
+def test_cubic_criteria_bracket_no_zero_operand(monkeypatch):
+    """check_associative and check_jordan against the generator-bracket and
+    triple-loop oracles on random cubics over random symplectic forms,
+    sparse enough that some [e_i, mu] vanish.  Neither criterion brackets
+    a zero operand, and check_associative brackets each pair i <= j of
+    nonzero [e_i, mu] once."""
+    rng = random.Random(35)
+    calls = []
+    real = derived.poisson_bracket
+    monkeypatch.setattr(derived, "poisson_bracket",
+                        lambda a, b: calls.append((a, b)) or real(a, b))
+    seen = {"some-zero": 0, "pass": 0, "fail": 0}
+    trial = 0
+    while min(seen.values()) < 4:
+        trial += 1
+        m = rng.choice((2, 4, 4, 6))
+        space = Superspace(m, [0] * m, spaces.random_gram(
+            rng, [0] * m, rng.choice((0.5, 1))), max_degree=3 * m)
+        if not space.nondegenerate:
+            continue
+        el = spaces.random_homogeneous(space, rng, 3,
+                                       terms=rng.choice((1, 1, 2, 3)))
+        mu = Potential.single(space, el, arity=2)
+        nonzero = len(contractions(mu, 1))
+        seen["some-zero"] += 0 < nonzero < m
+        for ex in (False, True):
+            for check, oracle in ((check_associative,
+                                   associative_by_generator_brackets),
+                                  (check_jordan, jordan_by_triple_loop)):
+                calls.clear()
+                rep = check(mu, exhaustive=ex)
+                assert not any(a.is_zero() or b.is_zero() for a, b in calls)
+                if check is check_associative and ex:
+                    assert len(calls) == nonzero * (nonzero + 1) // 2
+                assert report_bytes(rep) == report_bytes(
+                    oracle(mu, exhaustive=ex)), trial
+                seen["pass" if rep.passed else "fail"] += ex
+    assert trial < 100, seen
 
 
 @pytest.mark.parametrize("sp", [E2, E4], ids=["E2", "E4"])

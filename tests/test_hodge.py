@@ -336,7 +336,7 @@ def test_laplacian_of_harmonics_vanishes():
     mu = Potential.single(V5, star(CTX5, mono(V5, 1, 2)))
     d = differential(CTX5, mu)
     delta = codifferential(CTX5, d)
-    lap = laplacian(CTX5, d, delta)
+    lap = laplacian(d, delta)
     rep = hodge_decomposition(CTX5, mu)
     for p, elems in rep.harmonic.items():
         for h in elems:
@@ -410,7 +410,7 @@ def test_block_operators_match_compose_oracle(m, name, orientation):
         assert ctx.orientation.sign == -1
     d = differential(ctx, mu)
     delta = codifferential(ctx, d)
-    lap = laplacian(ctx, d, delta)
+    lap = laplacian(d, delta)
     want = hodge_operators_by_compose(ctx, mu)
     # d moves degree by a layer shift s - 2, delta by minus one, and L
     # keeps it
@@ -891,6 +891,14 @@ def test_square_zero_checks_raise(monkeypatch, tmp_path, capsys):
     for refuse in (hodge_decomposition, differential):
         with pytest.raises(NotLInfinity, match=r"^\[mu, mu\] is not a scalar$"):
             refuse(CTX5, Potential.single(V5, bad))
+    # [mu, mu] = 0 for an even mu, so the refusal of its d names d^2; the
+    # decomposition refuses the parity first
+    even = Potential.single(V5, mono(V5, 1, 2))
+    with pytest.raises(NotLInfinity, match=r"^d does not square to zero$"):
+        differential(CTX5, even)
+    with pytest.raises(NotLInfinity,
+                       match=r"^decomposition needs an odd potential$"):
+        hodge_decomposition(CTX5, even)
     # delta of that bad d does not square to zero; no square of delta is
     # taken, and the adjoint check refuses it
     d = {}

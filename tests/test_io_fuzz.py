@@ -394,3 +394,57 @@ def test_byte_mutation_never_crashes(kind, mangle):
         # never valid JSON: refused while the file is read
         assert code == 2
         assert report["error"].startswith(target + ":")
+
+
+# Gram matrices that every schema rule admits but the space refuses, with
+# the space's own message
+BAD_GRAMS = {
+    "odd-not-symmetric": (ODD, [[1, 1, 0], [0, 1, 0], [0, 0, 1]],
+                          "odd-odd entry gram[0][1] must equal gram[1][0]"),
+    "even-not-skew": (["even", "even", "odd"],
+                      [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+                      "even-even entry gram[0][1] must equal -gram[1][0]"),
+    "mixed-parity": (["even", "even", "odd"],
+                     [[0, 1, 1], [-1, 0, 0], [0, 0, 1]],
+                     "gram[0][2] pairs generators of different parity"),
+}
+
+
+def _space_commands():
+    """argv for each subcommand that reads --space, off the parser: its
+    other required options given a first choice or an unread path."""
+    (commands,) = [action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    out = {}
+    for name, sub in commands.items():
+        if "--space" not in sub._option_string_actions:
+            continue
+        out[name] = [name]
+        for action in sub._actions:
+            flag = action.option_strings[0] if action.option_strings else None
+            if action.required and flag != "--space":
+                out[name] += [flag, action.choices[0] if action.choices
+                              else "unread.json"]
+    return out
+
+
+@pytest.mark.parametrize("gram", sorted(BAD_GRAMS))
+def test_every_space_option_refuses_a_bad_gram_at_its_field(gram):
+    parity, rows, msg = BAD_GRAMS[gram]
+    doc = {"schema": "nary/1", "dim": DIM, "parity": parity, "gram": rows}
+    commands = _space_commands()
+    assert sorted(commands) == ["bracket", "classify", "derive", "frobenius",
+                                "hodge", "star", "verify"]
+    for name, argv in commands.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "space.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            out, err = StringIO(), StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv + ["--space", path])
+        assert "Traceback" not in err.getvalue(), name
+        assert code == 2 and out.getvalue() == "", name
+        assert json.loads(err.getvalue()) == {
+            "error": f"superspace.gram: {msg}", "kind": "SchemaError",
+            "schema": "nary/1"}, name

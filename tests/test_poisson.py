@@ -330,6 +330,47 @@ def test_element_refuses_an_index_outside_the_basis():
         assert Element(space, {(0, m - 1): 1}).terms == {(0, m - 1): 1}
 
 
+def test_element_takes_each_monomial_by_the_one_rule():
+    """The constructor refuses a monomial out of order, an odd square, and
+    an index outside the basis behind either, each with a plain NaryError
+    and never an IndexError, on odd_space(3) and on random mixed-parity
+    spaces; the first bad pair is the one named, and a repeated even
+    generator is kept."""
+    V3 = odd_space(3)
+    for terms, msg in (({(1, 0): 1}, "indices must be ascending"),
+                       ({(0, 0): 1}, "repeated odd generator"),
+                       ({(5, 0): 1}, "indices must be ascending")):
+        with pytest.raises(NaryError, match=f"^{msg}$") as info:
+            Element(V3, terms)
+        assert type(info.value) is NaryError
+    # a word out of order is sorted, with its sign, by Element.monomial
+    assert (Element.monomial(V3, (1, 0)) + Element(V3, {(0, 1): 1})).is_zero()
+    rng = random.Random(35)
+    seen = {"odd": 0, "even": 0}
+    for trial in range(60):
+        space = random_superspace(rng, rng.randint(2, 7))
+        m = space.dim
+        a, b = sorted(rng.sample(range(m), 2))
+        refused = [((b, a), "indices must be ascending"),
+                   ((a, m + 1, m + 1), None), ((m, m), None),
+                   ((a, m + 1, 0), "indices must be ascending")]
+        for i in range(m):
+            if space.parity[i]:
+                refused.append(((i, i), "repeated odd generator"))
+                if i:  # the odd square comes before the descent
+                    refused.append(((i, i, i - 1), "repeated odd generator"))
+                seen["odd"] += 1
+            else:
+                assert Element(space, {(i, i): 2}).terms == {(i, i): 2}
+                seen["even"] += 1
+        for mono, msg in refused:
+            with pytest.raises(NaryError) as info:
+                Element(space, {mono: 1})
+            assert msg is None or str(info.value) == msg, (trial, mono)
+        assert Element(space, {(a, b): 1}).terms == {(a, b): 1}
+    assert min(seen.values()) >= 20, seen
+
+
 def test_float_coefficients_rejected():
     # Fraction(0.1) would silently store 3602879701896397/36028797018963968
     with pytest.raises(InexactCoefficient):
@@ -352,3 +393,20 @@ def test_element_json_round_trip_and_rejections():
         io.parse_element(V5, [{"monomial": [3, 1], "coeff": "1"}], "a")
     with pytest.raises(SchemaError, match=r"^b\[0\]\.monomial: "):
         io.parse_element(V5, [{"monomial": [1, 1], "coeff": "1"}], "b")
+    # a term's monomial is refused by Element's rule, with its message,
+    # the first bad pair named, before the coefficient is read
+    capped = even_symplectic_space(2, max_degree=2)
+    cases = [(V5, [3, 1], "indices must be ascending"),
+             (V5, [1, 1], "repeated odd generator"),
+             (V5, [2, 2, 3, 1], "repeated odd generator"),
+             (V5, [2, 1, 1], "indices must be ascending"),
+             (capped, [1, 1, 1], "monomial degree 3 exceeds cap 2"),
+             (capped, [2, 1, 1], "indices must be ascending")]
+    for space, monomial, msg in cases:
+        doc = [{"monomial": [1], "coeff": 1},
+               {"monomial": monomial, "coeff": "not a scalar"}]
+        with pytest.raises(SchemaError) as info:
+            io.parse_element(space, doc, "a")
+        assert str(info.value) == f"a[1].monomial: {msg}"
+    assert io.parse_element(capped, [{"monomial": [1, 1], "coeff": 2}],
+                            "a").terms == {(0, 0): 2}

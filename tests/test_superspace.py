@@ -1,6 +1,7 @@
 """Superspace validation, positive definiteness, exact rank."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -154,7 +155,9 @@ def test_serialization_round_trip():
     sp = Superspace(3, [1, 1, 1],
                         [[Fraction(2), 1, 0], [1, Fraction(1, 3), 0],
                          [0, 0, 1]])
-    back = io.parse_superspace(io.superspace_to_json(sp))
+    doc = {"schema": io.SCHEMA, "dim": 3, "parity": ["odd"] * 3,
+           "gram": [[io.fmt_scalar(x) for x in row] for row in sp.gram]}
+    back = io.parse_superspace(json.loads(io.dumps(doc)))
     assert back == sp
 
 
