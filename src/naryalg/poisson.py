@@ -67,6 +67,16 @@ def normalize_word(space, word):
     return sign, tuple(w)
 
 
+def _checked_word(space, word):
+    """``word`` as a tuple, refused before ``normalize_word`` reads the
+    parity of an index outside the basis."""
+    word = tuple(word)
+    if word and (min(word) < 0 or max(word) >= space.dim):
+        raise NaryError(f"word {word} has an index outside "
+                        f"0..{space.dim - 1}")
+    return word
+
+
 def _check_mono(space, mono):
     """The engine's one monomial rule: indices ascending, no odd generator
     twice, at most the degree cap, and inside the basis.
@@ -135,7 +145,7 @@ class Element:
     @classmethod
     def monomial(cls, space, word, coeff=ONE):
         """Product of generators in the given order (canonicalized with sign)."""
-        r = normalize_word(space, tuple(word))
+        r = normalize_word(space, _checked_word(space, word))
         if r is None:
             return cls.zero(space)
         sign, mono = r
@@ -166,7 +176,7 @@ class Element:
                        {m: c for m, c in self.terms.items() if len(m) == p})
 
     def coefficient(self, word):
-        r = normalize_word(self.space, tuple(word))
+        r = normalize_word(self.space, _checked_word(self.space, word))
         if r is None:
             return ZERO
         sign, mono = r

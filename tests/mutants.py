@@ -70,6 +70,8 @@ COTANGENT = "tests/test_frobenius.py::" \
     "test_cotangent_potential_matches_the_closed_form"
 SEMANTIC = "tests/test_io_fuzz.py::" \
     "test_semantic_error_exits_2_at_the_field_at_fault"
+ADJOINT_ORACLE = "tests/test_hodge.py::" \
+    "test_adjoint_check_matches_the_codifferential_oracle"
 HODGE_REFUSAL = "tests/test_hodge.py::" \
     "test_hodge_refuses_a_non_homotopy_potential_with_its_bytes"
 MONOMIAL_RULE = "tests/test_poisson.py::" \
@@ -270,17 +272,31 @@ MUTANTS = [
            "check_invariant", "c * row[x]", "c",
            ["tests/test_derived.py::"
             "test_invariant_pairs_through_the_form_on_random_spaces"]),
-    # Hodge from d alone: delta == eps d^T certifies every count
-    Mutant("adjoint-sign-flipped", HODGE, "hodge_decomposition",
-           "eps = 1 if (m * (m - 1) // 2) % 2 else -1",
-           "eps = -1 if (m * (m - 1) // 2) % 2 else 1",
+    # Hodge from d alone: delta == eps d^T, read off d's own entries each
+    # against its mirror, certifies every count
+    Mutant("adjoint-sign-flipped", HODGE, "_adjoint_ok",
+           "want = c if (sy + su + k * (1 - k) // 2) % 2 else -c",
+           "want = -c if (sy + su + k * (1 - k) // 2) % 2 else c",
            ["tests/test_hodge.py::test_report_bytes_pinned"]),
-    Mutant("adjoint-check-always-true", HODGE, "hodge_decomposition",
-           "adjoint = codifferential(ctx, d) == linalg.transpose_op(d, eps)",
-           "adjoint = True",
+    Mutant("adjoint-check-always-true", HODGE, "_adjoint_ok",
+           "return False", "pass",
            ["tests/test_hodge.py::"
             "test_a_forged_sign_of_delta_fails_the_certificate",
-            SQUARE_ZERO]),
+            SQUARE_ZERO, ADJOINT_ORACLE]),
+    Mutant("adjoint-star-sign-dropped", HODGE, "_adjoint_ok",
+           "(sy + su + k * (1 - k) // 2) % 2", "(k * (1 - k) // 2) % 2",
+           ["tests/test_hodge.py::test_report_bytes_pinned", ADJOINT_ORACLE]),
+    Mutant("adjoint-layer-sign-dropped", HODGE, "_adjoint_ok",
+           "(sy + su + k * (1 - k) // 2) % 2", "(sy + su) % 2",
+           ["tests/test_hodge.py::test_report_bytes_pinned", ADJOINT_ORACLE]),
+    Mutant("adjoint-reads-the-complement-sum-of-the-source", HODGE,
+           "_adjoint_ok", "u_comp, su = complement(u)",
+           "u_comp, su = complement(u)[0], complement(complement(u)[0])[1]",
+           ["tests/test_hodge.py::test_report_bytes_pinned", ADJOINT_ORACLE]),
+    Mutant("adjoint-accepts-a-missing-mirror", HODGE, "_adjoint_ok",
+           ".get(u_comp) != want", ".get(u_comp, want) != want",
+           ["tests/test_hodge.py::test_a_forged_d_fails_the_certificate",
+            ADJOINT_ORACLE]),
     Mutant("mixed-stack-drops-the-transpose-rows", HODGE, "_harmonic_rows",
            "list(linalg.transpose_op(out_of).values()) + \\\n"
            "        [row for row in into if row]",
@@ -323,7 +339,7 @@ MUTANTS = [
            [OPERATOR_ROUTINES, SQUARE_ZERO]),
     Mutant("transpose-ignores-its-scale", LINALG, "transpose_op",
            "[src] = scale * c", "[src] = c",
-           [OPERATOR_ROUTINES, "tests/test_hodge.py::test_report_bytes_pinned"]),
+           [OPERATOR_ROUTINES, COTANGENT]),
     Mutant("skew-operator-check-always-passes", CLASSIFY, "find_ideal",
            "if any(linalg.transpose_op(op, -1) != op for op in operators):",
            "if False:",

@@ -273,6 +273,11 @@ MONO = [{"monomial": [3, 4, 5], "coeff": "1"}]
     ("--structure", {"arity": 2, "constants": [
         {"args": [1, 2, 3], "value": [{"monomial": [4], "coeff": "1"}]}]},
      "structure.constants[0].args"),
+    # args that descend: "indices must be non-decreasing"
+    ("--structure", {"arity": 2, "constants": [
+        {"args": [1, 2], "value": [{"monomial": [3], "coeff": "1"}]},
+        {"args": [3, 1], "value": [{"monomial": [4], "coeff": "1"}]}]},
+     "structure.constants[1].args"),
 ])
 def test_malformed_field_exits_2_with_its_path(files, capsys, flag, doc,
                                                 where):
@@ -448,6 +453,31 @@ def test_unsorted_monomial_exits_2(files, capsys):
         capsys)
     assert code == 2
     assert "ascending" in err
+
+
+W12 = [{"monomial": [1, 2], "coeff": "1"}]
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["verify", "--identity", "commutative"],
+     "need --structure or --potential"),
+    (["verify", "--identity", "l-infinity"], "need --potential"),
+    (["verify", "--identity", "derivation", "--element", "w.json"],
+     "need --potential"),
+    (["verify", "--identity", "quasi-frobenius"],
+     "quasi-frobenius check needs --phi"),
+    (["verify", "--identity", "derivation"],
+     "derivation check needs --element"),
+    (["classify"], "need --v or --skew"),
+])
+def test_missing_option_exits_2_with_its_refusal(files, capsys, argv, error):
+    write, _ = files
+    argv = [write(a, W12) if a == "w.json" else a for a in argv]
+    code, out, err = run_main(argv + ["--space", write("s.json", SPACE5)],
+                              capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"schema": io.SCHEMA, "error": error,
+                               "kind": "NaryError"}
 
 
 # each option that reads a degree-2 element, with the engine's refusal of

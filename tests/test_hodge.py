@@ -785,8 +785,8 @@ class _CountingOperator(dict):
 
 @pytest.mark.parametrize("index", [3, 7, 9])
 def test_rank_d_groups_the_sources_of_d_once(monkeypatch, index):
-    # the adjoint check reads d twice (codifferential and transpose_op)
-    # and the ranks read it once more, however many degrees they rank
+    # the adjoint check reads d once, looking each mirror up by key, and
+    # the ranks read it once more, however many degrees they rank
     m, kind, sizes, turns, _ = PINNED_REPORTS[index]
     ctx, mu = _seeded_case(m, kind, sizes, turns, 100 + index)
     real = hodge.differential
@@ -799,7 +799,30 @@ def test_rank_d_groups_the_sources_of_d_once(monkeypatch, index):
     monkeypatch.setattr(hodge, "differential", counted)
     rep = hodge_decomposition(ctx, mu)
     assert rep.homogeneous and rep.direct_sum_ok
-    assert seen[0].passes == 3
+    assert seen[0].passes == 2
+
+
+@pytest.mark.parametrize("index", range(len(PINNED_REPORTS)))
+def test_hodge_builds_neither_delta_nor_a_transpose_of_d(monkeypatch, index):
+    # the certificate reads d's own entries; only a family's harmonic rows
+    # transpose d, cut to one degree at a time and with no scale
+    calls = []
+    _counting(monkeypatch, hodge, "codifferential", calls)
+    real = linalg.transpose_op
+
+    def recorded(op, *scale):
+        calls.append(({len(x) for x in op}, scale))
+        return real(op, *scale)
+
+    monkeypatch.setattr(linalg, "transpose_op", recorded)
+    m, kind, sizes, turns, _ = PINNED_REPORTS[index]
+    rep = hodge_decomposition(*_seeded_case(m, kind, sizes, turns, 100 + index))
+    assert rep.direct_sum_ok
+    if rep.homogeneous:
+        assert calls == []
+    else:
+        assert calls == [({p} if any(len(x) == p for x in rep.d) else set(),
+                          ()) for p in range(m + 1)]
 
 
 SPACE5_DOC = {"schema": "nary/1", "dim": 5, "parity": ["odd"] * 5,
@@ -851,18 +874,97 @@ def _refused_by_the_certificate(monkeypatch, tmp_path, capsys, forged,
     assert out["kernel_intersection_ok"] is False
 
 
+def _one_entry_negated(d):
+    """A copy of d with its first entry negated."""
+    forged = {x: dict(img) for x, img in d.items()}
+    img = forged[min(forged)]
+    img[min(img)] *= -1
+    return forged
+
+
 def test_a_forged_sign_of_delta_fails_the_certificate(monkeypatch, tmp_path,
                                                       capsys):
-    real = hodge.codifferential
+    # d with one entry negated: delta, starred from d, then has one entry
+    # negated, and its mirror in eps d^T does not
+    real = hodge.differential
 
-    def forged(ctx, d):
-        # delta with one entry negated
-        delta = real(ctx, d)
-        img = delta[min(delta)]
-        img[min(img)] *= -1
-        return delta
+    def forged(ctx, mu):
+        return _one_entry_negated(real(ctx, mu))
 
-    _refused_by_the_certificate(monkeypatch, tmp_path, capsys, forged)
+    ctx, mu = _case(5, "cubic")
+    d = forged(ctx, mu)
+    assert codifferential(ctx, d) != linalg.transpose_op(d, -1)
+    _refused_by_the_certificate(monkeypatch, tmp_path, capsys, forged,
+                                "differential")
+
+
+def _forgeries(d, m, rng):
+    """Copies of d with one entry negated, dropped, doubled or added, and
+    one with an entry added together with the mirror that it asks for."""
+    def copy():
+        return {x: dict(img) for x, img in d.items()}
+
+    out = []
+    entries = [(x, y) for x, img in d.items() for y in img]
+    for change in ("negate", "drop", "double") if entries else ():
+        forged = copy()
+        x, y = rng.choice(entries)
+        if change == "drop":
+            del forged[x][y]
+            if not forged[x]:
+                del forged[x]
+        else:
+            forged[x][y] *= -1 if change == "negate" else 2
+        out.append(forged)
+    basis = monomial_tuples(m)
+    for paired in (False, True):
+        # a free position whose mirror is another free position
+        forged = copy()
+        while True:
+            u, y = rng.choice(basis), rng.choice(basis)
+            u_comp, y_comp = (tuple(i for i in range(m) if i not in x)
+                              for x in (u, y))
+            if y != u_comp and y not in d.get(u, {}) \
+                    and u_comp not in d.get(y_comp, {}):
+                break
+        c = Fraction(rng.choice([1, -1, 3]), rng.choice([1, 2]))
+        forged.setdefault(u, {})[y] = c
+        if paired:
+            k = len(y) - len(u)
+            flip = (sum(y) - sum(u) + k * (1 - k) // 2) % 2
+            forged.setdefault(y_comp, {})[u_comp] = c if flip else -c
+        out.append(forged)
+    return out
+
+
+def test_adjoint_check_matches_the_codifferential_oracle():
+    # delta == eps d^T read off d's entries against delta built by star and
+    # d^T built by transpose_op, under random orientations, on d and on
+    # forged copies of it
+    rng = random.Random(36)
+    cases = [_seeded_case(*case) for case in ORACLE_CASES[::2]]
+    cases += [_case(6, "zero"), _case(6, "family13"), _case(7, "top")]
+    passed = failed = odd = 0
+    for _, mu in cases:
+        m = mu.space.dim
+        order = rng.sample(range(m), m)
+        ctx = HodgeContext(mu.space, Orientation(order))
+        odd += ctx.orientation.sign < 0
+        eps = 1 if (m * (m - 1) // 2) % 2 else -1
+        d = differential(ctx, mu)
+        assert hodge._adjoint_ok(m, d)
+        forged = _forgeries(d, m, rng)
+        want = [codifferential(ctx, op) == linalg.transpose_op(op, eps)
+                for op in forged]
+        assert [hodge._adjoint_ok(m, op) for op in forged] == want, order
+        # an entry added alone fails, and with its mirror it passes
+        assert want[-2:] == [False, True]
+        passed += sum(want)
+        failed += len(want) - sum(want)
+    # besides the pairs, an entry that is its own mirror (y = u') keeps
+    # the equality when it is negated or doubled, in both checks
+    assert odd >= 10 and failed >= 3 * len(cases) and passed > len(cases), \
+        (odd, passed, failed)
 
 
 def _without_degree(real, p):
@@ -899,8 +1001,11 @@ def test_square_zero_checks_raise(monkeypatch, tmp_path, capsys):
     with pytest.raises(NotLInfinity,
                        match=r"^decomposition needs an odd potential$"):
         hodge_decomposition(CTX5, even)
-    # delta of that bad d does not square to zero; no square of delta is
-    # taken, and the adjoint check refuses it
+    # delta of that bad d does not square to zero, yet delta == eps d^T
+    # holds: [mu, -] is eps times the transpose of its delta for every odd
+    # mu, and delta^2 = (d^2)^T.  So d^2 = 0 is the check that refuses it,
+    # and no square of delta is taken; with one entry negated, the bad d
+    # is refused by the adjoint check too
     d = {}
     for v in all_monomials(V5):
         (src,) = v.terms
@@ -909,8 +1014,10 @@ def test_square_zero_checks_raise(monkeypatch, tmp_path, capsys):
             d[src] = img
     delta = codifferential(CTX5, d)
     assert linalg.compose_ops(delta, delta)
+    assert delta == linalg.transpose_op(d, -1) and hodge._adjoint_ok(5, d)
     _refused_by_the_certificate(monkeypatch, tmp_path, capsys,
-                                lambda ctx, d: delta)
+                                lambda ctx, mu: _one_entry_negated(d),
+                                "differential")
 
 
 def test_hodge_refuses_a_non_homotopy_potential_with_its_bytes(tmp_path,

@@ -330,6 +330,21 @@ def test_element_refuses_an_index_outside_the_basis():
         assert Element(space, {(0, m - 1): 1}).terms == {(0, m - 1): 1}
 
 
+@pytest.mark.parametrize("build", [
+    lambda V: Element.monomial(V, (5, 0)),
+    lambda V: Element.monomial(V, (0, 5)),
+    lambda V: Element.generator(V, 0).coefficient((5, 0)),
+    lambda V: Element.generator(V, 0).coefficient((-1,)),
+], ids=["monomial-first", "monomial-last", "coefficient", "coefficient-neg"])
+def test_word_outside_the_basis_is_refused_before_its_parity_is_read(build):
+    # normalize_word reads space.parity of every index, so a word reaching
+    # it with index 5 of a 3-dim space once raised IndexError
+    with pytest.raises(NaryError, match=r"^word \(.*\) has an index outside "
+                       r"0\.\.2$") as info:
+        build(odd_space(3))
+    assert type(info.value) is NaryError
+
+
 def test_element_takes_each_monomial_by_the_one_rule():
     """The constructor refuses a monomial out of order, an odd square, and
     an index outside the basis behind either, each with a plain NaryError
