@@ -46,6 +46,16 @@ work cannot run in parallel under the GIL.  Only check_nary_jacobi still
 accepts a ``threads`` keyword, and ignores it: the baselines in
 ``perfbench/baselines.py`` pass it.
 
+A structure's keys obey one rule, ``_check_key``: arity indices,
+non-decreasing, each inside the basis, as ``poisson._check_mono`` is the
+one rule for monomials.  ``NaryStructure(...)`` enforces it, with each
+value's space and degree 1; what the engine builds itself (derive_structure,
+the refusal path of ``frobenius.t_star_extension``, and
+``io.parse_structure`` once each key has passed the rule at its field) goes
+through ``NaryStructure._trusted``, so no key is checked twice.  A word
+given to ``eval_basis`` is range-checked before its parity is read, and
+``eval_elements`` refuses an argument over another space.
+
 The homotopy condition has one check here, check_l_infinity: [mu, mu] is
 a scalar.  ``hodge`` reads the same condition off d^2 = 0, with no
 bracket, as its module docstring proves.  The generalized Jacobi
@@ -70,7 +80,7 @@ from .errors import (
     WrongDegree,
 )
 from .linalg import ZERO
-from .poisson import Element, normalize_word, poisson_bracket
+from .poisson import Element, _checked_word, normalize_word, poisson_bracket
 from .record import Record
 from .superspace import require_nondegenerate
 
@@ -94,6 +104,21 @@ def canonical_tuples(space, n):
 
     rec(0, n, [])
     return out
+
+
+def _check_key(space, arity, key):
+    """The engine's one structure-key rule: ``arity`` indices,
+    non-decreasing, each inside the basis.
+
+    The pairs are read first, so the order is known before the ends are
+    compared, and then the ends bound every index."""
+    if len(key) != arity:
+        raise NaryError(f"expected {arity} indices")
+    if any(a > b for a, b in zip(key, key[1:])):
+        raise NaryError("indices must be non-decreasing")
+    if key[0] < 0 or key[-1] >= space.dim:
+        raise NaryError(f"key {key} has an index outside "
+                        f"0..{space.dim - 1}")
 
 
 def contractions(mu, k):
@@ -249,33 +274,40 @@ class NaryStructure:
     def __init__(self, space, arity, table):
         if arity < 1:
             raise NaryError("structure arity must be >= 1")
-        self.space = space
-        self.arity = arity
-        parity = space.parity
-        self.table, self.live = {}, {}
+        table = {tuple(key): value for key, value in table.items()}
         for key, value in table.items():
-            key = tuple(key)
-            if len(key) != arity:
-                raise NaryError(f"key {key} has length != arity {arity}")
-            if any(not 0 <= i < space.dim for i in key):
-                raise NaryError(f"key {key} has an index out of range")
-            if any(a > b for a, b in zip(key, key[1:])):
-                raise NaryError(f"key {key} is not non-decreasing")
+            _check_key(space, arity, key)
             if value.space != space:
                 raise SpaceMismatch("structure value over a different space")
             if any(len(m) != 1 for m in value.terms):
                 raise WrongDegree(f"value at {key} is not a degree-1 element")
-            if not value.is_zero():
-                self.table[key] = value
-                if not any(a == b and parity[a] for a, b in zip(key, key[1:])):
-                    self.live[key] = value
+        s = self._trusted(space, arity, table)
+        self.space, self.arity, self.table, self.live = \
+            space, arity, s.table, s.live
+
+    @classmethod
+    def _trusted(cls, space, arity, table):
+        """A structure on ``table`` as given: keys that ``_check_key``
+        admits, degree-1 values over ``space``.  The zero values are
+        dropped, and the odd squares are kept out of ``live``."""
+        s = cls.__new__(cls)
+        s.space, s.arity = space, arity
+        parity = space.parity
+        s.table, s.live = {}, {}
+        for key, value in table.items():
+            if not value.terms:
+                continue
+            s.table[key] = value
+            if not any(a == b and parity[a] for a, b in zip(key, key[1:])):
+                s.live[key] = value
+        return s
 
     def _lookup(self, args):
         """(sign, table value) for basis arguments in any order, or None
         where the product is zero."""
         if len(args) != self.arity:
             raise NaryError(f"expected {self.arity} arguments")
-        r = normalize_word(self.space, tuple(args))
+        r = normalize_word(self.space, _checked_word(self.space, args))
         if r is None:
             return None
         sign, key = r
@@ -293,6 +325,8 @@ class NaryStructure:
     def eval_elements(self, args):
         """Multilinear extension to degree-1 elements, summed in one dict:
         one basis product per choice of a term from each argument."""
+        if any(a.space != self.space for a in args):
+            raise SpaceMismatch("argument over a different space")
         terms = [list(a.terms.items()) for a in args]
         if any(len(mono) != 1 for t in terms for mono, _ in t):
             raise WrongDegree("arguments must be degree-1 elements")
@@ -353,7 +387,7 @@ def derive_structure(mu):
         raise NaryError("derive_structure needs a single-arity potential")
     space = mu.space
     level = contractions(mu, mu.arity)
-    return NaryStructure(space, mu.arity, {
+    return NaryStructure._trusted(space, mu.arity, {
         t: Element._trusted(space, level[t]) for t in sorted(level)})
 
 

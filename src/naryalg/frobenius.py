@@ -117,7 +117,7 @@ def t_star_extension(space, mu):
     # table of the formulas; otherwise that table is refused as
     # potential_from_structure refuses it
     if {t: value.terms for t, value in ext_structure.table.items()} != want:
-        refuse_structure(NaryStructure(ws, n, {
+        refuse_structure(NaryStructure._trusted(ws, n, {
             t: Element._trusted(ws, terms) for t, terms in want.items()}),
             NotInvariant("structure is not derived from any potential"))
     return TStarExtension(base_space=space, space=ws, arity=n, base=s,

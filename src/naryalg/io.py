@@ -8,27 +8,25 @@ rooted at the option that read the document, and so does the engine's
 refusal of a document that the schema admits: a Gram matrix that the
 space refuses (``superspace.gram``), a monomial that breaks ``poisson``'s
 one monomial rule (out of order, an odd square, or above the space's
-degree cap), an element whose degree is not the one its option or
-field reads (``parse_element``'s degree; a structure's values have degree
-1), a potential whose arity is not its degree less one or whose element
-has mixed degrees, an ``linf`` family that is not odd, or a --phi or
---skew matrix that is not skew.
+degree cap), a structure key that breaks ``derived``'s one key rule (not
+arity indices, or descending), an element whose degree is not the one
+its option or field reads (``parse_element``'s degree; a structure's
+values have degree 1), a potential whose arity is not its degree less
+one or whose element has mixed degrees, an ``linf`` family that is not
+odd, or a --phi or --skew matrix that is not skew.  Each such refusal
+passes through one adapter, ``_at``, which re-raises it as a SchemaError
+at its field; only a potential's refusal is split between two fields,
+its arity and its element.
 Basis index lists and square matrices (the Gram matrix, --phi, --skew)
-each have one reader.  A structure gives each key once, with arity
-indices; a potential is one element or an "linf" family, not both.
+each have one reader.  A structure gives each key once; a potential is
+one element or an "linf" family, not both.
 """
 
 import json
 from fractions import Fraction
 
-from .derived import NaryStructure, Potential
-from .errors import (
-    DegreeMismatch,
-    NaryError,
-    NotSkew,
-    SchemaError,
-    WrongDegree,
-)
+from .derived import NaryStructure, Potential, _check_key
+from .errors import DegreeMismatch, NaryError, SchemaError, WrongDegree
 from .linalg import ZERO, exact, skew_matrix
 from .poisson import Element, _check_mono
 from .superspace import Superspace
@@ -42,14 +40,19 @@ def parse_scalar(value, path="scalar"):
     if not isinstance(value, (int, str)):
         raise SchemaError(path, "expected int or 'p/q' string, got "
                           f"{type(value).__name__}")
-    try:
-        return exact(value)
-    except NaryError as ex:
-        raise SchemaError(path, str(ex)) from None
+    return _at(path, exact, value)
 
 
 def fmt_scalar(q):
     return str(Fraction(q))
+
+
+def _at(path, fn, *args):
+    """fn(*args), with the engine's refusal re-raised at the field path."""
+    try:
+        return fn(*args)
+    except NaryError as ex:
+        raise SchemaError(path, str(ex)) from None
 
 
 def _check_document(obj, path):
@@ -124,10 +127,9 @@ def parse_superspace(obj, path="superspace"):
     gram = _parse_rows(obj["gram"], dim, f"{path}.gram")
     if "max_degree" in obj:
         _check_positive_int(obj["max_degree"], f"{path}.max_degree")
-    try:
-        return Superspace(dim, parity, gram, max_degree=obj.get("max_degree"))
-    except NaryError as ex:  # the form: every other field is checked above
-        raise SchemaError(f"{path}.gram", str(ex)) from None
+    # the form: every other field is checked above
+    return _at(f"{path}.gram", Superspace, dim, parity, gram,
+               obj.get("max_degree"))
 
 
 # ---------------------------------------------------------------------------
@@ -146,10 +148,7 @@ def parse_element(space, arr, path, degree=None):
         if not isinstance(item, dict) or "monomial" not in item or "coeff" not in item:
             raise SchemaError(where, "expected {'monomial': [...], 'coeff': ...}")
         mono = _parse_indices(item["monomial"], space.dim, f"{where}.monomial")
-        try:
-            _check_mono(space, mono)
-        except NaryError as ex:
-            raise SchemaError(f"{where}.monomial", str(ex)) from None
+        _at(f"{where}.monomial", _check_mono, space, mono)
         coeff = parse_scalar(item["coeff"], f"{where}.coeff")
         terms[mono] = terms.get(mono, ZERO) + coeff
     el = Element._trusted(space, {m: c for m, c in terms.items() if c})
@@ -177,10 +176,7 @@ def parse_potential(space, obj, path="potential"):
         total = Element.zero(space)
         for i, layer in enumerate(layers):
             total = total + parse_element(space, layer, f"{path}.linf[{i}]")
-        try:
-            return Potential.homotopy_family(space, total)
-        except NaryError as ex:
-            raise SchemaError(f"{path}.linf", str(ex)) from None
+        return _at(f"{path}.linf", Potential.homotopy_family, space, total)
     if "element" not in obj:
         raise SchemaError(f"{path}.element", "missing field")
     el = parse_element(space, obj["element"], f"{path}.element")
@@ -208,19 +204,13 @@ def parse_structure(space, obj, path="structure"):
         if not isinstance(item, dict) or "args" not in item or "value" not in item:
             raise SchemaError(where, "expected {'args': [...], 'value': [...]}")
         key = _parse_indices(item["args"], space.dim, f"{where}.args")
-        if len(key) != arity:
-            raise SchemaError(f"{where}.args", f"expected {arity} indices")
-        if any(a > b for a, b in zip(key, key[1:])):
-            raise SchemaError(f"{where}.args", "indices must be non-decreasing")
+        _at(f"{where}.args", _check_key, space, arity, key)
         if key in table:  # table holds one key per earlier entry, in order
             raise SchemaError(f"{where}.args", "duplicates "
                               f"{path}.constants[{list(table).index(key)}]")
         table[key] = parse_element(space, item["value"], f"{where}.value",
                                    degree=1)
-    try:
-        return NaryStructure(space, arity, table)
-    except NaryError as ex:
-        raise SchemaError(path, str(ex))
+    return NaryStructure._trusted(space, arity, table)
 
 
 def structure_to_json(s):
@@ -246,10 +236,7 @@ def parse_matrix(obj, dim, path):
         _check_document(obj, path)
         obj = obj.get("matrix")
         path = f"{path}.matrix"
-    try:
-        return skew_matrix(_parse_rows(obj, dim, path))
-    except NotSkew as ex:
-        raise SchemaError(path, str(ex)) from None
+    return _at(path, skew_matrix, _parse_rows(obj, dim, path))
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,8 @@ HODGE_REFUSAL = "tests/test_hodge.py::" \
     "test_hodge_refuses_a_non_homotopy_potential_with_its_bytes"
 MONOMIAL_RULE = "tests/test_poisson.py::" \
     "test_element_takes_each_monomial_by_the_one_rule"
+KEY_RULE = "tests/test_derived.py::" \
+    "test_structure_takes_each_key_by_the_one_rule_on_mixed_spaces"
 
 MUTANTS = [
     # the form read once
@@ -243,11 +245,28 @@ MUTANTS = [
            "NaryStructure.operators",
            "if pos and key[pos - 1] == c:", "if False:",
            [OPERATORS]),
-    Mutant("live-keeps-odd-squares", DERIVED, "NaryStructure.__init__",
+    Mutant("live-keeps-odd-squares", DERIVED, "NaryStructure._trusted",
            "if not any(a == b and parity[a] for a, b in zip(key, key[1:])):",
            "if True:", [COMMUTATIVE, OPERATORS]),
-    Mutant("structure-key-length-refusal-disabled", IO, "parse_structure",
-           "if len(key) != arity:", "if False:", [MALFORMED]),
+    # the one structure-key rule, for every structure and every document
+    Mutant("structure-key-length-refusal-disabled", DERIVED, "_check_key",
+           "if len(key) != arity:", "if False:", [MALFORMED, KEY_RULE]),
+    Mutant("structure-key-order-unchecked", DERIVED, "_check_key",
+           "if any(a > b for a, b in zip(key, key[1:])):", "if False:",
+           [MALFORMED, KEY_RULE]),
+    Mutant("structure-key-range-unchecked", DERIVED, "_check_key",
+           "if key[0] < 0 or key[-1] >= space.dim:", "if False:",
+           [KEY_RULE]),
+    Mutant("lookup-word-unchecked", DERIVED, "NaryStructure._lookup",
+           "normalize_word(self.space, _checked_word(self.space, args))",
+           "normalize_word(self.space, tuple(args))",
+           ["tests/test_derived.py::"
+            "test_eval_basis_refuses_an_index_outside_the_basis"]),
+    Mutant("eval-elements-space-unchecked", DERIVED,
+           "NaryStructure.eval_elements",
+           "if any(a.space != self.space for a in args):", "if False:",
+           ["tests/test_derived.py::"
+            "test_eval_elements_refuses_an_argument_over_another_space"]),
     # a potential contracted once per shared suffix
     Mutant("contractions-koszul-sign-dropped", DERIVED, "contractions",
            "v = -c * g if par[a] and p else c * g", "v = c * g", [SUFFIXES]),
@@ -412,16 +431,19 @@ MUTANTS = [
            "not isinstance(max_degree, int)",
            ["tests/test_superspace.py::"
             "test_degree_cap_must_be_a_positive_int"]),
+    Mutant("field-adapter-drops-the-path", IO, "_at",
+           "raise SchemaError(path, str(ex)) from None", "raise",
+           [SEMANTIC, MALFORMED]),
     Mutant("degree-cap-refused-without-its-field", IO, "parse_element",
-           "except NaryError as ex:", "except ZeroDivisionError as ex:",
-           [SEMANTIC]),
+           '_at(f"{where}.monomial", _check_mono, space, mono)',
+           "_check_mono(space, mono)", [SEMANTIC]),
     Mutant("gram-refused-without-its-field", IO, "parse_superspace",
-           "except NaryError as ex:", "except ZeroDivisionError as ex:",
+           'return _at(f"{path}.gram", Superspace,', "return Superspace(",
            ["tests/test_io_fuzz.py::"
             "test_every_space_option_refuses_a_bad_gram_at_its_field"]),
     Mutant("family-refused-without-its-field", IO, "parse_potential",
-           'raise SchemaError(f"{path}.linf", str(ex)) from None', "raise",
-           [SEMANTIC]),
+           '_at(f"{path}.linf", Potential.homotopy_family, space, total)',
+           "Potential.homotopy_family(space, total)", [SEMANTIC]),
     Mutant("mixed-degrees-refused-without-its-field", IO, "parse_potential",
            "except WrongDegree as ex:", "except ZeroDivisionError as ex:",
            [SEMANTIC]),
@@ -429,8 +451,8 @@ MUTANTS = [
            "parse_potential", "except DegreeMismatch as ex:",
            "except ZeroDivisionError as ex:", [SEMANTIC]),
     Mutant("non-skew-matrix-refused-without-its-field", IO, "parse_matrix",
-           "except NotSkew as ex:", "except ZeroDivisionError as ex:",
-           [SEMANTIC]),
+           "_at(path, skew_matrix, _parse_rows(obj, dim, path))",
+           "skew_matrix(_parse_rows(obj, dim, path))", [SEMANTIC]),
     Mutant("structure-value-degree-refused-without-its-field", IO,
            "parse_structure", 'f"{where}.value",\n'
            "                                   degree=1)",

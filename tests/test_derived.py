@@ -14,6 +14,7 @@ import pytest
 
 from naryalg import derived, io
 from naryalg.derived import (
+    CheckReport,
     NaryStructure,
     Potential,
     canonical_tuples,
@@ -34,11 +35,15 @@ from naryalg.derived import (
 from naryalg.errors import (
     DegreeCapExceeded,
     DegreeMismatch,
+    NaryError,
     NotCommutative,
     NotInvariant,
     NotOdd,
     NotPureEven,
     NotPureOdd,
+    SchemaError,
+    SpaceMismatch,
+    WrongDegree,
 )
 from naryalg.frobenius import doubled_space, t_star_extension
 from naryalg.poisson import (
@@ -1231,3 +1236,121 @@ def test_associative_matches_the_generator_bracket_oracle(sp):
                 associative_by_generator_brackets(mu, exhaustive=ex))
             outcomes.add(rep.passed)
     assert outcomes == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the one structure-key rule, and the arguments a structure reads
+
+
+def _mixed_spaces(seed, count=6):
+    """Random spaces of dimension 3..6 with both parities."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        sp = spaces.random_superspace(rng, rng.randint(3, 6))
+        if 0 < sum(sp.parity) < sp.dim:
+            out.append(sp)
+    return out
+
+
+def test_structure_takes_each_key_by_the_one_rule_on_mixed_spaces():
+    """NaryStructure refuses a key of the wrong length, one that descends
+    and one with an index outside the basis (negative too), each with a
+    plain NaryError, and a value over another space or of another degree;
+    the order is read before the ends, so a descending key is refused as
+    such whatever its indices."""
+    for sp in _mixed_spaces(90):
+        m = sp.dim
+        e = Element.generator(sp, m - 1)
+        for n in (1, 2, 3):
+            ok = (0,) * (n - 1) + (m - 1,)
+            assert NaryStructure(sp, n, {ok: e}).table == {ok: e}
+            cases = [((0,) * (n + 1), f"expected {n} indices"),
+                     ((0,) * (n - 1), f"expected {n} indices"),
+                     ((0,) * (n - 1) + (m,), "key .* has an index outside "
+                      f"0..{m - 1}"),
+                     ((-1,) * n, f"key .* has an index outside 0..{m - 1}")]
+            if n > 1:
+                cases += [((1,) + (0,) * (n - 1),
+                           "indices must be non-decreasing"),
+                          ((m + 2,) + (0,) * (n - 1),
+                           "indices must be non-decreasing")]
+            for key, msg in cases:
+                with pytest.raises(NaryError, match=f"^{msg}$") as info:
+                    NaryStructure(sp, n, {key: e})
+                assert type(info.value) is NaryError, key
+            with pytest.raises(SpaceMismatch):
+                NaryStructure(sp, n, {ok: Element.generator(odd_space(m), 0)})
+            for value in (Element.scalar(sp, 1), Element(sp, {(0, 1): 1}),
+                          e + Element.scalar(sp, 2)):
+                with pytest.raises(WrongDegree):
+                    NaryStructure(sp, n, {ok: value})
+        with pytest.raises(NaryError, match="^structure arity must be >= 1$"):
+            NaryStructure(sp, 0, {})
+
+
+def test_parse_structure_refuses_each_key_at_its_args():
+    """The document's keys go through the same rule, refused at the args
+    field of the constant at fault with the rule's message."""
+    value = [{"monomial": [1], "coeff": "1"}]
+    for args, msg in (([1, 2, 3], "expected 2 indices"), ([1],
+                      "expected 2 indices"),
+                      ([3, 1], "indices must be non-decreasing")):
+        doc = {"arity": 2, "constants": [{"args": [1, 2], "value": value},
+                                         {"args": args, "value": value}]}
+        with pytest.raises(SchemaError) as info:
+            io.parse_structure(V5, doc)
+        assert str(info.value) == f"structure.constants[1].args: {msg}"
+    s = io.parse_structure(V5, {"arity": 2, "constants": [
+        {"args": [1, 1], "value": value}, {"args": [2, 3], "value": []}]})
+    assert s.table == {(0, 0): Element.generator(V5, 0)} and not s.live
+
+
+def test_eval_basis_refuses_an_index_outside_the_basis():
+    """A word with an index outside the basis, negative or past dim, is
+    refused before its parity is read: once (9, 1) raised IndexError and
+    (-1, 2) read parity[-1] and returned 0."""
+    V8 = odd_space(8)
+    s = derive_structure(Potential.single(V8, mono(V8, 1, 2, 3)))
+    for t in [s] + [random_table(random.Random(sp.dim), sp, 2)
+                    for sp in _mixed_spaces(91, 3)]:
+        m = t.space.dim
+        for word in ((m + 1, 1), (-1, 2), (m, 0), (0, m), (-1, -1)):
+            with pytest.raises(NaryError, match=r"^word \(.*\) has an index "
+                               rf"outside 0\.\.{m - 1}$") as info:
+                t.eval_basis(word)
+            assert type(info.value) is NaryError
+    assert s.eval_basis((1, 0)) == -s.eval_basis((0, 1)) == mono(V8, 3)
+
+
+def test_eval_elements_refuses_an_argument_over_another_space():
+    """Arguments over another space are refused before any lookup: a space
+    of the same dimension with another form once read the table silently,
+    and a larger space once raised IndexError."""
+    s = derive_structure(Potential.single(V5, mono(V5, 1, 2, 3)))
+    doubled = Superspace(5, [1] * 5, [[2 * (i == j) for j in range(5)]
+                                      for i in range(5)])
+    for other, (i, j) in ((doubled, (0, 1)), (odd_space(7), (5, 6))):
+        args = [Element.generator(other, i), Element.generator(other, j)]
+        with pytest.raises(SpaceMismatch):
+            s.eval_elements(args)
+        with pytest.raises(SpaceMismatch):
+            s.eval_elements([Element.generator(V5, 0), args[1]])
+    assert s.eval_elements([Element.generator(V5, 0),
+                            Element.generator(V5, 1)]) == mono(V5, 3).scale(-1)
+
+
+def test_reports_and_potentials_print_their_fields():
+    """A report is truthy exactly when it passes, and prints its fields in
+    order; a potential prints its kind and its element."""
+    assert not CheckReport("x", False) and CheckReport("x", True)
+    assert repr(CheckReport("x", False, witness=(0, 1),
+                            residual=Fraction(1, 2))) == (
+        "CheckReport(name='x', passed=False, witness=(0, 1), "
+        "residual=Fraction(1, 2), detail='', violations=[])")
+    V3 = odd_space(3)
+    assert repr(Potential.single(V3, mono(V3, 1, 2, 3, coeff=2))) == \
+        "Potential(arity=2, (2)*e1e2e3)"
+    family = mono(V3, 1) + mono(V3, 1, 2, 3, coeff=2)
+    assert repr(Potential.homotopy_family(V3, family)) == \
+        "Potential(family, (1)*e1 + (2)*e1e2e3)"

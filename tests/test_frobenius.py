@@ -268,7 +268,7 @@ def test_odd_squares_refused_as_by_the_inversion(write_json, capsys,
 
 def test_extension_makes_no_generic_inversion(monkeypatch):
     """The success path calls neither linalg.inverse nor the inversion
-    ``potential_from_structure``, and validates one doubled table."""
+    ``potential_from_structure``, and builds one doubled table."""
     calls = {}
 
     def counted(name, fn):
@@ -284,14 +284,15 @@ def test_extension_makes_no_generic_inversion(monkeypatch):
             fn = getattr(module, name, None)
             if fn is not None:
                 monkeypatch.setattr(module, name, counted(name, fn))
-    init = NaryStructure.__init__
+    trusted = NaryStructure._trusted  # every structure is built through it
 
-    def counted_init(self, space, arity, table):
+    def counted_trusted(space, arity, table):
         if space.dim == 2 * m:
             calls["doubled table"] = calls.get("doubled table", 0) + 1
-        init(self, space, arity, table)
+        return trusted(space, arity, table)
 
-    monkeypatch.setattr(NaryStructure, "__init__", counted_init)
+    monkeypatch.setattr(NaryStructure, "_trusted",
+                        staticmethod(counted_trusted))
     rng = random.Random(71)
     for trial in range(20):
         m = rng.randint(2, 5)

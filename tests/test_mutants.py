@@ -25,6 +25,13 @@ def test_mutant_applies_to_its_file(mutant, tmp_path):
         assert copy.read_text() != f.read()
 
 
+def test_mutant_names_are_unique():
+    # main() selects mutants through a dict by name, so of two mutants
+    # with one name ``python tests/mutants.py NAME`` would run only one
+    names = [m.name for m in mutants.MUTANTS]
+    assert sorted({n for n in names if names.count(n) > 1}) == []
+
+
 def _test_names(path):
     with open(os.path.join(mutants.ROOT, path)) as f:
         tree = ast.parse(f.read())

@@ -425,3 +425,13 @@ def test_element_json_round_trip_and_rejections():
         assert str(info.value) == f"a[1].monomial: {msg}"
     assert io.parse_element(capped, [{"monomial": [1, 1], "coeff": 2}],
                             "a").terms == {(0, 0): 2}
+
+
+def test_equal_elements_hash_alike_and_print_their_terms():
+    # the terms print by degree, then by monomial, 1-based
+    el = Element(odd_space(3), {(0, 1): Fraction(-1, 2), (2,): 3, (): 1})
+    same = Element(odd_space(3), {(): 1, (2,): 3, (0, 1): Fraction(-1, 2)})
+    assert el == same and hash(el) == hash(same)
+    assert repr(el) == "(1)*1 + (3)*e3 + (-1/2)*e1e2"
+    assert repr(Element.zero(V5)) == "0"
+    assert len({el, same, Element.zero(V5), Element.zero(odd_space(5))}) == 2

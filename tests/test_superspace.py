@@ -292,3 +292,14 @@ def test_permutation_sign_matches_the_cycle_count():
             assert Orientation(list(perm)).sign == _sign_by_cycles(perm)
     # any distinct keys: the sign of the permutation that sorts them
     assert permutation_sign((7, 2, 9)) == permutation_sign((1, 0, 2)) == -1
+
+
+def test_equal_spaces_hash_alike_and_print_their_parities():
+    mixed = Superspace(3, [0, 1, 0], [[0, 0, 1], [0, 1, 0], [-1, 0, 0]])
+    same = Superspace(3, (0, 1, 0), [[0, 0, 1], [0, 1, 0], [-1, 0, 0]])
+    assert mixed == same and hash(mixed) == hash(same)
+    assert hash(odd_space(3)) == hash(odd_space(3))
+    assert repr(mixed) == "Superspace(dim=3, parity=eoe)"
+    assert repr(odd_space(3)) == "Superspace(dim=3, parity=ooo)"
+    assert len({mixed, same, odd_space(3), odd_space(3, gram=[
+        [2, 0, 0], [0, 1, 0], [0, 0, 1]])}) == 3
