@@ -500,12 +500,13 @@ def ider(mu):
 
 
 class IdealReport(Record):
-    def __init__(self, found, basis=None, method="", status="", rounds=0):
+    rounds = 0  # no search runs in rounds; the report format keeps the field
+
+    def __init__(self, found, basis=None, method="", status=""):
         self.found = found
         self.basis = [] if basis is None else basis  # degree-1 elements
         self.method = method
         self.status = status
-        self.rounds = rounds  # always 0: the report format keeps the field
 
 
 def _verify_ideal(ops, rows):

@@ -15,7 +15,12 @@ that read more files: ``derivation`` and ``quasi-frobenius``, whose helper
 Each subcommand accepts only the options it reads, spelled in full (no
 parser takes a unique prefix for an option).  ``--pretty`` and ``--output``
 go after any subcommand; ``--space`` after every one but ``table``, which
-builds its own spaces; ``--exhaustive`` after ``verify``.  ``classify``
+builds its own spaces; ``--exhaustive`` after ``verify``.  Options that
+name one document two ways are either-or argparse groups, so giving both
+exits 2 with argparse's usage error and none is silently dropped:
+``--v`` or ``--skew`` on ``classify``, and ``--structure`` or
+``--potential`` on ``frobenius`` (each required) and on ``verify`` (where
+the identity decides which one it reads).  ``classify``
 also accepts ``--seed`` and ignores it: no search is randomized, but batch
 drivers pass it.  The degree cap of a space with even generators is the
 space document's ``max_degree``; no option overrides it.  A report that
@@ -173,10 +178,8 @@ def cmd_classify(args):
     if args.skew:
         mat = io.parse_matrix(io.load_file(args.skew), space.dim, "skew")
         v = skew_to_element(space, mat)
-    elif args.v:
-        v = io.parse_element(space, io.load_file(args.v), "v", degree=2)
     else:
-        raise NaryError("need --v or --skew")
+        v = io.parse_element(space, io.load_file(args.v), "v", degree=2)
     rec = classify_m3(v)
     _emit(args, io.classification_record_to_json(rec))
     return 0
@@ -242,8 +245,9 @@ def build_parser():
                         "witness)")
     v.add_argument("--identity", required=True,
                    choices=[*IDENTITIES, "derivation", "quasi-frobenius"])
-    v.add_argument("--potential")
-    v.add_argument("--structure")
+    either = v.add_mutually_exclusive_group()
+    either.add_argument("--potential")
+    either.add_argument("--structure")
     v.add_argument("--element", help="degree-2 element for derivation checks")
     v.add_argument("--phi", help="bilinear form for quasi-frobenius checks")
     v.add_argument("--allow-odd-arity", action="store_true")
@@ -267,8 +271,9 @@ def build_parser():
     h.set_defaults(fn=cmd_hodge)
 
     c = add_cmd("classify", "classification record of one algebra")
-    c.add_argument("--v", help="degree-2 element JSON")
-    c.add_argument("--skew", help="skew matrix JSON")
+    either = c.add_mutually_exclusive_group(required=True)
+    either.add_argument("--v", help="degree-2 element JSON")
+    either.add_argument("--skew", help="skew matrix JSON")
     c.add_argument("--seed", type=int, default=0,
                    help="accepted and ignored: no search is randomized")
     c.set_defaults(fn=cmd_classify)
@@ -279,8 +284,9 @@ def build_parser():
     t.set_defaults(fn=cmd_table)
 
     f = add_cmd("frobenius", "quasi-Frobenius certificate")
-    f.add_argument("--potential")
-    f.add_argument("--structure")
+    either = f.add_mutually_exclusive_group(required=True)
+    either.add_argument("--potential")
+    either.add_argument("--structure")
     f.add_argument("--phi", required=True)
     f.add_argument("--graph", action="store_true",
                    help="also run the graph-subalgebra test")

@@ -46,15 +46,19 @@ work cannot run in parallel under the GIL.  Only check_nary_jacobi still
 accepts a ``threads`` keyword, and ignores it: the baselines in
 ``perfbench/baselines.py`` pass it.
 
-A structure's keys obey one rule, ``_check_key``: arity indices,
-non-decreasing, each inside the basis, as ``poisson._check_mono`` is the
-one rule for monomials.  ``NaryStructure(...)`` enforces it, with each
-value's space and degree 1; what the engine builds itself (derive_structure,
-the refusal path of ``frobenius.t_star_extension``, and
-``io.parse_structure`` once each key has passed the rule at its field) goes
-through ``NaryStructure._trusted``, so no key is checked twice.  A word
-given to ``eval_basis`` is range-checked before its parity is read, and
-``eval_elements`` refuses an argument over another space.
+A structure's keys obey one rule, ``_check_key``: arity indices, each
+taken by ``poisson._checked_word``'s one index rule (an ``int`` in
+0..dim-1), non-decreasing, as ``poisson._check_mono`` is the one rule for
+monomials.  ``NaryStructure(...)`` enforces it, with each value's space
+and degree 1; what the engine builds itself (derive_structure, the refusal
+path of ``frobenius.t_star_extension``, and ``io.parse_structure`` once
+each key has passed the rule at its field) goes through
+``NaryStructure._trusted``, so no key is checked twice.  A word given to
+``eval_basis`` passes the same index rule before its parity is read, and
+``eval_elements`` refuses an argument over another space.  Every count a
+caller gives (a structure's or a potential's arity, the length n of
+``canonical_tuples``) is an ``int``, never a ``bool`` or a float, at or
+above its bound, as ``superspace`` takes a dimension.
 
 The homotopy condition has one check here, check_l_infinity: [mu, mu] is
 a scalar.  ``hodge`` reads the same condition off d^2 = 0, with no
@@ -82,7 +86,7 @@ from .errors import (
 from .linalg import ZERO
 from .poisson import Element, _checked_word, normalize_word, poisson_bracket
 from .record import Record
-from .superspace import require_nondegenerate
+from .superspace import _check_count, require_nondegenerate
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +96,7 @@ from .superspace import require_nondegenerate
 def canonical_tuples(space, n):
     """Non-decreasing index tuples of length n over the basis, in
     lexicographic order; odd indices never repeat."""
+    _check_count(n, "tuple length", 0)
     parity = space.parity
     out = []
 
@@ -107,18 +112,13 @@ def canonical_tuples(space, n):
 
 
 def _check_key(space, arity, key):
-    """The engine's one structure-key rule: ``arity`` indices,
-    non-decreasing, each inside the basis.
-
-    The pairs are read first, so the order is known before the ends are
-    compared, and then the ends bound every index."""
+    """The engine's one structure-key rule: ``arity`` indices, each taken
+    by ``poisson._checked_word``'s index rule, non-decreasing."""
     if len(key) != arity:
         raise NaryError(f"expected {arity} indices")
+    _checked_word(space, key, "key")
     if any(a > b for a, b in zip(key, key[1:])):
         raise NaryError("indices must be non-decreasing")
-    if key[0] < 0 or key[-1] >= space.dim:
-        raise NaryError(f"key {key} has an index outside "
-                        f"0..{space.dim - 1}")
 
 
 def contractions(mu, k):
@@ -229,7 +229,7 @@ class Potential:
                 if element.is_zero():
                     raise DegreeMismatch("zero potential needs an explicit arity")
                 arity = element.degree() - 1
-            if arity < 1:
+            if type(arity) is not int or arity < 1:
                 raise DegreeMismatch("single-arity potentials need arity >= 1")
             if not element.is_zero() and element.degree() != arity + 1:
                 raise DegreeMismatch(
@@ -272,7 +272,7 @@ class NaryStructure:
     __slots__ = ("space", "arity", "table", "live")
 
     def __init__(self, space, arity, table):
-        if arity < 1:
+        if type(arity) is not int or arity < 1:
             raise NaryError("structure arity must be >= 1")
         table = {tuple(key): value for key, value in table.items()}
         for key, value in table.items():

@@ -158,7 +158,7 @@ from math import comb, gcd
 from . import linalg
 from .derived import contractions
 from .errors import NotHodgeContext, NotLInfinity
-from .linalg import ONE, ZERO
+from .linalg import ZERO
 from .poisson import Element
 from .record import Record
 from .superspace import Orientation
@@ -175,7 +175,7 @@ def require_dim(m):
 class HodgeContext:
     """Pure odd space, identity Gram matrix, a choice of orientation."""
 
-    __slots__ = ("space", "orientation", "top")
+    __slots__ = ("space", "orientation")
 
     def __init__(self, space, orientation=None):
         if not space.pure_odd:
@@ -189,8 +189,6 @@ class HodgeContext:
                                   f"elements for dimension {space.dim}")
         self.space = space
         self.orientation = orientation or Orientation.standard(space.dim)
-        full = tuple(range(space.dim))
-        self.top = Element(space, {full: self.orientation.sign * ONE})
 
     @property
     def m(self):

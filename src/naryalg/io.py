@@ -249,26 +249,28 @@ def _witness_json(witness):
     return [i + 1 for i in witness]
 
 
-def check_report_to_json(rep):
-    residual = rep.residual
+def _residual_json(residual):
+    """A check's residual: None, an element, or a scalar."""
+    if residual is None:
+        return None
     if isinstance(residual, Element):
-        residual = element_to_json(residual)
-    elif isinstance(residual, Fraction):
-        residual = fmt_scalar(residual)
+        return element_to_json(residual)
+    return fmt_scalar(residual)
+
+
+def check_report_to_json(rep):
     out = {
         "schema": SCHEMA,
         "check": rep.name,
         "pass": rep.passed,
         "witness": _witness_json(rep.witness),
-        "residual": residual,
+        "residual": _residual_json(rep.residual),
     }
     if rep.detail:
         out["detail"] = rep.detail
     if rep.violations and len(rep.violations) > 1:
         out["violations"] = [
-            {"witness": _witness_json(w),
-             "residual": element_to_json(r) if isinstance(r, Element)
-             else fmt_scalar(r)}
+            {"witness": _witness_json(w), "residual": _residual_json(r)}
             for w, r in rep.violations
         ]
     return out

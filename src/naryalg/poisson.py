@@ -1,11 +1,17 @@
 """Elements of the symmetric superalgebra S*(V) and its Poisson bracket.
 
 Monomials are tuples of generator indices, sorted ascending, with repeats
-allowed only for even generators (odd squares vanish).  ``_check_mono`` is
-the engine's one monomial rule: that order, no odd square, every index
-inside the basis and the length within the degree cap.  ``Element``
-enforces it on every term it is given, and ``io.parse_element`` refuses a
-document's monomial by the same rule at its field.  The canonical sign
+allowed only for even generators (odd squares vanish).  ``_checked_word``
+is the engine's one index rule, as ``linalg.exact`` is its one scalar
+rule: every generator index a caller gives is an ``int`` (not a ``bool``)
+in 0..dim-1, or it is refused with a plain ``NaryError`` naming the word
+("{what} {word} has an index outside 0..dim-1").  ``Element.generator``,
+``Element.monomial``, ``Element.coefficient``, ``derived``'s structure
+keys and lookups all pass through it.  ``_check_mono`` is the engine's one
+monomial rule: the index rule first, then that order, no odd square and
+the length within the degree cap.  ``Element`` enforces it on every term
+it is given, and ``io.parse_element`` refuses a document's monomial by the
+same rule at its field.  The canonical sign
 of a reordering is the Koszul sign: -1 for every transposition of two odd
 factors.  Elements are sparse maps monomial -> Fraction.
 
@@ -67,36 +73,36 @@ def normalize_word(space, word):
     return sign, tuple(w)
 
 
-def _checked_word(space, word):
-    """``word`` as a tuple, refused before ``normalize_word`` reads the
-    parity of an index outside the basis."""
+def _checked_word(space, word, what="word"):
+    """``word`` as a tuple of generator indices: the engine's one index
+    rule.  Each index is an ``int`` (never a ``bool``) in 0..dim-1, and it
+    is checked before ``normalize_word`` or a monomial rule reads its
+    parity."""
     word = tuple(word)
-    if word and (min(word) < 0 or max(word) >= space.dim):
-        raise NaryError(f"word {word} has an index outside "
-                        f"0..{space.dim - 1}")
+    dim = space.dim
+    for i in word:
+        if type(i) is not int or not 0 <= i < dim:
+            raise NaryError(f"{what} {word} has an index outside "
+                            f"0..{dim - 1}")
     return word
 
 
 def _check_mono(space, mono):
-    """The engine's one monomial rule: indices ascending, no odd generator
-    twice, at most the degree cap, and inside the basis.
-
-    The pairs are read in order and the first bad one is named, so the
-    order is known before the ends are compared, and then the ends bound
-    every index; an equal pair is read as an odd square only below dim."""
+    """The engine's one monomial rule: indices inside the basis (by
+    ``_checked_word``), ascending, no odd generator twice, and at most the
+    degree cap.  The pairs are read in order and the first bad one is
+    named."""
+    _checked_word(space, mono, "monomial")
     par = space.parity
     for a, b in zip(mono, mono[1:]):
         if a >= b:
             if a > b:
                 raise NaryError("indices must be ascending")
-            if b < space.dim and par[b]:
+            if par[b]:
                 raise NaryError("repeated odd generator")
     if len(mono) > space.max_degree:
         raise DegreeCapExceeded(
             f"monomial degree {len(mono)} exceeds cap {space.max_degree}")
-    if mono and (mono[0] < 0 or mono[-1] >= space.dim):
-        raise NaryError(f"monomial {mono} has an index outside "
-                        f"0..{space.dim - 1}")
 
 
 class Element:
@@ -138,9 +144,8 @@ class Element:
 
     @classmethod
     def generator(cls, space, i):
-        if not 0 <= i < space.dim:
-            raise NaryError(f"generator index {i} out of range")
-        return cls._trusted(space, {(i,): ONE})
+        word = _checked_word(space, (i,), "generator")
+        return cls._trusted(space, {word: ONE})
 
     @classmethod
     def monomial(cls, space, word, coeff=ONE):
@@ -304,8 +309,8 @@ def nested_bracket(args, target):
 
 def nested_bracket_indices(indices, target):
     """[e_{i_1}, [e_{i_2}, ... [e_{i_s}, target] ... ]]: ``nested_bracket``
-    of the generators of target's space.  ``Element.generator`` checks
-    every index against the basis before any bracket is taken."""
+    of the generators of target's space.  ``Element.generator`` takes
+    every index by the one index rule before any bracket is taken."""
     space = target.space
     return nested_bracket([Element.generator(space, i) for i in indices],
                           target)

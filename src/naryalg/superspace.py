@@ -13,6 +13,15 @@ graded symmetry also the column's) and ``orthonormal`` (pure odd with the
 identity form), which the engine reads instead of ``gram``.
 ``permutation_sign`` signs the orientation and the Hodge star.
 
+Every integer a caller gives a space is taken by one test, ``type(x) is
+int`` and then its bound, so a float or a ``bool`` is refused with
+``NaryError`` and never kept: each parity entry (0 or 1), and the counts
+that ``_check_count`` decides, the dimension (which ``odd_space`` and
+``even_symplectic_space`` check before building a matrix of that size)
+and the degree cap; ``derived.canonical_tuples`` takes its length by the
+same function.  An index into the basis is ``poisson._checked_word``'s to
+decide.
+
 The space is the one owner of the degree cap ``max_degree``: a positive
 int, 2 * dim when not given, and dim on a pure odd space, where no
 monomial is longer; the space document's ``max_degree`` is read into it.
@@ -33,6 +42,12 @@ EVEN = 0
 ODD = 1
 
 
+def _check_count(x, what, least=1):
+    """The engine's one count test: an int (not a bool) >= least."""
+    if type(x) is not int or x < least:
+        raise NaryError(f"{what} must be an int >= {least}, got {x!r}")
+
+
 class Superspace:
     """Immutable: dimension, parity vector, Gram matrix, degree cap."""
 
@@ -40,21 +55,18 @@ class Superspace:
                  "max_degree", "pure_odd", "pure_even", "_rank")
 
     def __init__(self, dim, parity, gram, max_degree=None):
-        if not isinstance(dim, int) or dim < 1:
-            raise NaryError(f"dimension must be an int >= 1, got {dim!r}")
-        if max_degree is not None and (type(max_degree) is not int
-                                       or max_degree < 1):
-            raise NaryError(f"max_degree must be an int >= 1, "
-                            f"got {max_degree!r}")
+        _check_count(dim, "dimension")
+        if max_degree is not None:
+            _check_count(max_degree, "max_degree")
         if not isinstance(parity, (list, tuple)):
             raise NaryError(f"parity must be a list or tuple, got {parity!r}")
         if len(parity) != dim:
             raise NaryError("parity vector length != dim")
         for i, p in enumerate(parity):
-            if not isinstance(p, int) or p not in (EVEN, ODD):
+            if type(p) is not int or p not in (EVEN, ODD):
                 raise NaryError(f"parity[{i}] must be 0 (even) or 1 (odd), "
                                 f"got {p!r}")
-        parity = tuple(int(p) for p in parity)
+        parity = tuple(parity)
         gram = tuple(map(tuple, linalg.square_matrix(gram, dim)))
         pairing = []
         for i, row in enumerate(gram):
@@ -112,6 +124,7 @@ class Superspace:
 
 def odd_space(m, gram=None):
     """Pure odd space; identity Gram matrix by default."""
+    _check_count(m, "dimension")  # before a matrix of that size is built
     if gram is None:
         gram = linalg.identity(m)
     return Superspace(m, [ODD] * m, gram)
@@ -119,6 +132,7 @@ def odd_space(m, gram=None):
 
 def even_symplectic_space(m, max_degree=None):
     """Pure even space of even dimension with the standard symplectic form."""
+    _check_count(m, "dimension")
     if m % 2 != 0:
         raise NaryError("symplectic space needs even dimension")
     g = linalg.zeros(m, m)

@@ -78,6 +78,9 @@ MONOMIAL_RULE = "tests/test_poisson.py::" \
     "test_element_takes_each_monomial_by_the_one_rule"
 KEY_RULE = "tests/test_derived.py::" \
     "test_structure_takes_each_key_by_the_one_rule_on_mixed_spaces"
+INTEGER_RULE = "tests/test_api.py::" \
+    "test_every_integer_a_caller_gives_passes_one_rule"
+EITHER_OR = "tests/test_cli.py::test_both_either_or_options_exit_2"
 
 MUTANTS = [
     # the form read once
@@ -113,15 +116,21 @@ MUTANTS = [
            "    phi = linalg.square_matrix(phi, space.dim)\n", "",
            ["tests/test_classify.py::"
             "test_map_element_refuses_a_matrix_of_the_wrong_shape"]),
-    Mutant("element-range-check-off-by-one", POISSON, "_check_mono",
-           "mono[-1] >= space.dim", "mono[-1] > space.dim",
+    Mutant("element-range-check-off-by-one", POISSON, "_checked_word",
+           "not 0 <= i < dim", "not 0 <= i <= dim",
            ["tests/test_poisson.py::"
             "test_element_refuses_an_index_outside_the_basis"]),
+    # the one index rule and the one count test, for every integer given
+    Mutant("index-type-unchecked", POISSON, "_checked_word",
+           "type(i) is not int or ", "", [INTEGER_RULE]),
+    Mutant("arity-type-unchecked", DERIVED, "NaryStructure.__init__",
+           "if type(arity) is not int or arity < 1:", "if arity < 1:",
+           [INTEGER_RULE]),
     # the one monomial rule, for every Element and every document
     Mutant("monomial-order-unchecked", POISSON, "_check_mono",
            "if a > b:", "if False:", [MONOMIAL_RULE]),
     Mutant("odd-square-let-through", POISSON, "_check_mono",
-           "if b < space.dim and par[b]:", "if False:", [MONOMIAL_RULE]),
+           "if par[b]:", "if False:", [MONOMIAL_RULE]),
     # exactness decided once in linalg
     Mutant("float-refusal-dropped", LINALG, "exact",
            "if isinstance(c, Real) and not isinstance(c, Rational):",
@@ -175,7 +184,7 @@ MUTANTS = [
            "pw = _word_parity_prefix(space, w)", "pw = [0] * (len(w) + 1)",
            [CONTRACTION]),
     Mutant("generator-range-check-dropped", POISSON, "Element.generator",
-           "if not 0 <= i < space.dim:", "if False:",
+           'word = _checked_word(space, (i,), "generator")', "word = (i,)",
            ["tests/test_poisson.py::"
             "test_generator_refuses_an_index_outside_the_basis"]),
     Mutant("scatter-prune-lets-an-odd-index-repeat", DERIVED,
@@ -232,6 +241,9 @@ MUTANTS = [
            '"commutative": (True,', '"commutative": (False,', [COMMUTATIVE]),
     Mutant("matrix-field-path-off-by-one", IO, "_parse_rows",
            'f"{path}[{i}][{j}]"', 'f"{path}[{i}][{j + 1}]"', [MALFORMED]),
+    Mutant("either-or-options-not-exclusive", CLI, "build_parser",
+           "either = c.add_mutually_exclusive_group(required=True)",
+           "either = c", [EITHER_OR]),
     Mutant("odd-arity-graph-refusal-disabled", CLI, "_quasi_frobenius",
            "if graph and args.allow_odd_arity and s.arity % 2:", "if False:",
            ["tests/test_cli.py::"
@@ -255,8 +267,7 @@ MUTANTS = [
            "if any(a > b for a, b in zip(key, key[1:])):", "if False:",
            [MALFORMED, KEY_RULE]),
     Mutant("structure-key-range-unchecked", DERIVED, "_check_key",
-           "if key[0] < 0 or key[-1] >= space.dim:", "if False:",
-           [KEY_RULE]),
+           '    _checked_word(space, key, "key")\n', "", [KEY_RULE]),
     Mutant("lookup-word-unchecked", DERIVED, "NaryStructure._lookup",
            "normalize_word(self.space, _checked_word(self.space, args))",
            "normalize_word(self.space, tuple(args))",
@@ -423,14 +434,13 @@ MUTANTS = [
            ["tests/test_hodge.py::"
             "test_context_refuses_an_orientation_of_another_dimension"]),
     Mutant("degree-cap-unchecked", SUPERSPACE, "Superspace.__init__",
-           "if max_degree is not None and (", "if False and (",
+           '_check_count(max_degree, "max_degree")', "pass",
            ["tests/test_superspace.py::"
             "test_degree_cap_must_be_a_positive_int"]),
-    Mutant("degree-cap-lets-a-bool-through", SUPERSPACE,
-           "Superspace.__init__", "type(max_degree) is not int",
-           "not isinstance(max_degree, int)",
+    Mutant("degree-cap-lets-a-bool-through", SUPERSPACE, "_check_count",
+           "type(x) is not int", "not isinstance(x, int)",
            ["tests/test_superspace.py::"
-            "test_degree_cap_must_be_a_positive_int"]),
+            "test_degree_cap_must_be_a_positive_int", INTEGER_RULE]),
     Mutant("field-adapter-drops-the-path", IO, "_at",
            "raise SchemaError(path, str(ex)) from None", "raise",
            [SEMANTIC, MALFORMED]),

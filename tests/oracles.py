@@ -348,7 +348,7 @@ def inner_product_by_star(ctx, v, w):
     _require_ctx_element(ctx, w)
     total = Fraction(0)
     full = tuple(range(ctx.m))
-    top_coeff = ctx.top.terms[full]
+    top_coeff = Fraction(ctx.orientation.sign)  # the top form: sign * L
     for p in set(v.degrees()) & set(w.degrees()):
         prod = multiply(v.homogeneous_part(p), star(ctx, w.homogeneous_part(p)))
         sign = -1 if (p * (p - 1) // 2) % 2 else 1

@@ -1,16 +1,28 @@
 """One source per input: a public function takes a space only where
 nothing else it is given carries one, and the degree cap only where a
-space is built.  No function takes a parameter that it never reads."""
+space is built.  No function takes a parameter that it never reads, and
+every index, arity and dimension a caller gives is an int inside its
+bound or refused with the site's own NaryError."""
 
 import ast
 import importlib
 import inspect
 import os
 import pkgutil
+import random
 
 import pytest
 
 import naryalg
+from naryalg.derived import NaryStructure, Potential, canonical_tuples
+from naryalg.errors import DegreeMismatch, NaryError
+from naryalg.poisson import Element, nested_bracket_indices
+from naryalg.superspace import (
+    Superspace,
+    even_symplectic_space,
+    odd_space,
+)
+from spaces import random_superspace
 
 # every public function, method and record of naryalg.* with a ``space``
 # parameter
@@ -79,8 +91,8 @@ def test_the_degree_cap_is_set_only_where_a_space_is_built():
 RECORDS = {
     "classify.CanonicalForm": (["params", "q", "residual", "m"], 4, {}),
     "classify.IdealReport": (
-        ["found", "basis", "method", "status", "rounds"], 1,
-        {"basis": [], "method": "", "status": "", "rounds": 0}),
+        ["found", "basis", "method", "status"], 1,
+        {"basis": [], "method": "", "status": ""}),
     "classify.ClassificationRecord": (
         ["m", "v", "skew_rank", "canonical_params", "simple",
          "simple_method", "filippov", "sh_jacobi", "ideal"], 9, {}),
@@ -176,3 +188,74 @@ def test_every_parameter_is_read_or_allowlisted():
             _parameters(ast.parse(fh.read()), info.name, out)
     assert len(out) > 400
     assert sorted(name for name, read in out if not read) == sorted(UNREAD)
+
+
+def _probe_spaces():
+    """Pure odd spaces and random spaces with both parities."""
+    rng = random.Random(38)
+    out = [odd_space(3), odd_space(5)]
+    while len(out) < 6:
+        sp = random_superspace(rng, rng.randint(3, 6))
+        if 0 < sum(sp.parity) < sp.dim:
+            out.append(sp)
+    return out
+
+
+# entry point -> (its call on a space and an integer, the error it raises,
+# the bad integers on a space of dimension m: a float, a bool, a negative
+# value and one past the bound, and an int the rule admits on the space)
+INDEX = lambda m: [0.0, True, -1, m]  # noqa: E731
+COUNT = lambda m: [2.0, True, -1, 0]  # noqa: E731
+ONE = lambda V: 1  # noqa: E731
+INTEGER_PROBES = {
+    "Element": (lambda V, i: Element(V, {(i,): 1}), NaryError, INDEX, ONE),
+    "Element-pair": (lambda V, i: Element(V, {(i, V.dim - 1): 1}),
+                     NaryError, INDEX, ONE),
+    "Element.generator": (Element.generator, NaryError, INDEX, ONE),
+    "Element.monomial": (lambda V, i: Element.monomial(V, (i, 0)),
+                         NaryError, INDEX, ONE),
+    "Element.coefficient": (
+        lambda V, i: Element.generator(V, 0).coefficient((i,)), NaryError,
+        INDEX, ONE),
+    "nested_bracket_indices": (
+        lambda V, i: nested_bracket_indices((i,), Element.monomial(
+            V, (0, 1))), NaryError, INDEX, ONE),
+    "NaryStructure-key": (
+        lambda V, i: NaryStructure(V, 2, {(i, 1): Element.generator(V, 2)}),
+        NaryError, INDEX, ONE),
+    "NaryStructure.eval_basis": (
+        lambda V, i: NaryStructure(V, 2, {(0, 1): Element.generator(V, 2)})
+        .eval_basis((i, 1)), NaryError, INDEX, ONE),
+    "NaryStructure-arity": (lambda V, n: NaryStructure(V, n, {}),
+                            NaryError, COUNT, ONE),
+    "Potential.single-arity": (
+        lambda V, n: Potential.single(V, Element.monomial(V, (0, 1, 2)),
+                                      arity=n), DegreeMismatch, COUNT,
+        lambda V: 2),
+    "canonical_tuples": (canonical_tuples, NaryError,
+                         lambda m: [2.0, True, -1, -5], lambda V: 0),
+    "Superspace-dim": (lambda V, m: Superspace(m, [1], [[1]]), NaryError,
+                       COUNT, ONE),
+    "Superspace-parity": (
+        lambda V, p: Superspace(V.dim, [p] + list(V.parity[1:]), V.gram),
+        NaryError, lambda m: [1.0, True, -1, 2], lambda V: V.parity[0]),
+    "odd_space": (lambda V, m: odd_space(m), NaryError, COUNT, ONE),
+    "even_symplectic_space": (lambda V, m: even_symplectic_space(m),
+                              NaryError, lambda m: [4.0, True, -2, 0],
+                              lambda V: 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_PROBES))
+def test_every_integer_a_caller_gives_passes_one_rule(name):
+    """A float, a bool, a negative value and a value past the bound are
+    each refused with the site's own NaryError subclass, never kept and
+    never left to fail later as a TypeError or an IndexError; an int
+    inside the bound is taken."""
+    call, error, bad, good = INTEGER_PROBES[name]
+    for V in _probe_spaces():
+        for x in bad(V.dim):
+            with pytest.raises(NaryError) as info:
+                call(V, x)
+            assert type(info.value) is error, (name, V, x)
+        call(V, good(V))

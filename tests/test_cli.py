@@ -468,7 +468,6 @@ W12 = [{"monomial": [1, 2], "coeff": "1"}]
      "quasi-frobenius check needs --phi"),
     (["verify", "--identity", "derivation"],
      "derivation check needs --element"),
-    (["classify"], "need --v or --skew"),
 ])
 def test_missing_option_exits_2_with_its_refusal(files, capsys, argv, error):
     write, _ = files
@@ -478,6 +477,44 @@ def test_missing_option_exits_2_with_its_refusal(files, capsys, argv, error):
     assert (code, out) == (2, "")
     assert json.loads(err) == {"schema": io.SCHEMA, "error": error,
                                "kind": "NaryError"}
+
+
+@pytest.mark.parametrize("argv, options", [
+    (["classify", "--space", "s.json"], "--v --skew"),
+    (["frobenius", "--space", "s.json", "--phi", "m.json"],
+     "--potential --structure"),
+])
+def test_missing_either_or_option_exits_2_with_its_usage(capsys, argv,
+                                                         options):
+    # argparse refuses the command line before any file is read, as it
+    # refuses a missing --space
+    with pytest.raises(SystemExit) as ex:
+        main(argv)
+    assert ex.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"one of the arguments {options} is required" in out.err
+
+
+@pytest.mark.parametrize("argv, pair", [
+    (["classify", "--space", "s.json", "--v", "v.json", "--skew", "a.json"],
+     ("--skew", "--v")),
+    (["verify", "--space", "s.json", "--identity", "commutative",
+      "--structure", "st.json", "--potential", "mu.json"],
+     ("--potential", "--structure")),
+    (["frobenius", "--space", "s.json", "--structure", "st.json",
+      "--potential", "mu.json", "--phi", "m.json"],
+     ("--potential", "--structure")),
+])
+def test_both_either_or_options_exit_2(capsys, argv, pair):
+    # the second option was once read and the first silently dropped
+    with pytest.raises(SystemExit) as ex:
+        main(argv)
+    assert ex.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"argument {pair[0]}: not allowed with argument {pair[1]}" in \
+        out.err
 
 
 # each option that reads a degree-2 element, with the engine's refusal of
@@ -728,7 +765,7 @@ def test_bad_tolerance_flag_exits_2(files, capsys, command, value):
     ["verify", "--space", "s.json", "--identity", "filippov", "--pot",
      "mu.json"],
     ["verify", "--space", "s.json", "--identity", "filippov", "--exh"],
-    ["classify", "--space", "s.json", "--sk", "a.json"],
+    ["classify", "--space", "s.json", "--v", "v.json", "--sk", "a.json"],
     ["table", "--m", "5", "--gr", "1"],
     ["frobenius", "--space", "s.json", "--structure", "st.json", "--phi",
      "phi.json", "--gra"],

@@ -1257,8 +1257,9 @@ def test_structure_takes_each_key_by_the_one_rule_on_mixed_spaces():
     """NaryStructure refuses a key of the wrong length, one that descends
     and one with an index outside the basis (negative too), each with a
     plain NaryError, and a value over another space or of another degree;
-    the order is read before the ends, so a descending key is refused as
-    such whatever its indices."""
+    the indices are taken by the one index rule before the order is read,
+    so a descending key with an index outside the basis is refused for its
+    range."""
     for sp in _mixed_spaces(90):
         m = sp.dim
         e = Element.generator(sp, m - 1)
@@ -1274,7 +1275,7 @@ def test_structure_takes_each_key_by_the_one_rule_on_mixed_spaces():
                 cases += [((1,) + (0,) * (n - 1),
                            "indices must be non-decreasing"),
                           ((m + 2,) + (0,) * (n - 1),
-                           "indices must be non-decreasing")]
+                           f"key .* has an index outside 0..{m - 1}")]
             for key, msg in cases:
                 with pytest.raises(NaryError, match=f"^{msg}$") as info:
                     NaryStructure(sp, n, {key: e})

@@ -412,7 +412,8 @@ BAD_GRAMS = {
 
 def _space_commands():
     """argv for each subcommand that reads --space, off the parser: its
-    other required options given a first choice or an unread path."""
+    other required options, and the first option of each required
+    either-or group, given a first choice or an unread path."""
     (commands,) = [action.choices for action in build_parser()._actions
                    if isinstance(action, argparse._SubParsersAction)]
     out = {}
@@ -425,6 +426,10 @@ def _space_commands():
             if action.required and flag != "--space":
                 out[name] += [flag, action.choices[0] if action.choices
                               else "unread.json"]
+        for group in sub._mutually_exclusive_groups:
+            if group.required:
+                out[name] += [group._group_actions[0].option_strings[0],
+                              "unread.json"]
     return out
 
 

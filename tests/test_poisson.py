@@ -145,7 +145,8 @@ def test_nested_bracket_indices_reads_the_space_off_its_target():
     t = mono(V5, 1, 2, 3, 4, 5)
     assert nested_bracket_indices((), t).space is V5
     assert nested_bracket_indices([4], t).space is V5
-    with pytest.raises(NaryError, match="^generator index 5 out of range$"):
+    with pytest.raises(NaryError, match=r"^generator \(5,\) has an index "
+                       r"outside 0\.\.4$"):
         nested_bracket_indices([5], t)
 
 
@@ -161,8 +162,8 @@ def test_pair_vectors_refuses_vectors_over_different_spaces():
 
 def test_generator_refuses_an_index_outside_the_basis():
     for i in (5, 9, -1):
-        with pytest.raises(NaryError,
-                           match=rf"^generator index {i} out of range$"):
+        with pytest.raises(NaryError, match=rf"^generator \({i},\) has an "
+                           r"index outside 0\.\.4$"):
             Element.generator(V5, i)
     assert Element.generator(V5, 4).terms == {(4,): 1}
 
@@ -347,14 +348,16 @@ def test_word_outside_the_basis_is_refused_before_its_parity_is_read(build):
 
 def test_element_takes_each_monomial_by_the_one_rule():
     """The constructor refuses a monomial out of order, an odd square, and
-    an index outside the basis behind either, each with a plain NaryError
-    and never an IndexError, on odd_space(3) and on random mixed-parity
-    spaces; the first bad pair is the one named, and a repeated even
-    generator is kept."""
+    an index outside the basis, each with a plain NaryError and never an
+    IndexError, on odd_space(3) and on random mixed-parity spaces; the
+    indices are taken by the one index rule first, so an index outside the
+    basis is named before any pair, then the first bad pair is the one
+    named, and a repeated even generator is kept."""
     V3 = odd_space(3)
+    outside = r"monomial \(.*\) has an index outside 0\.\.2"
     for terms, msg in (({(1, 0): 1}, "indices must be ascending"),
                        ({(0, 0): 1}, "repeated odd generator"),
-                       ({(5, 0): 1}, "indices must be ascending")):
+                       ({(5, 0): 1}, outside)):
         with pytest.raises(NaryError, match=f"^{msg}$") as info:
             Element(V3, terms)
         assert type(info.value) is NaryError
@@ -368,7 +371,8 @@ def test_element_takes_each_monomial_by_the_one_rule():
         a, b = sorted(rng.sample(range(m), 2))
         refused = [((b, a), "indices must be ascending"),
                    ((a, m + 1, m + 1), None), ((m, m), None),
-                   ((a, m + 1, 0), "indices must be ascending")]
+                   ((a, m + 1, 0), f"monomial {(a, m + 1, 0)} has an "
+                    f"index outside 0..{m - 1}")]
         for i in range(m):
             if space.parity[i]:
                 refused.append(((i, i), "repeated odd generator"))
