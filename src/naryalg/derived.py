@@ -10,7 +10,12 @@ Bracketing with a generator is a signed contraction of one factor through
 the form.  ``contractions`` computes every nested contraction of a
 potential at once, contracting each shared suffix of the canonical tuples
 once; derive_structure, check_filippov, the cubic criteria and Jordan's
-inner [e_j, A_i] read it.  The inverse is a closed form
+inner [e_j, A_i] read it.  Its levels run on Python ints: mu's
+coefficients are scaled by D, the lcm of their denominators, and the
+form's entries by E, the lcm of theirs, so level j holds exactly D*E^j
+times the true values, and each coefficient that survives level k is
+turned back into a Fraction once, by one division by D*E^k (the proof is
+in its docstring).  The inverse is a closed form
 (Kosmann-Schwarzbach, "Derived brackets", 2004): with the dual basis
 [dual[i], e_k] = delta_ik, the coefficient of e_b is
 (dual[b_0], {dual[b_1],...,dual[b_n]}), the contraction of mu with those
@@ -67,8 +72,9 @@ identities it is equivalent to are evaluated term by term only by the
 oracle ``generalized_jacobi`` in ``tests/oracles.py``.
 """
 
+from fractions import Fraction
 from itertools import combinations_with_replacement, islice, product
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 from . import linalg
 from .errors import (
@@ -112,13 +118,15 @@ def canonical_tuples(space, n):
 
 
 def _check_key(space, arity, key):
-    """The engine's one structure-key rule: ``arity`` indices, each taken
-    by ``poisson._checked_word``'s index rule, non-decreasing."""
+    """The engine's one structure-key rule: a word that
+    ``poisson._checked_word``'s index rule takes, of ``arity`` indices,
+    non-decreasing.  Returns it as a tuple."""
+    key = _checked_word(space, key, "key")
     if len(key) != arity:
         raise NaryError(f"expected {arity} indices")
-    _checked_word(space, key, "key")
     if any(a > b for a, b in zip(key, key[1:])):
         raise NaryError("indices must be non-decreasing")
+    return key
 
 
 def contractions(mu, k):
@@ -137,19 +145,35 @@ def contractions(mu, k):
     dict per new suffix, and zero coefficients are dropped between levels.
     Each suffix is contracted once; ``poisson.nested_bracket_indices`` is
     the per-tuple chain of brackets that the tests compare it with.
+
+    The levels run on Python ints.  D is the lcm of the denominators of
+    mu's coefficients and E that of the entries of ``space.pairing``;
+    level 0 holds D*c for each coefficient c, and each partner carries E*g
+    for its entry g.  Level j holds exactly D*E^j times the true values:
+    at j = 0 by construction, and a level j+1 coefficient is a signed sum
+    of products (D*E^j*c)(E*g) = D*E^(j+1)*(c*g), each the true product
+    scaled by the same D*E^(j+1), so the sum is the true sum scaled by it.
+    D*E^j > 0, so a scaled coefficient is zero exactly when the true one
+    is, and the zero filter drops the same entries as on the true values;
+    each surviving coefficient of level k is Fraction(c, D*E^k), exactly
+    the true value, and nothing else is divided.
     """
     space = mu.space
     par = space.parity
+    terms = mu.element.terms
+    D = lcm(*(c.denominator for c in terms.values()))
+    E = lcm(*(g.denominator for row in space.pairing for g in row.values()))
     partners = [[] for _ in range(space.dim)]
     for a, row in enumerate(space.pairing):  # ascending a, for the prune
         for x, g in row.items():
-            partners[x].append((a, g))
-    level = {(): mu.element.terms} if mu.element.terms else {}
+            partners[x].append((a, g.numerator * (E // g.denominator)))
+    level = {(): {w: c.numerator * (D // c.denominator)
+                  for w, c in terms.items()}} if terms else {}
     for _ in range(k):
         acc = {}
-        for s, terms in level.items():
+        for s, scaled in level.items():
             first = s[0] if s else space.dim
-            for w, c in terms.items():
+            for w, c in scaled.items():
                 p = 0
                 for j, x in enumerate(w):
                     for a, g in partners[x]:
@@ -161,14 +185,16 @@ def contractions(mu, k):
                             node = acc[t] = {}
                         mono = w[:j] + w[j + 1:]
                         v = -c * g if par[a] and p else c * g
-                        node[mono] = node.get(mono, ZERO) + v
+                        node[mono] = node.get(mono, 0) + v
                     p ^= par[x]
         level = {}
         for t, node in acc.items():
             node = {mono: c for mono, c in node.items() if c}
             if node:
                 level[t] = node
-    return level
+    scale = D * E ** k
+    return {t: {mono: Fraction(c, scale) for mono, c in node.items()}
+            for t, node in level.items()}
 
 
 def _report(name, violations, exhaustive, detail=""):
@@ -274,14 +300,15 @@ class NaryStructure:
     def __init__(self, space, arity, table):
         if type(arity) is not int or arity < 1:
             raise NaryError("structure arity must be >= 1")
-        table = {tuple(key): value for key, value in table.items()}
+        checked = {}
         for key, value in table.items():
-            _check_key(space, arity, key)
+            key = _check_key(space, arity, key)
             if value.space != space:
                 raise SpaceMismatch("structure value over a different space")
             if any(len(m) != 1 for m in value.terms):
                 raise WrongDegree(f"value at {key} is not a degree-1 element")
-        s = self._trusted(space, arity, table)
+            checked[key] = value
+        s = self._trusted(space, arity, checked)
         self.space, self.arity, self.table, self.live = \
             space, arity, s.table, s.live
 
@@ -305,9 +332,10 @@ class NaryStructure:
     def _lookup(self, args):
         """(sign, table value) for basis arguments in any order, or None
         where the product is zero."""
-        if len(args) != self.arity:
+        word = _checked_word(self.space, args)
+        if len(word) != self.arity:
             raise NaryError(f"expected {self.arity} arguments")
-        r = normalize_word(self.space, _checked_word(self.space, args))
+        r = normalize_word(self.space, word)
         if r is None:
             return None
         sign, key = r
@@ -356,7 +384,8 @@ class NaryStructure:
         past the indices that follow it in K, so it is negated exactly when
         c is odd and an odd number of odd indices follow it.  Each (t, c)
         comes from the one key sorted(t + (c,)), once: a repeated (even)
-        index gives one t.  The gather through ``eval_basis`` is the oracle
+        index gives one t.  So each entry of a column is written once, never
+        summed.  The gather through ``eval_basis`` is the oracle
         ``tests/oracles.py::operators_by_gather``.
         """
         parity = self.space.parity
@@ -369,7 +398,7 @@ class NaryStructure:
                 flip = parity[c] and sum(parity[i] for i in t[pos:]) % 2
                 col = ops.setdefault(t, {}).setdefault(c, {})
                 for (i,), x in value.terms.items():
-                    col[i] = col.get(i, ZERO) + (-x if flip else x)
+                    col[i] = -x if flip else x
         return dict(sorted(ops.items()))
 
     def __eq__(self, other):

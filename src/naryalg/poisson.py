@@ -3,17 +3,19 @@
 Monomials are tuples of generator indices, sorted ascending, with repeats
 allowed only for even generators (odd squares vanish).  ``_checked_word``
 is the engine's one index rule, as ``linalg.exact`` is its one scalar
-rule: every generator index a caller gives is an ``int`` (not a ``bool``)
-in 0..dim-1, or it is refused with a plain ``NaryError`` naming the word
-("{what} {word} has an index outside 0..dim-1").  ``Element.generator``,
-``Element.monomial``, ``Element.coefficient``, ``derived``'s structure
-keys and lookups all pass through it.  ``_check_mono`` is the engine's one
-monomial rule: the index rule first, then that order, no odd square and
-the length within the degree cap.  ``Element`` enforces it on every term
-it is given, and ``io.parse_element`` refuses a document's monomial by the
-same rule at its field.  The canonical sign
-of a reordering is the Koszul sign: -1 for every transposition of two odd
-factors.  Elements are sparse maps monomial -> Fraction.
+rule: every word a caller gives is a sequence, and every generator index
+in it an ``int`` (not a ``bool``) in 0..dim-1, or it is refused with a
+plain ``NaryError`` naming the word ("{what} {word} has an index outside
+0..dim-1", or "... is not a sequence of generator indices").
+``Element.generator``, ``Element.monomial``, ``Element.coefficient``,
+``derived``'s structure keys and lookups all pass through it.
+``_check_mono`` is the engine's one monomial rule: the index rule first,
+then that order, no odd square and the length within the degree cap.
+``Element`` enforces it on every term it is given, and
+``io.parse_element`` refuses a document's monomial by the same rule at
+its field.  The canonical sign of a reordering is the Koszul sign: -1 for
+every transposition of two odd factors.  Elements are sparse maps
+monomial -> Fraction.
 
 The bracket is the even Poisson structure determined by three rules:
 
@@ -39,6 +41,7 @@ refuses a pair over different spaces with ``SpaceMismatch``.  The space
 also carries the degree cap that each new monomial is checked against.
 """
 
+from collections.abc import Sequence
 from fractions import Fraction
 
 from .errors import DegreeCapExceeded, NaryError, SpaceMismatch, WrongDegree
@@ -75,10 +78,14 @@ def normalize_word(space, word):
 
 def _checked_word(space, word, what="word"):
     """``word`` as a tuple of generator indices: the engine's one index
-    rule.  Each index is an ``int`` (never a ``bool``) in 0..dim-1, and it
-    is checked before ``normalize_word`` or a monomial rule reads its
-    parity."""
-    word = tuple(word)
+    rule.  The word is a sequence (a bare int is refused, not iterated),
+    and each index is an ``int`` (never a ``bool``) in 0..dim-1, checked
+    before ``normalize_word`` or a monomial rule reads its parity."""
+    if type(word) is not tuple:
+        if not isinstance(word, Sequence):
+            raise NaryError(f"{what} {word!r} is not a sequence of "
+                            "generator indices")
+        word = tuple(word)
     dim = space.dim
     for i in word:
         if type(i) is not int or not 0 <= i < dim:
@@ -91,8 +98,8 @@ def _check_mono(space, mono):
     """The engine's one monomial rule: indices inside the basis (by
     ``_checked_word``), ascending, no odd generator twice, and at most the
     degree cap.  The pairs are read in order and the first bad one is
-    named."""
-    _checked_word(space, mono, "monomial")
+    named.  Returns the monomial as a tuple."""
+    mono = _checked_word(space, mono, "monomial")
     par = space.parity
     for a, b in zip(mono, mono[1:]):
         if a >= b:
@@ -103,6 +110,7 @@ def _check_mono(space, mono):
     if len(mono) > space.max_degree:
         raise DegreeCapExceeded(
             f"monomial degree {len(mono)} exceeds cap {space.max_degree}")
+    return mono
 
 
 class Element:
@@ -119,8 +127,7 @@ class Element:
                 c = coeff if type(coeff) is Fraction else exact(coeff)
                 if c == 0:
                     continue
-                _check_mono(space, mono)
-                clean[mono] = c
+                clean[_check_mono(space, mono)] = c
         self.terms = clean
 
     # ---- constructors ----

@@ -19,8 +19,8 @@ int`` and then its bound, so a float or a ``bool`` is refused with
 that ``_check_count`` decides, the dimension (which ``odd_space`` and
 ``even_symplectic_space`` check before building a matrix of that size)
 and the degree cap; ``derived.canonical_tuples`` takes its length by the
-same function.  An index into the basis is ``poisson._checked_word``'s to
-decide.
+same function, and each entry of an ``Orientation`` takes the same test.
+An index into the basis is ``poisson._checked_word``'s to decide.
 
 The space is the one owner of the degree cap ``max_degree``: a positive
 int, 2 * dim when not given, and dim on a pure odd space, where no
@@ -172,11 +172,19 @@ def permutation_sign(seq):
 
 
 class Orientation:
-    """An ordering of the basis fixing the sign of the top form."""
+    """An ordering of the basis fixing the sign of the top form: a list or
+    tuple of ints (each by the one integer test) that permutes
+    0..len(order)-1."""
 
     __slots__ = ("order", "sign")
 
     def __init__(self, order):
+        if not isinstance(order, (list, tuple)):
+            raise NaryError("orientation must be a list or tuple, "
+                            f"got {order!r}")
+        for i, x in enumerate(order):
+            if type(x) is not int:
+                raise NaryError(f"orientation[{i}] must be an int, got {x!r}")
         if sorted(order) != list(range(len(order))):
             raise NaryError("orientation must be a permutation of the basis indices")
         self.order = tuple(order)

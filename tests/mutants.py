@@ -56,6 +56,8 @@ OPERATORS = "tests/test_derived.py::" \
 MALFORMED = "tests/test_cli.py::test_malformed_field_exits_2_with_its_path"
 SUFFIXES = "tests/test_derived.py::" \
     "test_contractions_match_the_per_tuple_path_on_random_spaces"
+SCALED = "tests/test_derived.py::" \
+    "test_contractions_scale_to_integers_on_mixed_spaces"
 MIXED_KERNELS = "tests/test_hodge.py::" \
     "test_mixed_kernels_match_the_laplacian_oracle"
 LEIBNIZ = "tests/test_hodge.py::test_differential_matches_the_bracket_oracle"
@@ -256,7 +258,8 @@ MUTANTS = [
     Mutant("operators-repeated-even-index-scattered-twice", DERIVED,
            "NaryStructure.operators",
            "if pos and key[pos - 1] == c:", "if False:",
-           [OPERATORS]),
+           [OPERATORS, "tests/test_derived.py::"
+            "test_operators_scatter_each_entry_once"]),
     Mutant("live-keeps-odd-squares", DERIVED, "NaryStructure._trusted",
            "if not any(a == b and parity[a] for a, b in zip(key, key[1:])):",
            "if True:", [COMMUTATIVE, OPERATORS]),
@@ -267,10 +270,10 @@ MUTANTS = [
            "if any(a > b for a, b in zip(key, key[1:])):", "if False:",
            [MALFORMED, KEY_RULE]),
     Mutant("structure-key-range-unchecked", DERIVED, "_check_key",
-           '    _checked_word(space, key, "key")\n', "", [KEY_RULE]),
+           'key = _checked_word(space, key, "key")', "key = tuple(key)",
+           [KEY_RULE]),
     Mutant("lookup-word-unchecked", DERIVED, "NaryStructure._lookup",
-           "normalize_word(self.space, _checked_word(self.space, args))",
-           "normalize_word(self.space, tuple(args))",
+           "word = _checked_word(self.space, args)", "word = tuple(args)",
            ["tests/test_derived.py::"
             "test_eval_basis_refuses_an_index_outside_the_basis"]),
     Mutant("eval-elements-space-unchecked", DERIVED,
@@ -289,6 +292,14 @@ MUTANTS = [
     Mutant("contractions-zero-filter-dropped", DERIVED, "contractions",
            "node = {mono: c for mono, c in node.items() if c}",
            "node = dict(node)", [SUFFIXES]),
+    # its levels run on ints scaled by D * E^j, divided once at the end
+    Mutant("contractions-denominator-power-dropped", DERIVED, "contractions",
+           "E ** k", "E", [SUFFIXES, SCALED]),
+    Mutant("contractions-pairing-unscaled", DERIVED, "contractions",
+           "(a, g.numerator * (E // g.denominator))", "(a, g)",
+           [SUFFIXES, SCALED]),
+    Mutant("contractions-potential-unscaled", DERIVED, "contractions",
+           "{w: c.numerator * (D // c.denominator)", "{w: c", [SCALED]),
     Mutant("cubic-operators-fill-the-wrong-index", DERIVED,
            "_cubic_operators", "return {i: ", "return {i - 1: ",
            ["tests/test_derived.py::"
@@ -433,6 +444,14 @@ MUTANTS = [
            "space.dim:", "if False:",
            ["tests/test_hodge.py::"
             "test_context_refuses_an_orientation_of_another_dimension"]),
+    Mutant("orientation-entries-unchecked", SUPERSPACE,
+           "Orientation.__init__", "if type(x) is not int:", "if False:",
+           ["tests/test_superspace.py::"
+            "test_orientation_takes_each_entry_by_the_integer_rule"]),
+    Mutant("word-sequence-unchecked", POISSON, "_checked_word",
+           "if not isinstance(word, Sequence):", "if False:",
+           ["tests/test_api.py::"
+            "test_every_word_a_caller_gives_is_a_sequence"]),
     Mutant("degree-cap-unchecked", SUPERSPACE, "Superspace.__init__",
            '_check_count(max_degree, "max_degree")', "pass",
            ["tests/test_superspace.py::"

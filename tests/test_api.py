@@ -1,8 +1,9 @@
 """One source per input: a public function takes a space only where
 nothing else it is given carries one, and the degree cap only where a
-space is built.  No function takes a parameter that it never reads, and
+space is built.  No function takes a parameter that it never reads,
 every index, arity and dimension a caller gives is an int inside its
-bound or refused with the site's own NaryError."""
+bound or refused with the site's own NaryError, every word of indices is
+a sequence, and every ``/`` in src/ is on an allowlist."""
 
 import ast
 import importlib
@@ -18,6 +19,7 @@ from naryalg.derived import NaryStructure, Potential, canonical_tuples
 from naryalg.errors import DegreeMismatch, NaryError
 from naryalg.poisson import Element, nested_bracket_indices
 from naryalg.superspace import (
+    Orientation,
     Superspace,
     even_symplectic_space,
     odd_space,
@@ -243,6 +245,8 @@ INTEGER_PROBES = {
     "even_symplectic_space": (lambda V, m: even_symplectic_space(m),
                               NaryError, lambda m: [4.0, True, -2, 0],
                               lambda V: 2),
+    "Orientation": (lambda V, i: Orientation([i] + list(range(1, V.dim))),
+                    NaryError, INDEX, lambda V: 0),
 }
 
 
@@ -259,3 +263,96 @@ def test_every_integer_a_caller_gives_passes_one_rule(name):
                 call(V, x)
             assert type(info.value) is error, (name, V, x)
         call(V, good(V))
+
+
+# entry point -> (its call on a space and a word, the "what" it names)
+WORD_TAKERS = {
+    "Element": (lambda V, w: Element(V, {w: 1}), "monomial"),
+    "Element.monomial": (Element.monomial, "word"),
+    "Element.coefficient": (
+        lambda V, w: Element.generator(V, 0).coefficient(w), "word"),
+    "NaryStructure-key": (
+        lambda V, w: NaryStructure(V, 1, {w: Element.generator(V, 2)}),
+        "key"),
+    "NaryStructure.eval_basis": (
+        lambda V, w: NaryStructure(V, 1, {(0,): Element.generator(V, 2)})
+        .eval_basis(w), "word"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORD_TAKERS))
+def test_every_word_a_caller_gives_is_a_sequence(name):
+    """A bare int, None, a frozenset and a generator given where a word of
+    indices belongs are refused with a plain NaryError naming the word,
+    never left to raise TypeError (once ``Element(V, {5: 1})`` did) nor
+    read in a set's arbitrary order; another sequence, a range, is taken
+    as the same word as its tuple."""
+    call, what = WORD_TAKERS[name]
+    for V in _probe_spaces():
+        for word in (5, 0, None, frozenset({0}), (i for i in (0,))):
+            with pytest.raises(NaryError, match=f"^{what} .* is not a "
+                               "sequence of generator indices$") as info:
+                call(V, word)
+            assert type(info.value) is NaryError, (name, V, word)
+        assert call(V, range(1)) == call(V, (0,)), name
+
+
+# every ``/`` in src/, by the definition it sits in, with the reason its
+# quotient is the one wanted: an int / int quotient is a float, so a new
+# division on an integer kernel must be looked at and listed here
+DIVISIONS = {
+    "classify._midpoint": [
+        # two Fractions halved: an exact midpoint of doubles
+        "(Fraction(x) + Fraction(math.nextafter(x, toward))) / 2"],
+    "classify._float_roots": [
+        # float guidance, on purpose
+        "p / dp", "(acc - c) / x"],
+    "classify._newton_step": [
+        # t is a Fraction, so the step is exact
+        "val / (2 * t * der)"],
+    "classify._rounded_roots": [
+        # the integer charpoly made monic in floats, for the guidance
+        "c / f[-1]"],
+    "classify._pfaffian": [
+        # a Fraction numerator
+        "Fraction(u[i] * w[j] - w[i] * u[j]) / alpha"],
+    "classify.canonical_form": [
+        # numpy floats, on purpose
+        "(T[i, i + 1] - T[i + 1, i]) / 2.0"],
+    "classify._rational_eigenvalues": [
+        # Fraction numerators
+        "Fraction(square[i].get(j, 0)) / x[i][j]",
+        "Fraction(square[j].get(j, 0) - square[0].get(0, 0)) / "
+        "(diag[j] - diag[0])",
+        "(b + root) / 2", "(b - root) / 2"],
+    "derived.closed_form_potential": [
+        # a Fraction sum over an int constant
+        "acc[b] / contraction_constant(space, b)"],
+}
+
+
+def _divisions(node, where, src, out):
+    """(definition, source text) of every ``/`` and ``/=`` under node."""
+    for child in ast.iter_child_nodes(node):
+        inner = where
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            inner = f"{where}.{child.name}"
+        if isinstance(child, (ast.BinOp, ast.AugAssign)) and \
+                isinstance(child.op, ast.Div):
+            text = " ".join(ast.get_source_segment(src, child).split())
+            out.append((inner, text.replace("\\ ", "")))
+        _divisions(child, inner, src, out)
+
+
+def test_every_true_division_in_src_is_allowlisted():
+    out = []
+    for info in pkgutil.iter_modules(naryalg.__path__):
+        path = os.path.join(os.path.dirname(naryalg.__file__),
+                            f"{info.name}.py")
+        with open(path, encoding="utf-8") as fh:
+            src = fh.read()
+        _divisions(ast.parse(src), info.name, src, out)
+    want = [(where, text) for where, texts in DIVISIONS.items()
+            for text in texts]
+    assert sorted(out) == sorted(want)

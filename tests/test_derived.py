@@ -9,6 +9,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
@@ -407,6 +408,38 @@ def test_operators_scatter_matches_the_gather_on_random_spaces():
             col[i] != s.live[tuple(sorted(t + (c,)))].terms[(i,)]
             for t, op in ops.items() for c, col in op.items() for i in col)
     assert all(count >= 20 for count in seen.values()), seen
+
+
+class ReadCount(dict):
+    """The terms of a value, counting the passes operators() makes over
+    them (test only)."""
+
+    reads = 0
+
+    def items(self):
+        ReadCount.reads += 1
+        return dict.items(self)
+
+
+def test_operators_scatter_each_entry_once():
+    """operators() passes over each live value once per distinct index of
+    its key: a repeated (even) index gives one t, so its column is written
+    once.  Each entry is assigned, not summed, so a second pass would not
+    change L_t, only the work; the tables include repeated even indices."""
+    rng = random.Random(64)
+    repeats = 0
+    for trial in range(200):
+        n = rng.randint(2, 4)
+        space = spaces.random_superspace(rng, rng.randint(2, 6))
+        s = random_table(rng, space, n)
+        want = operators_by_gather(s)
+        for value in s.live.values():
+            value.terms = ReadCount(value.terms)
+        ReadCount.reads = 0
+        assert s.operators() == want, trial
+        assert ReadCount.reads == sum(len(set(key)) for key in s.live), trial
+        repeats += any(a == b for key in s.live for a, b in zip(key, key[1:]))
+    assert repeats >= 20, repeats
 
 
 def test_inversion_makes_no_general_bracket(monkeypatch):
@@ -996,22 +1029,35 @@ def test_derive_brackets_only_the_support():
         assert s == derive_structure_by_all_tuples(mu)
 
 
-class Tally(Fraction):
-    """A Fraction that counts the products made with it (test only)."""
+class Count(int):
+    """An int that counts the products made with it (test only); sums and
+    negations stay Counts, so every product of a level is counted."""
 
     products = 0
 
     def __mul__(self, other):
-        Tally.products += 1
-        return Tally(Fraction.__mul__(self, other))
+        Count.products += 1
+        return Count(int.__mul__(self, other))
+
+    __rmul__ = __mul__
 
     def __neg__(self):
-        return Tally(Fraction.__neg__(self))
+        return Count(int.__neg__(self))
 
     def __add__(self, other):
-        return Tally(Fraction.__add__(self, other))
+        return Count(int.__add__(self, other))
 
     __radd__ = __add__
+
+
+class Tally(Fraction):
+    """A Fraction whose numerator is a Count (test only): the integer pass
+    of ``contractions`` reads it once to scale the coefficient, and every
+    product of a level descends from it."""
+
+    @property
+    def numerator(self):
+        return Count(self._numerator)
 
 
 def suffix_work(mu, k):
@@ -1031,10 +1077,11 @@ def suffix_work(mu, k):
 
 def test_contractions_match_the_per_tuple_path_on_random_spaces():
     """contractions(mu, k), k = 0..n, against nested_bracket_indices on
-    every canonical k-tuple (values, keys and term order), and its products
-    against one contraction per canonical suffix, over random mixed-parity
-    spaces with non-identity forms, dense ones included, and potentials
-    with repeated even indices; the zero potential gives no entry."""
+    every canonical k-tuple (values, keys and term order), and its integer
+    products against one scaling per term of mu and one contraction per
+    canonical suffix, over random mixed-parity spaces with non-identity
+    forms, dense ones included, and potentials with repeated even indices;
+    the zero potential gives no entry."""
     rng = random.Random(62)
     seen = {"dense": 0, "even-repeat": 0, "odd-partner": 0, "zero": 0}
     for trial in range(400):
@@ -1051,9 +1098,10 @@ def test_contractions_match_the_per_tuple_path_on_random_spaces():
         seen["zero"] += el.is_zero()
         seen["dense"] += any(len(row) >= 2 for row in space.pairing)
         for k in range(n + 1):
-            Tally.products = 0
+            Count.products = 0
             level = contractions(mu, k)
-            assert Tally.products == suffix_work(mu, k), (trial, k)
+            assert Count.products == len(el.terms) + suffix_work(mu, k), \
+                (trial, k)
             want = {}
             for t in canonical_tuples(space, k):
                 terms = nested_bracket_indices(t, el).terms
@@ -1068,6 +1116,44 @@ def test_contractions_match_the_per_tuple_path_on_random_spaces():
             seen["odd-partner"] += k < n and any(
                 par[t[0]] and t[0] in space.pairing[x]
                 for t in level if t for w in level[t] for x in w)
+    assert all(count >= 20 for count in seen.values()), seen
+
+
+def test_contractions_scale_to_integers_on_mixed_spaces():
+    """The integer pass against nested_bracket_indices on the mixed-parity
+    spaces of tests/spaces.py, with fractional coefficients in mu and in
+    the form: every coefficient returned is a nonzero Fraction, equal to
+    the chain of brackets on its tuple.  The trials must include a
+    potential with D > 1, a form with E > 1 and a nonempty level k >= 2,
+    where dividing by D*E instead of D*E^k would show."""
+    rng = random.Random(39)
+    seen = {"D>1": 0, "E>1": 0, "k>=2": 0, "all three": 0}
+    for trial in range(300):
+        space = spaces.random_superspace(rng, rng.randint(3, 6),
+                                         rng.choice((0.5, 1)))
+        n = rng.randint(1, 3)
+        if not 0 < sum(space.parity) < space.dim or n + 1 > space.max_degree:
+            continue
+        el = spaces.random_homogeneous(space, rng, n + 1,
+                                       terms=rng.randint(1, 6))
+        el = Element(space, {w: c * spaces.random_scalar(rng)
+                             for w, c in el.terms.items()})
+        mu = Potential.single(space, el, arity=n)
+        D = lcm(*(c.denominator for c in el.terms.values()))
+        E = lcm(*(g.denominator for row in space.pairing
+                  for g in row.values()))
+        for k in range(n + 1):
+            level = contractions(mu, k)
+            for t in canonical_tuples(space, k):
+                want = nested_bracket_indices(t, el).terms
+                assert level.get(t, {}) == want, (trial, t)
+            assert all(type(c) is Fraction and c
+                       for terms in level.values() for c in terms.values())
+            if k >= 2 and level:
+                seen["D>1"] += D > 1
+                seen["E>1"] += E > 1
+                seen["k>=2"] += 1
+                seen["all three"] += D > 1 and E > 1
     assert all(count >= 20 for count in seen.values()), seen
 
 

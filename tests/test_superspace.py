@@ -167,6 +167,27 @@ def test_orientation_sign():
     assert Orientation([1, 2, 0]).sign == 1
 
 
+def test_orientation_takes_each_entry_by_the_integer_rule():
+    """A bool or a float that compares equal to its index, and an order
+    that is not a list or tuple, are refused with a plain NaryError; a
+    tuple of ints is taken.  Once ``Orientation([True, 0])`` and
+    ``Orientation([0.0, 1, 2])`` were kept, and ``HodgeContext`` took the
+    second on odd_space(3)."""
+    for order, msg in (([True, 0], r"orientation\[0\] must be an int, got "
+                        "True"),
+                       ([0.0, 1, 2], r"orientation\[0\] must be an int, got "
+                        r"0\.0"),
+                       ([1, 0, 2.0], r"orientation\[2\] must be an int, got "
+                        r"2\.0"),
+                       (3, "orientation must be a list or tuple, got 3"),
+                       (range(3), r"orientation must be a list or tuple, got "
+                        r"range\(0, 3\)")):
+        with pytest.raises(NaryError, match=f"^{msg}$") as info:
+            Orientation(order)
+        assert type(info.value) is NaryError, order
+    assert Orientation((1, 0, 2)).order == (1, 0, 2)
+
+
 def test_degree_cap_ignores_the_environment(monkeypatch):
     # the cap comes from the argument alone; NARY_MAX_DEGREE is not read
     monkeypatch.setenv("NARY_MAX_DEGREE", "5")
