@@ -541,29 +541,38 @@ def _commutant(operators, m):
 def _closes_to_so(operators, m):
     """Do the skew operators generate all of so(m) as a Lie algebra?
 
-    Their span is closed under commutators in batches, the first batch
-    being the operators themselves.  The ``row_space`` of the basis and a
-    batch is the next basis; the next batch brackets every pair of its
-    rows of which one is new, a row at a pivot that the basis before did
-    not have.  A batch that adds nothing is a fixed point, a Lie algebra
-    of lower dimension: False.  The basis rows are combinations of the
-    operators and their commutators, so one certified ``linalg.rank`` of
-    them at m(m-1)/2 proves that the algebra generated is so(m).
+    One span grows one row at a time through ``linalg.extend_span``, the
+    elimination kernel's forward step, on primitive integer rows.  It is
+    fed the ``skew_coordinates`` of each operator, then the commutator of
+    each stored row with every row stored before it, so each pair is
+    bracketed and each commutator reduced once.  The stored rows are a
+    basis of the span, so once every pair of them is bracketed the span is
+    a Lie algebra, the one the operators generate: a fixed point short of
+    so(m) returns False.  The stored rows are combinations of the
+    operators and their commutators, so when there are m(m-1)/2 of them
+    one certified ``linalg.rank`` proves that the algebra generated is
+    so(m), and no further commutator is taken.
     """
     full = m * (m - 1) // 2
-    basis, batch = [], [linalg.skew_coordinates(op) for op in operators]
-    while True:
-        grown = linalg.row_space(basis + batch)
-        if len(grown) == len(basis):
-            return False
-        if len(grown) == full:
-            return linalg.rank(grown) == full
-        pivots = {min(row) for row in basis}
-        new = [min(row) not in pivots for row in grown]
-        basis, ops = grown, [linalg.skew_operator(row) for row in grown]
-        batch = [linalg.skew_commutator(ops[i], ops[j])
-                 for i in range(len(ops))
-                 for j in range(i) if new[i] or new[j]]
+    span, basis = {}, []
+
+    def candidates():
+        for op in operators:
+            yield linalg.skew_coordinates(op)
+        ops = []
+        for row in basis:             # basis grows while this loop runs
+            a = linalg.skew_operator(row)
+            for b in ops:
+                yield linalg.skew_commutator(b, a)
+            ops.append(a)
+
+    for row in candidates():
+        stored = linalg.extend_span(span, row)
+        if stored is not None:
+            basis.append(stored)
+            if len(basis) == full:
+                return linalg.rank(basis) == full
+    return False
 
 
 def _minus_scalar(x, c):
@@ -625,7 +634,9 @@ def find_ideal(s):
     docstring, which applies and transposes them.
     Stage 1 returns the common kernel of the L_t if it is a proper ideal.
     Stage 2, for m >= 3, closes the span of the L_t under commutators
-    (``_closes_to_so``).  An ideal is invariant under every L_t and their
+    (``_closes_to_so``): one integer span grows one row at a time, each
+    pair of its rows bracketed once, and stops at m(m-1)/2 rows or at a
+    fixed point.  An ideal is invariant under every L_t and their
     commutators, and the L_t are skew, so the Lie algebra they generate
     lies in so(m).  If it is all of so(m), which acts absolutely
     irreducibly on R^m for m >= 3 (so by Schur's lemma its commutant is

@@ -35,12 +35,15 @@ and arithmetic helpers, ``charpoly``, ``det``, and ``rref``, ``solve`` and
 Every elimination runs through one kernel: a fraction-free sparse
 Gauss-Jordan elimination over integer rows, in the sense of Bareiss,
 "Sylvester's identity and multistep integer-preserving Gaussian
-elimination" (1968).  Each input row is cleared of denominators and every
-working row is kept primitive (divided by the gcd of its entries).  The
-kernel has two halves:
+elimination" (1968).  Each input row is cleared of denominators, its
+entries each an ``int`` or a ``Fraction`` (a float is refused with
+InexactCoefficient, anything else with NaryError), and every working row
+is kept primitive (divided by the gcd of its entries).  The kernel has two
+halves:
 
 * the forward pass, ``reduce_into`` over the input rows, which stores one
-  working row per leading column;
+  working row per leading column; ``extend_span`` is its step on one row
+  with no combination, which also grows a span one row at a time;
 * the back-substitution in ``_eliminate``, which turns the stored rows into
   the reduced row echelon form.
 
@@ -321,12 +324,40 @@ def reduce_into(lead_rows, vec, comb, scale):
 
 
 def _integral(row):
-    """(ints, den): the sparse row times den, the lcm of its denominators."""
+    """(ints, den): the sparse row times den, the lcm of its denominators.
+
+    Rows enter the kernel here, so every entry is checked here: an ``int``
+    or a ``Fraction`` is taken, a float is refused with
+    InexactCoefficient and anything else (a bool, a string) with NaryError.
+    """
+    for x in row.values():
+        if type(x) is not int and type(x) is not Fraction:
+            if isinstance(x, Real) and not isinstance(x, Rational):
+                raise InexactCoefficient(f"float row entry {x!r}: give an "
+                                         "int or a Fraction")
+            raise NaryError(f"a row entry must be an int or a Fraction, "
+                            f"got {x!r}")
     entries = [(c, x) for c, x in row.items() if x]
     if not entries:
         return {}, 1
     den = lcm(*(x.denominator for _, x in entries))
     return {c: x.numerator * (den // x.denominator) for c, x in entries}, den
+
+
+def extend_span(lead_rows, row):
+    """The kernel's forward step on one sparse row, with no combination.
+
+    lead_rows maps each leading column to a stored working row, as in
+    ``reduce_into``.  The row is cleared to integers (``_integral``) and
+    reduced against lead_rows.  Returns the primitive integer row stored
+    for it, with a positive leading entry, or None if the row already lies
+    in the span of the stored rows.
+    """
+    vec, _ = _integral(row)
+    if not vec:
+        return None
+    lead, _ = reduce_into(lead_rows, vec, {}, 1)
+    return None if lead is None else lead_rows[lead][0]
 
 
 def _forward(rows):
@@ -358,9 +389,7 @@ def _eliminate(rows):
     """
     lead_rows = {}                            # leading column -> working row
     for row in rows:
-        vec, _ = _integral(row)
-        if vec:
-            reduce_into(lead_rows, vec, {}, 1)
+        extend_span(lead_rows, row)
     pivots = sorted(lead_rows)
     # back substitution, last pivot first: a pivot row is already clear of
     # every later pivot column when it is used to clear the rows above it

@@ -76,15 +76,21 @@ def normalize_word(space, word):
     return sign, tuple(w)
 
 
+def _require_sequence(word, what):
+    """Refuse a word that is not a sequence: a bare int is not iterated,
+    and a set or a dict is not read in its iteration order."""
+    if not isinstance(word, Sequence):
+        raise NaryError(f"{what} {word!r} is not a sequence of generator "
+                        "indices")
+
+
 def _checked_word(space, word, what="word"):
     """``word`` as a tuple of generator indices: the engine's one index
     rule.  The word is a sequence (a bare int is refused, not iterated),
     and each index is an ``int`` (never a ``bool``) in 0..dim-1, checked
     before ``normalize_word`` or a monomial rule reads its parity."""
     if type(word) is not tuple:
-        if not isinstance(word, Sequence):
-            raise NaryError(f"{what} {word!r} is not a sequence of "
-                            "generator indices")
+        _require_sequence(word, what)
         word = tuple(word)
     dim = space.dim
     for i in word:
@@ -316,8 +322,10 @@ def nested_bracket(args, target):
 
 def nested_bracket_indices(indices, target):
     """[e_{i_1}, [e_{i_2}, ... [e_{i_s}, target] ... ]]: ``nested_bracket``
-    of the generators of target's space.  ``Element.generator`` takes
-    every index by the one index rule before any bracket is taken."""
+    of the generators of target's space.  indices must be a sequence, and
+    ``Element.generator`` takes every index by the one index rule, before
+    any generator is built or any bracket is taken."""
+    _require_sequence(indices, "indices")
     space = target.space
     return nested_bracket([Element.generator(space, i) for i in indices],
                           target)

@@ -11,8 +11,13 @@ It prints "killed" or "survived" with the wall time, and exits 1 if any
 mutant survives.  A mutant that no longer applies, or tests that fail
 before any mutation, exit 2.
 
-    python tests/mutants.py              # every mutant
-    python tests/mutants.py NAME ...     # the named ones
+    python tests/mutants.py                     # every mutant
+    python tests/mutants.py NAME ...            # the named ones
+    python tests/mutants.py FILE::FUNCTION ...  # every mutant of each
+
+A ``FILE::FUNCTION`` selector, such as
+``src/naryalg/classify.py::_closes_to_so``, names a function as the
+mutants do; names and selectors mix, and an unknown one exits 2.
 
 The runs are not part of the tier-1 suite: pytest collects only
 ``test_*.py``.  ``tests/test_mutants.py`` checks there, without running
@@ -83,6 +88,13 @@ KEY_RULE = "tests/test_derived.py::" \
 INTEGER_RULE = "tests/test_api.py::" \
     "test_every_integer_a_caller_gives_passes_one_rule"
 EITHER_OR = "tests/test_cli.py::test_both_either_or_options_exit_2"
+EXTEND_SPAN = "tests/test_linalg.py::" \
+    "test_extend_span_stores_primitive_integer_rows"
+RREF = "tests/test_linalg.py::test_rref_is_reduced_and_spans_the_row_space"
+ROW_ENTRIES = "tests/test_linalg.py::" \
+    "test_the_kernel_takes_int_and_fraction_row_entries_only"
+CERTIFIED_RANK = "tests/test_classify.py::" \
+    "test_closure_claims_so_m_only_on_a_certified_rank"
 
 MUTANTS = [
     # the form read once
@@ -151,6 +163,23 @@ MUTANTS = [
            "return Fraction(int(c.numerator), int(c.denominator))",
            "return Fraction(c)",
            ["tests/test_linalg.py::test_exact_is_the_one_scalar_rule"]),
+    # one forward step grows a span and feeds the elimination
+    Mutant("extend-span-returns-no-row", LINALG, "extend_span",
+           "return None if lead is None else lead_rows[lead][0]",
+           "return None", [EXTEND_SPAN,
+                           "tests/test_classify.py::"
+                           "test_find_ideal_simple_case_certified"]),
+    Mutant("eliminate-skips-the-first-row", LINALG, "_eliminate",
+           "for row in rows:", "for row in rows[1:]:",
+           [RREF, "tests/test_linalg.py::test_nullspace_is_annihilated"]),
+    Mutant("eliminate-skips-the-back-substitution", LINALG, "_eliminate",
+           "for k in range(len(pivots) - 1, 0, -1):", "for k in ():",
+           [RREF]),
+    Mutant("row-entries-unchecked", LINALG, "_integral",
+           "if type(x) is not int and type(x) is not Fraction:",
+           "if False:", [ROW_ENTRIES]),
+    Mutant("float-row-entry-refused-untyped", LINALG, "_integral",
+           "raise InexactCoefficient(", "raise NaryError(", [ROW_ENTRIES]),
     Mutant("skew-loop-skips-the-diagonal", LINALG, "skew_matrix",
            "for j in range(i, len(a)):", "for j in range(i + 1, len(a)):",
            ["tests/test_classify.py::test_not_skew_rejected"]),
@@ -388,7 +417,7 @@ MUTANTS = [
             "test_find_ideal_refuses_a_non_skew_operator"]),
     # simplicity certified by closing the L_t to so(m)
     Mutant("closure-stops-after-its-first-batch", CLASSIFY, "_closes_to_so",
-           "if len(grown) == len(basis):", "if len(grown) < full:",
+           "for row in basis:", "for row in ():",
            ["tests/test_classify.py::"
             "test_find_ideal_simple_case_certified"]),
     Mutant("commutator-sign-flipped", LINALG, "skew_commutator",
@@ -396,11 +425,20 @@ MUTANTS = [
            ["tests/test_classify.py::"
             "test_rotated_so3_plus_so3_is_never_called_simple",
             OPERATOR_ROUTINES]),
-    Mutant("closure-accepts-one-row-short", CLASSIFY, "_closes_to_so",
-           "return linalg.rank(grown) == full",
-           "return linalg.rank(grown) >= full - 1",
+    Mutant("closure-brackets-one-round", CLASSIFY, "_closes_to_so",
+           "for row in basis:", "for row in list(basis):",
            ["tests/test_classify.py::"
-            "test_closure_claims_so_m_only_on_a_certified_rank"]),
+            "test_closure_brackets_the_rows_that_commutators_add"]),
+    Mutant("closure-accepts-one-row-short", CLASSIFY, "_closes_to_so",
+           "return linalg.rank(basis) == full",
+           "return linalg.rank(basis) >= full - 1", [CERTIFIED_RANK]),
+    Mutant("closure-claims-so-m-without-its-rank", CLASSIFY, "_closes_to_so",
+           "return linalg.rank(basis) == full", "return True",
+           [CERTIFIED_RANK]),
+    Mutant("closure-skips-earlier-rows", CLASSIFY, "_closes_to_so",
+           "for b in ops:", "for b in ops[-1:]:",
+           ["tests/test_classify.py::"
+            "test_closure_reaches_so_m_exactly_when_the_commutant_is_scalar"]),
     Mutant("closure-guard-admits-so2", CLASSIFY, "find_ideal",
            "if m >= 3 and _closes_to_so(operators, m):",
            "if m >= 2 and _closes_to_so(operators, m):",
@@ -449,9 +487,14 @@ MUTANTS = [
            ["tests/test_superspace.py::"
             "test_orientation_takes_each_entry_by_the_integer_rule"]),
     Mutant("word-sequence-unchecked", POISSON, "_checked_word",
-           "if not isinstance(word, Sequence):", "if False:",
+           "        _require_sequence(word, what)\n", "",
            ["tests/test_api.py::"
             "test_every_word_a_caller_gives_is_a_sequence"]),
+    Mutant("nested-indices-sequence-unchecked", POISSON,
+           "nested_bracket_indices",
+           '    _require_sequence(indices, "indices")\n', "",
+           ["tests/test_api.py::test_every_word_a_caller_gives_is_a_sequence"
+            "[nested_bracket_indices]"]),
     Mutant("degree-cap-unchecked", SUPERSPACE, "Superspace.__init__",
            '_check_count(max_degree, "max_degree")', "pass",
            ["tests/test_superspace.py::"
@@ -557,13 +600,28 @@ def run_tests(root, tests):
                           stderr=subprocess.DEVNULL).returncode
 
 
+def select(argv):
+    """(chosen, unknown): the mutants that argv selects, each once, in
+    argv order, and the selectors that select none.  A selector is a
+    mutant's name or ``FILE::FUNCTION``, which selects every mutant of
+    that function; no selector selects every mutant."""
+    if not argv:
+        return list(MUTANTS), []
+    chosen, unknown = [], []
+    for arg in argv:
+        hits = [m for m in MUTANTS
+                if arg in (m.name, f"{m.file}::{m.function}")]
+        if not hits:
+            unknown.append(arg)
+        chosen += [m for m in hits if m not in chosen]
+    return chosen, unknown
+
+
 def main(argv):
-    by_name = {m.name: m for m in MUTANTS}
-    unknown = [name for name in argv if name not in by_name]
+    chosen, unknown = select(argv)
     if unknown:
         print(f"unknown mutant: {', '.join(unknown)}", file=sys.stderr)
         return 2
-    chosen = [by_name[name] for name in argv] or MUTANTS
     with tempfile.TemporaryDirectory() as root:
         _copy(root)
         tests = sorted({t for m in chosen for t in m.tests})

@@ -236,6 +236,32 @@ def operators_by_gather(s):
     return out
 
 
+def closes_to_so_by_batches(operators, m):
+    """Do the skew operators generate so(m)?  Oracle only.
+
+    Their span is closed under commutators in batches, the first batch
+    being the operators themselves.  The ``row_space`` of the basis and a
+    batch is the next basis; the next batch brackets every pair of its
+    rows of which one is new, a row at a pivot that the basis before did
+    not have.  A batch that adds nothing is a fixed point short of so(m);
+    a basis of m(m-1)/2 rows is so(m), confirmed by a certified rank.
+    """
+    full = m * (m - 1) // 2
+    basis, batch = [], [linalg.skew_coordinates(op) for op in operators]
+    while True:
+        grown = linalg.row_space(basis + batch)
+        if len(grown) == len(basis):
+            return False
+        if len(grown) == full:
+            return linalg.rank(grown) == full
+        pivots = {min(row) for row in basis}
+        new = [min(row) not in pivots for row in grown]
+        basis, ops = grown, [linalg.skew_operator(row) for row in grown]
+        batch = [linalg.skew_commutator(ops[i], ops[j])
+                 for i in range(len(ops))
+                 for j in range(i) if new[i] or new[j]]
+
+
 def commutant_dim_by_kronecker(s):
     """Dimension of {X : X L = L X for every operator L of s}.  Oracle only.
 

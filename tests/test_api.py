@@ -277,6 +277,9 @@ WORD_TAKERS = {
     "NaryStructure.eval_basis": (
         lambda V, w: NaryStructure(V, 1, {(0,): Element.generator(V, 2)})
         .eval_basis(w), "word"),
+    "nested_bracket_indices": (
+        lambda V, w: nested_bracket_indices(w, Element.generator(V, 0)),
+        "indices"),
 }
 
 

@@ -42,6 +42,7 @@ from naryalg.poisson import Element, pair_vectors, poisson_bracket
 from naryalg.superspace import Superspace, odd_space
 from oracles import (
     ad_matrix_by_brackets,
+    closes_to_so_by_batches,
     commutant_dim_by_kronecker,
     operators_by_gather,
     spin_by_fixed_point,
@@ -512,6 +513,7 @@ def test_closure_reaches_so_m_exactly_when_the_commutant_is_scalar():
         reaches = classify._closes_to_so(ops, m)
         scalar = classify._commutant(ops, m)[1] == 1
         assert reaches == scalar == (commutant_dim_by_kronecker(s) == 1)
+        assert reaches == closes_to_so_by_batches(ops, m)
         closed.append(reaches)
     # both answers occur on the grids, on random v, and so(3) + so(3)
     # stops short
@@ -520,21 +522,57 @@ def test_closure_reaches_so_m_exactly_when_the_commutant_is_scalar():
     assert closed[-2:] == [False, False]
 
 
+def test_closure_brackets_the_rows_that_commutators_add():
+    # two generic skew operators generate so(m), though with their one
+    # commutator they span only three dimensions; two rotations in
+    # disjoint planes commute and stop at two
+    rng = random.Random(40)
+    for m in (4, 5, 6, 7):
+        ops = [linalg.skew_operator({(i, j): Fraction(rng.randint(-2, 2),
+                                                     rng.randint(1, 2))
+                                     for i in range(m)
+                                     for j in range(i + 1, m)})
+               for _ in range(2)]
+        assert classify._closes_to_so(ops, m)
+        assert closes_to_so_by_batches(ops, m)
+    planes = [linalg.skew_operator({(0, 1): 1}),
+              linalg.skew_operator({(2, 3): 1})]
+    assert not classify._closes_to_so(planes, 4)
+
+
 def test_closure_claims_so_m_only_on_a_certified_rank(monkeypatch):
-    # a row_space that reports m(m-1)/2 rows, one of them a repeat, cannot
-    # make the closure claim so(m), and the commutant still decides
-    s = derive_structure(build_m3_algebra(CTX5,
-                                          mono(V5, 1, 2) + mono(V5, 3, 4)))
+    # an extend_span that counts the first row already in the span as new,
+    # by returning the last row it stored again, leaves the closure with
+    # m(m-1)/2 rows of rank one less: it cannot claim so(m), and the
+    # commutant still decides
+    V6 = odd_space(6)
+    s = derive_structure(build_m3_algebra(HodgeContext(V6),
+                                          mono(V6, 1, 2) + mono(V6, 3, 4)))
     ops = list(s.operators().values())
-    row_space = linalg.row_space
+    assert classify._closes_to_so(ops, 6)
+    extend_span, closes = linalg.extend_span, classify._closes_to_so
+    stored, repeats = [], []
 
-    def overcounting(rows):
-        out = row_space(rows)
-        return out[:-1] + out[:1] if len(out) == 10 else out
+    def repeating(lead_rows, row):
+        out = extend_span(lead_rows, row)
+        if out is None and stored and not repeats:
+            repeats.append(stored[-1])
+            return stored[-1]
+        if out is not None:
+            stored.append(out)
+        return out
 
-    monkeypatch.setattr(linalg, "row_space", overcounting)
-    assert not classify._closes_to_so(ops, 5)
+    def forged(operators, m):
+        stored.clear()
+        repeats.clear()
+        return closes(operators, m)
+
+    monkeypatch.setattr(linalg, "extend_span", repeating)
+    monkeypatch.setattr(classify, "_closes_to_so", forged)
+    assert not classify._closes_to_so(ops, 6)
+    assert repeats and len(stored) == 14
     rep = find_ideal(s)
+    assert repeats and len(stored) == 14
     assert rep.method == "commutant" and rep.status == "simple (certified)"
 
 

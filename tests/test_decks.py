@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from naryalg import classify, cli
+from naryalg import classify, cli, linalg
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -53,29 +53,61 @@ def test_seed_one_deck_matches_its_digests(name, tmp_path, monkeypatch):
 
 
 def test_no_simple_classify_job_reaches_the_commutant(tmp_path, monkeypatch):
-    # the closure certifies every simple job of the seed-1 classify deck
+    # the closure certifies every simple job of the seed-1 classify deck,
+    # with no row_space inside it and fewer commutators than the batched
+    # closure of the oracle takes on the same operators
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
+    from oracles import closes_to_so_by_batches
 
-    calls = []
-    commutant = classify._commutant
+    calls, closures, counts = [], [], {"row_space": 0, "commutators": 0}
+    commutant, closes = classify._commutant, classify._closes_to_so
+    row_space, commutator = linalg.row_space, linalg.skew_commutator
 
     def counted(operators, m):
         calls.append(m)
         return commutant(operators, m)
 
+    def traced(operators, m):
+        closures.append((operators, m))
+        return closes(operators, m)
+
+    def counted_row_space(rows):
+        counts["row_space"] += 1
+        return row_space(rows)
+
+    def counted_commutator(a, b):
+        counts["commutators"] += 1
+        return commutator(a, b)
+
     monkeypatch.setattr(classify, "_commutant", counted)
+    monkeypatch.setattr(classify, "_closes_to_so", traced)
     deck, _ = workloads.build("classify", workloads.DEFAULT_SEED)
-    simple = 0
+    simple = bracketed = 0
     for spec in (spec for rnd in deck for spec in rnd):
         argv, _ = workloads.materialize(spec, str(tmp_path))
         calls.clear()
+        closures.clear()
         with redirect_stdout(StringIO()):
             assert cli.main(argv) == 0
         if len(spec["expect"]["params"]) > 1:  # skew rank above 2
             simple += 1
             assert not calls, spec["cls"]
-    assert simple == 40
+            (operators, m), = closures
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "row_space", counted_row_space)
+                patch.setattr(linalg, "skew_commutator", counted_commutator)
+                counts.update(row_space=0, commutators=0)
+                assert closes(operators, m)
+                ours = dict(counts)
+                counts.update(row_space=0, commutators=0)
+                assert closes_to_so_by_batches(operators, m)
+            assert ours["row_space"] == 0, spec["cls"]
+            # where the operators alone span so(m) neither takes any
+            theirs = counts["commutators"]
+            assert ours["commutators"] < theirs or theirs == 0, spec["cls"]
+            bracketed += theirs > 0
+    assert simple == 40 and bracketed > 0
 
 
 def test_jobs_leave_no_cyclic_garbage(tmp_path, monkeypatch):

@@ -315,6 +315,53 @@ def test_exact_is_the_one_scalar_rule():
     assert type(big.numerator) is int and big * 4 == 2 ** 64
 
 
+def test_extend_span_stores_primitive_integer_rows():
+    span = {}
+    assert linalg.extend_span(span, {1: Fraction(-2, 3), 2: Fraction(4, 9)}) \
+        == {1: 3, 2: -2}
+    for inside in ({1: 6, 2: -4}, {}, {2: 0}):
+        assert linalg.extend_span(span, inside) is None
+    assert linalg.extend_span(span, {0: -4, 1: 2, 2: 2}) == {0: 2, 1: -1, 2: -1}
+    assert linalg.extend_span(span, {1: 1, 2: Fraction(1, 2)}) == {2: 1}
+    assert sorted(span) == [0, 1, 2]
+    # on random rows it stores exactly rank-many of them
+    rng = random.Random(40)
+    for _ in range(30):
+        rows = [{c: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                 for c in range(6) if rng.random() < 0.4} for _ in range(7)]
+        span = {}
+        stored = [linalg.extend_span(span, row) for row in rows]
+        kept = [row for row in stored if row is not None]
+        assert len(kept) == linalg.rank(rows) == linalg.rank(kept)
+        assert all(type(x) is int for row in kept for x in row.values())
+
+
+ROW_ROUTINES = {
+    "rank": linalg.rank,
+    "nullspace": lambda rows: linalg.nullspace(rows, range(3)),
+    "row_space": linalg.row_space,
+    "extend_span": lambda rows: [linalg.extend_span({}, r) for r in rows],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_ROUTINES))
+def test_the_kernel_takes_int_and_fraction_row_entries_only(name):
+    """Every row entry is checked where rows enter the kernel: a float,
+    zero included, is refused with InexactCoefficient and a bool, a
+    string, None or a numpy int with NaryError, never read as a number
+    nor left to raise AttributeError."""
+    call = ROW_ROUTINES[name]
+    call([{0: 2, 2: Fraction(-1, 3)}, {}, {1: 0}])
+    bad = [(0.5, InexactCoefficient), (0.0, InexactCoefficient),
+           (np.float64(1), InexactCoefficient), (True, NaryError),
+           ("1", NaryError), (None, NaryError), (np.int64(1), NaryError)]
+    for x, error in bad:
+        for row in ({0: x}, {0: 1, 2: x}):
+            with pytest.raises(NaryError) as exc:
+                call([{1: 1}, row])
+            assert type(exc.value) is error, (name, x)
+
+
 def test_charpoly_is_called_over_the_integers(monkeypatch):
     calls = []
 

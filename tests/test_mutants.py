@@ -51,3 +51,28 @@ def test_every_named_test_exists():
             if name.split("[")[0] not in names[path]:
                 missing.append(f"{m.name}: {test}")
     assert not missing
+
+
+def test_a_function_selector_selects_every_mutant_of_that_function():
+    # checked without running any mutant
+    closure = "src/naryalg/classify.py::_closes_to_so"
+    want = [m for m in mutants.MUTANTS
+            if (m.file, m.function) == (mutants.CLASSIFY, "_closes_to_so")]
+    assert len(want) >= 4
+    assert mutants.select([closure]) == (want, [])
+    # a name and a selector that both pick a mutant pick it once
+    assert mutants.select([want[1].name, closure]) == \
+        ([want[1]] + want[:1] + want[2:], [])
+    assert mutants.select([]) == (mutants.MUTANTS, [])
+
+
+def test_an_unknown_selector_exits_2_before_any_run(monkeypatch, capsys):
+    def no_run(root, tests):
+        raise AssertionError("a test run started")
+
+    monkeypatch.setattr(mutants, "run_tests", no_run)
+    for bad in ("src/naryalg/classify.py::no_such_function",
+                "src/naryalg/nowhere.py::_closes_to_so",
+                "src/naryalg/classify.py", "no-such-mutant"):
+        assert mutants.main(["commutator-sign-flipped", bad]) == 2
+        assert bad in capsys.readouterr().err

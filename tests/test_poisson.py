@@ -140,6 +140,24 @@ def test_nested_bracket_indices_refuses_as_the_chain(monkeypatch):
             nested_bracket_indices(indices, Element.zero(space))
 
 
+def test_nested_bracket_indices_takes_a_sequence_only(monkeypatch):
+    # a set or a dict would be bracketed in its iteration order, and a
+    # bare int is not iterable: each is refused before any generator
+    def no_generator(space, i):
+        raise AssertionError("generator built before the indices' check")
+
+    target = mono(V5, 1, 2, 3)
+    for bad in (5, frozenset({1, 0}), {0: 1}, None):
+        with monkeypatch.context() as patch:
+            patch.setattr(Element, "generator", no_generator)
+            with pytest.raises(NaryError, match="^indices .* is not a "
+                               "sequence of generator indices$") as info:
+                nested_bracket_indices(bad, target)
+        assert type(info.value) is NaryError
+    assert nested_bracket_indices(range(2), target) == \
+        nested_bracket_indices([0, 1], target)
+
+
 def test_nested_bracket_indices_reads_the_space_off_its_target():
     # an element of a 5-dim space stays one, with no index or none
     t = mono(V5, 1, 2, 3, 4, 5)
